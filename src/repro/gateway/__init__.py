@@ -17,7 +17,7 @@ the MobiGATE gateway sits between wireless clients and wired servers:
 * per-session glue (:mod:`repro.gateway.session`) bridging the asyncio
   world to the threaded runtime via the non-blocking
   :meth:`~repro.runtime.message_queue.MessageQueue.try_post` fast path
-  and an event-driven egress pump;
+  and one event-driven egress pump shared by every session;
 * scripted link outages at the socket boundary
   (:mod:`repro.gateway.faults`), reusing :class:`repro.faults.plan.LinkFault`.
 
@@ -36,6 +36,7 @@ from repro.gateway.session import (
     FULL,
     RETRY,
     SHED,
+    EgressPump,
     GatewaySession,
     OfferTicket,
 )
@@ -46,6 +47,7 @@ __all__ = [
     "ControlPlane",
     "DataPlane",
     "ERROR_HEADER",
+    "EgressPump",
     "FULL",
     "GatewayConfig",
     "GatewayHandle",

@@ -50,8 +50,9 @@ class GatewayConfig:
     #: this much are dropped (slow-reader protection)
     max_conn_write_buffer: int = 4 * 1024 * 1024
 
-    #: egress pump fallback wakeup (seconds): the pump is event-driven off
-    #: the queue waiter; this bounds staleness if a rewire loses the waiter
+    #: egress pump heartbeat (seconds): the pump is event-driven off the
+    #: sessions' queue waiters; this often it sweeps every session, which
+    #: bounds staleness if a rewire loses a waiter
     egress_wake_timeout: float = 0.05
 
     #: durable state plane: ledger backend (None disables durability;

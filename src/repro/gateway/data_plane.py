@@ -18,11 +18,14 @@ freezes exactly the sockets feeding it: the kernel's receive window
 closes and the client blocks in ``send`` — end-to-end backpressure with
 no gateway-side buffering beyond the bounded session.
 
-Egress rides the session's pump thread: frames arrive here via
-``call_soon_threadsafe`` and are written to the connection named by the
-message's ``X-MobiGATE-Connection`` stamp.  A connection whose transport
-already buffers ``max_conn_write_buffer`` bytes has its frames dropped
-(slow-reader protection) rather than growing without bound.
+Egress rides the gateway's one pump thread: each pump cycle crosses to
+the loop **once** (:meth:`DataPlane.egress_bridge`), carrying every frame
+of the cycle; :meth:`DataPlane._write_batch` groups them by the
+connection named in the message's ``X-MobiGATE-Connection`` stamp and
+writes each connection once.  A connection that already buffers
+``max_conn_write_buffer`` bytes — the transport's buffer plus what this
+batch has queued for it — has further frames dropped (slow-reader
+protection) rather than growing without bound.
 
 Protocol errors (malformed framing, oversized declarations) poison the
 connection's assembler; the plane answers with one ``text/plain`` error
@@ -39,11 +42,16 @@ import time
 
 from repro.errors import MimeError, QueueClosedError
 from repro.gateway.config import GatewayConfig
-from repro.gateway.session import ADMITTED, CONNECTION_HEADER, RETRY, SHED, GatewaySession
+from repro.gateway.session import ADMITTED, CONNECTION_HEADER, SHED
 from repro.mime.message import MimeMessage
 from repro.mime.wire import FrameAssembler, serialize_message
 
 ERROR_HEADER = "X-MobiGATE-Error"
+
+#: egress frames shorter than this are joined into one ``write`` per
+#: connection and batch; from here up the join is a copy worth more than
+#: the call it saves, so the frame is written as it is
+COALESCE_BELOW = 16 * 1024
 
 
 def _error_frame(detail: str) -> bytes:
@@ -223,38 +231,57 @@ class DataPlane:
         if self._error_counter is not None:
             self._error_counter.inc()
 
-    # -- egress (entered via call_soon_threadsafe from pump threads) -------------------
+    # -- egress (entered via call_soon_threadsafe from the pump thread) ----------------
 
-    def attach_session(self, session: GatewaySession, loop: asyncio.AbstractEventLoop) -> None:
-        """Install the egress bridge: pump thread → loop → socket write."""
+    def egress_bridge(self, loop: asyncio.AbstractEventLoop):
+        """The pump's hand-over: one loop crossing per batch of frames."""
 
-        def on_egress(conn_id: str | None, frame: bytes) -> None:
+        def bridge(frames: list) -> None:
             # stamp on the pump thread so the measured egress-write latency
             # includes the loop hop the handoff pays
-            loop.call_soon_threadsafe(
-                self._write_frame, session, conn_id, frame, time.perf_counter()
-            )
+            loop.call_soon_threadsafe(self._write_batch, frames, time.perf_counter())
 
-        session.on_egress = on_egress
+        return bridge
 
-    def _write_frame(
-        self,
-        session: GatewaySession,
-        conn_id: str | None,
-        frame: bytes,
-        handoff_at: float | None = None,
-    ) -> None:
+    def _write_batch(self, frames: list, handoff_at: float | None = None) -> None:
+        """Write one pump cycle's ``(session, conn_id, frame)`` triples."""
         if handoff_at is not None and self._egress_write_hist is not None:
             self._egress_write_hist.observe(time.perf_counter() - handoff_at)
-        writer = self._writers.get(conn_id) if conn_id else None
-        if writer is None or writer.transport.is_closing():
-            session.stats.inc("orphans")
-            return
-        if writer.transport.get_write_buffer_size() > self._config.max_conn_write_buffer:
-            self.write_overflow_drops += 1
-            session.stats.inc("orphans")
-            return
-        writer.write(frame)
-        if self._frames_out is not None:
-            self._frames_out.inc()
-            self._bytes_out.inc(len(frame))
+        limit = self._config.max_conn_write_buffer
+        size = 0
+        # conn_id -> [writer, bytes buffered incl. this batch, frames to write]
+        queued: dict[str, list] = {}
+        for session, conn_id, frame in frames:
+            entry = queued.get(conn_id)
+            if entry is None:
+                writer = self._writers.get(conn_id) if conn_id else None
+                if writer is None or writer.transport.is_closing():
+                    session.stats.inc("orphans")
+                    continue
+                entry = queued[conn_id] = [
+                    writer, writer.transport.get_write_buffer_size(), []
+                ]
+            if entry[1] > limit:
+                self.write_overflow_drops += 1
+                session.stats.inc("orphans")
+                continue
+            entry[1] += len(frame)
+            entry[2].append(frame)
+            size += len(frame)
+        written = 0
+        for writer, _buffered, chunks in queued.values():
+            written += len(chunks)
+            small: list[bytes] = []
+            for frame in chunks:
+                if len(frame) < COALESCE_BELOW:
+                    small.append(frame)
+                    continue
+                if small:
+                    writer.write(b"".join(small))
+                    small = []
+                writer.write(frame)
+            if small:
+                writer.write(b"".join(small))
+        if written and self._frames_out is not None:
+            self._frames_out.inc(written)
+            self._bytes_out.inc(size)

@@ -43,7 +43,7 @@ from repro.gateway.config import GatewayConfig
 from repro.gateway.control_plane import ControlPlane, control_request
 from repro.gateway.data_plane import DataPlane
 from repro.gateway.faults import LinkOutageGate
-from repro.gateway.session import GatewaySession
+from repro.gateway.session import EgressPump, GatewaySession
 from repro.runtime.process_scheduler import (
     ProcessScheduler,
     register_child_cleanup,
@@ -96,6 +96,10 @@ class GatewayServer:
         else:
             self.ledger = NULL_LEDGER
         self.recovery = RecoveryManager(self, self.ledger)
+        #: the egress stage every session shares; its thread lives from the
+        #: first deploy to the last undeploy, so stop()/drain() — which
+        #: undeploy everything before closing the ledger — also end it
+        self.egress = EgressPump(wake_timeout=self.config.egress_wake_timeout)
         self._sessions_gauge = (
             self.telemetry.gateway_sessions_gauge() if self.telemetry.enabled else None
         )
@@ -117,6 +121,9 @@ class GatewayServer:
         """
         loop = asyncio.get_running_loop()
         self._loop = loop
+        # until here frames had nowhere to go (sessions deployed before
+        # start() count them as orphans)
+        self.egress.bridge = self.data.egress_bridge(loop)
         self.fault_gate.start(loop)
         if self.ledger.enabled:
             await loop.run_in_executor(None, self.recovery.recover)
@@ -127,10 +134,6 @@ class GatewayServer:
         # surviving shard keeps the port bound when the gateway dies
         register_child_cleanup(self._close_listeners_in_child)
         self._started_at = loop.time()
-        # sessions deployed before start() could not install their egress
-        # bridge (no loop yet); attach them now
-        for session in self.sessions.values():
-            self.data.attach_session(session, loop)
 
     async def stop(self) -> None:
         """Close both planes, then every session and its stream.
@@ -237,16 +240,7 @@ class GatewayServer:
                 else:
                     engine = ThreadedScheduler(runtime_stream)
                     engine.start()
-                session = GatewaySession(
-                    key,
-                    runtime_stream,
-                    engine,
-                    ingress_limit=self.config.session_ingress_limit,
-                    egress_wake_timeout=self.config.egress_wake_timeout,
-                    inline=(scheduler == "inline"),
-                    telemetry=self.telemetry,
-                    ledger=self.ledger,
-                )
+                supervisor = None
                 if self.config.supervise:
                     from repro.faults.supervisor import Supervisor
 
@@ -259,6 +253,19 @@ class GatewayServer:
                         dead_letter_capacity=self.config.dead_letter_capacity,
                     )
                     supervisor.attach()
+                # last, because nothing below can fail: a session that is
+                # never closed would stay attached to the shared pump
+                session = GatewaySession(
+                    key,
+                    runtime_stream,
+                    engine,
+                    ingress_limit=self.config.session_ingress_limit,
+                    inline=(scheduler == "inline"),
+                    telemetry=self.telemetry,
+                    ledger=self.ledger,
+                    pump=self.egress,
+                )
+                if supervisor is not None:
                     session.attach_supervisor(supervisor)
             except Exception:
                 self.mobigate.undeploy(runtime_stream.name)
@@ -268,8 +275,6 @@ class GatewayServer:
             self.ledger.deployed(key, mcl=mcl, scheduler=scheduler)
         if self._sessions_gauge is not None:
             self._sessions_gauge.inc()
-        if self._loop is not None:
-            self.data.attach_session(session, self._loop)
         return session
 
     def undeploy(self, key: str, *, record: bool = True) -> bool:
@@ -379,6 +384,7 @@ class GatewayServer:
             "open_connections": self.data.open_connections,
             "connections_served": self.data.connections_served,
             "uptime_seconds": self.uptime(),
+            "egress_faults": self.egress.faults,
             "recorder": {
                 "enabled": recorder.enabled,
                 "recorded": recorder.recorded,

@@ -14,10 +14,13 @@ boundary crossings the data plane needs:
   window.  A park that outlives its budget is **shed** through
   :meth:`~repro.runtime.stream.RuntimeStream.shed`, so the refusal lands
   in the drop statistics and the conservation ledger stays balanced.
-* **egress** (runtime workers → event-loop thread): a pump thread blocks
-  on the egress queues' waiter event, collects delivered messages,
-  serialises them off the event loop, and hands ``(conn_id, frame
-  bytes)`` to the ``on_egress`` callback the data plane installs.
+* **egress** (runtime workers → event-loop thread): the session hooks a
+  waiter onto its egress queues whose ``set()`` marks it *ready* on an
+  :class:`EgressPump` — one thread for every session of a gateway.  A
+  pump cycle collects every ready session, commits their counter deltas
+  to the ledger with **one** flush, serialises off the event loop, and
+  hands the whole batch of ``(session, conn_id, frame bytes)`` to the
+  pump's ``bridge`` in one call.
 
 All admission methods (``offer`` / ``retry`` / ``abandon``) must be
 called from a single thread (the gateway's event loop); the pump runs on
@@ -94,6 +97,185 @@ class SessionStats:
             }
 
 
+class _ReadyWaiter:
+    """What a session hooks onto its queues: ``set()`` marks it ready."""
+
+    __slots__ = ("_pump", "_session")
+
+    def __init__(self, pump: EgressPump, session: GatewaySession):
+        self._pump = pump
+        self._session = session
+
+    def set(self) -> None:
+        """The queue-waiter protocol (a ``threading.Event`` look-alike)."""
+        self._pump.mark_ready(self._session)
+
+
+class EgressPump:
+    """The egress stage: one thread serving every attached session.
+
+    A session's queue waiter calls :meth:`mark_ready`; the pump thread
+    wakes, takes the ready set and runs one **cycle** over it:
+
+    1. per ready session — turn an inline stream over, pump supervisor
+       retries, ``collect()``, re-hook the waiters, and mirror the counter
+       deltas into the session's ledger if anything was delivered;
+    2. **one** ``ledger.flush()`` for the whole cycle (group commit):
+       every delivered count is on disk, per the fsync policy, before
+       any frame of the cycle leaves;
+    3. serialise, then hand every frame to :attr:`bridge` in one call
+       (frames count as ``orphans`` while no bridge is installed).
+
+    Work is O(ready sessions); every ``wake_timeout`` seconds a cycle
+    sweeps *all* attached sessions, the backstop for a waiter lost to a
+    reconfiguration that swapped an egress channel.  The thread starts
+    with the first :meth:`attach` and exits with the last
+    :meth:`detach`, so an idle or never-started gateway holds none.
+    """
+
+    def __init__(self, *, wake_timeout: float = 0.05):
+        #: ``bridge(frames)`` with ``frames`` a list of ``(session,
+        #: conn_id | None, frame_bytes)``; called from the pump thread
+        self.bridge = None
+        #: exceptions contained inside cycles (see ``egress_fault`` events)
+        self.faults = 0
+        self._wake_timeout = wake_timeout
+        self._wake = threading.Event()
+        # guards the sets and the cycle state below; a leaf lock, because
+        # mark_ready runs under a queue's own lock
+        self._lock = threading.Lock()
+        self._cycle_ended = threading.Condition(self._lock)
+        self._sessions: set[GatewaySession] = set()
+        self._ready: set[GatewaySession] = set()
+        self._cycling = False
+        self._cycles = 0
+        # serialises attach/detach, so the thread is started and joined
+        # by one caller at a time
+        self._lifecycle = threading.Lock()
+        self._thread: threading.Thread | None = None
+
+    # -- membership (any thread) -------------------------------------------------------
+
+    def attach(self, session: GatewaySession) -> None:
+        """Start serving ``session``; starts the thread if it is the first."""
+        with self._lifecycle:
+            with self._lock:
+                self._sessions.add(session)
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._run, name="gw-egress", daemon=True
+                )
+                self._thread.start()
+        self.mark_ready(session)
+
+    def detach(self, session: GatewaySession) -> None:
+        """Stop serving ``session``.
+
+        Returns only after a cycle that may have picked the session up
+        has ended, so the caller can end the stream and take its final
+        ledger sync knowing the pump no longer touches either.  The
+        last detach also ends the thread.
+        """
+        with self._lifecycle:
+            with self._lock:
+                self._sessions.discard(session)
+                self._ready.discard(session)
+                last = not self._sessions
+                if self._cycling:
+                    running = self._cycles
+                    self._cycle_ended.wait_for(lambda: self._cycles > running)
+            if last and self._thread is not None:
+                self._wake.set()
+                self._thread.join()
+                self._thread = None
+
+    def mark_ready(self, session: GatewaySession) -> None:
+        """Queue ``session`` for the next cycle and wake the pump."""
+        with self._lock:
+            if session in self._ready or session not in self._sessions:
+                return  # whoever added it is waking the pump
+            self._ready.add(session)
+        self._wake.set()
+
+    # -- the pump thread -------------------------------------------------------------------
+
+    def _run(self) -> None:
+        sweep_at = 0.0
+        while True:
+            self._wake.wait(self._wake_timeout)
+            self._wake.clear()
+            with self._lock:
+                if not self._sessions:
+                    return
+                now = time.monotonic()
+                if now >= sweep_at:
+                    ready = set(self._sessions)
+                    sweep_at = now + self._wake_timeout
+                else:
+                    ready = self._ready
+                self._ready = set()
+                self._cycling = True
+            try:
+                self._cycle(ready)
+            except Exception as exc:  # the commit or the bridge failed
+                self._fault(ready, exc)
+            finally:
+                with self._lock:
+                    self._cycling = False
+                    self._cycles += 1
+                    self._cycle_ended.notify_all()
+
+    def _cycle(self, ready: set[GatewaySession]) -> None:
+        batches = []
+        ledgers = set()
+        for session in ready:
+            try:
+                delivered = session._collect()
+                if not delivered:
+                    continue
+                # one pickup stamp per session and cycle, taken before the
+                # ledger commit: each message's delivery component covers
+                # the commit and its wait behind earlier frames of the cycle
+                picked = time.perf_counter()
+                if session.ledger.enabled:
+                    session.sync_ledger()
+                    ledgers.add(session.ledger)
+            except QueueClosedError:
+                continue  # the stream ended under us: nothing left to deliver
+            except Exception as exc:
+                self._fault((session,), exc)
+                continue
+            batches.append((session, delivered, picked))
+        # ack durability: the delivered counts are in the ledger — and on
+        # disk, per the fsync policy — *before* any echo frame leaves, so
+        # an acked message is never unaccounted
+        for ledger in ledgers:
+            ledger.flush()
+        frames: list[tuple[GatewaySession, str | None, bytes]] = []
+        for session, delivered, picked in batches:
+            try:
+                session._serialise(delivered, picked, frames)
+            except Exception as exc:
+                self._fault((session,), exc)
+        if not frames:
+            return
+        bridge = self.bridge
+        if bridge is None:
+            for session, _conn_id, _frame in frames:
+                session.stats.inc("orphans")
+        else:
+            bridge(frames)
+
+    def _fault(self, sessions, exc: Exception) -> None:
+        """Contain one failure: the pump keeps serving everyone else."""
+        self.faults += 1
+        for session in sessions:
+            session.stream.tm.recorder.record(
+                "egress_fault", stream=session.stream.name,
+                session=session.key, error=repr(exc),
+            )
+
+
 class GatewaySession:
     """Routes one ``Content-Session`` key into one deployed stream."""
 
@@ -104,17 +286,17 @@ class GatewaySession:
         scheduler,
         *,
         ingress_limit: int = 256,
-        egress_wake_timeout: float = 0.05,
         inline: bool = False,
         telemetry=None,
         ledger=NULL_LEDGER,
+        pump: EgressPump | None = None,
     ):
         self.key = key
         self.stream = stream
         self.scheduler = scheduler
         self.ingress_limit = ingress_limit
         self.stats = SessionStats()
-        #: durable state plane: counter deltas mirror here per pump batch
+        #: durable state plane: counter deltas mirror here per pump cycle
         self.ledger = ledger
         #: a recovery Supervisor, when the gateway runs with supervision
         self.supervisor = None
@@ -130,18 +312,13 @@ class GatewaySession:
         self._delivery_hist = (
             telemetry.gateway_delivery_histogram() if telemetry is not None else None
         )
-        #: installed by the data plane: called from the pump thread as
-        #: ``on_egress(conn_id | None, frame_bytes)``
-        self.on_egress = None
         self._inline = inline
         self._closed = False
-        self._wake_timeout = egress_wake_timeout
-        self._pump = threading.Thread(
-            target=self._pump_loop, name=f"gw-egress-{key}", daemon=True
-        )
-        self._pump_stop = threading.Event()
-        self._pump_wake = threading.Event()
-        self._pump.start()
+        #: the egress stage serving this session: the gateway's shared
+        #: pump, or a private one for a standalone session
+        self.pump = pump if pump is not None else EgressPump()
+        self._waiter = _ReadyWaiter(self.pump, self)
+        self.pump.attach(self)
 
     # -- admission (event-loop thread only) -----------------------------------------
 
@@ -202,7 +379,7 @@ class GatewaySession:
             self.stream.stats.inc("messages_in")
             self.stats.inc("frames_in")
             if self._inline:
-                self._pump_wake.set()  # no workers: the pump drives the stream
+                self._waiter.set()  # no workers: the pump drives the stream
             return OfferTicket(ADMITTED, msg_id, size)
         if outcome is None:
             self.stats.inc("contended")
@@ -265,78 +442,64 @@ class GatewaySession:
             m["dead_letters"] = dead_letters
             m["dropped"] = dropped
 
-    # -- egress pump (own thread) ------------------------------------------------------
+    # -- egress (pump thread) ------------------------------------------------------------
 
-    def _pump_loop(self) -> None:
-        wake = self._pump_wake
-        while not self._pump_stop.is_set():
-            self._register_waiters(wake)
-            wake.wait(self._wake_timeout)
-            wake.clear()
-            try:
-                if self._inline:
-                    self.scheduler.pump()
-                supervisor = self.supervisor
-                if supervisor is not None:
-                    supervisor.pump_retries()
-                delivered = self.stream.collect()
-            except QueueClosedError:
-                return  # the stream ended under us: nothing left to deliver
-            if delivered and self.ledger.enabled:
-                # ack durability: the delivered counts hit the ledger —
-                # and the disk, per the fsync policy — *before* any echo
-                # frame leaves, so an acked message is never unaccounted
-                self.sync_ledger()
-                self.ledger.flush()
-            # one pickup stamp per batch: each message's delivery component
-            # covers its wait behind earlier messages of the same batch
-            picked = time.perf_counter()
-            for message in delivered:
-                self._deliver(message, picked)
+    def _collect(self) -> list[MimeMessage]:
+        """This session's share of a pump cycle: whatever reached egress."""
+        if self._inline:
+            self.scheduler.pump()
+        supervisor = self.supervisor
+        if supervisor is not None:
+            supervisor.pump_retries()
+        delivered = self.stream.collect()
+        # after the drain: a queue that still held what was just taken
+        # would set the waiter at once and buy an empty cycle
+        self._hook_waiters()
+        return delivered
 
-    def _register_waiters(self, event: threading.Event) -> None:
-        """(Re-)hook the wakeup event onto the current egress queues.
+    def _hook_waiters(self) -> None:
+        """(Re-)hook the ready waiter onto the current egress queues.
 
-        Re-run every cycle because reconfiguration may swap egress
-        channels; ``add_waiter`` is idempotent, so steady state costs one
-        lock round per queue per wakeup.  Inline sessions also watch the
-        ingress queues: with no scheduler workers, an arriving message is
-        what makes the pump turn the stream over.
+        Re-run every time the session is served because reconfiguration
+        may swap egress channels; ``add_waiter`` is idempotent, so steady
+        state costs one lock round per queue per cycle.  Inline sessions
+        also watch the ingress queues: with no scheduler workers, an
+        arriving message is what makes the pump turn the stream over.
         """
+        waiter = self._waiter
         try:
             for _ref, channel in self.stream.egress:
-                channel.queue.add_waiter(event)
+                channel.queue.add_waiter(waiter)
             if self._inline:
                 for channel in self.stream.ingress.values():
-                    channel.queue.add_waiter(event)
+                    channel.queue.add_waiter(waiter)
         except QueueClosedError:  # pragma: no cover - teardown race
             pass
 
-    def _deliver(self, message: MimeMessage, picked: float | None = None) -> None:
-        raw_conn = message.headers.get(CONNECTION_HEADER)
-        message.headers.remove(CONNECTION_HEADER)
-        stamped = message.headers.get(INGRESS_HEADER)
-        if stamped is not None:
-            message.headers.remove(INGRESS_HEADER)
-            if self._e2e_hist is not None:
-                try:
-                    admitted_at = float(stamped)
-                except ValueError:
-                    pass  # a corrupted stamp just goes unattributed
-                else:
-                    now = time.perf_counter()
-                    self._e2e_hist.observe(now - admitted_at)
-                    if self._delivery_hist is not None and picked is not None:
-                        # same instant as the e2e observation, so the
-                        # component set sums to what e2e measures
-                        self._delivery_hist.observe(now - picked)
-        frame = serialize_message(message)
-        self.stats.inc("frames_out")
-        callback = self.on_egress
-        if callback is None:
-            self.stats.inc("orphans")
-            return
-        callback(raw_conn, frame)
+    def _serialise(self, delivered: list[MimeMessage], picked: float, out: list) -> None:
+        """Strip the gateway stamps, observe latency, append wire frames to ``out``."""
+        e2e_hist, delivery_hist = self._e2e_hist, self._delivery_hist
+        for message in delivered:
+            headers = message.headers
+            conn_id = headers.get(CONNECTION_HEADER)
+            headers.remove(CONNECTION_HEADER)
+            stamped = headers.get(INGRESS_HEADER)
+            if stamped is not None:
+                headers.remove(INGRESS_HEADER)
+                if e2e_hist is not None:
+                    try:
+                        admitted_at = float(stamped)
+                    except ValueError:
+                        pass  # a corrupted stamp just goes unattributed
+                    else:
+                        now = time.perf_counter()
+                        e2e_hist.observe(now - admitted_at)
+                        if delivery_hist is not None:
+                            # same instant as the e2e observation, so the
+                            # component set sums to what e2e measures
+                            delivery_hist.observe(now - picked)
+            out.append((self, conn_id, serialize_message(message)))
+        self.stats.inc("frames_out", len(delivered))
 
     # -- lifecycle ----------------------------------------------------------------------
 
@@ -365,7 +528,7 @@ class GatewaySession:
         }
 
     def close(self) -> None:
-        """Stop the scheduler and pump, end the stream (idempotent).
+        """Stop the scheduler, leave the pump, end the stream (idempotent).
 
         A close is *not* an undeploy in the ledger's eyes: the final
         counter sync lands, but no ``undeployed`` record — a session
@@ -377,9 +540,7 @@ class GatewaySession:
         self._closed = True
         if not self._inline:
             self.scheduler.stop()
-        self._pump_stop.set()
-        self._pump_wake.set()
-        self._pump.join(timeout=2.0)
+        self.pump.detach(self)
         self.stream.end()
         if self.ledger.enabled:
             self.sync_ledger()  # capture the end_drops the stream just took

@@ -59,7 +59,7 @@ class HeaderMap:
     def set(self, name: str, value: str) -> None:
         """Set (replacing) a field; names/values are validated."""
         name = name.strip()
-        if not name or any(c in name for c in ":\r\n"):
+        if not name or ":" in name or "\r" in name or "\n" in name:
             raise HeaderError(f"illegal header name {name!r}")
         value = str(value).strip()
         if "\n" in value or "\r" in value:
@@ -232,5 +232,5 @@ class HeaderMap:
             name, sep, value = line.partition(":")
             if not sep:
                 raise HeaderError(f"header line {lineno} has no colon: {line!r}")
-            headers.set(name, value.strip())
+            headers.set(name, value)  # set() strips both sides
         return headers

@@ -17,7 +17,8 @@ Contract rules every backend honours:
 * ``flush`` makes everything appended so far durable (fsync / commit),
   subject to the backend's ``fsync`` policy;
 * all methods are thread-safe — admissions land from the gateway's event
-  loop while deliveries land from egress pump threads.
+  loop while deliveries land from the egress pump thread, which flushes
+  once per cycle for every session it served (a group commit).
 
 :class:`MemoryStore` is the non-durable twin: it keeps the records in a
 list, survives nothing, and exists so the ``durability`` bench can price

@@ -12,7 +12,7 @@ per message — that would double the hot-path work and still drift from
 the live invariant, because shed/abandon/fault paths admit to the pool
 without crossing a single choke point.  Instead each
 :class:`~repro.gateway.session.GatewaySession` mirrors its stream's
-counters into one ``counters`` record per pump batch, carrying the
+counters into one ``counters`` record per pump cycle, carrying the
 **deltas** since the previous mirror.  Folding the deltas reproduces
 exactly the totals the live conservation checker sees, so the
 cross-crash equation::

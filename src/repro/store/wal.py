@@ -192,7 +192,7 @@ class SqliteWALStore(StateStore):
         if parent:
             os.makedirs(parent, exist_ok=True)
         # The store lock serialises all access, so sharing the
-        # connection across the gateway's pump threads is safe.
+        # connection between the gateway's loop and pump threads is safe.
         self._conn = sqlite3.connect(self.path, check_same_thread=False)
         try:
             self._conn.execute("PRAGMA journal_mode=WAL")
