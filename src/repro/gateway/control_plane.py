@@ -15,7 +15,9 @@ Request: ``{"op": <verb>, ...}``.  Response: ``{"ok": true, ...}`` or
     ``{"mcl": source, "session"?: key, "scheduler"?: "threaded"|"inline",
     "stream"?: name}`` — compile, verify, and deploy an MCL script as a
     new gateway session; returns the routing key clients must put in
-    ``Content-Session``.
+    ``Content-Session``.  ``"threaded"`` (the default) starts a worker
+    thread per streamlet only where a streamlet may need one; see
+    :meth:`~repro.gateway.server.GatewayServer.deploy`.
 ``reconfigure``
     ``{"event": name, "session"?: key}`` — raise a context event (scoped
     to one session's stream when given); compiled ``when`` handlers run
@@ -32,9 +34,10 @@ Request: ``{"op": <verb>, ...}``.  Response: ``{"ok": true, ...}`` or
     A JSON snapshot of the metrics registry (empty when telemetry is the
     null twin).
 ``introspect``
-    Live-state snapshot: per-session queue depths/watermarks, worker
-    states and utilization, RCU snapshot versions, the session table,
-    data-plane connection counts, and flight-recorder health.
+    Live-state snapshot: per-session queue depths/watermarks, who steps
+    the session (``stepped_by``) with worker states and utilization or
+    the egress pump's own figures, RCU snapshot versions, the session
+    table, data-plane connection counts, and flight-recorder health.
 ``attribution``
     ``{"session"?: key}`` — the per-hop latency attribution tables
     (queue_wait / service / egress histogram summaries) plus the

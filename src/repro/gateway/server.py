@@ -44,6 +44,7 @@ from repro.gateway.control_plane import ControlPlane, control_request
 from repro.gateway.data_plane import DataPlane
 from repro.gateway.faults import LinkOutageGate
 from repro.gateway.session import EgressPump, GatewaySession
+from repro.mcl import astnodes as ast
 from repro.runtime.process_scheduler import (
     ProcessScheduler,
     register_child_cleanup,
@@ -58,6 +59,26 @@ from repro.store.recovery import RecoveryManager
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import FaultPlan
     from repro.telemetry import Telemetry
+
+
+def _cooperative_only(table, directory) -> bool:
+    """Whether ``table`` can only ever instantiate cooperative streamlets.
+
+    Looks at every definition the composition starts with and every one
+    a ``when`` handler may ``new`` later, so the answer holds across
+    reconfigurations.  A factory that is not a class declaring
+    ``cooperative`` (a closure, say) counts as one that may block.
+    """
+    definitions = list(table.instances.values()) + [
+        table.streamlet_defs[action.definition]  # the compiler checked it exists
+        for actions in table.handlers.values()
+        for action in actions
+        if isinstance(action, ast.NewInstances) and action.kind == "streamlet"
+    ]
+    return all(
+        getattr(directory.factory_for(definition), "cooperative", False)
+        for definition in definitions
+    )
 
 
 class GatewayServer:
@@ -209,6 +230,14 @@ class GatewayServer:
         one script can be deployed many times; the returned session's
         ``key`` (``session_key`` or the runtime's generated session id) is
         what clients must carry in ``Content-Session``.
+
+        ``scheduler="threaded"`` asks for the thread-per-streamlet engine,
+        and gets it wherever a streamlet may need a thread of its own.  A
+        composition that can only ever hold cooperative streamlets (see
+        :attr:`~repro.runtime.streamlet.Streamlet.cooperative`) is stepped
+        by the egress pump instead, exactly as ``"inline"`` sessions are,
+        and starts no ``streamlet-*`` thread.  The ledger records the
+        requested value, so a recovery redeploy makes the same choice.
         """
         if scheduler not in ("threaded", "inline", "process"):
             raise MobiGateError(f"unknown scheduler {scheduler!r}")
@@ -232,7 +261,11 @@ class GatewayServer:
                 key = session_key if session_key is not None else runtime_stream.session
                 if key is None or key in self.sessions:
                     raise MobiGateError(f"cannot key session as {key!r}")
-                if scheduler == "inline":
+                pumped = scheduler == "inline" or (
+                    scheduler == "threaded"
+                    and _cooperative_only(table, self.mobigate.directory)
+                )
+                if pumped:
                     engine = InlineScheduler(runtime_stream)
                 elif scheduler == "process":
                     engine = ProcessScheduler(runtime_stream)
@@ -260,7 +293,8 @@ class GatewayServer:
                     runtime_stream,
                     engine,
                     ingress_limit=self.config.session_ingress_limit,
-                    inline=(scheduler == "inline"),
+                    inline=pumped,
+                    requested=scheduler,
                     telemetry=self.telemetry,
                     ledger=self.ledger,
                     pump=self.egress,
@@ -362,11 +396,14 @@ class GatewayServer:
     def introspect(self) -> dict:
         """The live-state snapshot behind the ``introspect`` control verb.
 
-        Per session: queue depths/watermarks, worker states (threaded
-        schedulers), the RCU snapshot version, and the session ledger —
-        plus data-plane connection counts and flight-recorder health.
+        Per session: queue depths/watermarks, who steps it — ``workers``
+        (or shards) with their states, or the ``pump``'s own figures for
+        a pump-stepped session — the RCU snapshot version, and the
+        session ledger; plus data-plane connection counts and
+        flight-recorder health.
         """
         sessions: dict[str, dict] = {}
+        pump_stats = self.egress.stats()
         for key, session in list(self.sessions.items()):
             stream = session.stream
             entry = {
@@ -374,9 +411,10 @@ class GatewayServer:
                 "snapshot_version": stream.snapshot_version,
                 "queues": stream.queue_introspect(),
             }
-            worker_states = getattr(session.scheduler, "worker_states", None)
-            if worker_states is not None:
-                entry["workers"] = worker_states()
+            if session.stepped_by == "pump":
+                entry["pump"] = pump_stats
+            else:
+                entry["workers"] = session.scheduler.worker_states()
             sessions[key] = entry
         recorder = self.telemetry.recorder
         return {

@@ -14,7 +14,7 @@ boundary crossings the data plane needs:
   window.  A park that outlives its budget is **shed** through
   :meth:`~repro.runtime.stream.RuntimeStream.shed`, so the refusal lands
   in the drop statistics and the conservation ledger stays balanced.
-* **egress** (runtime workers → event-loop thread): the session hooks a
+* **egress** (runtime → event-loop thread): the session hooks a
   waiter onto its egress queues whose ``set()`` marks it *ready* on an
   :class:`EgressPump` — one thread for every session of a gateway.  A
   pump cycle collects every ready session, commits their counter deltas
@@ -22,10 +22,20 @@ boundary crossings the data plane needs:
   hands the whole batch of ``(session, conn_id, frame bytes)`` to the
   pump's ``bridge`` in one call.
 
+Who *steps* the stream is the composition's property, not the caller's.
+A **pump-stepped** session (``inline=True``) has no scheduler threads:
+its share of a cycle first turns the stream over with
+``InlineScheduler.pump`` for at most :data:`PUMP_QUANTUM` worklist
+rounds, run to completion on the pump thread, then collects.  The
+gateway drives every composition of cooperative streamlets this way
+(see :attr:`~repro.runtime.streamlet.Streamlet.cooperative`); any other
+keeps a worker thread per streamlet, because a step that waits on the
+shared pump would silence every session.
+
 All admission methods (``offer`` / ``retry`` / ``abandon``) must be
 called from a single thread (the gateway's event loop); the pump runs on
 its own thread and touches only thread-safe runtime surfaces
-(``collect``, queue waiters).
+(``pump``, ``collect``, queue waiters).
 """
 
 from __future__ import annotations
@@ -55,6 +65,12 @@ ADMITTED = "admitted"
 FULL = "full"          # nothing admitted; session at its ingress bound
 RETRY = "retry"        # pool id admitted; queue lock contended, repost later
 SHED = "shed"          # admitted and immediately dropped into the ledger
+
+#: worklist rounds a pump-stepped session may run per cycle (each round
+#: moves up to one scheduler batch per input port); what is left re-marks
+#: the session, so a flooded session delays the others' deliveries by one
+#: quantum, not by a whole ``ingress_limit`` of backlog
+PUMP_QUANTUM = 4
 
 
 @dataclass
@@ -117,9 +133,10 @@ class EgressPump:
     A session's queue waiter calls :meth:`mark_ready`; the pump thread
     wakes, takes the ready set and runs one **cycle** over it:
 
-    1. per ready session — turn an inline stream over, pump supervisor
-       retries, ``collect()``, re-hook the waiters, and mirror the counter
-       deltas into the session's ledger if anything was delivered;
+    1. per ready session — pump supervisor retries, step a pump-stepped
+       stream for its quantum, ``collect()``, re-hook the waiters, and
+       mirror the counter deltas into the session's ledger if anything
+       was delivered;
     2. **one** ``ledger.flush()`` for the whole cycle (group commit):
        every delivered count is on disk, per the fsync policy, before
        any frame of the cycle leaves;
@@ -149,6 +166,12 @@ class EgressPump:
         self._ready: set[GatewaySession] = set()
         self._cycling = False
         self._cycles = 0
+        # what stats() reports; written by the pump thread only
+        self._delivering_cycles = 0
+        self._sessions_delivered = 0
+        self._frames = 0
+        self._busy_seconds = 0.0
+        self._started_at = 0.0
         # serialises attach/detach, so the thread is started and joined
         # by one caller at a time
         self._lifecycle = threading.Lock()
@@ -162,6 +185,8 @@ class EgressPump:
             with self._lock:
                 self._sessions.add(session)
             if self._thread is None:
+                self._started_at = time.monotonic()
+                self._busy_seconds = 0.0
                 self._thread = threading.Thread(
                     target=self._run, name="gw-egress", daemon=True
                 )
@@ -220,6 +245,7 @@ class EgressPump:
             except Exception as exc:  # the commit or the bridge failed
                 self._fault(ready, exc)
             finally:
+                self._busy_seconds += time.monotonic() - now
                 with self._lock:
                     self._cycling = False
                     self._cycles += 1
@@ -259,12 +285,34 @@ class EgressPump:
                 self._fault((session,), exc)
         if not frames:
             return
+        self._delivering_cycles += 1
+        self._sessions_delivered += len(batches)
+        self._frames += len(frames)
         bridge = self.bridge
         if bridge is None:
             for session, _conn_id, _frame in frames:
                 session.stats.inc("orphans")
         else:
             bridge(frames)
+
+    def stats(self) -> dict:
+        """The pump's own figures, for ``introspect``.
+
+        ``sessions_per_cycle`` / ``frames_per_cycle`` average over the
+        cycles that delivered something — how many sessions and frames
+        shared one ledger commit and one bridge call; ``busy_share`` is
+        cycle time over the running thread's lifetime.
+        """
+        delivering = self._delivering_cycles
+        alive = time.monotonic() - self._started_at if self._thread is not None else 0.0
+        return {
+            "cycles": self._cycles,
+            "delivering_cycles": delivering,
+            "sessions_per_cycle": self._sessions_delivered / delivering if delivering else 0.0,
+            "frames_per_cycle": self._frames / delivering if delivering else 0.0,
+            "busy_share": min(1.0, self._busy_seconds / alive) if alive > 0 else 0.0,
+            "egress_faults": self.faults,
+        }
 
     def _fault(self, sessions, exc: Exception) -> None:
         """Contain one failure: the pump keeps serving everyone else."""
@@ -277,7 +325,19 @@ class EgressPump:
 
 
 class GatewaySession:
-    """Routes one ``Content-Session`` key into one deployed stream."""
+    """Routes one ``Content-Session`` key into one deployed stream.
+
+    ``scheduler`` is the engine that steps the stream.  With
+    ``inline=True`` it is an :class:`~repro.runtime.scheduler.
+    InlineScheduler` and the session is **pump-stepped**: no thread of
+    its own, the egress pump runs it to completion inside the session's
+    share of a cycle.  Otherwise the engine owns its threads (or shard
+    processes) and the pump only collects what they deliver.
+    ``requested`` is the scheduler name the deployer asked for, when it
+    differs from the engine built — it is what ``describe`` reports as
+    ``scheduler`` and what the ledger records, while ``stepped_by`` says
+    who actually steps.
+    """
 
     def __init__(
         self,
@@ -287,6 +347,7 @@ class GatewaySession:
         *,
         ingress_limit: int = 256,
         inline: bool = False,
+        requested: str | None = None,
         telemetry=None,
         ledger=NULL_LEDGER,
         pump: EgressPump | None = None,
@@ -294,6 +355,14 @@ class GatewaySession:
         self.key = key
         self.stream = stream
         self.scheduler = scheduler
+        if inline:
+            built, self.stepped_by = "inline", "pump"
+        elif type(scheduler).__name__ == "ProcessScheduler":
+            built, self.stepped_by = "process", "shards"
+        else:
+            built, self.stepped_by = "threaded", "workers"
+        #: the engine flavour that was asked for (the ledger's value)
+        self.scheduler_kind = requested if requested is not None else built
         self.ingress_limit = ingress_limit
         self.stats = SessionStats()
         #: durable state plane: counter deltas mirror here per pump cycle
@@ -318,6 +387,10 @@ class GatewaySession:
         #: pump, or a private one for a standalone session
         self.pump = pump if pump is not None else EgressPump()
         self._waiter = _ReadyWaiter(self.pump, self)
+        # a RESUME or a committed reconfiguration posts nothing: without
+        # this a message parked behind a paused streamlet (or an egress
+        # channel the commit swapped) would wait for the heartbeat
+        stream.add_wakeup_listener(self._waiter.set)
         self.pump.attach(self)
 
     # -- admission (event-loop thread only) -----------------------------------------
@@ -446,31 +519,34 @@ class GatewaySession:
 
     def _collect(self) -> list[MimeMessage]:
         """This session's share of a pump cycle: whatever reached egress."""
-        if self._inline:
-            self.scheduler.pump()
         supervisor = self.supervisor
         if supervisor is not None:
-            supervisor.pump_retries()
+            supervisor.pump_retries()  # first: the step below moves them on
+        moved = self.scheduler.pump(max_rounds=PUMP_QUANTUM) if self._inline else 0
         delivered = self.stream.collect()
         # after the drain: a queue that still held what was just taken
         # would set the waiter at once and buy an empty cycle
-        self._hook_waiters()
+        self._hook_waiters(ingress=moved > 0)
         return delivered
 
-    def _hook_waiters(self) -> None:
+    def _hook_waiters(self, *, ingress: bool) -> None:
         """(Re-)hook the ready waiter onto the current egress queues.
 
         Re-run every time the session is served because reconfiguration
         may swap egress channels; ``add_waiter`` is idempotent, so steady
-        state costs one lock round per queue per cycle.  Inline sessions
-        also watch the ingress queues: with no scheduler workers, an
-        arriving message is what makes the pump turn the stream over.
+        state costs one lock round per queue per cycle.  Pump-stepped
+        sessions also watch the ingress queues, and ``add_waiter`` sets
+        the waiter at once on a queue that holds something: that is how
+        the input a spent quantum left behind re-marks the session.
+        Only after a step that moved something, though (``ingress``) —
+        input a paused stream cannot take would re-mark it every cycle
+        and spin the pump; RESUME wakes it through the wakeup listener.
         """
         waiter = self._waiter
         try:
             for _ref, channel in self.stream.egress:
                 channel.queue.add_waiter(waiter)
-            if self._inline:
+            if ingress and self._inline:
                 for channel in self.stream.ingress.values():
                     channel.queue.add_waiter(waiter)
         except QueueClosedError:  # pragma: no cover - teardown race
@@ -507,14 +583,6 @@ class GatewaySession:
     def closed(self) -> bool:
         return self._closed
 
-    @property
-    def scheduler_kind(self) -> str:
-        """The engine flavour driving this session's stream."""
-        if self._inline:
-            return "inline"
-        name = type(self.scheduler).__name__
-        return "process" if name == "ProcessScheduler" else "threaded"
-
     def describe(self) -> dict:
         """A JSON-ready summary for the control plane."""
         return {
@@ -524,6 +592,7 @@ class GatewaySession:
             "resident": self.resident,
             "ingress_limit": self.ingress_limit,
             "scheduler": self.scheduler_kind,
+            "stepped_by": self.stepped_by,
             **self.stats.snapshot(),
         }
 
@@ -541,6 +610,7 @@ class GatewaySession:
         if not self._inline:
             self.scheduler.stop()
         self.pump.detach(self)
+        self.stream.remove_wakeup_listener(self._waiter.set)
         self.stream.end()
         if self.ledger.enabled:
             self.sync_ledger()  # capture the end_drops the stream just took

@@ -4,11 +4,14 @@ Two engines drive the same :class:`~repro.runtime.stream.RuntimeStream`:
 
 * :class:`InlineScheduler` — deterministic, single-threaded: drives a
   dirty-node worklist in (topological) processing order, moving one
-  message per input port per visit.  Used by tests and by the virtual-
-  time experiments, where reproducibility matters more than parallelism.
+  message per input port per visit.  The reference interpreter — and the
+  gateway's hot path: a composition of cooperative streamlets is stepped
+  with it, run to completion, on the egress pump's thread
+  (``docs/gateway.md``, "Engine selection").
 * :class:`ThreadedScheduler` — one worker thread per streamlet instance,
   faithful to the Java design ("extensive use of multi-threading",
-  section 7.4).  Workers read an immutable RCU-style
+  section 7.4), and the engine for any streamlet that may wait or run
+  long.  Workers read an immutable RCU-style
   :class:`~repro.runtime.stream.TopologySnapshot` lock-free and block on
   per-worker wakeup events signalled by their input queues, so steps on
   distinct streamlets genuinely overlap and an idle stream costs no CPU.
@@ -529,6 +532,15 @@ class InlineScheduler:
 
 class ThreadedScheduler:
     """One worker thread per streamlet instance (the Java model).
+
+    The engine for streamlets that may need a thread: one that sleeps,
+    does I/O or runs for milliseconds blocks only its own worker here.
+    Under CPython's GIL the threads overlap nothing for steps that never
+    wait, and every hop pays a wake, a context switch and a GIL handoff,
+    so the gateway steps compositions of cooperative streamlets
+    (:attr:`~repro.runtime.streamlet.Streamlet.cooperative`) with
+    :class:`InlineScheduler` on its egress pump instead and deploys this
+    engine only where a streamlet keeps the default.
 
     Workers are event-driven: each registers a wakeup event on its input
     queues (set by every post), steps lock-free against the published

@@ -66,10 +66,20 @@ class Streamlet:
     Subclasses set ``peer_id`` (class attribute) when the transformation
     needs reverse processing on the client — the runtime then pushes it
     onto the message's peer stack (section 6.5).
+
+    Subclasses set ``cooperative = True`` to promise that ``process()``
+    never waits — no sleep, no I/O, no lock held elsewhere — and does
+    work bounded by the one message it was handed.  A gateway steps a
+    composition made only of cooperative streamlets on its shared egress
+    thread instead of giving each instance a worker thread, so a
+    cooperative ``process()`` that does block silences every session of
+    the gateway; the default is the safe one.
     """
 
     #: id of the client-side peer streamlet, or None for one-sided services
     peer_id: str | None = None
+    #: ``process()`` never waits and is bounded by its one message (see above)
+    cooperative: bool = False
 
     def __init__(self, instance_id: str, definition: ast.StreamletDef):
         self.instance_id = instance_id
@@ -159,6 +169,8 @@ class ForwardingStreamlet(Streamlet):
     the output port — with no service logic, so timing a chain of these
     isolates the per-streamlet overhead of Figure 7-2.
     """
+
+    cooperative = True
 
     def process(self, port: str, message: MimeMessage, ctx: StreamletContext) -> Emission:
         # "parse": walk the headers and validate the content type

@@ -35,6 +35,9 @@ AGGREGATOR_DEF = ast.StreamletDef(
 
 class Aggregator(Streamlet):
     """Collect independent messages into collated multipart digests."""
+
+    cooperative = True
+
     def __init__(self, instance_id: str, definition: ast.StreamletDef):
         super().__init__(instance_id, definition)
         self._window: list[MimeMessage] = []

@@ -52,6 +52,7 @@ def _digest(message: MimeMessage) -> str:
 class CacheStreamlet(Streamlet):
     """Suppress retransmission of unchanged resources (server half)."""
     peer_id = PEER_CLIENT_CACHE
+    cooperative = True
 
     def __init__(self, instance_id: str, definition: ast.StreamletDef):
         super().__init__(instance_id, definition)

@@ -38,7 +38,14 @@ Transport = Callable[[MimeMessage], None]
 
 
 class Communicator(Streamlet):
-    """Terminal streamlet: hand each message to the injected transport."""
+    """Terminal streamlet: hand each message to the injected transport.
+
+    Declared cooperative: the transport is a callable the deployer
+    injects, and it must hand the message on without waiting.
+    """
+
+    cooperative = True
+
     def __init__(self, instance_id: str, definition: ast.StreamletDef):
         super().__init__(instance_id, definition)
         self.sent = 0

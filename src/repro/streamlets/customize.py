@@ -104,6 +104,8 @@ class Customizer(Streamlet):
     gets the default profile.
     """
 
+    cooperative = True
+
     def process(self, port: str, message: MimeMessage, ctx: StreamletContext) -> Emission:
         db: PreferencesDB | None = ctx.params.get("prefs")
         prefs = db.get(message.headers.get(USER_HEADER)) if db else UserPreferences()

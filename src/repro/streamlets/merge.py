@@ -35,6 +35,8 @@ MERGE_DEF = ast.StreamletDef(
 class Merge(Streamlet):
     """Collect switch-tagged parts back into multipart messages."""
 
+    cooperative = True
+
     def __init__(self, instance_id: str, definition: ast.StreamletDef):
         super().__init__(instance_id, definition)
         self._pending: dict[str, tuple[int, list[MimeMessage]]] = {}

@@ -37,6 +37,7 @@ POWER_SAVING_DEF = ast.StreamletDef(
 class PowerSaving(Streamlet):
     """Bundle messages into bursts so the client radio can sleep."""
     peer_id = PEER_UNBUNDLER
+    cooperative = True
 
     def __init__(self, instance_id: str, definition: ast.StreamletDef):
         super().__init__(instance_id, definition)

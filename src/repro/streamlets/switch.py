@@ -47,6 +47,8 @@ _groups = IdGenerator("grp")
 class ContentSwitch(Streamlet):
     """Route (parts of) messages by media type to typed output ports."""
 
+    cooperative = True
+
     def _route(self, message: MimeMessage) -> str | None:
         """Best-matching output port for a message, most specific first."""
         best: tuple[int, str] | None = None

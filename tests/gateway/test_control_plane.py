@@ -53,6 +53,7 @@ class TestVerbs:
             listing = handle.control({"op": "sessions"})
             assert [s["session"] for s in listing["sessions"]] == [key]
             assert listing["sessions"][0]["scheduler"] == "threaded"
+            assert listing["sessions"][0]["stepped_by"] == "pump"
 
             stats = handle.control({"op": "stats", "session": key})
             assert stats["ok"]
@@ -73,6 +74,7 @@ class TestVerbs:
             assert deployed["ok"]
             listing = handle.control({"op": "sessions"})
             assert listing["sessions"][0]["scheduler"] == "inline"
+            assert listing["sessions"][0]["stepped_by"] == "pump"
 
     def test_explicit_session_key_and_duplicate_rejection(self):
         with GatewayServer().run_in_thread() as handle:

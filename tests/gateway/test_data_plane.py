@@ -2,16 +2,36 @@
 
 import socket
 import time
+from dataclasses import replace
 
 from repro.faults.plan import FaultPlan
 from repro.gateway import ERROR_HEADER, GatewayConfig, GatewayServer
 from repro.mime.message import MimeMessage
 from repro.mime.wire import FrameAssembler, serialize_message
+from repro.streamlets.basic import REDIRECTOR_DEF, Redirector
 
 MCL = """main stream chain{
   streamlet r0, r1 = new-streamlet (redirector);
   connect (r0.po, r1.pi);
 }"""
+
+#: the same chain built from a redirector that does not declare itself
+#: cooperative: the gateway must give each instance a worker thread
+WORKER_MCL = MCL.replace("(redirector)", "(worker_redirector)")
+
+
+class WorkerRedirector(Redirector):
+    """The redirector without the promise never to wait."""
+
+    cooperative = False
+
+
+def offer_worker_redirector(gateway: GatewayServer) -> GatewayServer:
+    """Advertise the redirector a second time, as ``worker_redirector``."""
+    gateway.mobigate.directory.advertise(
+        replace(REDIRECTOR_DEF, name="worker_redirector"), WorkerRedirector
+    )
+    return gateway
 
 
 class WireClient:
@@ -48,8 +68,8 @@ def tagged(body: bytes, session: str | None) -> MimeMessage:
     return message
 
 
-def deploy(handle, *, scheduler="threaded") -> str:
-    reply = handle.control({"op": "deploy", "mcl": MCL, "scheduler": scheduler})
+def deploy(handle, *, scheduler="threaded", mcl=MCL) -> str:
+    reply = handle.control({"op": "deploy", "mcl": mcl, "scheduler": scheduler})
     assert reply["ok"], reply
     return reply["session"]
 
@@ -80,6 +100,24 @@ class TestEcho:
             stats = poll_stats(
                 handle, key, lambda s: s["conservation"]["residual"] == 0
             )
+            assert stats["conservation"]["balanced"], stats
+
+    def test_roundtrip_worker_stepped(self):
+        with offer_worker_redirector(GatewayServer()).run_in_thread() as handle:
+            key = deploy(handle, mcl=WORKER_MCL)
+            client = WireClient(handle.data_address)
+            try:
+                for i in range(5):
+                    client.send(tagged(f"m{i}".encode(), key))
+                assert [client.recv_frame().body for _ in range(5)] == [
+                    f"m{i}".encode() for i in range(5)
+                ]
+            finally:
+                client.close()
+            stats = poll_stats(
+                handle, key, lambda s: s["conservation"]["residual"] == 0
+            )
+            assert stats["stepped_by"] == "workers"
             assert stats["conservation"]["balanced"], stats
 
     def test_roundtrip_inline_scheduler(self):

@@ -12,11 +12,22 @@ from repro.runtime.scheduler import InlineScheduler
 from repro.store.base import MemoryStore
 from repro.store.ledger import Ledger
 
-from tests.gateway.test_data_plane import MCL, WireClient, deploy, tagged
+from tests.gateway.test_data_plane import (
+    MCL,
+    WORKER_MCL,
+    WireClient,
+    deploy,
+    offer_worker_redirector,
+    tagged,
+)
 
 
 def egress_threads() -> int:
     return sum(t.name == "gw-egress" for t in threading.enumerate())
+
+
+def worker_threads() -> int:
+    return sum(t.name.startswith("streamlet-") for t in threading.enumerate())
 
 
 def wait_until(predicate, timeout=10.0) -> bool:
@@ -239,6 +250,91 @@ class TestLifecycle:
         assert wait_until(lambda: session.stats.orphans == 1)
         gateway.undeploy("walk", record=False)
         assert egress_threads() == before
+
+
+class TestPumpStepping:
+    def test_eight_pumped_sessions_hold_one_thread_and_a_ninth_adds_only_its_workers(self):
+        pumps, workers = egress_threads(), worker_threads()
+        with offer_worker_redirector(GatewayServer()).run_in_thread() as handle:
+            keys = [deploy(handle) for _ in range(8)]
+            client = WireClient(handle.data_address)
+            try:
+                for round_ in range(10):
+                    for key in keys:
+                        client.send(tagged(b"%d" % round_, key))
+                    for _ in keys:
+                        assert client.recv_frame().body == b"%d" % round_
+                    assert egress_threads() == pumps + 1
+                    assert worker_threads() == workers
+                ninth = deploy(handle, mcl=WORKER_MCL)
+                assert egress_threads() == pumps + 1
+                assert worker_threads() == workers + 2  # r0 and r1
+                client.send(tagged(b"ninth", ninth))
+                assert client.recv_frame().body == b"ninth"
+            finally:
+                client.close()
+            for key in keys + [ninth]:
+                assert handle.control({"op": "undeploy", "session": key})["ok"]
+            assert egress_threads() == pumps
+            assert worker_threads() == workers
+
+    def test_resume_wakes_a_pumped_session_without_waiting_for_the_heartbeat(self):
+        # a RESUME posts nothing, so neither queue waiter fires: only the
+        # topology wakeup can tell the pump the parked message may move
+        config = GatewayConfig(egress_wake_timeout=30.0)
+        with GatewayServer(config=config).run_in_thread() as handle:
+            key = deploy(handle, scheduler="inline")
+            session = handle.gateway.sessions[key]
+            assert handle.control({"op": "reconfigure", "event": "PAUSE", "session": key})["ok"]
+            client = WireClient(handle.data_address, timeout=5.0)
+            try:
+                client.send(tagged(b"parked", key))
+                assert wait_until(lambda: session.resident == 1)
+                # input a paused stream cannot take must not spin the pump
+                time.sleep(0.05)
+                cycles = handle.gateway.egress.stats()["cycles"]
+                time.sleep(0.2)
+                assert handle.gateway.egress.stats()["cycles"] - cycles <= 1
+                resumed = time.monotonic()
+                assert handle.control(
+                    {"op": "reconfigure", "event": "RESUME", "session": key}
+                )["ok"]
+                assert client.recv_frame().body == b"parked"
+                assert time.monotonic() - resumed < 1.0
+            finally:
+                client.close()
+
+    def test_a_flooded_session_yields_after_its_quantum(self):
+        from repro.gateway.session import PUMP_QUANTUM
+
+        server = build_server()
+        pump = EgressPump(wake_timeout=30.0)
+        batches: list[int] = []
+        pump.bridge = lambda frames: batches.append(len(frames))
+        stream = server.deploy_script(MCL)
+        hold = threading.Event()
+        collect = stream.collect
+
+        def held_collect():
+            assert hold.wait(10)
+            return collect()
+
+        stream.collect = held_collect
+        session = GatewaySession(
+            "flood", stream, InlineScheduler(stream, batch=1), inline=True, pump=pump
+        )
+        try:
+            # the first cycle waits inside collect while the flood is admitted
+            for i in range(3 * PUMP_QUANTUM):
+                assert session.offer(MimeMessage("text/plain", b"%d" % i)).status == ADMITTED
+            hold.set()
+            assert wait_until(lambda: sum(batches) == 3 * PUMP_QUANTUM), batches
+        finally:
+            session.close()
+        # one round moves one message per node: no cycle carried more than
+        # a quantum, and the leftovers re-marked the session by themselves
+        assert max(batches) <= PUMP_QUANTUM, batches
+        assert len(batches) >= 3
 
 
 class TestContainment:

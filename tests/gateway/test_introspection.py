@@ -13,6 +13,8 @@ from repro.mime.message import MimeMessage
 from repro.mime.wire import FrameAssembler, serialize_message
 from repro.telemetry import NULL_TELEMETRY, MetricsRegistry, Telemetry
 
+from tests.gateway.test_data_plane import WORKER_MCL, offer_worker_redirector
+
 MCL = """main stream chain{
   streamlet r0, r1 = new-streamlet (redirector);
   connect (r0.po, r1.pi);
@@ -20,11 +22,13 @@ MCL = """main stream chain{
 
 
 def observed_gateway() -> GatewayServer:
-    return GatewayServer(telemetry=Telemetry(registry=MetricsRegistry()))
+    return offer_worker_redirector(
+        GatewayServer(telemetry=Telemetry(registry=MetricsRegistry()))
+    )
 
 
-def deploy(handle, *, scheduler="threaded") -> str:
-    reply = handle.control({"op": "deploy", "mcl": MCL, "scheduler": scheduler})
+def deploy(handle, *, scheduler="threaded", mcl=MCL) -> str:
+    reply = handle.control({"op": "deploy", "mcl": mcl, "scheduler": scheduler})
     assert reply["ok"], reply
     return reply["session"]
 
@@ -51,7 +55,7 @@ def echo_loop(address, key, n_messages, failures):
 class TestVerbs:
     def test_introspect_reports_queues_workers_and_recorder(self):
         with observed_gateway().run_in_thread() as handle:
-            key = deploy(handle)
+            key = deploy(handle, mcl=WORKER_MCL)
             state = handle.control({"op": "introspect"})
             assert state["ok"]
             session = state["sessions"][key]
@@ -59,11 +63,31 @@ class TestVerbs:
             assert isinstance(session["queues"], list) and session["queues"]
             for row in session["queues"]:
                 assert {"channel", "depth", "watermark", "capacity_bytes"} <= set(row)
+            assert session["stepped_by"] == "workers"
             assert session["workers"], "threaded scheduler must expose workers"
             assert all(w["alive"] for w in session["workers"].values())
+            assert "pump" not in session
             recorder = state["recorder"]
             assert recorder["enabled"] is True
             assert recorder["recorded"] >= 0
+
+    def test_introspect_gives_a_pump_stepped_session_the_pumps_figures(self):
+        with observed_gateway().run_in_thread() as handle:
+            key = deploy(handle)
+            failures = []
+            echo_loop(handle.data_address, key, 20, failures)
+            assert not failures
+            state = handle.control({"op": "introspect"})
+            session = state["sessions"][key]
+            assert session["scheduler"] == "threaded"  # what was asked for
+            assert session["stepped_by"] == "pump"
+            assert "workers" not in session
+            pump = session["pump"]
+            assert pump["cycles"] >= pump["delivering_cycles"] >= 1
+            assert pump["sessions_per_cycle"] == 1.0
+            assert pump["frames_per_cycle"] >= 1.0
+            assert 0.0 < pump["busy_share"] <= 1.0
+            assert pump["egress_faults"] == state["egress_faults"] == 0
 
     def test_introspect_on_unobserved_gateway_still_answers(self):
         with GatewayServer(telemetry=NULL_TELEMETRY).run_in_thread() as handle:
@@ -74,7 +98,7 @@ class TestVerbs:
 
     def test_worker_utilization_appears_after_traffic(self):
         with observed_gateway().run_in_thread() as handle:
-            key = deploy(handle)
+            key = deploy(handle, mcl=WORKER_MCL)
             failures = []
             echo_loop(handle.data_address, key, 20, failures)
             assert not failures

@@ -8,13 +8,36 @@ import sys
 import time
 from pathlib import Path
 
+from repro.gateway import GatewayServer
 from repro.store import CrashHarness
+from repro.store.crash import ECHO_MCL
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src"
 
+#: the child gateway offers only the built-in library, so the composition
+#: that keeps its worker threads ends in a codec-backed transcoder
+WORKER_ECHO_MCL = """
+main stream crashchain{
+  streamlet r0 = new-streamlet (redirector);
+  streamlet r1 = new-streamlet (encryptor);
+  connect (r0.po, r1.pi);
+}
+"""
 
-def test_kill9_cycles_lose_no_acked_messages(tmp_path):
-    harness = CrashHarness(tmp_path / "store", backend="file", cycles=3, burst=16, seed=7)
+
+def _stepped_by(mcl: str) -> str:
+    """Who a gateway like the harness's child would have step ``mcl``."""
+    probe = GatewayServer()
+    try:
+        return probe.deploy(mcl, session_key="probe").stepped_by
+    finally:
+        probe.undeploy("probe", record=False)
+
+
+def _assert_no_acked_message_lost(tmp_path, mcl):
+    harness = CrashHarness(
+        tmp_path / "store", backend="file", cycles=3, burst=16, seed=7, mcl=mcl
+    )
     report = harness.run()
     assert report.sent_total == 3 * 16
     assert report.acked_total >= 3  # the seeded ack targets were reached
@@ -22,6 +45,17 @@ def test_kill9_cycles_lose_no_acked_messages(tmp_path):
     assert report.balanced and report.missing == 0
     # every restart after the first found the session in the ledger
     assert all(c.restored == 1 for c in report.cycles[1:])
+
+
+def test_kill9_cycles_lose_no_acked_messages(tmp_path):
+    # the default deploy of the echo chain: stepped by the egress pump
+    assert _stepped_by(ECHO_MCL) == "pump"
+    _assert_no_acked_message_lost(tmp_path, ECHO_MCL)
+
+
+def test_kill9_cycles_lose_no_acked_messages_worker_stepped(tmp_path):
+    assert _stepped_by(WORKER_ECHO_MCL) == "workers"
+    _assert_no_acked_message_lost(tmp_path, WORKER_ECHO_MCL)
 
 
 def test_ledger_replay_restores_residency_accounting(tmp_path):
