@@ -34,7 +34,7 @@ from repro.bench.telemetry_overhead import run_telemetry_overhead
 ALL_TARGETS = (
     "fig7_2", "fig7_3", "fig7_6", "fig7_7", "ablations", "wtcp",
     "adaptivity", "telemetry", "faults", "reconfig", "scheduler_parallel",
-    "scheduler_process", "gateway", "fusion", "durability",
+    "gateway", "fusion", "durability",
 )
 
 #: every committed-baseline comparison CI runs, as (row key, metric,
@@ -46,7 +46,6 @@ ALL_TARGETS = (
 REGRESSION_CHECKS: dict[str, tuple[tuple[str, str, str], ...]] = {
     "telemetry": (("config", "pass_seconds", "lower"),),
     "scheduler_parallel": (("engine", "throughput_msgs_per_sec", "higher"),),
-    "scheduler_process": (("engine", "throughput_msgs_per_sec", "higher"),),
     "gateway": (
         ("scenario", "throughput_msgs_per_sec", "higher"),
         ("scenario", "p99_ms", "lower"),
@@ -189,15 +188,6 @@ def main(argv: list[str]) -> int:
         # warnings are advisory (hosts differ), never a failed exit
         check_regressions("scheduler_parallel", result)
         emit("scheduler_parallel", result)
-    if "scheduler_process" in targets:
-        from repro.bench.scheduler_process import run_scheduler_process
-
-        result = run_scheduler_process(n_messages=120 if quick else 400)
-        result.print()
-        # the >2x target is advisory on single-core hosts (the JSON
-        # records cpu_count); conservation failures raise inside the run
-        check_regressions("scheduler_process", result)
-        emit("scheduler_process", result)
     if "gateway" in targets:
         from repro.bench.gateway import run_gateway
 

@@ -1,32 +1,26 @@
-"""Scheduler-parallelism bench: is the threaded engine actually parallel?
+"""Scheduler-parallelism bench: what does a thread per streamlet cost?
 
-Drives a 4-stage chain of CPU-bearing streamlets (SHA-256 over 64 KB
-blocks — CPython releases the GIL for hashing, so stages overlap on
-multi-core hosts) through three engines on the same host:
+Drives a 4-stage chain of CPU-bearing streamlets (each stage runs
+SHA-256 over a 64 KB expansion of an 8192 B payload — CPython releases
+the GIL for hashing, so stages overlap on multi-core hosts) through the
+two engines on the same host:
 
 * ``inline`` — the deterministic single-threaded pump (the floor);
-* ``threaded_legacy`` — a faithful replica of the pre-RCU worker loop
-  (every step serialised behind the global topology lock, 1 ms sleep
-  when idle), kept here so the *before* number is measured on the same
-  commit, not asserted from memory;
-* ``threaded`` — the current event-driven, snapshot-reading
+* ``threaded`` — the event-driven, snapshot-reading
   :class:`~repro.runtime.scheduler.ThreadedScheduler`.
 
 The drive is **closed-loop**: a small window of messages is kept in
 flight, each delivery immediately replaced — the traffic shape of an
-interactive proxy session, and the one that exposes the legacy engine's
-defining cost: a worker that polls at 1 ms leaves the CPU idle up to a
-millisecond per hop while work is already queued, so a 4-stage message
-pays up to 4 ms of pure wakeup latency.  The event-driven engine is
-signalled by the post itself.  (On a multi-core host the GIL-releasing
-hash work adds genuine stage overlap on top; the wakeup win needs no
-cores at all.)
+interactive proxy session, where a worker's wakeup latency is paid once
+per hop per message.  The event-driven engine is signalled by the post
+itself.  (On a multi-core host the GIL-releasing hash work adds genuine
+stage overlap on top; the wakeup path needs no cores at all.)
 
 Besides throughput, each engine run is checked against the message-
 conservation invariant (a racy scheduler loses or double-counts ids long
 before it gets slow), and an idle window after the traffic measures
 wakeups-per-second per worker — the event-driven engine's residual
-heartbeat vs the legacy busy-poll.
+heartbeat.
 """
 
 from __future__ import annotations
@@ -41,13 +35,7 @@ from repro.faults.invariant import check_conservation
 from repro.mcl import astnodes as ast
 from repro.mime.mediatype import ANY
 from repro.mime.message import MimeMessage
-from repro.runtime.scheduler import (
-    InlineScheduler,
-    ThreadedScheduler,
-    _drop,
-    _NodeView,
-    _step_node,
-)
+from repro.runtime.scheduler import InlineScheduler, ThreadedScheduler
 from repro.runtime.stream import RuntimeStream
 from repro.runtime.streamlet import Emission, Streamlet, StreamletContext
 from repro.telemetry import NULL_TELEMETRY
@@ -105,71 +93,6 @@ def _deploy(stages: int, hash_rounds: int) -> RuntimeStream:
     return stream
 
 
-class _LegacyThreadedScheduler:
-    """The pre-RCU worker loop, preserved for the before/after comparison.
-
-    One thread per instance, but every step runs with the global topology
-    lock held (so steps serialise) and an idle worker sleeps a fixed 1 ms
-    poll — exactly the engine this bench exists to retire.
-    """
-
-    def __init__(self, stream: RuntimeStream, *, poll_interval: float = 0.001):
-        self._stream = stream
-        self._poll = poll_interval
-        self._threads: list[threading.Thread] = []
-        self._stop = threading.Event()
-        self.idle_sleeps = 0
-        self._counter_lock = threading.Lock()
-
-    def start(self) -> None:
-        with self._stream.topology_lock:
-            names = self._stream.instance_names()
-        for name in names:
-            thread = threading.Thread(
-                target=self._worker, args=(name,),
-                name=f"legacy-{name}", daemon=True,
-            )
-            self._threads.append(thread)
-            thread.start()
-
-    def _worker(self, name: str) -> None:
-        stream = self._stream
-        while not self._stop.is_set():
-            stalled: list = []
-            with stream.topology_lock:
-                node = stream._nodes.get(name)
-                if node is None:
-                    return
-                view = _NodeView(name, node, ())  # rebuilt per step, as before
-                moved = _step_node(stream, name, view, stalled)
-            for channel, msg_id, size in stalled:
-                deadline = time.monotonic() + stream._drop_timeout
-                posted = False
-                while not self._stop.is_set():
-                    try:
-                        remaining = deadline - time.monotonic()
-                        if channel.post(msg_id, size,
-                                        timeout=max(0.0, min(0.05, remaining))):
-                            posted = True
-                            break
-                    except Exception:
-                        break
-                    if time.monotonic() >= deadline:
-                        break
-                if not posted:
-                    _drop(stream, msg_id)
-            if moved == 0:
-                with self._counter_lock:
-                    self.idle_sleeps += 1
-                time.sleep(self._poll)
-
-    def stop(self, *, timeout: float = 2.0) -> None:
-        self._stop.set()
-        for thread in self._threads:
-            thread.join(timeout)
-        self._threads.clear()
-
-
 @dataclass
 class EngineRow:
     """One engine's throughput + integrity figures."""
@@ -186,7 +109,7 @@ class EngineRow:
 
 @dataclass
 class SchedulerParallelResult:
-    """Inline vs legacy-threaded vs event-driven threaded, same host."""
+    """Inline vs event-driven threaded, same host, same chain."""
 
     stages: int
     n_messages: int
@@ -195,14 +118,12 @@ class SchedulerParallelResult:
     window: int
     idle_window_seconds: float
     rows: list[EngineRow]
-    #: event-driven ThreadedScheduler over the pre-change (legacy) one —
-    #: the acceptance figure; and over the inline floor for context
-    speedup_vs_legacy: float
+    #: the event-driven ThreadedScheduler over the inline floor
     speedup_vs_inline: float
 
     def print(self) -> None:
         """Print the engine comparison table."""
-        print("\n== Scheduler parallelism: 4-stage CPU chain, three engines ==")
+        print("\n== Scheduler parallelism: 4-stage CPU chain, two engines ==")
         print(
             f"stages={self.stages}, messages={self.n_messages}, "
             f"payload={self.payload_bytes}B, hash_rounds={self.hash_rounds}, "
@@ -220,10 +141,7 @@ class SchedulerParallelResult:
                 f"{row.throughput_msgs_per_sec:9.1f} {row.delivered:6d} "
                 f"{'yes' if row.conserved else 'NO':>10} {idle:>10}"
             )
-        print(
-            f"threaded speedup: {self.speedup_vs_legacy:.2f}x vs legacy, "
-            f"{self.speedup_vs_inline:.2f}x vs inline"
-        )
+        print(f"threaded speedup: {self.speedup_vs_inline:.2f}x vs inline")
 
 
 def _closed_loop_inline(
@@ -250,9 +168,8 @@ def _closed_loop_inline(
 def _closed_loop_threaded(
     stream: RuntimeStream, n_messages: int, payload: bytes, window: int,
 ) -> tuple[float, int]:
-    # the collector blocks on the egress queue's waiter event — identical
-    # (and cheap) for both threaded engines, so the measured difference is
-    # the engines' own wakeup latency, not the harness's
+    # the collector blocks on the egress queue's waiter event, so the
+    # harness adds no polling latency of its own to the engine's
     egress_queue = stream.egress[0][1].queue
     arrived = threading.Event()
     egress_queue.add_waiter(arrived)
@@ -289,23 +206,15 @@ def _run_engine(
                 stream, scheduler, n_messages, payload, window
             )
         else:
-            if engine == "threaded":
-                scheduler = ThreadedScheduler(stream)
-            else:
-                scheduler = _LegacyThreadedScheduler(stream)
+            scheduler = ThreadedScheduler(stream)
             scheduler.start()
             wall, delivered = _closed_loop_threaded(
                 stream, n_messages, payload, window
             )
             # idle window: workers should now be event-blocked, not polling
-            if engine == "threaded":
-                before = scheduler.idle_spins + scheduler.event_wakeups
-                time.sleep(idle_window)
-                wakeups = (scheduler.idle_spins + scheduler.event_wakeups) - before
-            else:
-                before = scheduler.idle_sleeps
-                time.sleep(idle_window)
-                wakeups = scheduler.idle_sleeps - before
+            before = scheduler.idle_spins + scheduler.event_wakeups
+            time.sleep(idle_window)
+            wakeups = (scheduler.idle_spins + scheduler.event_wakeups) - before
             idle_rate = wakeups / stages / idle_window
             scheduler.stop()
         report = check_conservation(stream)
@@ -330,16 +239,15 @@ def run_scheduler_parallel(
     window: int = 1,
     idle_window: float = 0.4,
 ) -> SchedulerParallelResult:
-    """Measure the three engines on an identical CPU-bearing chain."""
+    """Measure both engines on an identical CPU-bearing chain."""
     payload = b"\xa5" * payload_bytes
     rows = [
         _run_engine(
             engine, stages, n_messages, payload, hash_rounds, window, idle_window
         )
-        for engine in ("inline", "threaded_legacy", "threaded")
+        for engine in ("inline", "threaded")
     ]
-    by_name = {row.engine: row for row in rows}
-    new = by_name["threaded"].throughput_msgs_per_sec
+    inline, threaded = rows
     return SchedulerParallelResult(
         stages=stages,
         n_messages=n_messages,
@@ -348,6 +256,7 @@ def run_scheduler_parallel(
         window=window,
         idle_window_seconds=idle_window,
         rows=rows,
-        speedup_vs_legacy=new / by_name["threaded_legacy"].throughput_msgs_per_sec,
-        speedup_vs_inline=new / by_name["inline"].throughput_msgs_per_sec,
+        speedup_vs_inline=(
+            threaded.throughput_msgs_per_sec / inline.throughput_msgs_per_sec
+        ),
     )

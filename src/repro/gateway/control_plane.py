@@ -191,7 +191,7 @@ class ControlPlane:
         if not isinstance(mcl, str) or not mcl.strip():
             return {"ok": False, "error": "'mcl' must be a non-empty MCL source string"}
         scheduler = request.get("scheduler", "threaded")
-        if scheduler not in ("threaded", "inline", "process"):
+        if scheduler not in ("threaded", "inline"):
             return {"ok": False, "error": f"unknown scheduler {scheduler!r}"}
         loop = asyncio.get_running_loop()
         session = await loop.run_in_executor(

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import os
 import signal
 import threading
 from dataclasses import fields, replace
@@ -45,11 +44,6 @@ from repro.gateway.data_plane import DataPlane
 from repro.gateway.faults import LinkOutageGate
 from repro.gateway.session import EgressPump, GatewaySession
 from repro.mcl import astnodes as ast
-from repro.runtime.process_scheduler import (
-    ProcessScheduler,
-    register_child_cleanup,
-    unregister_child_cleanup,
-)
 from repro.runtime.scheduler import InlineScheduler, ThreadedScheduler
 from repro.runtime.server import MobiGateServer
 from repro.store.base import open_store
@@ -150,10 +144,6 @@ class GatewayServer:
             await loop.run_in_executor(None, self.recovery.recover)
         await self.data.start()
         await self.control.start()
-        # a ProcessScheduler deploy forks from this live process; the
-        # children must drop our listening sockets right after fork or a
-        # surviving shard keeps the port bound when the gateway dies
-        register_child_cleanup(self._close_listeners_in_child)
         self._started_at = loop.time()
 
     async def stop(self) -> None:
@@ -163,7 +153,6 @@ class GatewayServer:
         closed without ``undeployed`` ledger records, so a later restart
         against the same store recovers them.
         """
-        unregister_child_cleanup(self._close_listeners_in_child)
         await self.control.stop()
         await self.data.stop()
         for key in list(self.sessions):
@@ -180,7 +169,6 @@ class GatewayServer:
         the per-session residency left when the wait ended (all zero on
         a clean drain).
         """
-        unregister_child_cleanup(self._close_listeners_in_child)
         await self.data.stop()
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.config.drain_timeout
@@ -201,18 +189,6 @@ class GatewayServer:
         if self._loop is None or self._started_at is None:
             return 0.0
         return max(0.0, self._loop.time() - self._started_at)
-
-    def _close_listeners_in_child(self) -> None:
-        """Close this gateway's inherited listening fds (runs in a forked
-        shard worker only — closing there never touches the parent's
-        sockets, just the child's copies of the file descriptors)."""
-        for plane in (self.data, self.control):
-            server = getattr(plane, "_server", None)
-            for sock in getattr(server, "sockets", None) or ():
-                try:
-                    os.close(sock.fileno())
-                except (OSError, ValueError):
-                    pass
 
     # -- deployment (any thread) --------------------------------------------------------
 
@@ -239,7 +215,7 @@ class GatewayServer:
         and starts no ``streamlet-*`` thread.  The ledger records the
         requested value, so a recovery redeploy makes the same choice.
         """
-        if scheduler not in ("threaded", "inline", "process"):
+        if scheduler not in ("threaded", "inline"):
             raise MobiGateError(f"unknown scheduler {scheduler!r}")
         with self._deploy_lock:
             if session_key is not None and session_key in self.sessions:
@@ -267,9 +243,6 @@ class GatewayServer:
                 )
                 if pumped:
                     engine = InlineScheduler(runtime_stream)
-                elif scheduler == "process":
-                    engine = ProcessScheduler(runtime_stream)
-                    engine.start()
                 else:
                     engine = ThreadedScheduler(runtime_stream)
                     engine.start()
@@ -397,8 +370,8 @@ class GatewayServer:
         """The live-state snapshot behind the ``introspect`` control verb.
 
         Per session: queue depths/watermarks, who steps it — ``workers``
-        (or shards) with their states, or the ``pump``'s own figures for
-        a pump-stepped session — the RCU snapshot version, and the
+        with their states, or the ``pump``'s own figures for a
+        pump-stepped session — the RCU snapshot version, and the
         session ledger; plus data-plane connection counts and
         flight-recorder health.
         """

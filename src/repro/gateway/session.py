@@ -331,8 +331,8 @@ class GatewaySession:
     ``inline=True`` it is an :class:`~repro.runtime.scheduler.
     InlineScheduler` and the session is **pump-stepped**: no thread of
     its own, the egress pump runs it to completion inside the session's
-    share of a cycle.  Otherwise the engine owns its threads (or shard
-    processes) and the pump only collects what they deliver.
+    share of a cycle.  Otherwise the engine owns its threads and the
+    pump only collects what they deliver.
     ``requested`` is the scheduler name the deployer asked for, when it
     differs from the engine built — it is what ``describe`` reports as
     ``scheduler`` and what the ledger records, while ``stepped_by`` says
@@ -357,8 +357,6 @@ class GatewaySession:
         self.scheduler = scheduler
         if inline:
             built, self.stepped_by = "inline", "pump"
-        elif type(scheduler).__name__ == "ProcessScheduler":
-            built, self.stepped_by = "process", "shards"
         else:
             built, self.stepped_by = "threaded", "workers"
         #: the engine flavour that was asked for (the ledger's value)

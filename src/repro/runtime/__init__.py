@@ -34,7 +34,6 @@ from repro.runtime.reconfig import (
     TxnState,
 )
 from repro.runtime.scheduler import InlineScheduler, ThreadedScheduler
-from repro.runtime.process_scheduler import ProcessScheduler, ShardWorkerError
 from repro.runtime.coordination import CoordinationManager
 from repro.runtime.server import MobiGateServer
 
@@ -59,8 +58,6 @@ __all__ = [
     "RuntimeStream",
     "InlineScheduler",
     "ThreadedScheduler",
-    "ProcessScheduler",
-    "ShardWorkerError",
     "CoordinationManager",
     "MobiGateServer",
 ]

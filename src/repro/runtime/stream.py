@@ -354,13 +354,6 @@ class RuntimeStream:
         #: callbacks fired after a write section closes (and on resume):
         #: schedulers register here so sleeping workers re-examine the world
         self._wakeup_listeners: list = []
-        #: callbacks fired when the outermost write section *opens* (after
-        #: the snapshot retires, before the grace period): engines whose
-        #: in-flight work lives outside the read gate — the process
-        #: scheduler's shard workers — block here until that work drains,
-        #: so a mutation (and the undo log a transaction captures) never
-        #: races a message being executed in a child process
-        self._quiesce_listeners: list = []
 
         self.ingress: dict[str, Channel] = {}   # "inst.port" -> channel
         self.egress: list[tuple[ast.PortRef, Channel]] = []
@@ -580,12 +573,6 @@ class RuntimeStream:
             self._write_depth += 1
             if self._write_depth == 1:
                 self._snapshot = None
-                # cross-process quiescence: with the snapshot retired no
-                # dispatcher hands out new work, and each listener waits
-                # for its already-dispatched messages to return — they
-                # never touch the topology lock, so this cannot deadlock
-                for callback in tuple(self._quiesce_listeners):
-                    callback()
                 gate.wait_idle()
             try:
                 yield
@@ -611,23 +598,6 @@ class RuntimeStream:
         """Deregister a wakeup callback (idempotent)."""
         try:
             self._wakeup_listeners.remove(callback)
-        except ValueError:
-            pass
-
-    def add_quiesce_listener(self, callback) -> None:
-        """Register a callback fired when the outermost write section opens.
-
-        Called with the topology lock held and the snapshot retired; the
-        callback must drain its engine's in-flight work without taking
-        the topology lock (see :meth:`_write_access`).
-        """
-        if callback not in self._quiesce_listeners:
-            self._quiesce_listeners.append(callback)
-
-    def remove_quiesce_listener(self, callback) -> None:
-        """Deregister a quiesce callback (idempotent)."""
-        try:
-            self._quiesce_listeners.remove(callback)
         except ValueError:
             pass
 

@@ -117,7 +117,6 @@ class CrashHarness:
         seed: int = 0,
         session_key: str = "crash-session",
         mcl: str = ECHO_MCL,
-        scheduler: str = "threaded",
         boot_timeout: float = 20.0,
         io_timeout: float = 10.0,
     ) -> None:
@@ -131,7 +130,6 @@ class CrashHarness:
         self.seed = seed
         self.session_key = session_key
         self.mcl = mcl
-        self.scheduler = scheduler
         self.boot_timeout = boot_timeout
         self.io_timeout = io_timeout
         self.rng = random.Random(seed)
@@ -235,7 +233,6 @@ class CrashHarness:
                 "op": "deploy",
                 "mcl": self.mcl,
                 "session": self.session_key,
-                "scheduler": self.scheduler,
             }
         )
         if not reply.get("ok"):

@@ -6,7 +6,9 @@ GatewayServer` with a durable ledger starts.  It folds the ledger (see
 never deliberately undeployed:
 
 1. **redeploys** the session under its original key, MCL source, and
-   scheduler;
+   scheduler (a ``"process"`` record from a build that still had the
+   sharded engine comes back as ``"threaded"``, with a
+   ``scheduler_substituted`` flight-recorder event);
 2. writes the ``recovered`` record — *before* re-injecting anything, so
    the in-flight tally the dead process lost is frozen into
    ``recovered_in_flight`` and re-injections count as fresh admissions;
@@ -150,6 +152,18 @@ class RecoveryManager:
         if not mcl:
             out.reason = "no composition recorded"
             return out
+        if scheduler == "process":
+            # a ledger written while the sharded multi-process engine
+            # existed (EXPERIMENTS.md, "The process plane"): the composition
+            # now picks pump or workers, and deploy() records "threaded"
+            # for the next restart
+            scheduler = "threaded"
+            gateway.telemetry.recorder.record(
+                "scheduler_substituted",
+                stream=sf.session,
+                recorded="process",
+                engine=scheduler,
+            )
         try:
             session = gateway.deploy(
                 mcl,

@@ -122,8 +122,6 @@ class StreamTelemetry:
         "_egress_wait_hist",
         "_queue_depth_family",
         "_queue_watermark_family",
-        "_shard_ring_family",
-        "_shard_util_family",
         "recorder",
         "_reconfig_family",
         "_epoch_gauge",
@@ -183,17 +181,6 @@ class StreamTelemetry:
             "mobigate_queue_watermark",
             "High-watermark of a channel queue's depth since creation",
             labels=("stream", "channel"),
-        )
-        self._shard_ring_family = registry.gauge(
-            "mobigate_shard_ring_depth",
-            "Descriptors resident in one shard's shared-memory ring "
-            "(direction: tx = parent to worker, rx = worker to parent)",
-            labels=("stream", "shard", "direction"),
-        )
-        self._shard_util_family = registry.gauge(
-            "mobigate_shard_utilization",
-            "Fraction of a shard worker process's uptime spent processing",
-            labels=("stream", "shard"),
         )
         self.recorder = telemetry.recorder
         self._reconfig_family = registry.histogram(
@@ -329,16 +316,6 @@ class StreamTelemetry:
         """The high-watermark gauge bound to one channel queue."""
         return self._queue_watermark_family.labels(self.stream, channel_name)  # type: ignore[return-value]
 
-    # -- process execution plane ------------------------------------------------
-
-    def shard_ring_gauge(self, shard: str, direction: str) -> Gauge:
-        """Ring-depth gauge for one direction of a shard's segment pair."""
-        return self._shard_ring_family.labels(self.stream, shard, direction)  # type: ignore[return-value]
-
-    def shard_utilization_gauge(self, shard: str) -> Gauge:
-        """Busy-fraction gauge for one shard worker process."""
-        return self._shard_util_family.labels(self.stream, shard)  # type: ignore[return-value]
-
     # -- channel waits -----------------------------------------------------------
 
     def channel_wait_histogram(self, channel_name: str) -> Histogram:
@@ -431,14 +408,6 @@ class NullStreamTelemetry:
         return None
 
     def queue_watermark_gauge(self, channel_name: str) -> None:
-        """No-op."""
-        return None
-
-    def shard_ring_gauge(self, shard: str, direction: str) -> None:
-        """No-op."""
-        return None
-
-    def shard_utilization_gauge(self, shard: str) -> None:
         """No-op."""
         return None
 

@@ -2,7 +2,7 @@
 
 The thesis evaluation (§7) is entirely about decomposed cost — per-
 streamlet overhead, channel cost, reconfiguration latency — and the
-ROADMAP's sharding/fusion decisions need the same decomposition live.
+ROADMAP's fusion decisions need the same decomposition live.
 This module defines the attribution model and folds the hop-level metric
 families into per-(stream, streamlet) summaries:
 

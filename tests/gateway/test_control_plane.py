@@ -157,6 +157,12 @@ class TestErrorPaths:
             reply = handle.control({"op": "deploy", "mcl": MCL, "scheduler": "quantum"})
             assert not reply["ok"] and "quantum" in reply["error"]
 
+    def test_the_removed_process_engine_is_an_unknown_scheduler(self):
+        with GatewayServer().run_in_thread() as handle:
+            reply = handle.control({"op": "deploy", "mcl": MCL, "scheduler": "process"})
+            assert reply == {"ok": False, "error": "unknown scheduler 'process'"}
+            assert handle.control({"op": "sessions"})["sessions"] == []
+
     def test_unknown_event_rejected(self):
         with GatewayServer().run_in_thread() as handle:
             key = handle.control({"op": "deploy", "mcl": MCL})["session"]

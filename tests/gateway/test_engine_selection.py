@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.errors import MobiGateError
 from repro.gateway import GatewayConfig, GatewayServer
 from repro.streamlets.basic import REDIRECTOR_DEF, Redirector
 
@@ -127,8 +128,10 @@ class TestSelection:
         gateway = offer_both(GatewayServer())
         with deployed(gateway, WORKER_MCL, scheduler="inline") as session:
             assert (session.stepped_by, session.scheduler_kind) == ("pump", "inline")
-        with deployed(gateway, MCL, scheduler="process") as session:
-            assert (session.stepped_by, session.scheduler_kind) == ("shards", "process")
+        # the sharded multi-process engine is gone (EXPERIMENTS.md)
+        with pytest.raises(MobiGateError, match="unknown scheduler 'process'"):
+            gateway.deploy(MCL, scheduler="process")
+        assert not gateway.sessions
 
 
 class TestBulkFramesOverTheDefaultChannel:

@@ -78,41 +78,6 @@ def test_ledger_replay_restores_residency_accounting(tmp_path):
     assert sf.delivered >= report.acked_total
 
 
-def test_kill9_with_process_scheduler_balances_with_recovered_in_flight(tmp_path):
-    """Satellite 4: the whole gateway — shard children included — dies by
-    SIGKILL mid-flight, and the next generation's ledger still balances.
-
-    The process-plane session is recorded in the ledger with its
-    scheduler, so recovery redeploys it sharded; the cross-crash fold
-    freezes whatever the dead generation had in flight into
-    ``recovered_in_flight``, and no acked frame may go missing.  The
-    restarted generation's stale-segment sweep must also leave /dev/shm
-    clean — a SIGKILL skips every atexit hook in the dying process.
-    """
-    harness = CrashHarness(
-        tmp_path / "store", backend="file", cycles=2, burst=12, seed=11,
-        scheduler="process",
-    )
-    report = harness.run()
-    assert report.sent_total == 2 * 12
-    assert report.lost_acked == 0
-    assert report.balanced and report.missing == 0
-    assert all(c.restored == 1 for c in report.cycles[1:])
-
-    from repro.store import FileWALStore, fold
-
-    store = FileWALStore(str(tmp_path / "store" / "ledger.wal"))
-    sf = fold(store.replay()).session(harness.session_key)
-    store.close()
-    assert sf.admitted == (
-        sf.delivered + sf.absorbed + sf.dead_lettered + sf.dropped
-        + sf.recovered_in_flight + sf.running_in_flight
-    )
-    # the final graceful generation swept the killed generations' segments
-    leftovers = [n for n in os.listdir("/dev/shm") if n.startswith("mgps_")]
-    assert leftovers == []
-
-
 def _spawn_gateway(store_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

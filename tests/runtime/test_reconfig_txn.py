@@ -28,7 +28,6 @@ from repro.faults import (
 from repro.faults.invariant import check_conservation
 from repro.mcl import astnodes as ast
 from repro.mime.message import MimeMessage
-from repro.runtime.process_scheduler import ProcessScheduler
 from repro.runtime.reconfig import ProbationMonitor, ReconfigTransaction, TxnState
 from repro.runtime.scheduler import InlineScheduler, ThreadedScheduler
 from repro.util.clock import VirtualClock
@@ -203,14 +202,11 @@ class TestCommit:
 
 
 class TestRollback:
-    @pytest.mark.parametrize("kind", ["inline", "threaded", "process"])
+    @pytest.mark.parametrize("kind", ["inline", "threaded"])
     def test_nth_action_failure_restores_everything(self, kind):
         _server, stream = deploy()
         if kind == "inline":
             scheduler = InlineScheduler(stream)
-        elif kind == "process":
-            scheduler = ProcessScheduler(stream, shards=2)
-            scheduler.start()
         else:
             scheduler = ThreadedScheduler(stream, poll_interval=0.0005)
             scheduler.start()

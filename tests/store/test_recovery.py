@@ -7,6 +7,7 @@ from repro.gateway import GatewayConfig, GatewayServer
 from repro.mime.message import MimeMessage
 from repro.mime.wire import FrameAssembler, serialize_message
 from repro.store import Ledger, open_store
+from repro.telemetry import MetricsRegistry, Telemetry
 
 MCL = """main stream chain{
   streamlet r0, r1 = new-streamlet (redirector);
@@ -92,6 +93,38 @@ class TestRestartRestoration:
             second = restarted.recovery.recover()
             [outcome] = second.sessions
             assert not outcome.restored and outcome.reason == "already deployed"
+
+
+class TestRecoveryAcrossTheEngineRemoval:
+    def test_a_ledger_naming_the_removed_engine_recovers_as_threaded(self, tmp_path):
+        # what a build that still had the sharded engine left behind
+        store = open_store("file", str(tmp_path / "ledger.wal"))
+        store.append(
+            {"ev": "deployed", "session": "s-1", "mcl": MCL, "scheduler": "process"}
+        )
+        store.close()
+        telemetry = Telemetry(registry=MetricsRegistry())
+        gateway = GatewayServer(config=durable_config(tmp_path), telemetry=telemetry)
+        with gateway.run_in_thread() as handle:
+            [outcome] = gateway.recovery.last_report.sessions
+            assert outcome.restored, outcome.reason
+            assert gateway.sessions["s-1"].scheduler_kind == "threaded"
+            frame = echo_once(handle.data_address, "s-1")
+            assert frame.body == b"payload"
+            assert await_balanced(handle)["reconcile"]["balanced"]
+            [event] = [
+                e for e in telemetry.recorder.events()
+                if e["category"] == "scheduler_substituted"
+            ]
+            assert (event["stream"], event["recorded"], event["engine"]) == (
+                "s-1", "process", "threaded",
+            )
+        # the new generation recorded what it runs: the next restart needs
+        # no substitution
+        store = open_store("file", str(tmp_path / "ledger.wal"))
+        deployed = [r for r in store.replay() if r.get("ev") == "deployed"]
+        store.close()
+        assert [r["scheduler"] for r in deployed] == ["process", "threaded"]
 
 
 class TestFaultStateRestoration:
