@@ -9,12 +9,14 @@ per-streamlet cost and check the linear shape (R² of a least-squares fit).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bench.harness import deploy_chain, time_repeated
+from repro.bench.harness import deploy_chain
 from repro.bench.reporting import print_series
+from repro.mime.message import MimeMessage
 from repro.workloads.content import synthetic_text_message
 
 
@@ -44,22 +46,33 @@ def run_fig7_2(
     message_kb: int = 10,
     repeats: int = 30,
 ) -> Fig72Result:
-    """Measure one-message latency across redirector chain lengths; fit the slope."""
-    rows: list[tuple[int, float]] = []
-    for n in chain_lengths:
-        _server, stream, scheduler = deploy_chain(n)
-        message_bytes = synthetic_text_message(message_kb * 1024, seed=1).body
+    """Measure one-message latency across redirector chain lengths; fit the slope.
 
-        def one_pass():
-            from repro.mime.message import MimeMessage
+    Every chain is deployed first and the lengths are timed *interleaved*,
+    repetition by repetition, each keeping its minimum (as
+    :func:`~repro.bench.fig7_3.run_fig7_3` does for its two modes): a
+    stretch in which the host runs slow then lands on every length alike
+    instead of bending the line at whichever was being timed.
+    """
+    message_bytes = synthetic_text_message(message_kb * 1024, seed=1).body
+    chains = [deploy_chain(n) for n in chain_lengths]
 
-            stream.post(MimeMessage("text/plain", message_bytes))
-            scheduler.pump()
-            stream.collect()
+    def one_pass(stream, scheduler) -> float:
+        start = time.perf_counter()
+        stream.post(MimeMessage("text/plain", message_bytes))
+        scheduler.pump()
+        stream.collect()
+        return time.perf_counter() - start
 
-        stats = time_repeated(one_pass, repeats=repeats, warmup=3)
-        rows.append((n, stats.minimum))  # noise-robust fixed-work statistic
+    best = [float("inf")] * len(chains)
+    for repeat in range(-3, repeats):  # three unmeasured warm-up rounds
+        for index, (_server, stream, scheduler) in enumerate(chains):
+            elapsed = one_pass(stream, scheduler)
+            if repeat >= 0:
+                best[index] = min(best[index], elapsed)  # fixed work: noise only adds
+    for _server, stream, _scheduler in chains:
         stream.end()
+    rows = list(zip(chain_lengths, best))
 
     xs = np.array([n for n, _ in rows], dtype=float)
     ys = np.array([latency for _, latency in rows], dtype=float)

@@ -429,19 +429,11 @@ class GatewaySession:
         return OfferTicket(SHED, ticket.msg_id, ticket.size)
 
     def _admit_and_post(self, message: MimeMessage) -> OfferTicket:
-        stream = self.stream
-        if message.session is None and stream.session is not None:
-            message.headers.session = stream.session
-        if stream.epoch:
-            message.headers.set_epoch(stream.epoch)
         if self._e2e_hist is not None:
+            # the gateway's own stamp goes on before the stream sizes the
+            # message, so the size the ticket carries includes it
             message.headers.set(INGRESS_HEADER, repr(time.perf_counter()))
-        traced = stream.tm.enabled and stream.tm.admit(message)
-        size = message.total_size()
-        msg_id = stream.pool.admit(message)
-        if traced:
-            stream.tm.mark_traced(msg_id)
-        return self._post(msg_id, size)
+        return self._post(*self.stream.admit(message))
 
     def _post(self, msg_id: str, size: int) -> OfferTicket:
         channel = self._ingress_channel()

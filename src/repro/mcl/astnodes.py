@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from repro.mime.mediatype import MediaType
 
@@ -62,13 +63,23 @@ class StreamletDef:
     requires: tuple[str, ...] = ()   # mutual dependency partners (5.2.4)
     after: tuple[str, ...] = ()      # preorder: must come after these (5.2.5)
 
+    @cached_property
+    def _in_out(self) -> tuple[tuple[PortDecl, ...], tuple[PortDecl, ...]]:
+        # computed once per definition: a definition is frozen, and
+        # cached_property stores beside the fields without going through
+        # the frozen __setattr__ (eq/hash/repr see the fields only)
+        return (
+            tuple(p for p in self.ports if p.direction is PortDirection.IN),
+            tuple(p for p in self.ports if p.direction is PortDirection.OUT),
+        )
+
     def inputs(self) -> tuple[PortDecl, ...]:
         """The declared input ports, in declaration order."""
-        return tuple(p for p in self.ports if p.direction is PortDirection.IN)
+        return self._in_out[0]
 
     def outputs(self) -> tuple[PortDecl, ...]:
         """The declared output ports, in declaration order."""
-        return tuple(p for p in self.ports if p.direction is PortDirection.OUT)
+        return self._in_out[1]
 
     def port(self, name: str) -> PortDecl | None:
         """The port declaration named ``name``, or None."""

@@ -17,6 +17,12 @@ peer spans join the same trace the server started (see
 
 Header names are case-insensitive; insertion order is preserved so
 ``format()`` round-trips.
+
+A message crosses many streamlets that read its envelope and few that
+change it, so :class:`HeaderMap` derives each *view* of the raw fields —
+session base, epoch, parsed media type, the formatted block and its
+UTF-8 encoding — once and keeps it until the next mutation (see the
+class docstring for the invalidation rule).
 """
 
 from __future__ import annotations
@@ -43,13 +49,27 @@ class HeaderMap:
 
     MobiGATE messages never need repeated fields, so ``set`` replaces; this
     keeps the routing code simple and the wire form unambiguous.
+
+    **The memo.**  ``_fields`` is the only state; :attr:`session`,
+    :attr:`epoch`, :attr:`content_type`, :meth:`format` and
+    :meth:`encoded` are views derived from it and kept in ``_memo`` until
+    a mutation.  Every mutator (``set``, ``remove`` and whatever is built
+    on them: the typed setters, ``set_epoch``, ``set_trace``,
+    ``push_peer``, ``pop_peer``) writes the field *first* and then
+    **replaces** the memo with a fresh dict — never clears it.  A reader
+    takes its reference to the memo before it looks at the fields, so one
+    that races a writer can only file a stale value in the dict the writer
+    is discarding: once a mutator has returned, no view can return what it
+    was before.  ``copy()`` starts its copy with an empty memo.
     """
 
-    __slots__ = ("_fields",)
+    __slots__ = ("_fields", "_memo")
 
     def __init__(self, initial: dict[str, str] | None = None):
         # canonical-lower name -> (display name, value)
         self._fields: dict[str, tuple[str, str]] = {}
+        # view name -> derived value; replaced, never cleared (see above)
+        self._memo: dict[str, object] = {}
         if initial:
             for name, value in initial.items():
                 self.set(name, value)
@@ -57,14 +77,26 @@ class HeaderMap:
     # -- core mapping ----------------------------------------------------------
 
     def set(self, name: str, value: str) -> None:
-        """Set (replacing) a field; names/values are validated."""
-        name = name.strip()
+        """Set (replacing) a field; names/values are validated.
+
+        Setting the exact pair already stored — a redirector re-stamping
+        an unchanged ``Content-Length`` — changes nothing and returns at
+        once: the pair was validated when it was stored.
+        """
+        key = name.lower()
+        stored = self._fields.get(key)
+        if stored is not None and value.__class__ is str and stored == (name, value):
+            return
+        stripped = name.strip()
+        if stripped != name:
+            name, key = stripped, stripped.lower()
         if not name or ":" in name or "\r" in name or "\n" in name:
             raise HeaderError(f"illegal header name {name!r}")
         value = str(value).strip()
         if "\n" in value or "\r" in value:
             raise HeaderError(f"header value may not contain newlines: {value!r}")
-        self._fields[name.lower()] = (name, value)
+        self._fields[key] = (name, value)
+        self._memo = {}
 
     def get(self, name: str, default: str | None = None) -> str | None:
         """The field value, or ``default`` when absent."""
@@ -80,7 +112,10 @@ class HeaderMap:
 
     def remove(self, name: str) -> bool:
         """Delete a field; returns False if it was absent."""
-        return self._fields.pop(name.lower(), None) is not None
+        if self._fields.pop(name.lower(), None) is None:
+            return False
+        self._memo = {}
+        return True
 
     def __contains__(self, name: str) -> bool:
         return name.lower() in self._fields
@@ -89,11 +124,10 @@ class HeaderMap:
         return len(self._fields)
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
-        for display, value in self._fields.values():
-            yield display, value
+        return iter(self._fields.values())  # the stored (display, value) pairs
 
     def copy(self) -> "HeaderMap":
-        """Independent copy of the header map."""
+        """Independent copy of the header map (its memo starts empty)."""
         clone = HeaderMap()
         clone._fields = dict(self._fields)
         return clone
@@ -113,8 +147,12 @@ class HeaderMap:
 
     @property
     def content_type(self) -> MediaType | None:
+        memo = self._memo
+        if "content_type" in memo:
+            return memo["content_type"]
         raw = self.get(CONTENT_TYPE)
-        return MediaType.parse(raw) if raw else None
+        memo["content_type"] = parsed = MediaType.parse(raw) if raw else None
+        return parsed
 
     @content_type.setter
     def content_type(self, value: MediaType | str) -> None:
@@ -122,11 +160,15 @@ class HeaderMap:
 
     @property
     def session(self) -> str | None:
+        memo = self._memo
+        if "session" in memo:
+            return memo["session"]
         raw = self.get(CONTENT_SESSION)
-        if raw is None:
-            return None
-        base, _, _params = raw.partition(_SESSION_PARAM_SEPARATOR)
-        return base.strip() or None
+        base = None
+        if raw is not None:
+            base = raw.partition(_SESSION_PARAM_SEPARATOR)[0].strip() or None
+        memo["session"] = base
+        return base
 
     @session.setter
     def session(self, value: str) -> None:
@@ -143,20 +185,21 @@ class HeaderMap:
     @property
     def epoch(self) -> int | None:
         """The stream epoch carried on ``Content-Session``, or None."""
-        raw = self.get(CONTENT_SESSION)
-        if raw is None:
-            return None
-        _base, sep, params = raw.partition(_SESSION_PARAM_SEPARATOR)
-        if not sep:
-            return None
+        memo = self._memo
+        if "epoch" in memo:
+            return memo["epoch"]
+        epoch = None
+        params = (self.get(CONTENT_SESSION) or "").partition(_SESSION_PARAM_SEPARATOR)[2]
         for param in params.split(_SESSION_PARAM_SEPARATOR):
             param = param.strip()
             if param.startswith(_EPOCH_PARAM):
                 value = param[len(_EPOCH_PARAM):]
                 if not value.isdigit():
                     raise HeaderError(f"illegal epoch parameter {param!r}")
-                return int(value)
-        return None
+                epoch = int(value)
+                break
+        memo["epoch"] = epoch
+        return epoch
 
     def set_epoch(self, epoch: int) -> None:
         """Stamp (replacing) the epoch parameter on ``Content-Session``."""
@@ -219,7 +262,21 @@ class HeaderMap:
 
     def format(self) -> str:
         """Serialise as ``Name: value`` lines (no trailing blank line)."""
-        return "\n".join(f"{name}: {value}" for name, value in self)
+        memo = self._memo
+        block = memo.get("block")
+        if block is None:
+            memo["block"] = block = "\n".join(
+                [f"{name}: {value}" for name, value in self._fields.values()]
+            )
+        return block
+
+    def encoded(self) -> bytes:
+        """The :meth:`format` block as UTF-8: a frame's head, and its size."""
+        memo = self._memo
+        wire = memo.get("wire")
+        if wire is None:
+            memo["wire"] = wire = self.format().encode("utf-8")
+        return wire
 
     @classmethod
     def parse(cls, text: str) -> "HeaderMap":

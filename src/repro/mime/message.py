@@ -138,11 +138,16 @@ class MimeMessage:
 
     def header_size(self) -> int:
         """UTF-8 size of the serialised header block."""
-        return len(self.headers.format().encode("utf-8"))
+        return len(self.headers.encoded())
 
     def total_size(self) -> int:
-        """Bytes on the wire: headers + blank line + body."""
-        return self.header_size() + 2 + self.body_size()
+        """Bytes on the wire: headers + blank line + body.
+
+        What every queue post is sized by.  The header share is read off
+        the :class:`HeaderMap` memo, so sizing a message whose envelope
+        no streamlet has touched since the last post formats nothing.
+        """
+        return len(self.headers.encoded()) + 2 + payload_size(self.body)
 
     # -- multipart (section 4.3 merge/switch streamlets) -----------------------------
 
@@ -178,7 +183,7 @@ class MimeMessage:
 
     def stamp_length(self) -> None:
         """Record the current body size in ``Content-Length``."""
-        self.headers.set(CONTENT_LENGTH, str(self.body_size()))
+        self.headers.set(CONTENT_LENGTH, str(payload_size(self.body)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sess = self.headers.get(CONTENT_SESSION)

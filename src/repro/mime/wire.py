@@ -124,14 +124,22 @@ _CODECS = {
 
 
 def serialize_message(message: MimeMessage) -> bytes:
-    """Render a message (and its parts, recursively) to wire bytes."""
-    headers = message.headers.copy()
-    body = message.body
+    """Render a message (and its parts, recursively) to wire bytes.
 
-    if isinstance(body, list):  # multipart
+    The envelope is stamped on a copy — the boundary for a multipart
+    body, the payload kind, ``Content-Length`` — unless it already says
+    all of that, in which case no copy is made and the header block comes
+    off the header map's memo.
+    """
+    headers = message.headers
+    body = message.body
+    kind: str | None = None
+    boundary_type = None
+    if isinstance(body, bytes | bytearray | memoryview):
+        payload = bytes(body)
+    elif isinstance(body, list):  # multipart
         boundary = _BOUNDARY_IDS.next()
-        content_type = message.content_type.with_params(boundary=boundary)
-        headers.content_type = content_type
+        boundary_type = message.content_type.with_params(boundary=boundary)
         delimiter = f"--{boundary}\n".encode()
         closing = f"--{boundary}--".encode()
         chunks: list[bytes] = []
@@ -142,27 +150,32 @@ def serialize_message(message: MimeMessage) -> bytes:
             chunks.append(encoded)
         chunks.append(closing)
         payload = b"".join(chunks)
-        headers.remove(PAYLOAD_KIND)
     elif isinstance(body, ImageRaster):
-        payload = _encode_raster(body)
-        headers.set(PAYLOAD_KIND, "raster")
+        payload, kind = _encode_raster(body), "raster"
     elif isinstance(body, PsDocument):
-        payload = _encode_psdoc(body)
-        headers.set(PAYLOAD_KIND, "psdoc")
+        payload, kind = _encode_psdoc(body), "psdoc"
     elif isinstance(body, str):
-        payload = body.encode("utf-8")
-        headers.set(PAYLOAD_KIND, "text")
+        payload, kind = body.encode("utf-8"), "text"
     elif body is None:
         payload = b""
-        headers.remove(PAYLOAD_KIND)
-    elif isinstance(body, bytes | bytearray | memoryview):
-        payload = bytes(body)
-        headers.remove(PAYLOAD_KIND)
     else:
         raise MimeError(f"cannot serialise payload of type {type(body).__name__}")
 
-    headers.set(CONTENT_LENGTH, str(len(payload)))
-    return headers.format().encode("utf-8") + _HEADER_TERMINATOR + payload
+    length = str(len(payload))
+    if (
+        boundary_type is not None
+        or headers.get(PAYLOAD_KIND) != kind
+        or headers.get(CONTENT_LENGTH) != length
+    ):
+        headers = headers.copy()
+        if boundary_type is not None:
+            headers.content_type = boundary_type
+        if kind is None:
+            headers.remove(PAYLOAD_KIND)
+        else:
+            headers.set(PAYLOAD_KIND, kind)
+        headers.set(CONTENT_LENGTH, length)
+    return b"".join((headers.encoded(), _HEADER_TERMINATOR, payload))
 
 
 def parse_message(

@@ -20,11 +20,14 @@ Two engines drive the same :class:`~repro.runtime.stream.RuntimeStream`:
   workers pick up the republished view at their next step — see
   ``docs/performance.md`` for the full protocol.
 
-Both engines implement the same message step: fetch an id, check the
-message out of the pool, call ``process``, push the peer id when the
-streamlet has one, and post the results — dropping (and counting) any
-emission aimed at an unconnected port, which is exactly the open-circuit
-hazard the chapter-5 analysis exists to prevent.
+Both engines are claim, dispatch and wake policy around one message step
+(:func:`_step_node` claims, :func:`_run_hops` is the hop): fetch an id,
+check the message out of the pool, call ``process``, push the peer id
+when the streamlet has one, and send the results on — dropping (and
+counting) any emission aimed at an unconnected port, which is exactly the
+open-circuit hazard the chapter-5 analysis exists to prevent.  An
+ordinary node and a fused chain are the same thing to it: a chain of one
+member or of several.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ import time
 from repro.errors import QueueClosedError
 from repro.mime.headers import CONTENT_TRACE
 from repro.runtime.channel import Channel
-from repro.runtime.stream import RuntimeStream, TopologySnapshot, _NodeView
+from repro.runtime.message_pool import PassMode
+from repro.runtime.stream import RuntimeStream, TopologySnapshot, _FusedView, _NodeView
 from repro.runtime.streamlet import StreamletState
 
 #: canonical HeaderMap key for Content-Trace — probed directly against the
@@ -49,17 +53,14 @@ _TRACE_KEY = CONTENT_TRACE.lower()
 _Stalled = tuple["Channel", str, int]
 
 
-def _bump(stats, acc: dict[str, int] | None, name: str) -> None:
-    """Count into the step accumulator when one is live, else directly.
+def _count(acc: dict[str, int], name: str, n: int = 1) -> None:
+    """Count into the step accumulator.
 
-    Batched steps collect their counter bumps in a plain dict and flush
-    them through :meth:`StreamStats.inc_many` once per dispatch, so a
+    Steps collect their counter bumps in a plain dict that the engine
+    flushes through :meth:`StreamStats.inc_many` once per dispatch, so a
     batch of N messages pays one stats lock instead of N.
     """
-    if acc is None:
-        stats.inc(name)
-    else:
-        acc[name] = acc.get(name, 0) + 1
+    acc[name] = acc.get(name, 0) + n
 
 
 def _has_headroom(outputs: dict[str, Channel]) -> bool:
@@ -83,259 +84,43 @@ def _has_headroom(outputs: dict[str, Channel]) -> bool:
     return True
 
 
-def _step_node(
-    stream: RuntimeStream, name: str, view: _NodeView,
-    stalled: list[_Stalled] | None = None,
-    batch: int = 1,
-    acc: dict[str, int] | None = None,
-) -> int:
-    """Move up to ``batch`` messages through each of the node's input ports.
+def _claim(channel: Channel, wait_hist) -> tuple[str | None, float | None]:
+    """Fetch one id off an input channel; ``(None, None)`` when it has none.
 
-    The first claim per port is unconditional (the historical one-message
-    step); further claims in the same visit happen only while no emission
-    has stalled and every output queue keeps headroom, so batching can
-    never convert a backpressure signal into drops.  Fused views dispatch
-    to :func:`_step_fused`, which runs the whole member chain per claim.
+    With telemetry on, one clock sample is both the claim stamp — the
+    queue kept the raw post time, so the post-to-claim delay is observed
+    here — and the service start of the hop that follows.
     """
-    if view.fused:
-        return _step_fused(stream, view, stalled, batch=batch, acc=acc)
-    if view.streamlet.state is not StreamletState.ACTIVE:
-        return 0
-    moved = 0
-    queue_wait_hist = view.queue_wait_hist
-    for port, channel in view.inputs:  # frozen tuple: no per-step copy
-        for claim in range(batch):
-            # extra claims first probe the queue lock-free: a fetch miss
-            # costs a mutex round-trip, and on latency-bound traffic
-            # (one message in flight) every claim after the first misses
-            if claim and (
-                stalled or channel.queue.is_empty()
-                or not _has_headroom(view.outputs)
-            ):
-                break
-            try:
-                msg_id = channel.fetch(0.0)
-            except QueueClosedError:
-                break
-            if msg_id is None:
-                break
-            if queue_wait_hist is not None:
-                # post-to-claim delay: the queue stored the raw post time;
-                # one clock sample here is both the claim stamp and the
-                # service start, so attribution costs a single
-                # perf_counter per hop
-                claimed_at = time.perf_counter()
-                posted_at = channel.queue.last_post_at
-                if posted_at is not None:
-                    queue_wait_hist.observe(claimed_at - posted_at)
-                moved += _process_message(
-                    stream, name, view, port, msg_id, stalled,
-                    t0=claimed_at, acc=acc,
-                )
-            else:
-                moved += _process_message(
-                    stream, name, view, port, msg_id, stalled, acc=acc
-                )
-    return moved
-
-
-def _process_one(
-    stream: RuntimeStream, name: str, view, port: str, msg_id: str,
-    acc: dict[str, int] | None = None,
-    t0: float | None = None,
-):
-    """Checkout → process → account for one message at one streamlet.
-
-    Returns the id-assigned emissions as ``(out_port, out_id, out_msg)``
-    triples ready for routing — to output channels for an ordinary node
-    (:func:`_route_emissions`), or to the next member of a fused chain
-    (:func:`_run_chain`) — or None when the message terminated here
-    (failure or absorption).
-    """
-    pool = stream.pool
-    stats = stream.stats
-    tm = stream.tm
-    timed = tm.enabled
-    if timed and t0 is None:
-        t0 = time.perf_counter()
-    message = pool.checkout(msg_id)
-    view.ctx.session = message.session
     try:
-        emissions = view.streamlet.process(port, message, view.ctx)
-    except Exception as exc:  # fault containment: one bad message must not
-        if timed:
-            duration = time.perf_counter() - t0
-            view.hop_hist.observe(duration)
-            entry = message.headers._fields.get(_TRACE_KEY)
-            if entry is not None:
-                tm.hop_span(name, entry[1], message, None, duration, failed=True)
-        _bump(stats, acc, "processing_failures")  # (section 3.3.5)
-        handler = stream.fault_handler
-        retained = handler is not None and handler(name, port, msg_id, exc)
-        if not retained:  # no supervisor claimed the id: release and count
-            pool.release(msg_id)
-            _bump(stats, acc, "failure_drops")
-            if timed:
-                tm.forget(msg_id)
-        if stream.failure_hook is not None:
-            stream.failure_hook(name, exc)
-        return None
-    view.streamlet.processed += 1
-    _bump(stats, acc, "processed")
-    if timed:
-        # span before any routing: once an emission is enqueued (or handed
-        # to the next fused member) a concurrent consumer may read its
-        # headers, so the trace context (the parent advance) must be in
-        # place first
-        duration = time.perf_counter() - t0
-        view.hop_hist.observe(duration)
-        entry = message.headers._fields.get(_TRACE_KEY)
-        if entry is not None:
-            tm.hop_span(name, entry[1], message, emissions, duration)
-    if not emissions:
-        pool.release(msg_id)  # absorbed (cache hit, filter, ...)
-        _bump(stats, acc, "absorbed")
-        if timed:
-            tm.forget(msg_id)
-        return None
-    peer = view.streamlet.peer_id
-    routed = []
-    reused_id = False
-    for out_port, out_msg in emissions:
-        if peer is not None:
-            out_msg.headers.push_peer(peer)
-        if not reused_id:
-            out_id = msg_id
-            if out_msg is not message:
-                pool.rebind(msg_id, out_msg)
-            reused_id = True
-        else:
-            out_id = pool.admit(out_msg)
-        routed.append((out_port, out_id, out_msg))
-    return routed
+        msg_id = channel.fetch(0.0)
+    except QueueClosedError:
+        return None, None
+    if msg_id is None or wait_hist is None:
+        return msg_id, None
+    claimed_at = time.perf_counter()
+    posted_at = channel.queue.last_post_at
+    if posted_at is not None:
+        wait_hist.observe(claimed_at - posted_at)
+    return msg_id, claimed_at
 
 
-def _route_emissions(
-    stream: RuntimeStream, view, routed,
-    stalled: list[_Stalled] | None = None,
-    acc: dict[str, int] | None = None,
-) -> None:
-    """Post id-assigned emissions to the view's output channels."""
-    stats = stream.stats
-    timed = stream.tm.enabled
-    outputs = view.outputs
-    for out_port, out_id, out_msg in routed:
-        out_channel: Channel | None = outputs.get(out_port)
-        if out_channel is None:
-            # open circuit at runtime: the message has nowhere to go
-            stream.pool.release(out_id)
-            _bump(stats, acc, "open_circuit_drops")
-            if timed:
-                stream.tm.forget(out_id)
-            continue
-        # never block mid-step: a waiting producer would starve the
-        # consumer that could free the space.  Once a channel has a
-        # stalled message, later emissions to it queue behind (FIFO order
-        # must survive the retry path).
-        size = out_msg.total_size()  # computed once: retries reuse it
-        already_stalled = stalled is not None and any(
-            ch is out_channel for ch, _, _ in stalled
-        )
-        posted = False
-        if not already_stalled:
-            try:
-                posted = out_channel.post(out_id, size, timeout=0)
-            except QueueClosedError:
-                # a closed channel can never accept — drop now, never retry
-                _drop(stream, out_id)
-                continue
-        if not posted:
-            if stalled is not None:
-                stalled.append((out_channel, out_id, size))
-            else:
-                _drop(stream, out_id)
-
-
-def _process_message(
-    stream: RuntimeStream, name: str, view: _NodeView, port: str, msg_id: str,
-    stalled: list[_Stalled] | None = None,
-    t0: float | None = None,
-    acc: dict[str, int] | None = None,
+def _step_node(
+    stream: RuntimeStream, view: _NodeView | _FusedView,
+    stalled: list[_Stalled] | None, batch: int, acc: dict[str, int],
 ) -> int:
-    routed = _process_one(stream, name, view, port, msg_id, acc, t0)
-    if routed is not None:
-        _route_emissions(stream, view, routed, stalled, acc)
-    return 1
+    """Claim up to ``batch`` messages per input port and run each through the view.
 
+    The claim policy, shared by both engines; every claimed id goes
+    through :func:`_run_hops`.  The first claim per port is unconditional
+    (the historical one-message step); further claims in the same visit
+    happen only while no emission has stalled and every output queue
+    keeps headroom, so batching can never convert a backpressure signal
+    into drops.
 
-def _run_chain(
-    stream: RuntimeStream, view, index: int, port: str, msg_id: str,
-    stalled: list[_Stalled] | None = None,
-    acc: dict[str, int] | None = None,
-    t0: float | None = None,
-) -> int:
-    """Run one claimed message through fused members ``index`` onward.
-
-    Interior emissions hop member-to-member in memory (the elided
-    channels are never posted); only the tail's emissions go through the
-    normal channel-post path with the stalled-retry machinery.  Each
-    member still gets its own pool checkout (VALUE-mode copy semantics
-    survive fusion), service-time observation, and failure containment —
-    a supervisor that retains a failed id can re-post it to the member's
-    still-wired input channel, where the residual drain picks it up.
-    """
-    members = view.members
-    last = len(members) - 1
-    i = index
-    pending: list | None = None  # lazily built: only multi-emission needs it
-    while True:
-        member = members[i]
-        routed = _process_one(stream, member.name, member, port, msg_id, acc, t0)
-        advanced = False
-        if routed is not None:
-            if i == last:
-                _route_emissions(stream, member, routed, stalled, acc)
-            elif len(routed) == 1 and routed[0][0] in member.outputs:
-                # the common shape — one emission on the wired port — hops
-                # straight to the next member, no worklist traffic
-                msg_id = routed[0][1]
-                port = members[i + 1].inputs[0][0]
-                i += 1
-                t0 = None
-                advanced = True
-            else:
-                next_port = members[i + 1].inputs[0][0]
-                outputs = member.outputs
-                for out_port, out_id, out_msg in routed:
-                    if out_port not in outputs:
-                        # open circuit mid-chain: identical to the unfused drop
-                        stream.pool.release(out_id)
-                        _bump(stream.stats, acc, "open_circuit_drops")
-                        if stream.tm.enabled:
-                            stream.tm.forget(out_id)
-                        continue
-                    if pending is None:
-                        pending = []
-                    pending.append((i + 1, next_port, out_id))
-        if advanced:
-            continue
-        if not pending:
-            return 1
-        i, port, msg_id = pending.pop(0)
-        t0 = None
-
-
-def _step_fused(
-    stream: RuntimeStream, view,
-    stalled: list[_Stalled] | None = None,
-    *, batch: int = 1,
-    acc: dict[str, int] | None = None,
-) -> int:
-    """Step a fused chain: claim at the head, run every member per dispatch.
-
-    Residual units parked on an interior channel — traffic admitted
-    before the chain fused (or re-posted by a supervisor retry) — drain
-    first, downstream-first, so end-to-end FIFO order survives fuse/split
+    A fused view claims new traffic at its head only.  Residual units
+    parked on an interior channel — traffic admitted before the chain
+    fused, or re-posted by a supervisor retry — drain first,
+    downstream-first, so end-to-end FIFO order survives fuse/split
     transitions.  A single paused member parks the whole chain: one
     dispatch cannot honour a suspension boundary mid-run, so messages
     wait at the head until every member is active again.
@@ -344,58 +129,182 @@ def _step_fused(
     for member in members:
         if member.streamlet.state is not StreamletState.ACTIVE:
             return 0
-    moved = 0
+    moved = hops = 0
     interior = view.interior
     for idx in range(len(interior) - 1, -1, -1):
         channel = interior[idx]
-        if channel.queue.is_empty():
-            # lock-free probe: interior queues hold traffic only across a
-            # fuse/split transition, so skip the fetch-miss mutex cost
-            continue
-        entry = members[idx + 1]
-        entry_port = entry.inputs[0][0]
-        wait_hist = entry.queue_wait_hist
-        while not stalled:
-            try:
-                msg_id = channel.fetch(0.0)
-            except QueueClosedError:
-                break
+        # lock-free probe: interior queues hold traffic only across a
+        # fuse/split transition, so skip the fetch-miss mutex cost
+        while not stalled and not channel.queue.is_empty():
+            msg_id, t0 = _claim(channel, members[idx + 1].queue_wait_hist)
             if msg_id is None:
                 break
-            t0 = None
-            if wait_hist is not None:
-                t0 = time.perf_counter()
-                posted_at = channel.queue.last_post_at
-                if posted_at is not None:
-                    wait_hist.observe(t0 - posted_at)
-            moved += _run_chain(stream, view, idx + 1, entry_port, msg_id,
-                                stalled, acc, t0)
+            moved += 1
+            hops += _run_hops(stream, members, idx + 1, members[idx].next_port,
+                              msg_id, t0, stalled, acc)
     head = members[0]
     tail_outputs = members[-1].outputs
-    wait_hist = head.queue_wait_hist
-    for port, channel in head.inputs:
+    for port, channel in head.inputs:  # frozen tuple: no per-step copy
         for claim in range(batch):
-            if stalled or (
-                claim and (
-                    channel.queue.is_empty()
-                    or not _has_headroom(tail_outputs)
-                )
+            # extra claims first probe the queue lock-free: a fetch miss
+            # costs a mutex round-trip, and on latency-bound traffic
+            # (one message in flight) every claim after the first misses
+            if claim and (
+                stalled or channel.queue.is_empty()
+                or not _has_headroom(tail_outputs)
             ):
                 break
-            try:
-                msg_id = channel.fetch(0.0)
-            except QueueClosedError:
-                break
+            msg_id, t0 = _claim(channel, head.queue_wait_hist)
             if msg_id is None:
                 break
-            t0 = None
-            if wait_hist is not None:
-                t0 = time.perf_counter()
-                posted_at = channel.queue.last_post_at
-                if posted_at is not None:
-                    wait_hist.observe(t0 - posted_at)
-            moved += _run_chain(stream, view, 0, port, msg_id, stalled, acc, t0)
+            moved += 1
+            hops += _run_hops(stream, members, 0, port, msg_id, t0, stalled, acc)
+    if hops:
+        _count(acc, "processed", hops)
     return moved
+
+
+def _run_hops(
+    stream: RuntimeStream, members: tuple[_NodeView, ...], index: int,
+    port: str, msg_id: str, t0: float | None,
+    stalled: list[_Stalled] | None, acc: dict[str, int],
+) -> int:
+    """The hop kernel: one claimed message through ``members[index:]``.
+
+    One transition, for every engine and every shape of node: check the
+    message out, ``process`` it, account for it, give each emission an id
+    (the first keeps the claimed one) and send it on — to the next member
+    in memory when there is one (the elided channels are never posted),
+    else to the output channels with the stalled-retry machinery.  Each
+    member gets its own service-time observation and failure containment
+    — a supervisor that retains a failed id can re-post it to the
+    member's still-wired input channel, where the residual drain picks it
+    up.  What a member needs per message and no message can change was
+    resolved when the snapshot was published
+    (:class:`~repro.runtime.stream._NodeView`).
+
+    Between fused members a ``PassMode.REFERENCE`` pool is not consulted
+    again: the next member is handed the object the previous one emitted,
+    which is what the pool holds under the id.  ``PassMode.VALUE`` checks
+    out (deep-copies) at every hop, fused or not.  With telemetry on, the
+    clock read that ends hop *i* is the start of hop *i + 1* (``t0`` is
+    the claim stamp when the caller took one).  Returns the number of
+    ``process`` calls that succeeded, for the caller's ``processed`` bump.
+    """
+    pool = stream.pool
+    tm = stream.tm
+    timed = tm.enabled
+    carry = pool.mode is PassMode.REFERENCE
+    if timed and t0 is None:
+        t0 = time.perf_counter()
+    processed = 0
+    message = None  # handed on by the previous member, or checked out below
+    #: (member index, port, id, message) still to run, in emission order
+    pending: list = []
+    while True:
+        hop = members[index]
+        if message is None:
+            message = pool.checkout(msg_id)
+        ctx = hop.ctx
+        ctx.session = message.headers.session
+        failure = None
+        try:
+            emissions = hop.streamlet.process(port, message, ctx)
+        except Exception as exc:  # fault containment: one bad message must not
+            emissions, failure = None, exc  # take the stream down (3.3.5)
+        if timed:
+            # span before any routing: once an emission is enqueued (or
+            # handed to the next member) a concurrent consumer may read its
+            # headers, so the trace context (the parent advance) must be
+            # in place first
+            now = time.perf_counter()
+            hop.hop_hist.observe(now - t0)
+            entry = message.headers._fields.get(_TRACE_KEY)
+            if entry is not None:
+                tm.hop_span(hop.name, entry[1], message, emissions, now - t0,
+                            failure is not None)
+            t0 = now
+        if failure is not None:
+            _hop_failed(stream, hop, port, msg_id, failure, acc)
+        else:
+            hop.streamlet.processed += 1
+            processed += 1
+            if not emissions:
+                pool.release(msg_id)  # absorbed (cache hit, filter, ...)
+                _count(acc, "absorbed")
+                if timed:
+                    tm.forget(msg_id)
+            else:
+                peer, outputs, next_port = hop.peer, hop.outputs, hop.next_port
+                out_id = msg_id  # the first emission keeps the claimed id
+                for out_port, out_msg in emissions:
+                    if peer is not None:
+                        out_msg.headers.push_peer(peer)
+                    if out_id is None:
+                        out_id = pool.admit(out_msg)
+                    elif out_msg is not message:
+                        pool.rebind(out_id, out_msg)
+                    channel = outputs.get(out_port)
+                    if channel is None:
+                        # open circuit at runtime: the message has nowhere to go
+                        pool.release(out_id)
+                        _count(acc, "open_circuit_drops")
+                        if timed:
+                            tm.forget(out_id)
+                    elif next_port is None:
+                        _post(stream, channel, out_id, out_msg, stalled)
+                    else:
+                        pending.append(
+                            (index + 1, next_port, out_id, out_msg if carry else None)
+                        )
+                    out_id = None
+        if not pending:
+            return processed
+        index, port, msg_id, message = pending.pop(0)
+
+
+def _hop_failed(
+    stream: RuntimeStream, hop: _NodeView, port: str, msg_id: str,
+    exc: Exception, acc: dict[str, int],
+) -> None:
+    """Settle a message whose ``process`` raised: retained, or released and counted."""
+    _count(acc, "processing_failures")
+    handler = stream.fault_handler
+    if handler is None or not handler(hop.name, port, msg_id, exc):
+        # no supervisor claimed the id: release and count
+        stream.pool.release(msg_id)
+        _count(acc, "failure_drops")
+        if stream.tm.enabled:
+            stream.tm.forget(msg_id)
+    if stream.failure_hook is not None:
+        stream.failure_hook(hop.name, exc)
+
+
+def _post(
+    stream: RuntimeStream, channel: Channel, out_id: str, out_msg,
+    stalled: list[_Stalled] | None,
+) -> None:
+    """Post one emission to its output channel, never blocking mid-step.
+
+    A waiting producer would starve the consumer that could free the
+    space, so a full queue parks the id on ``stalled`` for the engine to
+    retry after the step (an engine without one drops).  Once a channel
+    has a stalled message, later emissions to it queue behind: FIFO order
+    must survive the retry path.
+    """
+    size = out_msg.total_size()  # computed once: retries reuse it
+    if not (stalled and any(ch is channel for ch, _, _ in stalled)):
+        try:
+            if channel.post(out_id, size, timeout=0):
+                return
+        except QueueClosedError:
+            # a closed channel can never accept — drop now, never retry
+            _drop(stream, out_id)
+            return
+    if stalled is not None:
+        stalled.append((channel, out_id, size))
+    else:
+        _drop(stream, out_id)
 
 
 def _drop(stream: RuntimeStream, msg_id: str) -> None:
@@ -457,13 +366,12 @@ class InlineScheduler:
     def _seed(self, snap: TopologySnapshot) -> set[str]:
         """Nodes worth visiting: active with pending input traffic."""
         dirty: set[str] = set()
-        for name in snap.order:
-            view = snap.nodes[name]
+        for view in snap.steps:
             if view.streamlet.state is not StreamletState.ACTIVE:
                 continue
             for _port, channel in view.inputs:
                 if not channel.queue.is_empty():
-                    dirty.add(name)
+                    dirty.add(view.name)
                     break
         return dirty
 
@@ -480,7 +388,8 @@ class InlineScheduler:
         while True:
             moved_round = 0
             restart = False
-            for name in snap.order:
+            for view in snap.steps:
+                name = view.name
                 if name not in dirty:
                     continue
                 gate.enter()
@@ -494,9 +403,8 @@ class InlineScheduler:
                     restart = True
                     break
                 dirty.discard(name)
-                view = snap.nodes[name]
                 try:
-                    moved = _step_node(stream, name, view, None, batch, acc)
+                    moved = _step_node(stream, view, None, batch, acc)
                 finally:
                     gate.exit()
                 if moved:
@@ -628,7 +536,7 @@ class ThreadedScheduler:
         gate = stream._read_gate
         stop = self._stop
         snap: TopologySnapshot | None = None
-        view: _NodeView | None = None
+        view: _NodeView | _FusedView | None = None
         registered: list = []   # queues currently carrying our wake event
         # per-worker utilization: this worker is the dict's only writer,
         # so plain float adds need no lock; skipped entirely when disabled
@@ -679,7 +587,7 @@ class ThreadedScheduler:
                     b0 = time.perf_counter()
                 stalled: list[_Stalled] = []
                 try:
-                    moved = _step_node(stream, name, view, stalled, batch, acc)
+                    moved = _step_node(stream, view, stalled, batch, acc)
                 finally:
                     gate.exit()
                 if acc:

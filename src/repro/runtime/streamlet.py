@@ -165,20 +165,23 @@ class ForwardingStreamlet(Streamlet):
     """The *redirector* (section 7.2): parse, re-encapsulate, forward.
 
     It performs the two overhead-bearing steps every streamlet shares —
-    reading the message (headers walked, length stamped) and writing it to
-    the output port — with no service logic, so timing a chain of these
-    isolates the per-streamlet overhead of Figure 7-2.
+    reading the message (content type validated, headers walked, length
+    stamped) and writing it to the output port — with no service logic,
+    so timing a chain of these isolates the per-streamlet overhead of
+    Figure 7-2.  Every step runs on every message; what a hop does not
+    pay twice is *derivation*: the media type was parsed when the frame
+    came in and stays on the header map's memo until a header changes,
+    and re-stamping the length a message already carries stores nothing.
     """
 
     cooperative = True
 
     def process(self, port: str, message: MimeMessage, ctx: StreamletContext) -> Emission:
-        # "parse": walk the headers and validate the content type
         """Parse the envelope, re-stamp it, and forward unchanged."""
+        # "parse": validate the content type and walk the headers
         _ = message.content_type
         for _name, _value in message.headers:
             pass
         # "unparse": re-stamp the envelope
         message.stamp_length()
-        outs = self.definition.outputs()
-        return [(outs[0].name, message)]
+        return [(self.definition.outputs()[0].name, message)]

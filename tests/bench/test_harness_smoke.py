@@ -56,9 +56,14 @@ class TestHarnessUtilities:
 
 class TestFigureRunners:
     def test_fig7_2_shape(self):
-        result = run_fig7_2((1, 4, 8), message_kb=2, repeats=3)
-        assert len(result.rows) == 3
+        # a wide spread of lengths and interleaved minima: fifteen hops are
+        # a few hundred microseconds, well clear of what the host adds
+        result = run_fig7_2((1, 16, 32), message_kb=2, repeats=15)
+        latencies = [latency for _n, latency in result.rows]
+        assert [n for n, _latency in result.rows] == [1, 16, 32]
+        assert latencies[0] < latencies[1] < latencies[2]
         assert result.per_streamlet_seconds > 0
+        assert result.r_squared > 0.9
 
     def test_fig7_3_shape(self):
         result = run_fig7_3((10, 100), chain=8, repeats=2)
