@@ -1,7 +1,8 @@
 """Fusion ablation: the same synchronous chain, fused vs unfused.
 
 The post-compile optimizer (:mod:`repro.mcl.optimize` at the table
-level, :meth:`RuntimeStream._fusion_chains` live) collapses a chain of
+level; the runtime asks the same query of its topology value at every
+snapshot rebuild) collapses a chain of
 synchronously-coupled streamlets into one runtime node that steps the
 whole chain per dispatch, eliding every interior rendezvous queue.  This
 bench measures exactly that delta: an n-redirector chain wired through

@@ -4,12 +4,11 @@ Drives the §7.2 redirector chain with messages parked mid-flight, then
 measures the two paths of the transactional reconfiguration engine
 (:mod:`repro.runtime.reconfig`):
 
-* **commit** — validate + quiesce + splice an extra redirector into the
-  middle link, bumping the stream epoch;
+* **commit** — fold + validate + quiesce + splice an extra redirector
+  into the middle link, bumping the stream epoch;
 * **rollback** — a batch whose second action is structurally illegal
-  (connecting into an occupied port), applied with validation off so the
-  failure surfaces mid-apply and the undo log restores the exact prior
-  topology.
+  (connecting into an occupied port), committed with validation off so
+  the fold refuses it at that action and the prior topology is kept.
 
 After both, the stream is pumped dry and the §7.2 conservation invariant
 is re-checked *across the epoch transition*: every message posted before
@@ -121,7 +120,7 @@ def run_reconfig(
         commit_txn.execute()
         commit_ms = (time.perf_counter() - t0) * 1000
 
-        # the rollback path: second action hits an occupied port mid-apply
+        # the rollback path: the fold's second action hits an occupied port
         before = _fingerprint(stream.snapshot_table())
         rollback_txn = ReconfigTransaction(stream, label="bench-rollback")
         rollback_txn.stage(

@@ -141,14 +141,15 @@ class ReconfigurationError(RuntimeFault):
 
 
 class ReconfigValidationError(ReconfigurationError):
-    """A staged action batch failed its dry-run against the shadow topology."""
+    """A staged action batch failed its dry run on the topology value."""
 
 
 class ReconfigAbortedError(ReconfigurationError):
-    """A transaction failed mid-apply; the prior topology was restored.
+    """A transaction could not be applied; the prior topology was kept.
 
-    ``cause`` carries the exception that aborted the apply phase and
-    ``failed_action`` the 0-based index of the action that raised.
+    ``cause`` carries the exception that refused the batch and
+    ``failed_action`` the 0-based index of the action that raised (None
+    when a new streamlet could not be instantiated).
     """
 
     def __init__(self, message: str, *, cause: Exception | None = None,

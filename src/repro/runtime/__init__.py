@@ -30,7 +30,6 @@ from repro.runtime.reconfig import (
     LastKnownGoodStore,
     ProbationMonitor,
     ReconfigTransaction,
-    ShadowTopology,
     TxnState,
 )
 from repro.runtime.scheduler import InlineScheduler, ThreadedScheduler
@@ -42,7 +41,6 @@ __all__ = [
     "LastKnownGoodStore",
     "ProbationMonitor",
     "ReconfigTransaction",
-    "ShadowTopology",
     "TxnState",
     "MessagePool",
     "PassMode",

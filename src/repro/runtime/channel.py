@@ -31,6 +31,29 @@ from repro.runtime.message_queue import MessageQueue
 if TYPE_CHECKING:  # pragma: no cover
     from repro.telemetry import NullStreamTelemetry, StreamTelemetry
 
+#: the table above: per category, the ends whose detachment breaks the other
+_BREAKS_BOTH = {
+    ast.ChannelCategory.S: (),
+    ast.ChannelCategory.BB: ("source", "sink"),
+    ast.ChannelCategory.BK: ("sink",),
+    ast.ChannelCategory.KB: ("source",),
+}
+
+
+def detach_breaks(name: str, category: ast.ChannelCategory, end: str, pending: int) -> bool:
+    """Whether detaching ``end`` breaks the other end too, losing what is pending.
+
+    The one statement of the section 4.2.2 detach rule: a live
+    :class:`Channel` and the topology value's step function both ask
+    here.  Raises :class:`ChannelError` where the category forbids the
+    detach outright (KK always, S while it holds a unit).
+    """
+    if category is ast.ChannelCategory.KK:
+        raise ChannelError(f"channel {name} is KK: ends cannot be detached")
+    if category is ast.ChannelCategory.S and pending:
+        raise ChannelError(f"channel {name} is S-category but holds a pending unit")
+    return end in _BREAKS_BOTH[category]
+
 
 class Channel:
     """One producer-port → consumer-port carrier."""
@@ -92,73 +115,65 @@ class Channel:
         """Bind the producer port (one per channel)."""
         if self.source is not None:
             raise ChannelError(f"channel {self.name} already has source {self.source}")
-        self.source = ref
-        self.queue.incr_producers()
+        self.bind(ref, self.sink)
 
     def attach_sink(self, ref: ast.PortRef) -> None:
         """Bind the consumer port (one per channel)."""
         if self.sink is not None:
             raise ChannelError(f"channel {self.name} already has sink {self.sink}")
-        self.sink = ref
-        self.queue.incr_consumers()
+        self.bind(self.source, ref)
 
     def detach_source(self) -> list[str]:
         """Detach the producer end; returns ids dropped (category-dependent)."""
         if self.source is None:
             raise ChannelError(f"channel {self.name} has no source to detach")
-        self._check_detachable()
-        self.source = None
-        self.queue.decr_producers()
-        if self.category in (ast.ChannelCategory.BB, ast.ChannelCategory.KB):
+        if detach_breaks(self.name, self.category, "source", self.pending()):
             # the other end breaks too; pending units are lost
-            dropped = self.queue.drain()
-            if self.sink is not None:
-                self.sink = None
-                self.queue.decr_consumers()
-            return dropped
+            self.bind(None, None)
+            return self.queue.drain()
         # BK / S: sink keeps draining what is pending (S is empty anyway)
+        self.bind(None, self.sink)
         return []
 
     def detach_sink(self) -> list[str]:
         """Detach the consumer end; returns ids dropped (category-dependent)."""
         if self.sink is None:
             raise ChannelError(f"channel {self.name} has no sink to detach")
-        self._check_detachable()
-        self.sink = None
-        self.queue.decr_consumers()
-        if self.category in (ast.ChannelCategory.BB, ast.ChannelCategory.BK):
-            dropped = self.queue.drain()
-            if self.source is not None:
-                self.source = None
-                self.queue.decr_producers()
-            return dropped
+        if detach_breaks(self.name, self.category, "sink", self.pending()):
+            self.bind(None, None)
+            return self.queue.drain()
         # KB: source side stays attached (it will block/drop on a full queue)
+        self.bind(self.source, None)
         return []
 
-    def reattach_source(self, ref: ast.PortRef) -> None:
-        """Atomically swap the producer end, keeping pending units.
+    def bind(self, source: ast.PortRef | None, sink: ast.PortRef | None) -> None:
+        """Set both ends outright (``None`` = unattached), keeping pending units.
 
-        Coordinator-internal: used by heal/replace rewiring where the
-        channel conceptually survives, so category semantics (which govern
-        user-visible disconnects) do not apply.
+        Coordinator-internal: the realise step of a reconfiguration calls
+        this with what the topology value says, the category semantics
+        (which govern user-visible disconnects) having been applied when
+        the value was stepped.  The queue's producer/consumer counts
+        follow the ends.
         """
-        if self.source is None:
-            self.queue.incr_producers()
-        self.source = ref
+        queue = self.queue
+        if source is None and self.source is not None:
+            queue.decr_producers()
+        elif source is not None and self.source is None:
+            queue.incr_producers()
+        if sink is None and self.sink is not None:
+            queue.decr_consumers()
+        elif sink is not None and self.sink is None:
+            queue.incr_consumers()
+        self.source = source
+        self.sink = sink
+
+    def reattach_source(self, ref: ast.PortRef) -> None:
+        """Atomically swap the producer end, keeping pending units."""
+        self.bind(ref, self.sink)
 
     def reattach_sink(self, ref: ast.PortRef) -> None:
         """Atomically swap the consumer end, keeping pending units."""
-        if self.sink is None:
-            self.queue.incr_consumers()
-        self.sink = ref
-
-    def _check_detachable(self) -> None:
-        if self.category is ast.ChannelCategory.KK:
-            raise ChannelError(f"channel {self.name} is KK: ends cannot be detached")
-        if self.category is ast.ChannelCategory.S and not self.queue.is_empty():
-            raise ChannelError(
-                f"channel {self.name} is S-category but holds a pending unit"
-            )
+        self.bind(self.source, ref)
 
     # -- transfer ------------------------------------------------------------------
 

@@ -343,13 +343,14 @@ class MessageQueue:
             self._not_full.notify_all()
             self._signal_waiters()
 
-    # -- transactional snapshot/restore (repro.runtime.reconfig) -------------------
+    # -- state reading ---------------------------------------------------------------
 
     def snapshot_state(self) -> tuple[tuple[tuple[str, int], ...], bool, int, int]:
-        """Freeze ``(entries, closed, producers, consumers)`` for an undo log.
+        """Freeze ``(entries, closed, producers, consumers)``, comparably.
 
-        Counters (posted/fetched/dropped) are observability, not state, and
-        are deliberately left out: a rolled-back transaction still happened.
+        What the reconfiguration tests compare before and after a refused
+        batch.  Counters (posted/fetched/dropped) are observability, not
+        state, and are deliberately left out.
         """
         with self._lock:
             return (
@@ -358,35 +359,3 @@ class MessageQueue:
                 self.producer_count,
                 self.consumer_count,
             )
-
-    def restore_state(
-        self,
-        state: tuple[tuple[tuple[str, int], ...], bool, int, int],
-        *,
-        with_entries: bool = True,
-    ) -> None:
-        """Reinstate a :meth:`snapshot_state` capture (rollback path).
-
-        ``with_entries=False`` restores wiring counts and the closed flag
-        but leaves the queue empty — used when the snapshot's entries are
-        stale (probation rollback long after the capture).
-        """
-        entries, closed, producers, consumers = state
-        with self._lock:
-            self._entries.clear()
-            self._bytes = 0
-            # restored entries carry no usable post times: drop the stale
-            # ones rather than attribute a transaction's span to a wait
-            self._post_times.clear()
-            if with_entries:
-                self._entries.extend(entries)
-                self._bytes = sum(size for _id, size in entries)
-            if self.depth_gauge is not None:
-                self.depth_gauge.value = float(len(self._entries))
-            self._closed = closed
-            self.producer_count = producers
-            self.consumer_count = consumers
-            self._not_empty.notify_all()
-            self._not_full.notify_all()
-            if self._entries or self._closed:
-                self._signal_waiters()

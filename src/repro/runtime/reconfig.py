@@ -1,51 +1,53 @@
-"""Transactional reconfiguration: validated, rollback-safe epoch commits.
+"""Transactional reconfiguration: decided on a value, realised as a diff.
 
-The thesis claims reconfiguration "without message loss" (§6.6, Eq 7-1),
-but the raw composition primitives apply handler actions one by one: an
-action that raises mid-sequence leaves the live stream half-rewired.
-This module makes a reconfiguration a *transaction*:
+The thesis claims reconfiguration "without message loss" (§6.6, Eq 7-1)
+and formalises it as an operation on a *Stream* state (§5.1).  A
+reconfiguration here is that operation, run as a *transaction* over the
+stream's :class:`~repro.runtime.topology.Topology` value:
 
 1. **stage** — collect a batch of rewiring actions (the compiled body of
    an MCL ``when`` handler, or programmatic AST actions);
-2. **validate** — dry-run the batch against a :class:`ShadowTopology`
-   (an in-memory model of the live wiring), re-checking 4.4.1 port-type
-   compatibility on every new link and the chapter-5 semantic analyses
-   (feedback loops, open circuits, relations) on the resulting table —
-   all *before* touching the live stream;
-3. **commit** — under quiescence (topology lock held, every streamlet
-   suspended) apply the actions; any failure restores the exact prior
-   topology, channel wiring, queue contents, and instance params from a
-   captured :class:`_StructuralSnapshot` undo log and raises
-   :class:`~repro.errors.ReconfigAbortedError`.
+2. **fold** — step a private capture of the value through the batch
+   with :func:`~repro.runtime.topology.apply`, which re-checks names,
+   port occupancy, channel-category detach legality against the pending
+   counts just captured, and 4.4.1 port-type compatibility on every new
+   link; **validate** additionally renders the result as a
+   configuration table and runs the chapter-5 analyses (feedback loops,
+   open circuits, relations) on it.  Nothing live is touched, so a batch
+   that dies at action *k* needs no undoing: the old value is simply
+   still the value (:class:`~repro.errors.ReconfigAbortedError`);
+3. **commit** — inside the stream's write section (every scheduler step
+   waited out), hand the folded value to
+   :meth:`~repro.runtime.stream.RuntimeStream._realise`, which makes the
+   live objects match it and can fail only while instantiating new
+   streamlets — before anything else has changed.
 
 Every successful commit bumps the stream's monotonically increasing
 **epoch**, which rides in-band on ``Content-Session`` (see
 :meth:`repro.mime.headers.HeaderMap.set_epoch`) so the MobiGATE client
 swaps its peer-streamlet chain at exactly the right message boundary.
 
-A :class:`ProbationMonitor` keeps the undo log of the newest commit as a
+A :class:`ProbationMonitor` keeps the *previous value* of the newest
+commit, with the node objects that commit retired, as a
 **last-known-good record** for a probation window: a freshly committed
-composition that faults repeatedly during warmup is rolled back to the
-previous epoch and a ``RECONFIG_ROLLED_BACK`` context event escalates
-the decision (the rollback itself bumps the epoch — it is a transition
-too).
+composition that faults repeatedly during warmup is rolled back by
+realising the previous value again, and a ``RECONFIG_ROLLED_BACK``
+context event escalates the decision (the rollback itself bumps the
+epoch — it is a transition too).
 
-Message conservation holds across every path: drops that happen while a
-transaction is applying are *deferred* (a rollback puts the ids back on
-their queues; a commit releases and counts them), and a probation
-rollback re-posts swept in-flight ids onto the restored channels, dropping
-(with accounting) only those whose channel did not survive the epoch.
+Message conservation holds across every path: where queued ids go is
+part of the value (a channel's ``contents``), and the realise step drops
+— with accounting — exactly the ids no channel of the new value holds.
 
 Reconfiguration composes with chain **fusion** without special cases:
-fusion groups live only in the RCU execution snapshot (see
-:meth:`repro.runtime.stream.RuntimeStream._fusion_chains`), never in the
-configuration table a transaction rewires.  A commit that splices a
-streamlet into the middle of a fused region simply rebuilds the snapshot
-— the new async auto-channel splits the region into two smaller groups,
-and a later commit that restores a synchronous link re-fuses them.
-Residual messages left on an interior channel by a split are drained
-downstream-first before the head claims new work, so FIFO order survives
-the fuse/split/re-fuse transitions.
+fusion groups live only in the RCU execution snapshot, computed from the
+value by :func:`repro.semantics.fusion.fusable_chains`.  A commit that
+splices a streamlet into the middle of a fused region simply rebuilds
+the snapshot — the new async auto-channel splits the region into two
+smaller groups, and a later commit that restores a synchronous link
+re-fuses them.  Residual messages left on an interior channel by a split
+are drained downstream-first before the head claims new work, so FIFO
+order survives the fuse/split/re-fuse transitions.
 """
 
 from __future__ import annotations
@@ -55,26 +57,15 @@ from dataclasses import dataclass, field
 from enum import Enum, auto
 
 from repro.errors import (
-    ChannelError,
-    CompositionError,
     MobiGateError,
     ReconfigAbortedError,
     ReconfigurationError,
     ReconfigValidationError,
     SemanticError,
 )
-from repro.mcl import astnodes as ast
-from repro.mcl.compiler import DEFAULT_CHANNEL_DEF
-from repro.mcl.config import ChannelEntry, ConfigurationTable, Link
-from repro.mcl.typecheck import check_connection
-from repro.runtime.stream import (
-    _EGRESS,
-    _INGRESS,
-    ReconfigTiming,
-    RuntimeStream,
-    _Node,
-)
-from repro.runtime.streamlet import StreamletState
+from repro.mcl.config import ConfigurationTable
+from repro.runtime.stream import ReconfigTiming, RuntimeStream, _Node
+from repro.runtime.topology import Topology, apply
 from repro.semantics import analyze
 from repro.semantics.analyzer import ViolationKind
 
@@ -83,7 +74,6 @@ __all__ = [
     "LastKnownGoodStore",
     "ProbationMonitor",
     "ReconfigTransaction",
-    "ShadowTopology",
     "TxnState",
 ]
 
@@ -149,479 +139,9 @@ def default_terminals(stream: RuntimeStream) -> frozenset[str]:
     did.
     """
     defs = dict(stream.table.streamlet_defs)
-    for node in stream._nodes.values():
-        defs.setdefault(node.definition.name, node.definition)
+    for definition in stream._topology.instances.values():
+        defs.setdefault(definition.name, definition)
     return frozenset(name for name, d in defs.items() if not d.outputs())
-
-
-# ---------------------------------------------------------------------------
-# The undo log
-# ---------------------------------------------------------------------------
-
-
-def _restore_streamlet_state(streamlet, target: StreamletState) -> None:
-    """Drive a streamlet back to (the closest legal equivalent of) ``target``."""
-    current = streamlet.state
-    if current is target:
-        return
-    if target is StreamletState.ACTIVE:
-        if current in (StreamletState.CREATED, StreamletState.PAUSED):
-            streamlet.activate()
-    elif target is StreamletState.PAUSED:
-        if current is StreamletState.ACTIVE:
-            streamlet.pause()
-    elif target is StreamletState.CREATED:
-        # activation cannot be unwound; PAUSED is the closest dormant state
-        if current is StreamletState.ACTIVE:
-            streamlet.pause()
-
-
-@dataclass
-class _NodeRecord:
-    """One node's captured wiring, params, and lifecycle state."""
-
-    node: _Node
-    inputs: dict
-    outputs: dict
-    params: dict
-    state: StreamletState
-
-
-class _StructuralSnapshot:
-    """A full structural capture of a stream: the transaction's undo log.
-
-    Channels and nodes are recorded *by object*, with their mutable facets
-    (port maps, source/sink refs, queue entries, params) copied — so a
-    restore rebinds the very same instances and no pool id changes hands.
-    Capture and restore must both run with the topology lock held and the
-    stream quiescent.
-    """
-
-    __slots__ = (
-        "epoch",
-        "nodes",
-        "channels",
-        "channel_refs",
-        "channel_states",
-        "ingress",
-        "egress",
-        "auto_counter",
-    )
-
-    @classmethod
-    def capture(cls, stream: RuntimeStream) -> "_StructuralSnapshot":
-        snap = cls()
-        snap.epoch = stream.epoch
-        snap.nodes = {
-            name: _NodeRecord(
-                node=node,
-                inputs=dict(node.inputs),
-                outputs=dict(node.outputs),
-                params=dict(node.ctx.params),
-                state=node.streamlet.state,
-            )
-            for name, node in stream._nodes.items()
-        }
-        snap.channels = dict(stream._channels)
-        snap.ingress = dict(stream.ingress)
-        snap.egress = list(stream.egress)
-        snap.auto_counter = stream._auto_counter
-        refs: dict[int, object] = {}
-        for ch in snap.channels.values():
-            refs[id(ch)] = ch
-        for ch in snap.ingress.values():
-            refs[id(ch)] = ch
-        for _ref, ch in snap.egress:
-            refs[id(ch)] = ch
-        for rec in snap.nodes.values():
-            for ch in rec.inputs.values():
-                refs[id(ch)] = ch
-            for ch in rec.outputs.values():
-                refs[id(ch)] = ch
-        snap.channel_refs = refs
-        snap.channel_states = {
-            cid: (ch.source, ch.sink, ch.queue.snapshot_state())
-            for cid, ch in refs.items()
-        }
-        return snap
-
-    def restore(self, stream: RuntimeStream, *, with_queues: bool = True) -> None:
-        """Reinstate the captured structure on ``stream``.
-
-        ``with_queues=False`` restores wiring but leaves every queue empty
-        — the probation-rollback path, where the captured entries are long
-        gone and the *current* in-flight ids are re-posted by the caller.
-        """
-        stream._nodes = {name: rec.node for name, rec in self.nodes.items()}
-        for rec in self.nodes.values():
-            node = rec.node
-            node.inputs.clear()
-            node.inputs.update(rec.inputs)
-            node.outputs.clear()
-            node.outputs.update(rec.outputs)
-            node.ctx.params.clear()
-            node.ctx.params.update(rec.params)
-            _restore_streamlet_state(node.streamlet, rec.state)
-        stream._channels = dict(self.channels)
-        for cid, (source, sink, qstate) in self.channel_states.items():
-            channel = self.channel_refs[cid]
-            channel.source = source
-            channel.sink = sink
-            channel.queue.restore_state(qstate, with_entries=with_queues)
-        stream.ingress = dict(self.ingress)
-        stream.egress = list(self.egress)
-        stream._auto_counter = self.auto_counter
-        stream._invalidate_topology()
-
-
-# ---------------------------------------------------------------------------
-# Shadow topology: the validation dry-run
-# ---------------------------------------------------------------------------
-
-
-class _ShadowChannel:
-    """A channel's validation-relevant facets: wiring, category, pending."""
-
-    __slots__ = ("name", "definition", "source", "sink", "pending")
-
-    def __init__(self, name, definition, source=None, sink=None, pending=0):
-        self.name = name
-        self.definition = definition
-        self.source = source
-        self.sink = sink
-        self.pending = pending
-
-    @property
-    def category(self):
-        return self.definition.category
-
-
-class _ShadowNode:
-    __slots__ = ("name", "definition", "inputs", "outputs")
-
-    def __init__(self, name, definition):
-        self.name = name
-        self.definition = definition
-        self.inputs: dict[str, _ShadowChannel] = {}
-        self.outputs: dict[str, _ShadowChannel] = {}
-
-
-class ShadowTopology:
-    """An in-memory model of a stream's live wiring for dry-running actions.
-
-    :meth:`apply` mirrors every check the runtime primitives perform —
-    name resolution, port occupancy, channel-category detach legality
-    (using the *live* pending counts captured at build time), 4.4.1
-    type compatibility — without touching the stream.  :meth:`to_table`
-    renders the post-batch topology as a configuration table for the
-    chapter-5 semantic analyses.
-    """
-
-    def __init__(self, stream: RuntimeStream):
-        self._registry = stream._registry
-        self._table = stream.table
-        self._auto_counter = stream._auto_counter
-        self.nodes: dict[str, _ShadowNode] = {}
-        self.channels: dict[str, _ShadowChannel] = {}
-        shadows: dict[int, _ShadowChannel] = {}
-
-        def shadow_of(channel) -> _ShadowChannel:
-            existing = shadows.get(id(channel))
-            if existing is None:
-                existing = _ShadowChannel(
-                    channel.name,
-                    channel.definition,
-                    source=channel.source,
-                    sink=channel.sink,
-                    pending=channel.pending(),
-                )
-                shadows[id(channel)] = existing
-            return existing
-
-        for name, channel in stream._channels.items():
-            self.channels[name] = shadow_of(channel)
-        for name, node in stream._nodes.items():
-            shadow = _ShadowNode(name, node.definition)
-            for port, channel in node.inputs.items():
-                shadow.inputs[port] = shadow_of(channel)
-            for port, channel in node.outputs.items():
-                shadow.outputs[port] = shadow_of(channel)
-            self.nodes[name] = shadow
-
-    # -- helpers -----------------------------------------------------------------
-
-    def _node(self, name: str) -> _ShadowNode:
-        try:
-            return self.nodes[name]
-        except KeyError:
-            raise CompositionError(f"no streamlet instance {name!r}") from None
-
-    def _channel(self, name: str) -> _ShadowChannel:
-        try:
-            return self.channels[name]
-        except KeyError:
-            raise CompositionError(f"no channel instance {name!r}") from None
-
-    @staticmethod
-    def _check_detachable(channel: _ShadowChannel) -> None:
-        if channel.category is ast.ChannelCategory.KK:
-            raise ChannelError(f"channel {channel.name} is KK: ends cannot be detached")
-        if channel.category is ast.ChannelCategory.S and channel.pending:
-            raise ChannelError(
-                f"channel {channel.name} is S-category but holds a pending unit"
-            )
-
-    def _auto_channel(self) -> _ShadowChannel:
-        name = f"__rt_auto{self._auto_counter}"
-        self._auto_counter += 1
-        channel = _ShadowChannel(name, DEFAULT_CHANNEL_DEF)
-        self.channels[name] = channel
-        return channel
-
-    def _forget(self, channel: _ShadowChannel) -> None:
-        channel.source = None
-        channel.sink = None
-        channel.pending = 0
-        if channel.name.startswith("__"):
-            self.channels.pop(channel.name, None)
-
-    # -- action dispatch ------------------------------------------------------------
-
-    def apply(self, action) -> None:
-        """Dry-run one handler action, raising exactly where the runtime would."""
-        if isinstance(action, ast.NewInstances):
-            for name in action.names:
-                if action.kind == "channel":
-                    self._new_channel(name, action.definition)
-                else:
-                    self._new_streamlet(name, action.definition)
-        elif isinstance(action, ast.Connect):
-            self._connect(action.source, action.sink, action.channel)
-        elif isinstance(action, ast.Disconnect):
-            self._disconnect(action.source, action.sink)
-        elif isinstance(action, ast.DisconnectAll):
-            self._disconnect_all(action.instance)
-        elif isinstance(action, ast.Insert):
-            self._insert(action.source, action.sink, action.instance)
-        elif isinstance(action, ast.Replace):
-            self._replace(action.old, action.new)
-        elif isinstance(action, ast.RemoveInstance):
-            if action.kind == "channel":
-                self._remove_channel(action.name)
-            else:
-                self._remove(action.name, extract=action.kind == "extract")
-        else:
-            raise ReconfigurationError(f"illegal handler action {action!r}")
-
-    # -- primitives (mirrors of RuntimeStream's, side-effect free) -------------------
-
-    def _new_streamlet(self, name: str, definition_name: str) -> None:
-        if name in self.nodes or name in self.channels:
-            raise CompositionError(f"instance name {name!r} already in use")
-        definition = self._table.streamlet_defs.get(definition_name)
-        if definition is None:
-            raise CompositionError(f"unknown streamlet definition {definition_name!r}")
-        self.nodes[name] = _ShadowNode(name, definition)
-
-    def _new_channel(self, name: str, definition_name: str) -> None:
-        if name in self.channels or name in self.nodes:
-            raise CompositionError(f"instance name {name!r} already in use")
-        definition = self._table.channel_defs.get(definition_name)
-        if definition is None:
-            raise CompositionError(f"unknown channel definition {definition_name!r}")
-        self.channels[name] = _ShadowChannel(name, definition)
-
-    def _connect(self, source: ast.PortRef, sink: ast.PortRef, channel_name) -> None:
-        src = self._node(source.instance)
-        dst = self._node(sink.instance)
-        if channel_name is not None:
-            channel = self._channel(channel_name)
-            if channel.source is not None or channel.sink is not None:
-                raise CompositionError(
-                    f"channel {channel_name!r} already carries a connection"
-                )
-        else:
-            channel = self._auto_channel()
-        check_connection(
-            self._registry, src.definition, source, dst.definition, sink,
-            channel.definition,
-        )
-        if source.port in src.outputs:
-            raise CompositionError(f"port {source} is already connected")
-        if sink.port in dst.inputs:
-            raise CompositionError(f"port {sink} is already connected")
-        channel.source = source
-        channel.sink = sink
-        src.outputs[source.port] = channel
-        dst.inputs[sink.port] = channel
-
-    def _disconnect(self, source: ast.PortRef, sink: ast.PortRef) -> None:
-        src = self._node(source.instance)
-        dst = self._node(sink.instance)
-        channel = src.outputs.get(source.port)
-        if channel is None or channel.sink != sink:
-            raise CompositionError(f"no connection between {source} and {sink}")
-        self._check_detachable(channel)
-        del src.outputs[source.port]
-        dst.inputs.pop(sink.port, None)
-        self._forget(channel)
-
-    def _disconnect_all(self, instance: str) -> None:
-        node = self._node(instance)
-        for port, channel in list(node.outputs.items()):
-            if channel.sink is not None and channel.sink.instance != _EGRESS:
-                self._disconnect(ast.PortRef(instance, port), channel.sink)
-        for port, channel in list(node.inputs.items()):
-            if channel.source is not None and channel.source.instance != _INGRESS:
-                self._disconnect(channel.source, ast.PortRef(instance, port))
-
-    def _insert(self, source: ast.PortRef, sink: ast.PortRef, instance: str) -> None:
-        src = self._node(source.instance)
-        dst = self._node(sink.instance)
-        new = self._node(instance)
-        ins = new.definition.inputs()
-        outs = new.definition.outputs()
-        if len(ins) != 1 or len(outs) != 1:
-            raise ReconfigurationError(
-                f"insert target {instance} must have exactly one in and one out port"
-            )
-        channel = src.outputs.get(source.port)
-        if channel is None or channel.sink != sink:
-            raise ReconfigurationError(f"no connection between {source} and {sink}")
-        if new.inputs or new.outputs:
-            raise ReconfigurationError(f"insert target {instance} is already wired")
-        self._check_detachable(channel)
-        new_out = ast.PortRef(instance, outs[0].name)
-        check_connection(
-            self._registry, new.definition, new_out, dst.definition, sink,
-            channel.definition,
-        )
-        new_in = ast.PortRef(instance, ins[0].name)
-        fresh = self._auto_channel()
-        check_connection(
-            self._registry, src.definition, source, new.definition, new_in,
-            fresh.definition,
-        )
-        if channel.category in (ast.ChannelCategory.BB, ast.ChannelCategory.KB):
-            channel.pending = 0  # the live detach_source drops these
-        channel.source = new_out
-        new.outputs[outs[0].name] = channel
-        fresh.source = source
-        fresh.sink = new_in
-        src.outputs[source.port] = fresh
-        new.inputs[ins[0].name] = fresh
-
-    def _heal(self, node: _ShadowNode) -> bool:
-        in_links = [
-            (p, c) for p, c in node.inputs.items()
-            if c.source is not None and c.source.instance != _INGRESS
-        ]
-        out_links = [
-            (p, c) for p, c in node.outputs.items()
-            if c.sink is not None and c.sink.instance != _EGRESS
-        ]
-        if len(in_links) != 1 or len(out_links) != 1:
-            return False
-        (_, upstream), (_, downstream) = in_links[0], out_links[0]
-        predecessor = upstream.source
-        pred = self._node(predecessor.instance)
-        downstream.pending += upstream.pending
-        downstream.source = predecessor
-        pred.outputs[predecessor.port] = downstream
-        self._forget(upstream)
-        node.inputs.clear()
-        node.outputs.clear()
-        return True
-
-    def _remove(self, name: str, *, extract: bool) -> None:
-        node = self._node(name)
-        waiting = [ch.name for ch in node.inputs.values() if ch.pending]
-        if waiting:
-            verb = "extract" if extract else "remove"
-            raise ReconfigurationError(
-                f"cannot {verb} {name}: input channel(s) {waiting} still hold "
-                "messages (drain the stream first or pass force=True)"
-            )
-        if not self._heal(node):
-            self._disconnect_all(name)
-        if not extract:
-            node.inputs.clear()
-            node.outputs.clear()
-            del self.nodes[name]
-
-    def _remove_channel(self, name: str) -> None:
-        channel = self._channel(name)
-        if channel.source is not None or channel.sink is not None:
-            raise CompositionError(f"channel {name!r} still carries a connection")
-        del self.channels[name]
-
-    def _replace(self, old: str, new: str) -> None:
-        old_node = self._node(old)
-        new_node = self._node(new)
-        if new_node.inputs or new_node.outputs:
-            raise ReconfigurationError(f"replacement {new!r} is already wired")
-        for port in old_node.inputs:
-            decl = new_node.definition.port(port)
-            if decl is None or decl.direction is not ast.PortDirection.IN:
-                raise ReconfigurationError(
-                    f"replacement {new!r} lacks input port {port!r} of {old!r}"
-                )
-        for port in old_node.outputs:
-            decl = new_node.definition.port(port)
-            if decl is None or decl.direction is not ast.PortDirection.OUT:
-                raise ReconfigurationError(
-                    f"replacement {new!r} lacks output port {port!r} of {old!r}"
-                )
-        for port, channel in old_node.inputs.items():
-            channel.sink = ast.PortRef(new, port)
-            new_node.inputs[port] = channel
-        for port, channel in old_node.outputs.items():
-            channel.source = ast.PortRef(new, port)
-            new_node.outputs[port] = channel
-        old_node.inputs.clear()
-        old_node.outputs.clear()
-        del self.nodes[old]
-
-    # -- the post-batch configuration table ------------------------------------------
-
-    def to_table(self) -> ConfigurationTable:
-        """Render the shadow wiring the way ``snapshot_table`` renders the live one."""
-        channels: dict[str, ChannelEntry] = {}
-        links: list[Link] = []
-        exposed_in: list[ast.PortRef] = []
-        exposed_out: list[ast.PortRef] = []
-        for name, node in self.nodes.items():
-            for port, channel in node.outputs.items():
-                if channel.sink is None:
-                    continue
-                if channel.sink.instance == _EGRESS:
-                    exposed_out.append(ast.PortRef(name, port))
-                    continue
-                channels[channel.name] = ChannelEntry(
-                    name=channel.name, definition=channel.definition,
-                    auto=channel.name.startswith("__"),
-                )
-                decl = node.definition.port(port)
-                links.append(Link(
-                    source=ast.PortRef(name, port),
-                    sink=channel.sink,
-                    channel=channel.name,
-                    mediatype=decl.mediatype if decl else None,  # type: ignore[arg-type]
-                ))
-            for port, channel in node.inputs.items():
-                if channel.source is not None and channel.source.instance == _INGRESS:
-                    exposed_in.append(ast.PortRef(name, port))
-        return ConfigurationTable(
-            stream_name=self._table.stream_name,
-            instances={name: node.definition for name, node in self.nodes.items()},
-            channels=channels,
-            links=links,
-            handlers=dict(self._table.handlers),
-            exposed_in=tuple(exposed_in),
-            exposed_out=tuple(exposed_out),
-            streamlet_defs=dict(self._table.streamlet_defs),
-            channel_defs=dict(self._table.channel_defs),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -639,16 +159,16 @@ class TxnState(Enum):
 
 
 class ReconfigTransaction:
-    """One atomic reconfiguration: stage → validate → commit (or roll back).
+    """One atomic reconfiguration: stage → validate → commit.
 
-    The transaction registers itself as ``stream._txn`` for the duration
-    of the apply phase so the composition primitives defer irreversible
-    effects: message drops are buffered (``defer_drops``) and removed
-    nodes are parked unfinalised (``defer_removal``).  A successful
-    commit realises both and bumps the stream epoch; a failed apply
-    restores the undo log — topology, wiring, params, queue contents —
-    and raises :class:`ReconfigAbortedError` carrying the index of the
-    action that failed.
+    The batch is folded over a private capture of the stream's topology
+    value; only a fold that went through is realised on the live stream,
+    so a batch that cannot be applied changes nothing and
+    :class:`ReconfigAbortedError` carries the index of the action that
+    refused.  A successful commit bumps the stream epoch and leaves the
+    value it replaced in ``previous`` and the nodes it retired in
+    ``retired`` for a last-known-good adopter.  The transaction is
+    ``stream._txn`` while it commits: one at a time.
     """
 
     def __init__(
@@ -664,11 +184,11 @@ class ReconfigTransaction:
         self.label = label
         self._terminals = terminal_definitions
         self.state = TxnState.STAGED
-        self._dropped: list[str] = []
-        self._limbo: list[_Node] = []
-        #: the undo log of a committed transaction (adopted by a
-        #: LastKnownGoodStore when a ProbationMonitor is armed)
-        self.undo: _StructuralSnapshot | None = None
+        #: the topology value a committed transaction replaced
+        self.previous: Topology | None = None
+        #: the nodes a committed transaction took out of the topology;
+        #: finalised at commit unless a last-known-good adopter keeps them
+        self.retired: list[_Node] = []
         #: the epoch this transaction committed as, once committed
         self.epoch: int | None = None
         self.error: Exception | None = None
@@ -688,71 +208,72 @@ class ReconfigTransaction:
         self.state = TxnState.STAGED
         return self
 
-    # -- hooks called by RuntimeStream primitives mid-apply -------------------------
+    # -- fold / validate -------------------------------------------------------------
 
-    def defer_drops(self, msg_ids) -> None:
-        """Buffer would-be drops; realised on commit, forgotten on rollback."""
-        self._dropped.extend(msg_ids)
+    def _fold(self, refused, timing: ReconfigTiming | None = None) -> Topology:
+        """Step a private capture of the topology through the batch.
 
-    def defer_removal(self, node: _Node) -> None:
-        """Park a removed node unfinalised until the commit is decided."""
-        self._limbo.append(node)
-
-    def take_limbo(self) -> list[_Node]:
-        """Hand over the removed-but-unfinalised nodes (LKG adoption)."""
-        nodes, self._limbo = self._limbo, []
-        return nodes
-
-    # -- validate --------------------------------------------------------------------
-
-    def validate(self) -> ConfigurationTable:
-        """Dry-run the batch; returns the post-batch configuration table.
-
-        Raises :class:`ReconfigValidationError` if any action would fail
-        against the current topology or the resulting shape flunks the
-        chapter-5 analyses.  The live stream is never touched.
+        ``refused(index, action, exc)`` builds the error for an action the
+        step function turns down.  The fold is the first half of the
+        Equation 7-1 channel-operations term.
         """
         stream = self._stream
+        t0 = stream._clock.now()
+        new = stream._capture()
+        for index, action in enumerate(self._actions):
+            try:
+                apply(new, action)
+            except MobiGateError as exc:
+                raise refused(index, action, exc) from exc
+        if timing is not None:
+            timing.channel_ops += stream._clock.now() - t0
+        return new
+
+    def _rejected(self, index: int, action, exc: Exception) -> ReconfigValidationError:
+        return ReconfigValidationError(
+            f"{self.label}: action {index} ({type(action).__name__}) rejected: {exc}"
+        )
+
+    def _aborted(self, index: int, action, exc: Exception) -> ReconfigAbortedError:
+        return ReconfigAbortedError(
+            f"{self.label}: action {index} ({type(action).__name__}) failed; "
+            f"prior topology kept: {exc}",
+            cause=exc,
+            failed_action=index,
+        )
+
+    def _validated(
+        self, timing: ReconfigTiming | None = None
+    ) -> tuple[Topology, ConfigurationTable]:
+        """Fold the batch and run the chapter-5 analyses on the result."""
+        stream = self._stream
         try:
-            with stream.topology_lock:
-                shadow = ShadowTopology(stream)
-                for index, action in enumerate(self._actions):
+            new = self._fold(self._rejected, timing)
+            table = new.to_table()
+            terminals = (
+                self._terminals if self._terminals is not None
+                else default_terminals(stream)
+            )
+            report = analyze(table, terminal_definitions=terminals)
+            structural = [
+                v for v in report.violations
+                if v.kind is not ViolationKind.OPEN_CIRCUIT
+            ]
+            # the blanket open-circuit analysis would reject dormant
+            # islands the runtime tolerates; check the live flow instead
+            open_circuits = flow_open_circuits(table, terminal_definitions=terminals)
+            if structural or open_circuits:
+                first = structural[0].message if structural else open_circuits[0]
+                exc = ReconfigValidationError(
+                    f"{self.label}: post-reconfiguration topology "
+                    f"inconsistent: {first}"
+                )
+                if structural:
                     try:
-                        shadow.apply(action)
-                    except MobiGateError as exc:
-                        raise ReconfigValidationError(
-                            f"{self.label}: action {index} "
-                            f"({type(action).__name__}) rejected: {exc}"
-                        ) from exc
-                table = shadow.to_table()
-                terminals = (
-                    self._terminals if self._terminals is not None
-                    else default_terminals(stream)
-                )
-                report = analyze(table, terminal_definitions=terminals)
-                structural = [
-                    v for v in report.violations
-                    if v.kind is not ViolationKind.OPEN_CIRCUIT
-                ]
-                # the blanket open-circuit analysis would reject dormant
-                # islands the runtime tolerates; check the live flow instead
-                open_circuits = flow_open_circuits(
-                    table, terminal_definitions=terminals
-                )
-                if structural or open_circuits:
-                    first = (
-                        structural[0].message if structural else open_circuits[0]
-                    )
-                    exc = ReconfigValidationError(
-                        f"{self.label}: post-reconfiguration topology "
-                        f"inconsistent: {first}"
-                    )
-                    if structural:
-                        try:
-                            structural[0].raise_()
-                        except SemanticError as cause:
-                            raise exc from cause
-                    raise exc
+                        structural[0].raise_()
+                    except SemanticError as cause:
+                        raise exc from cause
+                raise exc
         except ReconfigValidationError:
             if stream.tm.enabled:
                 stream.tm.reconfig_outcome("validation_failed")
@@ -761,94 +282,86 @@ class ReconfigTransaction:
                     stream=stream.name, label=self.label,
                 )
             raise
+        return new, table
+
+    def validate(self) -> ConfigurationTable:
+        """Dry-run the batch; returns the post-batch configuration table.
+
+        Raises :class:`ReconfigValidationError` if any action would be
+        refused against the current topology or the resulting shape
+        flunks the chapter-5 analyses.  The live stream is never touched.
+        """
+        with self._stream.topology_lock:
+            _new, table = self._validated()
         self.state = TxnState.VALIDATED
         return table
 
-    # -- commit / rollback ---------------------------------------------------------
+    # -- commit ------------------------------------------------------------------------
 
     def execute(self) -> ReconfigTiming:
-        """Validate then commit, holding the write section across both."""
-        with self._stream._write_access():
-            if self.state is TxnState.STAGED:
-                self.validate()
-            return self.commit(validate=False)
+        """Validate (unless already validated) and commit in one write section."""
+        return self.commit()
 
     def commit(self, *, validate: bool = True) -> ReconfigTiming:
-        """Apply the batch under quiescence; roll back on any failure."""
+        """Fold the batch and, if it went through, realise it under quiescence.
+
+        ``validate=False`` skips only the chapter-5 analyses; the fold is
+        the decision and always runs.
+        """
         stream = self._stream
         if self.state in (TxnState.COMMITTED, TxnState.ROLLED_BACK):
             raise ReconfigurationError(
                 f"transaction {self.label!r} already {self.state.name.lower()}"
             )
-        clock = stream._clock
         # the RCU write side: retires the published topology snapshot and
-        # waits out every in-flight scheduler step before the undo log is
-        # captured, so the capture (and the commit it guards) is exact
+        # waits out every in-flight scheduler step, so the queue counts the
+        # fold captures (and the commit they license) are exact
         with stream._write_access():
             if stream._txn is not None:
                 raise ReconfigurationError(
                     f"stream {stream.name} already has a transaction mid-apply"
                 )
-            if validate and self.state is not TxnState.VALIDATED:
-                self.validate()
             t_commit = time.perf_counter()
-            snapshot = _StructuralSnapshot.capture(stream)
-            timing = ReconfigTiming()
-            t0 = clock.now()
-            quiesced = [
-                node for node in stream._nodes.values() if node.streamlet.is_active
-            ]
-            for node in quiesced:
-                node.streamlet.pause()
-            timing.suspend += clock.now() - t0
+            timing = ReconfigTiming(actions=len(self._actions))
+            previous = stream._topology
             stream._txn = self
-            index = -1
             try:
-                for index, action in enumerate(self._actions):
-                    timing.merge(stream._execute_actions([action]))
-            except Exception as exc:
-                stream._txn = None
-                t_rollback = time.perf_counter()
-                self._rollback(snapshot)
-                rollback_seconds = time.perf_counter() - t_rollback
+                if validate and self.state is not TxnState.VALIDATED:
+                    new, _table = self._validated(timing)
+                else:
+                    new = self._fold(self._aborted, timing)
+                try:
+                    self.retired = stream._realise(new, timing)
+                except Exception as exc:
+                    # a new streamlet could not be instantiated; _realise
+                    # finalised what it had built and changed nothing else
+                    raise ReconfigAbortedError(
+                        f"{self.label}: instantiation failed; prior topology kept: {exc}",
+                        cause=exc,
+                    ) from exc
+            except ReconfigAbortedError as exc:
                 self.state = TxnState.ROLLED_BACK
-                self.error = exc
+                self.error = exc.cause
                 if stream.tm.enabled:
                     stream.tm.reconfig_outcome("rolled_back")
-                    stream.tm.reconfig_latency("rollback", rollback_seconds)
                     stream.tm.recorder.record(
-                        "reconfig_rollback", stream=stream.name,
-                        label=self.label, action_index=index, error=str(exc),
+                        "reconfig_rollback", stream=stream.name, label=self.label,
+                        action_index=exc.failed_action, error=str(exc.cause),
                     )
-                raise ReconfigAbortedError(
-                    f"{self.label}: action {index} "
-                    f"({type(action).__name__}) failed mid-apply; "
-                    f"prior topology restored: {exc}",
-                    cause=exc,
-                    failed_action=index,
-                ) from exc
-            stream._txn = None
-            self._finalize_drops()
+                raise
+            finally:
+                stream._txn = None
             stream.epoch += 1
             self.epoch = stream.epoch
-            t0 = clock.now()
-            for node in quiesced:
-                name = node.ctx.instance_id
-                if (
-                    stream._nodes.get(name) is node
-                    and node.streamlet.state is StreamletState.PAUSED
-                    and (node.inputs or node.outputs)
-                ):
-                    node.streamlet.activate()
-            timing.activate += clock.now() - t0
-            self.undo = snapshot
+            self.previous = previous
             self.timing = timing
             self.state = TxnState.COMMITTED
             adopter = stream.lkg_adopter
             if adopter is not None:
                 adopter(self)
             else:
-                self._finalize_limbo()
+                for node in self.retired:
+                    stream._finalize_node(node)
             if stream.tm.enabled:
                 stream.tm.reconfig_outcome("committed")
                 stream.tm.reconfig_latency("commit", time.perf_counter() - t_commit)
@@ -859,43 +372,6 @@ class ReconfigTransaction:
                 )
         return timing
 
-    def _rollback(self, snapshot: _StructuralSnapshot) -> None:
-        stream = self._stream
-        created = [
-            node for name, node in stream._nodes.items()
-            if name not in snapshot.nodes
-        ]
-        snapshot.restore(stream, with_queues=True)
-        # deferred drops: the ids are back on their captured queues
-        self._dropped.clear()
-        # nodes created by the failed apply never reach the topology
-        for node in created:
-            _finalize_node(stream, node)
-        # limbo nodes that pre-existed are revived by the restore; ones
-        # created *and* removed inside the failed apply must still die
-        limbo, self._limbo = self._limbo, []
-        for node in limbo:
-            if node.ctx.instance_id not in snapshot.nodes:
-                _finalize_node(stream, node)
-
-    def _finalize_drops(self) -> None:
-        ids, self._dropped = self._dropped, []
-        if ids:
-            self._stream._release_dropped(ids)
-
-    def _finalize_limbo(self) -> None:
-        nodes, self._limbo = self._limbo, []
-        for node in nodes:
-            _finalize_node(self._stream, node)
-
-
-def _finalize_node(stream: RuntimeStream, node: _Node) -> None:
-    """End and release a node that is permanently out of the topology."""
-    if node.streamlet.state is not StreamletState.ENDED:
-        node.streamlet.end()
-        node.streamlet.on_end(node.ctx)
-    stream._manager.release(node.streamlet)
-
 
 # ---------------------------------------------------------------------------
 # Last-known-good store + probation
@@ -904,23 +380,27 @@ def _finalize_node(stream: RuntimeStream, node: _Node) -> None:
 
 @dataclass
 class CommitRecord:
-    """The retained undo log of one committed epoch."""
+    """What it takes to go back one epoch: the value it replaced, and its nodes."""
 
     epoch: int
-    snapshot: _StructuralSnapshot
-    limbo: list[_Node] = field(default_factory=list)
+    #: the topology value the commit replaced
+    previous: Topology
+    #: node objects the commit took out of the topology, by instance name
+    retired: dict[str, _Node] = field(default_factory=dict)
+    #: operation parameters of every instance as the commit left them
+    params: dict[str, dict] = field(default_factory=dict)
     committed_at: float = 0.0
 
 
 class LastKnownGoodStore:
-    """Holds the newest commit's undo log until probation retires it.
+    """Holds the newest commit's way back until probation retires it.
 
     At most one record is held: adopting a new commit finalises the
-    previous one (its limbo nodes are ended and released — the prior
+    previous one (its retired nodes are ended and released — the prior
     epoch is now two transitions old and unreachable).
 
-    The undo log itself is live object state and cannot be persisted,
-    but its *transitions* can: with a ``ledger``
+    The record holds live node objects and cannot be persisted, but its
+    *transitions* can: with a ``ledger``
     (:class:`repro.store.ledger.Ledger`) every adopt / retire / take is
     recorded under ``scope``, so after a crash the recovery plane knows
     which epoch was last known good for the session.
@@ -933,25 +413,31 @@ class LastKnownGoodStore:
         self._scope = scope if scope is not None else stream.name
 
     def adopt(self, txn: ReconfigTransaction) -> CommitRecord:
-        """Retain a freshly committed transaction's undo log."""
+        """Retain what a freshly committed transaction replaced and retired."""
         self.finalize()
+        stream = self._stream
+        retired = {node.ctx.instance_id: node for node in txn.retired}
         self.record = CommitRecord(
             epoch=txn.epoch,
-            snapshot=txn.undo,
-            limbo=txn.take_limbo(),
-            committed_at=self._stream._clock.now(),
+            previous=txn.previous,
+            retired=retired,
+            params={
+                name: dict(node.ctx.params)
+                for name, node in (stream._nodes | retired).items()
+            },
+            committed_at=stream._clock.now(),
         )
         if self._ledger is not None and self._ledger.enabled:
             self._ledger.lkg(self._scope, "adopted", epoch=txn.epoch)
         return self.record
 
     def finalize(self) -> None:
-        """Retire the held record: finalise its limbo nodes, drop the log."""
+        """Retire the held record: finalise the nodes it kept, drop it."""
         record, self.record = self.record, None
         if record is None:
             return
-        for node in record.limbo:
-            _finalize_node(self._stream, node)
+        for node in record.retired.values():
+            self._stream._finalize_node(node)
         if self._ledger is not None and self._ledger.enabled:
             self._ledger.lkg(self._scope, "retired", epoch=record.epoch)
 
@@ -967,13 +453,12 @@ class ProbationMonitor:
     """Rolls back a freshly committed epoch that faults during warmup.
 
     Armed on a stream (optionally hooked into a
-    :class:`repro.faults.Supervisor`), the monitor adopts every commit's
-    undo log as the last-known-good record.  If ``fault_threshold``
+    :class:`repro.faults.Supervisor`), the monitor adopts the value every
+    commit replaced as the last-known-good record.  If ``fault_threshold``
     streamlet faults land inside the ``window`` (in stream-clock seconds)
-    after the commit, :meth:`rollback_to_lkg` restores the previous
-    composition, re-posts the swept in-flight ids onto the restored
-    channels, bumps the epoch (a rollback is a transition too), and
-    escalates ``RECONFIG_ROLLED_BACK``.  A quiet window retires the
+    after the commit, :meth:`rollback_to_lkg` realises that value again,
+    bumps the epoch (a rollback is a transition too), and escalates
+    ``RECONFIG_ROLLED_BACK``.  A quiet window retires the
     record and the new epoch graduates.
     """
 
@@ -1082,7 +567,7 @@ class ProbationMonitor:
     # -- the rollback ------------------------------------------------------------
 
     def rollback_to_lkg(self) -> None:
-        """Restore the last-known-good composition, conserving in-flight ids."""
+        """Realise the last-known-good value again, conserving in-flight ids."""
         stream = self._stream
         record = self.store.take()
         if record is None:
@@ -1090,54 +575,20 @@ class ProbationMonitor:
                 f"stream {stream.name} has no last-known-good record"
             )
         with stream._write_access():
-            for node in stream._nodes.values():
-                if node.streamlet.is_active:
-                    node.streamlet.pause()
-            # sweep every in-flight id of the faulting epoch, remembering
-            # which channel carried it so survivors keep their position
-            drained: list[tuple[int, str]] = []
-            seen: set[int] = set()
-
-            def sweep(channel) -> None:
-                if id(channel) in seen:
-                    return
-                seen.add(id(channel))
-                for msg_id in channel.queue.drain():
-                    drained.append((id(channel), msg_id))
-
-            for channel in stream._channels.values():
-                sweep(channel)
-            for channel in stream.ingress.values():
-                sweep(channel)
-            for _ref, channel in stream.egress:
-                sweep(channel)
-            for node in stream._nodes.values():
-                for channel in node.inputs.values():
-                    sweep(channel)
-                for channel in node.outputs.values():
-                    sweep(channel)
-            created = [
-                node for name, node in stream._nodes.items()
-                if name not in record.snapshot.nodes
-            ]
-            record.snapshot.restore(stream, with_queues=False)
-            for node in created:
-                _finalize_node(stream, node)
-            for node in record.limbo:
-                if node.ctx.instance_id not in record.snapshot.nodes:
-                    _finalize_node(stream, node)
-            # re-post survivors onto the restored channels; ids whose
-            # channel did not survive the epoch are dropped with accounting
-            refs = record.snapshot.channel_refs
-            for cid, msg_id in drained:
-                channel = refs.get(cid)
-                if (
-                    channel is None
-                    or channel.queue.closed
-                    or msg_id not in stream.pool
-                    or not channel.post(msg_id, stream.pool.size_of(msg_id))
-                ):
-                    stream._release_dropped([msg_id])
+            # the same realise step a commit uses, pointed at the old value:
+            # a channel that lived through the epoch is not touched (its ids
+            # keep their queue position); ids on a channel the old value does
+            # not have are dropped with accounting.  Every node the record
+            # kept is live again; what this transition retires is finalised
+            for node in stream._realise(
+                record.previous, ReconfigTiming(), revive=record.retired
+            ):
+                stream._finalize_node(node)
+            for name, params in record.params.items():
+                node = stream._nodes.get(name)
+                if node is not None:
+                    node.ctx.params.clear()
+                    node.ctx.params.update(params)
             stream.epoch += 1  # the rollback is itself an epoch transition
             self._faults = 0
         self.rollbacks += 1

@@ -3,19 +3,26 @@
 Built by the Coordination Manager from a compiled configuration table, a
 RuntimeStream owns:
 
-* one executable :class:`~repro.runtime.streamlet.Streamlet` per instance
-  (drawn from the Streamlet Manager, pooled when stateless),
-* one :class:`~repro.runtime.channel.Channel` per link, plus ingress/
-  egress channels on the exposed ports,
+* the stream's wiring as a **value** (:class:`~repro.runtime.topology.Topology`)
+  and the live objects that realise it — one executable
+  :class:`~repro.runtime.streamlet.Streamlet` per instance (drawn from
+  the Streamlet Manager, pooled when stateless) and one
+  :class:`~repro.runtime.channel.Channel` per channel of the value,
+  ingress/egress carriers on the exposed ports included,
 * the **composition primitives** of Figure 6-4 — ``connect``,
-  ``disconnect``, ``insert``, ``remove``, ``replace`` — used both by the
-  initial deployment and by ``on_event`` reconfiguration handlers,
+  ``disconnect``, ``insert``, ``remove``, ``replace`` — each of them one
+  :func:`~repro.runtime.topology.apply` step on a capture of the value,
+  then :meth:`RuntimeStream._realise`: the one routine that touches
+  streamlets, channels and queues, used alike by the initial deployment
+  (from the empty topology), by a primitive, by a committed transaction
+  and by a probation rollback,
 * the Equation 7-1 reconfiguration timing:
   ``T = Σ suspend + n·channel-ops + Σ activate``.
 
 Message loss avoidance (section 6.6): the Figure 6-8 prerequisites are
-checked before a streamlet is detached — it must be paused, its input
-channels drained, and no message mid-flight — unless the caller forces.
+checked before a streamlet is detached — its input channels drained —
+unless the caller forces.  Because a step is decided on the value before
+anything live changes, a refused primitive leaves the stream untouched.
 """
 
 from __future__ import annotations
@@ -28,36 +35,21 @@ from dataclasses import dataclass, field
 from repro.errors import (
     CompositionError,
     ReconfigAbortedError,
-    ReconfigurationError,
     ReconfigValidationError,
 )
 from repro.events import ContextEvent
 from repro.mcl import astnodes as ast
-from repro.mcl.compiler import DEFAULT_CHANNEL_DEF
 from repro.mcl.config import ConfigurationTable
-from repro.mcl.typecheck import check_connection
 from repro.mime.message import MimeMessage
 from repro.mime.registry import TypeRegistry, default_registry
 from repro.runtime.channel import Channel
 from repro.runtime.message_pool import MessagePool, PassMode
 from repro.runtime.streamlet import Streamlet, StreamletContext, StreamletState
 from repro.runtime.streamlet_manager import StreamletManager
+from repro.runtime.topology import EDGE_CHANNEL_DEF, INGRESS, Topology, apply
+from repro.semantics.fusion import fusable_chains
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.util.clock import Clock, WallClock
-
-_INGRESS = "__ingress__"
-_EGRESS = "__egress__"
-
-#: ingress/egress carriers: effectively unbounded so the harness never drops
-_EDGE_CHANNEL_DEF = ast.ChannelDef(
-    name="__edge",
-    in_port=ast.PortDecl(ast.PortDirection.IN, "cin", DEFAULT_CHANNEL_DEF.in_port.mediatype),
-    out_port=ast.PortDecl(ast.PortDirection.OUT, "cout", DEFAULT_CHANNEL_DEF.out_port.mediatype),
-    sync=ast.ChannelSync.ASYNC,
-    category=ast.ChannelCategory.BK,
-    buffer_kb=1 << 20,
-    description="runtime edge channel",
-)
 
 
 @dataclass
@@ -87,13 +79,6 @@ class ReconfigTiming:
     @property
     def total(self) -> float:
         return self.suspend + self.channel_ops + self.activate
-
-    def merge(self, other: "ReconfigTiming") -> None:
-        """Accumulate another timing into this one."""
-        self.suspend += other.suspend
-        self.channel_ops += other.channel_ops
-        self.activate += other.activate
-        self.actions += other.actions
 
 
 @dataclass
@@ -347,9 +332,11 @@ class RuntimeStream:
         self._egress_wait_hist = self.tm.egress_wait_histogram()
         self.topology_lock = threading.RLock()
 
+        #: the wiring as a value; the live objects below always realise it
+        self._topology = Topology(table, self._registry)
         self._nodes: dict[str, _Node] = {}
+        #: every live channel by name, the edge carriers included
         self._channels: dict[str, Channel] = {}
-        self._auto_counter = 0
         self._started = False
         self._ended = False
         self._order_dirty = True
@@ -380,18 +367,18 @@ class RuntimeStream:
         #: is itself a transition).  Rides in-band on ``Content-Session`` so
         #: the MobiGATE client swaps peers at the right message boundary.
         self.epoch = 0
-        #: the ReconfigTransaction currently in its apply phase, if any;
-        #: primitives consult it to defer irreversible effects (message
-        #: drops, instance finalisation) until the commit is decided
+        #: the ReconfigTransaction currently committing, if any: the
+        #: one-transaction-at-a-time guard
         self._txn = None
         #: called as (event_name, exception) when an event-handler batch is
-        #: rejected by validation or rolled back mid-apply; the Coordination
+        #: rejected by validation or refused at commit; the Coordination
         #: Manager wires this to the Event Manager so the failure surfaces
         #: as a RECONFIG_* context event instead of unwinding the monitor
         self.escalation_hook = None
         #: called as (txn) after a successful commit; a ProbationMonitor
-        #: sets this to adopt the undo log as the last-known-good record.
-        #: When unset, deferred removals are finalised at commit time.
+        #: sets this to adopt the previous topology value and the nodes the
+        #: commit retired as the last-known-good record.  When unset, the
+        #: retired nodes are finalised at commit time.
         self.lkg_adopter = None
         #: called as (instance_id, exception) when a streamlet's process()
         #: raises; the Coordination Manager wires this to the Event Manager
@@ -407,109 +394,166 @@ class RuntimeStream:
         #: drops become inspectable instead of silent releases
         self.drop_hook = None
 
-        self._deploy()
+        # deployment is the first transition: the table's value, realised
+        # from the empty topology
+        self._realise(Topology.from_table(table, self._registry), ReconfigTiming())
 
-    # -- deployment -------------------------------------------------------------------
+    # -- value → live objects --------------------------------------------------------
 
-    def _deploy(self) -> None:
-        for name, definition in self.table.instances.items():
-            self._create_node(name, definition)
-        for name, entry in self.table.channels.items():
-            self._channels[name] = Channel(
-                name, entry.definition, drop_timeout=self._drop_timeout, telemetry=self.tm
-            )
-        for link in self.table.links:
-            self._wire(link.source, link.sink, self._channels[link.channel])
-        for index, ref in enumerate(self.table.exposed_in):
-            channel = Channel(
-                f"__in{index}", _EDGE_CHANNEL_DEF,
-                drop_timeout=self._drop_timeout, telemetry=self.tm,
-            )
-            channel.attach_source(ast.PortRef(_INGRESS, f"i{index}"))
-            channel.attach_sink(ref)
-            self._nodes[ref.instance].inputs[ref.port] = channel
-            self.ingress[str(ref)] = channel
-        for index, ref in enumerate(self.table.exposed_out):
-            channel = Channel(
-                f"__out{index}", _EDGE_CHANNEL_DEF,
-                drop_timeout=self._drop_timeout, telemetry=self.tm,
-            )
-            channel.attach_source(ref)
-            channel.attach_sink(ast.PortRef(_EGRESS, f"o{index}"))
-            self._nodes[ref.instance].outputs[ref.port] = channel
-            self.egress.append((ref, channel))
+    def _capture(self) -> Topology:
+        """A private copy of the topology, stamped with what the queues hold now.
 
-    def _create_node(self, name: str, definition: ast.StreamletDef) -> _Node:
-        streamlet = self._manager.acquire(name, definition)
-        ctx = StreamletContext(instance_id=name, session=self.session)
+        Exact when taken inside a write section (no step is in flight);
+        under the bare lock it is a best-effort reading, good for a
+        validation dry-run.
+        """
+        working = self._topology.copy()
+        for name, state in working.channels.items():
+            queue = self._channels[name].queue
+            working.counts[name] = len(queue)
+            state.closed = queue.closed
+        return working
+
+    def _instantiate(self, name: str, definition: ast.StreamletDef, built: list) -> _Node:
         node = _Node(
-            streamlet=streamlet,
+            streamlet=self._manager.acquire(name, definition),
             definition=definition,
-            ctx=ctx,
+            ctx=StreamletContext(instance_id=name, session=self.session),
             hop_hist=self.tm.hop_histogram(name),
             queue_wait_hist=self.tm.queue_wait_histogram(name),
         )
-        self._nodes[name] = node
-        self._invalidate_topology()
+        built.append(node)  # before on_start: a failed start still gets finalised
+        if self._started:
+            node.streamlet.activate()
+            node.streamlet.on_start(node.ctx)
         return node
 
-    def _wire(self, source: ast.PortRef, sink: ast.PortRef, channel: Channel) -> None:
-        channel.attach_source(source)
-        channel.attach_sink(sink)
-        self._nodes[source.instance].outputs[source.port] = channel
-        self._nodes[sink.instance].inputs[sink.port] = channel
-        self._invalidate_topology()
+    def _finalize_node(self, node: _Node) -> None:
+        """End and release a node that is permanently out of the topology."""
+        if node.streamlet.state is not StreamletState.ENDED:
+            node.streamlet.end()
+            node.streamlet.on_end(node.ctx)
+        self._manager.release(node.streamlet)
+
+    def _realise(
+        self, new: Topology, timing: ReconfigTiming, revive: dict[str, _Node] | None = None
+    ) -> list[_Node]:
+        """Make the live objects realise ``new``; returns the nodes it retired.
+
+        The only code that touches streamlets, channels and queues for a
+        change of wiring.  Caller holds a write section (the constructor
+        excepted: nothing reads yet) and owns the retired nodes — finalise
+        them, or keep them for a rollback.  ``revive`` offers retired node
+        objects by name (a probation rollback) to use instead of new
+        instances.  Instances are created first and that is the one step
+        that can fail (``acquire``/``on_start``): whatever it built is
+        finalised and the error propagates with nothing else changed.
+        After it, in order: quiesce; create channels; move queued ids to
+        where ``contents`` says they now live (an original referenced
+        nowhere is dropped *with accounting*, as is a re-post a full queue
+        refuses); bind ends; close retired channels; rebuild every node's
+        port maps and the ingress/egress maps from the channel table;
+        reactivate.  The Equation 7-1 terms are added to ``timing``.
+        """
+        clock = self._clock
+        revive = revive if revive is not None else {}
+        swapped = new.fresh | revive.keys()  # live names that get another object
+        t0 = clock.now()
+        arrivals: dict[str, _Node] = {}
+        built: list[_Node] = []
+        try:
+            for name, definition in new.instances.items():
+                if name in swapped or name not in self._nodes:
+                    arrivals[name] = (
+                        revive.get(name) or self._instantiate(name, definition, built)
+                    )
+        except Exception:
+            for node in built:
+                self._finalize_node(node)
+            raise
+        timing.channel_ops += clock.now() - t0
+
+        t0 = clock.now()
+        # paused by someone else while in the flow (a test, PAUSE): stay so
+        held = set()
+        for node in self._nodes.values():
+            if node.streamlet.is_active:
+                node.streamlet.pause()
+            elif node.inputs or node.outputs:
+                held.add(id(node))
+        timing.suspend += clock.now() - t0
+
+        t0 = clock.now()
+        live = self._channels
+        channels: dict[str, Channel] = {}
+        for name, state in new.channels.items():
+            channel = None if name in new.fresh else live.get(name)
+            if channel is None:
+                channel = Channel(
+                    name, state.definition, drop_timeout=self._drop_timeout, telemetry=self.tm
+                )
+            channels[name] = channel
+        # a live channel keeps its own ids in place only while it survives
+        # with them at the head of its contents; every other original is
+        # drained, and lands once, behind what its new holder kept
+        dropped: list[str] = []
+        in_place = {
+            name for name, channel in live.items()
+            if channels.get(name) is channel and new.channels[name].contents[:1] == [name]
+        }
+        displaced = {
+            name: channel.queue.drain() for name, channel in live.items()
+            if name not in in_place
+        }
+        for name, state in new.channels.items():
+            kept = 1 if name in in_place else 0  # its own ids were never drained
+            for origin in state.contents[kept:]:
+                for msg_id in displaced.pop(origin, ()):
+                    if not channels[name].post(msg_id, self.pool.size_of(msg_id)):
+                        dropped.append(msg_id)  # refused by a full queue
+        for orphaned in displaced.values():  # referenced nowhere in the new value
+            dropped += orphaned
+        ingress: dict[str, Channel] = {}
+        egress: list[tuple[ast.PortRef, Channel]] = []
+        for name, state in new.channels.items():
+            channel = channels[name]
+            channel.bind(state.source, state.sink)
+            if state.definition is EDGE_CHANNEL_DEF:
+                if state.source.instance == INGRESS:
+                    ingress[str(state.sink)] = channel
+                else:
+                    egress.append((state.source, channel))
+        for name, channel in live.items():
+            if channels.get(name) is not channel:
+                channel.bind(None, None)
+                channel.queue.close()
+        nodes = {name: arrivals.get(name) or self._nodes[name] for name in new.instances}
+        retired = [node for name, node in self._nodes.items() if nodes.get(name) is not node]
+        for name, node in nodes.items():
+            node.inputs = {port: channels[c] for port, c in new.inputs[name].items()}
+            node.outputs = {port: channels[c] for port, c in new.outputs[name].items()}
+        # other threads read these maps lock-free: replace, never mutate
+        self._nodes, self._channels = nodes, channels
+        self.ingress, self.egress = ingress, egress
+        new.settle()
+        self._topology = new
+        self._order_dirty = True
+        # released last, so a drop hook sees the stream already consistent
+        self._release_dropped(dropped)
+        timing.channel_ops += clock.now() - t0
+
+        t0 = clock.now()
+        for node in nodes.values():
+            if (
+                node.streamlet.state is StreamletState.PAUSED
+                and id(node) not in held
+                and (node.inputs or node.outputs)
+            ):
+                node.streamlet.activate()
+        timing.activate += clock.now() - t0
+        return retired
 
     # -- RCU topology snapshots (see docs/performance.md) ------------------------------
-
-    def _invalidate_topology(self) -> None:
-        """Mark the wiring changed: retire the snapshot, dirty the order."""
-        self._order_dirty = True
-        self._snapshot = None
-
-    def _fusion_chains(self) -> list[tuple[str, ...]]:
-        """Maximal fusable chains of the *live* wiring (caller holds the lock).
-
-        The same legality as :func:`repro.semantics.fusion.fusable_chains`,
-        read off the runtime graph instead of the compiled table: an edge
-        fuses when its channel is synchronous, the producer's only output
-        feeds it, the consumer's only input is it, neither endpoint is an
-        optional (extractable) member, no feedback loop closes through it,
-        and no mutual exclusion holds inside the resulting chain.
-        """
-        from repro.semantics import fusion
-
-        if not self._fuse or len(self._nodes) < 2:
-            return []
-        barred = fusion.optional_instances(self.table.handlers)
-        successors: dict[str, str] = {}
-        for name, node in self._nodes.items():
-            if name in barred or len(node.outputs) != 1:
-                continue
-            channel = next(iter(node.outputs.values()))
-            if not fusion.is_synchronous(channel.definition):
-                continue
-            sink = channel.sink
-            if sink is None or sink.instance not in self._nodes or sink.instance in barred:
-                continue
-            if len(self._nodes[sink.instance].inputs) != 1:
-                continue
-            successors[name] = sink.instance
-        if not successors:
-            return []
-        definitions = {name: node.definition for name, node in self._nodes.items()}
-        chains: list[tuple[str, ...]] = []
-        for chain in fusion.chain_edges(successors, self._nodes):
-            accepted: list[str] = []
-            for member in chain:
-                if accepted and fusion.exclusion_conflict(definitions, accepted, member):
-                    if len(accepted) >= 2:
-                        chains.append(tuple(accepted))
-                    accepted = []
-                accepted.append(member)
-            if len(accepted) >= 2:
-                chains.append(tuple(accepted))
-        return chains
 
     def _build_snapshot(self) -> TopologySnapshot:
         # caller holds the topology lock
@@ -525,7 +569,10 @@ class RuntimeStream:
             views[name] = _NodeView(name, node, tuple(consumers))
             for channel in node.inputs.values():
                 queues[id(channel.queue)] = channel.queue
-        chains = tuple(self._fusion_chains())
+        # legality is decided on the value, by the rule the compile-time
+        # planner uses: the two can never disagree
+        fusing = self._fuse and len(self._nodes) >= 2
+        chains = tuple(fusable_chains(self._topology.to_table())) if fusing else ()
         for chain in chains:
             member_views = tuple(views[m] for m in chain)
             interior = tuple(
@@ -555,9 +602,8 @@ class RuntimeStream:
     def topology_snapshot(self) -> TopologySnapshot:
         """The current published view, rebuilding (under the lock) if retired.
 
-        Mid-write callers (a primitive nested inside a transaction) get a
-        fresh transient view that is *not* published — publication waits
-        until the write section closes.
+        Mid-write callers get a fresh transient view that is *not*
+        published — publication waits until the write section closes.
         """
         snap = self._snapshot
         if snap is not None:
@@ -576,12 +622,12 @@ class RuntimeStream:
 
         Retires the published snapshot, then waits for every in-flight
         reader step to finish (grace period) before yielding — so a
-        mutation never races a worker mid-step, and the undo log a
-        transaction captures inside this section is exact.  Reentrant:
-        nested sections (a transaction applying primitives) only pay the
-        grace period once.  A worker thread calling in from inside its own
-        step leaves the read gate first (readers must not block on the
-        topology lock) and re-registers before the lock is released.
+        mutation never races a worker mid-step, and the queue counts a
+        transaction captures inside this section are exact.  Reentrant:
+        nested sections only pay the grace period once.  A worker thread
+        calling in from inside its own step leaves the read gate first
+        (readers must not block on the topology lock) and re-registers
+        before the lock is released.
         """
         gate = self._read_gate
         reader_depth = gate.leave_current()
@@ -636,11 +682,10 @@ class RuntimeStream:
     def end(self) -> None:
         """End every streamlet, close channels, release instances (idempotent).
 
-        Every channel — internal, ingress, *and* the egress carriers built
-        by :meth:`_deploy` — is drained before it closes: ids still parked
-        there are released from the pool and counted as ``end_drops``, so
-        an ended stream holds no pool entries (the conservation invariant
-        of :mod:`repro.faults`).
+        Every channel — internal, ingress, *and* the egress carriers — is
+        drained before it closes: ids still parked there are released from
+        the pool and counted as ``end_drops``, so an ended stream holds no
+        pool entries (the conservation invariant of :mod:`repro.faults`).
         """
         if self._ended:
             return
@@ -654,12 +699,6 @@ class RuntimeStream:
                 self._manager.release(node.streamlet)
             undelivered: list[str] = []
             for channel in self._channels.values():
-                undelivered += channel.queue.drain()
-                channel.queue.close()
-            for channel in self.ingress.values():
-                undelivered += channel.queue.drain()
-                channel.queue.close()
-            for _ref, channel in self.egress:
                 undelivered += channel.queue.drain()
                 channel.queue.close()
             for msg_id in undelivered:
@@ -721,45 +760,8 @@ class RuntimeStream:
         Reconfigurations mutate the topology away from the compiled table;
         this snapshot lets the chapter-5 analyses re-run against reality.
         """
-        from repro.mcl.config import ChannelEntry, Link
-
-        channels: dict[str, ChannelEntry] = {}
-        links: list[Link] = []
-        exposed_in: list[ast.PortRef] = []
-        exposed_out: list[ast.PortRef] = []
         with self.topology_lock:
-            for name, node in self._nodes.items():
-                for port, channel in node.outputs.items():
-                    if channel.sink is None:
-                        continue
-                    if channel.sink.instance == _EGRESS:
-                        exposed_out.append(ast.PortRef(name, port))
-                        continue
-                    channels[channel.name] = ChannelEntry(
-                        name=channel.name, definition=channel.definition,
-                        auto=channel.name.startswith("__"),
-                    )
-                    decl = node.definition.port(port)
-                    links.append(Link(
-                        source=ast.PortRef(name, port),
-                        sink=channel.sink,
-                        channel=channel.name,
-                        mediatype=decl.mediatype if decl else None,  # type: ignore[arg-type]
-                    ))
-                for port, channel in node.inputs.items():
-                    if channel.source is not None and channel.source.instance == _INGRESS:
-                        exposed_in.append(ast.PortRef(name, port))
-            return ConfigurationTable(
-                stream_name=self.name,
-                instances={name: node.definition for name, node in self._nodes.items()},
-                channels=channels,
-                links=links,
-                handlers=dict(self.table.handlers),
-                exposed_in=tuple(exposed_in),
-                exposed_out=tuple(exposed_out),
-                streamlet_defs=dict(self.table.streamlet_defs),
-                channel_defs=dict(self.table.channel_defs),
-            )
+            return self._topology.to_table()
 
     def verify_topology(self, *, terminal_definitions=frozenset()) -> None:
         """Re-run the chapter-5 analyses on the live topology.
@@ -773,8 +775,11 @@ class RuntimeStream:
         _verify(self.snapshot_table(), terminal_definitions=terminal_definitions)
 
     def channel_names(self) -> list[str]:
-        """Names of the live channel instances."""
-        return list(self._channels)
+        """Names of the live channel instances (edge carriers excluded)."""
+        return [
+            name for name, channel in self._channels.items()
+            if channel.definition is not EDGE_CHANNEL_DEF
+        ]
 
     @property
     def snapshot_version(self) -> int:
@@ -801,21 +806,17 @@ class RuntimeStream:
     def queue_introspect(self) -> list[dict]:
         """Depth/watermark/counters for every live channel queue.
 
-        Covers internal channels plus the ingress/egress edge carriers
-        (deduplicated by queue identity), so the control plane's
-        ``introspect`` verb sees the whole buffering picture.
+        Covers internal channels plus the ingress/egress edge carriers, so
+        the control plane's ``introspect`` verb sees the whole buffering
+        picture.
         """
         rows: list[dict] = []
         with self.topology_lock:
-            named: list[tuple[str, Channel]] = list(self._channels.items())
+            named = [(name, self._channels[name]) for name in self.channel_names()]
             named += [(f"ingress:{key}", ch) for key, ch in self.ingress.items()]
             named += [(f"egress:{ref}", ch) for ref, ch in self.egress]
-            seen: set[int] = set()
             for name, channel in named:
                 queue = channel.queue
-                if id(queue) in seen:
-                    continue
-                seen.add(id(queue))
                 rows.append({
                     "channel": name,
                     "depth": len(queue),
@@ -956,39 +957,30 @@ class RuntimeStream:
 
     # -- composition primitives (Figure 6-4) ---------------------------------------------------------
 
+    def _step(self, action, **how) -> ReconfigTiming:
+        """One primitive: fold ``action`` over a capture, then realise the result.
+
+        The fold decides; a refusal raises with the live stream untouched.
+        Nodes the step retires are finalised at once (a bare primitive has
+        no rollback to keep them for).
+        """
+        with self._write_access():
+            timing = ReconfigTiming(actions=1)
+            t0 = self._clock.now()
+            new = self._capture()
+            apply(new, action, **how)
+            timing.channel_ops += self._clock.now() - t0
+            for node in self._realise(new, timing):
+                self._finalize_node(node)
+            return timing
+
     def new_streamlet(self, name: str, definition_name: str) -> None:
         """Instantiate a (dormant) streamlet from a known definition."""
-        with self._write_access():
-            if name in self._nodes or name in self._channels:
-                raise CompositionError(f"instance name {name!r} already in use")
-            definition = self.table.streamlet_defs.get(definition_name)
-            if definition is None:
-                raise CompositionError(f"unknown streamlet definition {definition_name!r}")
-            node = self._create_node(name, definition)
-            if self._started:
-                node.streamlet.activate()
-                node.streamlet.on_start(node.ctx)
+        self._step(ast.NewInstances("streamlet", (name,), definition_name))
 
     def new_channel(self, name: str, definition_name: str) -> None:
         """Instantiate a channel from a definition known to the table."""
-        with self._write_access():
-            if name in self._channels or name in self._nodes:
-                raise CompositionError(f"instance name {name!r} already in use")
-            definition = self.table.channel_defs.get(definition_name)
-            if definition is None:
-                raise CompositionError(f"unknown channel definition {definition_name!r}")
-            self._channels[name] = Channel(
-                name, definition, drop_timeout=self._drop_timeout, telemetry=self.tm
-            )
-
-    def _auto_channel(self) -> Channel:
-        name = f"__rt_auto{self._auto_counter}"
-        self._auto_counter += 1
-        channel = Channel(
-            name, DEFAULT_CHANNEL_DEF, drop_timeout=self._drop_timeout, telemetry=self.tm
-        )
-        self._channels[name] = channel
-        return channel
+        self._step(ast.NewInstances("channel", (name,), definition_name))
 
     def connect(
         self,
@@ -997,62 +989,15 @@ class RuntimeStream:
         channel_name: str | None = None,
     ) -> None:
         """Wire source → (channel) → sink, with 4.4.1 type checks."""
-        with self._write_access():
-            source = _as_ref(source)
-            sink = _as_ref(sink)
-            src_node = self.node(source.instance)
-            dst_node = self.node(sink.instance)
-            if channel_name is not None:
-                channel = self.channel(channel_name)
-                if channel.source is not None or channel.sink is not None:
-                    raise CompositionError(
-                        f"channel {channel_name!r} already carries a connection"
-                    )
-            else:
-                channel = self._auto_channel()
-            check_connection(
-                self._registry,
-                src_node.definition,
-                source,
-                dst_node.definition,
-                sink,
-                channel.definition,
-            )
-            if source.port in src_node.outputs:
-                raise CompositionError(f"port {source} is already connected")
-            if sink.port in dst_node.inputs:
-                raise CompositionError(f"port {sink} is already connected")
-            self._wire(source, sink, channel)
+        self._step(ast.Connect(_as_ref(source), _as_ref(sink), channel_name))
 
     def disconnect(self, source: ast.PortRef | str, sink: ast.PortRef | str) -> None:
         """Break one link; category semantics decide pending units' fate."""
-        with self._write_access():
-            source = _as_ref(source)
-            sink = _as_ref(sink)
-            src_node = self.node(source.instance)
-            dst_node = self.node(sink.instance)
-            channel = src_node.outputs.get(source.port)
-            if channel is None or channel.sink != sink:
-                raise CompositionError(f"no connection between {source} and {sink}")
-            dropped = channel.detach_source()
-            if channel.sink is not None:
-                dropped += channel.detach_sink()
-            self._release_dropped(dropped)
-            del src_node.outputs[source.port]
-            dst_node.inputs.pop(sink.port, None)
-            self._forget_channel(channel)
-            self._invalidate_topology()
+        self._step(ast.Disconnect(_as_ref(source), _as_ref(sink)))
 
     def disconnect_all(self, instance: str) -> None:
         """Break every non-edge link of an instance."""
-        with self._write_access():
-            node = self.node(instance)
-            for port, channel in list(node.outputs.items()):
-                if channel.sink is not None and channel.sink.instance != _EGRESS:
-                    self.disconnect(ast.PortRef(instance, port), channel.sink)
-            for port, channel in list(node.inputs.items()):
-                if channel.source is not None and channel.source.instance != _INGRESS:
-                    self.disconnect(channel.source, ast.PortRef(instance, port))
+        self._step(ast.DisconnectAll(instance))
 
     def insert(
         self,
@@ -1062,237 +1007,46 @@ class RuntimeStream:
     ) -> ReconfigTiming:
         """Splice ``instance`` into the link source→sink (Figure 7-4).
 
-        The inserted streamlet must have exactly one input and one output
-        port.  The existing channel keeps feeding the sink (its pending
-        units survive, as BK semantics promise); a fresh channel joins the
-        source to the newcomer.
+        The inserted streamlet must be dormant and have exactly one input
+        and one output port.  The existing channel keeps feeding the sink
+        (its pending units survive, as BK semantics promise); a fresh
+        channel joins the source to the newcomer.
         """
-        with self._write_access():
-            source = _as_ref(source)
-            sink = _as_ref(sink)
-            timing = ReconfigTiming(actions=1)
-            src_node = self.node(source.instance)
-            dst_node = self.node(sink.instance)
-            new_node = self.node(instance)
-            ins = new_node.definition.inputs()
-            outs = new_node.definition.outputs()
-            if len(ins) != 1 or len(outs) != 1:
-                raise ReconfigurationError(
-                    f"insert target {instance} must have exactly one in and one out port"
-                )
-            channel = src_node.outputs.get(source.port)
-            if channel is None or channel.sink != sink:
-                raise ReconfigurationError(f"no connection between {source} and {sink}")
-
-            # 1-2) suspend the producer and detach it from channel m
-            t0 = self._clock.now()
-            was_active = src_node.streamlet.is_active
-            if was_active:
-                src_node.streamlet.pause()
-            timing.suspend += self._clock.now() - t0
-
-            t0 = self._clock.now()
-            dropped = channel.detach_source()
-            if channel.sink is None:  # BB/KB semantics broke the sink side too
-                channel.attach_sink(sink)
-            self._release_dropped(dropped)
-            del src_node.outputs[source.port]
-            # 3) attach the newcomer's output to channel m
-            new_out = ast.PortRef(instance, outs[0].name)
-            check_connection(
-                self._registry, new_node.definition, new_out,
-                dst_node.definition, sink, channel.definition,
-            )
-            channel.attach_source(new_out)
-            new_node.outputs[outs[0].name] = channel
-            # 4) create channel n between the producer and the newcomer
-            new_in = ast.PortRef(instance, ins[0].name)
-            fresh = self._auto_channel()
-            check_connection(
-                self._registry, src_node.definition, source,
-                new_node.definition, new_in, fresh.definition,
-            )
-            fresh.attach_source(source)
-            fresh.attach_sink(new_in)
-            src_node.outputs[source.port] = fresh
-            new_node.inputs[ins[0].name] = fresh
-            timing.channel_ops += self._clock.now() - t0
-
-            # 5) make sure the newcomer runs, 6) resume the producer
-            t0 = self._clock.now()
-            if self._started:
-                if new_node.streamlet.state is StreamletState.CREATED:
-                    new_node.streamlet.activate()
-                    new_node.streamlet.on_start(new_node.ctx)
-                elif new_node.streamlet.state is StreamletState.PAUSED:
-                    new_node.streamlet.activate()  # re-inserted after an extract
-            if was_active:
-                src_node.streamlet.activate()
-            timing.activate += self._clock.now() - t0
-            self._invalidate_topology()
-            return timing
+        return self._step(ast.Insert(_as_ref(source), _as_ref(sink), instance))
 
     def remove_streamlet(self, name: str, *, heal: bool = True, force: bool = False) -> None:
         """Remove an instance, honouring the Figure 6-8 prerequisites.
 
         With ``heal`` (default), a single-in/single-out streamlet's
-        neighbours are re-joined through the upstream channel so the flow
-        survives.  Without ``force``, pending input traffic aborts the
-        removal (message loss avoidance, section 6.6).
+        neighbours are re-joined through the downstream channel so the
+        flow survives.  Without ``force``, pending input traffic aborts
+        the removal (message loss avoidance, section 6.6); with it, what
+        an edge carrier of the instance still holds is dropped with
+        accounting.
         """
-        with self._write_access():
-            node = self.node(name)
-            if not force:
-                waiting = [
-                    ch.name for ch in node.inputs.values() if not ch.queue.is_empty()
-                ]
-                if waiting:
-                    raise ReconfigurationError(
-                        f"cannot remove {name}: input channel(s) {waiting} still hold "
-                        "messages (drain the stream first or pass force=True)"
-                    )
-            if not (heal and self._heal_around(node)):
-                self.disconnect_all(name)
-            # drop edge (ingress/egress) attachments, releasing stuck messages
-            for channel in list(node.inputs.values()) + list(node.outputs.values()):
-                self._release_dropped(channel.queue.drain())
-                channel.queue.close()
-            if self._txn is not None:
-                # end()/release() cannot be undone; park the node in the
-                # transaction's limbo list until the commit is decided
-                self._txn.defer_removal(node)
-            else:
-                if node.streamlet.state is not StreamletState.ENDED:
-                    node.streamlet.end()
-                    node.streamlet.on_end(node.ctx)
-                self._manager.release(node.streamlet)
-            del self._nodes[name]
-            self.ingress = {k: v for k, v in self.ingress.items() if not k.startswith(name + ".")}
-            self.egress = [(r, c) for r, c in self.egress if r.instance != name]
-            self._invalidate_topology()
+        self._step(ast.RemoveInstance("streamlet", name), heal=heal, force=force)
 
     def extract_streamlet(self, name: str, *, force: bool = False) -> None:
         """Detach an instance from the topology but keep it dormant.
 
-        The MCL ``remove`` primitive: the streamlet is paused and unwired
-        (healing single-in/single-out chains like :meth:`remove_streamlet`),
-        ready to be spliced back by a later ``insert``.
+        The MCL ``remove`` primitive: the streamlet is unwired (healing
+        single-in/single-out chains like :meth:`remove_streamlet`) and
+        left paused, ready to be spliced back by a later ``insert``.
         """
-        with self._write_access():
-            node = self.node(name)
-            if not force:
-                waiting = [ch.name for ch in node.inputs.values() if not ch.queue.is_empty()]
-                if waiting:
-                    raise ReconfigurationError(
-                        f"cannot extract {name}: input channel(s) {waiting} still hold "
-                        "messages (drain the stream first or pass force=True)"
-                    )
-            if not self._heal_around(node):
-                self.disconnect_all(name)
-            if node.streamlet.is_active:
-                node.streamlet.pause()
-            self._invalidate_topology()
-
-    def _heal_around(self, node: _Node) -> bool:
-        """Join a single-in/single-out node's neighbours around it.
-
-        The predecessor inherits the *downstream* channel so messages the
-        node already emitted stay ahead of messages it never saw (message-
-        loss avoidance); the upstream channel's pending units are re-posted
-        behind them.  Returns False when the wiring shape does not allow a
-        heal (caller falls back to plain disconnection).
-        """
-        in_links = [
-            (port, ch) for port, ch in node.inputs.items()
-            if ch.source is not None and ch.source.instance != _INGRESS
-        ]
-        out_links = [
-            (port, ch) for port, ch in node.outputs.items()
-            if ch.sink is not None and ch.sink.instance != _EGRESS
-        ]
-        if len(in_links) != 1 or len(out_links) != 1:
-            return False
-        (_, upstream), (_, downstream) = in_links[0], out_links[0]
-        predecessor = upstream.source
-        pred_node = self.node(predecessor.instance)
-        pending = upstream.queue.drain()
-        upstream.queue.close()
-        self._forget_channel(upstream)
-        downstream.reattach_source(predecessor)
-        pred_node.outputs[predecessor.port] = downstream
-        for msg_id in pending:
-            if not downstream.post(msg_id, self.pool.size_of(msg_id)):
-                self._release_dropped([msg_id])
-        node.inputs.clear()
-        node.outputs.clear()
-        return True
+        self._step(ast.RemoveInstance("extract", name), force=force)
 
     def replace(self, old: str, new: str) -> None:
         """Swap ``old`` for the dormant instance ``new``, keeping the wiring.
 
-        Port names must match; types are re-checked against each attached
-        channel's counterpart.
+        Port names must match; ``old`` is removed.
         """
-        with self._write_access():
-            old_node = self.node(old)
-            new_node = self.node(new)
-            if new_node.inputs or new_node.outputs:
-                raise ReconfigurationError(f"replacement {new!r} is already wired")
-            for port, channel in old_node.inputs.items():
-                decl = new_node.definition.port(port)
-                if decl is None or decl.direction is not ast.PortDirection.IN:
-                    raise ReconfigurationError(
-                        f"replacement {new!r} lacks input port {port!r} of {old!r}"
-                    )
-            for port, channel in old_node.outputs.items():
-                decl = new_node.definition.port(port)
-                if decl is None or decl.direction is not ast.PortDirection.OUT:
-                    raise ReconfigurationError(
-                        f"replacement {new!r} lacks output port {port!r} of {old!r}"
-                    )
-            for port, channel in list(old_node.inputs.items()):
-                channel.reattach_sink(ast.PortRef(new, port))
-                new_node.inputs[port] = channel
-                if channel.source is not None and channel.source.instance == _INGRESS:
-                    # keep the ingress map addressing the new instance
-                    for key, chan in list(self.ingress.items()):
-                        if chan is channel:
-                            del self.ingress[key]
-                            self.ingress[str(ast.PortRef(new, port))] = channel
-            for port, channel in list(old_node.outputs.items()):
-                channel.reattach_source(ast.PortRef(new, port))
-                new_node.outputs[port] = channel
-                if channel.sink is not None and channel.sink.instance == _EGRESS:
-                    self.egress = [
-                        (ast.PortRef(new, port), c) if c is channel else (r, c)
-                        for r, c in self.egress
-                    ]
-            old_node.inputs.clear()
-            old_node.outputs.clear()
-            if self._started and new_node.streamlet.state is StreamletState.CREATED:
-                new_node.streamlet.activate()
-                new_node.streamlet.on_start(new_node.ctx)
-            self.remove_streamlet(old, heal=False, force=True)
+        self._step(ast.Replace(old, new))
 
     def remove_channel(self, name: str) -> None:
         """Destroy an unused channel instance."""
-        with self._write_access():
-            channel = self.channel(name)
-            if channel.source is not None or channel.sink is not None:
-                raise CompositionError(f"channel {name!r} still carries a connection")
-            del self._channels[name]
-
-    def _forget_channel(self, channel: Channel) -> None:
-        if channel.name in self._channels and channel.name.startswith("__"):
-            del self._channels[channel.name]
+        self._step(ast.RemoveInstance("channel", name))
 
     def _release_dropped(self, msg_ids: list[str]) -> None:
-        if self._txn is not None:
-            # mid-transaction drops are provisional: a rollback puts the ids
-            # back on their queues, so releasing (and counting) them now
-            # would lose messages the undo log is about to resurrect
-            self._txn.defer_drops(msg_ids)
-            return
         for msg_id in msg_ids:
             if msg_id in self.pool:
                 message = self.pool.release(msg_id)
@@ -1351,9 +1105,9 @@ class RuntimeStream:
     def _handle_actions(self, event_id: str, actions) -> ReconfigTiming | None:
         """Run a ``when`` handler's action batch as one transaction.
 
-        The batch is dry-run against a shadow topology, then committed
-        under quiescence with automatic rollback — a failure mid-apply no
-        longer leaves the stream half-rewired.  When an
+        The batch is folded over a capture of the topology value and the
+        result analysed before anything live changes, so a batch that
+        cannot be applied leaves the stream as it was.  When an
         ``escalation_hook`` is wired (the Coordination Manager routes it
         into the Event Manager) a rejected or rolled-back batch surfaces
         as a ``RECONFIG_REJECTED`` / ``RECONFIG_ROLLED_BACK`` context
@@ -1378,79 +1132,6 @@ class RuntimeStream:
             raise
         if span is not None:
             self.tm.reconfig_end(span, event_id, timing)
-        return timing
-
-    def _execute_actions(self, actions) -> ReconfigTiming:
-        timing = ReconfigTiming()
-        for action in actions:
-            if isinstance(action, ast.NewInstances):
-                t0 = self._clock.now()
-                for name in action.names:
-                    if action.kind == "channel":
-                        self.new_channel(name, action.definition)
-                    else:
-                        self.new_streamlet(name, action.definition)
-                timing.channel_ops += self._clock.now() - t0
-                timing.actions += 1
-            elif isinstance(action, ast.Connect):
-                timing.merge(self._timed_rewire(
-                    lambda a=action: self.connect(a.source, a.sink, a.channel),
-                    suspend=[action.source.instance],
-                ))
-            elif isinstance(action, ast.Disconnect):
-                timing.merge(self._timed_rewire(
-                    lambda a=action: self.disconnect(a.source, a.sink),
-                    suspend=[action.source.instance],
-                ))
-            elif isinstance(action, ast.DisconnectAll):
-                timing.merge(self._timed_rewire(
-                    lambda a=action: self.disconnect_all(a.instance),
-                    suspend=[action.instance],
-                ))
-            elif isinstance(action, ast.Insert):
-                timing.merge(self.insert(action.source, action.sink, action.instance))
-            elif isinstance(action, ast.Replace):
-                timing.merge(self._timed_rewire(
-                    lambda a=action: self.replace(a.old, a.new), suspend=[],
-                ))
-            elif isinstance(action, ast.RemoveInstance):
-                if action.kind == "channel":
-                    operation = lambda a=action: self.remove_channel(a.name)  # noqa: E731
-                elif action.kind == "extract":
-                    operation = lambda a=action: self.extract_streamlet(a.name)  # noqa: E731
-                else:
-                    operation = lambda a=action: self.remove_streamlet(a.name)  # noqa: E731
-                timing.merge(self._timed_rewire(operation, suspend=[]))
-            else:  # pragma: no cover - compiler validates handler content
-                raise ReconfigurationError(f"illegal handler action {action!r}")
-        return timing
-
-    def _timed_rewire(self, operation, suspend: list[str]) -> ReconfigTiming:
-        """Suspend affected producers, run the wiring op, resume (Eq 7-1)."""
-        timing = ReconfigTiming(actions=1)
-        resumable: list[_Node] = []
-        t0 = self._clock.now()
-        for name in suspend:
-            node = self._nodes.get(name)
-            if node is not None and node.streamlet.is_active:
-                node.streamlet.pause()
-                resumable.append(node)
-        timing.suspend += self._clock.now() - t0
-        t0 = self._clock.now()
-        try:
-            operation()
-        except BaseException:
-            # do NOT resume: the wiring op failed, so traffic must stay
-            # suspended until the enclosing transaction finishes rolling
-            # the topology back (the undo log restores streamlet states)
-            timing.channel_ops += self._clock.now() - t0
-            raise
-        timing.channel_ops += self._clock.now() - t0
-        t0 = self._clock.now()
-        for node in resumable:
-            if node.streamlet.state is StreamletState.PAUSED:
-                node.streamlet.activate()
-        timing.activate += self._clock.now() - t0
         return timing
 
 

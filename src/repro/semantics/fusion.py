@@ -23,8 +23,8 @@ holds:
 Maximal runs of fusable edges form the **chains** the optimizer fuses.
 Both the post-compile planner (:mod:`repro.mcl.optimize`) and the live
 runtime (:meth:`repro.runtime.stream.RuntimeStream.fusion_groups`) call
-into this module so compile-time plans and runtime behaviour can never
-disagree about legality.
+:func:`fusable_chains`, so compile-time plans and runtime behaviour can
+never disagree about legality.
 """
 
 from __future__ import annotations
@@ -132,9 +132,10 @@ def chain_edges(
 def fusable_chains(table: ConfigurationTable) -> list[tuple[str, ...]]:
     """Maximal fusable chains of a compiled configuration table.
 
-    The table-level twin of the runtime's live-wiring query: used by
-    :func:`repro.mcl.optimize.optimize` to plan fusion right after
-    compilation (and by tests as the legality ground truth).
+    Used by :func:`repro.mcl.optimize.optimize` to plan fusion right
+    after compilation and by the runtime at every snapshot rebuild, on
+    the table its topology value renders to (and by tests as the
+    legality ground truth).
     """
     barred = optional_instances(table.handlers)
     out_degree: dict[str, int] = dict.fromkeys(table.instances, 0)

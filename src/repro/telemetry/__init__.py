@@ -201,7 +201,7 @@ class StreamTelemetry:
         )
         self._txn_latency = registry.histogram(
             "mobigate_reconfig_latency_seconds",
-            "Wall-clock latency of transaction phases (commit / rollback)",
+            "Wall-clock latency of transaction phases (commit)",
             labels=("stream", "phase"),
         )
 

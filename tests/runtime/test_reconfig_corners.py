@@ -114,6 +114,44 @@ class TestBadShapes:
         with pytest.raises(ReconfigurationError, match="already wired"):
             stream.replace("a", "b")
 
+    def test_insert_target_must_be_dormant(self):
+        # splicing an instance that is already in the flow used to be
+        # caught by validation only: the bare primitive double-claimed
+        # c's ports, closed a cycle b->c->b and stranded the next message
+        from repro.errors import ReconfigAbortedError
+        from repro.faults.invariant import check_conservation
+        from repro.mcl import astnodes as ast
+        from repro.runtime.reconfig import ReconfigTransaction
+
+        _server, stream, scheduler = deploy(
+            "streamlet a, b, c, d = new-streamlet (tap);"
+            "connect (a.po, b.pi);"
+            "connect (b.po, c.pi);"
+            "connect (c.po, d.pi);"
+        )
+
+        def fingerprint():
+            table = stream.snapshot_table()
+            return (
+                sorted(table.instances), sorted(table.channels),
+                sorted(str(link) for link in table.links),
+                table.exposed_in, table.exposed_out,
+            )
+
+        before = fingerprint()
+        with pytest.raises(ReconfigurationError, match="already wired"):
+            stream.insert("a.po", "b.pi", "c")
+        txn = ReconfigTransaction(
+            stream, [ast.Insert(ast.PortRef("a", "po"), ast.PortRef("b", "pi"), "c")]
+        )
+        with pytest.raises(ReconfigAbortedError, match="already wired"):
+            txn.commit(validate=False)
+        assert fingerprint() == before
+        stream.post(MimeMessage("text/plain", b"still flows"))
+        scheduler.pump()
+        assert [m.body for m in stream.collect()] == [b"still flows"]
+        assert check_conservation(stream).balanced
+
     def test_new_streamlet_unknown_definition(self):
         _server, stream, _ = deploy("streamlet a = new-streamlet (tap);")
         with pytest.raises(CompositionError):
