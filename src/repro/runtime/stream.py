@@ -448,12 +448,12 @@ class RuntimeStream:
         instances.  Instances are created first and that is the one step
         that can fail (``acquire``/``on_start``): whatever it built is
         finalised and the error propagates with nothing else changed.
-        After it, in order: quiesce; create channels; move queued ids to
-        where ``contents`` says they now live (an original referenced
-        nowhere is dropped *with accounting*, as is a re-post a full queue
-        refuses); bind ends; close retired channels; rebuild every node's
-        port maps and the ingress/egress maps from the channel table;
-        reactivate.  The Equation 7-1 terms are added to ``timing``.
+        After it, in order: quiesce; create channels and bind every
+        channel's ends; move queued ids to where ``contents`` says they
+        now live (an original referenced nowhere is dropped *with
+        accounting*, as is a re-post a full queue refuses); close retired
+        channels; rebuild every node's port maps and the ingress/egress
+        maps from the channel table; reactivate.  The Equation 7-1 terms are added to ``timing``.
         """
         clock = self._clock
         revive = revive if revive is not None else {}
@@ -486,6 +486,8 @@ class RuntimeStream:
         t0 = clock.now()
         live = self._channels
         channels: dict[str, Channel] = {}
+        ingress: dict[str, Channel] = {}
+        egress: list[tuple[ast.PortRef, Channel]] = []
         for name, state in new.channels.items():
             channel = None if name in new.fresh else live.get(name)
             if channel is None:
@@ -493,6 +495,12 @@ class RuntimeStream:
                     name, state.definition, drop_timeout=self._drop_timeout, telemetry=self.tm
                 )
             channels[name] = channel
+            channel.bind(state.source, state.sink)
+            if state.definition is EDGE_CHANNEL_DEF:
+                if state.source.instance == INGRESS:
+                    ingress[str(state.sink)] = channel
+                else:
+                    egress.append((state.source, channel))
         # a live channel keeps its own ids in place only while it survives
         # with them at the head of its contents; every other original is
         # drained, and lands once, behind what its new holder kept
@@ -513,16 +521,6 @@ class RuntimeStream:
                         dropped.append(msg_id)  # refused by a full queue
         for orphaned in displaced.values():  # referenced nowhere in the new value
             dropped += orphaned
-        ingress: dict[str, Channel] = {}
-        egress: list[tuple[ast.PortRef, Channel]] = []
-        for name, state in new.channels.items():
-            channel = channels[name]
-            channel.bind(state.source, state.sink)
-            if state.definition is EDGE_CHANNEL_DEF:
-                if state.source.instance == INGRESS:
-                    ingress[str(state.sink)] = channel
-                else:
-                    egress.append((state.source, channel))
         for name, channel in live.items():
             if channels.get(name) is not channel:
                 channel.bind(None, None)
