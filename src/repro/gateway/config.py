@@ -44,8 +44,11 @@ class GatewayConfig:
     #: (the bench opens ~1k loopback clients at once)
     listen_backlog: int = 1024
 
-    #: socket read granularity (bytes per ``reader.read``)
-    read_chunk_bytes: int = 64 * 1024
+    #: size of the data plane's receive buffer, hence the most one
+    #: ``recv_into`` can return.  One buffer serves every connection, so
+    #: the size costs memory once; at four 64 KB frames most large frames
+    #: arrive whole in a read and are copied once, not gathered from two
+    read_chunk_bytes: int = 256 * 1024
     #: egress frames aimed at a connection whose transport already buffers
     #: this much are dropped (slow-reader protection)
     max_conn_write_buffer: int = 4 * 1024 * 1024

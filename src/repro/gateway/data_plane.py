@@ -1,37 +1,35 @@
 """The data plane: the asyncio socket listener clients actually talk to.
 
-One ``asyncio.start_server`` accept loop; one read task per connection.
-The per-connection pipeline is::
+One ``loop.create_server`` listener, one :class:`asyncio.BufferedProtocol`
+object per connection, no task on the fast path.  The kernel fills the
+plane's one receive buffer (``read_chunk_bytes``; the loop runs one read
+callback at a time and the assembler keeps no reference into the buffer,
+so every connection reads into the same one) and each frame the read
+completes is admitted inside that callback::
 
-    socket bytes ──► FrameAssembler (incremental, validated Content-Length)
-                ──► route by Content-Session ──► GatewaySession.offer()
+    recv_into ──► FrameAssembler.feed ──► route by Content-Session
+                                      ──► GatewaySession.offer()
                         │ ADMITTED                  │ FULL / RETRY
                         ▼                           ▼
-                  stream ingress            park: stop reading this socket
-                                            (TCP backpressure), re-probe
-                                            until room or the park budget
-                                            expires ──► shed into the
-                                            drop ledger
+                  stream ingress            park: pause_reading(); one task
+                                            re-probes until room or the park
+                                            budget expires (──► shed into the
+                                            drop ledger), settles the frames
+                                            assembled behind it in order,
+                                            then resume_reading()
 
-Because parking happens *inside* the read task, a saturated session
-freezes exactly the sockets feeding it: the kernel's receive window
-closes and the client blocks in ``send`` — end-to-end backpressure with
-no gateway-side buffering beyond the bounded session.
+A parked connection is not read, so a saturated session freezes exactly
+the sockets feeding it: the client's TCP window closes, and nothing is
+buffered here beyond the bounded session.  A scripted link outage is the
+same pause.  Losing the connection cancels the task, and the frame it
+was parking is shed into the ledger, not forgotten.
 
-Egress rides the gateway's one pump thread: each pump cycle crosses to
-the loop **once** (:meth:`DataPlane.egress_bridge`), carrying every frame
-of the cycle; :meth:`DataPlane._write_batch` groups them by the
-connection named in the message's ``X-MobiGATE-Connection`` stamp and
-writes each connection once.  A connection that already buffers
-``max_conn_write_buffer`` bytes — the transport's buffer plus what this
-batch has queued for it — has further frames dropped (slow-reader
-protection) rather than growing without bound.
-
-Protocol errors (malformed framing, oversized declarations) poison the
-connection's assembler; the plane answers with one ``text/plain`` error
-frame carrying ``X-MobiGATE-Error`` and closes the socket.  Frames whose
-``Content-Session`` matches no deployed session get the same error frame
-but keep the connection open — framing is still intact.
+Egress crosses from the pump thread to the loop once per cycle
+(:meth:`DataPlane.egress_bridge`) and :meth:`DataPlane._write_batch`
+writes each connection's share.  A framing error poisons the connection:
+one ``text/plain`` frame carrying ``X-MobiGATE-Error``, then the socket
+closes; a frame for a session that is not deployed gets the same answer
+on a connection that stays open.  More in ``docs/gateway.md``.
 """
 
 from __future__ import annotations
@@ -48,9 +46,9 @@ from repro.mime.wire import FrameAssembler, serialize_message
 
 ERROR_HEADER = "X-MobiGATE-Error"
 
-#: egress frames shorter than this are joined into one ``write`` per
+#: egress buffers shorter than this are joined into one ``write`` per
 #: connection and batch; from here up the join is a copy worth more than
-#: the call it saves, so the frame is written as it is
+#: the call it saves, so the buffer is written as it is
 COALESCE_BELOW = 16 * 1024
 
 
@@ -58,6 +56,95 @@ def _error_frame(detail: str) -> bytes:
     message = MimeMessage("text/plain", detail.encode("utf-8"))
     message.headers.set(ERROR_HEADER, detail[:200])
     return serialize_message(message)
+
+
+class _Connection(asyncio.BufferedProtocol):
+    """One client connection: its assembler, and its pause while one lasts.
+
+    Also what the plane registers under the connection id for egress:
+    ``transport`` and ``write`` are all :meth:`DataPlane._write_batch` uses.
+    """
+
+    def __init__(self, plane: DataPlane):
+        self._plane = plane
+        self.conn_id = f"c{next(plane._conn_ids)}"
+        self._assembler = FrameAssembler(
+            max_frame_bytes=plane._config.max_frame_bytes,
+            max_header_bytes=plane._config.max_header_bytes,
+        )
+        self._frame_started: float | None = None  # first byte of a frame left open
+        self._paused: asyncio.Task | None = None  # exists while reads are paused
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        plane = self._plane
+        self.transport = transport
+        self.write = transport.write
+        plane._writers[self.conn_id] = self
+        plane.connections_served += 1
+        if plane._conn_gauge is not None:
+            plane._conn_gauge.inc()
+        if plane._gateway.fault_gate.blocked:
+            self._pause(None, [])
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._plane._recv_view
+
+    def buffer_updated(self, nbytes: int) -> None:
+        plane = self._plane
+        timed = plane._assembly_hist
+        if timed is not None:
+            now = time.perf_counter()
+        try:
+            messages = self._assembler.feed(plane._recv_view[:nbytes])
+        except MimeError as exc:
+            plane._count_error()
+            self.write(_error_frame(f"bad frame: {exc}"))
+            self.transport.close()  # framing is lost
+            return
+        if timed is not None:  # telemetry is on
+            done = time.perf_counter()
+            first = self._frame_started or now
+            for _ in messages:
+                timed.observe(done - first)
+                first = now  # the later frames of a read began in it
+            self._frame_started = first if self._assembler.pending_bytes else None
+            plane._bytes_in.inc(nbytes)
+            plane._frames_in.inc(len(messages))
+        for at, message in enumerate(messages, 1):
+            parked = plane._ingest(self, message)
+            if parked is not None:
+                self._pause(parked, messages[at:])
+                return
+        if plane._gateway.fault_gate.blocked:
+            self._pause(None, [])
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        plane = self._plane
+        del plane._writers[self.conn_id]
+        if plane._conn_gauge is not None:
+            plane._conn_gauge.dec()
+        if self._paused is not None:
+            self._paused.cancel()
+
+    def _pause(self, parked: tuple | None, backlog: list[MimeMessage]) -> None:
+        self.transport.pause_reading()
+        self._paused = asyncio.get_running_loop().create_task(self._settle(parked, backlog))
+
+    async def _settle(self, parked: tuple | None, backlog: list[MimeMessage]) -> None:
+        """Reads are paused while this runs: the parked frame, then the
+        frames assembled behind it in arrival order, then any outage."""
+        plane = self._plane
+        backlog.reverse()
+        try:
+            while parked is not None:
+                await plane._park(*parked)
+                parked = None
+                while backlog and parked is None:
+                    parked = plane._ingest(self, backlog.pop())
+            await plane._gateway.fault_gate.wait_clear()
+            self.transport.resume_reading()
+        finally:
+            self._paused = None
 
 
 class DataPlane:
@@ -68,26 +155,21 @@ class DataPlane:
         self._config = config
         self._server: asyncio.AbstractServer | None = None
         self._conn_ids = itertools.count(1)
-        self._writers: dict[str, asyncio.StreamWriter] = {}
-        telemetry = gateway.telemetry
-        if telemetry.enabled:
-            self._conn_gauge = telemetry.gateway_connections_gauge()
-            self._frames_in = telemetry.gateway_frames_counter("in")
-            self._frames_out = telemetry.gateway_frames_counter("out")
-            self._bytes_in = telemetry.gateway_bytes_counter("in")
-            self._bytes_out = telemetry.gateway_bytes_counter("out")
-            self._bp_counter = telemetry.gateway_backpressure_counter
-            self._error_counter = telemetry.gateway_frame_errors_counter()
-            self._admission_hist = telemetry.gateway_admission_histogram()
-            self._egress_write_hist = telemetry.gateway_egress_write_histogram()
-        else:
-            self._conn_gauge = None
-            self._frames_in = self._frames_out = None
-            self._bytes_in = self._bytes_out = None
-            self._bp_counter = None
-            self._error_counter = None
-            self._admission_hist = None
-            self._egress_write_hist = None
+        #: conn id -> the connection (anything with ``transport`` and ``write``)
+        self._writers: dict[str, _Connection] = {}
+        #: the receive buffer every connection reads into (module docstring)
+        self._recv_view = memoryview(bytearray(config.read_chunk_bytes))
+        telemetry = gateway.telemetry  # the disabled kind hands out None for each
+        self._conn_gauge = telemetry.gateway_connections_gauge()
+        self._frames_in = telemetry.gateway_frames_counter("in")
+        self._frames_out = telemetry.gateway_frames_counter("out")
+        self._bytes_in = telemetry.gateway_bytes_counter("in")
+        self._bytes_out = telemetry.gateway_bytes_counter("out")
+        self._bp_counter = telemetry.gateway_backpressure_counter if telemetry.enabled else None
+        self._error_counter = telemetry.gateway_frame_errors_counter()
+        self._assembly_hist = telemetry.gateway_frame_assembly_histogram()
+        self._admission_hist = telemetry.gateway_admission_histogram()
+        self._egress_write_hist = telemetry.gateway_egress_write_histogram()
         # observability independent of telemetry (bench + control plane)
         self.connections_served = 0
         self.frame_errors = 0
@@ -98,11 +180,10 @@ class DataPlane:
 
     async def start(self) -> None:
         """Bind the client-facing listener."""
-        self._server = await asyncio.start_server(
-            self._serve_connection,
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self),
             self._config.data_host,
             self._config.data_port,
-            limit=max(self._config.read_chunk_bytes, 1 << 16),
             backlog=self._config.listen_backlog,
         )
 
@@ -119,112 +200,80 @@ class DataPlane:
         return len(self._writers)
 
     async def stop(self) -> None:
-        """Close the listener and every open connection."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for writer in list(self._writers.values()):
-            writer.close()
-        self._writers.clear()
-
-    # -- per-connection read loop ---------------------------------------------------
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        conn_id = f"c{next(self._conn_ids)}"
-        self._writers[conn_id] = writer
-        self.connections_served += 1
-        if self._conn_gauge is not None:
-            self._conn_gauge.inc()
-        assembler = FrameAssembler(
-            max_frame_bytes=self._config.max_frame_bytes,
-            max_header_bytes=self._config.max_header_bytes,
-        )
-        gate = self._gateway.fault_gate
-        try:
-            while True:
-                await gate.wait_clear()
-                chunk = await reader.read(self._config.read_chunk_bytes)
-                if not chunk:
-                    return
-                if self._bytes_in is not None:
-                    self._bytes_in.inc(len(chunk))
-                try:
-                    messages = assembler.feed(chunk)
-                except MimeError as exc:
-                    self._count_error()
-                    writer.write(_error_frame(f"bad frame: {exc}"))
-                    return  # framing is lost; the finally clause closes
-                for message in messages:
-                    await self._ingest(conn_id, message, writer)
-        except (ConnectionResetError, BrokenPipeError):  # client vanished
+        """Close the listener and every connection; no pause task outlives it."""
+        server, self._server = self._server, None
+        if server is None:
             return
-        finally:
-            self._writers.pop(conn_id, None)
-            if self._conn_gauge is not None:
-                self._conn_gauge.dec()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
+        server.close()
+        connections = list(self._writers.values())
+        paused = [conn._paused for conn in connections if conn._paused is not None]
+        for conn in connections:
+            conn.transport.abort()  # connection_lost follows on the next turn
+        await asyncio.gather(asyncio.sleep(0), *paused, return_exceptions=True)
+        await server.wait_closed()
 
-    async def _ingest(
-        self, conn_id: str, message: MimeMessage, writer: asyncio.StreamWriter
-    ) -> None:
+    # -- admission (inside the read callback, or the pause task) ------------------------
+
+    def _ingest(self, conn: _Connection, message: MimeMessage) -> tuple | None:
+        """Route one frame and offer it; the park state if it has to wait."""
         admission_hist = self._admission_hist
-        if admission_hist is not None:
-            t0 = time.perf_counter()
-        if self._frames_in is not None:
-            self._frames_in.inc()
-        key = message.session
+        t0 = time.perf_counter() if admission_hist is not None else 0.0
+        headers = message.headers
+        key = headers.session  # derived here and nowhere else on the way in
         session = self._gateway.route(key) if key else None
         if session is None:
-            self.unrouted_frames += 1
-            self._count_error()
-            writer.write(_error_frame(f"no session {key!r} deployed"))
-            return
-        message.headers.set(CONNECTION_HEADER, conn_id)
+            self._refuse(conn, f"no session {key!r} deployed")
+            return None
+        headers.set(CONNECTION_HEADER, conn.conn_id)
         try:
-            ticket = session.offer(message)
+            ticket = session.offer(message, keyed=True)
         except QueueClosedError:
-            self.unrouted_frames += 1
-            self._count_error()
-            writer.write(_error_frame(f"session {key!r} is closed"))
-            return
-        if ticket.status in (ADMITTED, SHED):
-            if ticket.status == ADMITTED and admission_hist is not None:
+            self._refuse(conn, f"session {key!r} is closed")
+            return None
+        if ticket.status == ADMITTED:
+            if admission_hist is not None:
                 admission_hist.observe(time.perf_counter() - t0)
-            return
-        # park: this await IS the socket read pause — no further bytes are
-        # read from this connection until the session makes room or the
-        # budget expires
+            return None
+        if ticket.status == SHED:
+            return None
         if self._bp_counter is not None:
             self._bp_counter("parked").inc()
         session.stats.inc("parked")
+        return session, ticket, message, t0
+
+    async def _park(self, session, ticket, message: MimeMessage, t0: float) -> None:
+        """Re-probe a parked frame until it is admitted or its budget is spent."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self._config.park_timeout
-        while loop.time() < deadline:
-            await asyncio.sleep(self._config.park_poll_interval)
-            try:
-                ticket = session.retry(ticket, message)
-            except QueueClosedError:
-                self.unrouted_frames += 1
-                self._count_error()
-                return
-            if ticket.status in (ADMITTED, SHED):
-                if ticket.status == ADMITTED:
-                    if self._bp_counter is not None:
-                        self._bp_counter("resumed").inc()
-                    if admission_hist is not None:
-                        # the park wait is part of the admission latency
-                        admission_hist.observe(time.perf_counter() - t0)
-                return
+        try:
+            while loop.time() < deadline:
+                await asyncio.sleep(self._config.park_poll_interval)
+                try:
+                    ticket = session.retry(ticket, message)
+                except QueueClosedError:
+                    self.unrouted_frames += 1
+                    self._count_error()
+                    return
+                if ticket.status in (ADMITTED, SHED):
+                    if ticket.status == ADMITTED:
+                        if self._bp_counter is not None:
+                            self._bp_counter("resumed").inc()
+                        if self._admission_hist is not None:
+                            # the park wait is part of the admission latency
+                            self._admission_hist.observe(time.perf_counter() - t0)
+                    return
+        except asyncio.CancelledError:
+            # the connection went away mid-park: the frame still lands in the ledger
+            session.abandon(ticket, message)
+            raise
         session.abandon(ticket, message)
         if self._bp_counter is not None:
             self._bp_counter("shed").inc()
+
+    def _refuse(self, conn: _Connection, detail: str) -> None:
+        self.unrouted_frames += 1
+        self._count_error()
+        conn.write(_error_frame(detail))
 
     def _count_error(self) -> None:
         self.frame_errors += 1
@@ -234,22 +283,25 @@ class DataPlane:
     # -- egress (entered via call_soon_threadsafe from the pump thread) ----------------
 
     def egress_bridge(self, loop: asyncio.AbstractEventLoop):
-        """The pump's hand-over: one loop crossing per batch of frames."""
-
-        def bridge(frames: list) -> None:
-            # stamp on the pump thread so the measured egress-write latency
-            # includes the loop hop the handoff pays
-            loop.call_soon_threadsafe(self._write_batch, frames, time.perf_counter())
-
-        return bridge
+        """The pump's hand-over: one loop crossing per batch of frames, stamped on
+        the pump thread so the egress-write latency includes the loop hop."""
+        return lambda frames: loop.call_soon_threadsafe(
+            self._write_batch, frames, time.perf_counter()
+        )
 
     def _write_batch(self, frames: list, handoff_at: float | None = None) -> None:
-        """Write one pump cycle's ``(session, conn_id, frame)`` triples."""
+        """Write one pump cycle's ``(session, conn_id, frame)`` triples, a
+        ``frame`` being a ``(head, payload)`` pair or the wire bytes whole.
+
+        Per connection, runs of buffers under ``COALESCE_BELOW`` are joined
+        into one write and a larger one is written as the object it is.  A
+        connection already buffering ``max_conn_write_buffer`` bytes — its
+        transport's plus this batch's — has further frames dropped."""
         if handoff_at is not None and self._egress_write_hist is not None:
             self._egress_write_hist.observe(time.perf_counter() - handoff_at)
         limit = self._config.max_conn_write_buffer
-        size = 0
-        # conn_id -> [writer, bytes buffered incl. this batch, frames to write]
+        size = written = 0
+        # conn_id -> [writer, bytes buffered incl. this batch, buffers to write]
         queued: dict[str, list] = {}
         for session, conn_id, frame in frames:
             entry = queued.get(conn_id)
@@ -258,28 +310,27 @@ class DataPlane:
                 if writer is None or writer.transport.is_closing():
                     session.stats.inc("orphans")
                     continue
-                entry = queued[conn_id] = [
-                    writer, writer.transport.get_write_buffer_size(), []
-                ]
+                entry = queued[conn_id] = [writer, writer.transport.get_write_buffer_size(), []]
             if entry[1] > limit:
                 self.write_overflow_drops += 1
                 session.stats.inc("orphans")
                 continue
-            entry[1] += len(frame)
-            entry[2].append(frame)
-            size += len(frame)
-        written = 0
+            buffers = frame if frame.__class__ is tuple else (frame,)
+            nbytes = sum(map(len, buffers))
+            entry[2].extend(buffers)
+            entry[1] += nbytes
+            size += nbytes
+            written += 1
         for writer, _buffered, chunks in queued.values():
-            written += len(chunks)
             small: list[bytes] = []
-            for frame in chunks:
-                if len(frame) < COALESCE_BELOW:
-                    small.append(frame)
+            for chunk in chunks:
+                if len(chunk) < COALESCE_BELOW:
+                    small.append(chunk)
                     continue
                 if small:
                     writer.write(b"".join(small))
                     small = []
-                writer.write(frame)
+                writer.write(chunk)
             if small:
                 writer.write(b"".join(small))
         if written and self._frames_out is not None:

@@ -3,11 +3,12 @@
 :mod:`repro.faults` scripts link outages against the *emulated* wireless
 link; the gateway gives those same :class:`~repro.faults.plan.LinkFault`
 specs a second landing site — the real socket.  During an outage window
-no connection makes read progress: the data plane awaits
-:meth:`LinkOutageGate.wait_clear` before every read, so bytes pile up in
-kernel buffers exactly as they would on a dead radio link, and the
-recovery path (clients retrying, backpressure draining) is exercised
-end-to-end.
+no connection makes read progress: before every read the data plane asks
+:attr:`LinkOutageGate.blocked`, and a connection that finds the link down
+pauses its transport until :meth:`LinkOutageGate.wait_clear` returns, so
+bytes pile up in kernel buffers exactly as they would on a dead radio
+link, and the recovery path (clients retrying, backpressure draining) is
+exercised end-to-end.
 
 Time is measured from :meth:`start` (the gateway's start), matching the
 plan convention that ``at`` is relative to the run's origin.
@@ -23,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class LinkOutageGate:
-    """Blocks data-plane reads during scripted link-outage windows."""
+    """Tells the data plane when to hold its reads: scripted link-outage windows."""
 
     #: poll granularity while an outage is pending but not yet due
     _POLL = 0.05
@@ -34,6 +35,7 @@ class LinkOutageGate:
             outages = [f for f in plan.link_faults if f.kind == "outage"]
         self._outages = sorted(outages, key=lambda f: f.at)
         self._origin: float | None = None
+        self._clock = None
         if telemetry is not None and telemetry.enabled:
             self._counter = telemetry.gateway_outage_counter()
             self._recorder = telemetry.recorder
@@ -51,6 +53,14 @@ class LinkOutageGate:
         """Fix the plan's time origin to the loop's clock, once."""
         if self._origin is None:
             self._origin = loop.time()
+            self._clock = loop.time
+
+    @property
+    def blocked(self) -> bool:
+        """Whether an outage window covers the present moment."""
+        if not self._outages or self._clock is None:
+            return False
+        return self.blocked_for(self._clock()) > 0
 
     def blocked_for(self, now: float) -> float:
         """Seconds until the current outage (if any) clears; 0 when clear."""

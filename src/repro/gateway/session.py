@@ -9,18 +9,18 @@ boundary crossings the data plane needs:
   :meth:`~repro.runtime.message_queue.MessageQueue.try_post` fast path.
   The session is *bounded*: when its pool holds
   ``ingress_limit`` resident messages, offers report ``FULL`` and the
-  caller parks — which, because the caller is the connection's read task,
-  pauses socket reads and pushes the backpressure onto the client's TCP
-  window.  A park that outlives its budget is **shed** through
-  :meth:`~repro.runtime.stream.RuntimeStream.shed`, so the refusal lands
-  in the drop statistics and the conservation ledger stays balanced.
+  caller parks — which, because the caller is the connection the frame
+  came in on, pauses its socket reads and pushes the backpressure onto
+  the client's TCP window.  A park that outlives its budget is **shed**
+  through :meth:`~repro.runtime.stream.RuntimeStream.shed`, so the refusal
+  lands in the drop statistics and the conservation ledger stays balanced.
 * **egress** (runtime → event-loop thread): the session hooks a
   waiter onto its egress queues whose ``set()`` marks it *ready* on an
   :class:`EgressPump` — one thread for every session of a gateway.  A
   pump cycle collects every ready session, commits their counter deltas
   to the ledger with **one** flush, serialises off the event loop, and
-  hands the whole batch of ``(session, conn_id, frame bytes)`` to the
-  pump's ``bridge`` in one call.
+  hands the whole batch of ``(session, conn_id, (head, payload))`` to
+  the pump's ``bridge`` in one call.
 
 Who *steps* the stream is the composition's property, not the caller's.
 A **pump-stepped** session (``inline=True``) has no scheduler threads:
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import QueueClosedError
 from repro.mime.message import MimeMessage
-from repro.mime.wire import serialize_message
+from repro.mime.wire import serialize_parts
 from repro.runtime.stream import RuntimeStream
 from repro.store.ledger import NULL_LEDGER
 
@@ -152,7 +152,7 @@ class EgressPump:
 
     def __init__(self, *, wake_timeout: float = 0.05):
         #: ``bridge(frames)`` with ``frames`` a list of ``(session,
-        #: conn_id | None, frame_bytes)``; called from the pump thread
+        #: conn_id | None, (head, payload))``; called from the pump thread
         self.bridge = None
         #: exceptions contained inside cycles (see ``egress_fault`` events)
         self.faults = 0
@@ -277,7 +277,7 @@ class EgressPump:
         # an acked message is never unaccounted
         for ledger in ledgers:
             ledger.flush()
-        frames: list[tuple[GatewaySession, str | None, bytes]] = []
+        frames: list[tuple[GatewaySession, str | None, tuple[bytes, bytes]]] = []
         for session, delivered, picked in batches:
             try:
                 session._serialise(delivered, picked, frames)
@@ -402,13 +402,18 @@ class GatewaySession:
         """Whether the session is below its ingress bound."""
         return self.resident < self.ingress_limit
 
-    def offer(self, message: MimeMessage) -> OfferTicket:
-        """Try to admit one message without blocking; see module docstring."""
+    def offer(self, message: MimeMessage, *, keyed: bool = False) -> OfferTicket:
+        """Try to admit one message without blocking; see module docstring.
+
+        ``keyed`` says the caller found this session by the message's own
+        ``Content-Session`` (the data plane's door), so admission does not
+        derive the key a second time to see whether there is one.
+        """
         if self._closed:
             raise QueueClosedError(f"session {self.key} is closed")
         if not self.has_room():
             return OfferTicket(FULL)
-        return self._admit_and_post(message)
+        return self._admit_and_post(message, keyed)
 
     def retry(self, ticket: OfferTicket, message: MimeMessage) -> OfferTicket:
         """Advance a parked admission attempt one step."""
@@ -428,16 +433,20 @@ class GatewaySession:
         self.stats.inc("shed")
         return OfferTicket(SHED, ticket.msg_id, ticket.size)
 
-    def _admit_and_post(self, message: MimeMessage) -> OfferTicket:
+    def _admit_and_post(self, message: MimeMessage, keyed: bool = False) -> OfferTicket:
+        stamped = None
         if self._e2e_hist is not None:
             # the gateway's own stamp goes on before the stream sizes the
-            # message, so the size the ticket carries includes it
-            message.headers.set(INGRESS_HEADER, repr(time.perf_counter()))
-        return self._post(*self.stream.admit(message))
+            # message, so the size the ticket carries includes it; the
+            # ingress queue counts its wait from the same reading, so the
+            # attribution components start where the end-to-end clock does
+            stamped = time.perf_counter()
+            message.headers.set(INGRESS_HEADER, repr(stamped))
+        return self._post(*self.stream.admit(message, keyed=keyed), stamped)
 
-    def _post(self, msg_id: str, size: int) -> OfferTicket:
+    def _post(self, msg_id: str, size: int, stamped: float | None = None) -> OfferTicket:
         channel = self._ingress_channel()
-        outcome = channel.queue.try_post(msg_id, size)
+        outcome = channel.queue.try_post(msg_id, size, stamped)
         if outcome is True:
             self.stream.stats.inc("messages_in")
             self.stats.inc("frames_in")
@@ -543,7 +552,11 @@ class GatewaySession:
             pass
 
     def _serialise(self, delivered: list[MimeMessage], picked: float, out: list) -> None:
-        """Strip the gateway stamps, observe latency, append wire frames to ``out``."""
+        """Strip the gateway stamps, observe latency, append wire frames to ``out``.
+
+        A frame leaves as its ``(head, payload)`` pair: whether the two
+        are worth joining is the writer's call, which sees the whole batch.
+        """
         e2e_hist, delivery_hist = self._e2e_hist, self._delivery_hist
         for message in delivered:
             headers = message.headers
@@ -564,7 +577,7 @@ class GatewaySession:
                             # same instant as the e2e observation, so the
                             # component set sums to what e2e measures
                             delivery_hist.observe(now - picked)
-            out.append((self, conn_id, serialize_message(message)))
+            out.append((self, conn_id, serialize_parts(message)))
         self.stats.inc("frames_out", len(delivered))
 
     # -- lifecycle ----------------------------------------------------------------------

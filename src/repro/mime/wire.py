@@ -20,22 +20,21 @@ payload identity (structured payloads compare equal, not identical).
 ``Content-Length`` is *validated* before it is trusted: a missing,
 non-numeric, negative, or oversized declaration raises
 :class:`~repro.errors.MimeError` instead of hanging a reader or
-over-allocating a buffer.  The ceiling defaults to
-:data:`DEFAULT_MAX_FRAME_BYTES` and is configurable per call (and per
-:class:`FrameAssembler`), because a gateway accepting frames off a public
-socket wants a much tighter bound than an in-process round-trip test.
+over-allocating a buffer.  The ceiling (:data:`DEFAULT_MAX_FRAME_BYTES`)
+is configurable per call and per :class:`FrameAssembler`: a gateway on a
+public socket wants a tighter bound than an in-process round trip.
 
-:class:`FrameAssembler` is the streaming face of the format: feed it
-arbitrary byte chunks as they arrive off a socket and it yields each
-complete message exactly once, however the chunk boundaries fall.  It
-never copies a body until the whole frame is present, and it validates
-the declared length as soon as the header block is complete — a malformed
-frame is rejected before a single payload byte is buffered beyond the
-ceiling.
+:class:`FrameAssembler` is the streaming face of the format: it reads
+chunks where they lie (a reused receive buffer is fine) and copies a
+payload byte once on its way into the message, twice when the body
+straddles reads.  On the way out :func:`serialize_parts` renders
+``(head, payload)`` and :func:`serialize_message` is their join, so a
+writer that can issue two writes never copies the payload at all.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 
 import numpy as np
@@ -43,8 +42,7 @@ import numpy as np
 from repro.codecs.imagefmt import ImageRaster
 from repro.codecs.psdoc import PsDocument
 from repro.errors import MimeError
-from repro.mime.headers import CONTENT_LENGTH, CONTENT_TYPE, HeaderMap
-from repro.mime.mediatype import MediaType
+from repro.mime.headers import CONTENT_LENGTH, HeaderMap
 from repro.mime.message import MimeMessage
 from repro.util.ids import IdGenerator
 
@@ -52,6 +50,7 @@ PAYLOAD_KIND = "X-MobiGATE-Payload"
 _BOUNDARY_IDS = IdGenerator("mgbd")
 
 _HEADER_TERMINATOR = b"\n\n"
+_TERMINATOR_RE = re.compile(rb"\n\n")  # memoryviews have no ``find``
 
 #: default ceiling on one frame's declared payload (16 MiB): large enough
 #: for every workload in the repo, small enough that a hostile
@@ -62,8 +61,13 @@ DEFAULT_MAX_FRAME_BYTES = 16 * 1024 * 1024
 DEFAULT_MAX_HEADER_BYTES = 64 * 1024
 
 
-def _validated_length(headers: HeaderMap, max_length: int) -> int:
-    """The frame's Content-Length, or MimeError if it cannot be trusted."""
+def _parse_head(raw: bytes | bytearray | memoryview, max_length: int) -> tuple[HeaderMap, int]:
+    """A header block (less its terminator) as headers plus the frame's
+    Content-Length, or MimeError if either cannot be trusted."""
+    try:
+        headers = HeaderMap.parse(str(raw, "utf-8"))
+    except UnicodeDecodeError as exc:
+        raise MimeError(f"header block is not UTF-8: {exc}") from None
     length_raw = headers.get(CONTENT_LENGTH)
     if length_raw is None:
         raise MimeError("wire message lacks Content-Length")
@@ -77,7 +81,7 @@ def _validated_length(headers: HeaderMap, max_length: int) -> int:
         raise MimeError(
             f"Content-Length {length} exceeds the {max_length}-byte frame ceiling"
         )
-    return length
+    return headers, length
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +127,12 @@ _CODECS = {
 # ---------------------------------------------------------------------------
 
 
-def serialize_message(message: MimeMessage) -> bytes:
-    """Render a message (and its parts, recursively) to wire bytes.
+def serialize_parts(message: MimeMessage) -> tuple[bytes, bytes]:
+    """Render a message as ``(head, payload)``; the wire frame is their join.
 
-    The envelope is stamped on a copy — the boundary for a multipart
+    ``head`` is the header block with its blank-line terminator; a
+    ``bytes`` body *is* the payload, the same object.  The envelope is
+    stamped on a copy — the boundary for a multipart
     body, the payload kind, ``Content-Length`` — unless it already says
     all of that, in which case no copy is made and the header block comes
     off the header map's memo.
@@ -175,7 +181,12 @@ def serialize_message(message: MimeMessage) -> bytes:
         else:
             headers.set(PAYLOAD_KIND, kind)
         headers.set(CONTENT_LENGTH, length)
-    return b"".join((headers.encoded(), _HEADER_TERMINATOR, payload))
+    return headers.encoded() + _HEADER_TERMINATOR, payload
+
+
+def serialize_message(message: MimeMessage) -> bytes:
+    """Render a message (and its parts, recursively) to wire bytes."""
+    return b"".join(serialize_parts(message))
 
 
 def parse_message(
@@ -191,8 +202,7 @@ def parse_message(
     split_at = data.find(_HEADER_TERMINATOR)
     if split_at < 0:
         raise MimeError("wire message has no header terminator")
-    headers = HeaderMap.parse(data[:split_at].decode("utf-8"))
-    length = _validated_length(headers, max_frame_bytes)
+    headers, length = _parse_head(data[:split_at], max_frame_bytes)
     payload = data[split_at + len(_HEADER_TERMINATOR):]
     if len(payload) != length:
         raise MimeError(
@@ -238,36 +248,29 @@ def _build_message(headers: HeaderMap, payload: bytes) -> MimeMessage:
 class FrameAssembler:
     """Reassemble wire messages from an arbitrary chunking of the byte stream.
 
-    The gateway's data plane reads whatever the socket hands it; frame
-    boundaries land anywhere.  ``feed`` buffers the chunk and yields every
-    message that became complete, in order — the concatenation of all
-    ``feed`` results equals parsing the concatenated stream whole.
+    ``feed`` walks the chunk by offset and returns every message it
+    completed, in order — the concatenation of all ``feed`` results equals
+    parsing the concatenated stream whole, however the boundaries fall.
+    Between feeds it keeps only what a chunk left open: an unterminated
+    header tail, or the part of a body still short of its length; the
+    chunk itself may be overwritten as soon as ``feed`` returns.
 
-    Discipline for untrusted input:
-
-    * the header block is bounded (``max_header_bytes``); a stream that
-      never produces a terminator is rejected instead of buffered forever;
+    * The header block is bounded (``max_header_bytes``): a stream that
+      never produces a terminator is rejected, not buffered forever.
     * ``Content-Length`` is validated the moment the header block is
-      complete (see :func:`parse_message`), *before* payload bytes
-      accumulate against it;
-    * the payload is sliced out through one :class:`memoryview` copy when
-      the frame completes — no per-chunk body copies, no quadratic
-      re-concatenation.
+      complete (see :func:`parse_message`), *before* a body byte is kept.
+    * A body wholly inside one chunk is sliced out of it once; one that
+      straddles reads is gathered chunk by chunk and copied out once more.
+      Nothing is shifted; what is kept grows with the bytes received.
 
-    A raised :class:`MimeError` poisons the assembler (framing is lost);
-    the caller should close the connection and discard it.
+    A raised :class:`MimeError` poisons the assembler (framing is lost):
+    every later ``feed`` raises it again, and the caller should close the
+    connection.
     """
 
     __slots__ = (
-        "max_frame_bytes",
-        "max_header_bytes",
-        "_buf",
-        "_scan_from",
-        "_headers",
-        "_payload_at",
-        "_need",
-        "bytes_in",
-        "frames_out",
+        "max_frame_bytes", "max_header_bytes", "bytes_in", "frames_out",
+        "_head", "_headers", "_need", "_body", "_broken",
     )
 
     def __init__(
@@ -280,67 +283,81 @@ class FrameAssembler:
             raise ValueError("frame/header ceilings must be positive")
         self.max_frame_bytes = max_frame_bytes
         self.max_header_bytes = max_header_bytes
-        self._buf = bytearray()
-        self._scan_from = 0
+        self._head = bytearray()  # a header block still unterminated
+        # the frame whose body is arriving: parsed head, bytes lacking, bytes so far
         self._headers: HeaderMap | None = None
-        self._payload_at = 0
         self._need = 0
+        self._body = bytearray()
+        self._broken: str | None = None
         # observability (the gateway mirrors these into metrics)
         self.bytes_in = 0
         self.frames_out = 0
 
     @property
     def pending_bytes(self) -> int:
-        """Bytes buffered that do not yet form a complete frame."""
-        return len(self._buf)
+        """Bytes kept that do not yet form a complete frame."""
+        return len(self._head) + len(self._body)
 
     def feed(self, chunk: bytes | bytearray | memoryview) -> list[MimeMessage]:
-        """Buffer ``chunk``; return every message it completed (maybe none)."""
-        self._buf += chunk
-        self.bytes_in += len(chunk)
-        out: list[MimeMessage] = []
-        while True:
-            message = self._next_frame()
-            if message is None:
-                return out
-            out.append(message)
+        """Consume ``chunk``; return every message it completed (maybe none)."""
+        if self._broken is not None:
+            raise MimeError(self._broken)
+        try:
+            with memoryview(chunk) as view:
+                return self._consume(view, len(view))
+        except MimeError as exc:
+            self._broken = str(exc)  # not ``exc``: its traceback holds the view
+            raise
 
-    def _next_frame(self) -> MimeMessage | None:
-        buf = self._buf
-        if self._headers is None:
-            split_at = buf.find(_HEADER_TERMINATOR, self._scan_from)
-            if split_at < 0:
-                if len(buf) > self.max_header_bytes:
-                    raise MimeError(
-                        f"header block exceeds {self.max_header_bytes} bytes "
-                        "with no terminator"
-                    )
-                # the terminator may straddle the next chunk: back up one byte
-                self._scan_from = max(0, len(buf) - 1)
-                return None
-            if split_at > self.max_header_bytes:
-                raise MimeError(f"header block exceeds {self.max_header_bytes} bytes")
-            try:
-                text = bytes(memoryview(buf)[:split_at]).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise MimeError(f"header block is not UTF-8: {exc}") from None
-            headers = HeaderMap.parse(text)
-            # validate the declared length *now*, before buffering against it
-            self._need = _validated_length(headers, self.max_frame_bytes)
-            self._headers = headers
-            self._payload_at = split_at + len(_HEADER_TERMINATOR)
-        end = self._payload_at + self._need
-        if len(buf) < end:
-            return None
-        # one copy, exactly the body, via a zero-copy view of the buffer
-        payload = bytes(memoryview(buf)[self._payload_at:end])
-        headers = self._headers
-        self._headers = None
-        del buf[:end]
-        self._scan_from = 0
-        message = _build_message(headers, payload)
-        self.frames_out += 1
-        return message
+    def _consume(self, view: memoryview, n: int) -> list[MimeMessage]:
+        self.bytes_in += n
+        out: list[MimeMessage] = []
+        pos = 0
+        while True:
+            if self._headers is None:
+                pos = self._take_head(view, pos) if pos < n else -1
+                if pos < 0:
+                    return out  # nothing left, or a header block still open
+            need = self._need
+            if n - pos < need:
+                self._body += view[pos:]
+                self._need = need - (n - pos)
+                return out
+            if self._body:
+                self._body += view[pos : pos + need]
+                payload = bytes(self._body)
+                self._body = bytearray()
+            else:
+                payload = view[pos : pos + need].tobytes()  # the one copy
+            pos += need
+            headers, self._headers = self._headers, None
+            out.append(_build_message(headers, payload))
+            self.frames_out += 1
+
+    def _take_head(self, view: memoryview, pos: int) -> int:
+        """Parse the header block that starts, or continues, at ``pos``: the
+        offset of the first body byte, or -1 with the unterminated tail kept."""
+        limit, head, start = self.max_header_bytes, self._head, pos
+        if head and head[-1] == 0x0A and view[pos] == 0x0A:
+            head.pop()  # the terminator straddles the chunks
+            end, pos = pos, pos + 1
+        else:
+            found = _TERMINATOR_RE.search(view, pos, pos + limit + 2 - len(head))
+            if found is None:
+                head += view[pos : pos + limit + 1 - len(head)]
+                if len(head) > limit:
+                    raise MimeError(f"header block exceeds {limit} bytes")
+                return -1
+            end = found.start()
+            pos = end + 2
+        raw = view[start:end]
+        if head:
+            head += raw
+            raw = bytes(head)
+            head.clear()
+        # the declared length is validated *now*, before a byte is kept against it
+        self._headers, self._need = _parse_head(raw, self.max_frame_bytes)
+        return pos
 
 
 def _parse_multipart(payload: bytes, boundary: str) -> list[MimeMessage]:

@@ -632,6 +632,13 @@ class Telemetry:
             "Latency from egress collect() pickup to the delivery callback",
         ).unlabelled()  # type: ignore[return-value]
 
+    def gateway_frame_assembly_histogram(self) -> Histogram:
+        """First byte of a frame off the socket to the frame complete."""
+        return self.registry.histogram(
+            "mobigate_gateway_frame_assembly_seconds",
+            "Data-plane latency from a frame's first byte read to its last",
+        ).unlabelled()  # type: ignore[return-value]
+
     def gateway_admission_histogram(self) -> Histogram:
         """Socket-read to session-admission latency (park loop included)."""
         return self.registry.histogram(
@@ -854,6 +861,10 @@ class NullTelemetry(Telemetry):
         return None
 
     def gateway_delivery_histogram(self) -> None:  # type: ignore[override]
+        """No-op."""
+        return None
+
+    def gateway_frame_assembly_histogram(self) -> None:  # type: ignore[override]
         """No-op."""
         return None
 

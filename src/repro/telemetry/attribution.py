@@ -9,7 +9,11 @@ families into per-(stream, streamlet) summaries:
 ========================================  =====================================
 ``mobigate_hop_queue_wait_seconds``       queue-post → claim (fetch) per input
                                           channel of an instance — scheduling
-                                          plus backpressure delay
+                                          plus backpressure delay; a gateway
+                                          session's ingress channel counts from
+                                          the admission stamp, where the e2e
+                                          clock starts (sizing, pooling and
+                                          the post itself are in it)
 ``mobigate_hop_seconds``                  claim → step end: pool checkout +
                                           ``process()`` + trace bookkeeping
                                           (the **service** component)
@@ -21,6 +25,10 @@ families into per-(stream, streamlet) summaries:
 ``mobigate_gateway_e2e_seconds``          gateway admission → egress delivery
                                           (the decomposition's ground truth)
 ========================================  =====================================
+
+``mobigate_gateway_frame_assembly_seconds`` (first byte of a frame read →
+frame complete) is the socket side: it ends where the end-to-end clock
+starts, so :func:`summarize` lists it and :func:`decompose` leaves it out.
 
 Timestamps come from ``time.perf_counter`` at five points: queue-post,
 claim, step-start, step-end, egress-handoff.  Queue wait is measured for
@@ -49,6 +57,9 @@ HOP_SERVICE = "mobigate_hop_seconds"
 HOP_EGRESS = "mobigate_hop_egress_seconds"
 HOP_DELIVERY = "mobigate_hop_delivery_seconds"
 GATEWAY_E2E = "mobigate_gateway_e2e_seconds"
+#: the socket side, before admission: listed beside the table, outside
+#: the decomposition (the e2e clock starts at admission)
+GATEWAY_FRAME_ASSEMBLY = "mobigate_gateway_frame_assembly_seconds"
 
 _COMPONENTS = (
     ("queue_wait", HOP_QUEUE_WAIT),
@@ -83,10 +94,13 @@ def summarize(registry: MetricsRegistry, *, stream: str | None = None) -> dict:
     Filters to one stream when given.  This is what the gateway control
     plane's ``attribution`` verb returns — per-(stream, instance) queue
     wait and service rows, per-stream egress rows, plus the gateway
-    end-to-end histogram when the data plane recorded one.
+    end-to-end and frame-assembly histograms when the data plane
+    recorded them.
     """
     out: dict = {}
-    for component, family_name in _COMPONENTS + (("e2e", GATEWAY_E2E),):
+    for component, family_name in _COMPONENTS + (
+        ("e2e", GATEWAY_E2E), ("frame_assembly", GATEWAY_FRAME_ASSEMBLY),
+    ):
         rows = _histogram_rows(registry, family_name)
         if stream is not None:
             rows = [r for r in rows if r.get("stream", stream) == stream]

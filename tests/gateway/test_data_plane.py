@@ -1,11 +1,18 @@
 """End-to-end data-plane tests over real loopback sockets."""
 
+import asyncio
+import logging
 import socket
+import threading
 import time
 from dataclasses import replace
+from unittest.mock import Mock
 
+from repro.faults.invariant import check_conservation
 from repro.faults.plan import FaultPlan
 from repro.gateway import ERROR_HEADER, GatewayConfig, GatewayServer
+from repro.gateway.data_plane import _Connection
+from repro.mime.headers import HeaderMap
 from repro.mime.message import MimeMessage
 from repro.mime.wire import FrameAssembler, serialize_message
 from repro.streamlets.basic import REDIRECTOR_DEF, Redirector
@@ -267,3 +274,166 @@ class TestLinkOutage:
             assert time.monotonic() - begin >= 0.45
             assert gateway.fault_gate.stalls >= 1
             assert plan.link_faults[0].applied
+
+
+class TestLargeFrames:
+    def test_frames_larger_than_the_receive_buffer_echo_byte_for_byte(self):
+        config = GatewayConfig(read_chunk_bytes=4096)
+        with GatewayServer(config=config).run_in_thread() as handle:
+            key = deploy(handle)
+            client = WireClient(handle.data_address)
+            bodies = [bytes([i]) * 70_000 + b"tail-%d" % i for i in range(4)]
+            try:
+                for body in bodies:  # written back to back: frames share reads
+                    client.send(tagged(body, key))
+                assert [client.recv_frame().body for _ in bodies] == bodies
+            finally:
+                client.close()
+
+    def test_a_64k_frame_written_one_byte_per_send_still_echoes(self):
+        with GatewayServer().run_in_thread() as handle:
+            key = deploy(handle)
+            client = WireClient(handle.data_address, timeout=60.0)
+            client.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            body = bytes(range(256)) * 256
+            raw = serialize_message(tagged(body, key))
+            try:
+                for at in range(len(raw)):
+                    client.sock.send(raw[at : at + 1])
+                assert client.recv_frame().body == body
+            finally:
+                client.close()
+
+
+def settle_tasks() -> list:
+    """Pause tasks of data-plane connections alive on the running loop."""
+    return [t for t in asyncio.all_tasks() if "_Connection" in repr(t.get_coro())]
+
+
+class TestAbandonedPeers:
+    """ROADMAP item 8's cases that live on the connection object: however a
+    peer leaves, nothing of its connection is left behind."""
+
+    @staticmethod
+    async def gateway(**config):
+        gateway = GatewayServer(config=GatewayConfig(**config))
+        await gateway.start()
+        session = gateway.deploy(MCL, session_key="s")
+        return gateway, session
+
+    @staticmethod
+    async def closed(gateway, timeout=5.0):
+        deadline = asyncio.get_running_loop().time() + timeout
+        while gateway.data.open_connections:
+            assert asyncio.get_running_loop().time() < deadline, "connection never closed"
+            await asyncio.sleep(0.005)
+
+    @staticmethod
+    def nothing_left(gateway, stream, caplog):
+        assert gateway.data.open_connections == 0
+        assert gateway.data._conn_gauge.value == 0
+        assert settle_tasks() == []
+        assert check_conservation(stream).balanced
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
+
+    def test_disconnect_mid_header_and_mid_body(self, caplog):
+        async def scenario():
+            gateway, session = await self.gateway()
+            try:
+                whole = serialize_message(tagged(b"x" * 1000, "s"))
+                for cut in (17, whole.index(b"\n\n") + 2 + 10):  # mid-header, mid-body
+                    _reader, writer = await asyncio.open_connection(*gateway.data.address)
+                    writer.write(whole[:cut])
+                    await writer.drain()
+                    while gateway.data.open_connections == 0:
+                        await asyncio.sleep(0.005)
+                    writer.close()
+                    await self.closed(gateway)
+                assert gateway.data.connections_served == 2
+                assert session.stats.frames_in == 0 and gateway.data.frame_errors == 0
+                self.nothing_left(gateway, session.stream, caplog)
+            finally:
+                await gateway.stop()
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            asyncio.run(scenario())
+
+    def test_disconnect_while_a_frame_is_parked(self, caplog):
+        async def scenario():
+            gateway, session = await self.gateway(
+                session_ingress_limit=1, park_timeout=0.1, park_poll_interval=0.005
+            )
+            try:
+                gateway.raise_event("PAUSE", session_key="s")
+                _reader, writer = await asyncio.open_connection(*gateway.data.address)
+                for i in range(3):
+                    writer.write(serialize_message(tagged(b"m%d" % i, "s")))
+                await writer.drain()
+                while session.stats.parked == 0:
+                    await asyncio.sleep(0.005)
+                assert len(settle_tasks()) == 1
+                writer.close()
+                # a paused socket is not read, so the close is seen only once
+                # the park budgets are spent: both frames are shed, in order
+                await self.closed(gateway)
+                assert session.stats.shed == 2
+                report = check_conservation(session.stream)
+                assert (report.admitted, report.queue_drops, report.residual) == (3, 2, 1)
+                self.nothing_left(gateway, session.stream, caplog)
+            finally:
+                await gateway.stop()
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            asyncio.run(scenario())
+
+    def test_stop_with_a_parked_connection(self, caplog):
+        async def scenario():
+            gateway, session = await self.gateway(session_ingress_limit=1, park_timeout=60.0)
+            stream = session.stream
+            gateway.raise_event("PAUSE", session_key="s")
+            _reader, writer = await asyncio.open_connection(*gateway.data.address)
+            for i in range(3):
+                writer.write(serialize_message(tagged(b"m%d" % i, "s")))
+            await writer.drain()
+            while session.stats.parked == 0:
+                await asyncio.sleep(0.005)
+            assert len(settle_tasks()) == 1
+            await gateway.stop()  # must not wait out the park budget
+            # the frame that was parking is shed into the ledger, not forgotten
+            assert session.stats.shed == 1
+            report = check_conservation(stream)
+            assert (report.admitted, report.queue_drops, report.end_drops) == (2, 1, 1)
+            self.nothing_left(gateway, stream, caplog)
+            writer.close()
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            asyncio.run(scenario())
+
+
+class TestTheDoor:
+    def test_content_session_is_derived_once_per_frame(self, monkeypatch):
+        # routing reads the key; the gateway's two stamps then retire the
+        # header memo, and admission must not derive the key again just to
+        # learn that the frame names a session
+        derive, here, derived = HeaderMap.session.fget, threading.get_ident(), []
+
+        def counting(headers):
+            if "session" not in headers._memo and threading.get_ident() == here:
+                derived.append(headers)
+            return derive(headers)
+
+        monkeypatch.setattr(HeaderMap, "session", property(counting, HeaderMap.session.fset))
+        gateway = GatewayServer()  # never started: the callbacks are driven by hand
+        session = gateway.deploy(MCL, session_key="s")
+        try:
+            connection = _Connection(gateway.data)
+            connection.connection_made(Mock())
+            raw = serialize_message(tagged(b"x", "s")) * 3
+            gateway.data._recv_view[: len(raw)] = raw
+            derived.clear()
+            connection.buffer_updated(len(raw))
+            assert session.stats.frames_in == 3
+            assert len(derived) == 3
+            connection.connection_lost(None)
+        finally:
+            gateway.undeploy("s", record=False)

@@ -175,6 +175,40 @@ class TestWriteBatch:
         assert writer.writes[1] is large  # no copy
         assert session.stats.orphans == 0
 
+    def test_a_lone_large_frame_is_two_writes_and_its_payload_is_never_joined(self):
+        plane = data_plane()
+        writer = plane._writers["c1"] = FakeWriter()
+        session = FakeSession()
+        payload = b"P" * COALESCE_BELOW
+        plane._write_batch([(session, "c1", (b"head\n\n", payload))])
+        assert writer.writes == [b"head\n\n", payload]
+        assert writer.writes[1] is payload
+
+    def test_a_head_joins_the_small_frames_before_it_and_payloads_go_out_whole(self):
+        plane = data_plane()
+        writer = plane._writers["c1"] = FakeWriter()
+        session = FakeSession()
+        big, bigger = b"B" * COALESCE_BELOW, b"C" * (4 * COALESCE_BELOW)
+        plane._write_batch([
+            (session, "c1", (b"h1\n\n", b"small")),
+            (session, "c1", (b"h2\n\n", big)),
+            (session, "c1", (b"h3\n\n", bigger)),
+            (session, "c1", (b"h4\n\n", b"")),
+        ])
+        assert writer.writes == [b"h1\n\nsmallh2\n\n", big, b"h3\n\n", bigger, b"h4\n\n"]
+        assert writer.writes[1] is big and writer.writes[3] is bigger
+        assert session.stats.orphans == 0
+
+    def test_a_pair_counts_whole_against_the_write_buffer(self):
+        plane = data_plane(max_conn_write_buffer=100)
+        slow = plane._writers["c1"] = FakeWriter()
+        session = FakeSession()
+        frame = (b"h" * 10, b"p" * 50)
+        plane._write_batch([(session, "c1", frame)] * 4)
+        # 0 and 60 buffered admit a frame; 120 > 100 does not, twice
+        assert slow.writes == [b"".join(frame) * 2]
+        assert plane.write_overflow_drops == 2
+
 
 class TestLifecycle:
     def test_eight_sessions_share_one_pump_thread_and_stop_ends_it(self):

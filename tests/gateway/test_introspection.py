@@ -124,6 +124,9 @@ class TestVerbs:
             assert d["e2e_mean_seconds"] > 0.0
             assert d["coverage"] > 0.0
             assert reply["components"]["service"]["rows"]
+            # the socket side: first byte of a frame read -> frame complete
+            (assembly,) = reply["components"]["frame_assembly"]["rows"]
+            assert assembly["count"] >= 10 and assembly["sum_seconds"] > 0.0
 
     def test_attribution_disabled_and_unknown_session(self):
         with GatewayServer(telemetry=NULL_TELEMETRY).run_in_thread() as handle:

@@ -7,7 +7,7 @@ from repro.codecs.imagefmt import ImageRaster
 from repro.codecs.psdoc import PsDocument
 from repro.errors import MimeError
 from repro.mime.message import MimeMessage
-from repro.mime.wire import parse_message, serialize_message
+from repro.mime.wire import parse_message, serialize_message, serialize_parts
 from repro.workloads.content import (
     ps_page_message,
     synthetic_image_message,
@@ -101,10 +101,51 @@ class TestMultipart:
         assert out.content_type.param("boundary") is None
 
 
+class TestParts:
+    """``serialize_message`` is the join of ``serialize_parts``, for every payload kind."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: MimeMessage("application/octet-stream", bytes(range(256)) * 3, session="s-1"),
+            lambda: MimeMessage("text/plain", "héllo ünïcode"),
+            lambda: MimeMessage("text/plain", None),
+            lambda: MimeMessage("image/gif", ImageRaster.synthetic(12, 8, seed=3)),
+            lambda: synthetic_ps_message(paragraphs=1, seed=5),
+        ],
+        ids=["bytes", "str", "none", "raster", "psdoc"],
+    )
+    def test_head_plus_payload_is_the_frame(self, build):
+        message = build()
+        head, payload = serialize_parts(message)
+        assert head.endswith(b"\n\n") and b"\n\n" not in head[:-2]
+        assert type(head) is bytes and type(payload) is bytes
+        assert head + payload == serialize_message(message)
+        assert f"Content-Length: {len(payload)}".encode() in head
+
+    def test_multipart_parts(self):
+        # the boundary is generated per serialisation: compare through the parser
+        page = web_page_message(n_images=1, text_bytes=64, seed=10)
+        head, payload = serialize_parts(page)
+        rebuilt = parse_message(head + payload)
+        assert rebuilt.is_multipart and len(rebuilt.parts) == len(page.parts)
+        assert len(head + payload) == len(serialize_message(page))
+
+    def test_a_bytes_body_is_the_payload_itself(self):
+        message = MimeMessage("application/octet-stream", b"x" * 70_000)
+        assert serialize_parts(message)[1] is message.body
+        message.stamp_length()  # the envelope already says everything: same answer
+        assert serialize_parts(message)[1] is message.body
+
+
 class TestErrors:
     def test_no_terminator(self):
         with pytest.raises(MimeError):
             parse_message(b"Content-Type: text/plain")
+
+    def test_header_block_that_is_not_utf8(self):
+        with pytest.raises(MimeError, match="UTF-8"):
+            parse_message(b"Content-Type: text/plain\nX-Bad: \xff\xfe\nContent-Length: 0\n\n")
 
     def test_missing_content_type(self):
         with pytest.raises(MimeError):

@@ -111,3 +111,74 @@ def test_random_chunkings_of_a_frame_stream(messages, fractions):
     for got, want in zip(rebuilt, messages):
         assert _equivalent(got, want)
     assert asm.pending_bytes == 0
+
+
+# -- the receive-buffer contract -----------------------------------------------
+#
+# The data plane hands the kernel ONE buffer for every read of every
+# connection, so ``feed`` must take what it needs out of the chunk before it
+# returns: nothing it yields, and nothing it keeps for the next read, may
+# alias memory the caller is about to overwrite.
+
+
+class _ReusedBuffer:
+    """Feeds an assembler the way the data plane does, then scribbles."""
+
+    def __init__(self, asm: FrameAssembler, *, as_view: bool):
+        self.asm = asm
+        self.as_view = as_view
+        self.buffer = bytearray(64)
+
+    def feed(self, data: bytes) -> list[MimeMessage]:
+        buffer = self.buffer
+        if self.as_view:
+            if len(buffer) < len(data):
+                self.buffer = buffer = bytearray(len(data))
+            buffer[: len(data)] = data
+            with memoryview(buffer) as view:
+                messages = self.asm.feed(view[: len(data)])
+        else:
+            # resizing in place raises BufferError if a view of the
+            # previous chunk is still alive anywhere
+            buffer[:] = data
+            messages = self.asm.feed(buffer)
+        buffer[:] = b"\xff" * len(buffer)
+        return messages
+
+
+@pytest.mark.parametrize("as_view", [False, True], ids=["bytearray", "memoryview"])
+def test_every_split_of_two_frames_through_a_reused_buffer(as_view):
+    first, second = _plain_message(), _plain_message()
+    second.set_body(b"the second body\n\n" * 3)
+    second.headers.set("X-Probe", "v2")
+    raw = serialize_message(first) + serialize_message(second)
+    for cut in range(len(raw) + 1):  # mid-header and mid-body of either frame
+        feeder = _ReusedBuffer(FrameAssembler(), as_view=as_view)
+        messages = feeder.feed(raw[:cut]) + feeder.feed(raw[cut:])
+        assert [m.body for m in messages] == [first.body, second.body], f"cut at {cut}"
+        assert all(type(m.body) is bytes for m in messages)
+        assert [serialize_message(m) for m in messages] == [
+            serialize_message(first), serialize_message(second)
+        ], f"cut at {cut}"
+        assert feeder.asm.pending_bytes == 0
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(_big_messages, min_size=1, max_size=3),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=12),
+    st.booleans(),
+)
+def test_random_chunkings_through_a_reused_buffer(messages, fractions, as_view):
+    raw = b"".join(serialize_message(m) for m in messages)
+    cuts = sorted(int(f * len(raw)) for f in fractions)
+    bounds = [0, *cuts, len(raw)]
+    feeder = _ReusedBuffer(FrameAssembler(), as_view=as_view)
+    rebuilt = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        rebuilt += feeder.feed(raw[lo:hi])
+    assert len(rebuilt) == len(messages)
+    for got, want in zip(rebuilt, messages):  # in order
+        assert _equivalent(got, want)
+    assert feeder.asm.pending_bytes == 0
+    assert feeder.asm.bytes_in == len(raw) and feeder.asm.frames_out == len(messages)
