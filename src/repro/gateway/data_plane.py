@@ -24,12 +24,11 @@ buffered here beyond the bounded session.  A scripted link outage is the
 same pause.  Losing the connection cancels the task, and the frame it
 was parking is shed into the ledger, not forgotten.
 
-Egress crosses from the pump thread to the loop once per cycle
-(:meth:`DataPlane.egress_bridge`) and :meth:`DataPlane._write_batch`
-writes each connection's share.  A framing error poisons the connection:
-one ``text/plain`` frame carrying ``X-MobiGATE-Error``, then the socket
-closes; a frame for a session that is not deployed gets the same answer
-on a connection that stays open.  More in ``docs/gateway.md``.
+Egress crosses from the pump thread once per cycle
+(:meth:`DataPlane.egress_bridge` → :meth:`DataPlane._write_batch`).  A
+framing error gets one ``X-MobiGATE-Error`` frame and a closed socket; a
+frame for an undeployed session the same frame on an open one
+(``docs/gateway.md``).
 """
 
 from __future__ import annotations

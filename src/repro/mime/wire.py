@@ -251,21 +251,16 @@ class FrameAssembler:
     ``feed`` walks the chunk by offset and returns every message it
     completed, in order — the concatenation of all ``feed`` results equals
     parsing the concatenated stream whole, however the boundaries fall.
-    Between feeds it keeps only what a chunk left open: an unterminated
-    header tail, or the part of a body still short of its length; the
-    chunk itself may be overwritten as soon as ``feed`` returns.
-
-    * The header block is bounded (``max_header_bytes``): a stream that
-      never produces a terminator is rejected, not buffered forever.
-    * ``Content-Length`` is validated the moment the header block is
-      complete (see :func:`parse_message`), *before* a body byte is kept.
-    * A body wholly inside one chunk is sliced out of it once; one that
-      straddles reads is gathered chunk by chunk and copied out once more.
-      Nothing is shifted; what is kept grows with the bytes received.
+    Between feeds it keeps only what a chunk left open (an unterminated
+    header tail, or the part of a body still short of its length); the
+    chunk itself may be overwritten as soon as ``feed`` returns.  The
+    header block is bounded (``max_header_bytes``), ``Content-Length`` is
+    validated the moment the header block is complete and before a body
+    byte is kept, a body inside one chunk is copied out of it once and one
+    that straddles reads once more; nothing is ever shifted.
 
     A raised :class:`MimeError` poisons the assembler (framing is lost):
-    every later ``feed`` raises it again, and the caller should close the
-    connection.
+    every later ``feed`` raises it again; close the connection.
     """
 
     __slots__ = (
