@@ -46,8 +46,10 @@ class GatewayConfig:
 
     #: size of the data plane's receive buffer, hence the most one
     #: ``recv_into`` can return.  One buffer serves every connection, so
-    #: the size costs memory once; at four 64 KB frames most large frames
-    #: arrive whole in a read and are copied once, not gathered from two
+    #: the size costs memory once.  A frame that lies whole inside a read
+    #: is copied once and one the read cuts is gathered from two, so the
+    #: buffer holds several frames of tens of kilobytes; 64 KB against
+    #: 256 KB is measured in docs/performance.md ("The socket boundary")
     read_chunk_bytes: int = 256 * 1024
     #: egress frames aimed at a connection whose transport already buffers
     #: this much are dropped (slow-reader protection)

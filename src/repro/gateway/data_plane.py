@@ -2,9 +2,7 @@
 
 One ``loop.create_server`` listener, one :class:`asyncio.BufferedProtocol`
 object per connection, no task on the fast path.  The kernel fills the
-plane's one receive buffer (``read_chunk_bytes``; the loop runs one read
-callback at a time and the assembler keeps no reference into the buffer,
-so every connection reads into the same one) and each frame the read
+plane's receive buffer (``read_chunk_bytes``) and each frame the read
 completes is admitted inside that callback::
 
     recv_into ──► FrameAssembler.feed ──► route by Content-Session
@@ -13,22 +11,21 @@ completes is admitted inside that callback::
                         ▼                           ▼
                   stream ingress            park: pause_reading(); one task
                                             re-probes until room or the park
-                                            budget expires (──► shed into the
-                                            drop ledger), settles the frames
-                                            assembled behind it in order,
-                                            then resume_reading()
+                                            budget is spent (──► shed into the
+                                            drop ledger), offers the frames read
+                                            behind it, then resume_reading()
 
 A parked connection is not read, so a saturated session freezes exactly
 the sockets feeding it: the client's TCP window closes, and nothing is
 buffered here beyond the bounded session.  A scripted link outage is the
-same pause.  Losing the connection cancels the task, and the frame it
-was parking is shed into the ledger, not forgotten.
+same pause.  Every connection reads into the one buffer: a selector loop
+runs ``get_buffer``, ``recv_into`` and ``buffer_updated`` back to back
+and the assembler keeps no reference into the chunk (a proactor loop
+posts its reads ahead, so :meth:`DataPlane.start` refuses one).
 
-Egress crosses from the pump thread once per cycle
-(:meth:`DataPlane.egress_bridge` → :meth:`DataPlane._write_batch`).  A
+Egress crosses from the pump thread once per cycle (``_write_batch``).  A
 framing error gets one ``X-MobiGATE-Error`` frame and a closed socket; a
-frame for an undeployed session the same frame on an open one
-(``docs/gateway.md``).
+frame for an undeployed session the same frame on an open one.
 """
 
 from __future__ import annotations
@@ -36,6 +33,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import time
+from collections.abc import Iterator
 
 from repro.errors import MimeError, QueueClosedError
 from repro.gateway.config import GatewayConfig
@@ -82,17 +80,14 @@ class _Connection(asyncio.BufferedProtocol):
         plane.connections_served += 1
         if plane._conn_gauge is not None:
             plane._conn_gauge.inc()
-        if plane._gateway.fault_gate.blocked:
-            self._pause(None, [])
+        self._admit([])  # nothing to offer yet, but the link may be down
 
     def get_buffer(self, sizehint: int) -> memoryview:
         return self._plane._recv_view
 
     def buffer_updated(self, nbytes: int) -> None:
         plane = self._plane
-        timed = plane._assembly_hist
-        if timed is not None:
-            now = time.perf_counter()
+        read_at = time.perf_counter() if plane._assembly_hist is not None else None
         try:
             messages = self._assembler.feed(plane._recv_view[:nbytes])
         except MimeError as exc:
@@ -100,22 +95,15 @@ class _Connection(asyncio.BufferedProtocol):
             self.write(_error_frame(f"bad frame: {exc}"))
             self.transport.close()  # framing is lost
             return
-        if timed is not None:  # telemetry is on
-            done = time.perf_counter()
-            first = self._frame_started or now
+        if read_at is not None:  # telemetry is on
+            done, first = time.perf_counter(), self._frame_started or read_at
             for _ in messages:
-                timed.observe(done - first)
-                first = now  # the later frames of a read began in it
+                plane._assembly_hist.observe(done - first)
+                first = read_at  # the later frames of a read began in it
             self._frame_started = first if self._assembler.pending_bytes else None
             plane._bytes_in.inc(nbytes)
             plane._frames_in.inc(len(messages))
-        for at, message in enumerate(messages, 1):
-            parked = plane._ingest(self, message)
-            if parked is not None:
-                self._pause(parked, messages[at:])
-                return
-        if plane._gateway.fault_gate.blocked:
-            self._pause(None, [])
+        self._admit(messages)
 
     def connection_lost(self, exc: Exception | None) -> None:
         plane = self._plane
@@ -125,23 +113,59 @@ class _Connection(asyncio.BufferedProtocol):
         if self._paused is not None:
             self._paused.cancel()
 
-    def _pause(self, parked: tuple | None, backlog: list[MimeMessage]) -> None:
-        self.transport.pause_reading()
-        self._paused = asyncio.get_running_loop().create_task(self._settle(parked, backlog))
+    def _admit(self, messages: list[MimeMessage]) -> None:
+        """Offer what a read completed; pause reads behind a frame that has
+        to park, or while the link is down."""
+        plane, frames = self._plane, iter(messages)
+        parked = plane._ingest(self, frames)
+        if parked is not None or plane._gateway.fault_gate.blocked:
+            self.transport.pause_reading()
+            self._paused = asyncio.get_running_loop().create_task(self._settle(parked, frames))
 
-    async def _settle(self, parked: tuple | None, backlog: list[MimeMessage]) -> None:
-        """Reads are paused while this runs: the parked frame, then the
-        frames assembled behind it in arrival order, then any outage."""
-        plane = self._plane
-        backlog.reverse()
+    async def _settle(self, parked: tuple | None, frames: Iterator[MimeMessage]) -> None:
+        """Reads are paused while this runs: the parked frame is re-probed
+        until admitted or its budget is spent (then shed), the ``frames``
+        read behind it are offered in order, an outage is sat out.  Once the
+        connection is lost (a cancel) nothing waits: what is not admitted at
+        once is shed, so every frame read is in the stream or its ledger."""
+        plane, loop = self._plane, asyncio.get_running_loop()
+        config, bp = plane._config, plane._bp_counter
+        gone: asyncio.CancelledError | None = None
         try:
             while parked is not None:
-                await plane._park(*parked)
-                parked = None
-                while backlog and parked is None:
-                    parked = plane._ingest(self, backlog.pop())
+                session, ticket, message, t0 = parked
+                deadline = loop.time() + config.park_timeout
+                while ticket.status not in (ADMITTED, SHED):
+                    if gone is not None or loop.time() >= deadline:
+                        ticket = session.abandon(ticket, message)
+                        if bp is not None:
+                            bp("shed").inc()
+                        break
+                    try:
+                        await asyncio.sleep(config.park_poll_interval)
+                        ticket = session.retry(ticket, message)
+                    except asyncio.CancelledError as exc:
+                        gone = exc
+                    except QueueClosedError:
+                        plane.unrouted_frames += 1
+                        plane._count_error()
+                        break
+                if ticket.status == ADMITTED:
+                    if bp is not None:
+                        bp("resumed").inc()
+                    if plane._admission_hist is not None:
+                        # the park wait is part of the admission latency
+                        plane._admission_hist.observe(time.perf_counter() - t0)
+                parked = plane._ingest(self, frames)
+            if gone is not None:
+                raise gone
             await plane._gateway.fault_gate.wait_clear()
             self.transport.resume_reading()
+        except Exception as exc:  # a connection nobody reads must not stay open
+            loop.call_exception_handler(
+                {"message": "settling a paused connection failed", "exception": exc}
+            )
+            self.transport.abort()
         finally:
             self._paused = None
 
@@ -156,7 +180,7 @@ class DataPlane:
         self._conn_ids = itertools.count(1)
         #: conn id -> the connection (anything with ``transport`` and ``write``)
         self._writers: dict[str, _Connection] = {}
-        #: the receive buffer every connection reads into (module docstring)
+        #: what every connection reads into (module docstring)
         self._recv_view = memoryview(bytearray(config.read_chunk_bytes))
         telemetry = gateway.telemetry  # the disabled kind hands out None for each
         self._conn_gauge = telemetry.gateway_connections_gauge()
@@ -179,7 +203,10 @@ class DataPlane:
 
     async def start(self) -> None:
         """Bind the client-facing listener."""
-        self._server = await asyncio.get_running_loop().create_server(
+        loop = asyncio.get_running_loop()
+        if not isinstance(loop, asyncio.SelectorEventLoop):
+            raise RuntimeError("the data plane's shared receive buffer needs a selector loop")
+        self._server = await loop.create_server(
             lambda: _Connection(self),
             self._config.data_host,
             self._config.data_port,
@@ -211,63 +238,35 @@ class DataPlane:
         await asyncio.gather(asyncio.sleep(0), *paused, return_exceptions=True)
         await server.wait_closed()
 
-    # -- admission (inside the read callback, or the pause task) ------------------------
+    # -- admission (inside the read callback, or the pause task) -----------------------
 
-    def _ingest(self, conn: _Connection, message: MimeMessage) -> tuple | None:
-        """Route one frame and offer it; the park state if it has to wait."""
+    def _ingest(self, conn: _Connection, frames: Iterator[MimeMessage]) -> tuple | None:
+        """Route and offer ``frames`` in order up to the first that has to
+        wait: its park state, with ``frames`` left just behind it."""
         admission_hist = self._admission_hist
-        t0 = time.perf_counter() if admission_hist is not None else 0.0
-        headers = message.headers
-        key = headers.session  # derived here and nowhere else on the way in
-        session = self._gateway.route(key) if key else None
-        if session is None:
-            self._refuse(conn, f"no session {key!r} deployed")
-            return None
-        headers.set(CONNECTION_HEADER, conn.conn_id)
-        try:
-            ticket = session.offer(message, keyed=True)
-        except QueueClosedError:
-            self._refuse(conn, f"session {key!r} is closed")
-            return None
-        if ticket.status == ADMITTED:
-            if admission_hist is not None:
-                admission_hist.observe(time.perf_counter() - t0)
-            return None
-        if ticket.status == SHED:
-            return None
-        if self._bp_counter is not None:
-            self._bp_counter("parked").inc()
-        session.stats.inc("parked")
-        return session, ticket, message, t0
-
-    async def _park(self, session, ticket, message: MimeMessage, t0: float) -> None:
-        """Re-probe a parked frame until it is admitted or its budget is spent."""
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self._config.park_timeout
-        try:
-            while loop.time() < deadline:
-                await asyncio.sleep(self._config.park_poll_interval)
-                try:
-                    ticket = session.retry(ticket, message)
-                except QueueClosedError:
-                    self.unrouted_frames += 1
-                    self._count_error()
-                    return
-                if ticket.status in (ADMITTED, SHED):
-                    if ticket.status == ADMITTED:
-                        if self._bp_counter is not None:
-                            self._bp_counter("resumed").inc()
-                        if self._admission_hist is not None:
-                            # the park wait is part of the admission latency
-                            self._admission_hist.observe(time.perf_counter() - t0)
-                    return
-        except asyncio.CancelledError:
-            # the connection went away mid-park: the frame still lands in the ledger
-            session.abandon(ticket, message)
-            raise
-        session.abandon(ticket, message)
-        if self._bp_counter is not None:
-            self._bp_counter("shed").inc()
+        for message in frames:
+            t0 = time.perf_counter() if admission_hist is not None else 0.0
+            headers = message.headers
+            key = headers.session  # the stamps that follow carry the derived key over
+            session = self._gateway.route(key) if key else None
+            if session is None:
+                self._refuse(conn, f"no session {key!r} deployed")
+                continue
+            headers.set(CONNECTION_HEADER, conn.conn_id)
+            try:
+                ticket = session.offer(message)
+            except QueueClosedError:
+                self._refuse(conn, f"session {key!r} is closed")
+                continue
+            if ticket.status == ADMITTED:
+                if admission_hist is not None:
+                    admission_hist.observe(time.perf_counter() - t0)
+            elif ticket.status != SHED:
+                if self._bp_counter is not None:
+                    self._bp_counter("parked").inc()
+                session.stats.inc("parked")
+                return session, ticket, message, t0
+        return None
 
     def _refuse(self, conn: _Connection, detail: str) -> None:
         self.unrouted_frames += 1
@@ -291,11 +290,10 @@ class DataPlane:
     def _write_batch(self, frames: list, handoff_at: float | None = None) -> None:
         """Write one pump cycle's ``(session, conn_id, frame)`` triples, a
         ``frame`` being a ``(head, payload)`` pair or the wire bytes whole.
-
         Per connection, runs of buffers under ``COALESCE_BELOW`` are joined
-        into one write and a larger one is written as the object it is.  A
-        connection already buffering ``max_conn_write_buffer`` bytes — its
-        transport's plus this batch's — has further frames dropped."""
+        into one write; a connection already buffering
+        ``max_conn_write_buffer`` bytes — its transport's plus this
+        batch's — has further frames dropped."""
         if handoff_at is not None and self._egress_write_hist is not None:
             self._egress_write_hist.observe(time.perf_counter() - handoff_at)
         limit = self._config.max_conn_write_buffer
@@ -321,17 +319,12 @@ class DataPlane:
             size += nbytes
             written += 1
         for writer, _buffered, chunks in queued.values():
-            small: list[bytes] = []
-            for chunk in chunks:
-                if len(chunk) < COALESCE_BELOW:
-                    small.append(chunk)
-                    continue
-                if small:
-                    writer.write(b"".join(small))
-                    small = []
-                writer.write(chunk)
-            if small:
-                writer.write(b"".join(small))
+            for large, run in itertools.groupby(chunks, lambda c: len(c) >= COALESCE_BELOW):
+                if large:
+                    for chunk in run:
+                        writer.write(chunk)  # the object itself: no copy here
+                else:
+                    writer.write(b"".join(run))
         if written and self._frames_out is not None:
             self._frames_out.inc(written)
             self._bytes_out.inc(size)

@@ -402,18 +402,13 @@ class GatewaySession:
         """Whether the session is below its ingress bound."""
         return self.resident < self.ingress_limit
 
-    def offer(self, message: MimeMessage, *, keyed: bool = False) -> OfferTicket:
-        """Try to admit one message without blocking; see module docstring.
-
-        ``keyed`` says the caller found this session by the message's own
-        ``Content-Session`` (the data plane's door), so admission does not
-        derive the key a second time to see whether there is one.
-        """
+    def offer(self, message: MimeMessage) -> OfferTicket:
+        """Try to admit one message without blocking; see module docstring."""
         if self._closed:
             raise QueueClosedError(f"session {self.key} is closed")
         if not self.has_room():
             return OfferTicket(FULL)
-        return self._admit_and_post(message, keyed)
+        return self._admit_and_post(message)
 
     def retry(self, ticket: OfferTicket, message: MimeMessage) -> OfferTicket:
         """Advance a parked admission attempt one step."""
@@ -433,20 +428,16 @@ class GatewaySession:
         self.stats.inc("shed")
         return OfferTicket(SHED, ticket.msg_id, ticket.size)
 
-    def _admit_and_post(self, message: MimeMessage, keyed: bool = False) -> OfferTicket:
-        stamped = None
+    def _admit_and_post(self, message: MimeMessage) -> OfferTicket:
         if self._e2e_hist is not None:
             # the gateway's own stamp goes on before the stream sizes the
-            # message, so the size the ticket carries includes it; the
-            # ingress queue counts its wait from the same reading, so the
-            # attribution components start where the end-to-end clock does
-            stamped = time.perf_counter()
-            message.headers.set(INGRESS_HEADER, repr(stamped))
-        return self._post(*self.stream.admit(message, keyed=keyed), stamped)
+            # message, so the size the ticket carries includes it
+            message.headers.set(INGRESS_HEADER, repr(time.perf_counter()))
+        return self._post(*self.stream.admit(message))
 
-    def _post(self, msg_id: str, size: int, stamped: float | None = None) -> OfferTicket:
+    def _post(self, msg_id: str, size: int) -> OfferTicket:
         channel = self._ingress_channel()
-        outcome = channel.queue.try_post(msg_id, size, stamped)
+        outcome = channel.queue.try_post(msg_id, size)
         if outcome is True:
             self.stream.stats.inc("messages_in")
             self.stats.inc("frames_in")

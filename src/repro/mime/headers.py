@@ -42,6 +42,7 @@ _PEER_SEPARATOR = ","
 _TRACE_SEPARATOR = ";"
 _SESSION_PARAM_SEPARATOR = ";"
 _EPOCH_PARAM = "epoch="
+_SESSION_KEY = CONTENT_SESSION.lower()
 
 
 class HeaderMap:
@@ -60,7 +61,11 @@ class HeaderMap:
     takes its reference to the memo before it looks at the fields, so one
     that races a writer can only file a stale value in the dict the writer
     is discarding: once a mutator has returned, no view can return what it
-    was before.  ``copy()`` starts its copy with an empty memo.
+    was before.  The fresh dict is empty but for one entry: ``set`` of a
+    field other than ``Content-Session`` carries a derived ``session``
+    over, since that write cannot have changed it (writers are never
+    concurrent with each other — a message has one holder at a time).
+    ``copy()`` starts its copy with an empty memo.
     """
 
     __slots__ = ("_fields", "_memo")
@@ -96,7 +101,13 @@ class HeaderMap:
         if "\n" in value or "\r" in value:
             raise HeaderError(f"header value may not contain newlines: {value!r}")
         self._fields[key] = (name, value)
-        self._memo = {}
+        memo = self._memo
+        if key != _SESSION_KEY and "session" in memo:
+            # a write to another field cannot have changed it, and a message
+            # is routed by its session before it is stamped and admitted
+            self._memo = {"session": memo["session"]}
+        else:
+            self._memo = {}
 
     def get(self, name: str, default: str | None = None) -> str | None:
         """The field value, or ``default`` when absent."""

@@ -26,10 +26,10 @@ public socket wants a tighter bound than an in-process round trip.
 
 :class:`FrameAssembler` is the streaming face of the format: it reads
 chunks where they lie (a reused receive buffer is fine) and copies a
-payload byte once on its way into the message, twice when the body
-straddles reads.  On the way out :func:`serialize_parts` renders
-``(head, payload)`` and :func:`serialize_message` is their join, so a
-writer that can issue two writes never copies the payload at all.
+payload byte once, twice when the body straddles reads.  On the way out
+:func:`serialize_parts` renders ``(head, payload)`` and
+:func:`serialize_message` is their join, so a writer that can issue two
+writes never copies the payload at all.
 """
 
 from __future__ import annotations
@@ -131,11 +131,10 @@ def serialize_parts(message: MimeMessage) -> tuple[bytes, bytes]:
     """Render a message as ``(head, payload)``; the wire frame is their join.
 
     ``head`` is the header block with its blank-line terminator; a
-    ``bytes`` body *is* the payload, the same object.  The envelope is
-    stamped on a copy — the boundary for a multipart
-    body, the payload kind, ``Content-Length`` — unless it already says
-    all of that, in which case no copy is made and the header block comes
-    off the header map's memo.
+    ``bytes`` body *is* the payload, the same object.  The envelope —
+    multipart boundary, payload kind, ``Content-Length`` — is stamped on a
+    copy, unless it already says all of that: then no copy is made and
+    the header block comes off the header map's memo.
     """
     headers = message.headers
     body = message.body
@@ -252,12 +251,12 @@ class FrameAssembler:
     completed, in order — the concatenation of all ``feed`` results equals
     parsing the concatenated stream whole, however the boundaries fall.
     Between feeds it keeps only what a chunk left open (an unterminated
-    header tail, or the part of a body still short of its length); the
-    chunk itself may be overwritten as soon as ``feed`` returns.  The
-    header block is bounded (``max_header_bytes``), ``Content-Length`` is
-    validated the moment the header block is complete and before a body
-    byte is kept, a body inside one chunk is copied out of it once and one
-    that straddles reads once more; nothing is ever shifted.
+    header tail, or the part of a body still short of its length), so the
+    chunk may be overwritten as soon as ``feed`` returns.  The header block
+    is bounded (``max_header_bytes``); ``Content-Length`` is validated the
+    moment the block is complete, before a body byte is kept; a body inside
+    one chunk is copied out of it once and one that straddles reads once
+    more; nothing is ever shifted.
 
     A raised :class:`MimeError` poisons the assembler (framing is lost):
     every later ``feed`` raises it again; close the connection.
@@ -265,7 +264,7 @@ class FrameAssembler:
 
     __slots__ = (
         "max_frame_bytes", "max_header_bytes", "bytes_in", "frames_out",
-        "_head", "_headers", "_need", "_body", "_broken",
+        "_kept", "_headers", "_need", "_broken",
     )
 
     def __init__(
@@ -278,11 +277,11 @@ class FrameAssembler:
             raise ValueError("frame/header ceilings must be positive")
         self.max_frame_bytes = max_frame_bytes
         self.max_header_bytes = max_header_bytes
-        self._head = bytearray()  # a header block still unterminated
-        # the frame whose body is arriving: parsed head, bytes lacking, bytes so far
+        #: the open frame: its header tail while ``_headers`` is None, from
+        #: then on the body bytes so far, ``_need`` more to come
+        self._kept = bytearray()
         self._headers: HeaderMap | None = None
         self._need = 0
-        self._body = bytearray()
         self._broken: str | None = None
         # observability (the gateway mirrors these into metrics)
         self.bytes_in = 0
@@ -291,7 +290,7 @@ class FrameAssembler:
     @property
     def pending_bytes(self) -> int:
         """Bytes kept that do not yet form a complete frame."""
-        return len(self._head) + len(self._body)
+        return len(self._kept)
 
     def feed(self, chunk: bytes | bytearray | memoryview) -> list[MimeMessage]:
         """Consume ``chunk``; return every message it completed (maybe none)."""
@@ -315,13 +314,13 @@ class FrameAssembler:
                     return out  # nothing left, or a header block still open
             need = self._need
             if n - pos < need:
-                self._body += view[pos:]
+                self._kept += view[pos:]
                 self._need = need - (n - pos)
                 return out
-            if self._body:
-                self._body += view[pos : pos + need]
-                payload = bytes(self._body)
-                self._body = bytearray()
+            if self._kept:
+                self._kept += view[pos : pos + need]
+                payload = bytes(self._kept)
+                self._kept.clear()
             else:
                 payload = view[pos : pos + need].tobytes()  # the one copy
             pos += need
@@ -332,7 +331,7 @@ class FrameAssembler:
     def _take_head(self, view: memoryview, pos: int) -> int:
         """Parse the header block that starts, or continues, at ``pos``: the
         offset of the first body byte, or -1 with the unterminated tail kept."""
-        limit, head, start = self.max_header_bytes, self._head, pos
+        limit, head, start = self.max_header_bytes, self._kept, pos
         if head and head[-1] == 0x0A and view[pos] == 0x0A:
             head.pop()  # the terminator straddles the chunks
             end, pos = pos, pos + 1
@@ -343,8 +342,7 @@ class FrameAssembler:
                 if len(head) > limit:
                     raise MimeError(f"header block exceeds {limit} bytes")
                 return -1
-            end = found.start()
-            pos = end + 2
+            end, pos = found.start(), found.end()
         raw = view[start:end]
         if head:
             head += raw

@@ -235,7 +235,7 @@ class MessageQueue:
             self._signal_waiters()
             return True
 
-    def try_post(self, msg_id: str, size: int, since: float | None = None) -> bool | None:
+    def try_post(self, msg_id: str, size: int) -> bool | None:
         """Lock-contention-free probe post for event-loop callers.
 
         ``post_message(timeout=0)`` never waits on a *condition*, but it
@@ -249,12 +249,6 @@ class MessageQueue:
           contract: the caller owns the message's accounting);
         * ``None`` — the lock was contended; the caller should retry on a
           later loop tick.  Nothing happened.
-
-        ``since`` backdates the start of the message's recorded queue wait
-        to a ``perf_counter`` reading the caller already took (the
-        gateway's admission stamp), so the wait tiles with the caller's
-        own clock instead of leaving the admission work between the two
-        attributed to nothing.
 
         Raises :class:`QueueClosedError` on a closed queue, like
         ``post_message``.
@@ -275,7 +269,7 @@ class MessageQueue:
                 if self.watermark_gauge is not None:
                     self.watermark_gauge.value = float(depth)
             if self.record_waits:
-                self._post_times.append(time.perf_counter() if since is None else since)
+                self._post_times.append(time.perf_counter())
             if self.depth_gauge is not None:
                 self.depth_gauge.value = float(depth)
             self._not_empty.notify()

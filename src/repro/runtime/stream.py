@@ -886,7 +886,7 @@ class RuntimeStream:
             self._release_dropped([msg_id])
         return msg_id
 
-    def admit(self, message: MimeMessage, *, keyed: bool = False) -> tuple[str, int]:
+    def admit(self, message: MimeMessage) -> tuple[str, int]:
         """Take a message into the stream's custody; returns ``(msg_id, size)``.
 
         The one admission routine — :meth:`post`, :meth:`shed` and the
@@ -895,12 +895,10 @@ class RuntimeStream:
         under, sample it into a trace, size it (after the last stamp, so
         the size is the one every later post of an untouched envelope
         reads back off the header memo) and pool it.  Queueing the id is
-        the caller's business.  ``keyed`` is the caller's word that the
-        message names a session (the gateway routed by it), which spares
-        deriving the key again only to find that out.
+        the caller's business.
         """
         headers = message.headers
-        if not keyed and self.session is not None and headers.session is None:
+        if self.session is not None and headers.session is None:
             headers.session = self.session
         if self.epoch:
             # stamp the composition version the message is admitted under;

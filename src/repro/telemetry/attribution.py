@@ -9,11 +9,7 @@ families into per-(stream, streamlet) summaries:
 ========================================  =====================================
 ``mobigate_hop_queue_wait_seconds``       queue-post → claim (fetch) per input
                                           channel of an instance — scheduling
-                                          plus backpressure delay; a gateway
-                                          session's ingress channel counts from
-                                          the admission stamp, where the e2e
-                                          clock starts (sizing, pooling and
-                                          the post itself are in it)
+                                          plus backpressure delay
 ``mobigate_hop_seconds``                  claim → step end: pool checkout +
                                           ``process()`` + trace bookkeeping
                                           (the **service** component)

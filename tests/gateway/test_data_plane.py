@@ -8,6 +8,8 @@ import time
 from dataclasses import replace
 from unittest.mock import Mock
 
+import pytest
+
 from repro.faults.invariant import check_conservation
 from repro.faults.plan import FaultPlan
 from repro.gateway import ERROR_HEADER, GatewayConfig, GatewayServer
@@ -386,6 +388,30 @@ class TestAbandonedPeers:
         with caplog.at_level(logging.ERROR, logger="asyncio"):
             asyncio.run(scenario())
 
+    def test_a_fault_while_settling_closes_the_connection(self, caplog):
+        async def scenario():
+            gateway, session = await self.gateway(session_ingress_limit=1, park_timeout=60.0)
+            try:
+                gateway.raise_event("PAUSE", session_key="s")
+                session.retry = Mock(side_effect=RuntimeError("boom"))
+                reader, writer = await asyncio.open_connection(*gateway.data.address)
+                for i in range(2):
+                    writer.write(serialize_message(tagged(b"m%d" % i, "s")))
+                # a paused transport nobody resumes would never see this end
+                assert await asyncio.wait_for(reader.read(), 5.0) == b""
+                await self.closed(gateway)
+                assert session.retry.call_count == 1 and settle_tasks() == []
+                assert gateway.data._conn_gauge.value == 0
+                writer.close()
+            finally:
+                await gateway.stop()
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            asyncio.run(scenario())
+        (record,) = [r for r in caplog.records if r.name == "asyncio"]
+        assert "settling a paused connection failed" in record.getMessage()
+        assert "boom" in str(record.exc_info[1])
+
     def test_stop_with_a_parked_connection(self, caplog):
         async def scenario():
             gateway, session = await self.gateway(session_ingress_limit=1, park_timeout=60.0)
@@ -398,11 +424,12 @@ class TestAbandonedPeers:
             while session.stats.parked == 0:
                 await asyncio.sleep(0.005)
             assert len(settle_tasks()) == 1
-            await gateway.stop()  # must not wait out the park budget
-            # the frame that was parking is shed into the ledger, not forgotten
-            assert session.stats.shed == 1
+            await asyncio.wait_for(gateway.stop(), 5.0)  # not the park budget
+            # the frame that was parking and the one read behind it are shed
+            # into the ledger, not forgotten
+            assert session.stats.shed == 2
             report = check_conservation(stream)
-            assert (report.admitted, report.queue_drops, report.end_drops) == (2, 1, 1)
+            assert (report.admitted, report.queue_drops, report.end_drops) == (3, 2, 1)
             self.nothing_left(gateway, stream, caplog)
             writer.close()
 
@@ -411,10 +438,23 @@ class TestAbandonedPeers:
 
 
 class TestTheDoor:
+    def test_a_loop_that_posts_its_reads_ahead_is_refused(self, monkeypatch):
+        # every connection reads into one buffer, which only a selector
+        # loop (get_buffer, recv_into, buffer_updated back to back) allows
+        async def start():
+            monkeypatch.setattr(asyncio, "get_running_loop", lambda: Mock())
+            try:
+                await GatewayServer().data.start()
+            finally:
+                monkeypatch.undo()
+
+        with pytest.raises(RuntimeError, match="selector loop"):
+            asyncio.run(start())
+
     def test_content_session_is_derived_once_per_frame(self, monkeypatch):
-        # routing reads the key; the gateway's two stamps then retire the
-        # header memo, and admission must not derive the key again just to
-        # learn that the frame names a session
+        # routing reads the key; the gateway's two stamps then replace the
+        # header memo, which carries the derived key over, so admission
+        # does not derive it again just to learn the frame names a session
         derive, here, derived = HeaderMap.session.fget, threading.get_ident(), []
 
         def counting(headers):

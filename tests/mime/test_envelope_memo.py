@@ -43,11 +43,7 @@ _VALUES = st.one_of(
         ["text/plain", "image/gif; q=1", "not a type", "", "sess-1", "sess-1;epoch=4",
          " padded ;epoch=7; other=1", "s;epoch=x", ";epoch=2", "a,b,c", "12", "héllo wörld"]
     ),
-    # no lone surrogates: a value UTF-8 cannot encode never reaches the wire
-    st.text(
-        alphabet=st.characters(blacklist_characters="\r\n", blacklist_categories=("Cs",)),
-        max_size=12,
-    ),
+    st.text(alphabet=st.characters(blacklist_characters="\r\n"), max_size=12),
 )
 _TOKENS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=8)
 
