@@ -1,11 +1,12 @@
-"""Observer overhead: enabled telemetry vs the no-op twin on Figure 7-2.
+"""Observer overhead: enabled telemetry vs no observer on Figure 7-2.
 
 The telemetry subsystem instruments the hottest code in the repository
 (the per-hop scheduler step), so its cost must be measured the same way
 the thesis measures streamlet cost: a message passing down an
 ``n``-redirector chain.  Two identical chains are deployed — one bound to
-a live :class:`~repro.telemetry.Telemetry`, one to
-:data:`~repro.telemetry.NULL_TELEMETRY` — and timed **interleaved**, in
+a live :class:`~repro.telemetry.Telemetry`, one deployed with
+:data:`~repro.telemetry.NULL_TELEMETRY` (so its stream holds no observer
+at all) — and timed **interleaved**, in
 alternating order, taking the minimum over many rounds.  Interleaving
 plus min-of-many cancels the two noise sources that wreck naive A/B
 timing on a shared machine: slow drift (thermal, frequency scaling) hits
@@ -96,8 +97,9 @@ def run_telemetry_overhead(
     def one_pass(which: str) -> None:
         stream, scheduler = pairs[which]
         # one recorder event per pass so the enabled timing includes the
-        # flight recorder's hot-path cost (the null twin no-ops this)
-        stream.tm.recorder.record("bench_pass", stream=stream.name)
+        # flight recorder's hot-path cost, behind the runtime's own guard
+        if stream.tm is not None:
+            stream.tm.recorder.record("bench_pass", stream=stream.name)
         stream.post(MimeMessage("text/plain", body))
         scheduler.pump()
         stream.collect()

@@ -53,7 +53,9 @@ class MobiGateClient:
     Pass the server's :class:`~repro.telemetry.Telemetry` facade to join
     client-side peer spans onto the traces the server started (the
     ``Content-Trace`` header survives the wire) and to count received
-    messages/bytes in the same registry.
+    messages/bytes in the same registry.  Without one (or with
+    ``NULL_TELEMETRY``) :attr:`telemetry` is ``None``: the client is
+    unobserved.
     """
 
     def __init__(
@@ -64,9 +66,9 @@ class MobiGateClient:
         telemetry: Telemetry | None = None,
     ):
         self.pool = pool if pool is not None else ClientStreamletPool()
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.telemetry: Telemetry | None = None if telemetry is NULL_TELEMETRY else telemetry
         self.distributor = MessageDistributor(self.pool, telemetry=self.telemetry)
-        if self.telemetry.enabled:
+        if self.telemetry is not None:
             self._msg_counter, self._byte_counter = self.telemetry.client_counters()
         else:
             self._msg_counter = self._byte_counter = None
@@ -169,10 +171,8 @@ class MobiGateClient:
                 message=message, error=error,
             )
         )
-        if self.telemetry.enabled:
-            counter = self.telemetry.client_dead_letter_counter(reason)
-            if counter is not None:
-                counter.inc()
+        if self.telemetry is not None:
+            self.telemetry.client_dead_letter_counter(reason).inc()
 
     def take_delivered(self) -> list[MimeMessage]:
         """Drain and return everything delivered so far."""

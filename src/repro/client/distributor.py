@@ -22,7 +22,7 @@ from collections.abc import Callable
 from repro.client.client_pool import ClientStreamletPool
 from repro.errors import DistributorError
 from repro.mime.message import MimeMessage
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import Telemetry
 
 Delivery = Callable[[MimeMessage], None]
 
@@ -32,7 +32,7 @@ class MessageDistributor:
 
     def __init__(self, pool: ClientStreamletPool, *, telemetry: Telemetry | None = None):
         self._pool = pool
-        self._telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self._telemetry = telemetry
         self._inbound: queue.Queue[MimeMessage | None] = queue.Queue()
         self._workers: list[threading.Thread] = []
         self._delivery: Delivery | None = None
@@ -65,7 +65,7 @@ class MessageDistributor:
                 return
             peer = self._pool.acquire(peer_id)
             try:
-                if tm.enabled:
+                if tm is not None:
                     t0 = time.perf_counter()
                     results = peer.reverse(message)
                     tm.peer_hop(peer_id, message, results, time.perf_counter() - t0)

@@ -65,7 +65,7 @@ class FaultInjector:
     def _record(self, category: str, **detail) -> None:
         """Note a scripted action in the armed stream's flight recorder."""
         stream = self._stream
-        if stream is not None and stream.tm.enabled:
+        if stream is not None and stream.tm is not None:
             stream.tm.recorder.record(category, stream=stream.name, **detail)
 
     # -- arming ------------------------------------------------------------------------
@@ -96,7 +96,7 @@ class FaultInjector:
         # capture at wrap time: the wrapper may outlive disarm's _stream reset
         tm = self._stream.tm
         stream_name = self._stream.name
-        recorder = tm.recorder if tm.enabled else None
+        recorder = tm.recorder if tm is not None else None
 
         def faulting_process(port, message, ctx):
             for fault in faults:

@@ -113,16 +113,16 @@ def check_conservation(stream: "RuntimeStream") -> ConservationReport:
 
 
 def _dump_flight(stream: "RuntimeStream", reason: str) -> str:
-    """Auto-dump the flight recorder on an invariant failure; '' if disabled.
+    """Auto-dump the flight recorder on an invariant failure; '' if unobserved.
 
     The dump turns a red conservation check into a self-explaining trace:
     the artifact holds every recent drop/retry/fault/reconfig event in
     sequence order, so the postmortem starts from *what happened*, not
     from a bare imbalance number.
     """
-    recorder = stream.tm.recorder
-    if not recorder.enabled:
+    if stream.tm is None:
         return ""
+    recorder = stream.tm.recorder
     recorder.record("conservation_violation", stream=stream.name, reason=reason)
     return recorder.dump(stream.name, reason=reason)
 
@@ -133,7 +133,7 @@ def assert_conservation(stream: "RuntimeStream", *, zero_loss: bool = False) -> 
     With ``zero_loss`` the check also demands that no message fell into a
     drop bucket — the guarantee BK-category chains make when a recovery
     supervisor is attached.  On failure the stream's flight recorder (when
-    enabled) is dumped to ``FLIGHT_<stream>.json`` and the artifact path
+    observed) is dumped to ``FLIGHT_<stream>.json`` and the artifact path
     rides in the error message.
     """
     report = check_conservation(stream)

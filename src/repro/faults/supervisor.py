@@ -165,8 +165,6 @@ class Supervisor:
         scope: str | None = None,
         dead_letter_capacity: int | None = None,
     ):
-        from repro.store.ledger import NULL_LEDGER
-
         self._stream = stream
         self.policy = policy if policy is not None else RecoveryPolicy()
         self._clock = stream._clock
@@ -176,10 +174,10 @@ class Supervisor:
         #: compressor is not)
         self._optional = frozenset(optional)
         self.rng = random.Random(seed)
-        #: where durable ledger records land; the scope names this
-        #: supervisor's session/stream in them (gateway sessions pass
-        #: their routing key, standalone supervisors get the stream name)
-        self.ledger = ledger if ledger is not None else NULL_LEDGER
+        #: where durable ledger records land (None without a store); the
+        #: scope names this supervisor's session/stream in them (gateway
+        #: sessions pass their routing key, standalone ones the stream name)
+        self.ledger = ledger
         self.scope = scope if scope is not None else stream.name
         self.dead_letters = DeadLetterPool(
             dead_letter_capacity, on_evict=self._on_evict
@@ -197,7 +195,7 @@ class Supervisor:
         #: every fault this supervisor handles is also counted against the
         #: composition on probation (repro.runtime.reconfig)
         self.probation = None
-        if telemetry is not None and telemetry.enabled:
+        if telemetry is not None:
             self._gauge = telemetry.dead_letter_gauge(stream.name)
             self._outcome = lambda o: telemetry.fault_counter(stream.name, o).inc()
             self._evictions = telemetry.dead_letters_evicted_counter(stream.name)
@@ -260,13 +258,13 @@ class Supervisor:
             due = self._clock.now() + self.policy.delay_for(attempt, self.rng)
             self._pending.append((due, self._seq, msg_id, instance, port))
             self._seq += 1
-            if self.ledger.enabled:
+            if self.ledger is not None:
                 self.ledger.retry_scheduled(
                     self.scope, msg_id, instance=instance, port=port,
                     attempt=attempt + 1, frame=self._frame_of(msg_id),
                 )
             tm = self._stream.tm
-            if tm.enabled:
+            if tm is not None:
                 tm.recorder.record(
                     "retry_scheduled", stream=self._stream.name,
                     msg_id=msg_id, instance=instance, attempt=attempt + 1,
@@ -306,14 +304,14 @@ class Supervisor:
 
     def _on_evict(self, victim: DeadLetter) -> None:
         """Account a capacity eviction (ledger, counter, flight recorder)."""
-        if self.ledger.enabled:
+        if self.ledger is not None:
             self.ledger.dead_letter_evicted(self.scope, victim.msg_id)
         if self._evictions is not None:
             self._evictions.inc()
         if self._gauge is not None:
             self._gauge.set(float(len(self.dead_letters)))
         tm = self._stream.tm
-        if tm.enabled:
+        if tm is not None:
             tm.recorder.record(
                 "dead_letter_evicted", stream=self._stream.name,
                 msg_id=victim.msg_id, reason=victim.reason,
@@ -322,13 +320,13 @@ class Supervisor:
     def _dead_letter(self, msg_id: str, instance: str, port: str, *, reason: str) -> None:
         stream = self._stream
         attempts = self._attempts.pop(msg_id, 0)
-        frame = self._frame_of(msg_id) if self.ledger.enabled else None
+        frame = self._frame_of(msg_id) if self.ledger is not None else None
         message = stream.pool.release(msg_id) if msg_id in stream.pool else None
         self.dead_letters.add(DeadLetter(
             msg_id=msg_id, message=message, instance=instance,
             port=port, attempts=attempts, reason=reason,
         ))
-        if self.ledger.enabled:
+        if self.ledger is not None:
             # settle any pending retry schedule first, then park durably
             self.ledger.retry_settled(self.scope, msg_id)
             self.ledger.dead_letter(
@@ -336,7 +334,7 @@ class Supervisor:
             )
         stream.stats.inc("dead_letters")  # fault handlers run on worker threads
         tm = stream.tm
-        if tm.enabled:
+        if tm is not None:
             tm.forget(msg_id)
             tm.recorder.record(
                 "dead_letter", stream=stream.name,
@@ -347,13 +345,13 @@ class Supervisor:
         if self._outcome is not None:
             self._outcome("exhausted")
         if self._events is not None:
-            if tm.enabled:
+            if tm is not None:
                 tm.recorder.record(
                     "supervisor_escalation", stream=stream.name,
                     event="RETRY_EXHAUSTED", instance=instance,
                 )
             self._events.raise_event("RETRY_EXHAUSTED", source=stream.name)
-            if tm.enabled:
+            if tm is not None:
                 # the escalation is the postmortem moment: persist the ring
                 tm.recorder.dump(
                     stream.name, reason=f"supervisor escalation: RETRY_EXHAUSTED ({reason})"
@@ -373,13 +371,13 @@ class Supervisor:
             self._outcome("bypassed")
         tm = self._stream.tm
         if self._events is not None:
-            if tm.enabled:
+            if tm is not None:
                 tm.recorder.record(
                     "supervisor_escalation", stream=self._stream.name,
                     event="STREAMLET_BYPASSED", instance=instance,
                 )
             self._events.raise_event("STREAMLET_BYPASSED", source=self._stream.name)
-            if tm.enabled:
+            if tm is not None:
                 tm.recorder.dump(
                     self._stream.name,
                     reason=f"supervisor escalation: STREAMLET_BYPASSED ({instance})",
@@ -414,11 +412,11 @@ class Supervisor:
                 posted = False
             if posted:
                 stream.stats.inc("retries")
-                if self.ledger.enabled:
+                if self.ledger is not None:
                     self.ledger.retry_settled(self.scope, msg_id)
                 if self._outcome is not None:
                     self._outcome("retried")
-                if stream.tm.enabled:
+                if stream.tm is not None:
                     stream.tm.recorder.record(
                         "retry", stream=stream.name, msg_id=msg_id, instance=instance
                     )

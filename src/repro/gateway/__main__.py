@@ -67,7 +67,7 @@ async def _amain(args: argparse.Namespace) -> int:
     )
     gateway = GatewayServer(config=config)
     await gateway.start()
-    report = gateway.recovery.last_report
+    report = gateway.recovery.last_report if gateway.recovery is not None else None
     print(
         json.dumps(
             {

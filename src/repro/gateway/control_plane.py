@@ -31,8 +31,8 @@ Request: ``{"op": <verb>, ...}``.  Response: ``{"ok": true, ...}`` or
 ``sessions``
     List every deployed session's summary.
 ``telemetry``
-    A JSON snapshot of the metrics registry (empty when telemetry is the
-    null twin).
+    A JSON snapshot of the metrics registry (empty when the gateway is
+    unobserved).
 ``introspect``
     Live-state snapshot: per-session queue depths/watermarks, who steps
     the session (``stepped_by``) with worker states and utilization or
@@ -82,6 +82,7 @@ import socket
 
 from repro.errors import MobiGateError
 from repro.gateway.config import GatewayConfig
+from repro.store.ledger import CrossCrashReport
 
 #: ceiling on one control line (requests carry whole MCL scripts)
 MAX_CONTROL_LINE = 1 << 20
@@ -246,7 +247,7 @@ class ControlPlane:
 
     async def _op_telemetry(self, request: dict) -> dict:
         telemetry = self._gateway.telemetry
-        if not telemetry.enabled:
+        if telemetry is None:
             return {"ok": True, "enabled": False, "snapshot": {}}
         loop = asyncio.get_running_loop()
         snapshot = await loop.run_in_executor(None, telemetry.snapshot)
@@ -261,7 +262,7 @@ class ControlPlane:
         from repro.telemetry.attribution import decompose, summarize
 
         telemetry = self._gateway.telemetry
-        if not telemetry.enabled:
+        if telemetry is None:
             return {"ok": True, "enabled": False, "components": {}, "decomposition": {}}
         key = request.get("session")
         stream_name = None
@@ -291,13 +292,17 @@ class ControlPlane:
             return {"ok": False, "error": "'cursor' must be a non-negative integer"}
         if limit is not None and (not isinstance(limit, int) or limit < 0):
             return {"ok": False, "error": "'limit' must be a non-negative integer"}
-        recorder = self._gateway.telemetry.recorder
-        tail = recorder.tail(cursor, limit=limit)
-        return {"ok": True, "enabled": recorder.enabled, **tail}
+        telemetry = self._gateway.telemetry
+        if telemetry is None:  # nothing recorded; the cursor is kept
+            return {
+                "ok": True, "enabled": False, "events": [], "cursor": cursor,
+                "gap": 0, "recorded": 0, "dropped": 0,
+            }
+        return {"ok": True, "enabled": True, **telemetry.recorder.tail(cursor, limit=limit)}
 
     async def _op_metrics(self, request: dict) -> dict:
         telemetry = self._gateway.telemetry
-        if not telemetry.enabled:
+        if telemetry is None:
             return {"ok": True, "enabled": False, "metrics": ""}
         loop = asyncio.get_running_loop()
         text = await loop.run_in_executor(None, telemetry.prometheus)
@@ -388,7 +393,7 @@ class ControlPlane:
             }
         # ADMITTED or SHED: the copy re-entered the stream (a shed is
         # re-admitted then dropped with accounting) — settle the park
-        if session.ledger.enabled:
+        if session.ledger is not None:
             session.ledger.requeue(session.key, msg_id)
         return {
             "ok": True,
@@ -399,15 +404,19 @@ class ControlPlane:
 
     async def _op_recovery(self, request: dict) -> dict:
         gateway = self._gateway
-        report = gateway.recovery.last_report
+        recovery = gateway.recovery
+        report = recovery.last_report if recovery is not None else None
         response: dict = {
             "ok": True,
-            "enabled": gateway.ledger.enabled,
+            "enabled": recovery is not None,
             "recovery": report.describe() if report is not None else None,
         }
         if request.get("reconcile"):
-            loop = asyncio.get_running_loop()
-            reconciled = await loop.run_in_executor(None, gateway.recovery.reconcile)
+            if recovery is None:  # no ledger: nothing to balance
+                reconciled = CrossCrashReport()
+            else:
+                loop = asyncio.get_running_loop()
+                reconciled = await loop.run_in_executor(None, recovery.reconcile)
             response["reconcile"] = reconciled.describe()
         return response
 

@@ -182,17 +182,22 @@ class DataPlane:
         self._writers: dict[str, _Connection] = {}
         #: what every connection reads into (module docstring)
         self._recv_view = memoryview(bytearray(config.read_chunk_bytes))
-        telemetry = gateway.telemetry  # the disabled kind hands out None for each
-        self._conn_gauge = telemetry.gateway_connections_gauge()
-        self._frames_in = telemetry.gateway_frames_counter("in")
-        self._frames_out = telemetry.gateway_frames_counter("out")
-        self._bytes_in = telemetry.gateway_bytes_counter("in")
-        self._bytes_out = telemetry.gateway_bytes_counter("out")
-        self._bp_counter = telemetry.gateway_backpressure_counter if telemetry.enabled else None
-        self._error_counter = telemetry.gateway_frame_errors_counter()
-        self._assembly_hist = telemetry.gateway_frame_assembly_histogram()
-        self._admission_hist = telemetry.gateway_admission_histogram()
-        self._egress_write_hist = telemetry.gateway_egress_write_histogram()
+        # every instrument stays None when the gateway is unobserved
+        self._conn_gauge = self._frames_in = self._frames_out = None
+        self._bytes_in = self._bytes_out = self._bp_counter = self._error_counter = None
+        self._assembly_hist = self._admission_hist = self._egress_write_hist = None
+        telemetry = gateway.telemetry
+        if telemetry is not None:
+            self._conn_gauge = telemetry.gateway_connections_gauge()
+            self._frames_in = telemetry.gateway_frames_counter("in")
+            self._frames_out = telemetry.gateway_frames_counter("out")
+            self._bytes_in = telemetry.gateway_bytes_counter("in")
+            self._bytes_out = telemetry.gateway_bytes_counter("out")
+            self._bp_counter = telemetry.gateway_backpressure_counter
+            self._error_counter = telemetry.gateway_frame_errors_counter()
+            self._assembly_hist = telemetry.gateway_frame_assembly_histogram()
+            self._admission_hist = telemetry.gateway_admission_histogram()
+            self._egress_write_hist = telemetry.gateway_egress_write_histogram()
         # observability independent of telemetry (bench + control plane)
         self.connections_served = 0
         self.frame_errors = 0

@@ -36,7 +36,7 @@ class LinkOutageGate:
         self._outages = sorted(outages, key=lambda f: f.at)
         self._origin: float | None = None
         self._clock = None
-        if telemetry is not None and telemetry.enabled:
+        if telemetry is not None:
             self._counter = telemetry.gateway_outage_counter()
             self._recorder = telemetry.recorder
         else:

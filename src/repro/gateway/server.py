@@ -47,7 +47,7 @@ from repro.mcl import astnodes as ast
 from repro.runtime.scheduler import InlineScheduler, ThreadedScheduler
 from repro.runtime.server import MobiGateServer
 from repro.store.base import open_store
-from repro.store.ledger import NULL_LEDGER, Ledger
+from repro.store.ledger import Ledger
 from repro.store.recovery import RecoveryManager
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -87,19 +87,17 @@ class GatewayServer:
         fault_plan: "FaultPlan | None" = None,
     ):
         self.config = config if config is not None else GatewayConfig()
-        if server is not None:
-            self.mobigate = server
-        elif telemetry is not None:
-            self.mobigate = build_server(telemetry=telemetry)
-        else:
-            self.mobigate = build_server()
+        # NULL_TELEMETRY resolves to None in the server; the gateway shares it
+        self.mobigate = server if server is not None else build_server(telemetry=telemetry)
         self.telemetry = self.mobigate.telemetry
         #: ``Content-Session`` key -> session (read by the data plane per frame)
         self.sessions: dict[str, GatewaySession] = {}
         self.data = DataPlane(self, self.config)
         self.control = ControlPlane(self, self.config)
         self.fault_gate = LinkOutageGate(fault_plan, telemetry=self.telemetry)
-        #: durable state plane (NULL_LEDGER when config names no backend)
+        #: durable state plane: no store, no ledger and no recovery
+        self.ledger: Ledger | None = None
+        self.recovery: RecoveryManager | None = None
         if self.config.store_backend is not None:
             store = open_store(
                 self.config.store_backend,
@@ -108,15 +106,13 @@ class GatewayServer:
                 telemetry=self.telemetry,
             )
             self.ledger = Ledger(store)
-        else:
-            self.ledger = NULL_LEDGER
-        self.recovery = RecoveryManager(self, self.ledger)
+            self.recovery = RecoveryManager(self, self.ledger)
         #: the egress stage every session shares; its thread lives from the
         #: first deploy to the last undeploy, so stop()/drain() — which
         #: undeploy everything before closing the ledger — also end it
         self.egress = EgressPump(wake_timeout=self.config.egress_wake_timeout)
         self._sessions_gauge = (
-            self.telemetry.gateway_sessions_gauge() if self.telemetry.enabled else None
+            self.telemetry.gateway_sessions_gauge() if self.telemetry is not None else None
         )
         self._deploy_lock = threading.Lock()
         self._stream_ids = itertools.count(1)
@@ -140,7 +136,7 @@ class GatewayServer:
         # start() count them as orphans)
         self.egress.bridge = self.data.egress_bridge(loop)
         self.fault_gate.start(loop)
-        if self.ledger.enabled:
+        if self.recovery is not None:
             await loop.run_in_executor(None, self.recovery.recover)
         await self.data.start()
         await self.control.start()
@@ -157,7 +153,8 @@ class GatewayServer:
         await self.data.stop()
         for key in list(self.sessions):
             self.undeploy(key, record=False)
-        self.ledger.close()
+        if self.ledger is not None:
+            self.ledger.close()
 
     async def drain(self) -> dict:
         """Graceful shutdown: quiesce, flush the ledger, then stop.
@@ -180,8 +177,9 @@ class GatewayServer:
         await self.control.stop()
         for key in list(self.sessions):
             self.undeploy(key, record=False)
-        self.ledger.flush()
-        self.ledger.close()
+        if self.ledger is not None:
+            self.ledger.flush()
+            self.ledger.close()
         return leftover
 
     def uptime(self) -> float:
@@ -278,7 +276,7 @@ class GatewayServer:
                 self.mobigate.undeploy(runtime_stream.name)
                 raise
             self.sessions[key] = session
-        if self.ledger.enabled:
+        if self.ledger is not None:
             self.ledger.deployed(key, mcl=mcl, scheduler=scheduler)
         if self._sessions_gauge is not None:
             self._sessions_gauge.inc()
@@ -297,7 +295,7 @@ class GatewayServer:
         if session is None:
             return False
         session.close()
-        if record and self.ledger.enabled:
+        if record and self.ledger is not None:
             self.ledger.undeployed(key)
         try:
             self.mobigate.undeploy(session.stream.name)
@@ -389,7 +387,7 @@ class GatewayServer:
             else:
                 entry["workers"] = session.scheduler.worker_states()
             sessions[key] = entry
-        recorder = self.telemetry.recorder
+        recorder = self.telemetry.recorder if self.telemetry is not None else None
         return {
             "sessions": sessions,
             "open_connections": self.data.open_connections,
@@ -397,7 +395,9 @@ class GatewayServer:
             "uptime_seconds": self.uptime(),
             "egress_faults": self.egress.faults,
             "recorder": {
-                "enabled": recorder.enabled,
+                "enabled": False, "recorded": 0, "dropped": 0, "retained": 0, "dumps": {},
+            } if recorder is None else {
+                "enabled": True,
                 "recorded": recorder.recorded,
                 "dropped": recorder.dropped,
                 "retained": len(recorder),

@@ -48,7 +48,6 @@ from repro.errors import QueueClosedError
 from repro.mime.message import MimeMessage
 from repro.mime.wire import serialize_parts
 from repro.runtime.stream import RuntimeStream
-from repro.store.ledger import NULL_LEDGER
 
 #: gateway-internal header naming the data-plane connection a message
 #: arrived on; stamped at admission, stripped before the echo leaves
@@ -263,7 +262,7 @@ class EgressPump:
                 # ledger commit: each message's delivery component covers
                 # the commit and its wait behind earlier frames of the cycle
                 picked = time.perf_counter()
-                if session.ledger.enabled:
+                if session.ledger is not None:
                     session.sync_ledger()
                     ledgers.add(session.ledger)
             except QueueClosedError:
@@ -318,10 +317,12 @@ class EgressPump:
         """Contain one failure: the pump keeps serving everyone else."""
         self.faults += 1
         for session in sessions:
-            session.stream.tm.recorder.record(
-                "egress_fault", stream=session.stream.name,
-                session=session.key, error=repr(exc),
-            )
+            tm = session.stream.tm
+            if tm is not None:
+                tm.recorder.record(
+                    "egress_fault", stream=session.stream.name,
+                    session=session.key, error=repr(exc),
+                )
 
 
 class GatewaySession:
@@ -349,7 +350,7 @@ class GatewaySession:
         inline: bool = False,
         requested: str | None = None,
         telemetry=None,
-        ledger=NULL_LEDGER,
+        ledger=None,
         pump: EgressPump | None = None,
     ):
         self.key = key
@@ -364,6 +365,7 @@ class GatewaySession:
         self.ingress_limit = ingress_limit
         self.stats = SessionStats()
         #: durable state plane: counter deltas mirror here per pump cycle
+        #: (None without a store)
         self.ledger = ledger
         #: a recovery Supervisor, when the gateway runs with supervision
         self.supervisor = None
@@ -478,7 +480,7 @@ class GatewaySession:
         fold a fate whose admission was missed, driving the running
         in-flight tally negative.  Callable from any thread.
         """
-        if not self.ledger.enabled:
+        if self.ledger is None:
             return
         stats = self.stream.stats
         with self._mirror_lock:
@@ -606,6 +608,6 @@ class GatewaySession:
         self.pump.detach(self)
         self.stream.remove_wakeup_listener(self._waiter.set)
         self.stream.end()
-        if self.ledger.enabled:
+        if self.ledger is not None:
             self.sync_ledger()  # capture the end_drops the stream just took
             self.ledger.flush()

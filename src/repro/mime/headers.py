@@ -100,6 +100,11 @@ class HeaderMap:
         value = str(value).strip()
         if "\n" in value or "\r" in value:
             raise HeaderError(f"header value may not contain newlines: {value!r}")
+        if not (value.isascii() and name.isascii()):
+            try:  # encoded() must be able to put the field on the wire
+                name.encode("utf-8"), value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise HeaderError(f"header {name!r} is not UTF-8 encodable: {value!r}") from None
         self._fields[key] = (name, value)
         memo = self._memo
         if key != _SESSION_KEY and "session" in memo:

@@ -56,7 +56,7 @@ class ContextMonitor:
         #: raises LOW_BANDWIDTH on the first check (not just on an edge)
         self._fire_initial_pending = fire_initial
         self.raised: list[tuple[float, str]] = []
-        self._telemetry = telemetry if telemetry is not None and telemetry.enabled else None
+        self._telemetry = telemetry
         self._bw_gauge = (
             self._telemetry.link_bandwidth_gauge(source or "wireless")
             if self._telemetry is not None

@@ -29,7 +29,7 @@ from repro.mcl import astnodes as ast
 from repro.runtime.message_queue import MessageQueue
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.telemetry import NullStreamTelemetry, StreamTelemetry
+    from repro.telemetry import StreamTelemetry
 
 #: the table above: per category, the ends whose detachment breaks the other
 _BREAKS_BOTH = {
@@ -64,7 +64,7 @@ class Channel:
         definition: ast.ChannelDef,
         *,
         drop_timeout: float = 0.0,
-        telemetry: "StreamTelemetry | NullStreamTelemetry | None" = None,
+        telemetry: "StreamTelemetry | None" = None,
     ):
         self.name = name
         self.definition = definition
@@ -76,17 +76,16 @@ class Channel:
         else:
             capacity = definition.buffer_kb * 1024
         self.queue = MessageQueue(capacity, drop_timeout=drop_timeout)
-        # queue-wait observation: enabled streams bind their telemetry so
+        # queue-wait observation: observed streams bind their telemetry so
         # post/fetch can sample how long ids sit in this queue, and the
         # queue itself records every message's wait + depth/watermark
-        if telemetry is not None and telemetry.enabled:
-            self._tm = telemetry
+        self._tm = telemetry
+        if telemetry is not None:
             self._wait_hist = telemetry.channel_wait_histogram(name)
             self.queue.record_waits = True
             self.queue.depth_gauge = telemetry.queue_depth_gauge(name)
             self.queue.watermark_gauge = telemetry.queue_watermark_gauge(name)
         else:
-            self._tm = None
             self._wait_hist = None
         self.source: ast.PortRef | None = None
         self.sink: ast.PortRef | None = None

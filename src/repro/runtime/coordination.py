@@ -17,7 +17,7 @@ from repro.runtime.events import EventManager
 from repro.runtime.message_pool import MessagePool, PassMode
 from repro.runtime.stream import RuntimeStream
 from repro.runtime.streamlet_manager import StreamletManager
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import Telemetry
 from repro.util.clock import Clock, WallClock
 from repro.util.ids import IdGenerator
 
@@ -60,7 +60,7 @@ class CoordinationManager:
         self._clock = clock if clock is not None else WallClock()
         self._pass_mode = pass_mode
         self._drop_timeout = drop_timeout
-        self._telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self._telemetry = telemetry
         self._fuse = fuse
         self._streams: dict[str, RuntimeStream] = {}
         self._subscriptions: dict[str, list[tuple[EventCategory, _StreamSubscriber]]] = {}
@@ -79,7 +79,7 @@ class CoordinationManager:
             raise CompositionError(f"stream {table.stream_name!r} already deployed")
         pool_gauge = (
             self._telemetry.pool_gauge(table.stream_name)
-            if self._telemetry.enabled
+            if self._telemetry is not None
             else None
         )
         stream = RuntimeStream(
@@ -122,7 +122,7 @@ class CoordinationManager:
         """
         counter = (
             self._telemetry.event_counter(stream.name)
-            if self._telemetry.enabled
+            if self._telemetry is not None
             else None
         )
         subscriber = _StreamSubscriber(stream, counter)

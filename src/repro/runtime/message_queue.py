@@ -78,7 +78,7 @@ class MessageQueue:
         #: an int compare per post is within the no-telemetry budget)
         self.watermark = 0
         #: when True, post times ride in a parallel deque so every fetch
-        #: can report its queue wait (set by telemetry-enabled channels;
+        #: can report its queue wait (set by observed channels;
         #: the entry tuples stay ``(msg_id, size)`` for snapshot/restore)
         self.record_waits = False
         self._post_times: deque[float] = deque()

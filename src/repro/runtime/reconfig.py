@@ -275,7 +275,7 @@ class ReconfigTransaction:
                         raise exc from cause
                 raise exc
         except ReconfigValidationError:
-            if stream.tm.enabled:
+            if stream.tm is not None:
                 stream.tm.reconfig_outcome("validation_failed")
                 stream.tm.recorder.record(
                     "reconfig_validation_failed",
@@ -342,7 +342,7 @@ class ReconfigTransaction:
             except ReconfigAbortedError as exc:
                 self.state = TxnState.ROLLED_BACK
                 self.error = exc.cause
-                if stream.tm.enabled:
+                if stream.tm is not None:
                     stream.tm.reconfig_outcome("rolled_back")
                     stream.tm.recorder.record(
                         "reconfig_rollback", stream=stream.name, label=self.label,
@@ -362,7 +362,7 @@ class ReconfigTransaction:
             else:
                 for node in self.retired:
                     stream._finalize_node(node)
-            if stream.tm.enabled:
+            if stream.tm is not None:
                 stream.tm.reconfig_outcome("committed")
                 stream.tm.reconfig_latency("commit", time.perf_counter() - t_commit)
                 stream.tm.epoch(stream.epoch)
@@ -427,7 +427,7 @@ class LastKnownGoodStore:
             },
             committed_at=stream._clock.now(),
         )
-        if self._ledger is not None and self._ledger.enabled:
+        if self._ledger is not None:
             self._ledger.lkg(self._scope, "adopted", epoch=txn.epoch)
         return self.record
 
@@ -438,13 +438,13 @@ class LastKnownGoodStore:
             return
         for node in record.retired.values():
             self._stream._finalize_node(node)
-        if self._ledger is not None and self._ledger.enabled:
+        if self._ledger is not None:
             self._ledger.lkg(self._scope, "retired", epoch=record.epoch)
 
     def take(self) -> CommitRecord | None:
         """Remove and return the record *without* finalising (rollback path)."""
         record, self.record = self.record, None
-        if record is not None and self._ledger is not None and self._ledger.enabled:
+        if record is not None and self._ledger is not None:
             self._ledger.lkg(self._scope, "taken", epoch=record.epoch)
         return record
 
@@ -592,7 +592,7 @@ class ProbationMonitor:
             stream.epoch += 1  # the rollback is itself an epoch transition
             self._faults = 0
         self.rollbacks += 1
-        if stream.tm.enabled:
+        if stream.tm is not None:
             stream.tm.reconfig_outcome("rolled_back")
             stream.tm.epoch(stream.epoch)
             stream.tm.recorder.record(

@@ -193,7 +193,7 @@ def _run_hops(
     """
     pool = stream.pool
     tm = stream.tm
-    timed = tm.enabled
+    timed = tm is not None
     carry = pool.mode is PassMode.REFERENCE
     if timed and t0 is None:
         t0 = time.perf_counter()
@@ -274,7 +274,7 @@ def _hop_failed(
         # no supervisor claimed the id: release and count
         stream.pool.release(msg_id)
         _count(acc, "failure_drops")
-        if stream.tm.enabled:
+        if stream.tm is not None:
             stream.tm.forget(msg_id)
     if stream.failure_hook is not None:
         stream.failure_hook(hop.name, exc)
@@ -314,7 +314,7 @@ def _drop(stream: RuntimeStream, msg_id: str) -> None:
         if stream.drop_hook is not None:
             stream.drop_hook(msg_id, message)
     stream.stats.inc("queue_drops")
-    if stream.tm.enabled:
+    if stream.tm is not None:
         stream.tm.forget(msg_id)
 
 
@@ -487,7 +487,7 @@ class ThreadedScheduler:
         #: wakeups delivered by queue posts / reconfig / stop signals
         self.event_wakeups = 0
         #: per-worker time accounting (busy / blocked / snapshot-refresh
-        #: seconds + steps), maintained only when telemetry is enabled;
+        #: seconds + steps), maintained only for an observed stream;
         #: each dict has a single writer (its worker), so plain stores
         self._utilization: dict[str, dict] = {}
 
@@ -513,7 +513,7 @@ class ThreadedScheduler:
         )
         self._threads[name] = thread
         tm = self._stream.tm
-        if tm.enabled:
+        if tm is not None:
             tm.recorder.record("worker_spawn", stream=self._stream.name, worker=name)
         thread.start()
 
@@ -539,8 +539,8 @@ class ThreadedScheduler:
         view: _NodeView | _FusedView | None = None
         registered: list = []   # queues currently carrying our wake event
         # per-worker utilization: this worker is the dict's only writer,
-        # so plain float adds need no lock; skipped entirely when disabled
-        timed = stream.tm.enabled
+        # so plain float adds need no lock; skipped entirely when unobserved
+        timed = stream.tm is not None
         util = {"busy": 0.0, "blocked": 0.0, "refresh": 0.0, "steps": 0}
         if timed:
             self._utilization[name] = util
@@ -657,7 +657,7 @@ class ThreadedScheduler:
         thread.join(join_timeout)
         self.workers_killed += 1
         tm = self._stream.tm
-        if tm.enabled:
+        if tm is not None:
             tm.recorder.record("worker_kill", stream=self._stream.name, worker=name)
         return True
 
@@ -666,7 +666,7 @@ class ThreadedScheduler:
 
         ``utilization`` is busy time over accounted time (busy + blocked
         + snapshot-refresh); accounting fields appear only for workers of
-        a telemetry-enabled stream.  Served by the gateway's
+        an observed stream.  Served by the gateway's
         ``introspect`` control verb.
         """
         states: dict[str, dict] = {}

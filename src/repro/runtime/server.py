@@ -29,7 +29,7 @@ from repro.runtime.message_pool import PassMode
 from repro.runtime.stream import RuntimeStream
 from repro.runtime.streamlet_manager import StreamletManager
 from repro.semantics import verify
-from repro.telemetry import Telemetry
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.util.clock import Clock, WallClock
 
 
@@ -40,7 +40,8 @@ class MobiGateServer:
     :class:`~repro.telemetry.Telemetry` (backed by the process-wide metric
     registry) observes every stream the server deploys.  Pass
     ``telemetry=NULL_TELEMETRY`` to run unobserved (the benchmark
-    baseline).
+    baseline): :attr:`telemetry` is then ``None``, and so is every
+    component's observer below it.
     """
 
     def __init__(
@@ -60,7 +61,9 @@ class MobiGateServer:
         self.registry = registry if registry is not None else default_registry()
         self.catalog = catalog if catalog is not None else DEFAULT_CATALOG
         self.clock = clock if clock is not None else WallClock()
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        if telemetry is None:
+            telemetry = Telemetry()
+        self.telemetry: Telemetry | None = None if telemetry is NULL_TELEMETRY else telemetry
         self.directory = StreamletDirectory()
         self.manager = StreamletManager(
             self.directory, pooling=pooling, telemetry=self.telemetry

@@ -48,7 +48,7 @@ from repro.runtime.streamlet import Streamlet, StreamletContext, StreamletState
 from repro.runtime.streamlet_manager import StreamletManager
 from repro.runtime.topology import EDGE_CHANNEL_DEF, INGRESS, Topology, apply
 from repro.semantics.fusion import fusable_chains
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import Telemetry
 from repro.util.clock import Clock, WallClock
 
 
@@ -61,9 +61,9 @@ class _Node:
     ctx: StreamletContext
     inputs: dict[str, Channel] = field(default_factory=dict)
     outputs: dict[str, Channel] = field(default_factory=dict)
-    #: hop-latency histogram pre-bound at creation (None when telemetry off)
+    #: hop-latency histogram pre-bound at creation (None when unobserved)
     hop_hist: object | None = None
-    #: queue-wait histogram pre-bound at creation (None when telemetry off)
+    #: queue-wait histogram pre-bound at creation (None when unobserved)
     queue_wait_hist: object | None = None
 
 
@@ -322,14 +322,14 @@ class RuntimeStream:
         self.session = session
         self._drop_timeout = drop_timeout
         self.stats = StreamStats()
-        #: per-stream telemetry hooks; the schedulers and channels key off
-        #: ``tm.enabled`` so the null twin costs one attribute read
-        self.tm = (telemetry if telemetry is not None else NULL_TELEMETRY).bind_stream(
-            table.stream_name
-        )
-        self.tm.attach_stats(self.stats)
-        #: egress pickup-delay histogram (None when telemetry is off)
-        self._egress_wait_hist = self.tm.egress_wait_histogram()
+        #: per-stream telemetry hooks, None when unobserved; the schedulers
+        #: and channels test ``tm is not None`` once per call site
+        self.tm = telemetry.bind_stream(table.stream_name) if telemetry is not None else None
+        #: egress pickup-delay histogram (None when unobserved)
+        self._egress_wait_hist = None
+        if self.tm is not None:
+            self.tm.attach_stats(self.stats)
+            self._egress_wait_hist = self.tm.egress_wait_histogram()
         self.topology_lock = threading.RLock()
 
         #: the wiring as a value; the live objects below always realise it
@@ -419,9 +419,10 @@ class RuntimeStream:
             streamlet=self._manager.acquire(name, definition),
             definition=definition,
             ctx=StreamletContext(instance_id=name, session=self.session),
-            hop_hist=self.tm.hop_histogram(name),
-            queue_wait_hist=self.tm.queue_wait_histogram(name),
         )
+        if self.tm is not None:
+            node.hop_hist = self.tm.hop_histogram(name)
+            node.queue_wait_hist = self.tm.queue_wait_histogram(name)
         built.append(node)  # before on_start: a failed start still gets finalised
         if self._started:
             node.streamlet.activate()
@@ -586,7 +587,7 @@ class RuntimeStream:
         if chains != self._fusion_sig:
             # fuse/split transitions are reconfiguration-relevant history:
             # make them visible in the flight recorder
-            if self.tm.enabled:
+            if self.tm is not None:
                 self.tm.recorder.record(
                     "fusion", stream=self.name,
                     groups=["+".join(c) for c in chains],
@@ -703,7 +704,7 @@ class RuntimeStream:
                 if msg_id in self.pool:
                     self.pool.release(msg_id)
                     self.stats.end_drops += 1
-                if self.tm.enabled:
+                if self.tm is not None:
                     self.tm.forget(msg_id)
             self._ended = True
 
@@ -904,7 +905,7 @@ class RuntimeStream:
             # stamp the composition version the message is admitted under;
             # pre-reconfiguration streams (epoch 0) keep the legacy wire form
             headers.set_epoch(self.epoch)
-        traced = self.tm.enabled and self.tm.admit(message)  # sampled trace
+        traced = self.tm is not None and self.tm.admit(message)  # sampled trace
         size = message.total_size()
         msg_id = self.pool.admit(message)
         if traced:
@@ -923,7 +924,7 @@ class RuntimeStream:
         pool id.
         """
         msg_id, _size = self.admit(message)
-        if self.tm.enabled:
+        if self.tm is not None:
             self.tm.recorder.record("shed", stream=self.name, msg_id=msg_id)
         self._release_dropped([msg_id])
         return msg_id
@@ -931,7 +932,7 @@ class RuntimeStream:
     def collect(self) -> list[MimeMessage]:
         """Drain every egress channel; returns delivered messages in order."""
         out: list[MimeMessage] = []
-        tm = self.tm if self.tm.enabled else None
+        tm = self.tm
         egress_hist = self._egress_wait_hist
         try:
             for _ref, channel in self.egress:
@@ -1050,7 +1051,7 @@ class RuntimeStream:
                 message = self.pool.release(msg_id)
                 if self.drop_hook is not None:
                     self.drop_hook(msg_id, message)
-            if self.tm.enabled:
+            if self.tm is not None:
                 self.tm.forget(msg_id)
                 self.tm.recorder.record("drop", stream=self.name, msg_id=msg_id)
             self.stats.inc("queue_drops")
@@ -1115,7 +1116,7 @@ class RuntimeStream:
         from repro.runtime.reconfig import ReconfigTransaction  # lazy: cyclic import
 
         txn = ReconfigTransaction(self, actions, label=event_id)
-        span = self.tm.reconfig_begin(event_id) if self.tm.enabled else None
+        span = self.tm.reconfig_begin(event_id) if self.tm is not None else None
         try:
             timing = txn.execute()
         except ReconfigValidationError as exc:

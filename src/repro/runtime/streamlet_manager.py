@@ -31,7 +31,7 @@ class StreamletManager:
         self._pools: dict[str, InstancePool] = {}
         # acquire() is deploy-time, not per-message, so counting through
         # the telemetry facade here is free
-        self._telemetry = telemetry if telemetry is not None and telemetry.enabled else None
+        self._telemetry = telemetry
         self.created = 0
 
     @property

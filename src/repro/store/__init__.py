@@ -26,11 +26,9 @@ See ``docs/durability.md`` for the schema and the recovery walkthrough.
 from repro.store.base import FSYNC_POLICIES, MemoryStore, StateStore, open_store
 from repro.store.crash import CrashCycle, CrashHarness, CrashReport
 from repro.store.ledger import (
-    NULL_LEDGER,
     CrossCrashReport,
     Ledger,
     LedgerFold,
-    NullLedger,
     ParkedRecord,
     RetryRecord,
     SessionBalance,
@@ -50,8 +48,6 @@ __all__ = [
     "Ledger",
     "LedgerFold",
     "MemoryStore",
-    "NULL_LEDGER",
-    "NullLedger",
     "ParkedRecord",
     "RecoveryManager",
     "RecoveryReport",

@@ -177,7 +177,7 @@ def open_store(
         raise StoreError(
             f"unknown store backend {backend!r} (choose from memory/file/sqlite)"
         )
-    if telemetry is not None and telemetry.enabled:
+    if telemetry is not None:
         _instrument(store, telemetry)
     return store
 

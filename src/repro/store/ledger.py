@@ -291,9 +291,6 @@ def fold(records) -> LedgerFold:
 class Ledger:
     """Append-side API over a :class:`StateStore` (schema in the module doc)."""
 
-    #: guards let hot paths skip building records for the null twin
-    enabled = True
-
     def __init__(self, store: StateStore) -> None:
         self.store = store
 
@@ -440,54 +437,3 @@ class Ledger:
     def fold(self) -> LedgerFold:
         """Replay the backing store into per-session folds."""
         return fold(self.store.replay())
-
-
-class NullLedger:
-    """Disabled twin of :class:`Ledger`: every method is a no-op."""
-
-    enabled = False
-    store = None
-
-    def deployed(self, session: str, *, mcl: str, scheduler: str) -> None:
-        """No-op."""
-
-    def undeployed(self, session: str) -> None:
-        """No-op."""
-
-    def recovered(self, session: str, *, in_flight: int, parked: int, retries: int) -> None:
-        """No-op."""
-
-    def counters(self, session: str, **deltas: int) -> None:
-        """No-op."""
-
-    def dead_letter(self, session: str, msg_id: str, **info) -> None:
-        """No-op."""
-
-    def dead_letter_evicted(self, session: str, msg_id: str) -> None:
-        """No-op."""
-
-    def requeue(self, session: str, msg_id: str) -> None:
-        """No-op."""
-
-    def retry_scheduled(self, session: str, msg_id: str, **info) -> None:
-        """No-op."""
-
-    def retry_settled(self, session: str, msg_id: str) -> None:
-        """No-op."""
-
-    def lkg(self, session: str, action: str, *, epoch: int = 0, mcl: str | None = None) -> None:
-        """No-op."""
-
-    def flush(self) -> None:
-        """No-op."""
-
-    def close(self) -> None:
-        """No-op."""
-
-    def fold(self) -> LedgerFold:
-        """An empty fold (nothing was ever recorded)."""
-        return LedgerFold()
-
-
-#: shared disabled ledger — safe default for every ledger-aware component
-NULL_LEDGER = NullLedger()

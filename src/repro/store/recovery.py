@@ -118,13 +118,13 @@ class RecoveryManager:
         fold = self._ledger.fold()
         report = RecoveryReport(records=fold.records)
         telemetry = self._gateway.telemetry
-        counter = telemetry.recovery_counter if telemetry.enabled else None
+        counter = telemetry.recovery_counter if telemetry is not None else None
         for sf in sorted(fold.recoverable(), key=lambda f: f.session):
             outcome = self._recover_session(sf)
             report.sessions.append(outcome)
             if counter is not None:
                 counter("restored" if outcome.restored else "skipped").inc()
-            if telemetry.enabled and outcome.restored:
+            if telemetry is not None and outcome.restored:
                 telemetry.recorder.record(
                     "session_recovered",
                     stream=outcome.session,
@@ -158,12 +158,13 @@ class RecoveryManager:
             # now picks pump or workers, and deploy() records "threaded"
             # for the next restart
             scheduler = "threaded"
-            gateway.telemetry.recorder.record(
-                "scheduler_substituted",
-                stream=sf.session,
-                recorded="process",
-                engine=scheduler,
-            )
+            if gateway.telemetry is not None:
+                gateway.telemetry.recorder.record(
+                    "scheduler_substituted",
+                    stream=sf.session,
+                    recorded="process",
+                    engine=scheduler,
+                )
         try:
             session = gateway.deploy(
                 mcl,

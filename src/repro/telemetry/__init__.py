@@ -18,13 +18,14 @@ runtime observables instead of outside-the-box bench timings:
 
 The runtime talks to all of it through the :class:`Telemetry` facade,
 injected into :class:`~repro.runtime.server.MobiGateServer` (default-on).
-:class:`NullTelemetry` is the selectable no-op twin: every hook short-
-circuits on a single ``enabled`` attribute test and allocates nothing, so
-benchmarks can quantify the observer overhead (see
-``repro.bench.telemetry_overhead``).
+Unobserved is the absence of an observer: pass :data:`NULL_TELEMETRY` to a
+server, gateway or client and it holds ``None``, as does every component
+below it; each hook site is one ``is not None`` test, and nothing is
+allocated or registered (see ``repro.bench.telemetry_overhead``).
 
-Hot-path discipline (a streamlet hop costs ~14 µs, so the observer budget
-is ~1 µs): stream counters are *not* incremented per message — the plain
+Hot-path discipline (a streamlet hop costs ~7.4 µs fused, ~34 µs
+unfused, so the observer budget is ~1 µs): stream counters are *not*
+incremented per message — the plain
 ``StreamStats`` integers the runtime already keeps are mirrored into
 registry counters at export time (:meth:`Telemetry.flush`); per-hop
 latency histograms are pre-bound per instance and always on; spans are
@@ -51,7 +52,7 @@ from repro.telemetry.metrics import (
     exponential_buckets,
     global_registry,
 )
-from repro.telemetry.recorder import NULL_RECORDER, FlightRecorder, NullFlightRecorder
+from repro.telemetry.recorder import FlightRecorder
 from repro.telemetry.trace import Span, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,11 +67,7 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
-    "NULL_RECORDER",
     "NULL_TELEMETRY",
-    "NullFlightRecorder",
-    "NullStreamTelemetry",
-    "NullTelemetry",
     "Span",
     "StreamTelemetry",
     "Telemetry",
@@ -102,9 +99,9 @@ class StreamTelemetry:
     """Per-stream hot-path hooks, with metric children pre-bound.
 
     Built by :meth:`Telemetry.bind_stream`; the runtime keeps one per
-    :class:`~repro.runtime.stream.RuntimeStream` and the schedulers guard
-    every call site with a single ``if tm.enabled`` test, so the no-op
-    twin costs one attribute read per message.
+    :class:`~repro.runtime.stream.RuntimeStream` (``None`` when the stream
+    is unobserved) and the schedulers guard every call site with a single
+    ``tm is not None`` test, so an unobserved hop pays one identity test.
     """
 
     __slots__ = (
@@ -128,8 +125,6 @@ class StreamTelemetry:
         "_txn_family",
         "_txn_latency",
     )
-
-    enabled = True
 
     def __init__(self, telemetry: "Telemetry", stream: str):
         registry = telemetry.registry
@@ -363,78 +358,6 @@ class StreamTelemetry:
         self._txn_latency.labels(self.stream, phase).observe(seconds)
 
 
-class NullStreamTelemetry:
-    """The do-nothing twin of :class:`StreamTelemetry` (zero allocations)."""
-
-    __slots__ = ()
-
-    enabled = False
-    #: shared no-op recorder; call sites read ``tm.recorder`` uniformly
-    recorder = NULL_RECORDER
-
-    def attach_stats(self, stats) -> None:
-        """No-op."""
-
-    def flush(self) -> None:
-        """No-op."""
-
-    def admit(self, message) -> bool:
-        """No-op; nothing is ever sampled."""
-        return False
-
-    def mark_traced(self, msg_id: str) -> None:
-        """No-op."""
-
-    def forget(self, msg_id: str) -> None:
-        """No-op."""
-
-    def hop_histogram(self, instance: str) -> None:
-        """No-op: nodes bound to this twin keep no histogram."""
-        return None
-
-    def hop_span(self, instance, raw, message, emissions, duration, failed=False) -> None:
-        """No-op."""
-
-    def queue_wait_histogram(self, instance: str) -> None:
-        """No-op: nodes bound to this twin record no queue waits."""
-        return None
-
-    def egress_wait_histogram(self) -> None:
-        """No-op."""
-        return None
-
-    def queue_depth_gauge(self, channel_name: str) -> None:
-        """No-op."""
-        return None
-
-    def queue_watermark_gauge(self, channel_name: str) -> None:
-        """No-op."""
-        return None
-
-    def channel_wait_histogram(self, channel_name: str) -> None:
-        """No-op: channels bound to this twin record no waits."""
-        return None
-
-    def reconfig_begin(self, event_id: str) -> None:
-        """No-op."""
-        return None
-
-    def reconfig_end(self, span, event_id, timing) -> None:
-        """No-op."""
-
-    def epoch(self, value: int) -> None:
-        """No-op."""
-
-    def reconfig_outcome(self, outcome: str) -> None:
-        """No-op."""
-
-    def reconfig_latency(self, phase: str, seconds: float) -> None:
-        """No-op."""
-
-
-_NULL_STREAM_TELEMETRY = NullStreamTelemetry()
-
-
 class Telemetry:
     """The facade the server injects into every component (default-on).
 
@@ -448,11 +371,9 @@ class Telemetry:
     stream (channel waits are sampled for exactly those messages).  The
     first
     message of a stream is always traced, so even a sampled run yields at
-    least one complete trace.  The default of 64 keeps the enabled-mode
+    least one complete trace.  The default of 64 keeps the observed
     hop overhead under the 10%% budget; pass 1 to trace everything.
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -468,23 +389,16 @@ class Telemetry:
         self.tracer = tracer if tracer is not None else Tracer(max_spans=max_spans)
         self.trace_sample_interval = trace_sample_interval
         self._streams: list[StreamTelemetry] = []
-        #: the flight recorder every bound component shares (NullTelemetry
-        #: instances see ``enabled = False`` here and get the no-op twin)
-        self.recorder: "FlightRecorder | NullFlightRecorder" = (
-            FlightRecorder() if self.enabled else NULL_RECORDER
-        )
-        if self.enabled:
-            # the observer's own loss, mirrored at flush() time
-            self._span_counter = self.registry.counter(
-                "mobigate_trace_spans_total", "Spans recorded by the tracer"
-            ).unlabelled()
-            self._span_drop_counter = self.registry.counter(
-                "mobigate_trace_spans_dropped_total",
-                "Spans evicted from the tracer ring before export",
-            ).unlabelled()
-        else:
-            self._span_counter = None
-            self._span_drop_counter = None
+        #: the flight recorder every bound component shares
+        self.recorder = FlightRecorder()
+        # the observer's own loss, mirrored at flush() time
+        self._span_counter = self.registry.counter(
+            "mobigate_trace_spans_total", "Spans recorded by the tracer"
+        ).unlabelled()
+        self._span_drop_counter = self.registry.counter(
+            "mobigate_trace_spans_dropped_total",
+            "Spans evicted from the tracer ring before export",
+        ).unlabelled()
 
     # -- component bindings ------------------------------------------------------
 
@@ -765,9 +679,8 @@ class Telemetry:
         """Mirror every bound stream's plain stats into registry counters."""
         for bound in self._streams:
             bound.flush()
-        if self._span_counter is not None:
-            self._span_counter.value = self.tracer.recorded
-            self._span_drop_counter.value = self.tracer.dropped
+        self._span_counter.value = self.tracer.recorded
+        self._span_drop_counter.value = self.tracer.dropped
 
     def snapshot(self) -> dict:
         """JSON-ready snapshot of the registry (see ``telemetry.export``)."""
@@ -784,129 +697,6 @@ class Telemetry:
         return to_prometheus(self.registry)
 
 
-class NullTelemetry(Telemetry):
-    """The selectable no-op implementation (observer-overhead baseline).
-
-    Every binding returns an inert singleton or ``None``; the private
-    registry and tracer stay empty forever, and nothing is allocated on
-    the hot path.
-    """
-
-    enabled = False
-
-    def __init__(self):
-        super().__init__(registry=MetricsRegistry(), tracer=Tracer(max_spans=1))
-
-    def bind_stream(self, stream: str) -> NullStreamTelemetry:  # type: ignore[override]
-        """The shared no-op stream bundle."""
-        return _NULL_STREAM_TELEMETRY
-
-    def pool_gauge(self, stream: str) -> None:  # type: ignore[override]
-        """No-op: pools bound to this twin keep no gauge."""
-        return None
-
-    def event_counter(self, stream: str) -> None:  # type: ignore[override]
-        """No-op."""
-        return None
-
-    def dead_letter_gauge(self, stream: str) -> None:  # type: ignore[override]
-        """No-op."""
-        return None
-
-    def fault_counter(self, stream: str, outcome: str) -> None:  # type: ignore[override]
-        """No-op."""
-        return None
-
-    def streamlet_acquired(self, definition: str, pooled: bool) -> None:
-        """No-op."""
-
-    def link_bandwidth_gauge(self, link: str) -> None:  # type: ignore[override]
-        """No-op."""
-        return None
-
-    def link_event_counter(self, link: str, event: str) -> None:  # type: ignore[override]
-        """No-op."""
-        return None
-
-    def gateway_connections_gauge(self) -> None:  # type: ignore[override]
-        """No-op."""
-        return None
-
-    def gateway_sessions_gauge(self) -> None:  # type: ignore[override]
-        """No-op."""
-        return None
-
-    def gateway_frames_counter(self, direction: str) -> None:  # type: ignore[override]
-        """No-op."""
-        return None
-
-    def gateway_bytes_counter(self, direction: str) -> None:  # type: ignore[override]
-        """No-op."""
-        return None
-
-    def gateway_backpressure_counter(self, outcome: str) -> None:  # type: ignore[override]
-        """No-op."""
-        return None
-
-    def gateway_frame_errors_counter(self) -> None:  # type: ignore[override]
-        """No-op."""
-        return None
-
-    def gateway_outage_counter(self) -> None:  # type: ignore[override]
-        """No-op."""
-        return None
-
-    def gateway_e2e_histogram(self) -> None:  # type: ignore[override]
-        """No-op."""
-        return None
-
-    def gateway_delivery_histogram(self) -> None:  # type: ignore[override]
-        """No-op."""
-        return None
-
-    def gateway_frame_assembly_histogram(self) -> None:  # type: ignore[override]
-        """No-op."""
-        return None
-
-    def gateway_admission_histogram(self) -> None:  # type: ignore[override]
-        """No-op."""
-        return None
-
-    def gateway_egress_write_histogram(self) -> None:  # type: ignore[override]
-        """No-op."""
-        return None
-
-    def store_append_counter(self, backend: str) -> None:  # type: ignore[override]
-        """No-op."""
-        return None
-
-    def store_fsync_counter(self, backend: str) -> None:  # type: ignore[override]
-        """No-op."""
-        return None
-
-    def store_replay_counter(self, backend: str) -> None:  # type: ignore[override]
-        """No-op."""
-        return None
-
-    def recovery_counter(self, outcome: str) -> None:  # type: ignore[override]
-        """No-op."""
-        return None
-
-    def dead_letters_evicted_counter(self, stream: str) -> None:  # type: ignore[override]
-        """No-op."""
-        return None
-
-    def client_counters(self) -> tuple[None, None]:  # type: ignore[override]
-        """No-op: clients bound to this twin keep no counters."""
-        return None, None
-
-    def client_dead_letter_counter(self, reason: str) -> None:  # type: ignore[override]
-        """No-op."""
-        return None
-
-    def peer_hop(self, peer_id, message, results, duration) -> None:
-        """No-op."""
-
-
-#: shared no-op facade — pass as ``telemetry=`` to disable observation
-NULL_TELEMETRY = NullTelemetry()
+#: pass as ``telemetry=`` to a server, gateway or client to run unobserved;
+#: the constructor turns it into ``None``, which is what every component holds
+NULL_TELEMETRY = object()

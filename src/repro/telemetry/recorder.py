@@ -14,9 +14,8 @@ Design rules, matching the rest of :mod:`repro.telemetry`:
 * **bounded** — the deque's ``maxlen`` evicts the oldest events, and the
   eviction itself is observable (:attr:`FlightRecorder.dropped` and the
   cursor gap reported by :meth:`tail`);
-* **zero-overhead twin** — :data:`NULL_RECORDER` short-circuits on the
-  same ``enabled`` attribute test every other telemetry hook uses, so
-  call sites compile down to one attribute read when telemetry is off.
+* **no recorder when unobserved** — a component without telemetry holds
+  no recorder at all, and its call sites test ``is not None`` first.
 
 Events carry a process-monotonic sequence number and a
 ``time.perf_counter`` timestamp, so a dump is totally ordered even when
@@ -49,8 +48,6 @@ def flight_dump_dir() -> Path:
 
 class FlightRecorder:
     """Bounded, lock-cheap ring buffer of structured runtime events."""
-
-    enabled = True
 
     def __init__(self, capacity: int = 2048):
         if capacity < 1:
@@ -184,45 +181,3 @@ class FlightRecorder:
     def clear(self) -> None:
         """Drop every retained event (seq numbering continues)."""
         self._events.clear()
-
-
-class NullFlightRecorder:
-    """The do-nothing twin (zero allocations, one attribute test to skip)."""
-
-    __slots__ = ()
-
-    enabled = False
-    capacity = 0
-    last_seq = 0
-    recorded = 0
-    dropped = 0
-    dumps: dict[str, str] = {}
-
-    def record(self, category: str, *, stream: str | None = None, **detail) -> int:
-        """No-op."""
-        return 0
-
-    def events(self) -> list[dict]:
-        """No-op: nothing is ever retained."""
-        return []
-
-    def tail(self, cursor: int = 0, *, limit: int | None = None) -> dict:
-        """No-op tail: empty and cursor-stable."""
-        return {
-            "events": [], "cursor": max(cursor, 0), "gap": 0,
-            "recorded": 0, "dropped": 0,
-        }
-
-    def dump(self, label: str, *, reason: str, directory=None) -> str:
-        """No-op: no artifact is written."""
-        return ""
-
-    def clear(self) -> None:
-        """No-op."""
-
-    def __len__(self) -> int:
-        return 0
-
-
-#: shared no-op recorder — what disabled telemetry hands to every call site
-NULL_RECORDER = NullFlightRecorder()

@@ -142,6 +142,23 @@ class TestRecoveryVerb:
             reply = handle.control({"op": "recovery"})
             assert reply["ok"] and reply["enabled"] is False
             assert reply["recovery"] is None
+            # no ledger, nothing to balance: an empty, balanced reconcile
+            reply = handle.control({"op": "recovery", "reconcile": True})
+            assert reply["reconcile"] == {"balanced": True, "missing": 0, "sessions": []}
+
+    def test_storeless_supervised_gateway_parks_and_requeues(self):
+        gateway = GatewayServer(config=GatewayConfig(supervise=True))
+        assert gateway.ledger is None and gateway.recovery is None
+        with gateway.run_in_thread() as handle:
+            handle.control({"op": "deploy", "mcl": MCL, "session": "k"})
+            assert gateway.sessions["k"].ledger is None
+            assert gateway.sessions["k"].supervisor.ledger is None
+            park(gateway, "k", "dl-1")
+            reply = handle.control({"op": "dead_letters", "session": "k"})
+            assert reply["supervised"] is True
+            assert [row["msg_id"] for row in reply["dead_letters"]] == ["dl-1"]
+            reply = handle.control({"op": "requeue", "session": "k", "msg_id": "dl-1"})
+            assert reply == {"ok": True, "session": "k", "msg_id": "dl-1", "status": "admitted"}
 
 
 class TestDrain:

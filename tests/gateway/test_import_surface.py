@@ -39,3 +39,16 @@ def test_gateway_import_loads_no_shared_memory_and_two_schedulers():
     seen = json.loads(done.stdout)
     assert seen["loaded"] == []
     assert seen["schedulers"] == ["InlineScheduler", "ThreadedScheduler"]
+
+
+def test_unobserved_and_not_durable_have_no_stand_in_classes():
+    import repro.store
+    import repro.telemetry
+    from repro.telemetry import NULL_TELEMETRY, Telemetry
+
+    for module in (repro.telemetry, repro.store):
+        names = set(module.__all__) | set(vars(module))
+        assert [n for n in names if n.startswith(("Null", "NULL_"))] == (
+            ["NULL_TELEMETRY"] if module is repro.telemetry else []
+        )
+    assert not isinstance(NULL_TELEMETRY, Telemetry)

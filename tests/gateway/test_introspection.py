@@ -90,11 +90,26 @@ class TestVerbs:
             assert pump["egress_faults"] == state["egress_faults"] == 0
 
     def test_introspect_on_unobserved_gateway_still_answers(self):
-        with GatewayServer(telemetry=NULL_TELEMETRY).run_in_thread() as handle:
-            deploy(handle)
+        gateway = GatewayServer(telemetry=NULL_TELEMETRY)
+        assert gateway.telemetry is None
+        with gateway.run_in_thread() as handle:
+            key = deploy(handle)
             state = handle.control({"op": "introspect"})
             assert state["ok"]
-            assert state["recorder"]["enabled"] is False
+            assert state["recorder"] == {
+                "enabled": False, "recorded": 0, "dropped": 0, "retained": 0, "dumps": {},
+            }
+            assert handle.control({"op": "telemetry"}) == {
+                "ok": True, "enabled": False, "snapshot": {},
+            }
+            assert handle.control({"op": "attribution", "session": key}) == {
+                "ok": True, "enabled": False, "components": {}, "decomposition": {},
+            }
+            # an empty tail that keeps the caller's cursor
+            assert handle.control({"op": "events", "cursor": 7, "limit": 2}) == {
+                "ok": True, "enabled": False, "events": [], "cursor": 7,
+                "gap": 0, "recorded": 0, "dropped": 0,
+            }
 
     def test_worker_utilization_appears_after_traffic(self):
         with observed_gateway().run_in_thread() as handle:

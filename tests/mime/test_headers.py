@@ -51,6 +51,19 @@ class TestBasicMapping:
         with pytest.raises(HeaderError):
             HeaderMap().set("A", "x\ny")
 
+    def test_unencodable_name_or_value_rejected(self):
+        h = HeaderMap({"A": "1"})
+        for name, value in [("A", "lone \ud800 surrogate"), ("B\udfff", "v")]:
+            with pytest.raises(HeaderError):
+                h.set(name, value)
+        assert h.get("A") == "1" and len(h) == 1  # a refused set changes nothing
+        assert h.encoded() == b"A: 1"
+
+    def test_non_ascii_utf8_value_accepted(self):
+        h = HeaderMap()
+        h.set("Subject", "héllo wörld")
+        assert h.encoded() == "Subject: héllo wörld".encode("utf-8")
+
     def test_copy_is_independent(self):
         h = HeaderMap({"A": "1"})
         c = h.copy()

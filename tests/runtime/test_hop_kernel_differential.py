@@ -14,6 +14,10 @@ fused composition is a one-slot rendezvous: two retries falling due
 together would dead-letter the second there and not on an asynchronous
 channel.  That is the channels differing, not the stepping, so the script
 lets at most one message fail per burst and fails ahead of the split.
+
+Each way is also run observed, tracing every hop: the observer may add
+``Content-Trace`` and nothing else, so frames (that header aside), order,
+stream stats and dead letters match the unobserved run.
 """
 
 import random
@@ -24,13 +28,14 @@ from repro.apps import build_server
 from repro.faults import RecoveryPolicy, Supervisor
 from repro.faults.invariant import assert_conservation
 from repro.mcl import astnodes as ast
+from repro.mime.headers import CONTENT_TRACE
 from repro.mime.mediatype import ANY
 from repro.mime.message import MimeMessage
 from repro.mime.wire import serialize_message
 from repro.runtime.message_pool import PassMode
 from repro.runtime.scheduler import InlineScheduler
 from repro.runtime.streamlet import Streamlet
-from repro.telemetry import NULL_TELEMETRY
+from repro.telemetry import NULL_TELEMETRY, MetricsRegistry, Telemetry
 
 STAGES = ("a", "fresh", "retype", "flaky", "split", "z")
 HOPS = len(STAGES)
@@ -135,11 +140,19 @@ def script(seed: int) -> list[list[bytes]]:
     return bursts
 
 
-def run(mode: str, seed: int) -> dict:
-    """Drive the script through one mode; returns everything observable."""
+def run(mode: str, seed: int, observed: bool = False) -> dict:
+    """Drive the script through one mode; returns everything observable.
+
+    ``frames`` are serialised without ``Content-Trace``; ``traced``
+    counts the delivered messages that carried one.
+    """
     options = MODES[mode]
+    telemetry = (
+        Telemetry(registry=MetricsRegistry(), trace_sample_interval=1)
+        if observed else NULL_TELEMETRY
+    )
     server = build_server(
-        pass_mode=options["pass_mode"], drop_timeout=5.0, telemetry=NULL_TELEMETRY
+        pass_mode=options["pass_mode"], drop_timeout=5.0, telemetry=telemetry
     )
     for name, cls in CUSTOM.items():
         server.directory.advertise(_definition(f"dx_{name}"), cls, replace=True)
@@ -172,7 +185,13 @@ def run(mode: str, seed: int) -> dict:
             settle()
         report = assert_conservation(stream)
         assert report.residual == 0
+        traced = 0
+        for message in delivered:
+            if message.headers.get(CONTENT_TRACE) is not None:
+                traced += 1
+                message.headers.remove(CONTENT_TRACE)
         return {
+            "traced": traced,
             "frames": [serialize_message(m) for m in delivered],
             "counters": {name: getattr(stream.stats, name) for name in COUNTERS},
             "dead": sorted(
@@ -187,9 +206,21 @@ def run(mode: str, seed: int) -> dict:
         stream.end()
 
 
-@pytest.mark.parametrize("seed", [7, 20])
-def test_three_ways_of_stepping_agree(seed):
-    unfused, by_reference, by_value = (run(mode, seed) for mode in MODES)
+@pytest.mark.parametrize("seed, observed", [
+    pytest.param(7, False, id="7"),
+    pytest.param(20, False, id="20"),
+    pytest.param(7, True, id="7-traced"),
+    pytest.param(20, True, id="20-traced"),
+])
+def test_three_ways_of_stepping_agree(seed, observed):
+    unfused, by_reference, by_value = (run(mode, seed, observed) for mode in MODES)
+    if observed:
+        # every delivered message was traced, and the observer changed nothing else
+        assert all(r["traced"] == len(r["frames"]) for r in (unfused, by_reference, by_value))
+        unobserved = run("unfused", seed)
+        assert unobserved["traced"] == 0
+        for name in ("frames", "counters", "dead", "per_streamlet"):
+            assert unfused[name] == unobserved[name], name
 
     # same messages, same bytes, same order
     assert by_reference["frames"] == unfused["frames"]

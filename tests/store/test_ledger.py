@@ -1,6 +1,6 @@
 """Ledger fold semantics: the cross-crash conservation arithmetic."""
 
-from repro.store import Ledger, MemoryStore, NULL_LEDGER, fold
+from repro.store import Ledger, MemoryStore, fold
 
 
 def make_ledger():
@@ -133,10 +133,3 @@ class TestRobustness:
         ])
         assert out.records == 4
         assert out.session("s").admitted == 1
-
-    def test_null_ledger_is_inert(self):
-        NULL_LEDGER.deployed("s", mcl="x", scheduler="inline")
-        NULL_LEDGER.counters("s", admitted=5)
-        NULL_LEDGER.flush()
-        assert not NULL_LEDGER.enabled
-        assert NULL_LEDGER.fold().sessions == {}

@@ -10,8 +10,8 @@ from repro.gateway.session import ADMITTED, GatewaySession
 from repro.mime.message import MimeMessage
 from repro.runtime.scheduler import InlineScheduler
 from repro.store.base import open_store
-from repro.store.ledger import NULL_LEDGER, Ledger
-from repro.telemetry import NULL_RECORDER, MetricsRegistry, NullTelemetry, Telemetry
+from repro.store.ledger import Ledger
+from repro.telemetry import NULL_TELEMETRY, MetricsRegistry, Telemetry
 from repro.telemetry.attribution import (
     GATEWAY_E2E,
     HOP_DELIVERY,
@@ -85,7 +85,7 @@ GATEWAY_MCL = """main stream gwchain{
 }"""
 
 
-def gateway_decomposition(ledger=NULL_LEDGER, n=50) -> dict:
+def gateway_decomposition(ledger=None, n=50) -> dict:
     """``n`` messages through a standalone inline session; the attribution."""
     telemetry = Telemetry(registry=MetricsRegistry(), trace_sample_interval=1)
     server = build_server(telemetry=telemetry)
@@ -199,9 +199,16 @@ class TestTracerLoss:
 
 class TestNullTwin:
     def test_null_telemetry_carries_the_null_recorder(self):
-        null = NullTelemetry()
-        assert null.recorder is NULL_RECORDER
-        assert null.enabled is False
-        # the private registry stays empty: no attribution families leak
-        assert null.registry.get("mobigate_hop_queue_wait_seconds") is None
-        assert null.registry.get("mobigate_trace_spans_dropped_total") is None
+        # unobserved is no observer at all: no facade, no stream hooks and
+        # so no recorder, and no attribution instrument is bound anywhere
+        server = build_server(telemetry=NULL_TELEMETRY)
+        stream = server.deploy_script(GATEWAY_MCL)
+        session = GatewaySession("k1", stream, InlineScheduler(stream), inline=True)
+        try:
+            assert server.telemetry is None and stream.tm is None
+            for name in ("r0", "r1"):
+                node = stream.node(name)
+                assert node.hop_hist is None and node.queue_wait_hist is None
+            assert session._e2e_hist is None and session._delivery_hist is None
+        finally:
+            session.close()

@@ -1,41 +1,36 @@
-"""The no-op twin: selectable, inert, and allocation-free on the hot path."""
+"""Unobserved is no observer: ``NULL_TELEMETRY`` resolves to ``None``, which is inert."""
 
+from repro.apps import build_server
 from repro.bench.harness import deploy_chain
+from repro.client import MobiGateClient
+from repro.client.peers import PeerStreamlet
+from repro.faults import Supervisor
+from repro.gateway import GatewayServer
 from repro.mime.headers import CONTENT_TRACE
 from repro.mime.message import MimeMessage
-from repro.telemetry import (
-    NULL_TELEMETRY,
-    NullStreamTelemetry,
-    NullTelemetry,
-    Telemetry,
-)
+from repro.telemetry import NULL_TELEMETRY, global_registry
 
 
-class TestNullTelemetry:
-    def test_is_a_telemetry(self):
-        assert isinstance(NULL_TELEMETRY, Telemetry)
-        assert NULL_TELEMETRY.enabled is False
-
-    def test_bind_stream_returns_shared_singleton(self):
-        a = NULL_TELEMETRY.bind_stream("one")
-        b = NULL_TELEMETRY.bind_stream("two")
-        assert a is b
-        assert isinstance(a, NullStreamTelemetry)
-        assert a.enabled is False
-
+class TestUnobserved:
     def test_bindings_are_inert(self):
-        assert NULL_TELEMETRY.pool_gauge("s") is None
-        assert NULL_TELEMETRY.event_counter("s") is None
-        assert NULL_TELEMETRY.link_bandwidth_gauge("l") is None
-        assert NULL_TELEMETRY.link_event_counter("l", "E") is None
-        assert NULL_TELEMETRY.client_counters() == (None, None)
-        tm = NULL_TELEMETRY.bind_stream("s")
-        assert tm.hop_histogram("i") is None
-        assert tm.channel_wait_histogram("c") is None
-        assert tm.reconfig_begin("E") is None
-        assert tm.admit(MimeMessage("text/plain", b"x")) is False
+        # every constructor resolves the sentinel once; every slot below holds None
+        server = build_server(telemetry=NULL_TELEMETRY)
+        assert server.telemetry is None
+        assert server.coordination._telemetry is None and server.manager._telemetry is None
+        stream = server.deploy_script("main stream s{ streamlet a = new-streamlet (redirector); }")
+        try:
+            assert stream.tm is None
+            assert stream.node("a").hop_hist is None
+            assert all(channel._tm is None for channel in stream._channels.values())
+        finally:
+            server.undeploy(stream.name)
+        gateway = GatewayServer(telemetry=NULL_TELEMETRY)
+        assert gateway.telemetry is None and gateway.data._frames_in is None
+        client = MobiGateClient(telemetry=NULL_TELEMETRY)
+        assert client.telemetry is None and client.distributor._telemetry is None
 
     def test_run_leaves_no_metrics_no_spans_no_headers(self):
+        families = len(global_registry())
         _server, stream, scheduler = deploy_chain(3, telemetry=NULL_TELEMETRY)
         for i in range(5):
             stream.post(MimeMessage("text/plain", b"m%d" % i))
@@ -46,19 +41,30 @@ class TestNullTelemetry:
         assert len(delivered) == 5
         for message in delivered:
             assert message.headers.get(CONTENT_TRACE) is None
-        assert len(NULL_TELEMETRY.registry) == 0
-        assert NULL_TELEMETRY.tracer.spans() == []
+        assert stream.tm is None  # no hooks, so no tracer to hold a span
+        assert len(global_registry()) == families
 
     def test_peer_hop_is_inert(self):
+        client = MobiGateClient(telemetry=NULL_TELEMETRY)
+        client.register_peer("p", lambda: PeerStreamlet("p"))
         message = MimeMessage("text/plain", b"x")
         message.headers.set_trace("t", "p")
+        message.headers.push_peer("p")
         before = message.headers.get(CONTENT_TRACE)
-        NULL_TELEMETRY.peer_hop("p", message, [message], 0.001)
-        assert message.headers.get(CONTENT_TRACE) == before
-        assert len(NULL_TELEMETRY.registry) == 0
+        (out,) = client.receive(message)
+        assert out.headers.get(CONTENT_TRACE) == before
+        assert client.dead_letters == []
 
-    def test_fresh_null_instances_also_inert(self):
-        # NullTelemetry is constructible (not only the shared singleton)
-        own = NullTelemetry()
-        assert own.enabled is False
-        assert len(own.registry) == 0
+    def test_defaults_hold_none(self):
+        # components built without an observer or a store are unobserved and
+        # not durable by default: they hold None, never a stand-in object
+        server = build_server(telemetry=NULL_TELEMETRY)
+        stream = server.deploy_script("main stream s{ streamlet a = new-streamlet (redirector); }")
+        supervisor = Supervisor(stream)
+        try:
+            assert supervisor.ledger is None and supervisor._gauge is None
+            assert MobiGateClient().telemetry is None
+            gateway = GatewayServer()  # no store backend configured
+            assert gateway.ledger is None and gateway.recovery is None
+        finally:
+            server.undeploy(stream.name)

@@ -4,7 +4,7 @@ import json
 import threading
 import time
 
-from repro.telemetry import NULL_RECORDER, FlightRecorder, NullFlightRecorder
+from repro.telemetry import FlightRecorder
 from repro.telemetry.recorder import flight_dump_dir
 
 
@@ -129,18 +129,3 @@ class TestDump:
         recorder.dump("envtest", reason="r")
         assert (tmp_path / "FLIGHT_envtest.json").exists()
 
-
-class TestNullTwin:
-    def test_null_recorder_is_inert(self, tmp_path):
-        assert isinstance(NULL_RECORDER, NullFlightRecorder)
-        assert NULL_RECORDER.enabled is False
-        assert NULL_RECORDER.record("drop", stream="s") == 0
-        assert NULL_RECORDER.events() == []
-        tail = NULL_RECORDER.tail(0)
-        assert tail["events"] == [] and tail["cursor"] == 0
-        assert NULL_RECORDER.dump("x", reason="r", directory=tmp_path) == ""
-        assert len(NULL_RECORDER) == 0
-        assert list(tmp_path.iterdir()) == []
-
-    def test_null_recorder_has_no_per_instance_state(self):
-        assert NullFlightRecorder.__slots__ == ()
