@@ -4,9 +4,9 @@ Two halves, matching the acceptance criteria of the durable state plane:
 
 * **overhead** — the gateway loopback workload (closed-loop TCP clients
   through a redirector chain, as in :mod:`repro.bench.gateway`) run with
-  the ledger off, then over each store backend (memory / file / sqlite).
-  Each durable row carries ``overhead_pct`` vs the in-memory backend;
-  the budget is **< 10 %** for the WAL backends (advisory, like every
+  the ledger off, then over the in-memory and the file store.  The
+  file row carries ``overhead_pct`` vs the in-memory backend; the
+  budget is **< 10 %** for the WAL (advisory, like every
   baseline comparison — hosts differ, CI surfaces it, a human judges).
 * **crash cycles** — the :class:`repro.store.crash.CrashHarness` drives
   seeded kill-9/restart cycles against a subprocess gateway.  These
@@ -118,29 +118,19 @@ def _run_mode(
     }
 
 
-def _run_crash(
-    mode: str, store_dir: Path, *, cycles: int, burst: int, seed: int
-) -> dict:
+def _run_crash(store_dir: Path, *, cycles: int, burst: int, seed: int) -> dict:
     """One seeded kill-9 scenario; hard-fails on any lost acked message."""
-    harness = CrashHarness(
-        store_dir / f"crash-{mode}",
-        backend=mode,
-        cycles=cycles,
-        burst=burst,
-        seed=seed,
-    )
+    harness = CrashHarness(store_dir / "crash", cycles=cycles, burst=burst, seed=seed)
     report = harness.run()
     if report.lost_acked:
         raise RuntimeError(
             f"durability violated: {report.lost_acked} acked messages lost "
-            f"across {cycles} {mode} crash cycles ({report.describe()})"
+            f"across {cycles} crash cycles ({report.describe()})"
         )
     if not report.balanced:
-        raise RuntimeError(
-            f"cross-crash conservation unbalanced ({mode}): {report.describe()}"
-        )
+        raise RuntimeError(f"cross-crash conservation unbalanced: {report.describe()}")
     return {
-        "mode": f"crash_{mode}",
+        "mode": "crash_file",
         "messages": report.sent_total,
         "acked": report.acked_total,
         "delivered_total": report.delivered_total,
@@ -169,26 +159,16 @@ def run_durability(*, quick: bool = False) -> DurabilityBenchResult:
                 messages_per_client=messages,
                 repeats=2 if quick else 3,
             )
-            for mode in ("none", "memory", "file", "sqlite")
+            for mode in ("none", "memory", "file")
         }
         baseline = rows["memory"]["throughput_msgs_per_sec"]
         for mode, row in rows.items():
-            if mode in ("file", "sqlite") and baseline > 0:
+            if mode == "file" and baseline > 0:
                 row["overhead_pct"] = round(
                     (1.0 - row["throughput_msgs_per_sec"] / baseline) * 100.0, 2
                 )
             result.rows.append(row)
-        result.rows.append(
-            _run_crash(
-                "file", store_dir, cycles=cycles, burst=32, seed=1234
-            )
-        )
-        if not quick:
-            result.rows.append(
-                _run_crash(
-                    "sqlite", store_dir, cycles=cycles, burst=32, seed=1234
-                )
-            )
+        result.rows.append(_run_crash(store_dir, cycles=cycles, burst=32, seed=1234))
     import sys
 
     for row in result.rows:

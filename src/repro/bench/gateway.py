@@ -11,8 +11,7 @@ scheduler → egress pump → socket → parse.
 The run is driven end-to-end through the public surfaces: the chain is
 deployed via the **control API**, and the conservation ledger is scraped
 from it afterwards — the bench fails loudly if the ledger does not
-balance (admitted == delivered + absorbed + dead-lettered + dropped +
-resident).
+balance (the equation in :mod:`repro.faults.invariant`).
 
 Scale note: the default scenario opens ~1000 sockets on each side plus
 the listener; the soft ``RLIMIT_NOFILE`` is raised toward the hard limit

@@ -40,7 +40,7 @@ def _parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         help="ledger path; omitting it disables durability",
     )
     parser.add_argument(
-        "--backend", default="file", choices=("memory", "file", "sqlite"),
+        "--backend", default="file", choices=("memory", "file"),
         help="state-store backend (default: file)",
     )
     parser.add_argument(

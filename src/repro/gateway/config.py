@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.mime.wire import DEFAULT_MAX_FRAME_BYTES, DEFAULT_MAX_HEADER_BYTES
+from repro.store.base import SQLITE_REMOVED
 
 
 @dataclass
@@ -61,9 +62,9 @@ class GatewayConfig:
     egress_wake_timeout: float = 0.05
 
     #: durable state plane: ledger backend (None disables durability;
-    #: "memory" / "file" / "sqlite" per :func:`repro.store.base.open_store`)
+    #: "memory" / "file" per :func:`repro.store.base.open_store`)
     store_backend: str | None = None
-    #: ledger path for the durable backends (file / sqlite)
+    #: ledger path for the durable (file) backend
     store_path: str | None = None
     #: store fsync policy ("always" / "batch" / "never")
     store_fsync: str = "batch"
@@ -94,9 +95,11 @@ class GatewayConfig:
             raise ValueError(
                 f"egress_wake_timeout must be > 0, got {self.egress_wake_timeout}"
             )
-        if self.store_backend not in (None, "memory", "file", "sqlite"):
+        if self.store_backend == "sqlite":
+            raise ValueError(SQLITE_REMOVED)
+        if self.store_backend not in (None, "memory", "file"):
             raise ValueError(f"unknown store backend {self.store_backend!r}")
-        if self.store_backend in ("file", "sqlite") and not self.store_path:
+        if self.store_backend == "file" and not self.store_path:
             raise ValueError(
                 f"store backend {self.store_backend!r} requires store_path"
             )

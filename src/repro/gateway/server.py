@@ -32,12 +32,12 @@ import asyncio
 import itertools
 import signal
 import threading
-from dataclasses import fields, replace
+from dataclasses import asdict, replace
 from typing import TYPE_CHECKING
 
 from repro.apps import build_server
 from repro.errors import MobiGateError
-from repro.faults.invariant import check_conservation
+from repro.faults.invariant import DROP_KINDS, check_conservation
 from repro.gateway.config import GatewayConfig
 from repro.gateway.control_plane import ControlPlane, control_request
 from repro.gateway.data_plane import DataPlane
@@ -341,22 +341,17 @@ class GatewayServer:
     def describe(self, session: GatewaySession) -> dict:
         """One session's full ledger: gateway counters, stream stats, conservation."""
         report = check_conservation(session.stream)
-        stream_stats = session.stream.stats
+        stats = asdict(session.stream.stats)
         return {
             "ok": True,
             **session.describe(),
-            "stream_stats": {
-                f.name: getattr(stream_stats, f.name) for f in fields(stream_stats)
-            },
+            "stream_stats": stats,
             "conservation": {
                 "admitted": report.admitted,
                 "delivered": report.delivered,
                 "absorbed": report.absorbed,
                 "dead_letters": report.dead_letters,
-                "queue_drops": report.queue_drops,
-                "open_circuit_drops": report.open_circuit_drops,
-                "failure_drops": report.failure_drops,
-                "end_drops": report.end_drops,
+                **{kind: stats[kind] for kind in DROP_KINDS},
                 "residual": report.residual,
                 "missing": report.missing,
                 "balanced": report.balanced,

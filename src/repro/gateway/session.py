@@ -45,6 +45,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import QueueClosedError
+from repro.faults.invariant import ConservationReport, check_conservation
 from repro.mime.message import MimeMessage
 from repro.mime.wire import serialize_parts
 from repro.runtime.stream import RuntimeStream
@@ -370,10 +371,8 @@ class GatewaySession:
         #: a recovery Supervisor, when the gateway runs with supervision
         self.supervisor = None
         self._mirror_lock = threading.Lock()
-        self._mirrored = {
-            "admitted": 0, "delivered": 0, "absorbed": 0,
-            "dead_letters": 0, "dropped": 0,
-        }
+        #: the report the ledger holds so far: the last sync's read
+        self._last_sync = ConservationReport()
         #: end-to-end latency histogram (None disables the ingress stamp)
         self._e2e_hist = (
             telemetry.gateway_e2e_histogram() if telemetry is not None else None
@@ -470,42 +469,27 @@ class GatewaySession:
         self.supervisor = supervisor
 
     def sync_ledger(self) -> None:
-        """Mirror counter *deltas* since the previous sync into the ledger.
+        """Mirror the stream's conservation terms into the ledger as deltas.
 
-        Read order matters: the terminal counters (delivered, absorbed,
-        dead letters, drops) are read **before** the admission counter.
-        A message that reaches a terminal between the two reads has its
-        admission counted but not its fate — it folds as in-flight and
-        corrects on the next sync — whereas the opposite order could
-        fold a fate whose admission was missed, driving the running
-        in-flight tally negative.  Callable from any thread.
+        Writes ``current - last sync``, both read by
+        :func:`~repro.faults.invariant.check_conservation`, whose read
+        order keeps the folded in-flight tally non-negative.  Callable
+        from any thread.
         """
         if self.ledger is None:
             return
-        stats = self.stream.stats
         with self._mirror_lock:
-            delivered = stats.messages_out
-            absorbed = stats.absorbed
-            dead_letters = stats.dead_letters
-            dropped = (
-                stats.queue_drops + stats.open_circuit_drops
-                + stats.failure_drops + stats.end_drops
-            )
-            admitted = self.stream.pool.admitted
-            m = self._mirrored
+            current = check_conservation(self.stream)
+            delta = current - self._last_sync
             self.ledger.counters(
                 self.key,
-                admitted=admitted - m["admitted"],
-                delivered=delivered - m["delivered"],
-                absorbed=absorbed - m["absorbed"],
-                dead_letters=dead_letters - m["dead_letters"],
-                dropped=dropped - m["dropped"],
+                admitted=delta.admitted,
+                delivered=delta.delivered,
+                absorbed=delta.absorbed,
+                dead_letters=delta.dead_letters,
+                dropped=delta.dropped,
             )
-            m["admitted"] = admitted
-            m["delivered"] = delivered
-            m["absorbed"] = absorbed
-            m["dead_letters"] = dead_letters
-            m["dropped"] = dropped
+            self._last_sync = current
 
     # -- egress (pump thread) ------------------------------------------------------------
 

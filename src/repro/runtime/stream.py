@@ -81,25 +81,27 @@ class ReconfigTiming:
         return self.suspend + self.channel_ops + self.activate
 
 
+def _counter(text: str):
+    """A :class:`StreamStats` field; ``text`` is its exported metric's help."""
+    return field(default=0, metadata={"help": text})
+
+
 @dataclass
 class StreamStats:
-    messages_in: int = 0
-    messages_out: int = 0
-    processed: int = 0
-    queue_drops: int = 0
-    open_circuit_drops: int = 0
-    processing_failures: int = 0
-    events_handled: int = 0
-    #: messages a streamlet consumed without emitting (cache hit, filter)
-    absorbed: int = 0
-    #: failed messages released because no fault handler retained them
-    failure_drops: int = 0
-    #: pool entries drained from channels when the stream ended
-    end_drops: int = 0
-    #: failed messages re-posted by a recovery supervisor
-    retries: int = 0
-    #: messages parked in a dead-letter pool after exhausting recovery
-    dead_letters: int = 0
+    """A stream's lifecycle counters, exported as ``mobigate_stream_<field>_total``."""
+
+    messages_in: int = _counter("Messages admitted by post()")
+    messages_out: int = _counter("Messages drained at egress")
+    processed: int = _counter("Streamlet process() completions")
+    queue_drops: int = _counter("Messages dropped on a full queue")
+    open_circuit_drops: int = _counter("Emissions aimed at an unconnected port")
+    processing_failures: int = _counter("Messages whose process() raised")
+    events_handled: int = _counter("Context events that ran a when-handler")
+    absorbed: int = _counter("Messages consumed by a streamlet without emission")
+    failure_drops: int = _counter("Failed messages released with no recovery handler")
+    end_drops: int = _counter("Pool entries drained from channels at stream end")
+    retries: int = _counter("Failed messages re-posted by a recovery supervisor")
+    dead_letters: int = _counter("Messages dead-lettered after exhausting recovery")
 
     def __post_init__(self) -> None:
         # not a dataclass field: excluded from fields()/repr/JSON export

@@ -7,8 +7,8 @@ This package makes that state survive a process kill:
 * :mod:`repro.store.base` — the tiny :class:`StateStore` append-only
   contract plus the in-memory reference backend and the
   :func:`open_store` factory;
-* :mod:`repro.store.wal` — the durable backends: a CRC-framed JSONL
-  write-ahead file and an sqlite WAL database, both torn-tail tolerant;
+* :mod:`repro.store.wal` — the durable backend: a CRC-framed JSONL
+  write-ahead file, torn-tail tolerant;
 * :mod:`repro.store.ledger` — the :class:`Ledger` event schema the
   gateway writes (counter deltas on the hot path, full frames only on
   the fault path) and the :func:`fold` that replays it into per-session
@@ -31,12 +31,11 @@ from repro.store.ledger import (
     LedgerFold,
     ParkedRecord,
     RetryRecord,
-    SessionBalance,
     SessionFold,
     fold,
 )
 from repro.store.recovery import RecoveryManager, RecoveryReport, SessionRecovery
-from repro.store.wal import FileWALStore, SqliteWALStore
+from repro.store.wal import FileWALStore
 
 __all__ = [
     "CrashCycle",
@@ -52,10 +51,8 @@ __all__ = [
     "RecoveryManager",
     "RecoveryReport",
     "RetryRecord",
-    "SessionBalance",
     "SessionFold",
     "SessionRecovery",
-    "SqliteWALStore",
     "StateStore",
     "fold",
     "open_store",

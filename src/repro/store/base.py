@@ -3,8 +3,8 @@
 A state store is an **append-only record log**: the durable substrate the
 :class:`~repro.store.ledger.Ledger` writes gateway lifecycle events
 through.  The contract is deliberately tiny — append, replay, flush,
-truncate, close — so a backend can be anything from a Python list to a
-write-ahead file to sqlite, and the recovery plane never cares which.
+truncate, close — so a backend can be a Python list or a write-ahead file, and the
+recovery plane never cares which.
 
 Contract rules every backend honours:
 
@@ -22,7 +22,7 @@ Contract rules every backend honours:
 
 :class:`MemoryStore` is the non-durable twin: it keeps the records in a
 list, survives nothing, and exists so the ``durability`` bench can price
-the WAL backends against pure bookkeeping overhead.
+the WAL backend against pure bookkeeping overhead.
 """
 
 from __future__ import annotations
@@ -35,6 +35,12 @@ from repro.errors import StoreError
 #: accepted ``fsync`` policies for durable backends
 FSYNC_POLICIES = ("always", "batch", "never")
 
+#: why a configuration naming the deleted sqlite backend is refused
+SQLITE_REMOVED = (
+    "the sqlite store backend was removed; the file backend "
+    "(a CRC-framed write-ahead log) is the one durable store"
+)
+
 
 class StateStore:
     """Abstract append-only record log (see the module docstring).
@@ -44,7 +50,7 @@ class StateStore:
     kill), and implement the five primitives.
     """
 
-    #: short backend label ("memory" / "file" / "sqlite")
+    #: short backend label ("memory" / "file")
     backend = "abstract"
     #: whether appended records survive a process kill
     durable = False
@@ -150,8 +156,8 @@ def open_store(
 ) -> StateStore:
     """Build a :class:`StateStore` from configuration strings.
 
-    ``backend`` is ``"memory"``, ``"file"`` (append-only CRC-framed WAL),
-    or ``"sqlite"``; the durable backends require ``path``.  ``fsync``
+    ``backend`` is ``"memory"`` or ``"file"`` (append-only CRC-framed
+    WAL, which requires ``path``).  ``fsync``
     picks the durability/throughput trade: ``"always"`` syncs per append,
     ``"batch"`` syncs on :meth:`StateStore.flush`, ``"never"`` leaves it
     to the OS.  ``telemetry`` (a :class:`repro.telemetry.Telemetry`) adds
@@ -168,15 +174,9 @@ def open_store(
             raise StoreError("the file backend requires a path")
         store = FileWALStore(path, fsync=fsync)
     elif backend == "sqlite":
-        from repro.store.wal import SqliteWALStore
-
-        if path is None:
-            raise StoreError("the sqlite backend requires a path")
-        store = SqliteWALStore(path, fsync=fsync)
+        raise StoreError(SQLITE_REMOVED)
     else:
-        raise StoreError(
-            f"unknown store backend {backend!r} (choose from memory/file/sqlite)"
-        )
+        raise StoreError(f"unknown store backend {backend!r} (choose from memory/file)")
     if telemetry is not None:
         _instrument(store, telemetry)
     return store

@@ -69,7 +69,6 @@ class CrashCycle:
 class CrashReport:
     """The verdict of a whole :meth:`CrashHarness.run`."""
 
-    backend: str
     fsync: str
     seed: int
     cycles: list[CrashCycle] = field(default_factory=list)
@@ -88,7 +87,6 @@ class CrashReport:
     def describe(self) -> dict:
         """A JSON-ready summary (what the durability bench records)."""
         return {
-            "backend": self.backend,
             "fsync": self.fsync,
             "seed": self.seed,
             "cycles": len(self.cycles),
@@ -110,7 +108,6 @@ class CrashHarness:
         self,
         store_dir: str | os.PathLike,
         *,
-        backend: str = "file",
         fsync: str = "batch",
         cycles: int = 20,
         burst: int = 32,
@@ -123,7 +120,6 @@ class CrashHarness:
         import random
 
         self.store_dir = Path(store_dir)
-        self.backend = backend
         self.fsync = fsync
         self.cycles = cycles
         self.burst = burst
@@ -139,8 +135,7 @@ class CrashHarness:
     # -- child process management -----------------------------------------------------
 
     def _store_path(self) -> str:
-        name = "ledger.wal" if self.backend == "file" else "ledger.sqlite"
-        return str(self.store_dir / name)
+        return str(self.store_dir / "ledger.wal")
 
     def _spawn(self) -> dict:
         """Start the child gateway; returns its printed address record."""
@@ -157,8 +152,6 @@ class CrashHarness:
                 "repro.gateway",
                 "--store",
                 self._store_path(),
-                "--backend",
-                self.backend,
                 "--fsync",
                 self.fsync,
                 "--supervise",
@@ -204,8 +197,7 @@ class CrashHarness:
         if self._child is not None:
             self._child.kill()
             self._child.wait(timeout=self.io_timeout)
-            self._child = None
-            self._addresses = None
+            self._forget()
 
     def _shutdown(self) -> None:
         """Graceful exit: SIGTERM drives the child's drain path."""
@@ -217,6 +209,12 @@ class CrashHarness:
         except subprocess.TimeoutExpired:  # pragma: no cover - hung child
             self._child.kill()
             self._child.wait(timeout=self.io_timeout)
+        self._forget()
+
+    def _forget(self) -> None:
+        """Drop the exited child, closing the stdout pipe it was read through."""
+        assert self._child is not None and self._child.stdout is not None
+        self._child.stdout.close()
         self._child = None
         self._addresses = None
 
@@ -279,7 +277,7 @@ class CrashHarness:
 
     def run(self) -> CrashReport:
         """Execute every kill/restart cycle; returns the verdict."""
-        report = CrashReport(backend=self.backend, fsync=self.fsync, seed=self.seed)
+        report = CrashReport(fsync=self.fsync, seed=self.seed)
         began = time.perf_counter()
         try:
             for cycle in range(self.cycles):
@@ -323,6 +321,6 @@ class CrashHarness:
             if self._child is not None:
                 self._child.kill()
                 self._child.wait()
-                self._child = None
+                self._forget()
         report.wall_s = time.perf_counter() - began
         return report

@@ -12,18 +12,13 @@ per message — that would double the hot-path work and still drift from
 the live invariant, because shed/abandon/fault paths admit to the pool
 without crossing a single choke point.  Instead each
 :class:`~repro.gateway.session.GatewaySession` mirrors its stream's
-counters into one ``counters`` record per pump cycle, carrying the
-**deltas** since the previous mirror.  Folding the deltas reproduces
-exactly the totals the live conservation checker sees, so the
-cross-crash equation::
-
-    admitted == delivered + absorbed + dead_lettered + dropped
-                + resident + recovered_in_flight
-
-balances by construction: the fold's running in-flight tally must equal
-live pool residency at quiescence, and whatever was in flight when a
-process died is frozen into ``recovered_in_flight`` by the ``recovered``
-record the next generation writes.
+:class:`~repro.faults.invariant.ConservationReport` into one
+``counters`` record per pump cycle: the difference since the previous
+mirror.  :func:`fold` adds the differences back into one report per
+session, and the ``recovered`` record a new process generation writes
+freezes whatever was in flight at the kill into ``recovered_in_flight``.
+The equation those reports balance is stated once, in
+:mod:`repro.faults.invariant`.
 
 Per-message records exist only on the *fault* path, where the message
 payload itself must survive: ``dead_letter`` and ``retry_scheduled``
@@ -34,9 +29,17 @@ re-inject real bytes, not just counts.
 from __future__ import annotations
 
 import base64
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
+from repro.faults.invariant import ConservationReport
 from repro.store.base import StateStore
+
+
+#: the report terms a ``counters`` record carries, under their own names
+_MIRRORED = ("admitted", "delivered", "absorbed", "dead_letters", "dropped")
+
+#: how a reconcile row names the report's terms (the ``recovery`` verb's keys)
+_ROW_NAMES = {"stream": "session", "dead_letters": "dead_lettered", "residual": "resident"}
 
 
 def _encode_frame(frame: bytes | None) -> str | None:
@@ -96,41 +99,15 @@ class SessionFold:
     #: last adopted last-known-good epoch / MCL (None once retired)
     lkg_epoch: int | None = None
     lkg_mcl: str | None = None
-    #: cumulative conservation totals folded from ``counters`` deltas
-    admitted: int = 0
-    delivered: int = 0
-    absorbed: int = 0
-    dead_lettered: int = 0
-    dropped: int = 0
-    #: in-flight tallies frozen by previous generations' ``recovered`` records
-    recovered_in_flight: int = 0
+    #: ``counters`` deltas summed, ``recovered`` in-flight tallies frozen
+    #: in (``residual`` stays 0: residency is live state)
+    totals: ConservationReport = field(default_factory=ConservationReport)
     #: how many ``recovered`` records (process generations) folded in
     recoveries: int = 0
-    #: in-flight since the last recovery point (admission minus outflow)
-    running_in_flight: int = 0
     #: dead letters still parked (msg_id → record with frame)
     parked: dict[str, ParkedRecord] = field(default_factory=dict)
     #: retries scheduled but not settled before the crash
     pending_retries: dict[str, RetryRecord] = field(default_factory=dict)
-
-    @property
-    def in_flight(self) -> int:
-        """Messages admitted since the last recovery point with no fate yet."""
-        return self.running_in_flight
-
-    def balances(self, resident: int) -> bool:
-        """Whether the cross-crash conservation equation holds.
-
-        ``resident`` is the live pool residency for this session's
-        stream.  By construction ``running_in_flight`` is admitted minus
-        every recorded fate, so the equation reduces to ``resident ==
-        running_in_flight``; both forms are checked for belt and braces.
-        """
-        total = (
-            self.delivered + self.absorbed + self.dead_lettered
-            + self.dropped + resident + self.recovered_in_flight
-        )
-        return self.admitted == total and resident == self.running_in_flight
 
 
 @dataclass
@@ -156,27 +133,14 @@ class LedgerFold:
 
 
 @dataclass
-class SessionBalance:
-    """One session's line in a :class:`CrossCrashReport`."""
-
-    session: str
-    admitted: int
-    delivered: int
-    absorbed: int
-    dead_lettered: int
-    dropped: int
-    resident: int
-    recovered_in_flight: int
-    balanced: bool
-    #: admissions with no recorded fate and no live residency (should be 0)
-    missing: int
-
-
-@dataclass
 class CrossCrashReport:
-    """Conservation reconciliation across every crash in the ledger."""
+    """Conservation reconciliation across every crash in the ledger.
 
-    sessions: list[SessionBalance] = field(default_factory=list)
+    One :class:`~repro.faults.invariant.ConservationReport` per session:
+    the folded terms, with live pool residency as the residual.
+    """
+
+    sessions: list[ConservationReport] = field(default_factory=list)
 
     @property
     def balanced(self) -> bool:
@@ -185,8 +149,12 @@ class CrossCrashReport:
 
     @property
     def missing(self) -> int:
-        """Total unexplained admissions across all sessions."""
-        return sum(row.missing for row in self.sessions)
+        """Unexplained admissions across all sessions, each counted absolutely.
+
+        A leak in one session and a double count in another must not
+        cancel out: ``missing == 0`` holds exactly when :attr:`balanced`.
+        """
+        return sum(abs(row.missing) for row in self.sessions)
 
     def describe(self) -> dict:
         """A JSON-ready rendering (the ``recovery`` verb's payload)."""
@@ -195,14 +163,7 @@ class CrossCrashReport:
             "missing": self.missing,
             "sessions": [
                 {
-                    "session": row.session,
-                    "admitted": row.admitted,
-                    "delivered": row.delivered,
-                    "absorbed": row.absorbed,
-                    "dead_lettered": row.dead_lettered,
-                    "dropped": row.dropped,
-                    "resident": row.resident,
-                    "recovered_in_flight": row.recovered_in_flight,
+                    **{_ROW_NAMES.get(k, k): v for k, v in asdict(row).items()},
                     "balanced": row.balanced,
                     "missing": row.missing,
                 }
@@ -232,17 +193,7 @@ def fold(records) -> LedgerFold:
         elif ev == "undeployed":
             f.undeployed = True
         elif ev == "counters":
-            admitted = int(record.get("admitted", 0))
-            delivered = int(record.get("delivered", 0))
-            absorbed = int(record.get("absorbed", 0))
-            dead = int(record.get("dead_letters", 0))
-            dropped = int(record.get("dropped", 0))
-            f.admitted += admitted
-            f.delivered += delivered
-            f.absorbed += absorbed
-            f.dead_lettered += dead
-            f.dropped += dropped
-            f.running_in_flight += admitted - (delivered + absorbed + dead + dropped)
+            f.totals += ConservationReport(**{n: int(record.get(n, 0)) for n in _MIRRORED})
         elif ev == "dead_letter":
             msg_id = str(record.get("msg_id"))
             f.parked[msg_id] = ParkedRecord(
@@ -251,10 +202,8 @@ def fold(records) -> LedgerFold:
                 reason=str(record.get("reason", "")),
                 frame_b64=record.get("frame"),
             )
-        elif ev == "dead_letter_evicted":
-            f.parked.pop(str(record.get("msg_id")), None)
-        elif ev == "requeue":
-            # The requeued copy is a fresh admission (its counters flow
+        elif ev in ("dead_letter_evicted", "requeue"):
+            # A requeued copy is a fresh admission (its counters flow
             # through the mirror); only the parked entry goes away.
             f.parked.pop(str(record.get("msg_id")), None)
         elif ev == "retry_scheduled":
@@ -281,8 +230,7 @@ def fold(records) -> LedgerFold:
             # A new process generation adopted this session: whatever
             # was in flight at the kill has its fate frozen here, and
             # the pending retries were re-injected as fresh admissions.
-            f.recovered_in_flight += f.running_in_flight
-            f.running_in_flight = 0
+            f.totals += ConservationReport(recovered_in_flight=f.totals.in_flight)
             f.pending_retries.clear()
             f.recoveries += 1
     return out

@@ -15,29 +15,24 @@ never deliberately undeployed:
 3. **re-parks** every still-parked dead letter into the new session
    supervisor's :class:`~repro.faults.supervisor.DeadLetterPool`, frames
    decoded from the ledger (no stats bump — the originals are already in
-   the cumulative ``dead_lettered`` fold);
+   the folded ``dead_letters`` total);
 4. **re-injects** every retry that was scheduled but unsettled at the
    kill, through the ordinary admission path (gateway-internal headers
    stripped first — the old connection and ingress stamp died with the
    process).
 
 :meth:`RecoveryManager.reconcile` is the checkable other half: it
-mirrors live counters into the ledger, refolds, and balances the
-cross-crash conservation equation per session against live pool
-residency — the ``durability`` bench and the crash tests assert its
-``balanced`` verdict after every kill.
+mirrors live counters into the ledger, refolds, and balances each
+session's folded :class:`~repro.faults.invariant.ConservationReport`
+against live pool residency — the ``durability`` bench and the crash
+tests assert its ``balanced`` verdict after every kill.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
-from repro.store.ledger import (
-    CrossCrashReport,
-    LedgerFold,
-    SessionBalance,
-    SessionFold,
-)
+from repro.store.ledger import CrossCrashReport, LedgerFold, SessionFold
 
 #: admission attempts per re-injected retry before giving up (shedding)
 _REINJECT_ATTEMPTS = 8
@@ -80,19 +75,7 @@ class RecoveryReport:
         return {
             "records": self.records,
             "restored": self.restored,
-            "sessions": [
-                {
-                    "session": s.session,
-                    "restored": s.restored,
-                    "reason": s.reason,
-                    "in_flight": s.in_flight,
-                    "reparked": s.reparked,
-                    "reinjected": s.reinjected,
-                    "reinject_failures": s.reinject_failures,
-                    "lkg_epoch": s.lkg_epoch,
-                }
-                for s in self.sessions
-            ],
+            "sessions": [asdict(s) for s in self.sessions],
         }
 
 
@@ -142,7 +125,7 @@ class RecoveryManager:
         out = SessionRecovery(
             session=sf.session,
             restored=False,
-            in_flight=sf.in_flight,
+            in_flight=sf.totals.in_flight,
             lkg_epoch=sf.lkg_epoch,
         )
         if sf.session in gateway.sessions:
@@ -179,7 +162,7 @@ class RecoveryManager:
         # new generation's running tally, not the frozen one.
         self._ledger.recovered(
             sf.session,
-            in_flight=sf.in_flight,
+            in_flight=sf.totals.in_flight,
             parked=len(sf.parked),
             retries=len(sf.pending_retries),
         )
@@ -195,7 +178,7 @@ class RecoveryManager:
 
         Entries go straight into the pool — *not* through the supervisor's
         dead-letter path — because their release from the old pool is
-        already folded into the cumulative ``dead_lettered`` total; a
+        already folded into the ``dead_letters`` total; a
         second stats bump would unbalance the equation.
         """
         supervisor = getattr(session, "supervisor", None)
@@ -266,14 +249,12 @@ class RecoveryManager:
     # -- the checkable half -----------------------------------------------------------
 
     def reconcile(self) -> CrossCrashReport:
-        """Balance the cross-crash conservation equation for every session.
+        """Balance the conservation equation for every session, across crashes.
 
         Mirrors every live session's counters into the ledger, refolds,
-        and checks ``admitted == delivered + absorbed + dead_lettered +
-        dropped + resident + recovered_in_flight`` per session, with
-        live pool residency standing in for ``resident``.  Meaningful at
-        quiescence (no traffic mid-flight); ``missing`` counts
-        admissions with neither a recorded fate nor live residency.
+        and sets each session's live pool residency as the residual of
+        its folded report.  Meaningful at quiescence (no traffic
+        mid-flight).
         """
         gateway = self._gateway
         for session in list(gateway.sessions.values()):
@@ -282,21 +263,8 @@ class RecoveryManager:
         fold: LedgerFold = self._ledger.fold()
         report = CrossCrashReport()
         for key in sorted(fold.sessions):
-            sf = fold.sessions[key]
             live = gateway.sessions.get(key)
             resident = live.resident if live is not None else 0
-            report.sessions.append(
-                SessionBalance(
-                    session=key,
-                    admitted=sf.admitted,
-                    delivered=sf.delivered,
-                    absorbed=sf.absorbed,
-                    dead_lettered=sf.dead_lettered,
-                    dropped=sf.dropped,
-                    resident=resident,
-                    recovered_in_flight=sf.recovered_in_flight,
-                    balanced=sf.balances(resident),
-                    missing=sf.running_in_flight - resident,
-                )
-            )
+            row = replace(fold.sessions[key].totals, stream=key, residual=resident)
+            report.sessions.append(row)
         return report

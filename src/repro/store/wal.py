@@ -1,19 +1,13 @@
-"""Durable :class:`~repro.store.base.StateStore` backends.
+"""The durable :class:`~repro.store.base.StateStore` backend.
 
-Two write-ahead implementations of the append-only contract:
-
-* :class:`FileWALStore` — one CRC-framed JSON line per record
-  (``"%08x %s\\n" % (crc32(json), json)``).  Appends buffer in the
-  process; ``flush`` pushes them to the OS and (under the ``batch``
-  policy) fsyncs.  Replay verifies each line's CRC and **stops at the
-  first bad or partial line**: a torn tail is what ``kill -9`` leaves
-  behind mid-write, so everything before it is trusted and everything
-  after discarded (counted in :attr:`~repro.store.base.StateStore.torn`).
-* :class:`SqliteWALStore` — a single ``ledger`` table in an sqlite
-  database running in its own WAL journal mode.  sqlite does the
-  torn-write handling; the fsync policy maps onto ``PRAGMA synchronous``.
-
-Both are thread-safe behind the store lock and honour the shared
+:class:`FileWALStore` writes one CRC-framed JSON line per record
+(``"%08x %s\\n" % (crc32(json), json)``).  Appends buffer in the
+process; ``flush`` pushes them to the OS and (under the ``batch``
+policy) fsyncs.  Replay verifies each line's CRC and **stops at the
+first bad or partial line**: a torn tail is what ``kill -9`` leaves
+behind mid-write, so everything before it is trusted and everything
+after discarded (counted in :attr:`~repro.store.base.StateStore.torn`).
+It is thread-safe behind the store lock and honours the shared
 ``fsync`` policies (``always`` / ``batch`` / ``never``) from
 :data:`~repro.store.base.FSYNC_POLICIES`.
 """
@@ -22,7 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-import sqlite3
 import zlib
 from collections.abc import Iterator
 
@@ -166,94 +159,4 @@ class FileWALStore(StateStore):
                 os.fsync(self._fh.fileno())
                 self.fsyncs += 1
             self._fh.close()
-            self._closed = True
-
-
-class SqliteWALStore(StateStore):
-    """Write-ahead ledger in a single-table sqlite database.
-
-    The database runs in sqlite's own WAL journal mode, which gives
-    atomic, torn-write-safe appends without hand-rolled framing.  The
-    store-level fsync policy maps to ``PRAGMA synchronous``: ``always``
-    → FULL with a commit per append, ``batch`` → NORMAL with commits on
-    :meth:`flush`, ``never`` → OFF.
-    """
-
-    backend = "sqlite"
-    durable = True
-
-    _SYNCHRONOUS = {"always": "FULL", "batch": "NORMAL", "never": "OFF"}
-
-    def __init__(self, path: str, *, fsync: str = "batch") -> None:
-        super().__init__()
-        self.path = os.fspath(path)
-        self.fsync = fsync
-        parent = os.path.dirname(self.path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        # The store lock serialises all access, so sharing the
-        # connection between the gateway's loop and pump threads is safe.
-        self._conn = sqlite3.connect(self.path, check_same_thread=False)
-        try:
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute(f"PRAGMA synchronous={self._SYNCHRONOUS[fsync]}")
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS ledger ("
-                "seq INTEGER PRIMARY KEY AUTOINCREMENT, record TEXT NOT NULL)"
-            )
-            self._conn.commit()
-        except sqlite3.Error as exc:
-            self._conn.close()
-            raise StoreError(f"cannot open sqlite ledger at {self.path}: {exc}") from exc
-
-    def append(self, record: dict) -> int:
-        """Insert one record row; returns its sqlite rowid as the sequence."""
-        line = json.dumps(record, separators=(",", ":"), sort_keys=True)
-        with self._lock:
-            self._require_open()
-            cursor = self._conn.execute("INSERT INTO ledger (record) VALUES (?)", (line,))
-            self.appends += 1
-            if self.fsync == "always":
-                self._conn.commit()
-                self.fsyncs += 1
-            return int(cursor.lastrowid or 0)
-
-    def flush(self) -> None:
-        """Commit the open transaction (making batched appends durable)."""
-        with self._lock:
-            self._require_open()
-            self._conn.commit()
-            self.flushes += 1
-            if self.fsync != "never":
-                self.fsyncs += 1
-
-    def replay(self) -> Iterator[dict]:
-        """Yield records in sequence order; skips undecodable rows."""
-        with self._lock:
-            self._require_open()
-            self._conn.commit()
-            rows = self._conn.execute("SELECT record FROM ledger ORDER BY seq").fetchall()
-        for (line,) in rows:
-            try:
-                record = json.loads(line)
-            except ValueError:
-                self.torn += 1
-                continue
-            self.replayed += 1
-            yield record
-
-    def truncate(self) -> None:
-        """Delete every ledger row."""
-        with self._lock:
-            self._require_open()
-            self._conn.execute("DELETE FROM ledger")
-            self._conn.commit()
-
-    def close(self) -> None:
-        """Commit and close the sqlite connection."""
-        with self._lock:
-            if self._closed:
-                return
-            self._conn.commit()
-            self._conn.close()
             self._closed = True

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from dataclasses import fields
 from typing import TYPE_CHECKING
 
 from repro.mime.headers import CONTENT_TRACE
@@ -77,23 +78,6 @@ __all__ = [
 ]
 
 _TRACE_SEPARATOR = ";"
-
-#: StreamStats field -> (metric leaf, help text); the export-time mirror
-_STAT_COUNTERS = (
-    ("messages_in", "Messages admitted by post()"),
-    ("messages_out", "Messages drained at egress"),
-    ("processed", "Streamlet process() completions"),
-    ("queue_drops", "Messages dropped on a full queue"),
-    ("open_circuit_drops", "Emissions aimed at an unconnected port"),
-    ("processing_failures", "Messages whose process() raised"),
-    ("events_handled", "Context events that ran a when-handler"),
-    ("absorbed", "Messages consumed by a streamlet without emission"),
-    ("failure_drops", "Failed messages released with no recovery handler"),
-    ("end_drops", "Pool entries drained from channels at stream end"),
-    ("retries", "Failed messages re-posted by a recovery supervisor"),
-    ("dead_letters", "Messages dead-lettered after exhausting recovery"),
-)
-
 
 class StreamTelemetry:
     """Per-stream hot-path hooks, with metric children pre-bound.
@@ -137,15 +121,17 @@ class StreamTelemetry:
         self.traced_ids: set[str] = set()
         #: msg id -> enqueue perf_counter() for traced ids awaiting a fetch
         self.enqueued: dict[str, float] = {}
+        from repro.runtime.stream import StreamStats  # the runtime imports this package
+
         self._stats: "StreamStats | None" = None
         self._counters: list[tuple[str, Counter]] = [
             (
-                field,
+                stat.name,
                 registry.counter(
-                    f"mobigate_stream_{field}_total", help, labels=("stream",)
+                    f"mobigate_stream_{stat.name}_total", stat.metadata["help"], labels=("stream",)
                 ).labels(stream),  # type: ignore[misc]
             )
-            for field, help in _STAT_COUNTERS
+            for stat in fields(StreamStats)
         ]
         self._hop_family = registry.histogram(
             "mobigate_hop_seconds",

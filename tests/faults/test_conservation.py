@@ -134,7 +134,7 @@ class TestInlineConservation:
         assert len(stream.pool) == 1  # parked in the stalled channel
         stream.end()
         report = assert_conservation(stream)
-        assert report.end_drops == 1
+        assert stream.stats.end_drops == 1
         assert report.residual == 0
 
 

@@ -91,7 +91,7 @@ class TestSupervisedEviction:
         assert telemetry.dead_letters_evicted_counter(stream.name).value == 3
         # the folded ledger agrees: 5 parked, 3 evicted, 2 remain
         sf = ledger.fold().session("scope-1")
-        assert sf.dead_lettered == 0  # counters flow through the gateway mirror
+        assert sf.totals.dead_letters == 0  # counters flow through the gateway mirror
         assert set(sf.parked) == set(supervisor.dead_letters.ids())
 
     def test_eviction_is_recorded_on_the_flight_ring(self):

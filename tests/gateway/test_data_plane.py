@@ -380,7 +380,7 @@ class TestAbandonedPeers:
                 await self.closed(gateway)
                 assert session.stats.shed == 2
                 report = check_conservation(session.stream)
-                assert (report.admitted, report.queue_drops, report.residual) == (3, 2, 1)
+                assert (report.admitted, session.stream.stats.queue_drops, report.residual) == (3, 2, 1)
                 self.nothing_left(gateway, session.stream, caplog)
             finally:
                 await gateway.stop()
@@ -429,7 +429,7 @@ class TestAbandonedPeers:
             # into the ledger, not forgotten
             assert session.stats.shed == 2
             report = check_conservation(stream)
-            assert (report.admitted, report.queue_drops, report.end_drops) == (3, 2, 1)
+            assert (report.admitted, stream.stats.queue_drops, stream.stats.end_drops) == (3, 2, 1)
             self.nothing_left(gateway, stream, caplog)
             writer.close()
 

@@ -202,3 +202,43 @@ class TestDrain:
         with gateway.run_in_thread():
             assert signal.getsignal(signal.SIGTERM) is not before
         assert signal.getsignal(signal.SIGTERM) is before
+
+
+class TestOneEquation:
+    """The live check and crash reconcile render one value type."""
+
+    def test_stats_and_reconcile_agree_on_a_quiesced_session(self, tmp_path):
+        gateway = GatewayServer(config=supervised_config(tmp_path))
+        with gateway.run_in_thread() as handle:
+            handle.control({"op": "deploy", "mcl": MCL, "session": "k"})
+            message = MimeMessage("text/plain", b"count me")
+            message.headers.session = "k"
+            with socket.create_connection(handle.data_address, timeout=10) as sock:
+                sock.sendall(serialize_message(message) * 3)
+                assembler = FrameAssembler()
+                frames = []
+                while len(frames) < 3:
+                    chunk = sock.recv(65536)
+                    assert chunk
+                    frames += assembler.feed(chunk)
+            deadline = time.monotonic() + 5
+            while gateway.sessions["k"].resident and time.monotonic() < deadline:
+                time.sleep(0.02)
+            live = handle.control({"op": "stats", "session": "k"})["conservation"]
+            reconcile = handle.control({"op": "recovery", "reconcile": True})["reconcile"]
+        assert set(live) == {
+            "admitted", "delivered", "absorbed", "dead_letters", "queue_drops",
+            "open_circuit_drops", "failure_drops", "end_drops", "residual",
+            "missing", "balanced", "ledger",
+        }
+        [row] = reconcile["sessions"]
+        assert set(row) == {
+            "session", "admitted", "delivered", "absorbed", "dead_lettered",
+            "dropped", "resident", "recovered_in_flight", "balanced", "missing",
+        }
+        assert (live["admitted"], live["delivered"]) == (row["admitted"], row["delivered"]) == (3, 3)
+        assert live["absorbed"] == row["absorbed"]
+        assert live["dead_letters"] == row["dead_lettered"]
+        drops = ("queue_drops", "open_circuit_drops", "failure_drops", "end_drops")
+        assert sum(live[kind] for kind in drops) == row["dropped"]
+        assert live["balanced"] and reconcile["balanced"]

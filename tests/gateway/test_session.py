@@ -59,7 +59,7 @@ class TestBoundedOffer:
             assert shed.status == SHED
             report = assert_conservation(stream)
             assert report.admitted == 2
-            assert report.queue_drops == 1
+            assert stream.stats.queue_drops == 1
             assert report.residual == 1
         finally:
             session.close()
@@ -67,7 +67,7 @@ class TestBoundedOffer:
         # the ledger must still balance
         report = assert_conservation(stream)
         assert report.residual == 0
-        assert report.end_drops == 1
+        assert stream.stats.end_drops == 1
 
     def test_session_stamps_runtime_session_header(self):
         _server, stream, session = deploy_session()
@@ -138,7 +138,7 @@ class TestContention:
         try:
             session.abandon(ticket, message("a"))
             report = assert_conservation(stream)
-            assert report.queue_drops == 1
+            assert stream.stats.queue_drops == 1
             assert report.residual == 0
         finally:
             session.close()

@@ -1,5 +1,6 @@
 """Real process deaths: kill -9 cycles and the graceful SIGTERM drain."""
 
+import contextlib
 import json
 import os
 import signal
@@ -36,7 +37,7 @@ def _stepped_by(mcl: str) -> str:
 
 def _assert_no_acked_message_lost(tmp_path, mcl):
     harness = CrashHarness(
-        tmp_path / "store", backend="file", cycles=3, burst=16, seed=7, mcl=mcl
+        tmp_path / "store", cycles=3, burst=16, seed=7, mcl=mcl
     )
     report = harness.run()
     assert report.sent_total == 3 * 16
@@ -62,7 +63,7 @@ def test_ledger_replay_restores_residency_accounting(tmp_path):
     # two cycles, then inspect the folded ledger the harness left behind:
     # everything the parent ever sent must have a recorded fate or be
     # frozen in a recovered_in_flight tally — nothing simply vanishes
-    harness = CrashHarness(tmp_path / "store", backend="file", cycles=2, burst=12, seed=3)
+    harness = CrashHarness(tmp_path / "store", cycles=2, burst=12, seed=3)
     report = harness.run()
     assert report.lost_acked == 0 and report.balanced
     from repro.store import FileWALStore, fold
@@ -71,19 +72,22 @@ def test_ledger_replay_restores_residency_accounting(tmp_path):
     sf = fold(store.replay()).session(harness.session_key)
     store.close()
     assert sf.recoveries >= 2
-    assert sf.admitted == (
-        sf.delivered + sf.absorbed + sf.dead_lettered + sf.dropped
-        + sf.recovered_in_flight + sf.running_in_flight
+    totals = sf.totals
+    assert totals.admitted == (
+        totals.delivered + totals.absorbed + totals.dead_letters + totals.dropped
+        + totals.recovered_in_flight + totals.in_flight
     )
-    assert sf.delivered >= report.acked_total
+    assert totals.delivered >= report.acked_total
 
 
-def _spawn_gateway(store_path):
+@contextlib.contextmanager
+def _gateway_process(store_path):
+    """A child gateway and its boot record; killed, reaped and its pipe closed on exit."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC_ROOT), env.get("PYTHONPATH")) if p
     )
-    child = subprocess.Popen(
+    with subprocess.Popen(
         [
             sys.executable, "-m", "repro.gateway",
             "--store", str(store_path), "--backend", "file", "--supervise",
@@ -91,25 +95,23 @@ def _spawn_gateway(store_path):
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         env=env,
-    )
-    line = child.stdout.readline().decode()
-    return child, json.loads(line)
+    ) as child:
+        try:
+            yield child, json.loads(child.stdout.readline().decode())
+        finally:
+            child.kill()  # a no-op once the child has exited
 
 
 def test_sigterm_drains_and_exits_cleanly(tmp_path):
     from repro.gateway.control_plane import control_request
 
-    child, boot = _spawn_gateway(tmp_path / "ledger.wal")
-    try:
+    with _gateway_process(tmp_path / "ledger.wal") as (child, boot):
         assert boot["recovered"] == 0
         host, port = boot["control"]
         reply = control_request((host, port), {"op": "health"}, timeout=5)
-    except Exception:
-        child.kill()
-        raise
-    assert reply.get("ok") is True
-    child.send_signal(signal.SIGTERM)
-    assert child.wait(timeout=15) == 0
+        assert reply.get("ok") is True
+        child.send_signal(signal.SIGTERM)
+        assert child.wait(timeout=15) == 0
     assert (tmp_path / "ledger.wal").exists()
 
 
@@ -122,20 +124,16 @@ def test_sigterm_after_traffic_leaves_a_recoverable_ledger(tmp_path):
       connect (r0.po, r1.pi);
     }"""
     path = tmp_path / "ledger.wal"
-    child, boot = _spawn_gateway(path)
-    try:
+    with _gateway_process(path) as (child, boot):
         host, port = boot["control"]
         deployed = control_request(
             (host, port), {"op": "deploy", "mcl": mcl, "session": "term-1"}, timeout=5
         )
         assert deployed["ok"]
-    except Exception:
-        child.kill()
-        raise
-    began = time.monotonic()
-    child.send_signal(signal.SIGTERM)
-    assert child.wait(timeout=15) == 0
-    assert time.monotonic() - began < 15
+        began = time.monotonic()
+        child.send_signal(signal.SIGTERM)
+        assert child.wait(timeout=15) == 0
+        assert time.monotonic() - began < 15
     store = FileWALStore(str(path))
     out = fold(store.replay())
     store.close()

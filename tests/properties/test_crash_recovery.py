@@ -10,6 +10,7 @@ exactly and the cross-crash conservation equation must balance.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -77,23 +78,24 @@ def test_fold_matches_the_model_across_crashing_generations(tmp_path, seed):
     for generation in range(generations):
         ledger = Ledger(FileWALStore(path))
         fold = ledger.fold().session(SESSION)
+        totals = fold.totals
         # -- what a restart would see: the model, exactly -------------------
-        assert fold.admitted == model.admitted
-        assert fold.delivered == model.delivered
-        assert fold.dead_lettered == model.dead_lettered
-        assert fold.dropped == model.dropped
-        assert fold.running_in_flight == model.running
-        assert fold.recovered_in_flight == model.frozen
+        assert totals.admitted == model.admitted
+        assert totals.delivered == model.delivered
+        assert totals.dead_letters == model.dead_lettered
+        assert totals.dropped == model.dropped
+        assert totals.in_flight == model.running
+        assert totals.recovered_in_flight == model.frozen
         assert set(fold.parked) == model.parked
         # residency after a kill is zero, so recovery freezes the tally
-        assert fold.balances(resident=model.running)
+        assert replace(totals, residual=model.running).balanced
         if not deployed:
             ledger.deployed(SESSION, mcl=MCL, scheduler="threaded")
             deployed = True
         if generation > 0:
             ledger.recovered(
                 SESSION,
-                in_flight=fold.running_in_flight,
+                in_flight=totals.in_flight,
                 parked=len(fold.parked),
                 retries=len(fold.pending_retries),
             )
@@ -124,10 +126,11 @@ def test_fold_matches_the_model_across_crashing_generations(tmp_path, seed):
             with open(path, "ab") as fh:
                 fh.write(b'0badc0de {"ev": "counters", "sess')
     final = Ledger(FileWALStore(path)).fold().session(SESSION)
-    assert final.balances(resident=model.running)
-    assert final.admitted == (
-        final.delivered + final.absorbed + final.dead_lettered
-        + final.dropped + final.recovered_in_flight + model.running
+    totals = final.totals
+    assert replace(totals, residual=model.running).balanced
+    assert totals.admitted == (
+        totals.delivered + totals.absorbed + totals.dead_letters
+        + totals.dropped + totals.recovered_in_flight + model.running
     )
     assert set(final.parked) == model.parked
 
@@ -151,7 +154,7 @@ def test_unflushed_records_after_the_last_flush_may_die_but_never_corrupt(tmp_pa
     ledger.close()
     with open(path, "rb+") as fh:  # the kill: everything past the fsync dies
         fh.truncate(durable_bytes)
-    fold = Ledger(FileWALStore(path)).fold().session(SESSION)
-    assert fold.admitted == flushed_admitted
-    assert fold.running_in_flight == flushed_admitted
-    assert fold.balances(resident=flushed_admitted)
+    totals = Ledger(FileWALStore(path)).fold().session(SESSION).totals
+    assert totals.admitted == flushed_admitted
+    assert totals.in_flight == flushed_admitted
+    assert replace(totals, residual=flushed_admitted).balanced

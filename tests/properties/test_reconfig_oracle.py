@@ -93,8 +93,8 @@ def test_validation_predicts_the_commit(batch, parked):
     delivered = len(stream.collect())
     report = check_conservation(stream)
     assert report.balanced and report.residual == 0
-    assert delivered + report.queue_drops == parked
-    assert report.lost == report.queue_drops
+    assert delivered + stream.stats.queue_drops == parked
+    assert report.lost == stream.stats.queue_drops
     if not any(isinstance(a, (ast.Disconnect, ast.DisconnectAll)) for a in batch):
         assert report.lost == 0  # BK links: only a disconnect gives units up
     stream.end()

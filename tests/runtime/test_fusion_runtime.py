@@ -232,7 +232,7 @@ class TestFusedSemantics:
             delivered = drain(stream, scheduler, 4)
             assert len(delivered) == 4
             report = assert_conservation(stream)
-            assert report.failure_drops == 2
+            assert stream.stats.failure_drops == 2
         finally:
             stop(scheduler)
             stream.end()
@@ -249,7 +249,7 @@ class TestFusedSemantics:
             delivered = drain(stream, scheduler, 4)
             assert len(delivered) == 4
             report = assert_conservation(stream)
-            assert report.open_circuit_drops == 2
+            assert stream.stats.open_circuit_drops == 2
         finally:
             stop(scheduler)
             stream.end()

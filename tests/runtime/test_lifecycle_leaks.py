@@ -215,4 +215,4 @@ class TestThreadedStallRetryDrops:
         assert len(set(dropped_ids)) == len(dropped_ids)
         report = check_conservation(stream)
         assert report.balanced
-        assert report.delivered + report.queue_drops == n
+        assert report.delivered + stream.stats.queue_drops == n

@@ -1,10 +1,18 @@
 """Ledger fold semantics: the cross-crash conservation arithmetic."""
 
-from repro.store import Ledger, MemoryStore, fold
+from dataclasses import replace
+from types import SimpleNamespace
+
+from repro.store import Ledger, MemoryStore, RecoveryManager, fold
 
 
 def make_ledger():
     return Ledger(MemoryStore())
+
+
+def balanced(f, resident):
+    """The cross-crash verdict for a folded session with ``resident`` ids live."""
+    return replace(f.totals, residual=resident).balanced
 
 
 class TestCountersFold:
@@ -14,17 +22,17 @@ class TestCountersFold:
         ledger.counters("s", admitted=5, delivered=2)
         ledger.counters("s", admitted=1, delivered=3, absorbed=1)
         f = ledger.fold().session("s")
-        assert (f.admitted, f.delivered, f.absorbed) == (6, 5, 1)
-        assert f.running_in_flight == 0
-        assert f.balances(resident=0)
+        assert (f.totals.admitted, f.totals.delivered, f.totals.absorbed) == (6, 5, 1)
+        assert f.totals.in_flight == 0
+        assert balanced(f, resident=0)
 
-    def test_running_in_flight_is_admissions_minus_fates(self):
+    def test_in_flight_is_admissions_minus_fates(self):
         ledger = make_ledger()
         ledger.counters("s", admitted=10, delivered=4, dead_letters=1, dropped=2)
         f = ledger.fold().session("s")
-        assert f.running_in_flight == 3
-        assert f.balances(resident=3)
-        assert not f.balances(resident=0)
+        assert f.totals.in_flight == 3
+        assert balanced(f, resident=3)
+        assert not balanced(f, resident=0)
 
     def test_all_zero_delta_writes_nothing(self):
         ledger = make_ledger()
@@ -36,20 +44,20 @@ class TestCountersFold:
         ledger.counters("a", admitted=2, delivered=2)
         ledger.counters("b", admitted=7)
         out = ledger.fold()
-        assert out.session("a").running_in_flight == 0
-        assert out.session("b").running_in_flight == 7
+        assert out.session("a").totals.in_flight == 0
+        assert out.session("b").totals.in_flight == 7
 
 
 class TestRecoveredFold:
-    def test_recovered_freezes_running_in_flight(self):
+    def test_recovered_freezes_in_flight(self):
         ledger = make_ledger()
         ledger.counters("s", admitted=8, delivered=5)
         ledger.recovered("s", in_flight=3, parked=0, retries=0)
         f = ledger.fold().session("s")
-        assert f.recovered_in_flight == 3
-        assert f.running_in_flight == 0
+        assert f.totals.recovered_in_flight == 3
+        assert f.totals.in_flight == 0
         assert f.recoveries == 1
-        assert f.balances(resident=0)
+        assert balanced(f, resident=0)
 
     def test_generations_accumulate(self):
         ledger = make_ledger()
@@ -58,15 +66,30 @@ class TestRecoveredFold:
         ledger.counters("s", admitted=3, delivered=2)
         ledger.recovered("s", in_flight=1, parked=0, retries=0)
         f = ledger.fold().session("s")
-        assert f.recovered_in_flight == 3
+        assert f.totals.recovered_in_flight == 3
         assert f.recoveries == 2
-        assert f.balances(resident=0)
+        assert balanced(f, resident=0)
 
     def test_recovered_clears_pending_retries(self):
         ledger = make_ledger()
         ledger.retry_scheduled("s", "m1", instance="b", port="pi", attempt=1)
         ledger.recovered("s", in_flight=0, parked=0, retries=1)
         assert ledger.fold().session("s").pending_retries == {}
+
+
+class TestCrossCrashReport:
+    def test_opposite_imbalances_do_not_cancel(self):
+        # a leak in one session beside a double count in another: the
+        # total must not net them to zero under a false verdict
+        ledger = make_ledger()
+        ledger.counters("leaky", admitted=3, delivered=1)
+        ledger.counters("doubled", admitted=1, delivered=3)
+        gateway = SimpleNamespace(sessions={})  # nothing live: residency 0
+        report = RecoveryManager(gateway, ledger).reconcile()
+        assert [row.missing for row in report.sessions] == [-2, 2]
+        assert not report.balanced
+        assert report.missing == 4
+        assert report.describe()["missing"] == 4
 
 
 class TestFaultPathFold:
@@ -132,4 +155,4 @@ class TestRobustness:
             {"ev": "counters", "session": "s", "admitted": 1, "delivered": 1},
         ])
         assert out.records == 4
-        assert out.session("s").admitted == 1
+        assert out.session("s").totals.admitted == 1

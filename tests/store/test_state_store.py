@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import StoreError
-from repro.store import FileWALStore, MemoryStore, SqliteWALStore, open_store
+from repro.gateway import GatewayConfig
+from repro.store import FileWALStore, MemoryStore, open_store
 from repro.telemetry import MetricsRegistry, Telemetry
 
 RECORDS = [
@@ -20,7 +21,7 @@ def make_store(backend, tmp_path, **kwargs):
     return open_store(backend, path, **kwargs)
 
 
-@pytest.mark.parametrize("backend", ["memory", "file", "sqlite"])
+@pytest.mark.parametrize("backend", ["memory", "file"])
 class TestContract:
     def test_append_assigns_increasing_sequence(self, backend, tmp_path):
         store = make_store(backend, tmp_path)
@@ -64,7 +65,7 @@ class TestContract:
         store.close()
 
 
-@pytest.mark.parametrize("backend", ["file", "sqlite"])
+@pytest.mark.parametrize("backend", ["file"])
 def test_durable_backends_survive_reopen(backend, tmp_path):
     path = str(tmp_path / "ledger.wal")
     store = open_store(backend, path)
@@ -150,24 +151,14 @@ class TestFsyncPolicies:
         store.close()
         assert store.fsyncs == 0
 
-    def test_sqlite_maps_policy_to_synchronous_pragma(self, tmp_path):
-        for policy, expected in (("always", 2), ("batch", 1), ("never", 0)):
-            store = SqliteWALStore(str(tmp_path / f"{policy}.db"), fsync=policy)
-            [(level,)] = store._conn.execute("PRAGMA synchronous").fetchall()
-            assert level == expected
-            store.close()
-
 
 class TestOpenStore:
     def test_backend_classes_and_durability_flags(self, tmp_path):
         assert isinstance(open_store("memory"), MemoryStore)
         file_store = open_store("file", str(tmp_path / "f.wal"))
-        sqlite_store = open_store("sqlite", str(tmp_path / "s.db"))
         assert isinstance(file_store, FileWALStore) and file_store.durable
-        assert isinstance(sqlite_store, SqliteWALStore) and sqlite_store.durable
         assert not MemoryStore().durable
         file_store.close()
-        sqlite_store.close()
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(StoreError):
@@ -176,8 +167,13 @@ class TestOpenStore:
     def test_durable_backends_require_a_path(self):
         with pytest.raises(StoreError):
             open_store("file")
-        with pytest.raises(StoreError):
-            open_store("sqlite")
+
+    def test_removed_sqlite_backend_is_refused_by_name(self, tmp_path):
+        path = str(tmp_path / "s.db")
+        with pytest.raises(StoreError, match="sqlite store backend was removed"):
+            open_store("sqlite", path)
+        with pytest.raises(ValueError, match="sqlite store backend was removed"):
+            GatewayConfig(store_backend="sqlite", store_path=path)
 
     def test_unknown_fsync_policy_rejected(self, tmp_path):
         with pytest.raises(StoreError):
