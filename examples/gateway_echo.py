@@ -16,7 +16,8 @@ objects directly:
    traffic continues to flow;
 4. read back the session's conservation ledger (every admitted message
    is delivered, absorbed, dead-lettered, dropped, or resident — the
-   §7.2 invariant) and a telemetry summary.
+   §7.2 invariant) and a telemetry summary; exit non-zero if it does not
+   balance, or if any frame was orphaned or shed.
 
 Run:  python examples/gateway_echo.py
 """
@@ -105,6 +106,11 @@ def main() -> None:
         print("\n-- gateway counters --")
         for name in ("frames_in", "frames_out", "parked", "shed", "contended", "orphans"):
             print(f"{name:13} : {stats[name]}")
+        if not ledger["balanced"] or stats["orphans"] or stats["shed"]:
+            raise SystemExit(
+                f"ledger balanced={ledger['balanced']}, orphans={stats['orphans']}, "
+                f"shed={stats['shed']}: every echo must reach its own client"
+            )
 
         scraped = handle.control({"op": "telemetry"})
         families = scraped["snapshot"].get("families", [])

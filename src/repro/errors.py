@@ -22,6 +22,14 @@ class MimeError(MobiGateError):
     """Base class for MIME type-system errors."""
 
 
+class FrameError(MimeError):
+    """A byte stream lost its framing after completing ``frames`` (in order)."""
+
+    def __init__(self, detail: str, frames: list | None = None):
+        super().__init__(detail)
+        self.frames = frames or []
+
+
 class MediaTypeParseError(MimeError):
     """A media-type string could not be parsed (bad syntax)."""
 

@@ -32,7 +32,6 @@ from repro.gateway.faults import LinkOutageGate
 from repro.gateway.server import GatewayHandle, GatewayServer
 from repro.gateway.session import (
     ADMITTED,
-    CONNECTION_HEADER,
     FULL,
     RETRY,
     SHED,
@@ -43,7 +42,6 @@ from repro.gateway.session import (
 
 __all__ = [
     "ADMITTED",
-    "CONNECTION_HEADER",
     "ControlPlane",
     "DataPlane",
     "ERROR_HEADER",

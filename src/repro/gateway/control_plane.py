@@ -349,13 +349,7 @@ class ControlPlane:
         }
 
     async def _op_requeue(self, request: dict) -> dict:
-        from repro.gateway.session import (
-            ADMITTED,
-            CONNECTION_HEADER,
-            FULL,
-            INGRESS_HEADER,
-            RETRY,
-        )
+        from repro.gateway.session import ADMITTED, FULL, RETRY
 
         session = self._require_session(request)
         if isinstance(session, dict):
@@ -374,10 +368,9 @@ class ControlPlane:
                 "ok": False,
                 "error": f"dead letter {msg_id!r} carries no message payload",
             }
-        message.headers.remove(CONNECTION_HEADER)
-        message.headers.remove(INGRESS_HEADER)
         # admission must happen on this (the event-loop) thread; the
-        # non-blocking offer path makes that safe without an executor
+        # non-blocking offer path makes that safe without an executor.  It
+        # gives the copy a fresh origin with no connection: an orphan echo
         ticket = session.offer(message)
         attempts = 0
         while ticket.status == RETRY and attempts < 64:

@@ -2,15 +2,16 @@
 
 One ``loop.create_server`` listener, one :class:`asyncio.BufferedProtocol`
 object per connection, no task on the fast path.  The kernel fills the
-plane's receive buffer (``read_chunk_bytes``) and each frame the read
-completes is admitted inside that callback::
+plane's receive buffer (``read_chunk_bytes``) and the frames the read
+completes are admitted inside that callback, one run per session::
 
-    recv_into ──► FrameAssembler.feed ──► route by Content-Session
-                                      ──► GatewaySession.offer()
+    recv_into ──► FrameAssembler.feed ──► group by Content-Session (read
+                                          order, up to a session's room)
+                                      ──► GatewaySession.offer(*run) per group
                         │ ADMITTED                  │ FULL / RETRY
                         ▼                           ▼
                   stream ingress            park: pause_reading(); one task
-                                            re-probes until room or the park
+                  (one post per run)        re-probes until room or the park
                                             budget is spent (──► shed into the
                                             drop ledger), offers the frames read
                                             behind it, then resume_reading()
@@ -24,8 +25,9 @@ and the assembler keeps no reference into the chunk (a proactor loop
 posts its reads ahead, so :meth:`DataPlane.start` refuses one).
 
 Egress crosses from the pump thread once per cycle (``_write_batch``).  A
-framing error gets one ``X-MobiGATE-Error`` frame and a closed socket; a
-frame for an undeployed session the same frame on an open one.
+framing error gets one ``X-MobiGATE-Error`` frame and a closed socket,
+after the frames the read completed before it are offered; a frame for an
+undeployed session the same frame on an open one.
 """
 
 from __future__ import annotations
@@ -33,11 +35,11 @@ from __future__ import annotations
 import asyncio
 import itertools
 import time
-from collections.abc import Iterator
+from collections import deque
 
-from repro.errors import MimeError, QueueClosedError
+from repro.errors import FrameError, QueueClosedError
 from repro.gateway.config import GatewayConfig
-from repro.gateway.session import ADMITTED, CONNECTION_HEADER, SHED
+from repro.gateway.session import ADMITTED, FULL, SHED, GatewaySession
 from repro.mime.message import MimeMessage
 from repro.mime.wire import FrameAssembler, serialize_message
 
@@ -89,12 +91,9 @@ class _Connection(asyncio.BufferedProtocol):
         plane = self._plane
         read_at = time.perf_counter() if plane._assembly_hist is not None else None
         try:
-            messages = self._assembler.feed(plane._recv_view[:nbytes])
-        except MimeError as exc:
-            plane._count_error()
-            self.write(_error_frame(f"bad frame: {exc}"))
-            self.transport.close()  # framing is lost
-            return
+            messages, broken = self._assembler.feed(plane._recv_view[:nbytes]), None
+        except FrameError as exc:
+            messages, broken = exc.frames, str(exc)
         if read_at is not None:  # telemetry is on
             done, first = time.perf_counter(), self._frame_started or read_at
             for _ in messages:
@@ -104,6 +103,10 @@ class _Connection(asyncio.BufferedProtocol):
             plane._bytes_in.inc(nbytes)
             plane._frames_in.inc(len(messages))
         self._admit(messages)
+        if broken is not None:  # the frames before it are offered; framing is lost
+            plane._count_error()
+            self.write(_error_frame(f"bad frame: {broken}"))
+            self.transport.close()
 
     def connection_lost(self, exc: Exception | None) -> None:
         plane = self._plane
@@ -116,14 +119,14 @@ class _Connection(asyncio.BufferedProtocol):
     def _admit(self, messages: list[MimeMessage]) -> None:
         """Offer what a read completed; pause reads behind a frame that has
         to park, or while the link is down."""
-        plane, frames = self._plane, iter(messages)
+        plane, frames = self._plane, deque(messages)
         parked = plane._ingest(self, frames)
         if parked is not None or plane._gateway.fault_gate.blocked:
             self.transport.pause_reading()
             self._paused = asyncio.get_running_loop().create_task(self._settle(parked, frames))
 
-    async def _settle(self, parked: tuple | None, frames: Iterator[MimeMessage]) -> None:
-        """Reads are paused while this runs: the parked frame is re-probed
+    async def _settle(self, parked: tuple | None, frames: deque[MimeMessage]) -> None:
+        """Reads are paused while this runs: the parked run is re-probed
         until admitted or its budget is spent (then shed), the ``frames``
         read behind it are offered in order, an outage is sat out.  Once the
         connection is lost (a cancel) nothing waits: what is not admitted at
@@ -133,29 +136,29 @@ class _Connection(asyncio.BufferedProtocol):
         gone: asyncio.CancelledError | None = None
         try:
             while parked is not None:
-                session, ticket, message, t0 = parked
+                session, ticket, run, t0 = parked
                 deadline = loop.time() + config.park_timeout
                 while ticket.status not in (ADMITTED, SHED):
                     if gone is not None or loop.time() >= deadline:
-                        ticket = session.abandon(ticket, message)
+                        ticket = session.abandon(ticket, *run)
                         if bp is not None:
-                            bp("shed").inc()
+                            bp("shed").inc(len(run))
                         break
                     try:
                         await asyncio.sleep(config.park_poll_interval)
-                        ticket = session.retry(ticket, message)
+                        ticket = session.retry(ticket, *run)
                     except asyncio.CancelledError as exc:
                         gone = exc
                     except QueueClosedError:
-                        plane.unrouted_frames += 1
-                        plane._count_error()
+                        if ticket.status == FULL:  # close() dropped a RETRY run
+                            plane.unrouted_frames += len(run)
+                            plane._count_error()
                         break
                 if ticket.status == ADMITTED:
                     if bp is not None:
                         bp("resumed").inc()
-                    if plane._admission_hist is not None:
-                        # the park wait is part of the admission latency
-                        plane._admission_hist.observe(time.perf_counter() - t0)
+                    # the park wait is part of the admission latency
+                    plane._observe_admission(run, t0)
                 parked = plane._ingest(self, frames)
             if gone is not None:
                 raise gone
@@ -245,33 +248,70 @@ class DataPlane:
 
     # -- admission (inside the read callback, or the pause task) -----------------------
 
-    def _ingest(self, conn: _Connection, frames: Iterator[MimeMessage]) -> tuple | None:
-        """Route and offer ``frames`` in order up to the first that has to
-        wait: its park state, with ``frames`` left just behind it."""
-        admission_hist = self._admission_hist
-        for message in frames:
-            t0 = time.perf_counter() if admission_hist is not None else 0.0
-            headers = message.headers
-            key = headers.session  # the stamps that follow carry the derived key over
-            session = self._gateway.route(key) if key else None
-            if session is None:
-                self._refuse(conn, f"no session {key!r} deployed")
-                continue
-            headers.set(CONNECTION_HEADER, conn.conn_id)
-            try:
-                ticket = session.offer(message)
-            except QueueClosedError:
-                self._refuse(conn, f"session {key!r} is closed")
-                continue
-            if ticket.status == ADMITTED:
-                if admission_hist is not None:
-                    admission_hist.observe(time.perf_counter() - t0)
-            elif ticket.status != SHED:
-                if self._bp_counter is not None:
-                    self._bp_counter("parked").inc()
-                session.stats.inc("parked")
-                return session, ticket, message, t0
+    def _ingest(self, conn: _Connection, frames: deque[MimeMessage]) -> tuple | None:
+        """Offer ``frames`` from the left up to the first that has to wait:
+        its park state, with ``frames`` left just behind it.
+
+        A pass groups frames by session, in read order, until one finds its
+        session's room used up; each group is offered as one run, then that
+        frame alone.  A contended run parks whole, and the runs grouped
+        behind it go back onto ``frames`` in read order.
+        """
+        route = self._gateway.route
+        while frames:
+            t0 = time.perf_counter() if self._admission_hist is not None else 0.0
+            batch = list(frames)
+            runs: dict[GatewaySession, tuple[int, list[MimeMessage]]] = {}
+            waiting = None  # the session of the frame this pass ends at
+            while frames:
+                key = frames[0].headers.session
+                session = route(key)
+                if session is None:
+                    frames.popleft()
+                    self._refuse(conn, f"no session {key!r} deployed")
+                    continue
+                entry = runs.get(session)
+                if entry is None:
+                    entry = runs[session] = (session.room, [])
+                if len(entry[1]) >= entry[0]:
+                    waiting = session
+                    break
+                entry[1].append(frames.popleft())
+            grouped = list(runs.items())
+            for index, (session, (_room, run)) in enumerate(grouped):
+                parked = self._offer(conn, session, run, t0) if run else None
+                if parked is not None:
+                    behind = {id(m) for _s, (_r, later) in grouped[index + 1:] for m in later}
+                    frames.extendleft(reversed([m for m in batch if id(m) in behind]))
+                    return parked
+            if waiting is not None:
+                parked = self._offer(conn, waiting, [frames.popleft()], t0)
+                if parked is not None:
+                    return parked
         return None
+
+    def _offer(self, conn: _Connection, session: GatewaySession, run: list, t0: float):
+        """Offer one session's run: its park state if it has to wait, else None."""
+        try:
+            ticket = session.offer(*run, conn_id=conn.conn_id)
+        except QueueClosedError:
+            for _ in run:
+                self._refuse(conn, f"session {session.key!r} is closed")
+            return None
+        if ticket.status == ADMITTED:
+            self._observe_admission(run, t0)
+        elif ticket.status != SHED:
+            if self._bp_counter is not None:
+                self._bp_counter("parked").inc()
+            session.stats.inc("parked")
+            return session, ticket, run, t0
+        return None
+
+    def _observe_admission(self, run: list, t0: float) -> None:
+        if self._admission_hist is not None:
+            elapsed = time.perf_counter() - t0
+            for _ in run:
+                self._admission_hist.observe(elapsed)
 
     def _refuse(self, conn: _Connection, detail: str) -> None:
         self.unrouted_frames += 1

@@ -5,10 +5,13 @@ deployed :class:`~repro.runtime.stream.RuntimeStream` and owns the two
 boundary crossings the data plane needs:
 
 * **admission** (event-loop thread → runtime): :meth:`offer` admits a
-  parsed message into the stream through the non-blocking
-  :meth:`~repro.runtime.message_queue.MessageQueue.try_post` fast path.
-  The session is *bounded*: when its pool holds
-  ``ingress_limit`` resident messages, offers report ``FULL`` and the
+  *run* of parsed messages (what one read completed for this session)
+  with one room check, one non-blocking
+  :meth:`~repro.runtime.message_queue.MessageQueue.try_post` of all
+  their ids and one pump wake.  Each message's ``HeaderMap.origin``
+  names its connection and admission stamp; no header field does.
+  The session is *bounded*: a run that would take its pool past
+  ``ingress_limit`` resident messages reports ``FULL`` and the
   caller parks — which, because the caller is the connection the frame
   came in on, pauses its socket reads and pushes the backpressure onto
   the client's TCP window.  A park that outlives its budget is **shed**
@@ -50,20 +53,10 @@ from repro.mime.message import MimeMessage
 from repro.mime.wire import serialize_parts
 from repro.runtime.stream import RuntimeStream
 
-#: gateway-internal header naming the data-plane connection a message
-#: arrived on; stamped at admission, stripped before the echo leaves
-CONNECTION_HEADER = "X-MobiGATE-Connection"
-
-#: gateway-internal header carrying the admission perf_counter timestamp;
-#: stamped/stripped like :data:`CONNECTION_HEADER`, it survives the whole
-#: streamlet chain (redirectors included) so delivery can observe the
-#: gateway-internal end-to-end latency — the attribution ground truth
-INGRESS_HEADER = "X-MobiGATE-Ingress"
-
 #: offer outcomes
 ADMITTED = "admitted"
 FULL = "full"          # nothing admitted; session at its ingress bound
-RETRY = "retry"        # pool id admitted; queue lock contended, repost later
+RETRY = "retry"        # pool ids admitted; queue lock contended, repost later
 SHED = "shed"          # admitted and immediately dropped into the ledger
 
 #: worklist rounds a pump-stepped session may run per cycle (each round
@@ -75,11 +68,18 @@ PUMP_QUANTUM = 4
 
 @dataclass
 class OfferTicket:
-    """The state of one in-flight admission attempt."""
+    """The state of one in-flight admission attempt of a run."""
 
     status: str
-    msg_id: str | None = None
-    size: int = 0
+    #: the run's pool entries ``(msg_id, size)``, once admitted
+    entries: list[tuple[str, int]] = field(default_factory=list)
+    #: the connection the run came in on (a ``FULL`` run is re-offered with it)
+    conn_id: str | None = None
+
+    @property
+    def msg_id(self) -> str | None:
+        """The run's first pool id, or None before admission."""
+        return self.entries[0][0] if self.entries else None
 
 
 @dataclass
@@ -382,6 +382,9 @@ class GatewaySession:
         )
         self._inline = inline
         self._closed = False
+        #: id(ticket) -> a RETRY ticket (run pooled, not queued); whoever
+        #: pops it settles the run — close() drops what is left
+        self._contended: dict[int, OfferTicket] = {}
         #: the egress stage serving this session: the gateway's shared
         #: pump, or a private one for a standalone session
         self.pump = pump if pump is not None else EgressPump()
@@ -399,59 +402,76 @@ class GatewaySession:
         """Messages of this session currently alive in the pool."""
         return len(self.stream.pool)
 
-    def has_room(self) -> bool:
-        """Whether the session is below its ingress bound."""
-        return self.resident < self.ingress_limit
+    @property
+    def room(self) -> int:
+        """How many more messages the session admits before its ingress bound."""
+        return self.ingress_limit - len(self.stream.pool)
 
-    def offer(self, message: MimeMessage) -> OfferTicket:
-        """Try to admit one message without blocking; see module docstring."""
+    def offer(self, *messages: MimeMessage, conn_id: str | None = None) -> OfferTicket:
+        """Try to admit a run of messages without blocking; see module docstring.
+
+        One room check: a run that does not fit admits nothing (``FULL``).
+        Otherwise every message is pooled, then given one origin —
+        ``conn_id`` and an admission stamp taken just before the post —
+        and the ids are posted in one :meth:`~repro.runtime.message_queue.
+        MessageQueue.try_post`: ``ADMITTED``, ``RETRY`` (lock contended;
+        the run is pooled and :meth:`retry` re-posts it) or ``SHED``.
+        """
         if self._closed:
             raise QueueClosedError(f"session {self.key} is closed")
-        if not self.has_room():
-            return OfferTicket(FULL)
-        return self._admit_and_post(message)
+        if len(messages) > self.room:
+            return OfferTicket(FULL, conn_id=conn_id)
+        admit = self.stream.admit
+        entries = [admit(message) for message in messages]
+        origin = (conn_id, time.perf_counter() if self._e2e_hist is not None else None)
+        for message in messages:
+            message.headers.origin = origin
+        return self._post(OfferTicket(ADMITTED, entries, conn_id))
 
-    def retry(self, ticket: OfferTicket, message: MimeMessage) -> OfferTicket:
-        """Advance a parked admission attempt one step."""
+    def retry(self, ticket: OfferTicket, *messages: MimeMessage) -> OfferTicket:
+        """Advance a parked admission attempt of the run ``messages`` one step."""
         if ticket.status == RETRY:
-            return self._post(ticket.msg_id, ticket.size)
+            if self._closed:  # close() dropped the run's ids
+                raise QueueClosedError(f"session {self.key} is closed")
+            return self._post(ticket)
         if ticket.status == FULL:
-            return self.offer(message)
+            return self.offer(*messages, conn_id=ticket.conn_id)
         return ticket
 
-    def abandon(self, ticket: OfferTicket, message: MimeMessage) -> OfferTicket:
-        """Give up on a parked attempt: shed it into the conservation ledger."""
-        if ticket.status == RETRY and ticket.msg_id is not None:
-            # the id is already admitted; route it through the drop path
-            self.stream._release_dropped([ticket.msg_id])
+    def abandon(self, ticket: OfferTicket, *messages: MimeMessage) -> OfferTicket:
+        """Give up on a parked attempt: shed its run into the conservation ledger."""
+        if ticket.status == RETRY:
+            # the ids are already admitted; route them through the drop path
+            if self._contended.pop(id(ticket), None) is not None:  # else close() did
+                self.stream._release_dropped([msg_id for msg_id, _ in ticket.entries])
+                self.stats.inc("shed", len(ticket.entries))
         elif ticket.status == FULL:
-            self.stream.shed(message)
-        self.stats.inc("shed")
-        return OfferTicket(SHED, ticket.msg_id, ticket.size)
+            for message in messages:
+                self.stream.shed(message)
+            self.stats.inc("shed", len(messages))
+        ticket.status = SHED
+        return ticket
 
-    def _admit_and_post(self, message: MimeMessage) -> OfferTicket:
-        if self._e2e_hist is not None:
-            # the gateway's own stamp goes on before the stream sizes the
-            # message, so the size the ticket carries includes it
-            message.headers.set(INGRESS_HEADER, repr(time.perf_counter()))
-        return self._post(*self.stream.admit(message))
-
-    def _post(self, msg_id: str, size: int) -> OfferTicket:
-        channel = self._ingress_channel()
-        outcome = channel.queue.try_post(msg_id, size)
-        if outcome is True:
-            self.stream.stats.inc("messages_in")
-            self.stats.inc("frames_in")
-            if self._inline:
-                self._waiter.set()  # no workers: the pump drives the stream
-            return OfferTicket(ADMITTED, msg_id, size)
+    def _post(self, ticket: OfferTicket) -> OfferTicket:
+        entries = ticket.entries
+        outcome = self._ingress_channel().queue.try_post(entries)
         if outcome is None:
             self.stats.inc("contended")
-            return OfferTicket(RETRY, msg_id, size)
-        # the effectively-unbounded edge queue is full — treat as a shed
-        self.stream._release_dropped([msg_id])
-        self.stats.inc("shed")
-        return OfferTicket(SHED, msg_id, size)
+            self._contended[id(ticket)] = ticket
+            ticket.status = RETRY
+            return ticket
+        self._contended.pop(id(ticket), None)
+        if outcome:
+            self.stream.stats.inc("messages_in", len(entries))
+            self.stats.inc("frames_in", len(entries))
+            if self._inline:
+                self._waiter.set()  # no workers: the pump drives the stream
+            ticket.status = ADMITTED
+        else:  # the effectively-unbounded edge queue is full — treat as a shed
+            self.stream._release_dropped([msg_id for msg_id, _ in entries])
+            self.stats.inc("shed", len(entries))
+            ticket.status = SHED
+        return ticket
 
     def _ingress_channel(self):
         stream = self.stream
@@ -529,31 +549,21 @@ class GatewaySession:
             pass
 
     def _serialise(self, delivered: list[MimeMessage], picked: float, out: list) -> None:
-        """Strip the gateway stamps, observe latency, append wire frames to ``out``.
+        """Read each message's origin, observe latency, append wire frames to ``out``.
 
         A frame leaves as its ``(head, payload)`` pair: whether the two
         are worth joining is the writer's call, which sees the whole batch.
         """
         e2e_hist, delivery_hist = self._e2e_hist, self._delivery_hist
         for message in delivered:
-            headers = message.headers
-            conn_id = headers.get(CONNECTION_HEADER)
-            headers.remove(CONNECTION_HEADER)
-            stamped = headers.get(INGRESS_HEADER)
-            if stamped is not None:
-                headers.remove(INGRESS_HEADER)
-                if e2e_hist is not None:
-                    try:
-                        admitted_at = float(stamped)
-                    except ValueError:
-                        pass  # a corrupted stamp just goes unattributed
-                    else:
-                        now = time.perf_counter()
-                        e2e_hist.observe(now - admitted_at)
-                        if delivery_hist is not None:
-                            # same instant as the e2e observation, so the
-                            # component set sums to what e2e measures
-                            delivery_hist.observe(now - picked)
+            conn_id, admitted_at = message.headers.origin or (None, None)
+            if admitted_at is not None and e2e_hist is not None:
+                now = time.perf_counter()
+                e2e_hist.observe(now - admitted_at)
+                if delivery_hist is not None:
+                    # same instant as the e2e observation, so the
+                    # component set sums to what e2e measures
+                    delivery_hist.observe(now - picked)
             out.append((self, conn_id, serialize_parts(message)))
         self.stats.inc("frames_out", len(delivered))
 
@@ -591,6 +601,10 @@ class GatewaySession:
             self.scheduler.stop()
         self.pump.detach(self)
         self.stream.remove_wakeup_listener(self._waiter.set)
+        for key in list(self._contended):  # pooled, never posted: drops
+            ticket = self._contended.pop(key, None)
+            if ticket is not None:
+                self.stream._release_dropped([msg_id for msg_id, _ in ticket.entries])
         self.stream.end()
         if self.ledger is not None:
             self.sync_ledger()  # capture the end_drops the stream just took

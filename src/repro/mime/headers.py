@@ -66,15 +66,20 @@ class HeaderMap:
     over, since that write cannot have changed it (writers are never
     concurrent with each other — a message has one holder at a time).
     ``copy()`` starts its copy with an empty memo.
+
+    **The origin** is a slot, not a field: the gateway's ``(connection
+    id, admission stamp)``.  ``copy()`` carries it; the wire form,
+    iteration, ``==`` and the memo never see it.
     """
 
-    __slots__ = ("_fields", "_memo")
+    __slots__ = ("_fields", "_memo", "origin")
 
     def __init__(self, initial: dict[str, str] | None = None):
         # canonical-lower name -> (display name, value)
         self._fields: dict[str, tuple[str, str]] = {}
         # view name -> derived value; replaced, never cleared (see above)
         self._memo: dict[str, object] = {}
+        self.origin: tuple[str | None, float | None] | None = None
         if initial:
             for name, value in initial.items():
                 self.set(name, value)
@@ -146,6 +151,7 @@ class HeaderMap:
         """Independent copy of the header map (its memo starts empty)."""
         clone = HeaderMap()
         clone._fields = dict(self._fields)
+        clone.origin = self.origin
         return clone
 
     def __eq__(self, other: object) -> bool:

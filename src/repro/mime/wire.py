@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.codecs.imagefmt import ImageRaster
 from repro.codecs.psdoc import PsDocument
-from repro.errors import MimeError
+from repro.errors import FrameError, MimeError
 from repro.mime.headers import CONTENT_LENGTH, HeaderMap
 from repro.mime.message import MimeMessage
 from repro.util.ids import IdGenerator
@@ -258,8 +258,10 @@ class FrameAssembler:
     one chunk is copied out of it once and one that straddles reads once
     more; nothing is ever shifted.
 
-    A raised :class:`MimeError` poisons the assembler (framing is lost):
-    every later ``feed`` raises it again; close the connection.
+    A malformed frame raises :class:`~repro.errors.FrameError` carrying the
+    frames the chunk completed before it, and poisons the assembler
+    (framing is lost): every later ``feed`` raises again; close the
+    connection.
     """
 
     __slots__ = (
@@ -295,28 +297,29 @@ class FrameAssembler:
     def feed(self, chunk: bytes | bytearray | memoryview) -> list[MimeMessage]:
         """Consume ``chunk``; return every message it completed (maybe none)."""
         if self._broken is not None:
-            raise MimeError(self._broken)
+            raise FrameError(self._broken)
+        out: list[MimeMessage] = []
         try:
             with memoryview(chunk) as view:
-                return self._consume(view, len(view))
+                self._consume(view, len(view), out)
         except MimeError as exc:
             self._broken = str(exc)  # not ``exc``: its traceback holds the view
-            raise
+            raise FrameError(self._broken, out) from None
+        return out
 
-    def _consume(self, view: memoryview, n: int) -> list[MimeMessage]:
+    def _consume(self, view: memoryview, n: int, out: list[MimeMessage]) -> None:
         self.bytes_in += n
-        out: list[MimeMessage] = []
         pos = 0
         while True:
             if self._headers is None:
                 pos = self._take_head(view, pos) if pos < n else -1
                 if pos < 0:
-                    return out  # nothing left, or a header block still open
+                    return  # nothing left, or a header block still open
             need = self._need
             if n - pos < need:
                 self._kept += view[pos:]
                 self._need = need - (n - pos)
-                return out
+                return
             if self._kept:
                 self._kept += view[pos : pos + need]
                 payload = bytes(self._kept)

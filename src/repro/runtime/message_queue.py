@@ -33,8 +33,9 @@ edge-triggered "one of your inputs has traffic" signal without polling.
 
 Producers that must never block at all — an asyncio event loop posting
 from the gateway's data plane while scheduler workers hold the lock —
-use :meth:`try_post`, which acquires the lock non-blockingly and reports
-contention as a distinct outcome instead of waiting it out.
+use :meth:`try_post`, which acquires the lock non-blockingly, posts a
+whole run of ids at once and reports contention as a distinct outcome
+instead of waiting it out.
 """
 
 from __future__ import annotations
@@ -235,18 +236,19 @@ class MessageQueue:
             self._signal_waiters()
             return True
 
-    def try_post(self, msg_id: str, size: int) -> bool | None:
-        """Lock-contention-free probe post for event-loop callers.
+    def try_post(self, entries: list[tuple[str, int]]) -> bool | None:
+        """Lock-contention-free probe post of a run, for event-loop callers.
 
         ``post_message(timeout=0)`` never waits on a *condition*, but it
         does block on the queue lock — and a scheduler worker holds that
         lock across notify storms on the wakeup conditions, which is an
         unbounded stall from an asyncio event loop's point of view.  This
-        fast path refuses to block at all:
+        fast path refuses to block at all; a run of ``(msg_id, size)``
+        entries is one post (one notify; an empty queue takes it whole):
 
-        * ``True`` — enqueued (waiters signalled as usual);
+        * ``True`` — enqueued, in order (waiters signalled as usual);
         * ``False`` — no room; ``dropped`` is **not** counted (the probe
-          contract: the caller owns the message's accounting);
+          contract: the caller owns the messages' accounting);
         * ``None`` — the lock was contended; the caller should retry on a
           later loop tick.  Nothing happened.
 
@@ -258,18 +260,19 @@ class MessageQueue:
         try:
             if self._closed:
                 raise QueueClosedError("post on closed queue")
+            size = sum([entry[1] for entry in entries])
             if not self._has_room(size):
                 return False
-            self._entries.append((msg_id, size))
+            self._entries.extend(entries)
             self._bytes += size
-            self.posted += 1
+            self.posted += len(entries)
             depth = len(self._entries)
             if depth > self.watermark:
                 self.watermark = depth
                 if self.watermark_gauge is not None:
                     self.watermark_gauge.value = float(depth)
             if self.record_waits:
-                self._post_times.append(time.perf_counter())
+                self._post_times.extend([time.perf_counter()] * len(entries))
             if self.depth_gauge is not None:
                 self.depth_gauge.value = float(depth)
             self._not_empty.notify()

@@ -934,6 +934,7 @@ class RuntimeStream:
     def collect(self) -> list[MimeMessage]:
         """Drain every egress channel; returns delivered messages in order."""
         out: list[MimeMessage] = []
+        posted: list[float] = []
         tm = self.tm
         egress_hist = self._egress_wait_hist
         try:
@@ -942,18 +943,20 @@ class RuntimeStream:
                     msg_id = channel.fetch(0.0)
                     if msg_id is None:
                         break
-                    if egress_hist is not None:
-                        # how long the finished message sat on the egress
-                        # carrier before this drain picked it up
-                        posted_at = channel.queue.last_post_at
-                        if posted_at is not None:
-                            egress_hist.observe(time.perf_counter() - posted_at)
+                    if egress_hist is not None and channel.queue.last_post_at is not None:
+                        posted.append(channel.queue.last_post_at)
                     out.append(self.pool.release(msg_id))
                     if tm is not None:
                         tm.forget(msg_id)
         finally:
             if out:  # one stats lock per drain, whatever ended it
                 self.stats.inc("messages_out", len(out))
+        if posted:
+            # each message waited on its carrier until the drain ended: the
+            # instant the pump's delivery clock starts from
+            drained_at = time.perf_counter()
+            for posted_at in posted:
+                egress_hist.observe(drained_at - posted_at)
         return out
 
     # -- composition primitives (Figure 6-4) ---------------------------------------------------------

@@ -211,13 +211,7 @@ class RecoveryManager:
         """Re-admit unsettled retries through the ordinary offer path."""
         if not sf.pending_retries:
             return 0, 0
-        from repro.gateway.session import (
-            ADMITTED,
-            FULL,
-            RETRY,
-            CONNECTION_HEADER,
-            INGRESS_HEADER,
-        )
+        from repro.gateway.session import ADMITTED, FULL, RETRY
         from repro.mime.wire import parse_message
 
         ok = failed = 0
@@ -231,9 +225,7 @@ class RecoveryManager:
             except Exception:
                 failed += 1
                 continue
-            message.headers.remove(CONNECTION_HEADER)
-            message.headers.remove(INGRESS_HEADER)
-            ticket = session.offer(message)
+            ticket = session.offer(message)  # a fresh origin, no connection
             attempts = 0
             while ticket.status in (FULL, RETRY) and attempts < _REINJECT_ATTEMPTS:
                 ticket = session.retry(ticket, message)

@@ -196,6 +196,22 @@ class TestProtocolErrors:
             finally:
                 client.close()
 
+    def test_frames_read_with_a_malformed_one_are_still_admitted(self):
+        with GatewayServer().run_in_thread() as handle:
+            key = deploy(handle)
+            client = WireClient(handle.data_address)
+            try:
+                good = serialize_message(tagged(b"before", key))
+                client.send_raw(good + b"this is not a header line\n\n")
+                stats = poll_stats(
+                    handle, key, lambda s: s["conservation"]["residual"] == 0
+                    and s["frames_in"] == 1,
+                )
+                assert stats["conservation"]["admitted"] == 1
+                assert stats["conservation"]["balanced"], stats
+            finally:
+                client.close()
+
     def test_oversized_declaration_rejected(self):
         config = GatewayConfig(max_frame_bytes=1024)
         with GatewayServer(config=config).run_in_thread() as handle:

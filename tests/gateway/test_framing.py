@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import MimeError
+from repro.errors import FrameError, MimeError
 from repro.mime.message import MimeMessage
 from repro.mime.wire import FrameAssembler, serialize_message
 
@@ -101,3 +101,13 @@ class TestRejection:
             asm.feed(tampered(frame(), "-1"))
         with pytest.raises(MimeError):
             asm.feed(frame(b"fine frame, broken stream"))
+
+    def test_frames_before_a_malformed_one_in_the_same_chunk_are_handed_back(self):
+        asm = FrameAssembler()
+        with pytest.raises(FrameError, match="negative") as raised:
+            asm.feed(frame(b"good") + tampered(frame(), "-1"))
+        assert [m.body for m in raised.value.frames] == [b"good"]
+        assert asm.frames_out == 1
+        with pytest.raises(FrameError) as again:  # still poisoned
+            asm.feed(frame(b"after"))
+        assert again.value.frames == []

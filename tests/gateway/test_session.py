@@ -142,3 +142,33 @@ class TestContention:
             assert report.residual == 0
         finally:
             session.close()
+
+    def test_a_contended_run_whose_session_closes_is_dropped(self):
+        # the run is pooled but was never queued: close() must release it
+        # through the drop path before the final ledger sync, or the ended
+        # stream keeps a pool entry that nothing will ever settle
+        _server, stream, session = deploy_session(ingress_limit=4)
+        queue = next(iter(stream.ingress.values())).queue
+        held = threading.Event()
+        release = threading.Event()
+
+        def hold():
+            with queue._lock:
+                held.set()
+                release.wait(5)
+
+        t = threading.Thread(target=hold)
+        t.start()
+        assert held.wait(5)
+        try:
+            ticket = session.offer(message("a"))
+            assert ticket.status == RETRY
+        finally:
+            release.set()
+            t.join(timeout=5)
+        session.close()
+        with pytest.raises(QueueClosedError):
+            session.retry(ticket, message("a"))
+        report = check_conservation(stream)
+        assert (report.residual, report.dropped, report.balanced) == (0, 1, True)
+        assert len(stream.pool) == 0

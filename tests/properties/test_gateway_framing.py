@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codecs.imagefmt import ImageRaster
+from repro.errors import FrameError
 from repro.codecs.psdoc import PsDocument
 from repro.mime.message import MimeMessage
 from repro.mime.wire import FrameAssembler, parse_message, serialize_message
@@ -85,6 +86,9 @@ def test_every_byte_offset_split(build):
         assert asm.pending_bytes == 0
 
 
+#: a complete header block whose Content-Length cannot be trusted
+_MALFORMED = b"Content-Type: text/plain\nContent-Length: -1\n\n"
+
 _big_messages = st.sampled_from([
     synthetic_image_message(32, 24, seed=1),
     ps_page_message(n_images=1, paragraphs=2, image_size=(16, 12), seed=2),
@@ -98,19 +102,29 @@ _big_messages = st.sampled_from([
     # scale-free cut positions: serialization length varies run-to-run
     # (multipart boundaries are regenerated), so draw fractions of it
     st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=12),
+    st.booleans(),  # a malformed frame follows the stream
 )
-def test_random_chunkings_of_a_frame_stream(messages, fractions):
-    raw = b"".join(serialize_message(m) for m in messages)
+def test_random_chunkings_of_a_frame_stream(messages, fractions, malformed):
+    tail = _MALFORMED if malformed else b""
+    raw = b"".join(serialize_message(m) for m in messages) + tail
     cuts = sorted(int(f * len(raw)) for f in fractions)
     bounds = [0, *cuts, len(raw)]
     asm = FrameAssembler()
     rebuilt = []
     for lo, hi in zip(bounds, bounds[1:]):
-        rebuilt += asm.feed(raw[lo:hi])
+        try:
+            rebuilt += asm.feed(raw[lo:hi])
+        except FrameError as exc:  # the frames the chunk completed first
+            rebuilt += exc.frames
+            break
+    else:
+        assert not malformed, "a malformed tail must raise"
+    # exactly the frames before the malformed tail, however the bytes fell
     assert len(rebuilt) == len(messages)
     for got, want in zip(rebuilt, messages):
         assert _equivalent(got, want)
-    assert asm.pending_bytes == 0
+    if not malformed:
+        assert asm.pending_bytes == 0
 
 
 # -- the receive-buffer contract -----------------------------------------------

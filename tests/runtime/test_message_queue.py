@@ -276,7 +276,7 @@ class TestTryPost:
 
     def test_success_enqueues_and_counts_posted(self):
         q = MessageQueue(1000)
-        assert q.try_post("a", 10) is True
+        assert q.try_post([("a", 10)]) is True
         assert q.posted == 1
         assert q.fetch_message() == "a"
 
@@ -284,7 +284,7 @@ class TestTryPost:
         q = MessageQueue(10, drop_timeout=30.0)  # timeout must not apply
         q.post_message("a", 10)
         begin = time.perf_counter()
-        assert q.try_post("b", 10) is False
+        assert q.try_post([("b", 10)]) is False
         assert time.perf_counter() - begin < 1.0  # did not serve the timeout
         assert q.dropped == 0  # probe contract: the caller owns accounting
         assert q.posted == 1
@@ -304,23 +304,23 @@ class TestTryPost:
         assert held.wait(5)
         try:
             begin = time.perf_counter()
-            assert q.try_post("a", 10) is None
+            assert q.try_post([("a", 10)]) is None
             assert time.perf_counter() - begin < 1.0
         finally:
             release.set()
             t.join(timeout=5)
         assert q.posted == 0
-        assert q.try_post("a", 10) is True  # uncontended retry succeeds
+        assert q.try_post([("a", 10)]) is True  # uncontended retry succeeds
 
     def test_closed_queue_raises(self):
         q = MessageQueue(100)
         q.close()
         with pytest.raises(QueueClosedError):
-            q.try_post("a", 10)
+            q.try_post([("a", 10)])
 
     def test_success_signals_waiters(self):
         q = MessageQueue(1000)
         wake = threading.Event()
         q.add_waiter(wake)
-        assert q.try_post("a", 10) is True
+        assert q.try_post([("a", 10)]) is True
         assert wake.wait(1.0)
