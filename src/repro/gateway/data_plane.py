@@ -3,11 +3,11 @@
 One ``loop.create_server`` listener, one :class:`asyncio.BufferedProtocol`
 object per connection, no task on the fast path.  The kernel fills the
 plane's receive buffer (``read_chunk_bytes``) and the frames the read
-completes are admitted inside that callback, one run per session::
+completes are admitted inside that callback, in read order::
 
-    recv_into ──► FrameAssembler.feed ──► group by Content-Session (read
-                                          order, up to a session's room)
-                                      ──► GatewaySession.offer(*run) per group
+    recv_into ──► FrameAssembler.feed ──► consecutive frames of one session,
+                                          up to its room, are one run
+                                      ──► GatewaySession.offer(*run) per run
                         │ ADMITTED                  │ FULL / RETRY
                         ▼                           ▼
                   stream ingress            park: pause_reading(); one task
@@ -249,45 +249,27 @@ class DataPlane:
     # -- admission (inside the read callback, or the pause task) -----------------------
 
     def _ingest(self, conn: _Connection, frames: deque[MimeMessage]) -> tuple | None:
-        """Offer ``frames`` from the left up to the first that has to wait:
-        its park state, with ``frames`` left just behind it.
+        """Offer ``frames`` from the left, in read order, up to the first
+        that has to wait: its park state, with ``frames`` left just behind it.
 
-        A pass groups frames by session, in read order, until one finds its
-        session's room used up; each group is offered as one run, then that
-        frame alone.  A contended run parks whole, and the runs grouped
-        behind it go back onto ``frames`` in read order.
+        Consecutive frames of one session, up to its room, are one run; a
+        frame that finds the room used up is a run of one, and parks.
         """
         route = self._gateway.route
         while frames:
             t0 = time.perf_counter() if self._admission_hist is not None else 0.0
-            batch = list(frames)
-            runs: dict[GatewaySession, tuple[int, list[MimeMessage]]] = {}
-            waiting = None  # the session of the frame this pass ends at
-            while frames:
-                key = frames[0].headers.session
-                session = route(key)
-                if session is None:
-                    frames.popleft()
-                    self._refuse(conn, f"no session {key!r} deployed")
-                    continue
-                entry = runs.get(session)
-                if entry is None:
-                    entry = runs[session] = (session.room, [])
-                if len(entry[1]) >= entry[0]:
-                    waiting = session
-                    break
-                entry[1].append(frames.popleft())
-            grouped = list(runs.items())
-            for index, (session, (_room, run)) in enumerate(grouped):
-                parked = self._offer(conn, session, run, t0) if run else None
-                if parked is not None:
-                    behind = {id(m) for _s, (_r, later) in grouped[index + 1:] for m in later}
-                    frames.extendleft(reversed([m for m in batch if id(m) in behind]))
-                    return parked
-            if waiting is not None:
-                parked = self._offer(conn, waiting, [frames.popleft()], t0)
-                if parked is not None:
-                    return parked
+            key = frames[0].headers.session
+            session = route(key)
+            if session is None:
+                frames.popleft()
+                self._refuse(conn, f"no session {key!r} deployed")
+                continue
+            run, room = [frames.popleft()], session.room
+            while frames and len(run) < room and frames[0].headers.session == key:
+                run.append(frames.popleft())
+            parked = self._offer(conn, session, run, t0)
+            if parked is not None:
+                return parked
         return None
 
     def _offer(self, conn: _Connection, session: GatewaySession, run: list, t0: float):

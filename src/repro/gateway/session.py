@@ -5,7 +5,7 @@ deployed :class:`~repro.runtime.stream.RuntimeStream` and owns the two
 boundary crossings the data plane needs:
 
 * **admission** (event-loop thread → runtime): :meth:`offer` admits a
-  *run* of parsed messages (what one read completed for this session)
+  *run* of parsed messages (consecutive frames of this session in a read)
   with one room check, one non-blocking
   :meth:`~repro.runtime.message_queue.MessageQueue.try_post` of all
   their ids and one pump wake.  Each message's ``HeaderMap.origin``
@@ -66,7 +66,7 @@ SHED = "shed"          # admitted and immediately dropped into the ledger
 PUMP_QUANTUM = 4
 
 
-@dataclass
+@dataclass(eq=False)
 class OfferTicket:
     """The state of one in-flight admission attempt of a run."""
 
@@ -78,7 +78,7 @@ class OfferTicket:
 
     @property
     def msg_id(self) -> str | None:
-        """The run's first pool id, or None before admission."""
+        """The run's first pool id, or None before admission (a run of one's id)."""
         return self.entries[0][0] if self.entries else None
 
 
@@ -382,9 +382,9 @@ class GatewaySession:
         )
         self._inline = inline
         self._closed = False
-        #: id(ticket) -> a RETRY ticket (run pooled, not queued); whoever
-        #: pops it settles the run — close() drops what is left
-        self._contended: dict[int, OfferTicket] = {}
+        #: RETRY tickets (run pooled, not queued); whoever removes one
+        #: settles its run — close() drops what is left
+        self._contended: set[OfferTicket] = set()
         #: the egress stage serving this session: the gateway's shared
         #: pump, or a private one for a standalone session
         self.pump = pump if pump is not None else EgressPump()
@@ -441,9 +441,7 @@ class GatewaySession:
     def abandon(self, ticket: OfferTicket, *messages: MimeMessage) -> OfferTicket:
         """Give up on a parked attempt: shed its run into the conservation ledger."""
         if ticket.status == RETRY:
-            # the ids are already admitted; route them through the drop path
-            if self._contended.pop(id(ticket), None) is not None:  # else close() did
-                self.stream._release_dropped([msg_id for msg_id, _ in ticket.entries])
+            if self._drop_contended(ticket):  # else close() dropped them
                 self.stats.inc("shed", len(ticket.entries))
         elif ticket.status == FULL:
             for message in messages:
@@ -452,15 +450,25 @@ class GatewaySession:
         ticket.status = SHED
         return ticket
 
+    def _drop_contended(self, ticket: OfferTicket) -> bool:
+        """Route a RETRY run's pooled ids through the drop path, once:
+        whichever thread removes the ticket does it."""
+        try:
+            self._contended.remove(ticket)
+        except KeyError:
+            return False
+        self.stream._release_dropped([msg_id for msg_id, _ in ticket.entries])
+        return True
+
     def _post(self, ticket: OfferTicket) -> OfferTicket:
         entries = ticket.entries
         outcome = self._ingress_channel().queue.try_post(entries)
         if outcome is None:
             self.stats.inc("contended")
-            self._contended[id(ticket)] = ticket
+            self._contended.add(ticket)
             ticket.status = RETRY
             return ticket
-        self._contended.pop(id(ticket), None)
+        self._contended.discard(ticket)
         if outcome:
             self.stream.stats.inc("messages_in", len(entries))
             self.stats.inc("frames_in", len(entries))
@@ -601,10 +609,8 @@ class GatewaySession:
             self.scheduler.stop()
         self.pump.detach(self)
         self.stream.remove_wakeup_listener(self._waiter.set)
-        for key in list(self._contended):  # pooled, never posted: drops
-            ticket = self._contended.pop(key, None)
-            if ticket is not None:
-                self.stream._release_dropped([msg_id for msg_id, _ in ticket.entries])
+        for ticket in list(self._contended):  # pooled, never posted: drops
+            self._drop_contended(ticket)
         self.stream.end()
         if self.ledger is not None:
             self.sync_ledger()  # capture the end_drops the stream just took

@@ -99,7 +99,7 @@ def drive(ingest, script: Script) -> dict:
     sessions = {key: gateway.deploy(MCL, session_key=key) for key in KEYS}
     errors: list = []
     conns = {cid: SimpleNamespace(conn_id=cid, write=errors.append) for cid in ("c1", "c2")}
-    parks = []
+    parks, admitted_at_parks = [], []
     try:
         for key in KEYS:  # nothing moves unless the script says so
             gateway.raise_event("PAUSE", session_key=key)
@@ -114,6 +114,7 @@ def drive(ingest, script: Script) -> dict:
             while parked is not None:
                 session, ticket, run, _t0 = parked
                 parks.append((session.key, run[0].body, ticket.status))
+                admitted_at_parks.append({k: s.stats.frames_in for k, s in sessions.items()})
                 script.unblock(gateway, script, session)
                 deadline = time.monotonic() + 10
                 try:
@@ -137,6 +138,7 @@ def drive(ingest, script: Script) -> dict:
         return {
             "delivered": by_session,
             "parks": parks,
+            "admitted_at_parks": admitted_at_parks,
             "errors": len(errors),
             "stats": {
                 key: {k: s.stats.snapshot()[k] for k in ("frames_in", "parked", "shed")}
@@ -202,6 +204,21 @@ class TestRunsMatchOneOfferPerFrame:
             [("c1", "a1 b1 a2 b2 a3")], setup=setup, unblock=unblock,
         ))
         assert outcome["parks"] == [("a", b"1", "retry")]
+        assert [body for _c, body in outcome["delivered"]["a"]] == [b"1", b"2", b"3"]
+
+    def test_a_contended_lock_on_a_later_session_holds_back_what_was_read_after(self):
+        def setup(gateway, script):
+            script.holders.append(HeldLock(gateway.sessions["b"]))
+
+        def unblock(_gateway, script, _session):
+            script.holders.pop().done()
+
+        outcome = assert_same(lambda: Script(
+            [("c1", "a1 b1 a2 b2 a3")], setup=setup, unblock=unblock,
+        ))
+        assert outcome["parks"] == [("b", b"1", "retry")]
+        # a2, read after b1, waits for b1 to settle
+        assert outcome["admitted_at_parks"] == [{"a": 1, "b": 0}]
         assert [body for _c, body in outcome["delivered"]["a"]] == [b"1", b"2", b"3"]
 
     def test_a_session_closed_mid_read(self):
