@@ -390,7 +390,10 @@ class Supervisor:
 
         A retry whose target instance/port has gone away (bypassed,
         removed) or whose channel refuses the post is dead-lettered —
-        the id must never dangle.
+        the id must never dangle.  The lookups and posts run in one read
+        section of the stream, so a commit can neither retire a target
+        channel between its lookup and the post nor drain it before the
+        post lands (and a single-owner channel is touched only there).
         """
         if now is None:
             now = self._clock.now()
@@ -400,29 +403,35 @@ class Supervisor:
         self._pending = [e for e in self._pending if e[0] > now]
         stream = self._stream
         reposted = 0
-        for _due, _seq, msg_id, instance, port in due:
-            node = stream._nodes.get(instance)
-            channel = node.inputs.get(port) if node is not None else None
-            if channel is None:
-                self._dead_letter(msg_id, instance, port, reason="retry target detached")
-                continue
-            try:
-                posted = channel.post(msg_id, stream.pool.size_of(msg_id), timeout=0)
-            except QueueClosedError:
-                posted = False
-            if posted:
-                stream.stats.inc("retries")
-                if self.ledger is not None:
-                    self.ledger.retry_settled(self.scope, msg_id)
-                if self._outcome is not None:
-                    self._outcome("retried")
-                if stream.tm is not None:
-                    stream.tm.recorder.record(
-                        "retry", stream=stream.name, msg_id=msg_id, instance=instance
+        stream._enter_read()
+        try:
+            for _due, _seq, msg_id, instance, port in due:
+                node = stream._nodes.get(instance)
+                channel = node.inputs.get(port) if node is not None else None
+                if channel is None:
+                    self._dead_letter(msg_id, instance, port, reason="retry target detached")
+                    continue
+                try:
+                    posted = channel.post(msg_id, stream.pool.size_of(msg_id), timeout=0)
+                except QueueClosedError:
+                    posted = False
+                if posted:
+                    stream.stats.inc("retries")
+                    if self.ledger is not None:
+                        self.ledger.retry_settled(self.scope, msg_id)
+                    if self._outcome is not None:
+                        self._outcome("retried")
+                    if stream.tm is not None:
+                        stream.tm.recorder.record(
+                            "retry", stream=stream.name, msg_id=msg_id, instance=instance
+                        )
+                    reposted += 1
+                else:
+                    self._dead_letter(
+                        msg_id, instance, port, reason="retry channel full or closed"
                     )
-                reposted += 1
-            else:
-                self._dead_letter(msg_id, instance, port, reason="retry channel full or closed")
+        finally:
+            stream._read_gate.exit()
         return reposted
 
     def next_due(self) -> float | None:

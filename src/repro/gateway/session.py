@@ -17,9 +17,10 @@ boundary crossings the data plane needs:
   the client's TCP window.  A park that outlives its budget is **shed**
   through :meth:`~repro.runtime.stream.RuntimeStream.shed`, so the refusal
   lands in the drop statistics and the conservation ledger stays balanced.
-* **egress** (runtime → event-loop thread): the session hooks a
-  waiter onto its egress queues whose ``set()`` marks it *ready* on an
-  :class:`EgressPump` — one thread for every session of a gateway.  A
+* **egress** (runtime → event-loop thread): whatever may bring the
+  session work — an admission, a worker's post to an egress queue, a
+  commit — marks it *ready* on an :class:`EgressPump`, one thread for
+  every session of a gateway.  A
   pump cycle collects every ready session, commits their counter deltas
   to the ledger with **one** flush, serialises off the event loop, and
   hands the whole batch of ``(session, conn_id, (head, payload))`` to
@@ -29,7 +30,10 @@ Who *steps* the stream is the composition's property, not the caller's.
 A **pump-stepped** session (``inline=True``) has no scheduler threads:
 its share of a cycle first turns the stream over with
 ``InlineScheduler.pump`` for at most :data:`PUMP_QUANTUM` worklist
-rounds, run to completion on the pump thread, then collects.  The
+rounds, run to completion on the pump thread, then collects.  Every
+channel of its stream but the ingress is single-owner
+(:mod:`repro.runtime.message_queue`): after admission a message crosses
+no lock, and an exit marks nothing ready.  The
 gateway drives every composition of cooperative streamlets this way
 (see :attr:`~repro.runtime.streamlet.Streamlet.cooperative`); any other
 keeps a worker thread per streamlet, because a step that waits on the
@@ -37,8 +41,8 @@ shared pump would silence every session.
 
 All admission methods (``offer`` / ``retry`` / ``abandon``) must be
 called from a single thread (the gateway's event loop); the pump runs on
-its own thread and touches only thread-safe runtime surfaces
-(``pump``, ``collect``, queue waiters).
+its own thread and touches the stream only through ``pump``, ``collect``
+and ``pump_retries``, each of which keeps to the stream's read gate.
 """
 
 from __future__ import annotations
@@ -522,39 +526,37 @@ class GatewaySession:
     # -- egress (pump thread) ------------------------------------------------------------
 
     def _collect(self) -> list[MimeMessage]:
-        """This session's share of a pump cycle: whatever reached egress."""
+        """This session's share of a pump cycle: whatever reached egress.
+
+        Re-hooks the ready waiter onto the queues other threads post to
+        (reconfiguration may swap them; ``add_waiter`` is idempotent, one
+        lock round per queue).  A worker-stepped session watches its
+        egress queues, and hooks them after the drain: a queue still
+        holding what was just taken would set the waiter at once and buy
+        an empty cycle.  A pump-stepped one steps first and collects
+        right after, so its exits need no waiter; it re-hooks its ingress
+        queues instead, where ``add_waiter`` sets the waiter at once on a
+        queue that holds something: that is how the input a spent quantum
+        left behind re-marks the session.  Only after a step that moved
+        something, though — input a paused stream cannot take would
+        re-mark it every cycle and spin the pump; RESUME wakes it through
+        the wakeup listener.
+        """
         supervisor = self.supervisor
         if supervisor is not None:
             supervisor.pump_retries()  # first: the step below moves them on
-        moved = self.scheduler.pump(max_rounds=PUMP_QUANTUM) if self._inline else 0
-        delivered = self.stream.collect()
-        # after the drain: a queue that still held what was just taken
-        # would set the waiter at once and buy an empty cycle
-        self._hook_waiters(ingress=moved > 0)
+        stream = self.stream
+        if self._inline:
+            if self.scheduler.pump(max_rounds=PUMP_QUANTUM):
+                self._hook(stream.ingress.values())
+            return stream.collect()
+        delivered = stream.collect()
+        self._hook(channel for _ref, channel in stream.egress)
         return delivered
 
-    def _hook_waiters(self, *, ingress: bool) -> None:
-        """(Re-)hook the ready waiter onto the current egress queues.
-
-        Re-run every time the session is served because reconfiguration
-        may swap egress channels; ``add_waiter`` is idempotent, so steady
-        state costs one lock round per queue per cycle.  Pump-stepped
-        sessions also watch the ingress queues, and ``add_waiter`` sets
-        the waiter at once on a queue that holds something: that is how
-        the input a spent quantum left behind re-marks the session.
-        Only after a step that moved something, though (``ingress``) —
-        input a paused stream cannot take would re-mark it every cycle
-        and spin the pump; RESUME wakes it through the wakeup listener.
-        """
-        waiter = self._waiter
-        try:
-            for _ref, channel in self.stream.egress:
-                channel.queue.add_waiter(waiter)
-            if ingress and self._inline:
-                for channel in self.stream.ingress.values():
-                    channel.queue.add_waiter(waiter)
-        except QueueClosedError:  # pragma: no cover - teardown race
-            pass
+    def _hook(self, channels) -> None:
+        for channel in channels:
+            channel.queue.add_waiter(self._waiter)
 
     def _serialise(self, delivered: list[MimeMessage], picked: float, out: list) -> None:
         """Read each message's origin, observe latency, append wire frames to ``out``.

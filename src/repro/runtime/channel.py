@@ -17,6 +17,11 @@ Synchronous channels (``SYNC``) are zero-length buffers; in the inline
 scheduler they behave as a one-slot rendezvous (post must be consumed
 before the next post), which preserves the ordering guarantee without
 real blocking.
+
+A channel's queue is **shared** or **owned** (one thread at both ends;
+:mod:`repro.runtime.message_queue`), as the stream decided when an engine
+bound it.  That thread touches an owned channel only inside the read gate,
+any other only inside the write section after its grace period.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ class Channel:
         *,
         drop_timeout: float = 0.0,
         telemetry: "StreamTelemetry | None" = None,
+        owned: bool = False,
     ):
         self.name = name
         self.definition = definition
@@ -75,7 +81,7 @@ class Channel:
             capacity = 0
         else:
             capacity = definition.buffer_kb * 1024
-        self.queue = MessageQueue(capacity, drop_timeout=drop_timeout)
+        self.queue = MessageQueue(capacity, drop_timeout=drop_timeout, owned=owned)
         # queue-wait observation: observed streams bind their telemetry so
         # post/fetch can sample how long ids sit in this queue, and the
         # queue itself records every message's wait + depth/watermark

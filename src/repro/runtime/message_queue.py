@@ -1,41 +1,45 @@
 """The MessageQueue base class (section 6.2, Figures 6-3 and 6-9).
 
-A bounded FIFO of ``(message_id, size)`` entries guarded by a pair of
-condition variables over one lock — the Python rendering of the Java
-``synchronized`` + ``wait``/``notify`` design, split so producers and
-consumers stop waking each other: posts signal ``not_empty`` (consumer
-side), fetches signal ``not_full`` (producer side).  Capacity is
-accounted in **bytes** (the MCL ``buffer`` attribute is in KB); an empty
-queue always admits one message so a single oversized message cannot
+A bounded FIFO of ``(message_id, size)`` entries.  Capacity is accounted
+in **bytes** (the MCL ``buffer`` attribute is in KB); an empty queue
+always admits one message so a single oversized message cannot
 deadlock a stream.
 
-``post_message`` implements the Figure 6-9 policy.  The timeout contract
-is explicit:
+One class, two regimes, decided when an engine binds the stream
+(:meth:`~repro.runtime.stream.RuntimeStream.bind_engine`):
+
+**shared** (``owned=False``, the default)
+    The Java ``synchronized`` + ``wait``/``notify`` design: one lock and a
+    pair of conditions (posts signal ``not_empty``, fetches ``not_full``),
+    each notified only while a thread is blocked on it — a post or fetch
+    nobody waits for costs one lock round.  Every queue of a worker-stepped
+    stream is shared, and so is every ingress, which other threads post to.
+**owned** (``owned=True``)
+    One thread is both ends — the interior and egress channels of an
+    :class:`~repro.runtime.scheduler.InlineScheduler`-stepped stream.  A
+    post or fetch is a deque operation plus a byte count, with no lock:
+    nobody else can make room or bring a message, so nothing ever waits.
+    Its thread touches it only inside the stream's read gate, any other
+    thread only inside the write section after the grace period (reading
+    a counter is one GIL-atomic load and needs neither).
+
+Both keep the same semantics and counters.  ``post_message`` implements
+the Figure 6-9 policy under an explicit timeout contract:
 
 ``timeout=None``
-    Wait up to the queue's configured ``drop_timeout`` for room, then
-    drop: slow downstream streamlets must not stall the whole stream
-    (section 6.7).  A failed post counts in ``dropped``.
+    Wait up to the configured ``drop_timeout`` for room, then drop: slow
+    downstream streamlets must not stall the whole stream (section 6.7).
+    A failed post counts in ``dropped``.  (Owned: drop at once.)
 ``timeout > 0``
-    Same, with an explicit budget overriding the configured one.  A
-    failed post counts in ``dropped``.
+    Same, with an explicit budget overriding the configured one.
 ``timeout=0``
-    A pure non-blocking *probe*: never waits and never counts
-    ``dropped`` — the caller owns the message's accounting.  This is the
-    form schedulers use mid-step and mid-stall-retry, where the retry
-    loop (not the queue) decides when the Figure 6-9 budget is spent and
-    books the drop exactly once.
+    A non-blocking *probe*: never waits, never counts ``dropped`` — the
+    caller (a scheduler mid-step or mid-stall-retry) books the drop once.
 
-Consumers that cannot block on a single queue (a scheduler worker
-multiplexing several input channels) register a ``threading.Event`` via
-:meth:`add_waiter`; every successful post sets it, giving the worker an
-edge-triggered "one of your inputs has traffic" signal without polling.
-
-Producers that must never block at all — an asyncio event loop posting
-from the gateway's data plane while scheduler workers hold the lock —
-use :meth:`try_post`, which acquires the lock non-blockingly, posts a
-whole run of ids at once and reports contention as a distinct outcome
-instead of waiting it out.
+Consumers multiplexing several input queues (a scheduler worker) register
+a ``threading.Event`` via :meth:`add_waiter`, set by every post.  Producers
+that must never block at all — the gateway's event loop — use
+:meth:`try_post`, which posts a whole run or reports lock contention.
 """
 
 from __future__ import annotations
@@ -50,7 +54,9 @@ from repro.errors import QueueClosedError
 class MessageQueue:
     """Bounded producer/consumer queue of message ids."""
 
-    def __init__(self, capacity_bytes: int = 100 * 1024, *, drop_timeout: float = 0.0):
+    def __init__(
+        self, capacity_bytes: int = 100 * 1024, *, drop_timeout: float = 0.0, owned: bool = False
+    ):
         if capacity_bytes < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity_bytes}")
         if drop_timeout < 0:
@@ -59,12 +65,14 @@ class MessageQueue:
         self._drop_timeout = drop_timeout
         self._entries: deque[tuple[str, int]] = deque()
         self._bytes = 0
+        #: the regime (module docstring); switched only before traffic flows
+        self.owned = owned
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
-        #: compat alias: blocked *producers* wait here (tools and tests
-        #: that poke the queue wake them through this name)
-        self._cond = self._not_full
+        #: threads blocked on each condition: nobody blocked, no notify
+        self._blocked_consumers = 0
+        self._blocked_producers = 0
         #: consumer-side wakeup events (see :meth:`add_waiter`)
         self._waiters: list[threading.Event] = []
         self._closed = False
@@ -75,20 +83,17 @@ class MessageQueue:
         self.posted = 0
         self.fetched = 0
         self.dropped = 0
-        #: deepest the queue has ever been, in entries (always maintained;
-        #: an int compare per post is within the no-telemetry budget)
+        #: deepest the queue has ever been, in entries
         self.watermark = 0
         #: when True, post times ride in a parallel deque so every fetch
-        #: can report its queue wait (set by observed channels;
-        #: the entry tuples stay ``(msg_id, size)`` for snapshot/restore)
+        #: can report its queue wait (the entry tuples stay ``(msg_id, size)``)
         self.record_waits = False
         self._post_times: deque[float] = deque()
         #: raw ``perf_counter`` post time of the most recent fetch (None
-        #: when waits are not recorded); single-consumer channels read it
-        #: post-fetch and subtract it from their own clock sample, so the
-        #: queue never pays a second ``perf_counter`` call on the claim
+        #: when waits are not recorded); the consumer subtracts it from its
+        #: own clock sample, so the queue pays no second clock read
         self.last_post_at: float | None = None
-        #: optional pre-bound gauges (plain stores under the queue lock)
+        #: optional pre-bound gauges
         self.depth_gauge = None
         self.watermark_gauge = None
 
@@ -119,7 +124,7 @@ class MessageQueue:
                 raise ValueError("consumer count underflow")
             self.consumer_count -= 1
 
-    # -- queue state -------------------------------------------------------------------
+    # -- queue state (lock-free: each a single GIL-atomic read) ----------------------
 
     @property
     def capacity_bytes(self) -> int:
@@ -135,23 +140,14 @@ class MessageQueue:
         return self._closed
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     @property
     def pending_bytes(self) -> int:
-        with self._lock:
-            return self._bytes
+        return self._bytes
 
     def is_empty(self) -> bool:
-        """True when nothing is queued.
-
-        Deliberately lock-free (a deque truthiness read is atomic under
-        the GIL), so it may be stale by one racing post/fetch.  Callers
-        use it only to *skip optional work* — the schedulers probe it
-        before paying the mutex round-trip of a speculative batched
-        claim — never as a correctness guarantee.
-        """
+        """True when nothing is queued (a shared queue's may be stale by one post)."""
         return not self._entries
 
     def _has_room(self, size: int) -> bool:
@@ -180,150 +176,146 @@ class MessageQueue:
             except ValueError:
                 pass
 
-    def _signal_waiters(self) -> None:
-        # caller holds self._lock
+    # -- the paper's postMessage / fetchMessage ----------------------------------------------
+
+    def _put(self, run: list[tuple[str, int]], size: int, probe: bool) -> bool:
+        """Enqueue a run of ``size`` bytes if it fits (an empty queue takes it
+        whole); the regimes' common core, which never waits."""
+        if self._closed:
+            raise QueueClosedError("post on closed queue")
+        entries = self._entries
+        if entries and self._bytes + size > self._capacity:
+            if not probe:
+                self.dropped += 1
+            return False
+        entries.extend(run)
+        self._bytes += size
+        self.posted += len(run)
+        depth = len(entries)
+        if depth > self.watermark:
+            self.watermark = depth
+            if self.watermark_gauge is not None:
+                self.watermark_gauge.value = float(depth)
+        if self.record_waits:
+            self._post_times.extend([time.perf_counter()] * len(run))
+        if self.depth_gauge is not None:
+            self.depth_gauge.value = float(depth)
+        return True
+
+    def _wake_consumers(self) -> None:
+        # caller holds the lock of a shared queue
+        if self._blocked_consumers:
+            self._not_empty.notify()  # one consumer per channel end
         for event in self._waiters:
             event.set()
-
-    # -- the paper's postMessage / fetchMessage ----------------------------------------------
 
     def post_message(self, msg_id: str, size: int, *, timeout: float | None = None) -> bool:
         """Enqueue; returns False if the message had to be dropped.
 
-        Implements Figure 6-9 under the module-level timeout contract:
-        ``None`` waits the configured ``drop_timeout``, a positive value
-        waits that long instead, and ``0`` is a non-blocking probe that
-        leaves the ``dropped`` counter to the caller.
+        Implements Figure 6-9 under the module-level timeout contract.
         """
         probe = timeout is not None and timeout <= 0
+        if self.owned:
+            return self._put([(msg_id, size)], size, probe)
         wait_for = self._drop_timeout if timeout is None else timeout
         with self._lock:
-            if self._closed:
-                raise QueueClosedError("post on closed queue")
-            if not self._has_room(size):
-                # wait on a monotonic deadline: a notify that freed too
-                # little room (or a spurious wakeup) must not burn the
-                # whole budget, so keep waiting for the time that remains
-                if wait_for > 0:
-                    deadline = time.monotonic() + wait_for
+            if wait_for > 0 and not self._closed and not self._has_room(size):
+                # a monotonic deadline: a notify that freed too little room
+                # (or a spurious wakeup) must not burn the whole budget
+                deadline = time.monotonic() + wait_for
+                self._blocked_producers += 1
+                try:
                     while not self._has_room(size) and not self._closed:
                         remaining = deadline - time.monotonic()
                         if remaining <= 0:
                             break
                         self._not_full.wait(remaining)
-                if self._closed:
-                    raise QueueClosedError("queue closed while waiting to post")
-                if not self._has_room(size):
-                    if not probe:
-                        self.dropped += 1
-                    return False
-            self._entries.append((msg_id, size))
-            self._bytes += size
-            self.posted += 1
-            # attribution bookkeeping, inlined: this is the hottest lock
-            # region in the runtime, so no helper-call overhead
-            depth = len(self._entries)
-            if depth > self.watermark:
-                self.watermark = depth
-                if self.watermark_gauge is not None:
-                    self.watermark_gauge.value = float(depth)
-            if self.record_waits:
-                self._post_times.append(time.perf_counter())
-            if self.depth_gauge is not None:
-                self.depth_gauge.value = float(depth)
-            # one consumer per channel end: a targeted notify suffices
-            self._not_empty.notify()
-            self._signal_waiters()
-            return True
+                finally:
+                    self._blocked_producers -= 1
+            posted = self._put([(msg_id, size)], size, probe)
+            if posted:
+                self._wake_consumers()
+            return posted
 
     def try_post(self, entries: list[tuple[str, int]]) -> bool | None:
-        """Lock-contention-free probe post of a run, for event-loop callers.
+        """Post a run of ``(msg_id, size)`` entries without ever blocking.
 
-        ``post_message(timeout=0)`` never waits on a *condition*, but it
-        does block on the queue lock — and a scheduler worker holds that
-        lock across notify storms on the wakeup conditions, which is an
-        unbounded stall from an asyncio event loop's point of view.  This
-        fast path refuses to block at all; a run of ``(msg_id, size)``
-        entries is one post (one notify; an empty queue takes it whole):
-
-        * ``True`` — enqueued, in order (waiters signalled as usual);
-        * ``False`` — no room; ``dropped`` is **not** counted (the probe
-          contract: the caller owns the messages' accounting);
-        * ``None`` — the lock was contended; the caller should retry on a
-          later loop tick.  Nothing happened.
-
-        Raises :class:`QueueClosedError` on a closed queue, like
-        ``post_message``.
+        For event-loop producers, which must not wait even for the lock
+        (a worker may hold it).  One post for the whole run; an empty queue
+        takes it whole.  ``True``: enqueued in order.  ``False``: no room,
+        ``dropped`` not counted (the probe contract).  ``None``: the lock
+        was contended and nothing happened; retry on a later tick.
+        Raises :class:`QueueClosedError` on a closed queue.
         """
         if not self._lock.acquire(blocking=False):
             return None
         try:
-            if self._closed:
-                raise QueueClosedError("post on closed queue")
-            size = sum([entry[1] for entry in entries])
-            if not self._has_room(size):
-                return False
-            self._entries.extend(entries)
-            self._bytes += size
-            self.posted += len(entries)
-            depth = len(self._entries)
-            if depth > self.watermark:
-                self.watermark = depth
-                if self.watermark_gauge is not None:
-                    self.watermark_gauge.value = float(depth)
-            if self.record_waits:
-                self._post_times.extend([time.perf_counter()] * len(entries))
-            if self.depth_gauge is not None:
-                self.depth_gauge.value = float(depth)
-            self._not_empty.notify()
-            self._signal_waiters()
-            return True
+            posted = self._put(entries, sum([entry[1] for entry in entries]), True)
+            if posted:
+                self._wake_consumers()
+            return posted
         finally:
             self._lock.release()
+
+    def _take(self) -> str | None:
+        """Dequeue the oldest id, or None; the regimes' common core."""
+        if not self._entries:
+            if self._closed:
+                raise QueueClosedError("fetch on closed, drained queue")
+            return None
+        msg_id, size = self._entries.popleft()
+        self._bytes -= size
+        self.fetched += 1
+        if self.record_waits:
+            times = self._post_times
+            self.last_post_at = times.popleft() if times else None
+        if self.depth_gauge is not None:
+            self.depth_gauge.value = float(len(self._entries))
+        return msg_id
 
     def fetch_message(self, timeout: float | None = 0.0) -> str | None:
         """Dequeue the oldest id; None on timeout/empty.
 
         ``timeout=None`` blocks until a message arrives or the queue
-        closes; ``0.0`` polls.
+        closes; ``0.0`` polls.  An owned queue never waits: only its own
+        thread could bring the message.
         """
+        if self.owned:
+            return self._take()
         with self._lock:
-            if timeout is None:
-                while not self._entries and not self._closed:
-                    self._not_empty.wait()
-            elif timeout > 0 and not self._entries and not self._closed:
-                self._not_empty.wait(timeout)
-            if not self._entries:
-                if self._closed:
-                    raise QueueClosedError("fetch on closed, drained queue")
-                return None
-            msg_id, size = self._entries.popleft()
-            self._bytes -= size
-            self.fetched += 1
-            if self.record_waits:
-                times = self._post_times
-                self.last_post_at = times.popleft() if times else None
-            if self.depth_gauge is not None:
-                self.depth_gauge.value = float(len(self._entries))
-            # room freed: wake every blocked producer — sizes vary, so the
-            # space one post cannot use may fit another's message
-            self._not_full.notify_all()
+            if (timeout is None or timeout > 0) and not self._entries and not self._closed:
+                self._blocked_consumers += 1
+                try:
+                    if timeout is None:
+                        while not self._entries and not self._closed:
+                            self._not_empty.wait()
+                    else:
+                        self._not_empty.wait(timeout)
+                finally:
+                    self._blocked_consumers -= 1
+            msg_id = self._take()
+            if msg_id is not None and self._blocked_producers:
+                # sizes vary: the room one producer cannot use may fit another's
+                self._not_full.notify_all()
             return msg_id
 
     def wait_for_room(self, size: int, timeout: float) -> bool:
         """Block until a ``size``-byte post *might* succeed (or timeout).
 
-        One bounded wait on the producer condition; returns True when room
-        is available at wakeup.  Purely advisory — the caller must still
-        post (room can vanish between the wakeup and the post), which is
-        why the stall-retry loop pairs this with ``timeout=0`` probes.
+        One bounded wait on the producer condition; purely advisory — the
+        caller must still post, which is why the stall-retry loop pairs
+        this with ``timeout=0`` probes.
         """
         with self._lock:
             if self._closed:
                 return False
             if self._has_room(size):
                 return True
-            self._not_full.wait(timeout)
+            self._blocked_producers += 1
+            try:
+                self._not_full.wait(timeout)
+            finally:
+                self._blocked_producers -= 1
             return not self._closed and self._has_room(size)
 
     def drain(self) -> list[str]:
@@ -344,7 +336,8 @@ class MessageQueue:
             self._closed = True
             self._not_empty.notify_all()
             self._not_full.notify_all()
-            self._signal_waiters()
+            for event in self._waiters:
+                event.set()
 
     # -- state reading ---------------------------------------------------------------
 

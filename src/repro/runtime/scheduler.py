@@ -355,6 +355,11 @@ class InlineScheduler:
     only nodes with a reason to run — seeded from pending input traffic,
     extended by the consumers of every node that moved — always in the
     snapshot's deterministic processing order.
+
+    Constructing one binds the stream's channels, ingress carriers
+    excepted, single-owner (:meth:`RuntimeStream.bind_engine`): one
+    thread pumps, collects and re-posts retries; others only post to the
+    ingress or go through the write section.
     """
 
     #: messages claimed per input port per visit; the headroom rule in
@@ -362,6 +367,7 @@ class InlineScheduler:
     def __init__(self, stream: RuntimeStream, *, batch: int = 8):
         self._stream = stream
         self._batch = max(1, batch)
+        stream.bind_engine(owned=True)
 
     def _seed(self, snap: TopologySnapshot) -> set[str]:
         """Nodes worth visiting: active with pending input traffic."""
@@ -498,6 +504,7 @@ class ThreadedScheduler:
         if self._threads:
             raise RuntimeError("scheduler already started")
         self._stop.clear()
+        self._stream.bind_engine(owned=False)  # a worker per end: every queue shared
         self._stream.add_wakeup_listener(self._on_topology_wakeup)
         for name in self._stream.topology_snapshot().order:
             self._spawn(name)

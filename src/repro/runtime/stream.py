@@ -169,6 +169,10 @@ class _ReadGate:
         else:
             readers[ident] = depth - 1
 
+    def depth(self) -> int:
+        """How many times the calling thread is registered (0 = not a reader)."""
+        return self._readers.get(threading.get_ident(), 0)
+
     def leave_current(self) -> int:
         """Deregister the calling thread entirely; returns its prior depth."""
         return self._readers.pop(threading.get_ident(), 0) or 0
@@ -357,6 +361,10 @@ class RuntimeStream:
         self._fusion_sig: tuple[tuple[str, ...], ...] = ()
         self._read_gate = _ReadGate()
         self._write_depth = 0
+        #: the thread inside the write section, if any
+        self._writer: int | None = None
+        #: the channel regime (see :meth:`bind_engine`); None until an engine binds
+        self._owned: bool | None = None
         #: callbacks fired after a write section closes (and on resume):
         #: schedulers register here so sleeping workers re-examine the world
         self._wakeup_listeners: list = []
@@ -495,12 +503,13 @@ class RuntimeStream:
             channel = None if name in new.fresh else live.get(name)
             if channel is None:
                 channel = Channel(
-                    name, state.definition, drop_timeout=self._drop_timeout, telemetry=self.tm
+                    name, state.definition, drop_timeout=self._drop_timeout,
+                    telemetry=self.tm, owned=bool(self._owned) and not _is_ingress(state),
                 )
             channels[name] = channel
             channel.bind(state.source, state.sink)
             if state.definition is EDGE_CHANNEL_DEF:
-                if state.source.instance == INGRESS:
+                if _is_ingress(state):
                     ingress[str(state.sink)] = channel
                 else:
                     egress.append((state.source, channel))
@@ -636,6 +645,7 @@ class RuntimeStream:
         try:
             self._write_depth += 1
             if self._write_depth == 1:
+                self._writer = threading.get_ident()
                 self._snapshot = None
                 gate.wait_idle()
             try:
@@ -645,6 +655,8 @@ class RuntimeStream:
                 self._snapshot = None
         finally:
             outermost = self._write_depth == 0
+            if outermost:
+                self._writer = None
             if reader_depth:
                 # re-register while still holding the lock: the next writer
                 # will wait for the remainder of this worker's step
@@ -652,6 +664,43 @@ class RuntimeStream:
             self.topology_lock.release()
             if outermost:
                 self._notify_wakeup()
+
+    def _enter_read(self) -> None:
+        """Enter the read gate for work outside a scheduler step (collect, retries).
+
+        Registers the calling thread on a *published* snapshot, so a
+        writer's grace period waits for the section and nothing it
+        touches is rewired under it; a retired snapshot is waited out
+        first, outside the gate (a registered reader must never block on
+        the topology lock).  Reentrant, and free to use on the writer's
+        own thread.  Pair it with ``_read_gate.exit()`` in a ``finally``.
+        """
+        gate = self._read_gate
+        gate.enter()
+        while (
+            self._snapshot is None and gate.depth() == 1
+            and self._writer != threading.get_ident()
+        ):
+            gate.exit()
+            self.topology_snapshot()  # waits out the writer, republishes
+            gate.enter()
+
+    def bind_engine(self, *, owned: bool) -> None:
+        """Decide, once, who may touch the channels (``docs/gateway.md``).
+
+        An :class:`~repro.runtime.scheduler.InlineScheduler` binds
+        ``owned=True``: its one thread steps and collects, so every channel
+        but the ingress carriers (which other threads post to) becomes a
+        single-owner queue.  ``ThreadedScheduler.start`` binds
+        ``owned=False`` and every queue is shared; shared is final, so a
+        later inline binding of the same stream changes nothing.  Channels
+        a reconfiguration creates take the bound regime.
+        """
+        with self.topology_lock:
+            self._owned = owned and self._owned is not False
+            ingress = {id(channel) for channel in self.ingress.values()}
+            for channel in self._channels.values():
+                channel.queue.owned = self._owned and id(channel) not in ingress
 
     def add_wakeup_listener(self, callback) -> None:
         """Register a callback fired after writes/resumes (scheduler wakeups)."""
@@ -932,23 +981,30 @@ class RuntimeStream:
         return msg_id
 
     def collect(self) -> list[MimeMessage]:
-        """Drain every egress channel; returns delivered messages in order."""
+        """Drain every egress channel; returns delivered messages in order.
+
+        Runs in a read section: an egress carrier may be single-owner, and
+        a commit must not rewire it mid-drain.
+        """
         out: list[MimeMessage] = []
         posted: list[float] = []
         tm = self.tm
         egress_hist = self._egress_wait_hist
+        self._enter_read()
         try:
             for _ref, channel in self.egress:
-                while True:
+                queue = channel.queue
+                while not queue.is_empty():  # a drained carrier costs no fetch miss
                     msg_id = channel.fetch(0.0)
                     if msg_id is None:
                         break
-                    if egress_hist is not None and channel.queue.last_post_at is not None:
-                        posted.append(channel.queue.last_post_at)
+                    if egress_hist is not None and queue.last_post_at is not None:
+                        posted.append(queue.last_post_at)
                     out.append(self.pool.release(msg_id))
                     if tm is not None:
                         tm.forget(msg_id)
         finally:
+            self._read_gate.exit()
             if out:  # one stats lock per drain, whatever ended it
                 self.stats.inc("messages_out", len(out))
         if posted:
@@ -1137,6 +1193,11 @@ class RuntimeStream:
         if span is not None:
             self.tm.reconfig_end(span, event_id, timing)
         return timing
+
+
+def _is_ingress(state) -> bool:
+    """Whether a channel state is an ingress carrier (other threads post to it)."""
+    return state.definition is EDGE_CHANNEL_DEF and state.source.instance == INGRESS
 
 
 def _as_ref(ref: ast.PortRef | str) -> ast.PortRef:

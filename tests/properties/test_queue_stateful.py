@@ -2,7 +2,9 @@
 
 Hypothesis drives random operation sequences — post, fetch, drain, close —
 and after every step the real queue must agree with a trivially correct
-list-based model on contents, byte accounting, and error behaviour.
+list-based model on contents, byte accounting, and error behaviour.  The
+same machine runs against a shared queue and a single-owner one: the two
+regimes differ in who may touch the queue, never in what it does.
 """
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis.stateful import (
     invariant,
     precondition,
     rule,
+    run_state_machine_as_test,
 )
 from hypothesis import strategies as st
 
@@ -24,9 +27,9 @@ CAPACITY = 500
 class QueueMachine(RuleBasedStateMachine):
     """Random walk over queue operations with a reference model."""
 
-    def __init__(self):
+    def __init__(self, owned: bool = False):
         super().__init__()
-        self.queue = MessageQueue(CAPACITY)
+        self.queue = MessageQueue(CAPACITY, owned=owned)
         self.model: list[tuple[str, int]] = []
         self.closed = False
         self.counter = 0
@@ -90,7 +93,13 @@ class QueueMachine(RuleBasedStateMachine):
         assert self.queue.is_empty() == (not self.model)
 
 
-TestQueueStateful = QueueMachine.TestCase
-TestQueueStateful.settings = settings(
-    max_examples=60, stateful_step_count=40, deadline=None
-)
+@pytest.fixture(params=[False, True], ids=["shared", "owned"])
+def owned(request):
+    return request.param
+
+
+def test_queue_machine(owned):
+    run_state_machine_as_test(
+        lambda: QueueMachine(owned),
+        settings=settings(max_examples=60, stateful_step_count=40, deadline=None),
+    )

@@ -243,3 +243,74 @@ def test_three_ways_of_stepping_agree(seed, observed):
     # (the first message: five hops as one message, the sixth once for each half)
     assert by_value["first"] == (HOPS + 1, HOPS + 1)
     assert by_value["copies"] == counters["processed"] + counters["processing_failures"]
+
+
+# -- drop-on-full: a burst through a small declared channel ------------------------------
+
+TINY_CHANNEL = """channel tiny{
+  port{ in cin : */*; out cout : */*; }
+  attribute{ type = ASYNC; buffer = 1; }
+}
+"""
+
+
+def spill_composition(*, sync: bool) -> str:
+    """``a → split → z``, the split's twins crossing a 1 KB asynchronous channel."""
+    lines = [
+        "main stream spill{",
+        "  streamlet a, z = new-streamlet (redirector);",
+        "  streamlet split = new-streamlet (dx_split);",
+        "  channel t = new-channel (tiny);",
+    ]
+    if sync:
+        lines.append("  channel s0 = new-channel (hopSync);")
+    lines.append(f"  connect (a.po, split.pi{', s0' if sync else ''});")
+    lines.append("  connect (split.po, z.pi, t);")
+    lines.append("}")
+    return TINY_CHANNEL + (SYNC_CHANNEL if sync else "") + "\n".join(lines)
+
+
+def spill(mode: str, seed: int) -> dict:
+    """One burst of 16 messages, 150–700 B, stepped inline until quiet."""
+    options = MODES[mode]
+    server = build_server(pass_mode=options["pass_mode"])
+    for name, cls in CUSTOM.items():
+        server.directory.advertise(_definition(f"dx_{name}"), cls, replace=True)
+    stream = server.deploy_script(spill_composition(sync=options["sync"]))
+    assert stream.fusion_groups() == ((("a", "split"),) if options["sync"] else ())
+    scheduler = InlineScheduler(stream)
+    tiny = stream.channel("t")
+    assert tiny.queue.owned and tiny.queue.capacity_bytes == 1024
+    hooked: list[str] = []
+    stream.drop_hook = lambda msg_id, _message: hooked.append(msg_id)
+    rng = random.Random(seed)
+    try:
+        for n in range(16):
+            body = (b"%02d-" % n).ljust(rng.randint(150, 700), b"x")
+            stream.post(MimeMessage("text/plain", body, session="dx"))
+        while scheduler.pump():
+            pass
+        delivered = stream.collect()
+        report = assert_conservation(stream)
+        assert report.residual == 0
+        return {
+            "frames": [serialize_message(m) for m in delivered],
+            "queue_drops": stream.stats.queue_drops,
+            "hooked": hooked,
+        }
+    finally:
+        stream.end()
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_drop_on_full_agrees_across_ways_of_stepping(seed):
+    """Fig 6-9 on an owned channel: the same twins drop, whoever steps."""
+    runs = {mode: spill(mode, seed) for mode in MODES}
+    unfused = runs["unfused"]
+    assert unfused["queue_drops"] > 0  # the burst really overflows the channel
+    for run_ in runs.values():
+        assert run_["frames"] == unfused["frames"]
+        assert run_["queue_drops"] == unfused["queue_drops"]
+        # one drop_hook call per dropped id
+        assert len(run_["hooked"]) == len(set(run_["hooked"])) == run_["queue_drops"]
+    assert len(unfused["frames"]) + unfused["queue_drops"] == 32

@@ -108,8 +108,8 @@ class TestPostMessageDeadline:
             # notify repeatedly without freeing any room — each notify is
             # a spurious wakeup for the waiting producer
             while not stop.is_set():
-                with q._cond:
-                    q._cond.notify_all()
+                with q._not_full:
+                    q._not_full.notify_all()
                 time.sleep(0.01)
 
         t = threading.Thread(target=heckler)
