@@ -269,6 +269,9 @@ class Supervisor:
                     "retry_scheduled", stream=self._stream.name,
                     msg_id=msg_id, instance=instance, attempt=attempt + 1,
                 )
+            # whoever pumps the retries learns of the new due time here
+            # (the gateway's egress arms a timer for it)
+            self._stream._notify_wakeup()
             self._notify_probation(instance)
             return True
         self._dead_letter(msg_id, instance, port, reason=f"retries exhausted: {exc}")

@@ -17,7 +17,7 @@ the MobiGATE gateway sits between wireless clients and wired servers:
 * per-session glue (:mod:`repro.gateway.session`) bridging the asyncio
   world to the threaded runtime via the non-blocking
   :meth:`~repro.runtime.message_queue.MessageQueue.try_post` fast path
-  and one event-driven egress pump shared by every session;
+  and one egress pump, on the same event loop, for every session;
 * scripted link outages at the socket boundary
   (:mod:`repro.gateway.faults`), reusing :class:`repro.faults.plan.LinkFault`.
 

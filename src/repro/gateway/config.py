@@ -38,8 +38,6 @@ class GatewayConfig:
     #: how long a parked frame may wait for room before it is shed into
     #: the drop ledger (seconds)
     park_timeout: float = 0.25
-    #: cadence of park re-probes (seconds)
-    park_poll_interval: float = 0.002
 
     #: listen(2) backlog for the data plane — sized for connection storms
     #: (the bench opens ~1k loopback clients at once)
@@ -55,11 +53,6 @@ class GatewayConfig:
     #: egress frames aimed at a connection whose transport already buffers
     #: this much are dropped (slow-reader protection)
     max_conn_write_buffer: int = 4 * 1024 * 1024
-
-    #: egress pump heartbeat (seconds): the pump is event-driven off the
-    #: sessions' queue waiters; this often it sweeps every session, which
-    #: bounds staleness if a rewire loses a waiter
-    egress_wake_timeout: float = 0.05
 
     #: durable state plane: ledger backend (None disables durability;
     #: "memory" / "file" per :func:`repro.store.base.open_store`)
@@ -85,16 +78,8 @@ class GatewayConfig:
             )
         if self.park_timeout < 0:
             raise ValueError(f"park_timeout must be >= 0, got {self.park_timeout}")
-        if self.park_poll_interval <= 0:
-            raise ValueError(
-                f"park_poll_interval must be > 0, got {self.park_poll_interval}"
-            )
         if self.read_chunk_bytes < 1:
             raise ValueError(f"read_chunk_bytes must be >= 1, got {self.read_chunk_bytes}")
-        if self.egress_wake_timeout <= 0:
-            raise ValueError(
-                f"egress_wake_timeout must be > 0, got {self.egress_wake_timeout}"
-            )
         if self.store_backend == "sqlite":
             raise ValueError(SQLITE_REMOVED)
         if self.store_backend not in (None, "memory", "file"):

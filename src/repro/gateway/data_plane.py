@@ -24,9 +24,10 @@ runs ``get_buffer``, ``recv_into`` and ``buffer_updated`` back to back
 and the assembler keeps no reference into the chunk (a proactor loop
 posts its reads ahead, so :meth:`DataPlane.start` refuses one).
 
-Egress crosses from the pump thread once per cycle (``_write_batch``).  A
-framing error gets one ``X-MobiGATE-Error`` frame and a closed socket,
-after the frames the read completed before it are offered; a frame for an
+Egress is written on the same loop: the pump's cycle calls
+``_write_batch`` once, after the cycle's ledger flush.  A framing error
+gets one ``X-MobiGATE-Error`` frame and a closed socket, after the
+frames the read completed before it are offered; a frame for an
 undeployed session the same frame on an open one.
 """
 
@@ -44,6 +45,9 @@ from repro.mime.message import MimeMessage
 from repro.mime.wire import FrameAssembler, serialize_message
 
 ERROR_HEADER = "X-MobiGATE-Error"
+
+#: how often a parked run re-probes its session for room (seconds)
+PARK_POLL_INTERVAL = 0.002
 
 #: egress buffers shorter than this are joined into one ``write`` per
 #: connection and batch; from here up the join is a copy worth more than
@@ -145,14 +149,14 @@ class _Connection(asyncio.BufferedProtocol):
                             bp("shed").inc(len(run))
                         break
                     try:
-                        await asyncio.sleep(config.park_poll_interval)
+                        await asyncio.sleep(PARK_POLL_INTERVAL)
                         ticket = session.retry(ticket, *run)
                     except asyncio.CancelledError as exc:
                         gone = exc
                     except QueueClosedError:
                         if ticket.status == FULL:  # close() dropped a RETRY run
-                            plane.unrouted_frames += len(run)
-                            plane._count_error()
+                            for _ in run:
+                                plane._refuse(self, f"session {session.key!r} is closed")
                         break
                 if ticket.status == ADMITTED:
                     if bp is not None:
@@ -188,7 +192,7 @@ class DataPlane:
         # every instrument stays None when the gateway is unobserved
         self._conn_gauge = self._frames_in = self._frames_out = None
         self._bytes_in = self._bytes_out = self._bp_counter = self._error_counter = None
-        self._assembly_hist = self._admission_hist = self._egress_write_hist = None
+        self._assembly_hist = self._admission_hist = None
         telemetry = gateway.telemetry
         if telemetry is not None:
             self._conn_gauge = telemetry.gateway_connections_gauge()
@@ -200,7 +204,6 @@ class DataPlane:
             self._error_counter = telemetry.gateway_frame_errors_counter()
             self._assembly_hist = telemetry.gateway_frame_assembly_histogram()
             self._admission_hist = telemetry.gateway_admission_histogram()
-            self._egress_write_hist = telemetry.gateway_egress_write_histogram()
         # observability independent of telemetry (bench + control plane)
         self.connections_served = 0
         self.frame_errors = 0
@@ -305,24 +308,15 @@ class DataPlane:
         if self._error_counter is not None:
             self._error_counter.inc()
 
-    # -- egress (entered via call_soon_threadsafe from the pump thread) ----------------
+    # -- egress (the pump's bridge, called inside its cycle on the loop) ---------------
 
-    def egress_bridge(self, loop: asyncio.AbstractEventLoop):
-        """The pump's hand-over: one loop crossing per batch of frames, stamped on
-        the pump thread so the egress-write latency includes the loop hop."""
-        return lambda frames: loop.call_soon_threadsafe(
-            self._write_batch, frames, time.perf_counter()
-        )
-
-    def _write_batch(self, frames: list, handoff_at: float | None = None) -> None:
+    def _write_batch(self, frames: list) -> None:
         """Write one pump cycle's ``(session, conn_id, frame)`` triples, a
         ``frame`` being a ``(head, payload)`` pair or the wire bytes whole.
         Per connection, runs of buffers under ``COALESCE_BELOW`` are joined
         into one write; a connection already buffering
         ``max_conn_write_buffer`` bytes — its transport's plus this
         batch's — has further frames dropped."""
-        if handoff_at is not None and self._egress_write_hist is not None:
-            self._egress_write_hist.observe(time.perf_counter() - handoff_at)
         limit = self._config.max_conn_write_buffer
         size = written = 0
         # conn_id -> [writer, bytes buffered incl. this batch, buffers to write]

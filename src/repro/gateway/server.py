@@ -29,9 +29,11 @@ per deployment so the same MCL script can back many concurrent sessions.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import itertools
 import signal
 import threading
+import time
 from dataclasses import asdict, replace
 from typing import TYPE_CHECKING
 
@@ -42,7 +44,7 @@ from repro.gateway.config import GatewayConfig
 from repro.gateway.control_plane import ControlPlane, control_request
 from repro.gateway.data_plane import DataPlane
 from repro.gateway.faults import LinkOutageGate
-from repro.gateway.session import EgressPump, GatewaySession
+from repro.gateway.session import EgressPump, GatewaySession, serve_forever
 from repro.mcl import astnodes as ast
 from repro.runtime.scheduler import InlineScheduler, ThreadedScheduler
 from repro.runtime.server import MobiGateServer
@@ -107,16 +109,16 @@ class GatewayServer:
             )
             self.ledger = Ledger(store)
             self.recovery = RecoveryManager(self, self.ledger)
-        #: the egress stage every session shares; its thread lives from the
-        #: first deploy to the last undeploy, so stop()/drain() — which
-        #: undeploy everything before closing the ledger — also end it
-        self.egress = EgressPump(wake_timeout=self.config.egress_wake_timeout)
+        #: the egress stage every session shares; start() binds it to the
+        #: running loop (before that it cycles on a private one, and with
+        #: no connection to write to, its frames count as orphans)
+        self.egress = EgressPump()
+        self.egress.bridge = self.data._write_batch
         self._sessions_gauge = (
             self.telemetry.gateway_sessions_gauge() if self.telemetry is not None else None
         )
         self._deploy_lock = threading.Lock()
         self._stream_ids = itertools.count(1)
-        self._loop: asyncio.AbstractEventLoop | None = None
         self._started_at: float | None = None
 
     # -- lifecycle (event-loop thread) --------------------------------------------------
@@ -131,16 +133,13 @@ class GatewayServer:
         runs in the executor.
         """
         loop = asyncio.get_running_loop()
-        self._loop = loop
-        # until here frames had nowhere to go (sessions deployed before
-        # start() count them as orphans)
-        self.egress.bridge = self.data.egress_bridge(loop)
+        self.egress.bind(loop)
         self.fault_gate.start(loop)
         if self.recovery is not None:
             await loop.run_in_executor(None, self.recovery.recover)
         await self.data.start()
         await self.control.start()
-        self._started_at = loop.time()
+        self._started_at = time.monotonic()
 
     async def stop(self) -> None:
         """Close both planes, then every session and its stream.
@@ -184,9 +183,9 @@ class GatewayServer:
 
     def uptime(self) -> float:
         """Seconds since :meth:`start` bound the planes (0 before that)."""
-        if self._loop is None or self._started_at is None:
+        if self._started_at is None:
             return 0.0
-        return max(0.0, self._loop.time() - self._started_at)
+        return time.monotonic() - self._started_at
 
     # -- deployment (any thread) --------------------------------------------------------
 
@@ -413,29 +412,17 @@ class GatewayServer:
         previous handler is restored by :meth:`GatewayHandle.stop`.
         """
         loop = asyncio.new_event_loop()
-        started = threading.Event()
-        boot_error: list[BaseException] = []
-
-        def _run() -> None:
-            asyncio.set_event_loop(loop)
-            try:
-                loop.run_until_complete(self.start())
-            except BaseException as exc:  # surfaced to the caller below
-                boot_error.append(exc)
-                started.set()
-                return
-            started.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.close()
-
-        thread = threading.Thread(target=_run, name="gateway-loop", daemon=True)
+        thread = threading.Thread(
+            target=serve_forever, args=(loop,), name="gateway-loop", daemon=True
+        )
         thread.start()
-        if not started.wait(timeout):
-            raise MobiGateError("gateway failed to start within the timeout")
-        if boot_error:
-            raise MobiGateError(f"gateway failed to start: {boot_error[0]}")
+        try:
+            asyncio.run_coroutine_threadsafe(self.start(), loop).result(timeout)
+        except concurrent.futures.TimeoutError:
+            raise MobiGateError("gateway failed to start within the timeout") from None
+        except Exception as exc:
+            loop.call_soon_threadsafe(loop.stop)
+            raise MobiGateError(f"gateway failed to start: {exc}") from exc
         previous_term = None
         if threading.current_thread() is threading.main_thread():
 

@@ -19,37 +19,40 @@ boundary crossings the data plane needs:
   lands in the drop statistics and the conservation ledger stays balanced.
 * **egress** (runtime → event-loop thread): whatever may bring the
   session work — an admission, a worker's post to an egress queue, a
-  commit — marks it *ready* on an :class:`EgressPump`, one thread for
-  every session of a gateway.  A
-  pump cycle collects every ready session, commits their counter deltas
-  to the ledger with **one** flush, serialises off the event loop, and
-  hands the whole batch of ``(session, conn_id, (head, payload))`` to
-  the pump's ``bridge`` in one call.
+  commit, a supervisor retry coming due — marks it *ready* on the
+  gateway's :class:`EgressPump`, whose cycles run on the event loop.
 
 Who *steps* the stream is the composition's property, not the caller's.
 A **pump-stepped** session (``inline=True``) has no scheduler threads:
 its share of a cycle first turns the stream over with
 ``InlineScheduler.pump`` for at most :data:`PUMP_QUANTUM` worklist
-rounds, run to completion on the pump thread, then collects.  Every
-channel of its stream but the ingress is single-owner
-(:mod:`repro.runtime.message_queue`): after admission a message crosses
-no lock, and an exit marks nothing ready.  The
+rounds, then collects.  Every channel of its stream but the ingress is
+single-owner (:mod:`repro.runtime.message_queue`): after admission a
+message crosses no lock, and an exit marks nothing ready.  The
 gateway drives every composition of cooperative streamlets this way
 (see :attr:`~repro.runtime.streamlet.Streamlet.cooperative`); any other
 keeps a worker thread per streamlet, because a step that waits on the
-shared pump would silence every session.
+event loop would silence every session.
 
-All admission methods (``offer`` / ``retry`` / ``abandon``) must be
-called from a single thread (the gateway's event loop); the pump runs on
-its own thread and touches the stream only through ``pump``, ``collect``
-and ``pump_retries``, each of which keeps to the stream's read gate.
+Admission (``offer`` / ``retry`` / ``abandon``) and the pump's cycles
+run on one thread, the gateway's event loop, so a pump-stepped message
+goes from read to write without a thread switch.  Until
+:meth:`EgressPump.bind` hands it that loop, the pump cycles on a private
+loop of its own and admissions come from other threads; the cycle
+touches the stream only through ``pump``, ``collect`` and
+``pump_retries``, each of which keeps to the stream's read gate.
 """
 
 from __future__ import annotations
 
+import asyncio
+import concurrent.futures
+import contextlib
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
+from types import SimpleNamespace
 
 from repro.errors import QueueClosedError
 from repro.faults.invariant import ConservationReport, check_conservation
@@ -80,11 +83,6 @@ class OfferTicket:
     #: the connection the run came in on (a ``FULL`` run is re-offered with it)
     conn_id: str | None = None
 
-    @property
-    def msg_id(self) -> str | None:
-        """The run's first pool id, or None before admission (a run of one's id)."""
-        return self.entries[0][0] if self.entries else None
-
 
 @dataclass
 class SessionStats:
@@ -107,38 +105,28 @@ class SessionStats:
     def snapshot(self) -> dict[str, int]:
         """A consistent copy of every counter."""
         with self._lock:
-            return {
-                "frames_in": self.frames_in,
-                "frames_out": self.frames_out,
-                "parked": self.parked,
-                "shed": self.shed,
-                "contended": self.contended,
-                "orphans": self.orphans,
-            }
+            return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "_lock"}
 
 
-class _ReadyWaiter:
-    """What a session hooks onto its queues: ``set()`` marks it ready."""
-
-    __slots__ = ("_pump", "_session")
-
-    def __init__(self, pump: EgressPump, session: GatewaySession):
-        self._pump = pump
-        self._session = session
-
-    def set(self) -> None:
-        """The queue-waiter protocol (a ``threading.Event`` look-alike)."""
-        self._pump.mark_ready(self._session)
+def serve_forever(loop: asyncio.AbstractEventLoop) -> None:
+    """Run ``loop`` until it is stopped, then close it: a loop thread's body."""
+    try:
+        loop.run_forever()
+    finally:
+        loop.close()
 
 
 class EgressPump:
-    """The egress stage: one thread serving every attached session.
+    """The egress stage: cycles on one event loop, for every attached session.
 
-    A session's queue waiter calls :meth:`mark_ready`; the pump thread
-    wakes, takes the ready set and runs one **cycle** over it:
+    :meth:`mark_ready` adds a session to the ready set, which only the
+    loop's thread touches (other threads go through
+    ``call_soon_threadsafe``); the first mark of a loop iteration
+    schedules one drain, which runs a **cycle** over the set:
 
     1. per ready session — pump supervisor retries, step a pump-stepped
-       stream for its quantum, ``collect()``, re-hook the waiters, and
+       stream for its quantum, ``collect()``, re-hook the waiters, arm a
+       ``call_at`` for the earliest retry the supervisor still holds, and
        mirror the counter deltas into the session's ledger if anything
        was delivered;
     2. **one** ``ledger.flush()`` for the whole cycle (group commit):
@@ -147,120 +135,166 @@ class EgressPump:
     3. serialise, then hand every frame to :attr:`bridge` in one call
        (frames count as ``orphans`` while no bridge is installed).
 
-    Work is O(ready sessions); every ``wake_timeout`` seconds a cycle
-    sweeps *all* attached sessions, the backstop for a waiter lost to a
-    reconfiguration that swapped an egress channel.  The thread starts
-    with the first :meth:`attach` and exits with the last
-    :meth:`detach`, so an idle or never-started gateway holds none.
+    Work is O(ready sessions); an idle stage runs nothing.  Until
+    :meth:`bind` hands it the gateway's loop, the pump runs a private one
+    in a thread (``gw-egress``) from the first :meth:`attach` to the last
+    :meth:`detach`.
     """
 
-    def __init__(self, *, wake_timeout: float = 0.05):
+    def __init__(self):
         #: ``bridge(frames)`` with ``frames`` a list of ``(session,
-        #: conn_id | None, (head, payload))``; called from the pump thread
+        #: conn_id | None, (head, payload))``; called on the loop's thread
         self.bridge = None
         #: exceptions contained inside cycles (see ``egress_fault`` events)
         self.faults = 0
-        self._wake_timeout = wake_timeout
-        self._wake = threading.Event()
-        # guards the sets and the cycle state below; a leaf lock, because
-        # mark_ready runs under a queue's own lock
-        self._lock = threading.Lock()
-        self._cycle_ended = threading.Condition(self._lock)
         self._sessions: set[GatewaySession] = set()
+        # (loop, ident of its thread), None before an attach
+        self._on: tuple[asyncio.AbstractEventLoop, int] | None = None
+        self._private: threading.Thread | None = None  # a private loop's thread
+        # the loop's thread only: sessions to cycle, and retry wakeups
         self._ready: set[GatewaySession] = set()
-        self._cycling = False
+        self._timers: dict[GatewaySession, asyncio.TimerHandle] = {}
+        # guards membership and the switch of loops; never held while
+        # waiting on a loop (only while joining a private loop's thread)
+        self._membership = threading.Lock()
         self._cycles = 0
-        # what stats() reports; written by the pump thread only
         self._delivering_cycles = 0
         self._sessions_delivered = 0
         self._frames = 0
         self._busy_seconds = 0.0
-        self._started_at = 0.0
-        # serialises attach/detach, so the thread is started and joined
-        # by one caller at a time
-        self._lifecycle = threading.Lock()
-        self._thread: threading.Thread | None = None
+        # how long the stage has had sessions: closed spells, and the open one's start
+        self._served_seconds = 0.0
+        self._served_since = 0.0
 
     # -- membership (any thread) -------------------------------------------------------
 
+    def bind(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Run every later cycle on ``loop``; call from the thread running it.
+
+        A private loop hands its sessions over: it is stopped, its thread
+        joined, and every session is marked ready on ``loop``.
+        """
+        with self._membership:
+            if self._private is not None:
+                self._end_private()
+            self._switch(loop, threading.get_ident())
+            for session in self._sessions:
+                self._mark(session)
+
     def attach(self, session: GatewaySession) -> None:
-        """Start serving ``session``; starts the thread if it is the first."""
-        with self._lifecycle:
-            with self._lock:
-                self._sessions.add(session)
-            if self._thread is None:
-                self._started_at = time.monotonic()
-                self._busy_seconds = 0.0
-                self._thread = threading.Thread(
-                    target=self._run, name="gw-egress", daemon=True
+        """Start serving ``session``; starts a private loop if none is bound."""
+        with self._membership:
+            if self._on is None:
+                loop = asyncio.new_event_loop()
+                self._private = threading.Thread(
+                    target=serve_forever, args=(loop,), name="gw-egress", daemon=True
                 )
-                self._thread.start()
+                self._private.start()
+                self._switch(loop, self._private.ident)
+            if not self._sessions:
+                self._served_since = time.monotonic()
+            self._sessions.add(session)
         self.mark_ready(session)
 
     def detach(self, session: GatewaySession) -> None:
         """Stop serving ``session``.
 
-        Returns only after a cycle that may have picked the session up
-        has ended, so the caller can end the stream and take its final
-        ledger sync knowing the pump no longer touches either.  The
-        last detach also ends the thread.
+        Returns once no cycle can touch the session — at once on the
+        loop's thread, where no cycle is running; after one turn of the
+        loop from any other — so the caller can end the stream and take
+        its final ledger sync.  The last detach also ends a private loop.
         """
-        with self._lifecycle:
-            with self._lock:
-                self._sessions.discard(session)
-                self._ready.discard(session)
-                last = not self._sessions
-                if self._cycling:
-                    running = self._cycles
-                    self._cycle_ended.wait_for(lambda: self._cycles > running)
-            if last and self._thread is not None:
-                self._wake.set()
-                self._thread.join()
-                self._thread = None
+        with self._membership:
+            if session not in self._sessions:
+                return
+            self._sessions.remove(session)
+            if not self._sessions:
+                self._served_seconds += time.monotonic() - self._served_since
+                if self._private is not None:
+                    self._end_private()
+                    return
+            loop, owner = self._on
+        if threading.get_ident() == owner:
+            return
+        turn: concurrent.futures.Future = concurrent.futures.Future()
+        try:
+            loop.call_soon_threadsafe(turn.set_result, None)
+        except RuntimeError:  # the loop is closed: nothing cycles on it
+            return
+        while not turn.done() and loop.is_running():
+            concurrent.futures.wait((turn,), 0.05)
 
     def mark_ready(self, session: GatewaySession) -> None:
-        """Queue ``session`` for the next cycle and wake the pump."""
-        with self._lock:
-            if session in self._ready or session not in self._sessions:
-                return  # whoever added it is waking the pump
-            self._ready.add(session)
-        self._wake.set()
+        """Queue ``session`` for the next cycle (any thread)."""
+        on = self._on
+        if on is None:
+            return  # nothing attached
+        if threading.get_ident() == on[1]:
+            self._mark(session)
+        else:
+            with contextlib.suppress(RuntimeError):  # a private loop ended with its last session
+                on[0].call_soon_threadsafe(self._mark, session)
 
-    # -- the pump thread -------------------------------------------------------------------
+    def _switch(self, loop: asyncio.AbstractEventLoop, owner: int) -> None:
+        """Cycle on ``loop``; the last loop's ready set and timers never run again."""
+        self._on, self._ready, self._timers = (loop, owner), set(), {}
 
-    def _run(self) -> None:
-        sweep_at = 0.0
-        while True:
-            self._wake.wait(self._wake_timeout)
-            self._wake.clear()
-            with self._lock:
-                if not self._sessions:
-                    return
-                now = time.monotonic()
-                if now >= sweep_at:
-                    ready = set(self._sessions)
-                    sweep_at = now + self._wake_timeout
-                else:
-                    ready = self._ready
-                self._ready = set()
-                self._cycling = True
-            try:
-                self._cycle(ready)
-            except Exception as exc:  # the commit or the bridge failed
-                self._fault(ready, exc)
-            finally:
-                self._busy_seconds += time.monotonic() - now
-                with self._lock:
-                    self._cycling = False
-                    self._cycles += 1
-                    self._cycle_ended.notify_all()
+    def _end_private(self) -> None:
+        """Stop the private loop and join its thread (under the membership lock)."""
+        loop, _owner = self._on
+        loop.call_soon_threadsafe(loop.stop)
+        self._private.join()
+        self._on = self._private = None
+
+    # -- the loop's thread ---------------------------------------------------------------
+
+    def _mark(self, session: GatewaySession) -> None:
+        if session in self._sessions:
+            ready = self._ready
+            if not ready:
+                self._on[0].call_soon(self._drain)
+            ready.add(session)
+
+    def _retry_due(self, session: GatewaySession) -> None:
+        self._timers.pop(session, None)
+        self._mark(session)
+
+    def _arm(self, session: GatewaySession) -> None:
+        """Mark ``session`` again when its supervisor's next retry is due."""
+        due = session.supervisor.next_due()
+        if due is None:
+            return
+        loop = self._on[0]
+        when = loop.time() + due - session.stream._clock.now()
+        timer = self._timers.get(session)
+        if timer is not None:
+            if timer.when() <= when:
+                return
+            timer.cancel()
+        self._timers[session] = loop.call_at(when, self._retry_due, session)
+
+    def _drain(self) -> None:
+        ready, self._ready = self._ready, set()
+        started = time.monotonic()
+        try:
+            self._cycle(ready)
+        except Exception as exc:  # the commit or the bridge failed
+            self._fault(ready, exc)
+        finally:
+            self._busy_seconds += time.monotonic() - started
+            self._cycles += 1
 
     def _cycle(self, ready: set[GatewaySession]) -> None:
         batches = []
         ledgers = set()
+        sessions = self._sessions
         for session in ready:
+            if session not in sessions:
+                continue  # detached since it was marked
             try:
                 delivered = session._collect()
+                if session.supervisor is not None:
+                    self._arm(session)
                 if not delivered:
                     continue
                 # one pickup stamp per session and cycle, taken before the
@@ -305,16 +339,18 @@ class EgressPump:
         ``sessions_per_cycle`` / ``frames_per_cycle`` average over the
         cycles that delivered something — how many sessions and frames
         shared one ledger commit and one bridge call; ``busy_share`` is
-        cycle time over the running thread's lifetime.
+        cycle time over the time the stage has had sessions.
         """
         delivering = self._delivering_cycles
-        alive = time.monotonic() - self._started_at if self._thread is not None else 0.0
+        served = self._served_seconds
+        if self._sessions:
+            served += time.monotonic() - self._served_since
         return {
             "cycles": self._cycles,
             "delivering_cycles": delivering,
             "sessions_per_cycle": self._sessions_delivered / delivering if delivering else 0.0,
             "frames_per_cycle": self._frames / delivering if delivering else 0.0,
-            "busy_share": min(1.0, self._busy_seconds / alive) if alive > 0 else 0.0,
+            "busy_share": min(1.0, self._busy_seconds / served) if served > 0 else 0.0,
             "egress_faults": self.faults,
         }
 
@@ -392,10 +428,13 @@ class GatewaySession:
         #: the egress stage serving this session: the gateway's shared
         #: pump, or a private one for a standalone session
         self.pump = pump if pump is not None else EgressPump()
-        self._waiter = _ReadyWaiter(self.pump, self)
-        # a RESUME or a committed reconfiguration posts nothing: without
-        # this a message parked behind a paused streamlet (or an egress
-        # channel the commit swapped) would wait for the heartbeat
+        #: what the session hooks onto its queues: a waiter whose ``set()``
+        #: marks it ready
+        self._waiter = SimpleNamespace(set=partial(self.pump.mark_ready, self))
+        # a RESUME, a committed reconfiguration or a supervisor retry
+        # scheduled by a worker posts nothing: without this a message
+        # parked behind a paused streamlet, an egress channel the commit
+        # swapped, or a retry's clock would never be looked at again
         stream.add_wakeup_listener(self._waiter.set)
         self.pump.attach(self)
 
@@ -486,13 +525,9 @@ class GatewaySession:
         return ticket
 
     def _ingress_channel(self):
-        stream = self.stream
-        try:
-            return next(iter(stream.ingress.values()))
-        except StopIteration:
-            raise QueueClosedError(
-                f"stream {stream.name} exposes no ingress port"
-            ) from None
+        for channel in self.stream.ingress.values():
+            return channel
+        raise QueueClosedError(f"stream {self.stream.name} exposes no ingress port")
 
     # -- the durable mirror -----------------------------------------------------------
 
@@ -523,23 +558,21 @@ class GatewaySession:
             )
             self._last_sync = current
 
-    # -- egress (pump thread) ------------------------------------------------------------
+    # -- egress (the pump's loop) ------------------------------------------------------------
 
     def _collect(self) -> list[MimeMessage]:
         """This session's share of a pump cycle: whatever reached egress.
 
-        Re-hooks the ready waiter onto the queues other threads post to
-        (reconfiguration may swap them; ``add_waiter`` is idempotent, one
-        lock round per queue).  A worker-stepped session watches its
-        egress queues, and hooks them after the drain: a queue still
-        holding what was just taken would set the waiter at once and buy
-        an empty cycle.  A pump-stepped one steps first and collects
-        right after, so its exits need no waiter; it re-hooks its ingress
-        queues instead, where ``add_waiter`` sets the waiter at once on a
-        queue that holds something: that is how the input a spent quantum
-        left behind re-marks the session.  Only after a step that moved
-        something, though — input a paused stream cannot take would
-        re-mark it every cycle and spin the pump; RESUME wakes it through
+        Re-hooks the ready waiter (reconfiguration may swap queues;
+        ``add_waiter`` is idempotent).  A worker-stepped session watches
+        its egress queues, hooked after the drain: a queue still holding
+        what was just taken would set the waiter at once and buy an empty
+        cycle.  A pump-stepped one collects right after it steps, so its
+        exits need no waiter; it hooks its ingress queues, where a queue
+        still holding input sets the waiter at once — how what a spent
+        quantum left behind gets its next cycle.  Only after a step that
+        moved something, though: input a paused stream cannot take would
+        re-mark it every cycle and spin the loop; RESUME wakes it through
         the wakeup listener.
         """
         supervisor = self.supervisor

@@ -6,8 +6,8 @@ Two engines drive the same :class:`~repro.runtime.stream.RuntimeStream`:
   dirty-node worklist in (topological) processing order, moving one
   message per input port per visit.  The reference interpreter — and the
   gateway's hot path: a composition of cooperative streamlets is stepped
-  with it, run to completion, on the egress pump's thread
-  (``docs/gateway.md``, "Engine selection").
+  with it, run to completion, by the egress pump on the gateway's event
+  loop (``docs/gateway.md``, "Engine selection").
 * :class:`ThreadedScheduler` — one worker thread per streamlet instance,
   faithful to the Java design ("extensive use of multi-threading",
   section 7.4), and the engine for any streamlet that may wait or run

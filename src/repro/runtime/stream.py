@@ -365,8 +365,9 @@ class RuntimeStream:
         self._writer: int | None = None
         #: the channel regime (see :meth:`bind_engine`); None until an engine binds
         self._owned: bool | None = None
-        #: callbacks fired after a write section closes (and on resume):
-        #: schedulers register here so sleeping workers re-examine the world
+        #: callbacks fired after a write section closes (and on resume, and
+        #: when a supervisor schedules a retry): schedulers and the
+        #: gateway's egress register here to re-examine the world
         self._wakeup_listeners: list = []
 
         self.ingress: dict[str, Channel] = {}   # "inst.port" -> channel
@@ -703,7 +704,7 @@ class RuntimeStream:
                 channel.queue.owned = self._owned and id(channel) not in ingress
 
     def add_wakeup_listener(self, callback) -> None:
-        """Register a callback fired after writes/resumes (scheduler wakeups)."""
+        """Register a callback fired after writes, resumes and scheduled retries."""
         if callback not in self._wakeup_listeners:
             self._wakeup_listeners.append(callback)
 

@@ -16,9 +16,10 @@ Contract rules every backend honours:
   not corruption worth dying over;
 * ``flush`` makes everything appended so far durable (fsync / commit),
   subject to the backend's ``fsync`` policy;
-* all methods are thread-safe — admissions land from the gateway's event
-  loop while deliveries land from the egress pump thread, which flushes
-  once per cycle for every session it served (a group commit).
+* all methods are thread-safe — the gateway's event loop appends
+  admissions and runs the egress cycle, which flushes once per cycle for
+  every session it served (a group commit), while supervisor workers,
+  recovery and the control plane's executor append from their threads.
 
 :class:`MemoryStore` is the non-durable twin: it keeps the records in a
 list, survives nothing, and exists so the ``durability`` bench can price

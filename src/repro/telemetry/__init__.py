@@ -546,13 +546,6 @@ class Telemetry:
             "Data-plane latency from frame decode to session admission",
         ).unlabelled()  # type: ignore[return-value]
 
-    def gateway_egress_write_histogram(self) -> Histogram:
-        """Egress pump handoff to socket-write latency (loop hop included)."""
-        return self.registry.histogram(
-            "mobigate_gateway_egress_write_seconds",
-            "Latency from egress pump handoff to the data-plane socket write",
-        ).unlabelled()  # type: ignore[return-value]
-
     # -- durable state plane (repro.store) ------------------------------------------
 
     def store_append_counter(self, backend: str) -> Counter:

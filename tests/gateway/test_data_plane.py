@@ -236,7 +236,6 @@ class TestBackpressure:
         config = GatewayConfig(
             session_ingress_limit=2,
             park_timeout=0.08,
-            park_poll_interval=0.005,
         )
         with GatewayServer(config=config).run_in_thread() as handle:
             key = deploy(handle)
@@ -271,6 +270,29 @@ class TestBackpressure:
                 handle, key, lambda s: s["conservation"]["residual"] == 0
             )
             assert stats["conservation"]["balanced"], stats
+
+    def test_a_run_parked_when_its_session_is_undeployed_gets_an_error_frame(self):
+        config = GatewayConfig(session_ingress_limit=1, park_timeout=10.0)
+        with GatewayServer(config=config).run_in_thread() as handle:
+            key = deploy(handle)
+            session = handle.gateway.sessions[key]
+            assert handle.control({"op": "reconfigure", "event": "PAUSE", "session": key})["ok"]
+            client = WireClient(handle.data_address, timeout=5.0)
+            try:
+                client.send(tagged(b"m0", key))  # resident: the stream end-drops it
+                client.send(tagged(b"m1", key))  # parked behind it, never admitted
+                deadline = time.monotonic() + 5.0
+                while session.stats.parked == 0:
+                    assert time.monotonic() < deadline, "m1 never parked"
+                    time.sleep(0.005)
+                assert handle.control({"op": "undeploy", "session": key})["ok"]
+                error = client.recv_frame()
+                assert error is not None
+                assert "is closed" in error.headers.get(ERROR_HEADER)
+            finally:
+                client.close()
+            assert handle.gateway.data.unrouted_frames == 1
+            assert handle.gateway.data.frame_errors == 1
 
 
 class TestLinkOutage:
@@ -379,7 +401,7 @@ class TestAbandonedPeers:
     def test_disconnect_while_a_frame_is_parked(self, caplog):
         async def scenario():
             gateway, session = await self.gateway(
-                session_ingress_limit=1, park_timeout=0.1, park_poll_interval=0.005
+                session_ingress_limit=1, park_timeout=0.1
             )
             try:
                 gateway.raise_event("PAUSE", session_key="s")

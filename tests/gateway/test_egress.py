@@ -1,5 +1,6 @@
 """The gateway-wide egress stage: group commit, batch bridge, lifecycle, containment."""
 
+import sys
 import threading
 import time
 
@@ -215,7 +216,7 @@ class TestLifecycle:
         before = egress_threads()
         with GatewayServer().run_in_thread() as handle:
             keys = [deploy(handle) for _ in range(8)]
-            assert egress_threads() == before + 1
+            assert egress_threads() == before
             client = WireClient(handle.data_address)
             try:
                 for key in keys:
@@ -223,7 +224,7 @@ class TestLifecycle:
                 assert {client.recv_frame().body for _ in keys} == {k.encode() for k in keys}
             finally:
                 client.close()
-            assert egress_threads() == before + 1
+            assert egress_threads() == before
         assert egress_threads() == before
 
     def test_undeploy_under_traffic_neither_wedges_nor_delays_the_rest(self):
@@ -266,7 +267,7 @@ class TestLifecycle:
                 assert wait_until(
                     lambda: all(rounds[k] >= mark[k] + 20 for k in survivors), timeout=5.0
                 ), (mark, rounds)
-                assert egress_threads() == before + 1
+                assert egress_threads() == before
             finally:
                 stop.set()
                 for thread in threads:
@@ -285,6 +286,55 @@ class TestLifecycle:
         gateway.undeploy("walk", record=False)
         assert egress_threads() == before
 
+    def test_a_session_deployed_before_start_moves_onto_the_loop(self):
+        before = egress_threads()
+        gateway = GatewayServer()
+        gateway.deploy(MCL, session_key="early")  # cycles on a private loop
+        assert egress_threads() == before + 1
+        with gateway.run_in_thread() as handle:
+            assert egress_threads() == before  # start() bound the gateway's loop
+            client = WireClient(handle.data_address)
+            try:
+                for i in range(5):
+                    client.send(tagged(b"e%d" % i, "early"))
+                    assert client.recv_frame().body == b"e%d" % i
+            finally:
+                client.close()
+            assert egress_threads() == before
+
+    def test_concurrent_deploys_and_undeploys_before_start_leave_no_thread(self):
+        # the private loop starts with the first attach and ends with the
+        # last detach: four threads race both edges many times over
+        before = egress_threads()
+        gateway = GatewayServer()
+        failures = []
+
+        def churn(n):
+            try:
+                for i in range(10):
+                    key = f"s{n}-{i}"
+                    session = gateway.deploy(MCL, session_key=key)
+                    assert session.offer(MimeMessage("text/plain", b"x")).status == ADMITTED
+                    assert wait_until(lambda: session.stats.orphans == 1, timeout=5.0)
+                    gateway.undeploy(key, record=False)
+            except Exception as exc:  # surfaced by the main thread
+                failures.append(exc)
+
+        threads = [threading.Thread(target=churn, args=(n,)) for n in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures
+        assert gateway.sessions == {}
+        assert egress_threads() == before
+
 
 class TestPumpStepping:
     def test_eight_pumped_sessions_hold_one_thread_and_a_ninth_adds_only_its_workers(self):
@@ -298,10 +348,10 @@ class TestPumpStepping:
                         client.send(tagged(b"%d" % round_, key))
                     for _ in keys:
                         assert client.recv_frame().body == b"%d" % round_
-                    assert egress_threads() == pumps + 1
+                    assert egress_threads() == pumps
                     assert worker_threads() == workers
                 ninth = deploy(handle, mcl=WORKER_MCL)
-                assert egress_threads() == pumps + 1
+                assert egress_threads() == pumps
                 assert worker_threads() == workers + 2  # r0 and r1
                 client.send(tagged(b"ninth", ninth))
                 assert client.recv_frame().body == b"ninth"
@@ -315,8 +365,7 @@ class TestPumpStepping:
     def test_resume_wakes_a_pumped_session_without_waiting_for_the_heartbeat(self):
         # a RESUME posts nothing, so neither queue waiter fires: only the
         # topology wakeup can tell the pump the parked message may move
-        config = GatewayConfig(egress_wake_timeout=30.0)
-        with GatewayServer(config=config).run_in_thread() as handle:
+        with GatewayServer().run_in_thread() as handle:
             key = deploy(handle, scheduler="inline")
             session = handle.gateway.sessions[key]
             assert handle.control({"op": "reconfigure", "event": "PAUSE", "session": key})["ok"]
@@ -342,7 +391,7 @@ class TestPumpStepping:
         from repro.gateway.session import PUMP_QUANTUM
 
         server = build_server()
-        pump = EgressPump(wake_timeout=30.0)
+        pump = EgressPump()
         batches: list[int] = []
         pump.bridge = lambda frames: batches.append(len(frames))
         stream = server.deploy_script(MCL)
@@ -391,7 +440,7 @@ class TestContainment:
                     assert client.recv_frame().body == b"m%d" % i
             finally:
                 client.close()
-            assert egress_threads() == before + 1
+            assert egress_threads() == before
             faults = [
                 e for e in gateway.telemetry.recorder.events()
                 if e["category"] == "egress_fault"

@@ -104,7 +104,7 @@ class TestContention:
         try:
             ticket = session.offer(message("a"))
             assert ticket.status == RETRY
-            assert ticket.msg_id is not None  # already admitted to the pool
+            assert ticket.entries  # already admitted to the pool
         finally:
             release.set()
             t.join(timeout=5)
