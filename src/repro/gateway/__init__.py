@@ -15,9 +15,10 @@ the MobiGATE gateway sits between wireless clients and wired servers:
   reconfiguration, statistics, and telemetry — management verbs never
   share a listener with data;
 * per-session glue (:mod:`repro.gateway.session`) bridging the asyncio
-  world to the threaded runtime via the non-blocking
-  :meth:`~repro.runtime.message_queue.MessageQueue.try_post` fast path
-  and one egress pump, on the same event loop, for every session;
+  world to the threaded runtime: an admission posts a whole run with
+  :meth:`~repro.runtime.message_queue.MessageQueue.post_run`, which never
+  waits for room, and one egress pump, on the same event loop, serves
+  every session;
 * scripted link outages at the socket boundary
   (:mod:`repro.gateway.faults`), reusing :class:`repro.faults.plan.LinkFault`.
 
@@ -33,11 +34,9 @@ from repro.gateway.server import GatewayHandle, GatewayServer
 from repro.gateway.session import (
     ADMITTED,
     FULL,
-    RETRY,
     SHED,
     EgressPump,
     GatewaySession,
-    OfferTicket,
 )
 
 __all__ = [
@@ -52,8 +51,6 @@ __all__ = [
     "GatewayServer",
     "GatewaySession",
     "LinkOutageGate",
-    "OfferTicket",
-    "RETRY",
     "SHED",
     "control_request",
 ]

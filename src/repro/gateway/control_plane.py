@@ -349,7 +349,7 @@ class ControlPlane:
         }
 
     async def _op_requeue(self, request: dict) -> dict:
-        from repro.gateway.session import ADMITTED, FULL, RETRY
+        from repro.gateway.session import FULL
 
         session = self._require_session(request)
         if isinstance(session, dict):
@@ -368,21 +368,16 @@ class ControlPlane:
                 "ok": False,
                 "error": f"dead letter {msg_id!r} carries no message payload",
             }
-        # admission must happen on this (the event-loop) thread; the
-        # non-blocking offer path makes that safe without an executor.  It
-        # gives the copy a fresh origin with no connection: an orphan echo
-        ticket = session.offer(message)
-        attempts = 0
-        while ticket.status == RETRY and attempts < 64:
-            await asyncio.sleep(0.002)
-            ticket = session.retry(ticket, message)
-            attempts += 1
-        if ticket.status in (FULL, RETRY):
+        # admission happens on this (the event-loop) thread; an offer never
+        # waits for room, so that is safe without an executor.  It gives
+        # the copy a fresh origin with no connection: an orphan echo
+        status = session.offer(message)
+        if status == FULL:
             supervisor.dead_letters.add(entry)  # no room: park it again
             return {
                 "ok": False,
                 "error": f"session {session.key!r} refused the requeue "
-                f"({ticket.status}); the entry is parked again",
+                f"({status}); the entry is parked again",
             }
         # ADMITTED or SHED: the copy re-entered the stream (a shed is
         # re-admitted then dropped with accounting) — settle the park
@@ -392,7 +387,7 @@ class ControlPlane:
             "ok": True,
             "session": session.key,
             "msg_id": msg_id,
-            "status": ticket.status,
+            "status": status,
         }
 
     async def _op_recovery(self, request: dict) -> dict:

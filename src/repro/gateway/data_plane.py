@@ -8,10 +8,10 @@ completes are admitted inside that callback, in read order::
     recv_into ──► FrameAssembler.feed ──► consecutive frames of one session,
                                           up to its room, are one run
                                       ──► GatewaySession.offer(*run) per run
-                        │ ADMITTED                  │ FULL / RETRY
+                        │ ADMITTED                  │ FULL
                         ▼                           ▼
                   stream ingress            park: pause_reading(); one task
-                  (one post per run)        re-probes until room or the park
+                  (one post per run)        re-offers until room or the park
                                             budget is spent (──► shed into the
                                             drop ledger), offers the frames read
                                             behind it, then resume_reading()
@@ -40,13 +40,13 @@ from collections import deque
 
 from repro.errors import FrameError, QueueClosedError
 from repro.gateway.config import GatewayConfig
-from repro.gateway.session import ADMITTED, FULL, SHED, GatewaySession
+from repro.gateway.session import ADMITTED, FULL, GatewaySession
 from repro.mime.message import MimeMessage
 from repro.mime.wire import FrameAssembler, serialize_message
 
 ERROR_HEADER = "X-MobiGATE-Error"
 
-#: how often a parked run re-probes its session for room (seconds)
+#: how often a parked run is re-offered to its session (seconds)
 PARK_POLL_INTERVAL = 0.002
 
 #: egress buffers shorter than this are joined into one ``write`` per
@@ -130,7 +130,7 @@ class _Connection(asyncio.BufferedProtocol):
             self._paused = asyncio.get_running_loop().create_task(self._settle(parked, frames))
 
     async def _settle(self, parked: tuple | None, frames: deque[MimeMessage]) -> None:
-        """Reads are paused while this runs: the parked run is re-probed
+        """Reads are paused while this runs: the parked run is re-offered
         until admitted or its budget is spent (then shed), the ``frames``
         read behind it are offered in order, an outage is sat out.  Once the
         connection is lost (a cancel) nothing waits: what is not admitted at
@@ -140,25 +140,25 @@ class _Connection(asyncio.BufferedProtocol):
         gone: asyncio.CancelledError | None = None
         try:
             while parked is not None:
-                session, ticket, run, t0 = parked
+                session, run, t0 = parked
                 deadline = loop.time() + config.park_timeout
-                while ticket.status not in (ADMITTED, SHED):
+                status = FULL
+                while status == FULL:
                     if gone is not None or loop.time() >= deadline:
-                        ticket = session.abandon(ticket, *run)
+                        session.shed(*run)
                         if bp is not None:
                             bp("shed").inc(len(run))
                         break
                     try:
                         await asyncio.sleep(PARK_POLL_INTERVAL)
-                        ticket = session.retry(ticket, *run)
+                        status = session.offer(*run, conn_id=self.conn_id)
                     except asyncio.CancelledError as exc:
                         gone = exc
                     except QueueClosedError:
-                        if ticket.status == FULL:  # close() dropped a RETRY run
-                            for _ in run:
-                                plane._refuse(self, f"session {session.key!r} is closed")
+                        for _ in run:
+                            plane._refuse(self, f"session {session.key!r} is closed")
                         break
-                if ticket.status == ADMITTED:
+                if status == ADMITTED:
                     if bp is not None:
                         bp("resumed").inc()
                     # the park wait is part of the admission latency
@@ -278,18 +278,18 @@ class DataPlane:
     def _offer(self, conn: _Connection, session: GatewaySession, run: list, t0: float):
         """Offer one session's run: its park state if it has to wait, else None."""
         try:
-            ticket = session.offer(*run, conn_id=conn.conn_id)
+            status = session.offer(*run, conn_id=conn.conn_id)
         except QueueClosedError:
             for _ in run:
                 self._refuse(conn, f"session {session.key!r} is closed")
             return None
-        if ticket.status == ADMITTED:
+        if status == ADMITTED:
             self._observe_admission(run, t0)
-        elif ticket.status != SHED:
+        elif status == FULL:
             if self._bp_counter is not None:
                 self._bp_counter("parked").inc()
             session.stats.inc("parked")
-            return session, ticket, run, t0
+            return session, run, t0
         return None
 
     def _observe_admission(self, run: list, t0: float) -> None:

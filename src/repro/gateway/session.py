@@ -6,8 +6,8 @@ boundary crossings the data plane needs:
 
 * **admission** (event-loop thread → runtime): :meth:`offer` admits a
   *run* of parsed messages (consecutive frames of this session in a read)
-  with one room check, one non-blocking
-  :meth:`~repro.runtime.message_queue.MessageQueue.try_post` of all
+  with one room check, one
+  :meth:`~repro.runtime.message_queue.MessageQueue.post_run` of all
   their ids and one pump wake.  Each message's ``HeaderMap.origin``
   names its connection and admission stamp; no header field does.
   The session is *bounded*: a run that would take its pool past
@@ -15,8 +15,9 @@ boundary crossings the data plane needs:
   caller parks — which, because the caller is the connection the frame
   came in on, pauses its socket reads and pushes the backpressure onto
   the client's TCP window.  A park that outlives its budget is **shed**
-  through :meth:`~repro.runtime.stream.RuntimeStream.shed`, so the refusal
-  lands in the drop statistics and the conservation ledger stays balanced.
+  (:meth:`shed`), so the refusal lands in the drop statistics and the
+  conservation ledger stays balanced.  A held ingress lock refuses
+  nothing: the post waits it out, and nobody holds it for long.
 * **egress** (runtime → event-loop thread): whatever may bring the
   session work — an admission, a worker's post to an egress queue, a
   commit, a supervisor retry coming due — marks it *ready* on the
@@ -34,9 +35,9 @@ gateway drives every composition of cooperative streamlets this way
 keeps a worker thread per streamlet, because a step that waits on the
 event loop would silence every session.
 
-Admission (``offer`` / ``retry`` / ``abandon``) and the pump's cycles
-run on one thread, the gateway's event loop, so a pump-stepped message
-goes from read to write without a thread switch.  Until
+Admission (``offer`` / ``shed``) and the pump's cycles run on one
+thread, the gateway's event loop, so a pump-stepped message goes from
+read to write without a thread switch.  Until
 :meth:`EgressPump.bind` hands it that loop, the pump cycles on a private
 loop of its own and admissions come from other threads; the cycle
 touches the stream only through ``pump``, ``collect`` and
@@ -63,7 +64,6 @@ from repro.runtime.stream import RuntimeStream
 #: offer outcomes
 ADMITTED = "admitted"
 FULL = "full"          # nothing admitted; session at its ingress bound
-RETRY = "retry"        # pool ids admitted; queue lock contended, repost later
 SHED = "shed"          # admitted and immediately dropped into the ledger
 
 #: worklist rounds a pump-stepped session may run per cycle (each round
@@ -71,17 +71,6 @@ SHED = "shed"          # admitted and immediately dropped into the ledger
 #: the session, so a flooded session delays the others' deliveries by one
 #: quantum, not by a whole ``ingress_limit`` of backlog
 PUMP_QUANTUM = 4
-
-
-@dataclass(eq=False)
-class OfferTicket:
-    """The state of one in-flight admission attempt of a run."""
-
-    status: str
-    #: the run's pool entries ``(msg_id, size)``, once admitted
-    entries: list[tuple[str, int]] = field(default_factory=list)
-    #: the connection the run came in on (a ``FULL`` run is re-offered with it)
-    conn_id: str | None = None
 
 
 @dataclass
@@ -92,6 +81,7 @@ class SessionStats:
     frames_out: int = 0
     parked: int = 0
     shed: int = 0
+    #: runs whose ingress post found the queue's lock held and waited
     contended: int = 0
     #: egress frames with no live connection to deliver to
     orphans: int = 0
@@ -422,9 +412,6 @@ class GatewaySession:
         )
         self._inline = inline
         self._closed = False
-        #: RETRY tickets (run pooled, not queued); whoever removes one
-        #: settles its run — close() drops what is left
-        self._contended: set[OfferTicket] = set()
         #: the egress stage serving this session: the gateway's shared
         #: pump, or a private one for a standalone session
         self.pump = pump if pump is not None else EgressPump()
@@ -450,79 +437,45 @@ class GatewaySession:
         """How many more messages the session admits before its ingress bound."""
         return self.ingress_limit - len(self.stream.pool)
 
-    def offer(self, *messages: MimeMessage, conn_id: str | None = None) -> OfferTicket:
-        """Try to admit a run of messages without blocking; see module docstring.
+    def offer(self, *messages: MimeMessage, conn_id: str | None = None) -> str:
+        """Admit a run of messages, never waiting for room; see module docstring.
 
         One room check: a run that does not fit admits nothing (``FULL``).
         Otherwise every message is pooled, then given one origin —
         ``conn_id`` and an admission stamp taken just before the post —
         and the ids are posted in one :meth:`~repro.runtime.message_queue.
-        MessageQueue.try_post`: ``ADMITTED``, ``RETRY`` (lock contended;
-        the run is pooled and :meth:`retry` re-posts it) or ``SHED``.
+        MessageQueue.post_run`: ``ADMITTED``, or ``SHED`` if the edge
+        queue is full.
         """
         if self._closed:
             raise QueueClosedError(f"session {self.key} is closed")
         if len(messages) > self.room:
-            return OfferTicket(FULL, conn_id=conn_id)
+            return FULL
         admit = self.stream.admit
         entries = [admit(message) for message in messages]
         origin = (conn_id, time.perf_counter() if self._e2e_hist is not None else None)
         for message in messages:
             message.headers.origin = origin
-        return self._post(OfferTicket(ADMITTED, entries, conn_id))
-
-    def retry(self, ticket: OfferTicket, *messages: MimeMessage) -> OfferTicket:
-        """Advance a parked admission attempt of the run ``messages`` one step."""
-        if ticket.status == RETRY:
-            if self._closed:  # close() dropped the run's ids
-                raise QueueClosedError(f"session {self.key} is closed")
-            return self._post(ticket)
-        if ticket.status == FULL:
-            return self.offer(*messages, conn_id=ticket.conn_id)
-        return ticket
-
-    def abandon(self, ticket: OfferTicket, *messages: MimeMessage) -> OfferTicket:
-        """Give up on a parked attempt: shed its run into the conservation ledger."""
-        if ticket.status == RETRY:
-            if self._drop_contended(ticket):  # else close() dropped them
-                self.stats.inc("shed", len(ticket.entries))
-        elif ticket.status == FULL:
-            for message in messages:
-                self.stream.shed(message)
-            self.stats.inc("shed", len(messages))
-        ticket.status = SHED
-        return ticket
-
-    def _drop_contended(self, ticket: OfferTicket) -> bool:
-        """Route a RETRY run's pooled ids through the drop path, once:
-        whichever thread removes the ticket does it."""
-        try:
-            self._contended.remove(ticket)
-        except KeyError:
-            return False
-        self.stream._release_dropped([msg_id for msg_id, _ in ticket.entries])
-        return True
-
-    def _post(self, ticket: OfferTicket) -> OfferTicket:
-        entries = ticket.entries
-        outcome = self._ingress_channel().queue.try_post(entries)
-        if outcome is None:
+        queue = self._ingress_channel().queue
+        waits = queue.lock_waits
+        posted = queue.post_run(entries)
+        if queue.lock_waits != waits:  # or, rarely, another poster's wait
             self.stats.inc("contended")
-            self._contended.add(ticket)
-            ticket.status = RETRY
-            return ticket
-        self._contended.discard(ticket)
-        if outcome:
-            self.stream.stats.inc("messages_in", len(entries))
-            self.stats.inc("frames_in", len(entries))
-            if self._inline:
-                self._waiter.set()  # no workers: the pump drives the stream
-            ticket.status = ADMITTED
-        else:  # the effectively-unbounded edge queue is full — treat as a shed
+        if not posted:  # the effectively-unbounded edge queue is full — treat as a shed
             self.stream._release_dropped([msg_id for msg_id, _ in entries])
             self.stats.inc("shed", len(entries))
-            ticket.status = SHED
-        return ticket
+            return SHED
+        self.stream.stats.inc("messages_in", len(entries))
+        self.stats.inc("frames_in", len(entries))
+        if self._inline:
+            self._waiter.set()  # no workers: the pump drives the stream
+        return ADMITTED
+
+    def shed(self, *messages: MimeMessage) -> None:
+        """Give up on a ``FULL`` run: shed it into the conservation ledger."""
+        for message in messages:
+            self.stream.shed(message)
+        self.stats.inc("shed", len(messages))
 
     def _ingress_channel(self):
         for channel in self.stream.ingress.values():
@@ -644,8 +597,6 @@ class GatewaySession:
             self.scheduler.stop()
         self.pump.detach(self)
         self.stream.remove_wakeup_listener(self._waiter.set)
-        for ticket in list(self._contended):  # pooled, never posted: drops
-            self._drop_contended(ticket)
         self.stream.end()
         if self.ledger is not None:
             self.sync_ledger()  # capture the end_drops the stream just took

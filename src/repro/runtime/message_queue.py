@@ -37,9 +37,12 @@ the Figure 6-9 policy under an explicit timeout contract:
     caller (a scheduler mid-step or mid-stall-retry) books the drop once.
 
 Consumers multiplexing several input queues (a scheduler worker) register
-a ``threading.Event`` via :meth:`add_waiter`, set by every post.  Producers
-that must never block at all — the gateway's event loop — use
-:meth:`try_post`, which posts a whole run or reports lock contention.
+a ``threading.Event`` via :meth:`add_waiter`, set by every post.  The
+gateway's admission posts a whole run with :meth:`post_run`, which waits
+for the lock but never for room.  Waiting for a shared queue's lock is
+always short: no method holds it across a wait (a condition wait releases
+it), and the only call made under it is a waiter's ``set()``, which never
+blocks (a gateway session's is a ``call_soon`` or ``call_soon_threadsafe``).
 """
 
 from __future__ import annotations
@@ -83,6 +86,8 @@ class MessageQueue:
         self.posted = 0
         self.fetched = 0
         self.dropped = 0
+        #: :meth:`post_run` calls that found the lock held and waited for it
+        self.lock_waits = 0
         #: deepest the queue has ever been, in entries
         self.watermark = 0
         #: when True, post times ride in a parallel deque so every fetch
@@ -237,25 +242,26 @@ class MessageQueue:
                 self._wake_consumers()
             return posted
 
-    def try_post(self, entries: list[tuple[str, int]]) -> bool | None:
-        """Post a run of ``(msg_id, size)`` entries without ever blocking.
+    def post_run(self, entries: list[tuple[str, int]]) -> bool:
+        """Post a run of ``(msg_id, size)`` entries whole, never waiting for room.
 
-        For event-loop producers, which must not wait even for the lock
-        (a worker may hold it).  One post for the whole run; an empty queue
-        takes it whole.  ``True``: enqueued in order.  ``False``: no room,
-        ``dropped`` not counted (the probe contract).  ``None``: the lock
-        was contended and nothing happened; retry on a later tick.
-        Raises :class:`QueueClosedError` on a closed queue.
+        For a shared queue (the ingress carriers).  ``True``: enqueued in
+        order (an empty queue takes the run whole).  ``False``: no room,
+        ``dropped`` not counted (the probe contract).  A post that found
+        the lock held counts in :attr:`lock_waits`.  Raises
+        :class:`QueueClosedError` on a closed queue.
         """
-        if not self._lock.acquire(blocking=False):
-            return None
+        lock = self._lock
+        if not lock.acquire(blocking=False):
+            lock.acquire()
+            self.lock_waits += 1
         try:
             posted = self._put(entries, sum([entry[1] for entry in entries]), True)
             if posted:
                 self._wake_consumers()
             return posted
         finally:
-            self._lock.release()
+            lock.release()
 
     def _take(self) -> str | None:
         """Dequeue the oldest id, or None; the regimes' common core."""

@@ -943,7 +943,7 @@ class RuntimeStream:
         """Take a message into the stream's custody; returns ``(msg_id, size)``.
 
         The one admission routine — :meth:`post`, :meth:`shed` and the
-        gateway's non-blocking offer all come through here: stamp the
+        gateway's run offer all come through here: stamp the
         session if the message names none, stamp the epoch it is admitted
         under, sample it into a trace, size it (after the last stamp, so
         the size is the one every later post of an untouched envelope

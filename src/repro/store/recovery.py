@@ -34,9 +34,6 @@ from dataclasses import asdict, dataclass, field, replace
 
 from repro.store.ledger import CrossCrashReport, LedgerFold, SessionFold
 
-#: admission attempts per re-injected retry before giving up (shedding)
-_REINJECT_ATTEMPTS = 8
-
 
 @dataclass
 class SessionRecovery:
@@ -211,7 +208,7 @@ class RecoveryManager:
         """Re-admit unsettled retries through the ordinary offer path."""
         if not sf.pending_retries:
             return 0, 0
-        from repro.gateway.session import ADMITTED, FULL, RETRY
+        from repro.gateway.session import ADMITTED, FULL
         from repro.mime.wire import parse_message
 
         ok = failed = 0
@@ -225,17 +222,13 @@ class RecoveryManager:
             except Exception:
                 failed += 1
                 continue
-            ticket = session.offer(message)  # a fresh origin, no connection
-            attempts = 0
-            while ticket.status in (FULL, RETRY) and attempts < _REINJECT_ATTEMPTS:
-                ticket = session.retry(ticket, message)
-                attempts += 1
-            if ticket.status == ADMITTED:
+            status = session.offer(message)  # a fresh origin, no connection
+            if status == ADMITTED:
                 ok += 1
-            else:
-                if ticket.status in (FULL, RETRY):
-                    session.abandon(ticket, message)  # shed, with accounting
-                failed += 1
+                continue
+            if status == FULL:
+                session.shed(message)  # no room: shed, with accounting
+            failed += 1
         return ok, failed
 
     # -- the checkable half -----------------------------------------------------------

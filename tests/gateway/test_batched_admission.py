@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 from repro.errors import QueueClosedError
 from repro.faults.invariant import check_conservation
-from repro.gateway import ADMITTED, SHED, GatewayConfig, GatewayServer
+from repro.gateway import FULL, GatewayConfig, GatewayServer
 from repro.mime.message import MimeMessage
 from repro.mime.wire import serialize_message
 from tests.gateway.test_data_plane import MCL, WireClient, deploy
@@ -72,22 +72,21 @@ def wait_until(predicate, timeout=10.0) -> None:
 
 
 class HeldLock:
-    """Hold a session's ingress queue lock on another thread until released."""
+    """Hold a session's ingress queue lock on another thread for ``seconds``."""
 
-    def __init__(self, session):
+    def __init__(self, session, seconds=0.05):
         self.queue = next(iter(session.stream.ingress.values())).queue
-        self.held, self.release = threading.Event(), threading.Event()
-        self.thread = threading.Thread(target=self._hold)
+        self.held = threading.Event()
+        self.thread = threading.Thread(target=self._hold, args=(seconds,))
         self.thread.start()
         assert self.held.wait(5)
 
-    def _hold(self):
+    def _hold(self, seconds):
         with self.queue._lock:
             self.held.set()
-            self.release.wait(5)
+            time.sleep(seconds)
 
     def done(self):
-        self.release.set()
         self.thread.join(timeout=5)
         assert not self.thread.is_alive()
 
@@ -112,16 +111,17 @@ def drive(ingest, script: Script) -> dict:
             )
             parked = ingest(gateway.data, conns[conn_id], frames)
             while parked is not None:
-                session, ticket, run, _t0 = parked
-                parks.append((session.key, run[0].body, ticket.status))
+                session, run, _t0 = parked
+                parks.append((session.key, run[0].body, FULL))
                 admitted_at_parks.append({k: s.stats.frames_in for k, s in sessions.items()})
                 script.unblock(gateway, script, session)
                 deadline = time.monotonic() + 10
                 try:
-                    while ticket.status not in (ADMITTED, SHED):
+                    status = FULL
+                    while status == FULL:
                         assert time.monotonic() < deadline
                         time.sleep(0.001)
-                        ticket = session.retry(ticket, *run)
+                        status = session.offer(*run, conn_id=conn_id)
                 except QueueClosedError:
                     pass
                 parked = ingest(gateway.data, conns[conn_id], frames)
@@ -197,29 +197,19 @@ class TestRunsMatchOneOfferPerFrame:
         def setup(gateway, script):
             script.holders.append(HeldLock(gateway.sessions["a"]))
 
-        def unblock(_gateway, script, _session):
-            script.holders.pop().done()
-
-        outcome = assert_same(lambda: Script(
-            [("c1", "a1 b1 a2 b2 a3")], setup=setup, unblock=unblock,
-        ))
-        assert outcome["parks"] == [("a", b"1", "retry")]
+        outcome = assert_same(lambda: Script([("c1", "a1 b1 a2 b2 a3")], setup=setup))
+        assert outcome["parks"] == []  # the read waits out the lock
         assert [body for _c, body in outcome["delivered"]["a"]] == [b"1", b"2", b"3"]
 
     def test_a_contended_lock_on_a_later_session_holds_back_what_was_read_after(self):
         def setup(gateway, script):
             script.holders.append(HeldLock(gateway.sessions["b"]))
 
-        def unblock(_gateway, script, _session):
-            script.holders.pop().done()
-
-        outcome = assert_same(lambda: Script(
-            [("c1", "a1 b1 a2 b2 a3")], setup=setup, unblock=unblock,
-        ))
-        assert outcome["parks"] == [("b", b"1", "retry")]
-        # a2, read after b1, waits for b1 to settle
-        assert outcome["admitted_at_parks"] == [{"a": 1, "b": 0}]
+        outcome = assert_same(lambda: Script([("c1", "a1 b1 a2 b2 a3")], setup=setup))
+        # a2, read after b1, is offered only once b1's post got the lock
+        assert outcome["parks"] == []
         assert [body for _c, body in outcome["delivered"]["a"]] == [b"1", b"2", b"3"]
+        assert [body for _c, body in outcome["delivered"]["b"]] == [b"1", b"2"]
 
     def test_a_session_closed_mid_read(self):
         outcome = assert_same(lambda: Script(

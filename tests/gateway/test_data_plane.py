@@ -431,14 +431,16 @@ class TestAbandonedPeers:
             gateway, session = await self.gateway(session_ingress_limit=1, park_timeout=60.0)
             try:
                 gateway.raise_event("PAUSE", session_key="s")
-                session.retry = Mock(side_effect=RuntimeError("boom"))
                 reader, writer = await asyncio.open_connection(*gateway.data.address)
                 for i in range(2):
                     writer.write(serialize_message(tagged(b"m%d" % i, "s")))
+                while session.stats.parked == 0:
+                    await asyncio.sleep(0.001)
+                session.offer = Mock(side_effect=RuntimeError("boom"))  # the re-offer
                 # a paused transport nobody resumes would never see this end
                 assert await asyncio.wait_for(reader.read(), 5.0) == b""
                 await self.closed(gateway)
-                assert session.retry.call_count == 1 and settle_tasks() == []
+                assert session.offer.call_count == 1 and settle_tasks() == []
                 assert gateway.data._conn_gauge.value == 0
                 writer.close()
             finally:

@@ -5,6 +5,7 @@ import threading
 import time
 
 from repro.apps import build_server
+from repro.faults.invariant import check_conservation
 from repro.gateway import GatewayConfig, GatewayServer
 from repro.gateway.data_plane import COALESCE_BELOW
 from repro.gateway.session import ADMITTED, EgressPump, GatewaySession, SessionStats
@@ -85,10 +86,10 @@ class TestGroupCommit:
             # hold the pump inside the commit of a's cycle, make b and c
             # ready meanwhile: the next cycle must serve both
             store.hold = True
-            assert a.offer(MimeMessage("text/plain", b"1")).status == ADMITTED
+            assert a.offer(MimeMessage("text/plain", b"1")) == ADMITTED
             assert store.entered.wait(10)
-            assert b.offer(MimeMessage("text/plain", b"2")).status == ADMITTED
-            assert c.offer(MimeMessage("text/plain", b"3")).status == ADMITTED
+            assert b.offer(MimeMessage("text/plain", b"2")) == ADMITTED
+            assert c.offer(MimeMessage("text/plain", b"3")) == ADMITTED
             store.hold = False
             store.release.set()
             assert wait_until(lambda: sum(e[0] == "frame" for e in log) == 3), log
@@ -280,7 +281,7 @@ class TestLifecycle:
         gateway = GatewayServer()  # no loop, no bridge: frames are orphans
         session = gateway.deploy(MCL, session_key="walk")
         assert egress_threads() == before + 1
-        assert session.offer(MimeMessage("text/plain", b"x")).status == ADMITTED
+        assert session.offer(MimeMessage("text/plain", b"x")) == ADMITTED
         assert wait_until(lambda: session.resident == 0)
         assert wait_until(lambda: session.stats.orphans == 1)
         gateway.undeploy("walk", record=False)
@@ -314,7 +315,7 @@ class TestLifecycle:
                 for i in range(10):
                     key = f"s{n}-{i}"
                     session = gateway.deploy(MCL, session_key=key)
-                    assert session.offer(MimeMessage("text/plain", b"x")).status == ADMITTED
+                    assert session.offer(MimeMessage("text/plain", b"x")) == ADMITTED
                     assert wait_until(lambda: session.stats.orphans == 1, timeout=5.0)
                     gateway.undeploy(key, record=False)
             except Exception as exc:  # surfaced by the main thread
@@ -334,6 +335,45 @@ class TestLifecycle:
         assert not failures, failures
         assert gateway.sessions == {}
         assert egress_threads() == before
+
+
+class TestIgnoredOutcomes:
+    def test_offers_whose_outcome_is_ignored_never_strand_a_run(self):
+        # the layer walk's pattern: threads offer into a never-started
+        # gateway's pump-stepped session, wait for room, and never read
+        # what the offer returned; every admitted run must still move
+        gateway = GatewayServer()
+        delivered: list = []
+        gateway.egress.bridge = delivered.extend
+        session = gateway.deploy(MCL, session_key="walk")
+        deadline = time.monotonic() + 10.0
+
+        def offer_all():
+            for i in range(500):
+                while session.room <= 0:
+                    if time.monotonic() >= deadline:
+                        return
+                    time.sleep(0)
+                session.offer(MimeMessage("text/plain", b"%d" % i))
+
+        threads = [threading.Thread(target=offer_all) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(thread.is_alive() for thread in threads)
+            assert wait_until(lambda: session.resident == 0), session.resident
+            frames_in = session.stats.frames_in
+            assert wait_until(lambda: len(delivered) == frames_in), (len(delivered), frames_in)
+            assert check_conservation(session.stream).balanced
+        finally:
+            gateway.undeploy("walk", record=False)
 
 
 class TestPumpStepping:
@@ -409,7 +449,7 @@ class TestPumpStepping:
         try:
             # the first cycle waits inside collect while the flood is admitted
             for i in range(3 * PUMP_QUANTUM):
-                assert session.offer(MimeMessage("text/plain", b"%d" % i)).status == ADMITTED
+                assert session.offer(MimeMessage("text/plain", b"%d" % i)) == ADMITTED
             hold.set()
             assert wait_until(lambda: sum(batches) == 3 * PUMP_QUANTUM), batches
         finally:

@@ -1,6 +1,7 @@
 """Model-based (stateful) testing of MessageQueue against a pure model.
 
-Hypothesis drives random operation sequences — post, fetch, drain, close —
+Hypothesis drives random operation sequences — post, post a run, fetch,
+drain, close —
 and after every step the real queue must agree with a trivially correct
 list-based model on contents, byte accounting, and error behaviour.  The
 same machine runs against a shared queue and a single-owner one: the two
@@ -50,6 +51,23 @@ class QueueMachine(RuleBasedStateMachine):
         assert admitted == expect_admit
         if admitted:
             self.model.append((msg_id, size))
+
+    @rule(sizes=st.lists(st.integers(min_value=1, max_value=200), min_size=1, max_size=4))
+    def post_run(self, sizes):
+        run = [(f"m{self.counter + i}", size) for i, size in enumerate(sizes)]
+        self.counter += len(run)
+        if self.closed:
+            with pytest.raises(QueueClosedError):
+                self.queue.post_run(run)
+            return
+        # all or nothing: an empty queue takes the run whole
+        model_bytes = sum(s for _, s in self.model)
+        expect_admit = not self.model or model_bytes + sum(sizes) <= CAPACITY
+        dropped = self.queue.dropped
+        assert self.queue.post_run(run) == expect_admit
+        assert self.queue.dropped == dropped  # a refused run is the caller's to book
+        if expect_admit:
+            self.model.extend(run)
 
     @rule()
     def fetch(self):

@@ -271,12 +271,12 @@ def test_order_preserved_property(sizes):
     assert fetched == posted
 
 
-class TestTryPost:
-    """The non-blocking fast path used by the gateway's event loop."""
+class TestPostRun:
+    """The gateway's run post: waits for the lock, never for room."""
 
     def test_success_enqueues_and_counts_posted(self):
         q = MessageQueue(1000)
-        assert q.try_post([("a", 10)]) is True
+        assert q.post_run([("a", 10)]) is True
         assert q.posted == 1
         assert q.fetch_message() == "a"
 
@@ -284,43 +284,41 @@ class TestTryPost:
         q = MessageQueue(10, drop_timeout=30.0)  # timeout must not apply
         q.post_message("a", 10)
         begin = time.perf_counter()
-        assert q.try_post([("b", 10)]) is False
+        assert q.post_run([("b", 10)]) is False
         assert time.perf_counter() - begin < 1.0  # did not serve the timeout
         assert q.dropped == 0  # probe contract: the caller owns accounting
         assert q.posted == 1
 
-    def test_contended_lock_reports_none_without_blocking(self):
+    def test_waits_for_a_held_lock_then_posts(self):
         q = MessageQueue(1000)
         held = threading.Event()
-        release = threading.Event()
 
         def hold():
             with q._lock:
                 held.set()
-                release.wait(5)
+                time.sleep(0.05)
 
         t = threading.Thread(target=hold)
         t.start()
         assert held.wait(5)
         try:
-            begin = time.perf_counter()
-            assert q.try_post([("a", 10)]) is None
-            assert time.perf_counter() - begin < 1.0
+            assert q.post_run([("a", 10), ("b", 10)]) is True
         finally:
-            release.set()
             t.join(timeout=5)
-        assert q.posted == 0
-        assert q.try_post([("a", 10)]) is True  # uncontended retry succeeds
+        assert (q.posted, q.lock_waits) == (2, 1)
+        assert q.post_run([("c", 10)]) is True
+        assert q.lock_waits == 1  # a free lock is no wait
+        assert [q.fetch_message() for _ in range(3)] == ["a", "b", "c"]
 
     def test_closed_queue_raises(self):
         q = MessageQueue(100)
         q.close()
         with pytest.raises(QueueClosedError):
-            q.try_post([("a", 10)])
+            q.post_run([("a", 10)])
 
     def test_success_signals_waiters(self):
         q = MessageQueue(1000)
         wake = threading.Event()
         q.add_waiter(wake)
-        assert q.try_post([("a", 10)]) is True
+        assert q.post_run([("a", 10)]) is True
         assert wake.wait(1.0)

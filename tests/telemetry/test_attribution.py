@@ -105,8 +105,7 @@ def gateway_decomposition(ledger=None, n=50) -> dict:
     session.pump.bridge = bridge
     try:
         for _ in range(n):
-            ticket = session.offer(MimeMessage("text/plain", b"x" * 64))
-            assert ticket.status == ADMITTED
+            assert session.offer(MimeMessage("text/plain", b"x" * 64)) == ADMITTED
         assert done.wait(10), f"only {len(frames)}/{n} frames delivered"
     finally:
         session.close()
