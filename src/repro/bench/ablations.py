@@ -147,7 +147,7 @@ def run_scheduler_ablation(*, chain: int = 8, n_messages: int = 100) -> Schedule
 
     server = build_server()
     stream = server.deploy_script(redirector_chain_mcl(chain))
-    threaded = ThreadedScheduler(stream, poll_interval=0.0002)
+    threaded = ThreadedScheduler(stream)
     threaded.start()
     start = time.perf_counter()
     for index in range(n_messages):

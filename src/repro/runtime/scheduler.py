@@ -467,15 +467,12 @@ class ThreadedScheduler:
     #: even without a signal (covers paused-with-traffic and lost-wakeup
     #: corners); it is NOT the scheduling latency, which is event-driven
     _IDLE_WAIT = 0.05
+    #: drain()'s bounded re-check: guards a notify that fires between its
+    #: quiescence check and its wait on the activity condition
+    _DRAIN_RECHECK = 0.01
 
-    def __init__(
-        self, stream: RuntimeStream, *,
-        poll_interval: float = 0.001, batch: int = 8,
-    ):
+    def __init__(self, stream: RuntimeStream, *, batch: int = 8):
         self._stream = stream
-        #: retained for API compatibility; used only as the drain()
-        #: re-check cadence floor, never as a busy-poll period
-        self._poll = poll_interval
         #: messages claimed per input port per step (see _step_node)
         self._batch = max(1, batch)
         self._threads: dict[str, threading.Thread] = {}
@@ -715,9 +712,7 @@ class ThreadedScheduler:
             if remaining <= 0:
                 return False
             with self._activity:
-                # bounded wait: guards the race where the last step's
-                # notify fired between our check and this wait
-                self._activity.wait(min(max(self._poll, 0.01), remaining))
+                self._activity.wait(min(self._DRAIN_RECHECK, remaining))
 
     def _quiescent(self) -> bool:
         if any(self._busy.values()):

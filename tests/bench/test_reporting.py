@@ -290,11 +290,6 @@ class TestRegressionRegistry:
                     f"'lower', throughput-like 'higher'"
                 )
 
-    def test_gateway_p99_is_checked_lower(self):
-        # the registry's reason to exist: a p99 blow-up must not be able
-        # to ride through as an "improvement"
-        assert ("scenario", "p99_ms", "lower") in self.registry()["gateway"]
-
     def test_each_registered_check_fires_on_a_regression(self, tmp_path):
         for target, checks in self.registry().items():
             for key, metric, direction in checks:
@@ -307,6 +302,25 @@ class TestRegressionRegistry:
                     direction=direction,
                 )
                 assert len(warnings) == 1, (target, metric)
+
+
+class TestCommittedBaselines:
+    """A committed ``BENCH_*.json`` belongs to a live target and names the
+    host it was taken on: an unstamped one is the only kind that
+    ``flag_regressions`` would still compare across machines."""
+
+    def test_every_baseline_is_live_and_stamped(self):
+        from repro.bench.__main__ import ALL_TARGETS
+
+        root = Path(__file__).parents[2]
+        baselines = sorted(root.glob("BENCH_*.json"))
+        assert baselines
+        for path in baselines:
+            target = path.stem.removeprefix("BENCH_")
+            assert target in ALL_TARGETS, path.name
+            host = json.loads(path.read_text()).get("host")
+            assert isinstance(host, dict), f"{path.name} has no host stamp"
+            assert {"cpu_count", "platform", "python"} <= set(host), path.name
 
 
 class TestTelemetryOverheadBench:

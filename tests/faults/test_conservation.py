@@ -146,7 +146,7 @@ class TestThreadedConservation:
         plan = FaultPlan(seed=5)
         plan.fail_streamlet("b", mode="probability", probability=0.3)
         plan.kill_worker("b", at=0.0)  # killed at arm, respawned below
-        scheduler = ThreadedScheduler(stream, poll_interval=0.0005)
+        scheduler = ThreadedScheduler(stream)
         scheduler.start()
         supervisor = Supervisor(
             stream, RecoveryPolicy(max_retries=3, backoff_base=0.0, jitter=0.0)

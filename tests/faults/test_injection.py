@@ -190,7 +190,7 @@ class TestLinkAndHandoffFaults:
 class TestWorkerKills:
     def test_kill_then_respawn_restores_flow(self, deployed):
         _server, stream, clock = deployed
-        scheduler = ThreadedScheduler(stream, poll_interval=0.0005)
+        scheduler = ThreadedScheduler(stream)
         scheduler.start()
         try:
             plan = FaultPlan()

@@ -27,7 +27,7 @@ def test_threaded_end_to_end_soak():
     # which is what a no-loss soak needs
     server = build_server(drop_timeout=2.0)
     stream = server.deploy_script(WEB_ACCELERATION_MCL)
-    scheduler = ThreadedScheduler(stream, poll_interval=0.0005)
+    scheduler = ThreadedScheduler(stream)
     scheduler.start()
 
     delivered = []

@@ -118,7 +118,7 @@ def test_failing_batch_is_invisible_inline(prefix, parked):
 def test_failing_batch_is_invisible_threaded(prefix):
     server = build_server(clock=VirtualClock())
     stream = server.deploy_script(SOURCE)
-    scheduler = ThreadedScheduler(stream, poll_interval=0.0005)
+    scheduler = ThreadedScheduler(stream)
     scheduler.start()
     try:
         before = fingerprint(stream)

@@ -67,7 +67,7 @@ def deploy(drop_timeout):
 class TestBackpressure:
     def test_no_loss_with_drop_timeout(self):
         _server, stream = deploy(drop_timeout=5.0)
-        scheduler = ThreadedScheduler(stream, poll_interval=0.0002)
+        scheduler = ThreadedScheduler(stream)
         scheduler.start()
         try:
             payloads = [f"burst-{i}".encode() * 40 for i in range(30)]
@@ -84,7 +84,7 @@ class TestBackpressure:
 
     def test_drops_when_timeout_zero(self):
         _server, stream = deploy(drop_timeout=0.0)
-        scheduler = ThreadedScheduler(stream, poll_interval=0.0002)
+        scheduler = ThreadedScheduler(stream)
         scheduler.start()
         try:
             for i in range(30):

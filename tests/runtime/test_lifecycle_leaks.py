@@ -197,7 +197,7 @@ class TestThreadedStallRetryDrops:
         stream = server.deploy_script(TINY_SOURCE)
         dropped_ids = []
         stream.drop_hook = lambda msg_id, message: dropped_ids.append(msg_id)
-        scheduler = ThreadedScheduler(stream, poll_interval=0.0002)
+        scheduler = ThreadedScheduler(stream)
         scheduler.start()
         try:
             n = 30

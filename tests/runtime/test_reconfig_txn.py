@@ -208,7 +208,7 @@ class TestRollback:
         if kind == "inline":
             scheduler = InlineScheduler(stream)
         else:
-            scheduler = ThreadedScheduler(stream, poll_interval=0.0005)
+            scheduler = ThreadedScheduler(stream)
             scheduler.start()
         try:
             park_in_b(stream, scheduler, n=3)

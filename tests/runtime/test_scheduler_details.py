@@ -80,7 +80,7 @@ class TestThreadedLifecycle:
 
     def test_worker_exits_when_instance_removed(self, deployed):
         _server, stream = deployed
-        scheduler = ThreadedScheduler(stream, poll_interval=0.0005)
+        scheduler = ThreadedScheduler(stream)
         scheduler.start()
         try:
             stream.remove_streamlet("b")  # heals a -> c

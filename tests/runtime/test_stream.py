@@ -146,7 +146,7 @@ main stream tagged{
 class TestThreadedScheduler:
     def test_pipeline_delivery(self, server):
         stream = deploy(server, PIPELINE)
-        scheduler = ThreadedScheduler(stream, poll_interval=0.0005)
+        scheduler = ThreadedScheduler(stream)
         scheduler.start()
         try:
             for i in range(20):

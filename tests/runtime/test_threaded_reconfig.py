@@ -34,7 +34,7 @@ main stream live{
 def live_stream():
     server = build_server()
     stream = server.deploy_script(SOURCE)
-    scheduler = ThreadedScheduler(stream, poll_interval=0.0005)
+    scheduler = ThreadedScheduler(stream)
     scheduler.start()
     yield server, stream, scheduler
     scheduler.stop()
