@@ -1,10 +1,10 @@
 """Fusion ablation: the same synchronous chain, fused vs unfused.
 
-The post-compile optimizer (:mod:`repro.mcl.optimize` at the table
-level; the runtime asks the same query of its topology value at every
-snapshot rebuild) collapses a chain of
-synchronously-coupled streamlets into one runtime node that steps the
-whole chain per dispatch, eliding every interior rendezvous queue.  This
+At every snapshot build the runtime asks
+:func:`repro.semantics.fusion.fusable_chains` of its topology value and
+collapses each chain of synchronously-coupled streamlets into one
+runtime node that steps the whole chain per dispatch, eliding every
+interior rendezvous queue.  This
 bench measures exactly that delta: an n-redirector chain wired through
 explicit SYNC channels, driven closed-loop through the inline scheduler,
 once with fusion enabled (the default) and once with ``fuse=False``.

@@ -13,7 +13,7 @@ from repro.util.stats import RunningStats
 
 
 #: explicit rendezvous channel for synchronously-coupled chains — the
-#: shape the post-compile fusion optimizer targets
+#: shape fusable_chains fuses at snapshot build
 _SYNC_CHANNEL_DEF = """channel benchSyncChan{
   port{ in cin : */*; out cout : */*; }
   attribute{ type = SYNC; buffer = 0; }

@@ -54,9 +54,8 @@ PREDEFINED_EVENTS: dict[str, EventCategory] = {
     "RETRY_EXHAUSTED": EventCategory.SOFTWARE_VARIATION,
     "STREAMLET_BYPASSED": EventCategory.SOFTWARE_VARIATION,
     # transactional-reconfiguration escalations (repro.runtime.reconfig):
-    # a staged batch was rejected by validation, an apply failed and was
-    # rolled back, or a freshly committed epoch flunked its probation
-    # window and was reverted to the last known good composition
+    # a staged batch was rejected by validation, or a commit failed and
+    # the prior topology was kept
     "RECONFIG_COMMITTED": EventCategory.SOFTWARE_VARIATION,
     "RECONFIG_REJECTED": EventCategory.SOFTWARE_VARIATION,
     "RECONFIG_ROLLED_BACK": EventCategory.SOFTWARE_VARIATION,
@@ -139,10 +138,6 @@ class EventCatalog:
         """Build a ContextEvent from the catalog (canonical name + category)."""
         canonical = self.canonical(name)
         return ContextEvent(canonical, self.category_of(canonical), source)
-
-    def names(self) -> frozenset[str]:
-        """Every registered canonical event name."""
-        return frozenset(self._events)
 
 
 #: Process-wide default catalog (predefined events only unless extended).

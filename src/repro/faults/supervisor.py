@@ -191,10 +191,6 @@ class Supervisor:
         self.drops_seen: list[str] = []
         self._attached = False
         self._prev_drop_hook = None
-        #: a ProbationMonitor watching freshly committed epochs; when set,
-        #: every fault this supervisor handles is also counted against the
-        #: composition on probation (repro.runtime.reconfig)
-        self.probation = None
         if telemetry is not None:
             self._gauge = telemetry.dead_letter_gauge(stream.name)
             self._outcome = lambda o: telemetry.fault_counter(stream.name, o).inc()
@@ -250,7 +246,6 @@ class Supervisor:
                 msg_id, instance, port,
                 reason=f"instance bypassed after {failures} failures",
             )
-            self._notify_probation(instance)
             return True
         attempt = self._attempts.get(msg_id, 0)
         if attempt < self.policy.max_retries:
@@ -272,20 +267,9 @@ class Supervisor:
             # whoever pumps the retries learns of the new due time here
             # (the gateway's egress arms a timer for it)
             self._stream._notify_wakeup()
-            self._notify_probation(instance)
             return True
         self._dead_letter(msg_id, instance, port, reason=f"retries exhausted: {exc}")
-        self._notify_probation(instance)
         return True
-
-    def _notify_probation(self, instance: str) -> None:
-        """Count the fault against a composition on probation, if any.
-
-        Runs *after* the message's fate is settled (retry scheduled or
-        dead-lettered) so a probation rollback never strands the id.
-        """
-        if self.probation is not None:
-            self.probation.note_fault(instance)
 
     def _on_drop(self, msg_id: str, message: MimeMessage) -> None:
         """RuntimeStream.drop_hook: make drops inspectable."""

@@ -61,21 +61,6 @@ class ConfigurationTable:
 
     # -- queries used by the analyses and the runtime -------------------------------
 
-    def links_from(self, instance: str) -> list[Link]:
-        """Every link whose source is ``instance``."""
-        return [l for l in self.links if l.source.instance == instance]
-
-    def links_to(self, instance: str) -> list[Link]:
-        """Every link whose sink is ``instance``."""
-        return [l for l in self.links if l.sink.instance == instance]
-
-    def link_between(self, source: ast.PortRef, sink: ast.PortRef) -> Link | None:
-        """The link joining ``source`` to ``sink``, or None."""
-        for link in self.links:
-            if link.source == source and link.sink == sink:
-                return link
-        return None
-
     def connected_instances(self) -> set[str]:
         """Instances that participate in at least one link."""
         names: set[str] = set()

@@ -155,14 +155,6 @@ class MediaType:
 
     # -- structure -----------------------------------------------------------
 
-    @property
-    def is_wildcard(self) -> bool:
-        return self._subtype == "*"
-
-    @property
-    def is_anything(self) -> bool:
-        return self._maintype == "*"
-
     def matches(self, pattern: "MediaType") -> bool:
         """True if this (concrete or not) type falls under ``pattern``.
 

@@ -73,10 +73,6 @@ class HandoffManager:
     def active(self) -> WirelessLink:
         return self.link(self.active_name)
 
-    def interfaces(self) -> list[str]:
-        """The registered interface names."""
-        return list(self._links)
-
     # -- handoff ---------------------------------------------------------------------
 
     def switch_to(self, name: str) -> str | None:

@@ -74,12 +74,6 @@ class WirelessLink:
             raise NetSimError(f"bandwidth must be positive, got {bandwidth_bps}")
         self._bandwidth = float(bandwidth_bps)
 
-    def set_loss_rate(self, loss_rate: float) -> None:
-        """Change the Bernoulli loss rate (affects subsequent transmissions)."""
-        if not 0.0 <= loss_rate < 1.0:
-            raise NetSimError(f"loss rate must be in [0, 1), got {loss_rate}")
-        self.loss_rate = float(loss_rate)
-
     # -- outages (the fault-injection hook) ----------------------------------------
 
     def begin_outage(self, duration: float) -> float:
@@ -94,10 +88,6 @@ class WirelessLink:
             raise NetSimError(f"outage duration must be positive, got {duration}")
         self._outage_until = max(self._outage_until, self.clock.now() + duration)
         return self._outage_until
-
-    def end_outage(self) -> None:
-        """Restore the link immediately."""
-        self._outage_until = 0.0
 
     @property
     def in_outage(self) -> bool:
@@ -135,10 +125,6 @@ class WirelessLink:
         self.bytes_delivered += size_bytes
         return Transmission(start=start, arrival=self._next_free + self.propagation_delay,
                             size=size_bytes)
-
-    @property
-    def next_free(self) -> float:
-        return self._next_free
 
     def utilization(self, horizon: float | None = None) -> float:
         """Busy fraction of the timeline up to ``horizon`` (default: now)."""

@@ -25,21 +25,12 @@ from repro.runtime.pool import InstancePool
 from repro.runtime.streamlet_manager import StreamletManager
 from repro.runtime.events import EventManager
 from repro.runtime.stream import RuntimeStream
-from repro.runtime.reconfig import (
-    CommitRecord,
-    LastKnownGoodStore,
-    ProbationMonitor,
-    ReconfigTransaction,
-    TxnState,
-)
+from repro.runtime.reconfig import ReconfigTransaction, TxnState
 from repro.runtime.scheduler import InlineScheduler, ThreadedScheduler
 from repro.runtime.coordination import CoordinationManager
 from repro.runtime.server import MobiGateServer
 
 __all__ = [
-    "CommitRecord",
-    "LastKnownGoodStore",
-    "ProbationMonitor",
     "ReconfigTransaction",
     "TxnState",
     "MessagePool",

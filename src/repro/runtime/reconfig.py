@@ -27,14 +27,6 @@ Every successful commit bumps the stream's monotonically increasing
 :meth:`repro.mime.headers.HeaderMap.set_epoch`) so the MobiGATE client
 swaps its peer-streamlet chain at exactly the right message boundary.
 
-A :class:`ProbationMonitor` keeps the *previous value* of the newest
-commit, with the node objects that commit retired, as a
-**last-known-good record** for a probation window: a freshly committed
-composition that faults repeatedly during warmup is rolled back by
-realising the previous value again, and a ``RECONFIG_ROLLED_BACK``
-context event escalates the decision (the rollback itself bumps the
-epoch — it is a transition too).
-
 Message conservation holds across every path: where queued ids go is
 part of the value (a channel's ``contents``), and the realise step drops
 — with accounting — exactly the ids no channel of the new value holds.
@@ -53,7 +45,6 @@ order survives the fuse/split/re-fuse transitions.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from enum import Enum, auto
 
 from repro.errors import (
@@ -64,18 +55,12 @@ from repro.errors import (
     SemanticError,
 )
 from repro.mcl.config import ConfigurationTable
-from repro.runtime.stream import ReconfigTiming, RuntimeStream, _Node
+from repro.runtime.stream import ReconfigTiming, RuntimeStream
 from repro.runtime.topology import Topology, apply
 from repro.semantics import analyze
 from repro.semantics.analyzer import ViolationKind
 
-__all__ = [
-    "CommitRecord",
-    "LastKnownGoodStore",
-    "ProbationMonitor",
-    "ReconfigTransaction",
-    "TxnState",
-]
+__all__ = ["ReconfigTransaction", "TxnState"]
 
 
 def flow_open_circuits(
@@ -165,10 +150,9 @@ class ReconfigTransaction:
     value; only a fold that went through is realised on the live stream,
     so a batch that cannot be applied changes nothing and
     :class:`ReconfigAbortedError` carries the index of the action that
-    refused.  A successful commit bumps the stream epoch and leaves the
-    value it replaced in ``previous`` and the nodes it retired in
-    ``retired`` for a last-known-good adopter.  The transaction is
-    ``stream._txn`` while it commits: one at a time.
+    refused.  A successful commit bumps the stream epoch and finalises
+    the nodes it retired.  The transaction is ``stream._txn`` while it
+    commits: one at a time.
     """
 
     def __init__(
@@ -184,19 +168,10 @@ class ReconfigTransaction:
         self.label = label
         self._terminals = terminal_definitions
         self.state = TxnState.STAGED
-        #: the topology value a committed transaction replaced
-        self.previous: Topology | None = None
-        #: the nodes a committed transaction took out of the topology;
-        #: finalised at commit unless a last-known-good adopter keeps them
-        self.retired: list[_Node] = []
         #: the epoch this transaction committed as, once committed
         self.epoch: int | None = None
         self.error: Exception | None = None
         self.timing: ReconfigTiming | None = None
-
-    @property
-    def actions(self) -> tuple:
-        return tuple(self._actions)
 
     def stage(self, *actions) -> "ReconfigTransaction":
         """Append actions to the batch (invalidates a prior validation)."""
@@ -323,7 +298,6 @@ class ReconfigTransaction:
                 )
             t_commit = time.perf_counter()
             timing = ReconfigTiming(actions=len(self._actions))
-            previous = stream._topology
             stream._txn = self
             try:
                 if validate and self.state is not TxnState.VALIDATED:
@@ -331,7 +305,7 @@ class ReconfigTransaction:
                 else:
                     new = self._fold(self._aborted, timing)
                 try:
-                    self.retired = stream._realise(new, timing)
+                    retired = stream._realise(new, timing)
                 except Exception as exc:
                     # a new streamlet could not be instantiated; _realise
                     # finalised what it had built and changed nothing else
@@ -353,15 +327,10 @@ class ReconfigTransaction:
                 stream._txn = None
             stream.epoch += 1
             self.epoch = stream.epoch
-            self.previous = previous
             self.timing = timing
             self.state = TxnState.COMMITTED
-            adopter = stream.lkg_adopter
-            if adopter is not None:
-                adopter(self)
-            else:
-                for node in self.retired:
-                    stream._finalize_node(node)
+            for node in retired:
+                stream._finalize_node(node)
             if stream.tm is not None:
                 stream.tm.reconfig_outcome("committed")
                 stream.tm.reconfig_latency("commit", time.perf_counter() - t_commit)
@@ -372,239 +341,3 @@ class ReconfigTransaction:
                 )
         return timing
 
-
-# ---------------------------------------------------------------------------
-# Last-known-good store + probation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CommitRecord:
-    """What it takes to go back one epoch: the value it replaced, and its nodes."""
-
-    epoch: int
-    #: the topology value the commit replaced
-    previous: Topology
-    #: node objects the commit took out of the topology, by instance name
-    retired: dict[str, _Node] = field(default_factory=dict)
-    #: operation parameters of every instance as the commit left them
-    params: dict[str, dict] = field(default_factory=dict)
-    committed_at: float = 0.0
-
-
-class LastKnownGoodStore:
-    """Holds the newest commit's way back until probation retires it.
-
-    At most one record is held: adopting a new commit finalises the
-    previous one (its retired nodes are ended and released — the prior
-    epoch is now two transitions old and unreachable).
-
-    The record holds live node objects and cannot be persisted, but its
-    *transitions* can: with a ``ledger``
-    (:class:`repro.store.ledger.Ledger`) every adopt / retire / take is
-    recorded under ``scope``, so after a crash the recovery plane knows
-    which epoch was last known good for the session.
-    """
-
-    def __init__(self, stream: RuntimeStream, *, ledger=None, scope: str | None = None):
-        self._stream = stream
-        self.record: CommitRecord | None = None
-        self._ledger = ledger
-        self._scope = scope if scope is not None else stream.name
-
-    def adopt(self, txn: ReconfigTransaction) -> CommitRecord:
-        """Retain what a freshly committed transaction replaced and retired."""
-        self.finalize()
-        stream = self._stream
-        retired = {node.ctx.instance_id: node for node in txn.retired}
-        self.record = CommitRecord(
-            epoch=txn.epoch,
-            previous=txn.previous,
-            retired=retired,
-            params={
-                name: dict(node.ctx.params)
-                for name, node in (stream._nodes | retired).items()
-            },
-            committed_at=stream._clock.now(),
-        )
-        if self._ledger is not None:
-            self._ledger.lkg(self._scope, "adopted", epoch=txn.epoch)
-        return self.record
-
-    def finalize(self) -> None:
-        """Retire the held record: finalise the nodes it kept, drop it."""
-        record, self.record = self.record, None
-        if record is None:
-            return
-        for node in record.retired.values():
-            self._stream._finalize_node(node)
-        if self._ledger is not None:
-            self._ledger.lkg(self._scope, "retired", epoch=record.epoch)
-
-    def take(self) -> CommitRecord | None:
-        """Remove and return the record *without* finalising (rollback path)."""
-        record, self.record = self.record, None
-        if record is not None and self._ledger is not None:
-            self._ledger.lkg(self._scope, "taken", epoch=record.epoch)
-        return record
-
-
-class ProbationMonitor:
-    """Rolls back a freshly committed epoch that faults during warmup.
-
-    Armed on a stream (optionally hooked into a
-    :class:`repro.faults.Supervisor`), the monitor adopts the value every
-    commit replaced as the last-known-good record.  If ``fault_threshold``
-    streamlet faults land inside the ``window`` (in stream-clock seconds)
-    after the commit, :meth:`rollback_to_lkg` realises that value again,
-    bumps the epoch (a rollback is a transition too), and escalates
-    ``RECONFIG_ROLLED_BACK``.  A quiet window retires the
-    record and the new epoch graduates.
-    """
-
-    def __init__(
-        self,
-        stream: RuntimeStream,
-        *,
-        window: float = 5.0,
-        fault_threshold: int = 3,
-        events=None,
-        ledger=None,
-        scope: str | None = None,
-    ):
-        if window <= 0:
-            raise ReconfigurationError(f"probation window must be > 0, got {window}")
-        if fault_threshold < 1:
-            raise ReconfigurationError(
-                f"fault threshold must be >= 1, got {fault_threshold}"
-            )
-        self._stream = stream
-        self.window = window
-        self.fault_threshold = fault_threshold
-        self._events = events
-        self.store = LastKnownGoodStore(stream, ledger=ledger, scope=scope)
-        self._faults = 0
-        self._armed = False
-        self._supervisor = None
-        self._prev_failure_hook = None
-        self.rollbacks = 0
-
-    # -- arming -----------------------------------------------------------------
-
-    def arm(self, *, supervisor=None) -> "ProbationMonitor":
-        """Start adopting commits; watch faults via ``supervisor`` or the
-        stream's ``failure_hook`` (chained, not replaced)."""
-        if self._armed:
-            raise ReconfigurationError("probation monitor already armed")
-        stream = self._stream
-        if stream.lkg_adopter is not None:
-            raise ReconfigurationError(
-                f"stream {stream.name} already has a last-known-good adopter"
-            )
-        stream.lkg_adopter = self._adopt
-        if supervisor is not None:
-            self._supervisor = supervisor
-            supervisor.probation = self
-        else:
-            previous = stream.failure_hook
-            self._prev_failure_hook = previous
-
-            def chained(instance_id, exc):
-                if previous is not None:
-                    previous(instance_id, exc)
-                self.note_fault(instance_id)
-
-            stream.failure_hook = chained
-        self._armed = True
-        return self
-
-    def disarm(self) -> None:
-        """Stop watching; the held record (if any) is retired as good."""
-        if not self._armed:
-            return
-        stream = self._stream
-        stream.lkg_adopter = None
-        if self._supervisor is not None:
-            self._supervisor.probation = None
-            self._supervisor = None
-        else:
-            stream.failure_hook = self._prev_failure_hook
-            self._prev_failure_hook = None
-        self.store.finalize()
-        self._faults = 0
-        self._armed = False
-
-    @property
-    def on_probation(self) -> bool:
-        return self.store.record is not None
-
-    # -- the probation clock ------------------------------------------------------
-
-    def _adopt(self, txn: ReconfigTransaction) -> None:
-        self.store.adopt(txn)
-        self._faults = 0
-
-    def tick(self, now: float | None = None) -> None:
-        """Advance the probation clock; a survived window retires the record."""
-        record = self.store.record
-        if record is None:
-            return
-        if now is None:
-            now = self._stream._clock.now()
-        if now - record.committed_at >= self.window:
-            self.store.finalize()
-            self._faults = 0
-
-    def note_fault(self, instance: str | None = None) -> None:
-        """Count one streamlet fault against the epoch on probation."""
-        self.tick()
-        if self.store.record is None:
-            return
-        self._faults += 1
-        if self._faults >= self.fault_threshold:
-            self.rollback_to_lkg()
-
-    # -- the rollback ------------------------------------------------------------
-
-    def rollback_to_lkg(self) -> None:
-        """Realise the last-known-good value again, conserving in-flight ids."""
-        stream = self._stream
-        record = self.store.take()
-        if record is None:
-            raise ReconfigurationError(
-                f"stream {stream.name} has no last-known-good record"
-            )
-        with stream._write_access():
-            # the same realise step a commit uses, pointed at the old value:
-            # a channel that lived through the epoch is not touched (its ids
-            # keep their queue position); ids on a channel the old value does
-            # not have are dropped with accounting.  Every node the record
-            # kept is live again; what this transition retires is finalised
-            for node in stream._realise(
-                record.previous, ReconfigTiming(), revive=record.retired
-            ):
-                stream._finalize_node(node)
-            for name, params in record.params.items():
-                node = stream._nodes.get(name)
-                if node is not None:
-                    node.ctx.params.clear()
-                    node.ctx.params.update(params)
-            stream.epoch += 1  # the rollback is itself an epoch transition
-            self._faults = 0
-        self.rollbacks += 1
-        if stream.tm is not None:
-            stream.tm.reconfig_outcome("rolled_back")
-            stream.tm.epoch(stream.epoch)
-            stream.tm.recorder.record(
-                "probation_rollback", stream=stream.name, epoch=stream.epoch
-            )
-        if self._events is not None:
-            self._events.raise_event("RECONFIG_ROLLED_BACK", source=stream.name)
-        elif stream.escalation_hook is not None:
-            stream.escalation_hook(
-                "RECONFIG_ROLLED_BACK",
-                ReconfigurationError(
-                    f"epoch {record.epoch} flunked probation; "
-                    f"rolled back to last known good"
-                ),
-            )

@@ -14,8 +14,8 @@ RuntimeStream owns:
   :func:`~repro.runtime.topology.apply` step on a capture of the value,
   then :meth:`RuntimeStream._realise`: the one routine that touches
   streamlets, channels and queues, used alike by the initial deployment
-  (from the empty topology), by a primitive, by a committed transaction
-  and by a probation rollback,
+  (from the empty topology), by a primitive and by a committed
+  transaction,
 * the Equation 7-1 reconfiguration timing:
   ``T = Σ suspend + n·channel-ops + Σ activate``.
 
@@ -353,9 +353,8 @@ class RuntimeStream:
         #: GIL (see docs/performance.md for the memory-ordering argument)
         self._snapshot: TopologySnapshot | None = None
         self._snapshot_version = 0
-        #: collapse synchronous chains into fused nodes at snapshot build
-        #: time (the repro.mcl.optimize execution model); off = one node
-        #: per instance, the pre-optimizer behaviour
+        #: collapse the chains semantics.fusion.fusable_chains finds into
+        #: fused nodes at snapshot build time; off = one node per instance
         self._fuse = fuse
         #: the chains the last snapshot fused, for change detection
         self._fusion_sig: tuple[tuple[str, ...], ...] = ()
@@ -374,8 +373,7 @@ class RuntimeStream:
         self.egress: list[tuple[ast.PortRef, Channel]] = []
         self.last_reconfig: ReconfigTiming | None = None
         #: the composition version: 0 until the first committed transaction,
-        #: bumped by every commit *and* every probation rollback (a rollback
-        #: is itself a transition).  Rides in-band on ``Content-Session`` so
+        #: bumped by every commit.  Rides in-band on ``Content-Session`` so
         #: the MobiGATE client swaps peers at the right message boundary.
         self.epoch = 0
         #: the ReconfigTransaction currently committing, if any: the
@@ -386,11 +384,6 @@ class RuntimeStream:
         #: Manager wires this to the Event Manager so the failure surfaces
         #: as a RECONFIG_* context event instead of unwinding the monitor
         self.escalation_hook = None
-        #: called as (txn) after a successful commit; a ProbationMonitor
-        #: sets this to adopt the previous topology value and the nodes the
-        #: commit retired as the last-known-good record.  When unset, the
-        #: retired nodes are finalised at commit time.
-        self.lkg_adopter = None
         #: called as (instance_id, exception) when a streamlet's process()
         #: raises; the Coordination Manager wires this to the Event Manager
         #: ("events may be caused ... by exceptions in streamlet executions")
@@ -447,17 +440,13 @@ class RuntimeStream:
             node.streamlet.on_end(node.ctx)
         self._manager.release(node.streamlet)
 
-    def _realise(
-        self, new: Topology, timing: ReconfigTiming, revive: dict[str, _Node] | None = None
-    ) -> list[_Node]:
+    def _realise(self, new: Topology, timing: ReconfigTiming) -> list[_Node]:
         """Make the live objects realise ``new``; returns the nodes it retired.
 
         The only code that touches streamlets, channels and queues for a
         change of wiring.  Caller holds a write section (the constructor
-        excepted: nothing reads yet) and owns the retired nodes — finalise
-        them, or keep them for a rollback.  ``revive`` offers retired node
-        objects by name (a probation rollback) to use instead of new
-        instances.  Instances are created first and that is the one step
+        excepted: nothing reads yet) and finalises the retired nodes.
+        Instances are created first and that is the one step
         that can fail (``acquire``/``on_start``): whatever it built is
         finalised and the error propagates with nothing else changed.
         After it, in order: quiesce; create channels and bind every
@@ -465,20 +454,17 @@ class RuntimeStream:
         now live (an original referenced nowhere is dropped *with
         accounting*, as is a re-post a full queue refuses); close retired
         channels; rebuild every node's port maps and the ingress/egress
-        maps from the channel table; reactivate.  The Equation 7-1 terms are added to ``timing``.
+        maps from the channel table; reactivate.  The Equation 7-1 terms
+        are added to ``timing``.
         """
         clock = self._clock
-        revive = revive if revive is not None else {}
-        swapped = new.fresh | revive.keys()  # live names that get another object
         t0 = clock.now()
         arrivals: dict[str, _Node] = {}
         built: list[_Node] = []
         try:
             for name, definition in new.instances.items():
-                if name in swapped or name not in self._nodes:
-                    arrivals[name] = (
-                        revive.get(name) or self._instantiate(name, definition, built)
-                    )
+                if name in new.fresh or name not in self._nodes:
+                    arrivals[name] = self._instantiate(name, definition, built)
         except Exception:
             for node in built:
                 self._finalize_node(node)
@@ -1022,8 +1008,6 @@ class RuntimeStream:
         """One primitive: fold ``action`` over a capture, then realise the result.
 
         The fold decides; a refusal raises with the live stream untouched.
-        Nodes the step retires are finalised at once (a bare primitive has
-        no rollback to keep them for).
         """
         with self._write_access():
             timing = ReconfigTiming(actions=1)

@@ -38,10 +38,6 @@ class StreamletManager:
     def directory(self) -> StreamletDirectory:
         return self._directory
 
-    @property
-    def pooling_enabled(self) -> bool:
-        return self._pooling
-
     def _pool_for(self, definition: ast.StreamletDef) -> InstancePool:
         pool = self._pools.get(definition.name)
         if pool is None:

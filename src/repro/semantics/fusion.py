@@ -1,7 +1,7 @@
 """Fusion legality — which streamlet chains may collapse into one node.
 
 The chapter-5 analyses prove global properties of a composition; this
-module answers the *optimizer's* question: along which edges is it safe
+module answers the *runtime's* question: along which edges is it safe
 to skip the channel entirely and run producer and consumer in the same
 dispatch?  An edge ``a → b`` is **fusable** when every condition below
 holds:
@@ -20,11 +20,11 @@ holds:
 * following fusable edges never returns to the start — a feedback loop
   (§5.2.1) through a fused region would deadlock the single dispatch.
 
-Maximal runs of fusable edges form the **chains** the optimizer fuses.
-Both the post-compile planner (:mod:`repro.mcl.optimize`) and the live
-runtime (:meth:`repro.runtime.stream.RuntimeStream.fusion_groups`) call
-:func:`fusable_chains`, so compile-time plans and runtime behaviour can
-never disagree about legality.
+Maximal runs of fusable edges form the **chains** the runtime fuses:
+every snapshot build calls :func:`fusable_chains` on the table the
+stream's topology value renders to
+(:meth:`repro.runtime.stream.RuntimeStream.fusion_groups` reports the
+result), and nothing else plans fusion.
 """
 
 from __future__ import annotations
@@ -132,10 +132,9 @@ def chain_edges(
 def fusable_chains(table: ConfigurationTable) -> list[tuple[str, ...]]:
     """Maximal fusable chains of a compiled configuration table.
 
-    Used by :func:`repro.mcl.optimize.optimize` to plan fusion right
-    after compilation and by the runtime at every snapshot rebuild, on
-    the table its topology value renders to (and by tests as the
-    legality ground truth).
+    Called by the runtime at every snapshot build, on the table its
+    topology value renders to (and by tests as the legality ground
+    truth).
     """
     barred = optional_instances(table.handlers)
     out_degree: dict[str, int] = dict.fromkeys(table.instances, 0)

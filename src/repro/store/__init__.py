@@ -1,8 +1,8 @@
 """repro.store — the durable state plane.
 
 The gateway holds the retention-critical half of every session: queued
-messages, dead letters, retry schedules, last-known-good compositions.
-This package makes that state survive a process kill:
+messages, dead letters, retry schedules, deployed compositions.  This
+package makes that state survive a process kill:
 
 * :mod:`repro.store.base` — the tiny :class:`StateStore` append-only
   contract plus the in-memory reference backend and the

@@ -2,8 +2,8 @@
 
 The :class:`Ledger` is the write side of the durable state plane.  The
 gateway appends small JSON records as sessions live — deployments,
-counter deltas, dead letters, retry schedules, last-known-good
-adoptions — and after a crash :func:`fold` replays them back into
+counter deltas, dead letters, retry schedules — and after a
+crash :func:`fold` replays them back into
 per-session :class:`SessionFold` state the
 :class:`~repro.store.recovery.RecoveryManager` can act on.
 
@@ -37,6 +37,12 @@ from repro.store.base import StateStore
 
 #: the report terms a ``counters`` record carries, under their own names
 _MIRRORED = ("admitted", "delivered", "absorbed", "dead_letters", "dropped")
+
+#: the record kinds :func:`fold` replays; any other is skipped whole
+_FOLDED = frozenset({
+    "deployed", "undeployed", "counters", "dead_letter", "dead_letter_evicted",
+    "requeue", "retry_scheduled", "retry_settled", "recovered",
+})
 
 #: how a reconcile row names the report's terms (the ``recovery`` verb's keys)
 _ROW_NAMES = {"stream": "session", "dead_letters": "dead_lettered", "residual": "resident"}
@@ -96,9 +102,6 @@ class SessionFold:
     composition: tuple[str, str] | None = None
     #: True once an operator deliberately ran the ``undeploy`` verb
     undeployed: bool = False
-    #: last adopted last-known-good epoch / MCL (None once retired)
-    lkg_epoch: int | None = None
-    lkg_mcl: str | None = None
     #: ``counters`` deltas summed, ``recovered`` in-flight tallies frozen
     #: in (``residual`` stays 0: residency is live state)
     totals: ConservationReport = field(default_factory=ConservationReport)
@@ -175,8 +178,9 @@ class CrossCrashReport:
 def fold(records) -> LedgerFold:
     """Fold an iterable of ledger records into per-session state.
 
-    Unknown event types are ignored (forward compatibility); malformed
-    records missing their session key are skipped rather than fatal —
+    A record of a kind it does not replay (a newer writer's, or a
+    legacy ``lkg`` record) and a malformed record missing its session
+    key are skipped before any session is touched rather than fatal —
     the ledger is a recovery aid, not a source of new failure modes.
     """
     out = LedgerFold()
@@ -184,7 +188,7 @@ def fold(records) -> LedgerFold:
         out.records += 1
         ev = record.get("ev")
         key = record.get("session")
-        if not isinstance(key, str):
+        if ev not in _FOLDED or not isinstance(key, str):
             continue
         f = out.session(key)
         if ev == "deployed":
@@ -217,15 +221,6 @@ def fold(records) -> LedgerFold:
             )
         elif ev == "retry_settled":
             f.pending_retries.pop(str(record.get("msg_id")), None)
-        elif ev == "lkg":
-            action = record.get("action")
-            if action == "adopted":
-                f.lkg_epoch = int(record.get("epoch", 0))
-                f.lkg_mcl = record.get("mcl")
-            elif action == "retired":
-                f.lkg_epoch = None
-                f.lkg_mcl = None
-            # "taken" (a rollback consumed the LKG) leaves it adopted.
         elif ev == "recovered":
             # A new process generation adopted this session: whatever
             # was in flight at the kill has its fate frozen here, and
@@ -361,16 +356,6 @@ class Ledger:
     def retry_settled(self, session: str, msg_id: str) -> None:
         """Record that a scheduled retry was re-posted (or gave up)."""
         self.store.append({"ev": "retry_settled", "session": session, "msg_id": msg_id})
-
-    # -- last-known-good compositions ------------------------------------------------
-
-    def lkg(self, session: str, action: str, *, epoch: int = 0, mcl: str | None = None) -> None:
-        """Record an LKG transition: ``adopted`` / ``retired`` / ``taken``."""
-        record: dict = {"ev": "lkg", "session": session, "action": action, "epoch": epoch}
-        if mcl is not None:
-            record["mcl"] = mcl
-        self.store.append(record)
-        self.store.flush()
 
     # -- plumbing -------------------------------------------------------------------
 

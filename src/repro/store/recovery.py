@@ -51,8 +51,6 @@ class SessionRecovery:
     reinjected: int = 0
     #: pending retries that could not be re-admitted (shed, with accounting)
     reinject_failures: int = 0
-    #: last adopted last-known-good epoch, for operator context
-    lkg_epoch: int | None = None
 
 
 @dataclass
@@ -123,7 +121,6 @@ class RecoveryManager:
             session=sf.session,
             restored=False,
             in_flight=sf.totals.in_flight,
-            lkg_epoch=sf.lkg_epoch,
         )
         if sf.session in gateway.sessions:
             out.reason = "already deployed"

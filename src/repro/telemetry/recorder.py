@@ -177,7 +177,3 @@ class FlightRecorder:
             return ""
         self.dumps[label] = str(path)
         return str(path)
-
-    def clear(self) -> None:
-        """Drop every retained event (seq numbering continues)."""
-        self._events.clear()

@@ -126,10 +126,6 @@ class Tracer:
             seen.setdefault(span.trace_id, None)
         return list(seen)
 
-    def clear(self) -> None:
-        """Drop every retained span (the counters survive)."""
-        self._spans.clear()
-
     # -- rendering --------------------------------------------------------------
 
     def format_trace(self, trace_id: str) -> str:

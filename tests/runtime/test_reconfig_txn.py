@@ -1,12 +1,11 @@
-"""Transactional reconfiguration: validate, commit, roll back, probation.
+"""Transactional reconfiguration: validate, commit, roll back.
 
 The contract under test (repro.runtime.reconfig): a staged action batch
 is dry-run against a shadow topology and semantically re-checked before
 the live stream is touched; a commit is all-or-nothing under quiescence;
 a mid-apply failure restores topology, wiring, params, and queue
 contents exactly and leaves the conservation ledger balanced; every
-successful commit bumps the stream epoch; a probation monitor rolls a
-faulting fresh epoch back to the last known good composition.
+successful commit bumps the stream epoch.
 """
 
 import time as _time
@@ -19,16 +18,11 @@ from repro.errors import (
     ReconfigurationError,
     ReconfigValidationError,
 )
-from repro.faults import (
-    FaultInjector,
-    FaultPlan,
-    RecoveryPolicy,
-    Supervisor,
-)
+from repro.faults import FaultInjector, FaultPlan
 from repro.faults.invariant import check_conservation
 from repro.mcl import astnodes as ast
 from repro.mime.message import MimeMessage
-from repro.runtime.reconfig import ProbationMonitor, ReconfigTransaction, TxnState
+from repro.runtime.reconfig import ReconfigTransaction, TxnState
 from repro.runtime.scheduler import InlineScheduler, ThreadedScheduler
 from repro.util.clock import VirtualClock
 
@@ -285,87 +279,3 @@ class TestRollback:
         assert fingerprint(stream) == before
         assert "isink" in stream._nodes  # the removal was undone
 
-
-class TestProbation:
-    def deploy_with_monitor(self, **kwargs):
-        clock = VirtualClock()
-        server, stream = deploy(clock)
-        monitor = ProbationMonitor(stream, **kwargs).arm()
-        return clock, server, stream, monitor
-
-    def test_faulting_fresh_epoch_rolls_back_to_lkg(self):
-        _clock, _server, stream, monitor = self.deploy_with_monitor(
-            window=100.0, fault_threshold=2
-        )
-        good = fingerprint(stream)
-        ReconfigTransaction(stream, [
-            ast.Insert(ast.PortRef("a", "po"), ast.PortRef("b", "pi"), "tc"),
-        ]).execute()
-        assert monitor.on_probation and stream.epoch == 1
-        monitor.note_fault("tc")
-        monitor.note_fault("tc")
-        assert monitor.rollbacks == 1
-        assert fingerprint(stream) == good
-        assert stream.epoch == 2  # the rollback is itself a transition
-        assert not monitor.on_probation
-
-    def test_quiet_window_graduates_the_epoch(self):
-        clock, _server, stream, monitor = self.deploy_with_monitor(
-            window=5.0, fault_threshold=1
-        )
-        ReconfigTransaction(stream, [
-            ast.Insert(ast.PortRef("a", "po"), ast.PortRef("b", "pi"), "tc"),
-        ]).execute()
-        assert monitor.on_probation
-        clock.advance(6.0)
-        monitor.tick()
-        assert not monitor.on_probation
-        monitor.note_fault("tc")  # graduated: faults no longer roll back
-        assert monitor.rollbacks == 0
-        assert "tc" in stream.processing_order()
-
-    def test_supervised_faults_trigger_rollback_and_conserve(self):
-        clock = VirtualClock()
-        server, stream = deploy(clock)
-        scheduler = InlineScheduler(stream)
-        supervisor = Supervisor(
-            stream, RecoveryPolicy(max_retries=0), seed=3
-        )
-        supervisor.attach()
-        monitor = ProbationMonitor(
-            stream, window=100.0, fault_threshold=3
-        ).arm(supervisor=supervisor)
-        good = fingerprint(stream)
-        ReconfigTransaction(stream, [
-            ast.Insert(ast.PortRef("a", "po"), ast.PortRef("b", "pi"), "tc"),
-        ]).execute()
-        plan = FaultPlan(seed=1)
-        plan.fail_streamlet("tc", mode="always")
-        injector = FaultInjector(plan, clock=clock)
-        injector.arm(stream)
-        for i in range(3):
-            stream.post(MimeMessage("text/plain", f"m{i}".encode()))
-            scheduler.pump()
-        assert monitor.rollbacks == 1
-        assert fingerprint(stream) == good
-        # the faulted messages were dead-lettered, later ones flow again
-        injector.disarm()
-        stream.post(MimeMessage("text/plain", b"after"))
-        scheduler.pump()
-        supervisor.settle(scheduler)
-        delivered = stream.collect()
-        assert [m.body for m in delivered] == [b"after"]
-        report = check_conservation(stream)
-        assert report.balanced and report.dead_letters == 3
-
-    def test_rollback_without_record_rejected(self):
-        _clock, _server, stream, monitor = self.deploy_with_monitor()
-        with pytest.raises(ReconfigurationError, match="last-known-good"):
-            monitor.rollback_to_lkg()
-
-    def test_double_arm_rejected(self):
-        _clock, _server, stream, monitor = self.deploy_with_monitor()
-        with pytest.raises(ReconfigurationError, match="already"):
-            ProbationMonitor(stream).arm()
-        monitor.disarm()
-        ProbationMonitor(stream).arm()  # free again after disarm

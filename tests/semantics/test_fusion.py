@@ -1,4 +1,4 @@
-"""Fusion legality: which edges the optimizer may collapse, and which not."""
+"""Fusion legality: which edges fusable_chains lets a snapshot collapse, and which not."""
 
 from repro.mcl import astnodes as ast
 from repro.mcl.compiler import compile_script

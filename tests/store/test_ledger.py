@@ -3,6 +3,8 @@
 from dataclasses import replace
 from types import SimpleNamespace
 
+import pytest
+
 from repro.store import Ledger, MemoryStore, RecoveryManager, fold
 
 
@@ -135,16 +137,6 @@ class TestLifecycleFold:
         [f] = ledger.fold().recoverable()
         assert f.composition == ("v2", "threaded")
 
-    def test_lkg_adopt_retire_take(self):
-        ledger = make_ledger()
-        ledger.lkg("s", "adopted", epoch=3, mcl="main stream s{}")
-        f = ledger.fold().session("s")
-        assert (f.lkg_epoch, f.lkg_mcl) == (3, "main stream s{}")
-        ledger.lkg("s", "taken", epoch=3)  # rollback consumed it: stays adopted
-        assert ledger.fold().session("s").lkg_epoch == 3
-        ledger.lkg("s", "retired", epoch=3)
-        assert ledger.fold().session("s").lkg_epoch is None
-
 
 class TestRobustness:
     def test_unknown_events_and_bad_records_are_skipped(self):
@@ -156,3 +148,23 @@ class TestRobustness:
         ])
         assert out.records == 4
         assert out.session("s").totals.admitted == 1
+
+    @pytest.mark.parametrize("stray", [
+        {"ev": "bogus", "admitted": 4},
+        {"ev": "lkg", "action": "adopted", "epoch": 3, "mcl": "main stream s{}"},
+    ], ids=["bogus", "legacy_lkg"])
+    def test_unreplayed_kinds_touch_no_session(self, stray):
+        log = [
+            {"ev": "deployed", "session": "s", "mcl": "m", "scheduler": "inline"},
+            {"ev": "counters", "session": "s", "admitted": 3, "delivered": 2},
+            {"ev": "deployed", "session": "t", "mcl": "m", "scheduler": "inline"},
+            {"ev": "undeployed", "session": "t"},
+        ]
+        strays = [dict(stray, session=key) for key in ("s", "t", "ghost")]
+        plain, mixed = fold(log), fold(log[:2] + strays + log[2:])
+        assert "ghost" not in mixed.sessions
+        assert mixed.sessions == plain.sessions
+        assert {k: f.totals for k, f in mixed.sessions.items()} == {
+            k: f.totals for k, f in plain.sessions.items()
+        }
+        assert mixed.recoverable() == plain.recoverable()
