@@ -26,48 +26,49 @@ Quick start::
 See README.md, DESIGN.md, and docs/ for the full tour.
 """
 
-from repro.apps import (
-    DISTILLATION_MCL,
-    WEB_ACCELERATION_MCL,
-    build_server,
-)
-from repro.client.client import MobiGateClient
-from repro.errors import MobiGateError
-from repro.events import ContextEvent, EventCatalog, EventCategory
-from repro.mcl import compile_script, parse_script
-from repro.mime import MediaType, MimeMessage, parse_message, serialize_message
-from repro.runtime import (
-    InlineScheduler,
-    MobiGateServer,
-    RuntimeStream,
-    Streamlet,
-    ThreadedScheduler,
-)
-from repro.semantics import analyze, verify
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "build_server",
-    "DISTILLATION_MCL",
-    "WEB_ACCELERATION_MCL",
-    "MobiGateServer",
-    "MobiGateClient",
-    "RuntimeStream",
-    "Streamlet",
-    "InlineScheduler",
-    "ThreadedScheduler",
-    "MimeMessage",
-    "MediaType",
-    "serialize_message",
-    "parse_message",
-    "compile_script",
-    "parse_script",
-    "analyze",
-    "verify",
-    "ContextEvent",
-    "EventCatalog",
-    "EventCategory",
-    "MobiGateError",
-]
+#: where each public name lives; :func:`__getattr__` imports the module the
+#: first time the name is read, so ``import repro.gateway`` (which runs this
+#: file first) loads the gateway's own closure and not the whole library
+_EXPORTS = {
+    "build_server": "repro.apps",
+    "DISTILLATION_MCL": "repro.apps",
+    "WEB_ACCELERATION_MCL": "repro.apps",
+    "MobiGateServer": "repro.runtime",
+    "MobiGateClient": "repro.client.client",
+    "RuntimeStream": "repro.runtime",
+    "Streamlet": "repro.runtime",
+    "InlineScheduler": "repro.runtime",
+    "ThreadedScheduler": "repro.runtime",
+    "MimeMessage": "repro.mime",
+    "MediaType": "repro.mime",
+    "serialize_message": "repro.mime",
+    "parse_message": "repro.mime",
+    "compile_script": "repro.mcl",
+    "parse_script": "repro.mcl",
+    "analyze": "repro.semantics",
+    "verify": "repro.semantics",
+    "ContextEvent": "repro.events",
+    "EventCatalog": "repro.events",
+    "EventCategory": "repro.events",
+    "MobiGateError": "repro.errors",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str) -> object:
+    """Resolve a public name on first access (PEP 562) and cache it."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

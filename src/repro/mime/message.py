@@ -4,7 +4,8 @@ A :class:`MimeMessage` is a header map plus a payload.  Payloads may be
 
 * ``bytes`` (the common case: compressed text, encoded images),
 * ``str`` (convenience; measured as UTF-8),
-* ``numpy.ndarray`` (decoded raster images mid-pipeline),
+* ``numpy.ndarray`` (decoded raster images mid-pipeline; recognised
+  without importing numpy, since no array exists before numpy is loaded),
 * any object implementing the :class:`Payload` protocol
   (``size_bytes()`` + ``clone()``) — e.g. the PostScript-like document
   model, or
@@ -18,9 +19,8 @@ calls it on the hot path).
 
 from __future__ import annotations
 
+import sys
 from typing import Protocol, runtime_checkable
-
-import numpy as np
 
 from repro.errors import MimeError
 from repro.mime.headers import (
@@ -53,7 +53,8 @@ def payload_size(body: object) -> int:
         return len(body)
     if isinstance(body, str):
         return len(body.encode("utf-8"))
-    if isinstance(body, np.ndarray):
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(body, np.ndarray):
         return int(body.nbytes)
     if isinstance(body, list):
         return sum(part.total_size() for part in body)
@@ -70,7 +71,8 @@ def clone_payload(body: object) -> object:
         return bytearray(body)
     if isinstance(body, memoryview):
         return bytes(body)
-    if isinstance(body, np.ndarray):
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(body, np.ndarray):
         return body.copy()
     if isinstance(body, list):
         return [part.clone() for part in body]

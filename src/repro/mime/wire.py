@@ -12,7 +12,8 @@ MIME-shaped and binary-safe:
 * structured payloads are encoded through a payload-codec registry keyed
   by the ``X-MobiGATE-Payload`` header: ``raster`` (numpy image planes
   with a shape prefix) and ``psdoc`` (the document's textual wire form).
-  Plain ``bytes``/``str`` payloads need no marker.
+  Plain ``bytes``/``str`` payloads need no marker.  The codec behind a
+  kind is imported by the first frame of that kind, never before.
 
 ``parse_message(serialize_message(m))`` reproduces the message up to
 payload identity (structured payloads compare equal, not identical).
@@ -36,15 +37,17 @@ from __future__ import annotations
 
 import re
 import struct
+import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.codecs.imagefmt import ImageRaster
-from repro.codecs.psdoc import PsDocument
 from repro.errors import FrameError, MimeError
 from repro.mime.headers import CONTENT_LENGTH, HeaderMap
 from repro.mime.message import MimeMessage
 from repro.util.ids import IdGenerator
+
+if TYPE_CHECKING:
+    from repro.codecs.imagefmt import ImageRaster
+    from repro.codecs.psdoc import PsDocument
 
 PAYLOAD_KIND = "X-MobiGATE-Payload"
 _BOUNDARY_IDS = IdGenerator("mgbd")
@@ -95,6 +98,10 @@ def _encode_raster(raster: ImageRaster) -> bytes:
 
 
 def _decode_raster(data: bytes) -> ImageRaster:
+    import numpy as np
+
+    from repro.codecs.imagefmt import ImageRaster
+
     if len(data) < 4:
         raise MimeError("truncated raster payload")
     width, height = struct.unpack_from("<HH", data, 0)
@@ -113,12 +120,29 @@ def _encode_psdoc(document: PsDocument) -> bytes:
 
 
 def _decode_psdoc(data: bytes) -> PsDocument:
+    from repro.codecs.psdoc import PsDocument
+
     return PsDocument.parse(data.decode("utf-8"))
 
 
-_CODECS = {
-    "raster": (_encode_raster, _decode_raster),
-    "psdoc": (_encode_psdoc, _decode_psdoc),
+def _encode_structured(body: object) -> tuple[bytes, str]:
+    """A raster or psdoc payload as ``(payload, kind)``.
+
+    Neither class can be instantiated before its module is imported, so
+    only the codec modules already in :data:`sys.modules` are consulted.
+    """
+    imagefmt = sys.modules.get("repro.codecs.imagefmt")
+    if imagefmt is not None and isinstance(body, imagefmt.ImageRaster):
+        return _encode_raster(body), "raster"
+    psdoc = sys.modules.get("repro.codecs.psdoc")
+    if psdoc is not None and isinstance(body, psdoc.PsDocument):
+        return _encode_psdoc(body), "psdoc"
+    raise MimeError(f"cannot serialise payload of type {type(body).__name__}")
+
+
+_DECODERS = {
+    "raster": _decode_raster,
+    "psdoc": _decode_psdoc,
 }
 
 
@@ -155,16 +179,12 @@ def serialize_parts(message: MimeMessage) -> tuple[bytes, bytes]:
             chunks.append(encoded)
         chunks.append(closing)
         payload = b"".join(chunks)
-    elif isinstance(body, ImageRaster):
-        payload, kind = _encode_raster(body), "raster"
-    elif isinstance(body, PsDocument):
-        payload, kind = _encode_psdoc(body), "psdoc"
     elif isinstance(body, str):
         payload, kind = body.encode("utf-8"), "text"
     elif body is None:
         payload = b""
     else:
-        raise MimeError(f"cannot serialise payload of type {type(body).__name__}")
+        payload, kind = _encode_structured(body)
 
     length = str(len(payload))
     if (
@@ -227,8 +247,8 @@ def _build_message(headers: HeaderMap, payload: bytes) -> MimeMessage:
         elif kind == "text":
             body = payload.decode("utf-8")
             headers.remove(PAYLOAD_KIND)
-        elif kind in _CODECS:
-            body = _CODECS[kind][1](payload)
+        elif kind in _DECODERS:
+            body = _DECODERS[kind](payload)
             headers.remove(PAYLOAD_KIND)
         else:
             raise MimeError(f"unknown payload kind {kind!r}")

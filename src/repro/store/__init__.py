@@ -23,37 +23,44 @@ package makes that state survive a process kill:
 See ``docs/durability.md`` for the schema and the recovery walkthrough.
 """
 
-from repro.store.base import FSYNC_POLICIES, MemoryStore, StateStore, open_store
-from repro.store.crash import CrashCycle, CrashHarness, CrashReport
-from repro.store.ledger import (
-    CrossCrashReport,
-    Ledger,
-    LedgerFold,
-    ParkedRecord,
-    RetryRecord,
-    SessionFold,
-    fold,
-)
-from repro.store.recovery import RecoveryManager, RecoveryReport, SessionRecovery
-from repro.store.wal import FileWALStore
+import importlib
 
-__all__ = [
-    "CrashCycle",
-    "CrashHarness",
-    "CrashReport",
-    "CrossCrashReport",
-    "FSYNC_POLICIES",
-    "FileWALStore",
-    "Ledger",
-    "LedgerFold",
-    "MemoryStore",
-    "ParkedRecord",
-    "RecoveryManager",
-    "RecoveryReport",
-    "RetryRecord",
-    "SessionFold",
-    "SessionRecovery",
-    "StateStore",
-    "fold",
-    "open_store",
-]
+#: where each public name lives; :func:`__getattr__` imports the module the
+#: first time the name is read, so a gateway that opens a store through
+#: :mod:`repro.store.base` never loads the kill -9 harness
+_EXPORTS = {
+    "CrashCycle": "repro.store.crash",
+    "CrashHarness": "repro.store.crash",
+    "CrashReport": "repro.store.crash",
+    "CrossCrashReport": "repro.store.ledger",
+    "FSYNC_POLICIES": "repro.store.base",
+    "FileWALStore": "repro.store.wal",
+    "Ledger": "repro.store.ledger",
+    "LedgerFold": "repro.store.ledger",
+    "MemoryStore": "repro.store.base",
+    "ParkedRecord": "repro.store.ledger",
+    "RecoveryManager": "repro.store.recovery",
+    "RecoveryReport": "repro.store.recovery",
+    "RetryRecord": "repro.store.ledger",
+    "SessionFold": "repro.store.ledger",
+    "SessionRecovery": "repro.store.recovery",
+    "StateStore": "repro.store.base",
+    "fold": "repro.store.ledger",
+    "open_store": "repro.store.base",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    """Resolve a public name on first access (PEP 562) and cache it."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro.store' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -6,11 +6,13 @@ Compression happens in place: the payload becomes the MGTC container and a
 (``text_decompress``) reverses it, keyed by the peer id the runtime pushes
 (section 6.5).  Incompressible payloads are sent as stored-mode containers,
 so the peer's behaviour is uniform.
+
+The codec is imported when a compressor is instantiated (at deploy), not
+with the gateway.
 """
 
 from __future__ import annotations
 
-from repro.codecs.textcodec import TextCodec
 from repro.errors import CodecError
 from repro.mcl import astnodes as ast
 from repro.mime.mediatype import TEXT
@@ -39,6 +41,8 @@ class TextCompress(Streamlet):
 
     def __init__(self, instance_id: str, definition: ast.StreamletDef):
         super().__init__(instance_id, definition)
+        from repro.codecs.textcodec import TextCodec
+
         self._codec = TextCodec()
         self.bytes_in = 0
         self.bytes_out = 0
@@ -71,6 +75,8 @@ class TextCompress(Streamlet):
 
 def decompress_message(message: MimeMessage) -> None:
     """The peer transformation (used by the client's text_decompress)."""
+    from repro.codecs.textcodec import TextCodec
+
     if message.headers.get(CONTENT_ENCODING) != ENCODING_NAME:
         raise CodecError("message is not mobigate-lzh encoded")
     body = message.body

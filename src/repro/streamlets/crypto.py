@@ -4,11 +4,14 @@ Encrypts the payload with the from-scratch stream cipher; a per-message
 nonce travels in ``X-MobiGATE-Nonce``.  The shared key is configuration
 (``ctx.params['key']`` server-side; the client pool is constructed with
 the same key) — key distribution is outside the thesis's scope and ours.
+
+The cipher (and numpy under it) is imported when an encryptor is
+instantiated, i.e. when a composition naming one is deployed, so a
+gateway that serves no encrypted stream never loads it.
 """
 
 from __future__ import annotations
 
-from repro.codecs.cipher import StreamCipher
 from repro.errors import CodecError
 from repro.mcl import astnodes as ast
 from repro.mime.mediatype import ANY
@@ -47,12 +50,18 @@ class Encryptor(Streamlet):
     """Encrypt payloads with the keyed stream cipher; nonces stack per layer."""
     peer_id = PEER_DECRYPTOR
 
+    def __init__(self, instance_id: str, definition: ast.StreamletDef):
+        super().__init__(instance_id, definition)
+        from repro.codecs.cipher import StreamCipher
+
+        self._cipher = StreamCipher
+
     def process(self, port: str, message: MimeMessage, ctx: StreamletContext) -> Emission:
         key = ctx.params.get("key", DEFAULT_KEY)
         if isinstance(key, str):
             key = key.encode("utf-8")
         nonce = _nonces.next().encode("ascii")
-        cipher = StreamCipher(key)
+        cipher = self._cipher(key)
         message.set_body(cipher.encrypt(_as_bytes(message), nonce))
         # nonces *stack*: layered encryption needs one per layer, popped
         # LIFO by the peer decryptors (mirrors the peer-id stack itself)
@@ -68,6 +77,8 @@ def decrypt_message(message: MimeMessage, key: bytes = DEFAULT_KEY) -> None:
     Pops the most recent nonce off the stacked header — one decryption per
     encryption layer.
     """
+    from repro.codecs.cipher import StreamCipher
+
     stacked = message.headers.get(NONCE_HEADER)
     if stacked is None:
         raise CodecError(f"message lacks {NONCE_HEADER}; cannot decrypt")

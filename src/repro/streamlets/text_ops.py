@@ -6,11 +6,13 @@ wire form); the streamlet keeps the ``show`` text runs and drops the
 formatting/graphics operators, retyping to ``text/richtext`` — which the
 compatibility example of section 4.4.1 then feeds into the Text Compressor
 (``text/richtext`` ≤ ``text``).
+
+The document codec is imported when the streamlet is instantiated (at
+deploy), not with the gateway.
 """
 
 from __future__ import annotations
 
-from repro.codecs.psdoc import PsDocument
 from repro.errors import CodecError
 from repro.mcl import astnodes as ast
 from repro.mime.mediatype import APPLICATION_POSTSCRIPT, TEXT_RICHTEXT
@@ -31,14 +33,21 @@ POSTSCRIPT2TEXT_DEF = ast.StreamletDef(
 
 class Postscript2Text(Streamlet):
     """Strip formatting operators; keep the text runs as text/richtext."""
+
+    def __init__(self, instance_id: str, definition: ast.StreamletDef):
+        super().__init__(instance_id, definition)
+        from repro.codecs.psdoc import PsDocument
+
+        self._document = PsDocument
+
     def process(self, port: str, message: MimeMessage, ctx: StreamletContext) -> Emission:
         body = message.body
-        if isinstance(body, PsDocument):
+        if isinstance(body, self._document):
             document = body
         elif isinstance(body, bytes | bytearray):
-            document = PsDocument.parse(bytes(body).decode("utf-8"))
+            document = self._document.parse(bytes(body).decode("utf-8"))
         elif isinstance(body, str):
-            document = PsDocument.parse(body)
+            document = self._document.parse(body)
         else:
             raise CodecError(
                 f"postscript2text received undecodable {message.content_type} payload"

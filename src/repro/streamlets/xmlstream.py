@@ -16,17 +16,25 @@ the client can render children as they land:
 The transformation is exactly invertible for parsed documents — text
 directly under the root travels in the fragment that follows it, so
 child order and content survive.
+
+The SGML codec is imported when a streamer (at deploy) or a reassembly
+(with its client peer) is instantiated, never on the message path.
 """
 
 from __future__ import annotations
 
-from repro.codecs.sgml import Element, parse
+from types import ModuleType
+from typing import TYPE_CHECKING
+
 from repro.errors import CodecError
 from repro.mcl import astnodes as ast
 from repro.mime.mediatype import MediaType
 from repro.mime.message import MimeMessage
 from repro.runtime.streamlet import Emission, Streamlet, StreamletContext
 from repro.util.ids import IdGenerator
+
+if TYPE_CHECKING:
+    from repro.codecs.sgml import Element
 
 APPLICATION_XML = MediaType("application", "xml")
 STREAM_HEADER = "X-MobiGATE-XStream"
@@ -47,14 +55,14 @@ XML_STREAMER_DEF = ast.StreamletDef(
 )
 
 
-def _document_of(message: MimeMessage) -> Element:
+def _document_of(message: MimeMessage, sgml: ModuleType) -> Element:
     body = message.body
-    if isinstance(body, Element):
+    if isinstance(body, sgml.Element):
         return body
     if isinstance(body, bytes | bytearray):
-        return parse(bytes(body).decode("utf-8"))
+        return sgml.parse(bytes(body).decode("utf-8"))
     if isinstance(body, str):
-        return parse(body)
+        return sgml.parse(body)
     raise CodecError(
         f"xml_streamer received undecodable {message.content_type} payload"
     )
@@ -64,8 +72,14 @@ class XmlStreamer(Streamlet):
     """Split XML documents into per-element fragments for progressive delivery."""
     peer_id = PEER_XML_REASSEMBLE
 
+    def __init__(self, instance_id: str, definition: ast.StreamletDef):
+        super().__init__(instance_id, definition)
+        from repro.codecs import sgml
+
+        self._sgml = sgml
+
     def process(self, port: str, message: MimeMessage, ctx: StreamletContext) -> Emission:
-        document = _document_of(message)
+        document = _document_of(message, self._sgml)
         children = document.children
         if len(children) <= 1:
             # nothing to stream; forward whole (no peer work either, but a
@@ -75,7 +89,7 @@ class XmlStreamer(Streamlet):
         total = max(1, len(children))
         emissions: Emission = []
         for index in range(total):
-            envelope = Element(
+            envelope = self._sgml.Element(
                 _ENVELOPE,
                 {"root": document.name, "id": stream_id,
                  "seq": str(index), "total": str(total)},
@@ -99,6 +113,9 @@ class XmlReassembly:
     """Client-side state: collect fragments, rebuild documents."""
 
     def __init__(self):
+        from repro.codecs import sgml
+
+        self._sgml = sgml
         self._partial: dict[str, dict[int, Element]] = {}
 
     def add(self, message: MimeMessage) -> MimeMessage | None:
@@ -106,7 +123,7 @@ class XmlReassembly:
         stream_id = message.headers.get(STREAM_HEADER)
         if stream_id is None:
             raise CodecError("fragment lacks the XStream header")
-        envelope = _document_of(message)
+        envelope = _document_of(message, self._sgml)
         if envelope.name != _ENVELOPE:
             raise CodecError(f"not a fragment envelope: <{envelope.name}>")
         seq = int(envelope.attrs["seq"])
@@ -117,7 +134,7 @@ class XmlReassembly:
             return None
         del self._partial[stream_id]
         first = fragments[0]
-        root = Element(
+        root = self._sgml.Element(
             first.attrs["root"],
             {k[2:]: v for k, v in first.attrs.items() if k.startswith("r.")},
         )

@@ -117,6 +117,48 @@ class TestVerbs:
             assert any(n.startswith("mobigate_gateway_") for n in names)
 
 
+class TestSetParam:
+    """The ``set_param`` verb: the §8.2.1 control interface over the socket."""
+
+    def test_set_param_changes_a_deployed_instance(self):
+        with GatewayServer().run_in_thread() as handle:
+            key = handle.control({"op": "deploy", "mcl": MCL})["session"]
+            stream = handle.gateway.sessions[key].stream
+            assert stream.get_param("r1", "quality") is None
+            reply = handle.control(
+                {"op": "set_param", "session": key, "instance": "r1",
+                 "key": "quality", "value": 30}
+            )
+            assert reply == {"ok": True}
+            assert stream.get_param("r1", "quality") == 30
+            assert stream.get_param("r0", "quality") is None
+
+    def test_bad_targets_fail_cleanly_and_the_connection_stays_usable(self):
+        with GatewayServer().run_in_thread() as handle:
+            key = handle.control({"op": "deploy", "mcl": MCL})["session"]
+            bad = [
+                {"op": "set_param", "session": "ghost", "instance": "r0",
+                 "key": "k", "value": 1},
+                {"op": "set_param", "session": key, "instance": "nobody",
+                 "key": "k", "value": 1},
+                {"op": "set_param", "session": key, "instance": "r0", "value": 1},
+            ]
+            with socket.create_connection(handle.control_address, timeout=10) as sock:
+                lines = sock.makefile("r")
+                replies = []
+                for request in bad + [{"op": "health"}]:
+                    sock.sendall(json.dumps(request).encode() + b"\n")
+                    replies.append(json.loads(lines.readline()))
+                lines.close()
+            for reply in replies[:3]:
+                assert reply["ok"] is False and reply["error"]
+            assert "ghost" in replies[0]["error"]
+            assert "nobody" in replies[1]["error"]
+            assert "key" in replies[2]["error"]
+            assert replies[3]["ok"] and replies[3]["sessions"] == 1
+            assert handle.gateway.sessions[key].stream.get_param("r0", "k") is None
+
+
 class TestErrorPaths:
     def test_unknown_op(self):
         with GatewayServer().run_in_thread() as handle:

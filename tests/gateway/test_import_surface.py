@@ -1,9 +1,12 @@
-"""What ``import repro.gateway`` costs: no shared-memory machinery.
+"""What ``import repro.gateway`` costs: the serving core and nothing else.
 
 The gateway's ``setup_s`` and ``process.import_ms`` pay for every module
-the import pulls in; the sharded engine (EXPERIMENTS.md) dragged
-``multiprocessing.shared_memory`` into every gateway process.  A fresh
-interpreter, so another test's imports cannot hide a regression.
+the import pulls in.  The sharded engine (EXPERIMENTS.md) once dragged
+``multiprocessing.shared_memory`` into every gateway process; an eager
+``repro/__init__.py`` dragged in numpy, every codec, the client runtime
+and the kill -9 harness.  numpy and a codec now load when a composition
+that needs them is deployed.  Each probe runs in a fresh interpreter, so
+another test's imports cannot hide a regression.
 """
 
 import json
@@ -13,6 +16,33 @@ import sys
 from pathlib import Path
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src"
+
+#: bench_e2e's ``small_echo`` composition: two redirectors in series
+SMALL_ECHO_MCL = """main stream small_echo{
+  streamlet r0, r1 = new-streamlet (redirector);
+  connect (r0.po, r1.pi);
+}"""
+
+TEXT_COMPRESS_MCL = """main stream squeeze{
+  streamlet tc = new-streamlet (text_compress);
+  streamlet r = new-streamlet (redirector);
+  connect (tc.po, r.pi);
+}"""
+
+
+def run_probe(source: str) -> object:
+    """Run ``source`` in a fresh interpreter; its last stdout line is JSON."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC_ROOT), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", source],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
 
 PROBE = """
 import json, sys
@@ -27,18 +57,87 @@ print(json.dumps({
 
 
 def test_gateway_import_loads_no_shared_memory_and_two_schedulers():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC_ROOT), env.get("PYTHONPATH")) if p
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", PROBE],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    seen = json.loads(done.stdout)
+    seen = run_probe(PROBE)
     assert seen["loaded"] == []
     assert seen["schedulers"] == ["InlineScheduler", "ThreadedScheduler"]
+
+
+def test_gateway_import_loads_no_numpy_codec_client_or_crash_harness():
+    seen = run_probe("""
+import json, sys
+import repro.gateway.__main__
+print(json.dumps([m for m in ("numpy", "repro.codecs", "repro.client", "repro.store.crash")
+                  if m in sys.modules]))
+""")
+    assert seen == []
+
+
+ECHO_WITHOUT_NUMPY = """
+import json, socket, sys
+sys.modules["numpy"] = None  # every ``import numpy`` now raises ImportError
+from repro.gateway import GatewayServer
+from repro.mime.message import MimeMessage
+from repro.mime.wire import FrameAssembler, serialize_message
+
+with GatewayServer().run_in_thread() as handle:
+    key = handle.control({"op": "deploy", "mcl": MCL})["session"]
+    with socket.create_connection(handle.data_address, timeout=10) as sock:
+        sock.sendall(serialize_message(MimeMessage("text/plain", b"x" * 256, session=key)))
+        assembler, echoed = FrameAssembler(), []
+        while not echoed:
+            chunk = sock.recv(65536)
+            assert chunk, "gateway closed the connection"
+            echoed = assembler.feed(chunk)
+[echo] = echoed
+print(json.dumps({"echo": [echo.session == key, echo.body == b"x" * 256],
+                  "numpy": sys.modules["numpy"] is not None}))
+"""
+
+
+def test_a_gateway_without_numpy_deploys_and_echoes():
+    seen = run_probe(f"MCL = {SMALL_ECHO_MCL!r}\n" + ECHO_WITHOUT_NUMPY)
+    assert seen == {"echo": [True, True], "numpy": False}
+
+
+CODEC_AT_DEPLOY = """
+import json, sys
+from repro.gateway import GatewayServer
+
+codec = "repro.codecs.textcodec"
+with GatewayServer().run_in_thread() as handle:
+    before = codec in sys.modules
+    key = handle.control({"op": "deploy", "mcl": MCL})["session"]
+    after = codec in sys.modules
+    processed = handle.gateway.sessions[key].stream.node("tc").streamlet.processed
+print(json.dumps({"before": before, "after": after, "processed": processed}))
+"""
+
+
+def test_a_codec_deploy_loads_its_codec_before_any_message():
+    seen = run_probe(f"MCL = {TEXT_COMPRESS_MCL!r}\n" + CODEC_AT_DEPLOY)
+    assert seen == {"before": False, "after": True, "processed": 0}
+
+
+def test_public_names_resolve_on_first_access():
+    seen = run_probe("""
+import importlib, json, sys
+import repro, repro.store
+
+eager = [m for m in ("repro.client", "repro.store.crash") if m in sys.modules]
+wrong = []
+for package in (repro, repro.store):
+    for name in package.__all__:
+        value = getattr(package, name)
+        home = getattr(value, "__module__", None)
+        if home is not None and home.startswith("repro."):
+            if getattr(importlib.import_module(home), name, None) is not value:
+                wrong.append(package.__name__ + "." + name)
+star = {}
+exec("from repro import *", star)
+print(json.dumps({"eager": eager, "wrong": wrong,
+                  "star": sorted(set(star) - {"__builtins__"}) == sorted(repro.__all__)}))
+""")
+    assert seen == {"eager": [], "wrong": [], "star": True}
 
 
 def test_unobserved_and_not_durable_have_no_stand_in_classes():
