@@ -17,38 +17,43 @@ the pipeline is exercised by our own code:
   for the postscript-to-text streamlet.
 """
 
-from repro.codecs.rle import rle_encode, rle_decode
-from repro.codecs.huffman import huffman_encode, huffman_decode
-from repro.codecs.lz77 import lzss_compress, lzss_decompress
-from repro.codecs.textcodec import TextCodec
-from repro.codecs.cipher import StreamCipher
-from repro.codecs.imagefmt import (
-    ImageRaster,
-    encode_gif,
-    decode_gif,
-    encode_jpeg,
-    decode_jpeg,
-    downsample,
-    quantize_grays,
-)
-from repro.codecs.psdoc import PsDocument, PsOp
+import importlib
 
-__all__ = [
-    "rle_encode",
-    "rle_decode",
-    "huffman_encode",
-    "huffman_decode",
-    "lzss_compress",
-    "lzss_decompress",
-    "TextCodec",
-    "StreamCipher",
-    "ImageRaster",
-    "encode_gif",
-    "decode_gif",
-    "encode_jpeg",
-    "decode_jpeg",
-    "downsample",
-    "quantize_grays",
-    "PsDocument",
-    "PsOp",
-]
+#: where each public name lives; :func:`__getattr__` imports the module the
+#: first time the name is read, so a deploy that needs the text codec loads
+#: LZSS and Huffman, not numpy and the image formats
+_EXPORTS = {
+    "rle_encode": "repro.codecs.rle",
+    "rle_decode": "repro.codecs.rle",
+    "huffman_encode": "repro.codecs.huffman",
+    "huffman_decode": "repro.codecs.huffman",
+    "lzss_compress": "repro.codecs.lz77",
+    "lzss_decompress": "repro.codecs.lz77",
+    "TextCodec": "repro.codecs.textcodec",
+    "StreamCipher": "repro.codecs.cipher",
+    "ImageRaster": "repro.codecs.imagefmt",
+    "encode_gif": "repro.codecs.imagefmt",
+    "decode_gif": "repro.codecs.imagefmt",
+    "encode_jpeg": "repro.codecs.imagefmt",
+    "decode_jpeg": "repro.codecs.imagefmt",
+    "downsample": "repro.codecs.imagefmt",
+    "quantize_grays": "repro.codecs.imagefmt",
+    "PsDocument": "repro.codecs.psdoc",
+    "PsOp": "repro.codecs.psdoc",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    """Resolve a public name on first access (PEP 562) and cache it."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro.codecs' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

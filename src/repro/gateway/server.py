@@ -45,7 +45,6 @@ from repro.gateway.control_plane import ControlPlane, control_request
 from repro.gateway.data_plane import DataPlane
 from repro.gateway.faults import LinkOutageGate
 from repro.gateway.session import EgressPump, GatewaySession, serve_forever
-from repro.mcl import astnodes as ast
 from repro.runtime.scheduler import InlineScheduler, ThreadedScheduler
 from repro.runtime.server import MobiGateServer
 from repro.store.base import open_store
@@ -65,12 +64,7 @@ def _cooperative_only(table, directory) -> bool:
     reconfigurations.  A factory that is not a class declaring
     ``cooperative`` (a closure, say) counts as one that may block.
     """
-    definitions = list(table.instances.values()) + [
-        table.streamlet_defs[action.definition]  # the compiler checked it exists
-        for actions in table.handlers.values()
-        for action in actions
-        if isinstance(action, ast.NewInstances) and action.kind == "streamlet"
-    ]
+    definitions = list(table.instances.values()) + table.handler_streamlet_defs()
     return all(
         getattr(directory.factory_for(definition), "cooperative", False)
         for definition in definitions

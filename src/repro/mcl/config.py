@@ -77,6 +77,15 @@ class ConfigurationTable:
         """The canonical event names this stream handles."""
         return frozenset(self.handlers)
 
+    def handler_streamlet_defs(self) -> list[ast.StreamletDef]:
+        """Every streamlet definition a ``when`` handler may ``new`` later."""
+        return [
+            self.streamlet_defs[action.definition]  # the compiler checked it exists
+            for actions in self.handlers.values()
+            for action in actions
+            if isinstance(action, ast.NewInstances) and action.kind == "streamlet"
+        ]
+
 
 @dataclass
 class CompiledScript:

@@ -13,7 +13,10 @@ MIME-shaped and binary-safe:
   by the ``X-MobiGATE-Payload`` header: ``raster`` (numpy image planes
   with a shape prefix) and ``psdoc`` (the document's textual wire form).
   Plain ``bytes``/``str`` payloads need no marker.  The codec behind a
-  kind is imported by the first frame of that kind, never before.
+  kind is imported by the first frame of that kind, never before; a
+  structured payload that does not decode, or whose codec cannot be
+  imported (``raster`` needs numpy), is a :class:`~repro.errors.MimeError`
+  like any other malformed frame.
 
 ``parse_message(serialize_message(m))`` reproduces the message up to
 payload identity (structured payloads compare equal, not identical).
@@ -40,7 +43,7 @@ import struct
 import sys
 from typing import TYPE_CHECKING
 
-from repro.errors import FrameError, MimeError
+from repro.errors import CodecError, FrameError, MimeError
 from repro.mime.headers import CONTENT_LENGTH, HeaderMap
 from repro.mime.message import MimeMessage
 from repro.util.ids import IdGenerator
@@ -98,9 +101,12 @@ def _encode_raster(raster: ImageRaster) -> bytes:
 
 
 def _decode_raster(data: bytes) -> ImageRaster:
-    import numpy as np
+    try:
+        import numpy as np
 
-    from repro.codecs.imagefmt import ImageRaster
+        from repro.codecs.imagefmt import ImageRaster
+    except ImportError as exc:  # a frame, not the connection, is at fault
+        raise MimeError(f"raster payloads need numpy: {exc}") from None
 
     if len(data) < 4:
         raise MimeError("truncated raster payload")
@@ -122,7 +128,10 @@ def _encode_psdoc(document: PsDocument) -> bytes:
 def _decode_psdoc(data: bytes) -> PsDocument:
     from repro.codecs.psdoc import PsDocument
 
-    return PsDocument.parse(data.decode("utf-8"))
+    try:
+        return PsDocument.parse(data.decode("utf-8"))
+    except (UnicodeDecodeError, CodecError) as exc:
+        raise MimeError(f"bad psdoc payload: {exc}") from None
 
 
 def _encode_structured(body: object) -> tuple[bytes, str]:
@@ -245,7 +254,10 @@ def _build_message(headers: HeaderMap, payload: bytes) -> MimeMessage:
         if kind is None:
             body = payload
         elif kind == "text":
-            body = payload.decode("utf-8")
+            try:
+                body = payload.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MimeError(f"text payload is not UTF-8: {exc}") from None
             headers.remove(PAYLOAD_KIND)
         elif kind in _DECODERS:
             body = _DECODERS[kind](payload)

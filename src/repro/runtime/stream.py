@@ -401,6 +401,10 @@ class RuntimeStream:
         # deployment is the first transition: the table's value, realised
         # from the empty topology
         self._realise(Topology.from_table(table, self._registry), ReconfigTiming())
+        # what only a ``when`` handler instantiates loads its code now, so a
+        # reconfiguration never imports a codec inside its write section
+        for definition in table.handler_streamlet_defs():
+            self._manager.load(definition)
 
     # -- value → live objects --------------------------------------------------------
 

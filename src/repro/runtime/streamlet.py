@@ -88,6 +88,19 @@ class Streamlet:
         self.processed = 0
         self._bound_stream: str | None = None
 
+    @staticmethod
+    def load() -> object:
+        """Import and return what the implementation needs beyond its own
+        module (a codec, and numpy under it); nothing by default.
+
+        An implementation that has such code calls ``load`` when it is
+        constructed.  The Streamlet Manager calls it at deploy for every
+        definition only a ``when`` handler instantiates, so that code is
+        in memory before a reconfiguration needs it, not imported inside
+        the handler's write section.
+        """
+        return None
+
     # -- computation (override) ---------------------------------------------------
 
     def process(self, port: str, message: MimeMessage, ctx: StreamletContext) -> Emission:

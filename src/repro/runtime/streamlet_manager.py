@@ -68,6 +68,14 @@ class StreamletManager:
         factory = self._directory.factory_for(definition)
         return factory(instance_id, definition)
 
+    def load(self, definition: ast.StreamletDef) -> None:
+        """Bring ``definition``'s code into the process without creating an
+        instance (:meth:`Streamlet.load`); a factory that is not a
+        streamlet class has nothing to load ahead of its call."""
+        factory = self._directory.factory_for(definition)
+        if isinstance(factory, type) and issubclass(factory, Streamlet):
+            factory.load()
+
     def release(self, instance: Streamlet) -> None:
         """Return an instance; stateless ones go back to their pool."""
         if self._pooling and instance.is_stateless:

@@ -39,11 +39,15 @@ class TextCompress(Streamlet):
     """Compress text payloads in place (LZSS + Huffman container)."""
     peer_id = PEER_TEXT_DECOMPRESS
 
-    def __init__(self, instance_id: str, definition: ast.StreamletDef):
-        super().__init__(instance_id, definition)
+    @staticmethod
+    def load() -> type:
         from repro.codecs.textcodec import TextCodec
 
-        self._codec = TextCodec()
+        return TextCodec
+
+    def __init__(self, instance_id: str, definition: ast.StreamletDef):
+        super().__init__(instance_id, definition)
+        self._codec = self.load()()
         self.bytes_in = 0
         self.bytes_out = 0
 

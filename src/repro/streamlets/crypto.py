@@ -50,11 +50,15 @@ class Encryptor(Streamlet):
     """Encrypt payloads with the keyed stream cipher; nonces stack per layer."""
     peer_id = PEER_DECRYPTOR
 
-    def __init__(self, instance_id: str, definition: ast.StreamletDef):
-        super().__init__(instance_id, definition)
+    @staticmethod
+    def load() -> type:
         from repro.codecs.cipher import StreamCipher
 
-        self._cipher = StreamCipher
+        return StreamCipher
+
+    def __init__(self, instance_id: str, definition: ast.StreamletDef):
+        super().__init__(instance_id, definition)
+        self._cipher = self.load()
 
     def process(self, port: str, message: MimeMessage, ctx: StreamletContext) -> Emission:
         key = ctx.params.get("key", DEFAULT_KEY)

@@ -21,6 +21,7 @@ that serves no image stream never loads either.
 
 from __future__ import annotations
 
+from types import ModuleType
 from typing import TYPE_CHECKING
 
 from repro.errors import CodecError
@@ -72,11 +73,15 @@ class _ImageStreamlet(Streamlet):
     """Decode and re-encode through :mod:`repro.codecs.imagefmt`, imported
     when the streamlet is instantiated."""
 
-    def __init__(self, instance_id: str, definition: ast.StreamletDef):
-        super().__init__(instance_id, definition)
+    @staticmethod
+    def load() -> ModuleType:
         from repro.codecs import imagefmt
 
-        self._fmt = imagefmt
+        return imagefmt
+
+    def __init__(self, instance_id: str, definition: ast.StreamletDef):
+        super().__init__(instance_id, definition)
+        self._fmt = self.load()
 
     def _decode(self, message: MimeMessage) -> tuple[ImageRaster, str]:
         """Decode the payload; returns (raster, container: 'gif'|'jpeg'|'raw')."""

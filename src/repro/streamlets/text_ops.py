@@ -34,11 +34,15 @@ POSTSCRIPT2TEXT_DEF = ast.StreamletDef(
 class Postscript2Text(Streamlet):
     """Strip formatting operators; keep the text runs as text/richtext."""
 
-    def __init__(self, instance_id: str, definition: ast.StreamletDef):
-        super().__init__(instance_id, definition)
+    @staticmethod
+    def load() -> type:
         from repro.codecs.psdoc import PsDocument
 
-        self._document = PsDocument
+        return PsDocument
+
+    def __init__(self, instance_id: str, definition: ast.StreamletDef):
+        super().__init__(instance_id, definition)
+        self._document = self.load()
 
     def process(self, port: str, message: MimeMessage, ctx: StreamletContext) -> Emission:
         body = message.body

@@ -72,11 +72,15 @@ class XmlStreamer(Streamlet):
     """Split XML documents into per-element fragments for progressive delivery."""
     peer_id = PEER_XML_REASSEMBLE
 
-    def __init__(self, instance_id: str, definition: ast.StreamletDef):
-        super().__init__(instance_id, definition)
+    @staticmethod
+    def load() -> ModuleType:
         from repro.codecs import sgml
 
-        self._sgml = sgml
+        return sgml
+
+    def __init__(self, instance_id: str, definition: ast.StreamletDef):
+        super().__init__(instance_id, definition)
+        self._sgml = self.load()
 
     def process(self, port: str, message: MimeMessage, ctx: StreamletContext) -> Emission:
         document = _document_of(message, self._sgml)
@@ -113,9 +117,7 @@ class XmlReassembly:
     """Client-side state: collect fragments, rebuild documents."""
 
     def __init__(self):
-        from repro.codecs import sgml
-
-        self._sgml = sgml
+        self._sgml = XmlStreamer.load()
         self._partial: dict[str, dict[int, Element]] = {}
 
     def add(self, message: MimeMessage) -> MimeMessage | None:

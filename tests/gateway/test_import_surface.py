@@ -30,6 +30,17 @@ TEXT_COMPRESS_MCL = """main stream squeeze{
 }"""
 
 
+#: the text compressor appears only in a ``when`` handler
+TEXT_COMPRESS_LATER_MCL = """main stream squeeze_later{
+  streamlet a, b = new-streamlet (redirector);
+  connect (a.po, b.pi);
+  when (LOW_BANDWIDTH) {
+    streamlet tc = new-streamlet (text_compress);
+    insert (a.po, b.pi, tc);
+  }
+}"""
+
+
 def run_probe(source: str) -> object:
     """Run ``source`` in a fresh interpreter; its last stdout line is JSON."""
     env = dict(os.environ)
@@ -99,6 +110,54 @@ def test_a_gateway_without_numpy_deploys_and_echoes():
     assert seen == {"echo": [True, True], "numpy": False}
 
 
+RASTER_WITHOUT_NUMPY = """
+import json, socket, sys, time
+sys.modules["numpy"] = None
+from repro.gateway import GatewayServer
+from repro.mime.wire import FrameAssembler
+
+def frame(kind, body):
+    head = "Content-Type: image/gif\\nContent-Session: " + key
+    if kind:
+        head += "\\nX-MobiGATE-Payload: " + kind
+    return (head + "\\nContent-Length: %d\\n\\n" % len(body)).encode() + body
+
+with GatewayServer().run_in_thread() as handle:
+    key = handle.control({"op": "deploy", "mcl": MCL})["session"]
+    with socket.create_connection(handle.data_address, timeout=10) as sock:
+        # a plain frame, then a raster frame, in one write
+        sock.sendall(frame(None, b"x" * 64) + frame("raster", b"\\x01\\x00\\x01\\x00abc"))
+        assembler, replies = FrameAssembler(), []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break  # the gateway closed the connection
+            replies += assembler.feed(chunk)
+    for _ in range(500):
+        stats = handle.control({"op": "stats", "session": key})
+        if stats["frames_in"] == 1 and stats["conservation"]["residual"] == 0:
+            break
+        time.sleep(0.01)
+    health = handle.control({"op": "health"})
+print(json.dumps({
+    "errors": [m.body.decode()[:37] for m in replies if m.session != key],
+    "admitted": stats["conservation"]["admitted"],
+    "balanced": stats["conservation"]["balanced"],
+    "health": health["ok"],
+}))
+"""
+
+
+def test_a_raster_frame_without_numpy_is_refused_as_a_bad_frame():
+    seen = run_probe(f"MCL = {SMALL_ECHO_MCL!r}\n" + RASTER_WITHOUT_NUMPY)
+    # the frame before it in the same read is admitted; the raster frame
+    # is answered with an error frame, and the gateway keeps serving
+    assert seen == {
+        "errors": ["bad frame: raster payloads need numpy"],
+        "admitted": 1, "balanced": True, "health": True,
+    }
+
+
 CODEC_AT_DEPLOY = """
 import json, sys
 from repro.gateway import GatewayServer
@@ -109,23 +168,44 @@ with GatewayServer().run_in_thread() as handle:
     key = handle.control({"op": "deploy", "mcl": MCL})["session"]
     after = codec in sys.modules
     processed = handle.gateway.sessions[key].stream.node("tc").streamlet.processed
-print(json.dumps({"before": before, "after": after, "processed": processed}))
+print(json.dumps({"before": before, "after": after, "processed": processed,
+                  "numpy": "numpy" in sys.modules}))
 """
 
 
 def test_a_codec_deploy_loads_its_codec_before_any_message():
     seen = run_probe(f"MCL = {TEXT_COMPRESS_MCL!r}\n" + CODEC_AT_DEPLOY)
-    assert seen == {"before": False, "after": True, "processed": 0}
+    # the text codec is LZSS + Huffman: its deploy loads no numpy
+    assert seen == {"before": False, "after": True, "processed": 0, "numpy": False}
+
+
+HANDLER_CODEC_AT_DEPLOY = """
+import json, sys
+from repro.gateway import GatewayServer
+
+codec = "repro.codecs.textcodec"
+with GatewayServer().run_in_thread() as handle:
+    key = handle.control({"op": "deploy", "mcl": MCL})["session"]
+    loaded = [codec in sys.modules, "numpy" in sys.modules]
+    instances = handle.gateway.sessions[key].stream.instance_names()
+print(json.dumps({"loaded": loaded, "instances": sorted(instances)}))
+"""
+
+
+def test_a_codec_only_a_handler_inserts_loads_at_deploy():
+    seen = run_probe(f"MCL = {TEXT_COMPRESS_LATER_MCL!r}\n" + HANDLER_CODEC_AT_DEPLOY)
+    # loaded before LOW_BANDWIDTH, with no instance made; the text codec needs no numpy
+    assert seen == {"loaded": [True, False], "instances": ["a", "b"]}
 
 
 def test_public_names_resolve_on_first_access():
     seen = run_probe("""
 import importlib, json, sys
-import repro, repro.store
+import repro, repro.codecs, repro.store
 
-eager = [m for m in ("repro.client", "repro.store.crash") if m in sys.modules]
+eager = [m for m in ("repro.client", "repro.store.crash", "numpy") if m in sys.modules]
 wrong = []
-for package in (repro, repro.store):
+for package in (repro, repro.codecs, repro.store):
     for name in package.__all__:
         value = getattr(package, name)
         home = getattr(value, "__module__", None)

@@ -171,6 +171,21 @@ class TestErrors:
         with pytest.raises(MimeError):
             parse_message(wire)
 
+    @pytest.mark.parametrize("kind, payload", [
+        ("text", b"\xff\xfe"),
+        ("psdoc", b"\xff\xfe"),
+        ("psdoc", b"frobnicate 1 2\n"),
+        ("raster", b"\x01\x00"),
+    ])
+    def test_a_structured_payload_that_does_not_decode(self, kind, payload):
+        # a MimeError, so an assembler turns it into a FrameError
+        wire = (
+            f"Content-Type: text/plain\nX-MobiGATE-Payload: {kind}\n"
+            f"Content-Length: {len(payload)}\n\n"
+        ).encode() + payload
+        with pytest.raises(MimeError):
+            parse_message(wire)
+
     def test_truncated_multipart(self):
         page = web_page_message(n_images=1, text_bytes=64, seed=10)
         wire = serialize_message(page)
