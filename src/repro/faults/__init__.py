@@ -15,42 +15,42 @@ Three cooperating pieces:
 See ``docs/fault-tolerance.md`` for the end-to-end story.
 """
 
-from repro.faults.inject import FaultInjector
-from repro.faults.invariant import (
-    ConservationReport,
-    assert_conservation,
-    check_conservation,
-)
-from repro.faults.plan import (
-    ChannelFault,
-    FaultPlan,
-    HandoffStorm,
-    InjectedFault,
-    LinkFault,
-    StreamletFault,
-    WorkerKill,
-)
-from repro.faults.supervisor import (
-    DeadLetter,
-    DeadLetterPool,
-    RecoveryPolicy,
-    Supervisor,
-)
+import importlib
 
-__all__ = [
-    "ChannelFault",
-    "ConservationReport",
-    "DeadLetter",
-    "DeadLetterPool",
-    "FaultInjector",
-    "FaultPlan",
-    "HandoffStorm",
-    "InjectedFault",
-    "LinkFault",
-    "RecoveryPolicy",
-    "StreamletFault",
-    "Supervisor",
-    "WorkerKill",
-    "assert_conservation",
-    "check_conservation",
-]
+#: where each public name lives; :func:`__getattr__` imports the module the
+#: first time the name is read, so a gateway that imports the conservation
+#: check from :mod:`repro.faults.invariant` loads no plan, injector or
+#: supervisor
+_EXPORTS = {
+    "ChannelFault": "repro.faults.plan",
+    "ConservationReport": "repro.faults.invariant",
+    "DeadLetter": "repro.faults.supervisor",
+    "DeadLetterPool": "repro.faults.supervisor",
+    "FaultInjector": "repro.faults.inject",
+    "FaultPlan": "repro.faults.plan",
+    "HandoffStorm": "repro.faults.plan",
+    "InjectedFault": "repro.faults.plan",
+    "LinkFault": "repro.faults.plan",
+    "RecoveryPolicy": "repro.faults.supervisor",
+    "StreamletFault": "repro.faults.plan",
+    "Supervisor": "repro.faults.supervisor",
+    "WorkerKill": "repro.faults.plan",
+    "assert_conservation": "repro.faults.invariant",
+    "check_conservation": "repro.faults.invariant",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    """Resolve a public name on first access (PEP 562) and cache it."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro.faults' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

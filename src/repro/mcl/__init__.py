@@ -15,18 +15,33 @@ recursive compositions (section 4.4.2), and emits one
 the Coordination Manager routes from at runtime.
 """
 
-from repro.mcl.lexer import tokenize
-from repro.mcl.parser import parse_script
-from repro.mcl.compiler import MclCompiler, compile_script
-from repro.mcl.config import ConfigurationTable, CompiledScript
-from repro.mcl.pretty import format_script
+import importlib
 
-__all__ = [
-    "tokenize",
-    "parse_script",
-    "MclCompiler",
-    "compile_script",
-    "ConfigurationTable",
-    "CompiledScript",
-    "format_script",
-]
+#: where each public name lives; :func:`__getattr__` imports the module the
+#: first time the name is read, so a gateway that compiles scripts never
+#: loads the pretty-printer
+_EXPORTS = {
+    "tokenize": "repro.mcl.lexer",
+    "parse_script": "repro.mcl.parser",
+    "MclCompiler": "repro.mcl.compiler",
+    "compile_script": "repro.mcl.compiler",
+    "ConfigurationTable": "repro.mcl.config",
+    "CompiledScript": "repro.mcl.config",
+    "format_script": "repro.mcl.pretty",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    """Resolve a public name on first access (PEP 562) and cache it."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro.mcl' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

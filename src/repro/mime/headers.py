@@ -44,6 +44,14 @@ _SESSION_PARAM_SEPARATOR = ";"
 _EPOCH_PARAM = "epoch="
 _SESSION_KEY = CONTENT_SESSION.lower()
 
+#: the memoised views a write to a field cannot change, by canonical name;
+#: every other field feeds only the formatted block and its encoding
+_KEPT_VIEWS = {
+    _SESSION_KEY: ("content_type",),
+    CONTENT_TYPE.lower(): ("session", "epoch"),
+}
+_KEPT_BY_DEFAULT = ("session", "epoch", "content_type")
+
 
 class HeaderMap:
     """An ordered, case-insensitive multimap restricted to single values.
@@ -61,11 +69,14 @@ class HeaderMap:
     takes its reference to the memo before it looks at the fields, so one
     that races a writer can only file a stale value in the dict the writer
     is discarding: once a mutator has returned, no view can return what it
-    was before.  The fresh dict is empty but for one entry: ``set`` of a
-    field other than ``Content-Session`` carries a derived ``session``
-    over, since that write cannot have changed it (writers are never
-    concurrent with each other — a message has one holder at a time).
-    ``copy()`` starts its copy with an empty memo.
+    was before.  The fresh dict carries over every view the written
+    field cannot have changed: a ``Content-Session`` write keeps the
+    media type, a ``Content-Type`` write keeps session and epoch, and any
+    other write (``Content-Trace``, the peer stack, ``Content-Length``)
+    keeps all three; the formatted block and its encoding always go.
+    Those views were derived from fields the writer did not touch
+    (writers are never concurrent with each other — a message has one
+    holder at a time).  ``copy()`` starts its copy with an empty memo.
 
     **The origin** is a slot, not a field: the gateway's ``(connection
     id, admission stamp)``.  ``copy()`` carries it; the wire form,
@@ -89,9 +100,8 @@ class HeaderMap:
     def set(self, name: str, value: str) -> None:
         """Set (replacing) a field; names/values are validated.
 
-        Setting the exact pair already stored — a redirector re-stamping
-        an unchanged ``Content-Length`` — changes nothing and returns at
-        once: the pair was validated when it was stored.
+        Setting the exact pair already stored changes nothing and returns
+        at once: the pair was validated when it was stored.
         """
         key = name.lower()
         stored = self._fields.get(key)
@@ -111,13 +121,17 @@ class HeaderMap:
             except UnicodeEncodeError:
                 raise HeaderError(f"header {name!r} is not UTF-8 encodable: {value!r}") from None
         self._fields[key] = (name, value)
+        self._replace_memo(key)
+
+    def _replace_memo(self, key: str) -> None:
+        """Install a fresh memo after a write to field ``key`` (see the class)."""
         memo = self._memo
-        if key != _SESSION_KEY and "session" in memo:
-            # a write to another field cannot have changed it, and a message
-            # is routed by its session before it is stamped and admitted
-            self._memo = {"session": memo["session"]}
-        else:
-            self._memo = {}
+        fresh = {}
+        if memo:
+            for view in _KEPT_VIEWS.get(key, _KEPT_BY_DEFAULT):
+                if view in memo:
+                    fresh[view] = memo[view]
+        self._memo = fresh
 
     def get(self, name: str, default: str | None = None) -> str | None:
         """The field value, or ``default`` when absent."""
@@ -133,9 +147,10 @@ class HeaderMap:
 
     def remove(self, name: str) -> bool:
         """Delete a field; returns False if it was absent."""
-        if self._fields.pop(name.lower(), None) is None:
+        key = name.lower()
+        if self._fields.pop(key, None) is None:
             return False
-        self._memo = {}
+        self._replace_memo(key)
         return True
 
     def __contains__(self, name: str) -> bool:

@@ -31,6 +31,8 @@ from repro.mime.headers import (
 )
 from repro.mime.mediatype import MULTIPART_MIXED, MediaType
 
+_LENGTH_KEY = CONTENT_LENGTH.lower()
+
 
 @runtime_checkable
 class Payload(Protocol):
@@ -47,6 +49,9 @@ class Payload(Protocol):
 
 def payload_size(body: object) -> int:
     """Size in bytes of any supported payload kind."""
+    kind = body.__class__
+    if kind is bytes or kind is bytearray or kind is memoryview:
+        return len(body)  # the common case, before any isinstance walk
     if body is None:
         return 0
     if isinstance(body, bytes | bytearray | memoryview):
@@ -112,7 +117,11 @@ class MimeMessage:
 
     @property
     def content_type(self) -> MediaType:
-        ct = self.headers.content_type
+        memo = self.headers._memo
+        if "content_type" in memo:  # parsed on an earlier read
+            ct = memo["content_type"]
+        else:
+            ct = self.headers.content_type
         if ct is None:
             raise MimeError("message lost its Content-Type header")
         return ct
@@ -184,8 +193,19 @@ class MimeMessage:
     # -- misc -----------------------------------------------------------------------
 
     def stamp_length(self) -> None:
-        """Record the current body size in ``Content-Length``."""
-        self.headers.set(CONTENT_LENGTH, str(payload_size(self.body)))
+        """Record the current body size in ``Content-Length``.
+
+        Re-stamping the value the message already carries under the
+        canonical name — what every redirector hop does — returns before
+        ``HeaderMap.set``, so the memo survives untouched.
+        """
+        body = self.body
+        # a bytes body is what every forwarded frame carries: size it here
+        length = str(len(body) if body.__class__ is bytes else payload_size(body))
+        fields = self.headers._fields
+        if _LENGTH_KEY in fields and fields[_LENGTH_KEY] == (CONTENT_LENGTH, length):
+            return
+        self.headers.set(CONTENT_LENGTH, length)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sess = self.headers.get(CONTENT_SESSION)

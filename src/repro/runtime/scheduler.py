@@ -190,13 +190,19 @@ def _run_hops(
     clock read that ends hop *i* is the start of hop *i + 1* (``t0`` is
     the claim stamp when the caller took one).  Returns the number of
     ``process`` calls that succeeded, for the caller's ``processed`` bump.
+
+    Emissions for the next member run breadth-first, in emission order.
+    The one that would head an empty worklist — a chain's only emission,
+    hop after hop — is stepped into directly instead of round-tripping
+    through the worklist; fan-out queues the rest behind it.
     """
     pool = stream.pool
     tm = stream.tm
     timed = tm is not None
+    clock = time.perf_counter
     carry = pool.mode is PassMode.REFERENCE
     if timed and t0 is None:
-        t0 = time.perf_counter()
+        t0 = clock()
     processed = 0
     message = None  # handed on by the previous member, or checked out below
     #: (member index, port, id, message) still to run, in emission order
@@ -206,7 +212,9 @@ def _run_hops(
         if message is None:
             message = pool.checkout(msg_id)
         ctx = hop.ctx
-        ctx.session = message.headers.session
+        headers = message.headers
+        memo = headers._memo  # a routed message carries its session view
+        ctx.session = memo["session"] if "session" in memo else headers.session
         failure = None
         try:
             emissions = hop.streamlet.process(port, message, ctx)
@@ -217,12 +225,12 @@ def _run_hops(
             # handed to the next member) a concurrent consumer may read its
             # headers, so the trace context (the parent advance) must be
             # in place first
-            now = time.perf_counter()
+            now = clock()
             hop.hop_hist.observe(now - t0)
-            entry = message.headers._fields.get(_TRACE_KEY)
-            if entry is not None:
-                tm.hop_span(hop.name, entry[1], message, emissions, now - t0,
-                            failure is not None)
+            fields = message.headers._fields
+            if _TRACE_KEY in fields:
+                tm.hop_span(hop.name, fields[_TRACE_KEY][1], message, emissions,
+                            now - t0, failure is not None)
             t0 = now
         if failure is not None:
             _hop_failed(stream, hop, port, msg_id, failure, acc)
@@ -237,6 +245,7 @@ def _run_hops(
             else:
                 peer, outputs, next_port = hop.peer, hop.outputs, hop.next_port
                 out_id = msg_id  # the first emission keeps the claimed id
+                step_id = None  # an emission the loop continues with directly
                 for out_port, out_msg in emissions:
                     if peer is not None:
                         out_msg.headers.push_peer(peer)
@@ -244,20 +253,27 @@ def _run_hops(
                         out_id = pool.admit(out_msg)
                     elif out_msg is not message:
                         pool.rebind(out_id, out_msg)
-                    channel = outputs.get(out_port)
-                    if channel is None:
+                    if out_port not in outputs:
                         # open circuit at runtime: the message has nowhere to go
                         pool.release(out_id)
                         _count(acc, "open_circuit_drops")
                         if timed:
                             tm.forget(out_id)
                     elif next_port is None:
-                        _post(stream, channel, out_id, out_msg, stalled)
+                        _post(stream, outputs[out_port], out_id, out_msg, stalled)
+                    elif step_id is None and not pending:
+                        # first in line: it would be the worklist's head
+                        step_id, step_msg = out_id, out_msg
                     else:
                         pending.append(
                             (index + 1, next_port, out_id, out_msg if carry else None)
                         )
                     out_id = None
+                if step_id is not None:
+                    index += 1
+                    port, msg_id = next_port, step_id
+                    message = step_msg if carry else None
+                    continue
         if not pending:
             return processed
         index, port, msg_id, message = pending.pop(0)

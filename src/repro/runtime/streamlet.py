@@ -189,6 +189,12 @@ class ForwardingStreamlet(Streamlet):
 
     cooperative = True
 
+    def __init__(self, instance_id: str, definition: ast.StreamletDef):
+        super().__init__(instance_id, definition)
+        outs = definition.outputs()
+        #: the output port every message leaves by, resolved once
+        self._out_port = outs[0].name if outs else None
+
     def process(self, port: str, message: MimeMessage, ctx: StreamletContext) -> Emission:
         """Parse the envelope, re-stamp it, and forward unchanged."""
         # "parse": validate the content type and walk the headers
@@ -197,4 +203,7 @@ class ForwardingStreamlet(Streamlet):
             pass
         # "unparse": re-stamp the envelope
         message.stamp_length()
-        return [(self.definition.outputs()[0].name, message)]
+        out = self._out_port
+        if out is None:  # no output port: fails as the definition lookup does
+            out = self.definition.outputs()[0].name
+        return [(out, message)]

@@ -12,8 +12,10 @@ Three renderings of one :class:`~repro.telemetry.metrics.MetricsRegistry`:
 * :func:`dump` — a fixed-width human rendering for the
   ``python -m repro.telemetry`` CLI and the examples.
 
-Reads are lock-free by the metrics module's design, so exporting never
-stalls the streamlet plane.
+Counter and gauge reads are lock-free; a histogram read folds that
+child's buffered samples under its family lock, which the streamlet
+plane takes only once per :data:`~repro.telemetry.metrics.FOLD_BATCH`
+samples, so exporting never stalls it for longer than one fold.
 """
 
 from __future__ import annotations

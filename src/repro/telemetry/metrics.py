@@ -4,12 +4,13 @@ The evaluation chapter of the thesis is entirely about *per-streamlet*
 costs (Figures 7-2/7-3/7-6/7-7), so the runtime must be able to measure
 itself in-band without distorting what it measures.  The design rules:
 
-* **no locks on read** — every sample is a plain attribute read; exporters
-  and dashboards never contend with the hot path;
+* **no locks on read** for counters and gauges — a sample is a plain
+  attribute read; a histogram read takes its family's lock once, to fold
+  the samples it has buffered;
 * **one lock per metric family** — children of one family share their
-  family's lock for child creation and counter/gauge writes, so an
-  increment costs one uncontended acquire and a couple of arithmetic
-  ops (histogram *samples* skip even that — see
+  family's lock for child creation, counter/gauge writes and histogram
+  folds, so an increment costs one uncontended acquire and a couple of
+  arithmetic ops, and a histogram *sample* costs a list append (see
   :meth:`Histogram.observe`);
 * **labels are positional** — a child is addressed by a tuple of label
   values (``family.labels("webAccel", "tc")``), resolved through a
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import re
 import threading
-from bisect import bisect_left
+from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 
 from repro.errors import TelemetryError
@@ -46,6 +47,9 @@ def exponential_buckets(start: float, factor: float, count: int) -> tuple[float,
 
 #: 1 µs .. ~4.2 s in ×4 steps — spans an in-process hop and a slow link
 DEFAULT_LATENCY_BUCKETS = exponential_buckets(1e-6, 4.0, 12)
+
+#: samples a histogram buffers before it folds them into buckets and moments
+FOLD_BATCH = 64
 
 
 class Counter:
@@ -95,39 +99,83 @@ class Histogram:
     ``bounds[i]`` is the *inclusive* upper bound of bucket ``i`` (the
     Prometheus ``le`` convention); the final slot of ``counts`` is the
     overflow (+Inf) bucket.
+
+    Samples are folded in batches: :meth:`observe` appends to a buffer,
+    and every :data:`FOLD_BATCH` samples — and before every read — the
+    buffer is folded into the counts and moments under the family lock.
+    A read therefore sees every sample observed before it started.
     """
 
-    __slots__ = ("_lock", "bounds", "counts", "stats")
+    __slots__ = ("_lock", "bounds", "_below", "_stats", "_pending", "_room")
 
     def __init__(self, lock: threading.Lock, bounds: Sequence[float]):
         self._lock = lock
         self.bounds: tuple[float, ...] = tuple(bounds)
-        self.counts: list[int] = [0] * (len(self.bounds) + 1)
-        self.stats = RunningStats()
+        #: samples at or below each bound (the cumulative ``le`` counts)
+        self._below: list[int] = [0] * len(self.bounds)
+        self._stats = RunningStats()
+        #: samples observed and not yet folded, in arrival order
+        self._pending: list[float] = []
+        #: appends left before the next fold
+        self._room = FOLD_BATCH
 
     def observe(self, value: float) -> None:
-        """Fold one sample into its bucket and the running moments.
+        """Record one sample; every :data:`FOLD_BATCH`-th folds the batch.
 
-        Deliberately lock-free and with the Welford update inlined: this
-        runs once per streamlet hop, and the ~1 µs observer budget leaves
-        no room for a lock round-trip or an extra call.  Histogram
-        children are single-writer by construction — one scheduler worker
-        per instance feeds a hop histogram, one channel consumer feeds a
-        wait histogram — so under the GIL each sample lands intact; in the
-        rare concurrent-writer case (e.g. two distributor workers hitting
-        the same peer histogram) a torn update skews the moments by at
-        most one sample, which observability data tolerates.
+        An append and a countdown: this runs several times per streamlet
+        hop, so the bisect and the moment update are paid once per batch
+        in :meth:`_fold`, not once per sample.  The append takes no lock —
+        a list append is atomic — and a fold removes only the prefix it
+        took, so a sample appended while another thread folds waits for
+        the next fold instead of being lost.  Two writers racing on the
+        countdown can only delay a fold, never drop a sample.
         """
-        self.counts[bisect_left(self.bounds, value)] += 1
-        stats = self.stats
-        stats.count = count = stats.count + 1
-        delta = value - stats._mean
-        stats._mean = mean = stats._mean + delta / count
-        stats._m2 += delta * (value - mean)
-        if value < stats.minimum:
-            stats.minimum = value
-        if value > stats.maximum:
-            stats.maximum = value
+        self._pending.append(value)
+        self._room -= 1
+        if self._room <= 0:
+            with self._lock:
+                self._fold()
+
+    def _fold(self) -> None:
+        """Fold the buffered samples into the counts and moments (lock held).
+
+        The batch is sorted once, and ``bisect_right`` of each bound in it
+        counts the batch's samples at or below that bound — the same
+        inclusive ``le`` buckets a per-sample ``bisect_left`` fills.  The
+        batch's moments join the running ones through
+        :meth:`RunningStats.merge`, which publishes a new accumulator
+        rather than mutating the one a reader may hold.
+        """
+        self._room = FOLD_BATCH
+        pending = self._pending
+        n = len(pending)
+        if not n:
+            return
+        batch = pending[:n]
+        del pending[:n]  # a concurrent append lands after n and survives
+        batch.sort()
+        below, upto = self._below, 0
+        for slot, bound in enumerate(self.bounds):
+            upto = bisect_right(batch, bound, upto)
+            below[slot] += upto
+        self._stats = self._stats.merge(RunningStats.of_sorted(batch))
+
+    def _folded(self) -> tuple[list[int], RunningStats]:
+        """Fold, then the cumulative counts and the moments, taken together."""
+        with self._lock:
+            self._fold()
+            return list(self._below), self._stats
+
+    @property
+    def counts(self) -> list[int]:
+        """Samples per bucket, overflow last."""
+        below, stats = self._folded()
+        return [high - low for low, high in zip([0, *below], [*below, stats.count])]
+
+    @property
+    def stats(self) -> RunningStats:
+        """The running moments of every sample observed so far."""
+        return self._folded()[1]
 
     @property
     def count(self) -> int:
@@ -137,17 +185,13 @@ class Histogram:
     @property
     def sum(self) -> float:
         """Sum of all observed values."""
-        return self.stats.mean * self.stats.count if self.stats.count else 0.0
+        stats = self.stats
+        return stats.mean * stats.count if stats.count else 0.0
 
     def cumulative(self) -> list[tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs, +Inf last."""
-        out: list[tuple[float, int]] = []
-        running = 0
-        for bound, count in zip(self.bounds, self.counts):
-            running += count
-            out.append((bound, running))
-        out.append((float("inf"), running + self.counts[-1]))
-        return out
+        below, stats = self._folded()
+        return [*zip(self.bounds, below), (float("inf"), stats.count)]
 
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}

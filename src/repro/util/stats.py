@@ -56,6 +56,28 @@ class RunningStats:
         v = self.variance
         return math.sqrt(v) if v == v else math.nan  # NaN-safe
 
+    @classmethod
+    def of_sorted(cls, values) -> "RunningStats":
+        """The moments of a non-empty batch in ascending order.
+
+        Deviations are taken from the batch's median, which lies within
+        one standard deviation of the mean, so removing the squared mean
+        offset from their sum of squares cancels few digits.  Both sums
+        are C loops: ``math.fsum``, correctly rounded, and ``math.dist``,
+        in extended precision.  A batch of equal values has a mean of
+        exactly that value and no spread, as it would sample by sample.
+        """
+        stats = cls()
+        stats.count = n = len(values)
+        stats.minimum = values[0]
+        stats.maximum = values[-1]
+        shift = values[n // 2]
+        offset = math.fsum(values) - n * shift  # the deviations' sum
+        stats._mean = shift + offset / n
+        squares = math.dist(values, [shift] * n) ** 2
+        stats._m2 = max(0.0, squares - offset * offset / n)
+        return stats
+
     def merge(self, other: "RunningStats") -> "RunningStats":
         """Combine two streams (parallel Welford merge)."""
         merged = RunningStats()

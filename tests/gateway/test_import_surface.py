@@ -220,6 +220,39 @@ print(json.dumps({"eager": eager, "wrong": wrong,
     assert seen == {"eager": [], "wrong": [], "star": True}
 
 
+def test_gateway_import_loads_no_fault_harness_or_pretty_printer():
+    seen = run_probe("""
+import importlib, json, sys
+import repro.gateway.__main__
+
+lazy = ("repro.faults.plan", "repro.faults.inject", "repro.faults.supervisor",
+        "repro.mcl.pretty")
+loaded = [m for m in lazy if m in sys.modules]
+import repro.faults, repro.mcl
+
+wrong = []
+for package in (repro.faults, repro.mcl):
+    for name in package.__all__:
+        value = getattr(package, name)
+        if getattr(importlib.import_module(value.__module__), name, None) is not value:
+            wrong.append(package.__name__ + "." + name)
+print(json.dumps({"loaded": loaded, "wrong": wrong,
+                  "faults": repro.faults.__all__, "mcl": repro.mcl.__all__}))
+""")
+    assert seen["loaded"] == []
+    assert seen["wrong"] == []
+    assert seen["faults"] == [
+        "ChannelFault", "ConservationReport", "DeadLetter", "DeadLetterPool",
+        "FaultInjector", "FaultPlan", "HandoffStorm", "InjectedFault", "LinkFault",
+        "RecoveryPolicy", "StreamletFault", "Supervisor", "WorkerKill",
+        "assert_conservation", "check_conservation",
+    ]
+    assert seen["mcl"] == [
+        "tokenize", "parse_script", "MclCompiler", "compile_script",
+        "ConfigurationTable", "CompiledScript", "format_script",
+    ]
+
+
 def test_unobserved_and_not_durable_have_no_stand_in_classes():
     import repro.store
     import repro.telemetry
