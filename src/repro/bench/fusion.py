@@ -10,9 +10,12 @@ explicit SYNC channels, driven closed-loop through the inline scheduler,
 once with fusion enabled (the default) and once with ``fuse=False``.
 
 Both runs must conserve every message; the fused run must additionally
-report one fusion group spanning the whole chain.  The committed
-``BENCH_fusion.json`` baseline is the acceptance artifact for the
-"fused sync chain >= 2x unfused" gate and feeds the same advisory
+report one fusion group spanning the whole chain.  The inline scheduler
+hands each unfused hop's message straight to its consumer, so what the
+static plan still buys here is the per-hop checks a hand-off makes (the
+channel's counters, the consumer's state, the published snapshot), and
+on a worker-stepped stream, which never hands off, every queue it
+elides.  The committed ``BENCH_fusion.json`` feeds the same advisory
 ``flag_regressions`` path as the other targets (rows keyed by ``mode``,
 throughput higher-is-better).
 """

@@ -419,6 +419,9 @@ class Supervisor:
                     )
         finally:
             stream._read_gate.exit()
+        if reposted:
+            with stream._write_access():
+                pass  # a re-post may land mid-chain: the next snapshot must see it
         return reposted
 
     def next_due(self) -> float | None:

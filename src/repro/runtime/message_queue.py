@@ -279,6 +279,17 @@ class MessageQueue:
             self.depth_gauge.value = float(len(self._entries))
         return msg_id
 
+    def pass_through(self) -> bool:
+        """Count a message handed past this queue as posted and fetched.
+
+        False, counting nothing, unless the queue is open and empty.
+        """
+        if self._entries or self._closed:
+            return False
+        self.posted += 1
+        self.fetched += 1
+        return True
+
     def fetch_message(self, timeout: float | None = 0.0) -> str | None:
         """Dequeue the oldest id; None on timeout/empty.
 

@@ -63,8 +63,8 @@ def _count(acc: dict[str, int], name: str, n: int = 1) -> None:
     acc[name] = acc.get(name, 0) + n
 
 
-def _has_headroom(outputs: dict[str, Channel]) -> bool:
-    """True while every output queue can absorb another batched emission.
+def _has_headroom(outlets: tuple[Channel, ...]) -> bool:
+    """True while every queue a claim may post to can absorb another emission.
 
     The batching stop rule: a rendezvous queue (capacity 0) holding any
     pending unit vetoes further claims — its single slot is the
@@ -73,7 +73,7 @@ def _has_headroom(outputs: dict[str, Channel]) -> bool:
     a concurrent producer still fits.  The *first* claim of a visit never
     consults this, preserving the one-message-per-visit contract exactly.
     """
-    for channel in outputs.values():
+    for channel in outlets:
         queue = channel.queue
         capacity = queue.capacity_bytes
         if capacity == 0:
@@ -104,46 +104,54 @@ def _claim(channel: Channel, wait_hist) -> tuple[str | None, float | None]:
     return msg_id, claimed_at
 
 
+def _active(view: _NodeView | _FusedView) -> bool:
+    """True while every member of ``view`` is active: one paused member parks it."""
+    for member in view.members:
+        if member.streamlet.state is not StreamletState.ACTIVE:
+            return False
+    return True
+
+
 def _step_node(
-    stream: RuntimeStream, view: _NodeView | _FusedView,
+    stream: RuntimeStream, snap: TopologySnapshot, view: _NodeView | _FusedView,
     stalled: list[_Stalled] | None, batch: int, acc: dict[str, int],
+    dirty: set[str] | None,
 ) -> int:
     """Claim up to ``batch`` messages per input port and run each through the view.
 
     The claim policy, shared by both engines; every claimed id goes
     through :func:`_run_hops`.  The first claim per port is unconditional
     (the historical one-message step); further claims in the same visit
-    happen only while no emission has stalled and every output queue
-    keeps headroom, so batching can never convert a backpressure signal
-    into drops.
+    happen only while no emission has stalled and every queue a claim may
+    post to keeps headroom, so batching can never convert a backpressure signal
+    into drops.  Returns the claims made, hand-offs included.
 
     A fused view claims new traffic at its head only.  Residual units
     parked on an interior channel — traffic admitted before the chain
     fused, or re-posted by a supervisor retry — drain first,
     downstream-first, so end-to-end FIFO order survives fuse/split
-    transitions.  A single paused member parks the whole chain: one
-    dispatch cannot honour a suspension boundary mid-run, so messages
-    wait at the head until every member is active again.
+    transitions (listed only when the snapshot found some).  A single
+    paused member parks the whole chain: one dispatch cannot honour a
+    suspension boundary mid-run, so messages wait at the head until
+    every member is active again.
     """
+    if not _active(view):
+        return 0
     members = view.members
-    for member in members:
-        if member.streamlet.state is not StreamletState.ACTIVE:
-            return 0
     moved = hops = 0
     interior = view.interior
     for idx in range(len(interior) - 1, -1, -1):
         channel = interior[idx]
-        # lock-free probe: interior queues hold traffic only across a
-        # fuse/split transition, so skip the fetch-miss mutex cost
         while not stalled and not channel.queue.is_empty():
             msg_id, t0 = _claim(channel, members[idx + 1].queue_wait_hist)
             if msg_id is None:
                 break
-            moved += 1
-            hops += _run_hops(stream, members, idx + 1, members[idx].next_port,
-                              msg_id, t0, stalled, acc)
+            done, handed = _run_hops(stream, snap, view, idx + 1,
+                                     members[idx + 1].inputs[0][0], msg_id, t0,
+                                     stalled, acc, dirty)
+            moved, hops = moved + 1 + handed, hops + done
     head = members[0]
-    tail_outputs = members[-1].outputs
+    outlets = view.outlets
     for port, channel in head.inputs:  # frozen tuple: no per-step copy
         for claim in range(batch):
             # extra claims first probe the queue lock-free: a fetch miss
@@ -151,50 +159,49 @@ def _step_node(
             # (one message in flight) every claim after the first misses
             if claim and (
                 stalled or channel.queue.is_empty()
-                or not _has_headroom(tail_outputs)
+                or not _has_headroom(outlets)
             ):
                 break
             msg_id, t0 = _claim(channel, head.queue_wait_hist)
             if msg_id is None:
                 break
-            moved += 1
-            hops += _run_hops(stream, members, 0, port, msg_id, t0, stalled, acc)
+            done, handed = _run_hops(stream, snap, view, 0, port, msg_id, t0,
+                                     stalled, acc, dirty)
+            moved, hops = moved + 1 + handed, hops + done
     if hops:
         _count(acc, "processed", hops)
     return moved
 
 
 def _run_hops(
-    stream: RuntimeStream, members: tuple[_NodeView, ...], index: int,
-    port: str, msg_id: str, t0: float | None,
-    stalled: list[_Stalled] | None, acc: dict[str, int],
-) -> int:
-    """The hop kernel: one claimed message through ``members[index:]``.
+    stream: RuntimeStream, snap: TopologySnapshot, view: _NodeView | _FusedView,
+    index: int, port: str, msg_id: str, t0: float | None,
+    stalled: list[_Stalled] | None, acc: dict[str, int], dirty: set[str] | None,
+) -> tuple[int, int]:
+    """The hop kernel: one claimed message through ``view.members[index:]`` and on.
 
     One transition, for every engine and every shape of node: check the
     message out, ``process`` it, account for it, give each emission an id
-    (the first keeps the claimed one) and send it on — to the next member
-    in memory when there is one (the elided channels are never posted),
-    else to the output channels with the stalled-retry machinery.  Each
+    (the first keeps the claimed one) and send it on — into the member's
+    continuation for that port (``_NodeView.onward``: the next fused
+    member, its channel elided, or a hand-off to a later view, planned
+    for owned streams only — taken only from the published snapshot,
+    into an active view, across an open, empty channel whose ``fetch`` is
+    not shadowed (a stall parks), and seen as a zero queue wait), else
+    posted with the stalled-retry machinery, naming the consumer in
+    ``dirty``.  Each
     member gets its own service-time observation and failure containment
     — a supervisor that retains a failed id can re-post it to the
-    member's still-wired input channel, where the residual drain picks it
-    up.  What a member needs per message and no message can change was
-    resolved when the snapshot was published
-    (:class:`~repro.runtime.stream._NodeView`).
+    member's still-wired input channel.  Between stepped members a
+    ``PassMode.REFERENCE`` pool is not consulted again; ``PassMode.VALUE``
+    checks out (deep-copies) at every hop.  With telemetry on, the clock
+    read that ends hop *i* is the start of hop *i + 1*.  Returns
+    ``(process calls that succeeded, hand-offs)``.
 
-    Between fused members a ``PassMode.REFERENCE`` pool is not consulted
-    again: the next member is handed the object the previous one emitted,
-    which is what the pool holds under the id.  ``PassMode.VALUE`` checks
-    out (deep-copies) at every hop, fused or not.  With telemetry on, the
-    clock read that ends hop *i* is the start of hop *i + 1* (``t0`` is
-    the claim stamp when the caller took one).  Returns the number of
-    ``process`` calls that succeeded, for the caller's ``processed`` bump.
-
-    Emissions for the next member run breadth-first, in emission order.
-    The one that would head an empty worklist — a chain's only emission,
-    hop after hop — is stepped into directly instead of round-tripping
-    through the worklist; fan-out queues the rest behind it.
+    Emissions run breadth-first, in emission order.  The one that would
+    head an empty worklist is stepped into directly; the rest of a
+    fan-out queue behind it, on the worklist inside a fused chain and on
+    their channel past its tail.
     """
     pool = stream.pool
     tm = stream.tm
@@ -203,9 +210,10 @@ def _run_hops(
     carry = pool.mode is PassMode.REFERENCE
     if timed and t0 is None:
         t0 = clock()
-    processed = 0
+    processed = handed = 0
+    members = view.members
     message = None  # handed on by the previous member, or checked out below
-    #: (member index, port, id, message) still to run, in emission order
+    #: (member index, port, id, message) still to run in this view, in order
     pending: list = []
     while True:
         hop = members[index]
@@ -243,7 +251,7 @@ def _run_hops(
                 if timed:
                     tm.forget(msg_id)
             else:
-                peer, outputs, next_port = hop.peer, hop.outputs, hop.next_port
+                peer, outputs, onward = hop.peer, hop.outputs, hop.onward
                 out_id = msg_id  # the first emission keeps the claimed id
                 step_id = None  # an emission the loop continues with directly
                 for out_port, out_msg in emissions:
@@ -259,23 +267,38 @@ def _run_hops(
                         _count(acc, "open_circuit_drops")
                         if timed:
                             tm.forget(out_id)
-                    elif next_port is None:
-                        _post(stream, outputs[out_port], out_id, out_msg, stalled)
-                    elif step_id is None and not pending:
-                        # first in line: it would be the worklist's head
-                        step_id, step_msg = out_id, out_msg
+                    elif out_port not in onward:
+                        _post(stream, outputs[out_port], out_id, out_msg, stalled, dirty)
                     else:
-                        pending.append(
-                            (index + 1, next_port, out_id, out_msg if carry else None)
-                        )
+                        step = onward[out_port]
+                        channel = step[0]
+                        # a hand-off is a consumer infinitely fast, taken where
+                        # nothing tells it from a post and a claim (FIFO: empty)
+                        if step_id is None and not pending and (channel is None or (
+                            "fetch" not in channel.__dict__ and stream._snapshot is snap
+                            and _active(step[1]) and channel.queue.pass_through()
+                        )):
+                            # first in line: it would be the worklist's head
+                            step_id, step_msg, step_to = out_id, out_msg, step
+                        elif channel is None:
+                            pending.append(
+                                (step[2], step[3], out_id, out_msg if carry else None)
+                            )
+                        else:
+                            _post(stream, channel, out_id, out_msg, stalled, dirty)
                     out_id = None
                 if step_id is not None:
-                    index += 1
-                    port, msg_id = next_port, step_id
+                    channel, view, index, port = step_to
+                    members = view.members
+                    if channel is not None:  # handed off: claimed off an empty queue
+                        handed += 1
+                        if members[0].queue_wait_hist is not None:
+                            members[0].queue_wait_hist.observe(0.0)
+                    msg_id = step_id
                     message = step_msg if carry else None
                     continue
         if not pending:
-            return processed
+            return processed, handed
         index, port, msg_id, message = pending.pop(0)
 
 
@@ -298,7 +321,7 @@ def _hop_failed(
 
 def _post(
     stream: RuntimeStream, channel: Channel, out_id: str, out_msg,
-    stalled: list[_Stalled] | None,
+    stalled: list[_Stalled] | None, dirty: set[str] | None,
 ) -> None:
     """Post one emission to its output channel, never blocking mid-step.
 
@@ -312,6 +335,8 @@ def _post(
     if not (stalled and any(ch is channel for ch, _, _ in stalled)):
         try:
             if channel.post(out_id, size, timeout=0):
+                if dirty is not None and channel.sink is not None:
+                    dirty.add(channel.sink.instance)
                 return
         except QueueClosedError:
             # a closed channel can never accept — drop now, never retry
@@ -369,8 +394,9 @@ class InlineScheduler:
 
     Rather than re-walking every instance per round, each round visits
     only nodes with a reason to run — seeded from pending input traffic,
-    extended by the consumers of every node that moved — always in the
-    snapshot's deterministic processing order.
+    extended by the consumer of every post the hop kernel made — always
+    in the snapshot's deterministic processing order.  A hand-off
+    (:func:`_run_hops`) counts as a move.
 
     Constructing one binds the stream's channels, ingress carriers
     excepted, single-owner (:meth:`RuntimeStream.bind_engine`): one
@@ -426,12 +452,11 @@ class InlineScheduler:
                     break
                 dirty.discard(name)
                 try:
-                    moved = _step_node(stream, view, None, batch, acc)
+                    moved = _step_node(stream, snap, view, None, batch, acc, dirty)
                 finally:
                     gate.exit()
                 if moved:
                     moved_round += moved
-                    dirty.update(view.consumers)
                     for _port, channel in view.inputs:
                         if not channel.queue.is_empty():
                             dirty.add(name)
@@ -607,7 +632,7 @@ class ThreadedScheduler:
                     b0 = time.perf_counter()
                 stalled: list[_Stalled] = []
                 try:
-                    moved = _step_node(stream, view, stalled, batch, acc)
+                    moved = _step_node(stream, snap, view, stalled, batch, acc, None)
                 finally:
                     gate.exit()
                 if acc:

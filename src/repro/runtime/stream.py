@@ -207,76 +207,76 @@ class _NodeView:
     The **hop plan** is what the scheduler's hop kernel needs for every
     message and that cannot change while this snapshot is published,
     resolved here once instead of per hop: the context, the two
-    histograms, the peer id to push and, inside a fused chain,
-    ``next_port`` — the input port of the member after this one.
+    histograms, the peer id to push and ``onward``: per output port, the
+    ``(channel, view, member index, input port)`` to step into — the next
+    fused member (channel ``None``, elided) or, from a tail, a hand-off.
     ``process`` and the histograms' ``observe`` are deliberately *not*
     pre-bound: CPython calls a method through its object faster than it
     calls a stored bound method (46–54 ns against 56–64 ns, three runs of
     two million calls), so binding would buy nothing and would stop
     honouring a ``process`` shadowed after publication.
 
-    Every view is a chain of ``members`` joined by ``interior`` channels;
-    an ordinary node is the chain of itself, so the scheduler has one
-    way of stepping.
+    Every view is a chain of ``members``; an ordinary node is the chain
+    of itself, so the scheduler has one way of stepping.
     """
 
     #: class attribute, not a slot: only :class:`_FusedView` overrides it
     fused = False
 
     __slots__ = (
-        "name", "streamlet", "ctx", "inputs", "outputs", "consumers",
-        "hop_hist", "queue_wait_hist", "members", "interior", "peer", "next_port",
+        "name", "streamlet", "ctx", "inputs", "outputs", "outlets",
+        "hop_hist", "queue_wait_hist", "members", "interior", "peer", "onward",
     )
 
-    def __init__(self, name: str, node: "_Node", consumers: tuple[str, ...]):
+    def __init__(self, name: str, node: "_Node"):
         self.name = name
         self.streamlet = node.streamlet
         self.ctx = node.ctx
         self.inputs: tuple[tuple[str, Channel], ...] = tuple(node.inputs.items())
         self.outputs: dict[str, Channel] = dict(node.outputs)
-        #: downstream instance names (for worklist seeding)
-        self.consumers = consumers
         self.hop_hist = node.hop_hist
         self.queue_wait_hist = node.queue_wait_hist
         self.members: tuple[_NodeView, ...] = (self,)
         self.interior: tuple[Channel, ...] = ()
         self.peer = node.streamlet.peer_id
-        self.next_port: str | None = None
+        self.onward: dict[str, tuple] = {}
 
 
 class _FusedView:
     """A fused chain of synchronously-coupled members, stepped as one node.
 
     Published in the snapshot under the *head* member's name; the other
-    members get parked :class:`_NodeView`s (no inputs, no consumers) so
-    their scheduler workers stay alive idling and re-acquire real wiring
-    if a reconfiguration splits the chain.  ``inputs`` is the head's
-    external inputs plus the interior (elided) channels — so worklist
-    seeding and worker wakeup registration notice residual units parked
-    mid-chain — but the fused step claims new traffic only at the head.
-    Fusion lives entirely at the snapshot level: the structural graph
-    (``_Node`` wiring, channel instances) is untouched, which is what
-    lets every composition primitive split a fused region for free and
-    the next snapshot rebuild re-fuse whatever is still legal.
+    members get parked :class:`_NodeView`s (no inputs) so their scheduler
+    workers stay alive idling and re-acquire real wiring if a
+    reconfiguration splits the chain.  A member's ``onward`` is a
+    hand-off with its channel elided.  Only if an elided channel held
+    units when the snapshot was built (a supervisor re-post retires the
+    snapshot) are they ``interior`` and in ``inputs`` beside the head's,
+    for seeding, wakeups and the residual drain, and no hand-off enters
+    the chain; else no step probes them.  New traffic is claimed at the
+    head only.  Fusion lives entirely at the snapshot level: the
+    structural graph is untouched, so every composition primitive splits
+    a fused region for free and the next rebuild re-fuses what is legal.
     """
 
     fused = True
 
-    __slots__ = ("name", "streamlet", "members", "interior", "inputs", "consumers")
+    __slots__ = ("name", "streamlet", "members", "interior", "inputs", "outlets")
 
     def __init__(self, members: tuple[_NodeView, ...], interior: tuple[Channel, ...]):
         head = members[0]
         self.name = head.name
         self.streamlet = head.streamlet
         self.members = members
-        #: the elided channels, in hop order (len(members) - 1 of them)
-        self.interior = interior
+        #: the elided channels, in hop order, when any holds residue; else ()
+        self.interior = interior if any(len(ch.queue) for ch in interior) else ()
         self.inputs: tuple[tuple[str, Channel], ...] = head.inputs + tuple(
-            (f"__fused{i}", channel) for i, channel in enumerate(interior)
+            (f"__fused{i}", channel) for i, channel in enumerate(self.interior)
         )
-        self.consumers = members[-1].consumers
-        for member, successor in zip(members, members[1:]):
-            member.next_port = successor.inputs[0][0]
+        for index, member in enumerate(members[:-1], 1):
+            successor = members[index]
+            (out_port,) = member.outputs
+            member.onward = {out_port: (None, self, index, successor.inputs[0][0])}
 
 
 class TopologySnapshot:
@@ -562,12 +562,7 @@ class RuntimeStream:
         views: dict[str, _NodeView] = {}
         queues: dict[int, object] = {}
         for name, node in self._nodes.items():
-            consumers: dict[str, None] = {}
-            for channel in node.outputs.values():
-                sink = channel.sink
-                if sink is not None and sink.instance in self._nodes:
-                    consumers[sink.instance] = None
-            views[name] = _NodeView(name, node, tuple(consumers))
+            views[name] = _NodeView(name, node)
             for channel in node.inputs.values():
                 queues[id(channel.queue)] = channel.queue
         # legality is decided on the value, by the rule the compile-time
@@ -583,9 +578,29 @@ class RuntimeStream:
             for m in chain[1:]:
                 # parked: the member's worker idles (no inputs to claim, no
                 # waiters to register) until a split hands its wiring back
-                parked = _NodeView(m, self._nodes[m], ())
+                parked = _NodeView(m, self._nodes[m])
                 parked.inputs = ()
                 views[m] = parked
+        # hand-offs (owned streams): a tail may step a later view whose only
+        # input is its channel (a chain with residue has more), forward in
+        # processing order so no claim circles a loop; ``outlets`` is every
+        # channel a claim may post to, for the batching stop rule
+        position = {name: i for i, name in enumerate(order)}
+        for name in reversed(order):
+            view = views[name]
+            tail = view.members[-1]
+            outlets = dict.fromkeys(tail.outputs.values())
+            for out_port, channel in tail.outputs.items():
+                sink = channel.sink
+                target = views.get(sink.instance) if sink is not None else None
+                if (
+                    self._owned and target is not None and len(target.inputs) == 1
+                    and target.inputs[0][1] is channel
+                    and position[target.name] > position[name]
+                ):
+                    tail.onward[out_port] = (channel, target, 0, target.inputs[0][0])
+                    outlets.update(dict.fromkeys(target.outlets))
+            view.outlets = tuple(outlets)
         if chains != self._fusion_sig:
             # fuse/split transitions are reconfiguration-relevant history:
             # make them visible in the flight recorder
@@ -688,6 +703,7 @@ class RuntimeStream:
         a reconfiguration creates take the bound regime.
         """
         with self.topology_lock:
+            self._snapshot = None  # only an owned stream's hop plan hands off
             self._owned = owned and self._owned is not False
             ingress = {id(channel) for channel in self.ingress.values()}
             for channel in self._channels.values():

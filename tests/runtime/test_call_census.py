@@ -78,8 +78,8 @@ WORKLOADS = {
 #: calls per message per layer, at most: the measured census rounded up to
 #: a whole call (the measured values are in docs/performance.md)
 BOUNDS = {
-    "small_echo": {"post": 45, "pump": 123, "collect": 32, "serialize": 12},
-    "deep_chain": {"post": 45, "pump": 504, "collect": 32, "serialize": 12},
+    "small_echo": {"post": 45, "pump": 84, "collect": 32, "serialize": 12},
+    "deep_chain": {"post": 45, "pump": 329, "collect": 32, "serialize": 12},
 }
 
 
