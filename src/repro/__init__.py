@@ -42,7 +42,6 @@ _EXPORTS = {
     "RuntimeStream": "repro.runtime",
     "Streamlet": "repro.runtime",
     "InlineScheduler": "repro.runtime",
-    "ThreadedScheduler": "repro.runtime",
     "MimeMessage": "repro.mime",
     "MediaType": "repro.mime",
     "serialize_message": "repro.mime",

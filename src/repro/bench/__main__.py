@@ -33,8 +33,7 @@ from repro.bench.telemetry_overhead import run_telemetry_overhead
 
 ALL_TARGETS = (
     "fig7_2", "fig7_3", "fig7_6", "fig7_7", "ablations", "wtcp",
-    "adaptivity", "telemetry", "faults", "reconfig", "scheduler_parallel",
-    "fusion", "durability",
+    "adaptivity", "telemetry", "faults", "reconfig", "fusion", "durability",
 )
 
 #: every committed-baseline comparison CI runs, as (row key, metric,
@@ -45,7 +44,6 @@ ALL_TARGETS = (
 #: CI surfaces the warnings, a human judges them.
 REGRESSION_CHECKS: dict[str, tuple[tuple[str, str, str], ...]] = {
     "telemetry": (("config", "pass_seconds", "lower"),),
-    "scheduler_parallel": (("engine", "throughput_msgs_per_sec", "higher"),),
     "fusion": (("mode", "throughput_msgs_per_sec", "higher"),),
 }
 
@@ -171,18 +169,6 @@ def main(argv: list[str]) -> int:
         )
         result.print()
         emit("reconfig", result)
-    if "scheduler_parallel" in targets:
-        from repro.bench.scheduler_parallel import run_scheduler_parallel
-
-        result = run_scheduler_parallel(
-            n_messages=120 if quick else 400,
-            idle_window=0.2 if quick else 0.4,
-        )
-        result.print()
-        # compare against the baseline committed in the working directory;
-        # warnings are advisory (hosts differ), never a failed exit
-        check_regressions("scheduler_parallel", result)
-        emit("scheduler_parallel", result)
     if "fusion" in targets:
         from repro.bench.fusion import run_fusion
 

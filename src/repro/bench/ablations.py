@@ -3,7 +3,8 @@
 * **pooling** (§3.3.4) — instance-construction cost with and without the
   stateless streamlet pool under a rising stream population;
 * **channel categories** (§4.2.2) — post/fetch cost per category;
-* **schedulers** — deterministic inline pump vs thread-per-streamlet;
+* **scheduler** — the inline pump's batch cost (the thread-per-streamlet
+  engine it was compared with is gone: EXPERIMENTS.md, "Schedulers");
 * **MCL compile** (§3.3.6) — compile + semantic-analysis cost vs
   composition size.
 """
@@ -20,7 +21,7 @@ from repro.mcl import astnodes as ast
 from repro.mime.mediatype import ANY
 from repro.mime.message import MimeMessage
 from repro.runtime.channel import Channel
-from repro.runtime.scheduler import InlineScheduler, ThreadedScheduler
+from repro.runtime.scheduler import InlineScheduler
 from repro.semantics import analyze
 from repro.workloads.content import synthetic_text_message
 
@@ -124,16 +125,14 @@ class SchedulerResult:
     def print(self) -> None:
         """Print the series this ablation produces."""
         print_series(
-            "Ablation: inline vs threaded scheduler (100 msgs, 8 redirectors)",
+            "Ablation: inline scheduler (100 msgs, 8 redirectors)",
             ["scheduler", "time (ms)"],
             [(name, sec * 1e3) for name, sec in self.rows],
         )
 
 
 def run_scheduler_ablation(*, chain: int = 8, n_messages: int = 100) -> SchedulerResult:
-    """Push one batch through the inline and threaded engines."""
-    rows = []
-
+    """Push one batch through the inline engine."""
     server = build_server()
     stream = server.deploy_script(redirector_chain_mcl(chain))
     scheduler = InlineScheduler(stream)
@@ -142,20 +141,7 @@ def run_scheduler_ablation(*, chain: int = 8, n_messages: int = 100) -> Schedule
         stream.post(synthetic_text_message(1024, seed=index))
     scheduler.pump()
     stream.collect()
-    rows.append(("inline", time.perf_counter() - start))
-    stream.end()
-
-    server = build_server()
-    stream = server.deploy_script(redirector_chain_mcl(chain))
-    threaded = ThreadedScheduler(stream)
-    threaded.start()
-    start = time.perf_counter()
-    for index in range(n_messages):
-        stream.post(synthetic_text_message(1024, seed=index))
-    threaded.drain(timeout=30)
-    rows.append(("threaded", time.perf_counter() - start))
-    threaded.stop()
-    stream.collect()
+    rows = [("inline", time.perf_counter() - start)]
     stream.end()
     return SchedulerResult(rows=rows)
 

@@ -13,9 +13,8 @@ Both runs must conserve every message; the fused run must additionally
 report one fusion group spanning the whole chain.  The inline scheduler
 hands each unfused hop's message straight to its consumer, so what the
 static plan still buys here is the per-hop checks a hand-off makes (the
-channel's counters, the consumer's state, the published snapshot), and
-on a worker-stepped stream, which never hands off, every queue it
-elides.  The committed ``BENCH_fusion.json`` feeds the same advisory
+channel's counters, the consumer's state, the published snapshot).  The
+committed ``BENCH_fusion.json`` feeds the same advisory
 ``flag_regressions`` path as the other targets (rows keyed by ``mode``,
 throughput higher-is-better).
 """

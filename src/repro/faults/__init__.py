@@ -34,7 +34,6 @@ _EXPORTS = {
     "RecoveryPolicy": "repro.faults.supervisor",
     "StreamletFault": "repro.faults.plan",
     "Supervisor": "repro.faults.supervisor",
-    "WorkerKill": "repro.faults.plan",
     "assert_conservation": "repro.faults.invariant",
     "check_conservation": "repro.faults.invariant",
 }

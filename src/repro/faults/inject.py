@@ -4,9 +4,8 @@ live system without touching streamlet code.
 Streamlet faults wrap the instance's bound ``process`` at the ``_Node``
 boundary (an instance attribute shadowing the method, removed again by
 :meth:`FaultInjector.disarm`); channel faults shadow ``Channel.fetch`` or
-close the queue; link, handoff, and worker faults drive the public hooks
-the netsim and scheduler layers expose (``begin_outage``, ``storm``,
-``kill_worker``).  Scripted faults are virtual-time aware: call
+close the queue; link and handoff faults drive the public hooks the
+netsim layer exposes (``begin_outage``, ``storm``).  Scripted faults are virtual-time aware: call
 :meth:`FaultInjector.tick` as the clock advances and each fault fires
 exactly once when its ``at`` passes.
 """
@@ -21,17 +20,16 @@ from repro.faults.plan import FaultPlan
 if TYPE_CHECKING:  # pragma: no cover
     from repro.netsim.handoff import HandoffManager
     from repro.netsim.link import WirelessLink
-    from repro.runtime.scheduler import ThreadedScheduler
     from repro.runtime.stream import RuntimeStream
     from repro.util.clock import Clock
 
 
 class FaultInjector:
-    """Arms a fault plan against a stream (and optional netsim/scheduler).
+    """Arms a fault plan against a stream (and an optional netsim link/handoff).
 
     Typical use::
 
-        injector = FaultInjector(plan, link=link, scheduler=scheduler)
+        injector = FaultInjector(plan, link=link)
         injector.arm(stream)
         ...  # drive traffic; call injector.tick() as time advances
         injector.disarm()
@@ -42,13 +40,11 @@ class FaultInjector:
         plan: FaultPlan,
         *,
         clock: "Clock | None" = None,
-        scheduler: "ThreadedScheduler | None" = None,
         link: "WirelessLink | None" = None,
         handoff: "HandoffManager | None" = None,
     ):
         self.plan = plan
         self._clock = clock
-        self._scheduler = scheduler
         self._link = link
         self._handoff = handoff
         self._stream: "RuntimeStream | None" = None
@@ -115,7 +111,7 @@ class FaultInjector:
     def disarm(self) -> None:
         """Remove process wrappers and release surviving stalls.
 
-        Closed queues, expired outages, and killed workers are *damage*,
+        Closed queues and expired outages are *damage*,
         not instrumentation — they stay.
         """
         for streamlet in self._wrapped:
@@ -141,7 +137,6 @@ class FaultInjector:
         actions += self._tick_channels(now)
         actions += self._tick_links(now)
         actions += self._tick_handoffs(now)
-        actions += self._tick_workers(now)
         self.applied += actions
         return actions
 
@@ -240,27 +235,6 @@ class FaultInjector:
             actions += 1
         return actions
 
-    def _tick_workers(self, now: float) -> int:
-        actions = 0
-        scheduler = self._scheduler
-        for kill in self.plan.worker_kills:
-            if not kill.applied and now >= kill.at:
-                if scheduler is None:
-                    raise FaultPlanError("worker kills need a scheduler= at construction")
-                scheduler.kill_worker(kill.instance)
-                kill.applied = True
-                actions += 1
-            if (
-                kill.applied
-                and not kill.respawned
-                and kill.respawn_after is not None
-                and now >= kill.at + kill.respawn_after
-            ):
-                scheduler.ensure_workers()
-                kill.respawned = True
-                actions += 1
-        return actions
-
     # -- queries ----------------------------------------------------------------------
 
     def next_due(self) -> float | None:
@@ -281,9 +255,4 @@ class FaultInjector:
         for storm in self.plan.handoff_storms:
             if not storm.applied:
                 pending.append(storm.at)
-        for kill in self.plan.worker_kills:
-            if not kill.applied:
-                pending.append(kill.at)
-            elif kill.respawn_after is not None and not kill.respawned:
-                pending.append(kill.at + kill.respawn_after)
         return min(pending) if pending else None

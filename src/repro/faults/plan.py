@@ -11,7 +11,7 @@ Faults come in two flavours:
 * **inline** — :class:`StreamletFault` fires inside ``process()`` (once,
   always, or with probability *p* drawn from the plan's RNG);
 * **scripted** — channel stalls/closes, link outages and bandwidth
-  collapses, handoff storms, and worker kills carry an ``at`` timestamp
+  collapses, and handoff storms carry an ``at`` timestamp
   and are applied by :meth:`~repro.faults.inject.FaultInjector.tick` when
   the (virtual or wall) clock passes it.
 """
@@ -138,24 +138,6 @@ class HandoffStorm:
 
 
 @dataclass
-class WorkerKill:
-    """Kill a ThreadedScheduler worker at ``at``; optionally respawn later."""
-
-    instance: str
-    at: float = 0.0
-    #: respawn via ensure_workers() this many seconds after the kill
-    respawn_after: float | None = None
-    applied: bool = False
-    respawned: bool = False
-
-    def __post_init__(self) -> None:
-        if self.respawn_after is not None and self.respawn_after < 0:
-            raise FaultPlanError(
-                f"respawn_after must be >= 0, got {self.respawn_after}"
-            )
-
-
-@dataclass
 class FaultPlan:
     """A seeded, replayable schedule of faults.
 
@@ -166,7 +148,6 @@ class FaultPlan:
         plan.stall_channel("c1", at=0.5, duration=1.0)
         plan.link_outage(at=1.0, duration=0.5)
         plan.handoff_storm(("wavelan", "gsm"), at=2.0, rounds=3)
-        plan.kill_worker("g2j", at=0.1, respawn_after=0.2)
     """
 
     seed: int = 0
@@ -174,7 +155,6 @@ class FaultPlan:
     channel_faults: list[ChannelFault] = field(default_factory=list)
     link_faults: list[LinkFault] = field(default_factory=list)
     handoff_storms: list[HandoffStorm] = field(default_factory=list)
-    worker_kills: list[WorkerKill] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.rng = random.Random(self.seed)
@@ -223,14 +203,6 @@ class FaultPlan:
         self.handoff_storms.append(storm)
         return storm
 
-    def kill_worker(
-        self, instance: str, *, at: float = 0.0, respawn_after: float | None = None
-    ) -> WorkerKill:
-        """Script a scheduler-worker kill (and optional respawn)."""
-        kill = WorkerKill(instance, at=at, respawn_after=respawn_after)
-        self.worker_kills.append(kill)
-        return kill
-
     # -- queries --------------------------------------------------------------------
 
     def faults_for(self, instance: str) -> list[StreamletFault]:
@@ -249,6 +221,3 @@ class FaultPlan:
             fault.healed = False
         for storm in self.handoff_storms:
             storm.applied = False
-        for kill in self.worker_kills:
-            kill.applied = False
-            kill.respawned = False

@@ -15,8 +15,10 @@ Request: ``{"op": <verb>, ...}``.  Response: ``{"ok": true, ...}`` or
     ``{"mcl": source, "session"?: key, "scheduler"?: "threaded"|"inline",
     "stream"?: name}`` — compile, verify, and deploy an MCL script as a
     new gateway session; returns the routing key clients must put in
-    ``Content-Session``.  ``"threaded"`` (the default) starts a worker
-    thread per streamlet only where a streamlet may need one; see
+    ``Content-Session``.  Both ``scheduler`` values (default
+    ``"threaded"``) mean the egress pump and are only recorded: a
+    composition of cooperative streamlets is stepped on the event loop,
+    any other on the pump's executor; see
     :meth:`~repro.gateway.server.GatewayServer.deploy`.
 ``reconfigure``
     ``{"event": name, "session"?: key}`` — raise a context event (scoped
@@ -34,10 +36,11 @@ Request: ``{"op": <verb>, ...}``.  Response: ``{"ok": true, ...}`` or
     A JSON snapshot of the metrics registry (empty when the gateway is
     unobserved).
 ``introspect``
-    Live-state snapshot: per-session queue depths/watermarks, who steps
-    the session (``stepped_by``) with worker states and utilization or
-    the egress pump's own figures, RCU snapshot versions, the session
-    table, data-plane connection counts, and flight-recorder health.
+    Live-state snapshot: per-session queue depths/watermarks, where the
+    session's share runs (``stepped_by``: ``"pump"`` on the event loop,
+    ``"executor"`` off it), the egress pump's own figures, RCU snapshot
+    versions, the session table, data-plane connection counts, and
+    flight-recorder health.
 ``attribution``
     ``{"session"?: key}`` — the per-hop latency attribution tables
     (queue_wait / service / egress histogram summaries) plus the

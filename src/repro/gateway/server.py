@@ -5,7 +5,8 @@ It owns one :class:`~repro.runtime.server.MobiGateServer` (the streamlet
 runtime), an asyncio **data plane** clients stream MIME frames to, and a
 loopback **control plane** management tools speak JSON to.  Frames are
 routed by their ``Content-Session`` header to :class:`GatewaySession`
-objects, each wrapping one deployed stream plus its scheduler.
+objects, each wrapping one deployed stream plus the scheduler the egress
+pump steps it with.
 
 Two ways to run it::
 
@@ -45,7 +46,7 @@ from repro.gateway.control_plane import ControlPlane, control_request
 from repro.gateway.data_plane import DataPlane
 from repro.gateway.faults import LinkOutageGate
 from repro.gateway.session import EgressPump, GatewaySession, serve_forever
-from repro.runtime.scheduler import InlineScheduler, ThreadedScheduler
+from repro.runtime.scheduler import InlineScheduler
 from repro.runtime.server import MobiGateServer
 from repro.store.base import open_store
 from repro.store.ledger import Ledger
@@ -198,13 +199,14 @@ class GatewayServer:
         ``key`` (``session_key`` or the runtime's generated session id) is
         what clients must carry in ``Content-Session``.
 
-        ``scheduler="threaded"`` asks for the thread-per-streamlet engine,
-        and gets it wherever a streamlet may need a thread of its own.  A
+        ``scheduler`` (``"threaded"`` or ``"inline"``) is recorded, not
+        obeyed: every session is stepped by the egress pump.  A
         composition that can only ever hold cooperative streamlets (see
         :attr:`~repro.runtime.streamlet.Streamlet.cooperative`) is stepped
-        by the egress pump instead, exactly as ``"inline"`` sessions are,
-        and starts no ``streamlet-*`` thread.  The ledger records the
-        requested value, so a recovery redeploy makes the same choice.
+        on the event loop; any other on the pump's executor, so a
+        streamlet that waits stalls only its own session.  The ledger
+        records the requested value, so a recovery redeploy makes the
+        same choice.
         """
         if scheduler not in ("threaded", "inline"):
             raise MobiGateError(f"unknown scheduler {scheduler!r}")
@@ -228,15 +230,8 @@ class GatewayServer:
                 key = session_key if session_key is not None else runtime_stream.session
                 if key is None or key in self.sessions:
                     raise MobiGateError(f"cannot key session as {key!r}")
-                pumped = scheduler == "inline" or (
-                    scheduler == "threaded"
-                    and _cooperative_only(table, self.mobigate.directory)
-                )
-                if pumped:
-                    engine = InlineScheduler(runtime_stream)
-                else:
-                    engine = ThreadedScheduler(runtime_stream)
-                    engine.start()
+                off_loop = not _cooperative_only(table, self.mobigate.directory)
+                engine = InlineScheduler(runtime_stream)
                 supervisor = None
                 if self.config.supervise:
                     from repro.faults.supervisor import Supervisor
@@ -257,7 +252,7 @@ class GatewayServer:
                     runtime_stream,
                     engine,
                     ingress_limit=self.config.session_ingress_limit,
-                    inline=pumped,
+                    off_loop=off_loop,
                     requested=scheduler,
                     telemetry=self.telemetry,
                     ledger=self.ledger,
@@ -314,7 +309,6 @@ class GatewayServer:
         """
         if session_key is None:
             delivered = self.mobigate.events.raise_event(name)
-            affected = list(self.sessions.values())
         else:
             session = self.route(session_key)
             if session is None:
@@ -322,13 +316,6 @@ class GatewayServer:
             delivered = self.mobigate.events.raise_event(
                 name, source=session.stream.name
             )
-            affected = [session]
-        # a committed handler may have added instances; threaded sessions
-        # need workers spawned for them or their traffic stalls
-        for touched in affected:
-            ensure = getattr(touched.scheduler, "ensure_workers", None)
-            if ensure is not None:
-                ensure()
         return delivered
 
     def describe(self, session: GatewaySession) -> dict:
@@ -355,26 +342,21 @@ class GatewayServer:
     def introspect(self) -> dict:
         """The live-state snapshot behind the ``introspect`` control verb.
 
-        Per session: queue depths/watermarks, who steps it — ``workers``
-        with their states, or the ``pump``'s own figures for a
-        pump-stepped session — the RCU snapshot version, and the
-        session ledger; plus data-plane connection counts and
-        flight-recorder health.
+        Per session: queue depths/watermarks, who runs its share
+        (``stepped_by``), the ``pump``'s own figures, the RCU snapshot
+        version, and the session ledger; plus data-plane connection
+        counts and flight-recorder health.
         """
         sessions: dict[str, dict] = {}
         pump_stats = self.egress.stats()
         for key, session in list(self.sessions.items()):
             stream = session.stream
-            entry = {
+            sessions[key] = {
                 **session.describe(),
                 "snapshot_version": stream.snapshot_version,
                 "queues": stream.queue_introspect(),
+                "pump": pump_stats,
             }
-            if session.stepped_by == "pump":
-                entry["pump"] = pump_stats
-            else:
-                entry["workers"] = session.scheduler.worker_states()
-            sessions[key] = entry
         recorder = self.telemetry.recorder if self.telemetry is not None else None
         return {
             "sessions": sessions,

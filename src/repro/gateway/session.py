@@ -19,29 +19,31 @@ boundary crossings the data plane needs:
   conservation ledger stays balanced.  A held ingress lock refuses
   nothing: the post waits it out, and nobody holds it for long.
 * **egress** (runtime → event-loop thread): whatever may bring the
-  session work — an admission, a worker's post to an egress queue, a
-  commit, a supervisor retry coming due — marks it *ready* on the
-  gateway's :class:`EgressPump`, whose cycles run on the event loop.
+  session work — an admission, a commit, a supervisor retry coming due
+  — marks it *ready* on the gateway's :class:`EgressPump`, whose cycles
+  run on the event loop.
 
-Who *steps* the stream is the composition's property, not the caller's.
-A **pump-stepped** session (``inline=True``) has no scheduler threads:
-its share of a cycle first turns the stream over with
-``InlineScheduler.pump`` for at most :data:`PUMP_QUANTUM` worklist
-rounds, then collects.  Every channel of its stream but the ingress is
-single-owner (:mod:`repro.runtime.message_queue`): after admission a
-message crosses no lock, and an exit marks nothing ready.  The
-gateway drives every composition of cooperative streamlets this way
-(see :attr:`~repro.runtime.streamlet.Streamlet.cooperative`); any other
-keeps a worker thread per streamlet, because a step that waits on the
-event loop would silence every session.
+Every session is stepped by the pump with an
+:class:`~repro.runtime.scheduler.InlineScheduler`: its **share** of a
+cycle is ``pump_retries``, ``InlineScheduler.pump`` for at most
+:data:`PUMP_QUANTUM` worklist rounds, then ``collect``.  Every channel
+of its stream but the ingress is single-owner
+(:mod:`repro.runtime.message_queue`): after admission a message crosses
+no lock.  *Where* the share runs is the composition's property, not the
+caller's.  A composition that can only hold cooperative streamlets (see
+:attr:`~repro.runtime.streamlet.Streamlet.cooperative`) runs its share
+on the loop, inside the cycle.  Any other runs it on the pump's
+executor, one share in flight per session, because a step that waits
+on the event loop would silence every session; the cycle that follows
+its landing syncs the ledger and sends what it collected.
 
 Admission (``offer`` / ``shed``) and the pump's cycles run on one
-thread, the gateway's event loop, so a pump-stepped message goes from
-read to write without a thread switch.  Until
-:meth:`EgressPump.bind` hands it that loop, the pump cycles on a private
-loop of its own and admissions come from other threads; the cycle
-touches the stream only through ``pump``, ``collect`` and
-``pump_retries``, each of which keeps to the stream's read gate.
+thread, the gateway's event loop, so an on-loop message goes from read
+to write without a thread switch.  Until :meth:`EgressPump.bind` hands
+it that loop, the pump cycles on a private loop of its own and
+admissions come from other threads; a share touches the stream only
+through ``pump_retries``, ``pump`` and ``collect``, each of which keeps
+to the stream's read gate.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ import concurrent.futures
 import contextlib
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 from types import SimpleNamespace
@@ -66,11 +69,15 @@ ADMITTED = "admitted"
 FULL = "full"          # nothing admitted; session at its ingress bound
 SHED = "shed"          # admitted and immediately dropped into the ledger
 
-#: worklist rounds a pump-stepped session may run per cycle (each round
-#: moves up to one scheduler batch per input port); what is left re-marks
-#: the session, so a flooded session delays the others' deliveries by one
+#: worklist rounds a session's share may run per cycle (each round moves
+#: up to one scheduler batch per input port); what is left re-marks the
+#: session, so a flooded session delays the others' deliveries by one
 #: quantum, not by a whole ``ingress_limit`` of backlog
 PUMP_QUANTUM = 4
+
+#: threads of the executor that runs the shares of sessions whose
+#: streamlets may block (one share in flight per session)
+EXECUTOR_THREADS = 4
 
 
 @dataclass
@@ -114,11 +121,14 @@ class EgressPump:
     ``call_soon_threadsafe``); the first mark of a loop iteration
     schedules one drain, which runs a **cycle** over the set:
 
-    1. per ready session — pump supervisor retries, step a pump-stepped
-       stream for its quantum, ``collect()``, re-hook the waiters, arm a
-       ``call_at`` for the earliest retry the supervisor still holds, and
-       mirror the counter deltas into the session's ledger if anything
-       was delivered;
+    1. per ready session — run its share (pump supervisor retries, step
+       the stream for its quantum, ``collect()``, re-hook the waiter),
+       arm a ``call_at`` for the earliest retry the supervisor still
+       holds, and mirror the counter deltas into the session's ledger if
+       anything was delivered.  An off-loop session's share goes to the
+       executor instead; a mark that arrives while it runs re-submits
+       the session when it lands, and its landing marks the session for
+       the cycle that delivers what it collected;
     2. **one** ``ledger.flush()`` for the whole cycle (group commit):
        every delivered count is on disk, per the fsync policy, before
        any frame of the cycle leaves;
@@ -128,7 +138,8 @@ class EgressPump:
     Work is O(ready sessions); an idle stage runs nothing.  Until
     :meth:`bind` hands it the gateway's loop, the pump runs a private one
     in a thread (``gw-egress``) from the first :meth:`attach` to the last
-    :meth:`detach`.
+    :meth:`detach`.  The executor (:data:`EXECUTOR_THREADS` threads)
+    lives as long as an off-loop session is attached.
     """
 
     def __init__(self):
@@ -141,8 +152,11 @@ class EgressPump:
         # (loop, ident of its thread), None before an attach
         self._on: tuple[asyncio.AbstractEventLoop, int] | None = None
         self._private: threading.Thread | None = None  # a private loop's thread
-        # the loop's thread only: sessions to cycle, and retry wakeups
+        self._executor: ThreadPoolExecutor | None = None
+        # the loop's thread only: sessions marked ready, sessions whose
+        # share landed, and retry wakeups
         self._ready: set[GatewaySession] = set()
+        self._landed: set[GatewaySession] = set()
         self._timers: dict[GatewaySession, asyncio.TimerHandle] = {}
         # guards membership and the switch of loops; never held while
         # waiting on a loop (only while joining a private loop's thread)
@@ -181,6 +195,8 @@ class EgressPump:
                 )
                 self._private.start()
                 self._switch(loop, self._private.ident)
+            if session.stepped_by == "executor" and self._executor is None:
+                self._executor = ThreadPoolExecutor(EXECUTOR_THREADS, "gw-step")
             if not self._sessions:
                 self._served_since = time.monotonic()
             self._sessions.add(session)
@@ -189,15 +205,21 @@ class EgressPump:
     def detach(self, session: GatewaySession) -> None:
         """Stop serving ``session``.
 
-        Returns once no cycle can touch the session — at once on the
-        loop's thread, where no cycle is running; after one turn of the
-        loop from any other — so the caller can end the stream and take
-        its final ledger sync.  The last detach also ends a private loop.
+        Returns once no cycle can touch the session or submit a share of
+        it — at once on the loop's thread, where no cycle is running;
+        after one turn of the loop from any other.  The last off-loop
+        session's detach shuts the executor down, and the last detach
+        ends a private loop.
         """
         with self._membership:
             if session not in self._sessions:
                 return
             self._sessions.remove(session)
+            if self._executor is not None and not any(
+                other.stepped_by == "executor" for other in self._sessions
+            ):
+                self._executor.shutdown()  # waits out a share in flight
+                self._executor = None
             if not self._sessions:
                 self._served_seconds += time.monotonic() - self._served_since
                 if self._private is not None:
@@ -216,18 +238,26 @@ class EgressPump:
 
     def mark_ready(self, session: GatewaySession) -> None:
         """Queue ``session`` for the next cycle (any thread)."""
+        self._to_loop(self._mark, session)
+
+    def _to_loop(self, callback, session: GatewaySession) -> None:
+        """Run ``callback(session)`` on the loop's thread: now if on it."""
         on = self._on
         if on is None:
             return  # nothing attached
         if threading.get_ident() == on[1]:
-            self._mark(session)
+            callback(session)
         else:
             with contextlib.suppress(RuntimeError):  # a private loop ended with its last session
-                on[0].call_soon_threadsafe(self._mark, session)
+                on[0].call_soon_threadsafe(callback, session)
 
     def _switch(self, loop: asyncio.AbstractEventLoop, owner: int) -> None:
-        """Cycle on ``loop``; the last loop's ready set and timers never run again."""
-        self._on, self._ready, self._timers = (loop, owner), set(), {}
+        """Cycle on ``loop``; the last loop's ready set and timers never run again.
+
+        A share in flight lands on the new loop: its session is marked
+        ready there, and the cycle finds the share done.
+        """
+        self._on, self._ready, self._landed, self._timers = (loop, owner), set(), set(), {}
 
     def _end_private(self) -> None:
         """Stop the private loop and join its thread (under the membership lock)."""
@@ -241,9 +271,15 @@ class EgressPump:
     def _mark(self, session: GatewaySession) -> None:
         if session in self._sessions:
             ready = self._ready
-            if not ready:
+            if not ready and not self._landed:
                 self._on[0].call_soon(self._drain)
             ready.add(session)
+
+    def _land(self, session: GatewaySession) -> None:
+        if session in self._sessions:
+            if not self._ready and not self._landed:
+                self._on[0].call_soon(self._drain)
+            self._landed.add(session)
 
     def _retry_due(self, session: GatewaySession) -> None:
         self._timers.pop(session, None)
@@ -265,24 +301,50 @@ class EgressPump:
 
     def _drain(self) -> None:
         ready, self._ready = self._ready, set()
+        landed, self._landed = self._landed, set()
         started = time.monotonic()
         try:
-            self._cycle(ready)
+            self._cycle(ready, landed)
         except Exception as exc:  # the commit or the bridge failed
-            self._fault(ready, exc)
+            self._fault(ready | landed, exc)
         finally:
             self._busy_seconds += time.monotonic() - started
             self._cycles += 1
 
-    def _cycle(self, ready: set[GatewaySession]) -> None:
+    def _submit(self, session: GatewaySession) -> None:
+        """Run ``session``'s share on the executor; its landing marks it."""
+        share = self._executor.submit(session._collect)
+        session._share = share
+        share.add_done_callback(lambda _share: self._to_loop(self._land, session))
+
+    def _off_loop(self, session: GatewaySession, marked: bool) -> list[MimeMessage]:
+        """An off-loop session's part of a cycle: what its landed share collected.
+
+        Submits the next share when the session was marked, now or while
+        the last one ran; a share still running only remembers the mark.
+        """
+        share = session._share
+        if share is not None and not share.done():
+            session._again = session._again or marked
+            return []
+        session._share = None
+        if marked or session._again:
+            session._again = False
+            self._submit(session)
+        return share.result() if share is not None else []
+
+    def _cycle(self, ready: set[GatewaySession], landed: set[GatewaySession]) -> None:
         batches = []
         ledgers = set()
         sessions = self._sessions
-        for session in ready:
+        for session in ready | landed if landed else ready:
             if session not in sessions:
                 continue  # detached since it was marked
             try:
-                delivered = session._collect()
+                if session.stepped_by == "executor":
+                    delivered = self._off_loop(session, session in ready)
+                else:
+                    delivered = session._collect()
                 if session.supervisor is not None:
                     self._arm(session)
                 if not delivered:
@@ -359,16 +421,12 @@ class EgressPump:
 class GatewaySession:
     """Routes one ``Content-Session`` key into one deployed stream.
 
-    ``scheduler`` is the engine that steps the stream.  With
-    ``inline=True`` it is an :class:`~repro.runtime.scheduler.
-    InlineScheduler` and the session is **pump-stepped**: no thread of
-    its own, the egress pump runs it to completion inside the session's
-    share of a cycle.  Otherwise the engine owns its threads and the
-    pump only collects what they deliver.
-    ``requested`` is the scheduler name the deployer asked for, when it
-    differs from the engine built — it is what ``describe`` reports as
-    ``scheduler`` and what the ledger records, while ``stepped_by`` says
-    who actually steps.
+    ``scheduler`` is the :class:`~repro.runtime.scheduler.InlineScheduler`
+    that steps the stream, inside the session's share of a pump cycle:
+    on the loop, or with ``off_loop=True`` on the pump's executor
+    (``stepped_by`` reads ``"pump"`` or ``"executor"``).  ``requested``
+    is the scheduler name the deployer asked for — what ``describe``
+    reports as ``scheduler`` and what the ledger records.
     """
 
     def __init__(
@@ -378,8 +436,8 @@ class GatewaySession:
         scheduler,
         *,
         ingress_limit: int = 256,
-        inline: bool = False,
-        requested: str | None = None,
+        off_loop: bool = False,
+        requested: str = "inline",
         telemetry=None,
         ledger=None,
         pump: EgressPump | None = None,
@@ -387,12 +445,10 @@ class GatewaySession:
         self.key = key
         self.stream = stream
         self.scheduler = scheduler
-        if inline:
-            built, self.stepped_by = "inline", "pump"
-        else:
-            built, self.stepped_by = "threaded", "workers"
+        #: who runs the share: the loop (``"pump"``) or the pump's executor
+        self.stepped_by = "executor" if off_loop else "pump"
         #: the engine flavour that was asked for (the ledger's value)
-        self.scheduler_kind = requested if requested is not None else built
+        self.scheduler_kind = requested
         self.ingress_limit = ingress_limit
         self.stats = SessionStats()
         #: durable state plane: counter deltas mirror here per pump cycle
@@ -410,8 +466,11 @@ class GatewaySession:
         self._delivery_hist = (
             telemetry.gateway_delivery_histogram() if telemetry is not None else None
         )
-        self._inline = inline
         self._closed = False
+        #: an off-loop share on the executor, and whether the session was
+        #: marked while it ran (the pump's loop thread writes both)
+        self._share: concurrent.futures.Future | None = None
+        self._again = False
         #: the egress stage serving this session: the gateway's shared
         #: pump, or a private one for a standalone session
         self.pump = pump if pump is not None else EgressPump()
@@ -419,9 +478,9 @@ class GatewaySession:
         #: marks it ready
         self._waiter = SimpleNamespace(set=partial(self.pump.mark_ready, self))
         # a RESUME, a committed reconfiguration or a supervisor retry
-        # scheduled by a worker posts nothing: without this a message
-        # parked behind a paused streamlet, an egress channel the commit
-        # swapped, or a retry's clock would never be looked at again
+        # scheduled by a fault handler posts nothing: without this a
+        # message parked behind a paused streamlet, an egress channel the
+        # commit swapped, or a retry's clock would never be looked at again
         stream.add_wakeup_listener(self._waiter.set)
         self.pump.attach(self)
 
@@ -467,8 +526,7 @@ class GatewaySession:
             return SHED
         self.stream.stats.inc("messages_in", len(entries))
         self.stats.inc("frames_in", len(entries))
-        if self._inline:
-            self._waiter.set()  # no workers: the pump drives the stream
+        self._waiter.set()  # the pump drives the stream
         return ADMITTED
 
     def shed(self, *messages: MimeMessage) -> None:
@@ -516,33 +574,23 @@ class GatewaySession:
     def _collect(self) -> list[MimeMessage]:
         """This session's share of a pump cycle: whatever reached egress.
 
-        Re-hooks the ready waiter (reconfiguration may swap queues;
-        ``add_waiter`` is idempotent).  A worker-stepped session watches
-        its egress queues, hooked after the drain: a queue still holding
-        what was just taken would set the waiter at once and buy an empty
-        cycle.  A pump-stepped one collects right after it steps, so its
-        exits need no waiter; it hooks its ingress queues, where a queue
-        still holding input sets the waiter at once — how what a spent
-        quantum left behind gets its next cycle.  Only after a step that
-        moved something, though: input a paused stream cannot take would
-        re-mark it every cycle and spin the loop; RESUME wakes it through
-        the wakeup listener.
+        Steps the stream for :data:`PUMP_QUANTUM` rounds, then collects:
+        the exits need no waiter.  After a step that moved something it
+        hooks the ready waiter on the ingress queues (reconfiguration may
+        swap them; ``add_waiter`` is idempotent), where a queue still
+        holding input sets it at once — how what a spent quantum left
+        behind gets its next cycle.  Input a paused stream cannot take
+        would re-mark it every cycle and spin the loop; RESUME wakes it
+        through the wakeup listener.
         """
         supervisor = self.supervisor
         if supervisor is not None:
             supervisor.pump_retries()  # first: the step below moves them on
         stream = self.stream
-        if self._inline:
-            if self.scheduler.pump(max_rounds=PUMP_QUANTUM):
-                self._hook(stream.ingress.values())
-            return stream.collect()
-        delivered = stream.collect()
-        self._hook(channel for _ref, channel in stream.egress)
-        return delivered
-
-    def _hook(self, channels) -> None:
-        for channel in channels:
-            channel.queue.add_waiter(self._waiter)
+        if self.scheduler.pump(max_rounds=PUMP_QUANTUM):
+            for channel in stream.ingress.values():
+                channel.queue.add_waiter(self._waiter)
+        return stream.collect()
 
     def _serialise(self, delivered: list[MimeMessage], picked: float, out: list) -> None:
         """Read each message's origin, observe latency, append wire frames to ``out``.
@@ -583,7 +631,7 @@ class GatewaySession:
         }
 
     def close(self) -> None:
-        """Stop the scheduler, leave the pump, end the stream (idempotent).
+        """Leave the pump, wait out a share in flight, end the stream (idempotent).
 
         A close is *not* an undeploy in the ledger's eyes: the final
         counter sync lands, but no ``undeployed`` record — a session
@@ -593,9 +641,12 @@ class GatewaySession:
         if self._closed:
             return
         self._closed = True
-        if not self._inline:
-            self.scheduler.stop()
-        self.pump.detach(self)
+        self.pump.detach(self)  # after this no cycle submits a share
+        share = self._share
+        if share is not None:
+            failure = share.exception()  # waits it out; no cycle will read it
+            if failure is not None:
+                self.pump._fault((self,), failure)
         self.stream.remove_wakeup_listener(self._waiter.set)
         self.stream.end()
         if self.ledger is not None:

@@ -26,7 +26,7 @@ from repro.runtime.streamlet_manager import StreamletManager
 from repro.runtime.events import EventManager
 from repro.runtime.stream import RuntimeStream
 from repro.runtime.reconfig import ReconfigTransaction, TxnState
-from repro.runtime.scheduler import InlineScheduler, ThreadedScheduler
+from repro.runtime.scheduler import InlineScheduler
 from repro.runtime.coordination import CoordinationManager
 from repro.runtime.server import MobiGateServer
 
@@ -46,7 +46,6 @@ __all__ = [
     "EventManager",
     "RuntimeStream",
     "InlineScheduler",
-    "ThreadedScheduler",
     "CoordinationManager",
     "MobiGateServer",
 ]

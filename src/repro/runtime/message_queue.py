@@ -12,11 +12,13 @@ One class, two regimes, decided when an engine binds the stream
     The Java ``synchronized`` + ``wait``/``notify`` design: one lock and a
     pair of conditions (posts signal ``not_empty``, fetches ``not_full``),
     each notified only while a thread is blocked on it — a post or fetch
-    nobody waits for costs one lock round.  Every queue of a worker-stepped
-    stream is shared, and so is every ingress, which other threads post to.
+    nobody waits for costs one lock round.  Every ingress is shared, since
+    other threads post to it, and so is every queue of a stream no engine
+    has bound.
 **owned** (``owned=True``)
-    One thread is both ends — the interior and egress channels of an
-    :class:`~repro.runtime.scheduler.InlineScheduler`-stepped stream.  A
+    One thread at a time is both ends — the interior and egress channels
+    of an :class:`~repro.runtime.scheduler.InlineScheduler`-stepped
+    stream.  A
     post or fetch is a deque operation plus a byte count, with no lock:
     nobody else can make room or bring a message, so nothing ever waits.
     Its thread touches it only inside the stream's read gate, any other
@@ -34,10 +36,10 @@ the Figure 6-9 policy under an explicit timeout contract:
     Same, with an explicit budget overriding the configured one.
 ``timeout=0``
     A non-blocking *probe*: never waits, never counts ``dropped`` — the
-    caller (a scheduler mid-step or mid-stall-retry) books the drop once.
+    caller (a scheduler mid-step, a supervisor retry) books the drop once.
 
-Consumers multiplexing several input queues (a scheduler worker) register
-a ``threading.Event`` via :meth:`add_waiter`, set by every post.  The
+A consumer watching a queue (a gateway session on its ingress) registers
+a waiter via :meth:`add_waiter`, whose ``set()`` every post calls.  The
 gateway's admission posts a whole run with :meth:`post_run`, which waits
 for the lock but never for room.  Waiting for a shared queue's lock is
 always short: no method holds it across a wait (a condition wait releases
@@ -173,14 +175,6 @@ class MessageQueue:
             if self._entries or self._closed:
                 event.set()
 
-    def remove_waiter(self, event: threading.Event) -> None:
-        """Deregister a consumer wakeup event (idempotent)."""
-        with self._lock:
-            try:
-                self._waiters.remove(event)
-            except ValueError:
-                pass
-
     # -- the paper's postMessage / fetchMessage ----------------------------------------------
 
     def _put(self, run: list[tuple[str, int]], size: int, probe: bool) -> bool:
@@ -315,25 +309,6 @@ class MessageQueue:
                 # sizes vary: the room one producer cannot use may fit another's
                 self._not_full.notify_all()
             return msg_id
-
-    def wait_for_room(self, size: int, timeout: float) -> bool:
-        """Block until a ``size``-byte post *might* succeed (or timeout).
-
-        One bounded wait on the producer condition; purely advisory — the
-        caller must still post, which is why the stall-retry loop pairs
-        this with ``timeout=0`` probes.
-        """
-        with self._lock:
-            if self._closed:
-                return False
-            if self._has_room(size):
-                return True
-            self._blocked_producers += 1
-            try:
-                self._not_full.wait(timeout)
-            finally:
-                self._blocked_producers -= 1
-            return not self._closed and self._has_room(size)
 
     def drain(self) -> list[str]:
         """Remove and return every queued id (used by BB/KB teardown)."""

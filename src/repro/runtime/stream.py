@@ -110,7 +110,7 @@ class StreamStats:
     def inc(self, name: str, n: int = 1) -> None:
         """Atomically bump one counter.
 
-        Scheduler workers read the topology lock-free, so counters shared
+        A step reads the topology lock-free, so counters shared
         across instances (processed, drops, ...) can no longer rely on the
         topology lock serialising their ``+=``; a bare read-modify-write
         loses increments under thread preemption.
@@ -140,7 +140,7 @@ class _ReadGate:
     until every *other* thread has left the gate.
 
     The one protocol rule that prevents deadlock: a registered reader must
-    never block on the topology lock.  A worker that needs to mutate the
+    never block on the topology lock.  A step that needs to mutate the
     stream mid-step (e.g. a supervisor bypassing a failing streamlet from
     inside the fault handler) leaves the gate first
     (:meth:`leave_current`), takes the write side, and re-registers while
@@ -201,7 +201,7 @@ class _NodeView:
     References the *live* ``Streamlet``/``Channel``/context objects (so
     fault-injection wrappers that shadow ``process``/``fetch`` as instance
     attributes keep intercepting), but the port tables are immutable
-    copies: workers iterate them without taking the topology lock and
+    copies: a step iterates them without taking the topology lock and
     without the per-step ``list(dict.items())`` allocation.
 
     The **hop plan** is what the scheduler's hop kernel needs for every
@@ -246,15 +246,14 @@ class _FusedView:
     """A fused chain of synchronously-coupled members, stepped as one node.
 
     Published in the snapshot under the *head* member's name; the other
-    members get parked :class:`_NodeView`s (no inputs) so their scheduler
-    workers stay alive idling and re-acquire real wiring if a
-    reconfiguration splits the chain.  A member's ``onward`` is a
-    hand-off with its channel elided.  Only if an elided channel held
-    units when the snapshot was built (a supervisor re-post retires the
-    snapshot) are they ``interior`` and in ``inputs`` beside the head's,
-    for seeding, wakeups and the residual drain, and no hand-off enters
-    the chain; else no step probes them.  New traffic is claimed at the
-    head only.  Fusion lives entirely at the snapshot level: the
+    members get parked :class:`_NodeView`s (no inputs), and re-acquire
+    real wiring if a reconfiguration splits the chain.  A member's
+    ``onward`` is a hand-off with its channel elided.  Only if an elided
+    channel held units when the snapshot was built (a supervisor re-post
+    into one retires the snapshot) are they ``interior`` and in
+    ``inputs`` beside the head's, for seeding and the residual drain, and
+    no hand-off enters the chain; else no step probes them.  New traffic
+    is claimed at the head only.  Fusion lives entirely at the snapshot level: the
     structural graph is untouched, so every composition primitive splits
     a fused region for free and the next rebuild re-fuses what is legal.
     """
@@ -282,7 +281,7 @@ class _FusedView:
 class TopologySnapshot:
     """An immutable, versioned view of a stream's wiring (RCU published).
 
-    Workers read the current snapshot lock-free; reconfiguration retires
+    Steps read the current snapshot lock-free; reconfiguration retires
     it under the write lock, mutates, and the next reader rebuilds.  The
     version is monotonically increasing across rebuilds.
     """
@@ -362,8 +361,8 @@ class RuntimeStream:
         self._write_depth = 0
         #: the thread inside the write section, if any
         self._writer: int | None = None
-        #: the channel regime (see :meth:`bind_engine`); None until an engine binds
-        self._owned: bool | None = None
+        #: whether an engine bound the channels single-owner (:meth:`bind_engine`)
+        self._owned = False
         #: callbacks fired after a write section closes (and on resume, and
         #: when a supervisor schedules a retry): schedulers and the
         #: gateway's egress register here to re-examine the world
@@ -495,7 +494,7 @@ class RuntimeStream:
             if channel is None:
                 channel = Channel(
                     name, state.definition, drop_timeout=self._drop_timeout,
-                    telemetry=self.tm, owned=bool(self._owned) and not _is_ingress(state),
+                    telemetry=self.tm, owned=self._owned and not _is_ingress(state),
                 )
             channels[name] = channel
             channel.bind(state.source, state.sink)
@@ -576,8 +575,7 @@ class RuntimeStream:
             )
             views[chain[0]] = _FusedView(member_views, interior)
             for m in chain[1:]:
-                # parked: the member's worker idles (no inputs to claim, no
-                # waiters to register) until a split hands its wiring back
+                # parked: no inputs to claim until a split hands its wiring back
                 parked = _NodeView(m, self._nodes[m])
                 parked.inputs = ()
                 views[m] = parked
@@ -638,9 +636,9 @@ class RuntimeStream:
 
         Retires the published snapshot, then waits for every in-flight
         reader step to finish (grace period) before yielding — so a
-        mutation never races a worker mid-step, and the queue counts a
+        mutation never races a step in flight, and the queue counts a
         transaction captures inside this section are exact.  Reentrant:
-        nested sections only pay the grace period once.  A worker thread
+        nested sections only pay the grace period once.  A stepping thread
         calling in from inside its own step leaves the read gate first
         (readers must not block on the topology lock) and re-registers
         before the lock is released.
@@ -665,7 +663,7 @@ class RuntimeStream:
                 self._writer = None
             if reader_depth:
                 # re-register while still holding the lock: the next writer
-                # will wait for the remainder of this worker's step
+                # will wait for the remainder of this thread's step
                 gate.restore(reader_depth)
             self.topology_lock.release()
             if outermost:
@@ -691,23 +689,21 @@ class RuntimeStream:
             self.topology_snapshot()  # waits out the writer, republishes
             gate.enter()
 
-    def bind_engine(self, *, owned: bool) -> None:
-        """Decide, once, who may touch the channels (``docs/gateway.md``).
+    def bind_engine(self) -> None:
+        """Make every channel but the ingress carriers single-owner.
 
-        An :class:`~repro.runtime.scheduler.InlineScheduler` binds
-        ``owned=True``: its one thread steps and collects, so every channel
-        but the ingress carriers (which other threads post to) becomes a
-        single-owner queue.  ``ThreadedScheduler.start`` binds
-        ``owned=False`` and every queue is shared; shared is final, so a
-        later inline binding of the same stream changes nothing.  Channels
-        a reconfiguration creates take the bound regime.
+        An :class:`~repro.runtime.scheduler.InlineScheduler` binds the
+        stream (``docs/gateway.md``): one thread at a time steps and
+        collects, and other threads only post to the ingress carriers or
+        go through the write section.  Channels a reconfiguration creates
+        take the same regime.
         """
         with self.topology_lock:
             self._snapshot = None  # only an owned stream's hop plan hands off
-            self._owned = owned and self._owned is not False
+            self._owned = True
             ingress = {id(channel) for channel in self.ingress.values()}
             for channel in self._channels.values():
-                channel.queue.owned = self._owned and id(channel) not in ingress
+                channel.queue.owned = id(channel) not in ingress
 
     def add_wakeup_listener(self, callback) -> None:
         """Register a callback fired after writes, resumes and scheduled retries."""
@@ -1151,7 +1147,7 @@ class RuntimeStream:
         """Suspend every active streamlet (the PAUSE system command).
 
         Runs in a write section so the pause lands at a step boundary for
-        every worker (no streamlet observes PAUSED mid-process).
+        every step (no streamlet observes PAUSED mid-process).
         """
         with self._write_access():
             for node in self._nodes.values():
@@ -1164,7 +1160,7 @@ class RuntimeStream:
             for node in self._nodes.values():
                 if node.streamlet.state is StreamletState.PAUSED:
                     node.streamlet.activate()
-        # sleeping workers have no queue post to wake them: tell schedulers
+        # a paused stream's input posts nothing new: tell its stepper
         self._notify_wakeup()
 
     def _handle_actions(self, event_id: str, actions) -> ReconfigTiming | None:

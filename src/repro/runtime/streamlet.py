@@ -70,8 +70,8 @@ class Streamlet:
     Subclasses set ``cooperative = True`` to promise that ``process()``
     never waits — no sleep, no I/O, no lock held elsewhere — and does
     work bounded by the one message it was handed.  A gateway steps a
-    composition made only of cooperative streamlets on its shared egress
-    thread instead of giving each instance a worker thread, so a
+    composition made only of cooperative streamlets on its event loop,
+    and any other composition on its egress pump's executor, so a
     cooperative ``process()`` that does block silences every session of
     the gateway; the default is the safe one.
     """

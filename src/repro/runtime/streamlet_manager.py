@@ -80,10 +80,3 @@ class StreamletManager:
         """Return an instance; stateless ones go back to their pool."""
         if self._pooling and instance.is_stateless:
             self._pool_for(instance.definition).release(instance)
-
-    def pool_stats(self) -> dict[str, dict[str, int]]:
-        """Per-definition pool hit/miss/idle counters."""
-        return {
-            name: {"hits": p.hits, "misses": p.misses, "idle": p.idle_count}
-            for name, p in self._pools.items()
-        }

@@ -132,7 +132,7 @@ class RecoveryManager:
         if scheduler == "process":
             # a ledger written while the sharded multi-process engine
             # existed (EXPERIMENTS.md, "The process plane"): the composition
-            # now picks pump or workers, and deploy() records "threaded"
+            # now picks loop or executor, and deploy() records "threaded"
             # for the next restart
             scheduler = "threaded"
             if gateway.telemetry is not None:

@@ -103,7 +103,7 @@ class TestAblationRunners:
 
     def test_schedulers(self):
         result = run_scheduler_ablation(chain=3, n_messages=5)
-        assert dict(result.rows).keys() == {"inline", "threaded"}
+        assert dict(result.rows).keys() == {"inline"}
 
     def test_compile(self):
         result = run_compile_ablation((3, 6), repeats=2)

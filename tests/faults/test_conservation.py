@@ -1,8 +1,8 @@
-"""The conservation invariant under injected schedules, both engines.
+"""The conservation invariant under injected schedules, on and off the loop.
 
 The acceptance property of the fault plane: after any schedule —
-streamlet faults, channel stalls, link outages, handoff storms, worker
-kills — every admitted pool id is exactly one of delivered /
+streamlet faults, channel stalls, link outages, handoff storms — every
+admitted pool id is exactly one of delivered /
 dead-lettered / counted in a drop statistic, and for a fixed seed a
 virtual-time run replays bit-identically.
 """
@@ -22,8 +22,10 @@ from repro.faults import (
 from repro.mime.message import MimeMessage
 from repro.netsim.handoff import HandoffManager
 from repro.netsim.link import WirelessLink
-from repro.runtime.scheduler import InlineScheduler, ThreadedScheduler
+from repro.runtime.scheduler import InlineScheduler
 from repro.util.clock import VirtualClock
+
+from tests.offloop import OffLoop
 
 SOURCE = """
 streamlet tap{
@@ -139,34 +141,30 @@ class TestInlineConservation:
 
 
 class TestThreadedConservation:
-    def test_invariant_holds_with_faults_and_worker_kill(self):
+    def test_invariant_holds_with_faults_off_the_loop(self):
+        """Faults and supervisor retries on a stream the gateway's executor steps."""
         clock = VirtualClock()
         server = build_server(clock=clock, drop_timeout=0.2)
         stream = server.deploy_script(SOURCE)
         plan = FaultPlan(seed=5)
         plan.fail_streamlet("b", mode="probability", probability=0.3)
-        plan.kill_worker("b", at=0.0)  # killed at arm, respawned below
-        scheduler = ThreadedScheduler(stream)
-        scheduler.start()
         supervisor = Supervisor(
             stream, RecoveryPolicy(max_retries=3, backoff_base=0.0, jitter=0.0)
         )
         supervisor.attach()
-        injector = FaultInjector(plan, clock=clock, scheduler=scheduler)
-        injector.arm(stream)
-        assert scheduler.workers_killed == 1
+        FaultInjector(plan, clock=clock).arm(stream)
+        # the session's shares pump the supervisor's retries
+        scheduler = OffLoop(stream, supervisor=supervisor)
         try:
             for i in range(30):
                 stream.post(MimeMessage("text/plain", f"t{i}".encode()))
-            scheduler.ensure_workers()  # respawn the killed worker
             deadline = time.monotonic() + 20
             while time.monotonic() < deadline:
-                supervisor.pump_retries()
                 if scheduler.drain(timeout=0.2) and not supervisor.pending_retries:
                     break
-            delivered = stream.collect()
+            delivered = scheduler.collect()
         finally:
-            scheduler.stop()
+            scheduler.stop()  # ends the stream
         report = assert_conservation(stream, zero_loss=True)
         assert report.delivered == len(delivered)
         assert report.delivered + report.dead_letters == 30

@@ -1,4 +1,4 @@
-"""FaultInjector: landing plans on live streams, links, and schedulers."""
+"""FaultInjector: landing plans on live streams and links."""
 
 import time
 
@@ -11,7 +11,7 @@ from repro.mime.message import MimeMessage
 from repro.netsim.handoff import HandoffManager
 from repro.netsim.link import WirelessLink
 from repro.runtime.events import EventManager
-from repro.runtime.scheduler import InlineScheduler, ThreadedScheduler
+from repro.runtime.scheduler import InlineScheduler
 from repro.util.clock import VirtualClock
 
 SOURCE = """
@@ -185,32 +185,3 @@ class TestLinkAndHandoffFaults:
         injector.tick()
         assert len(handoff.handoffs) == 4  # two rounds over two interfaces
         assert handoff.active_name == "wavelan"
-
-
-class TestWorkerKills:
-    def test_kill_then_respawn_restores_flow(self, deployed):
-        _server, stream, clock = deployed
-        scheduler = ThreadedScheduler(stream)
-        scheduler.start()
-        try:
-            plan = FaultPlan()
-            plan.kill_worker("b", at=0.0, respawn_after=1.0)
-            injector = FaultInjector(plan, clock=clock, scheduler=scheduler)
-            injector.arm(stream)  # kill fires at arm (virtual now == 0)
-            assert scheduler.workers_killed == 1
-            stream.post(MimeMessage("text/plain", b"stuck"))
-            time.sleep(0.05)  # a and the dead b: message parks at b
-            assert stream.collect() == []
-            clock.advance(1.0)
-            injector.tick()  # respawns b via ensure_workers
-            assert scheduler.drain(timeout=10)
-            assert len(stream.collect()) == 1
-        finally:
-            scheduler.stop()
-
-    def test_kill_without_scheduler_rejected(self, deployed):
-        _server, stream, _clock = deployed
-        plan = FaultPlan()
-        plan.kill_worker("b", at=0.0)
-        with pytest.raises(FaultPlanError):
-            FaultInjector(plan).arm(stream)

@@ -25,7 +25,7 @@ MCL = """main stream chain{
 }"""
 
 #: the same chain built from a redirector that does not declare itself
-#: cooperative: the gateway must give each instance a worker thread
+#: cooperative: the gateway must step it on the egress pump's executor
 WORKER_MCL = MCL.replace("(redirector)", "(worker_redirector)")
 
 
@@ -126,7 +126,7 @@ class TestEcho:
             stats = poll_stats(
                 handle, key, lambda s: s["conservation"]["residual"] == 0
             )
-            assert stats["stepped_by"] == "workers"
+            assert stats["stepped_by"] == "executor"
             assert stats["conservation"]["balanced"], stats
 
     def test_roundtrip_inline_scheduler(self):

@@ -1,10 +1,11 @@
-"""Who steps a session: the composition decides, and both answers agree.
+"""Where a session's share runs: the composition decides, and both answers agree.
 
-A ``scheduler="threaded"`` deploy is pump-stepped when its table can only
-ever instantiate cooperative streamlets and worker-stepped otherwise.  The
-differential test drives one seeded script through both on one gateway —
-the pump-stepped session is the reference interpreter's output, and the
-worker-stepped one must match it message for message.
+Every deploy is stepped by the egress pump: on the event loop when its
+table can only ever instantiate cooperative streamlets, on the pump's
+executor otherwise, whatever ``scheduler`` says.  The differential test
+drives one seeded script through both on one gateway — the on-loop
+session is the reference interpreter's output, and the executor-stepped
+one must match it message for message.
 """
 
 import random
@@ -68,7 +69,8 @@ def adaptive_mcl(prefix: str) -> str:
 
 
 def stream_threads() -> list[str]:
-    return sorted(t.name for t in threading.enumerate() if t.name.startswith("streamlet-"))
+    """Threads that step streamlets: the pump's executor (``gw-step``)."""
+    return sorted(t.name for t in threading.enumerate() if t.name.startswith("gw-step"))
 
 
 @contextmanager
@@ -95,9 +97,13 @@ class TestSelection:
             "r0 = new-streamlet (redirector);\n"
             "  streamlet r1 = new-streamlet (worker_redirector)"
         ))
-        with deployed(offer_both(GatewayServer()), mixed) as session:
-            assert session.stepped_by == "workers"
-            assert len(stream_threads()) == len(before) + 2
+        gateway = offer_both(GatewayServer())
+        with deployed(gateway, mixed) as session:
+            assert session.stepped_by == "executor"
+            assert gateway.egress._executor is not None
+            # one share in flight per session: one thread however many instances
+            assert len(stream_threads()) <= len(before) + 1
+        assert gateway.egress._executor is None
         assert stream_threads() == before
 
     def test_what_a_handler_may_instantiate_counts(self):
@@ -110,7 +116,7 @@ class TestSelection:
   }
 }"""
         with deployed(offer_both(GatewayServer()), later) as session:
-            assert session.stepped_by == "workers"
+            assert session.stepped_by == "executor"
 
     def test_a_factory_that_declares_nothing_gets_workers(self):
         gateway = GatewayServer()
@@ -118,15 +124,18 @@ class TestSelection:
             replace(REDIRECTOR_DEF, name="made"), lambda iid, d: Redirector(iid, d)
         )
         with deployed(gateway, MCL.replace("(redirector)", "(made)")) as session:
-            assert session.stepped_by == "workers"
+            assert session.stepped_by == "executor"
 
     def test_the_codec_backed_transcoders_keep_their_threads(self):
         with deployed(GatewayServer(), MCL.replace("(redirector)", "(encryptor)")) as session:
-            assert session.stepped_by == "workers"
+            assert session.stepped_by == "executor"
 
     def test_explicit_engines_are_what_they_were(self):
         gateway = offer_both(GatewayServer())
+        # both names mean the pump; where the share runs is the composition's
         with deployed(gateway, WORKER_MCL, scheduler="inline") as session:
+            assert (session.stepped_by, session.scheduler_kind) == ("executor", "inline")
+        with deployed(gateway, MCL, scheduler="inline") as session:
             assert (session.stepped_by, session.scheduler_kind) == ("pump", "inline")
         # the sharded multi-process engine is gone (EXPERIMENTS.md)
         with pytest.raises(MobiGateError, match="unknown scheduler 'process'"):
@@ -138,10 +147,11 @@ class TestBulkFramesOverTheDefaultChannel:
     def test_a_pumped_producer_never_outruns_the_100kb_auto_channel(self):
         """64 KB frames, window 4 on each of two connections, default channel.
 
-        Worker-stepped, the producer's thread can post a second frame
-        before the consumer's took the first: the channel drops it and
-        the client is told nothing.  Pump-stepped, worklist order and the
-        headroom rule visit the consumer between any two posts.
+        With a thread per streamlet, the producer's thread could post a
+        second frame before the consumer's took the first: the channel
+        dropped it and the client was told nothing.  Pump-stepped,
+        worklist order and the headroom rule visit the consumer between
+        any two posts.
         """
         per_connection, window = 40, 4
         with GatewayServer().run_in_thread() as handle:
@@ -229,13 +239,13 @@ def drive(handle, key, script, out):
 
 @pytest.mark.parametrize("seed", [11, 12])
 def test_pump_stepped_and_worker_stepped_sessions_agree(seed):
-    """The differential test: same script, same gateway, both engines."""
+    """The differential test: same script, same gateway, on the loop and off it."""
     script = seeded_script(seed)
     config = GatewayConfig(supervise=True, store_backend="memory")
     with offer_both(GatewayServer(config=config)).run_in_thread() as handle:
         keys = {
             "pump": deploy(handle, mcl=adaptive_mcl("")),
-            "workers": deploy(handle, mcl=adaptive_mcl("worker_")),
+            "executor": deploy(handle, mcl=adaptive_mcl("worker_")),
         }
         listing = {s["session"]: s for s in handle.control({"op": "sessions"})["sessions"]}
         for stepped_by, key in keys.items():
@@ -284,9 +294,9 @@ def test_pump_stepped_and_worker_stepped_sessions_agree(seed):
         reference = outcome["pump"]
         assert reference["per_connection"] == clean  # every echo, in send order
         assert reference["dead_lettered"] == poison
-        assert outcome["workers"] == reference
+        assert outcome["executor"] == reference
 
         reconciled = handle.control({"op": "recovery", "reconcile": True})["reconcile"]
         assert reconciled["balanced"] and reconciled["missing"] == 0, reconciled
         folded = {s["session"]: s for s in reconciled["sessions"]}
-        assert folded[keys["pump"]]["delivered"] == folded[keys["workers"]]["delivered"]
+        assert folded[keys["pump"]]["delivered"] == folded[keys["executor"]]["delivered"]

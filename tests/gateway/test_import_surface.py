@@ -67,10 +67,10 @@ print(json.dumps({
 """
 
 
-def test_gateway_import_loads_no_shared_memory_and_two_schedulers():
+def test_gateway_import_loads_no_shared_memory_and_one_scheduler():
     seen = run_probe(PROBE)
     assert seen["loaded"] == []
-    assert seen["schedulers"] == ["InlineScheduler", "ThreadedScheduler"]
+    assert seen["schedulers"] == ["InlineScheduler"]
 
 
 def test_gateway_import_loads_no_numpy_codec_client_or_crash_harness():
@@ -244,7 +244,7 @@ print(json.dumps({"loaded": loaded, "wrong": wrong,
     assert seen["faults"] == [
         "ChannelFault", "ConservationReport", "DeadLetter", "DeadLetterPool",
         "FaultInjector", "FaultPlan", "HandoffStorm", "InjectedFault", "LinkFault",
-        "RecoveryPolicy", "StreamletFault", "Supervisor", "WorkerKill",
+        "RecoveryPolicy", "StreamletFault", "Supervisor",
         "assert_conservation", "check_conservation",
     ]
     assert seen["mcl"] == [

@@ -63,10 +63,10 @@ class TestVerbs:
             assert isinstance(session["queues"], list) and session["queues"]
             for row in session["queues"]:
                 assert {"channel", "depth", "watermark", "capacity_bytes"} <= set(row)
-            assert session["stepped_by"] == "workers"
-            assert session["workers"], "threaded scheduler must expose workers"
-            assert all(w["alive"] for w in session["workers"].values())
-            assert "pump" not in session
+            # a composition that may block runs its share on the executor
+            assert session["stepped_by"] == "executor"
+            assert "workers" not in session
+            assert session["pump"]["egress_faults"] == 0
             recorder = state["recorder"]
             assert recorder["enabled"] is True
             assert recorder["recorded"] >= 0
@@ -118,12 +118,13 @@ class TestVerbs:
             echo_loop(handle.data_address, key, 20, failures)
             assert not failures
             state = handle.control({"op": "introspect"})
-            workers = state["sessions"][key]["workers"]
-            stepped = [w for w in workers.values() if w.get("steps", 0) > 0]
-            assert stepped, workers
-            for worker in stepped:
-                assert worker["busy_seconds"] > 0.0
-                assert 0.0 <= worker["utilization"] <= 1.0
+            session = state["sessions"][key]
+            assert session["stepped_by"] == "executor"
+            pump = session["pump"]
+            # every landed share was delivered by a cycle of the pump
+            assert pump["cycles"] >= pump["delivering_cycles"] >= 1
+            assert pump["frames_per_cycle"] >= 1.0
+            assert 0.0 < pump["busy_share"] <= 1.0
 
     def test_attribution_verb_decomposes_latency(self):
         with observed_gateway().run_in_thread() as handle:

@@ -20,8 +20,8 @@ MCL = """main stream chain{
 class _InertScheduler:
     """Never moves a message — keeps admitted traffic resident forever."""
 
-    def stop(self) -> None:
-        pass
+    def pump(self, *, max_rounds=None) -> int:
+        return 0
 
 
 def deploy_session(ingress_limit=2):

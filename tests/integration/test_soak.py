@@ -1,7 +1,8 @@
-"""Full-stack soak: threaded server, wire transport, threaded client.
+"""Full-stack soak: executor-stepped server, wire transport, threaded client.
 
 The closest thing to the thesis's live testbed: the web-acceleration
-stream runs under the thread-per-streamlet engine, every processed
+stream is stepped off the posting thread by the gateway's executor
+(what ``scheduler="threaded"`` gets for its codec streamlets), every processed
 message is serialised to wire bytes, and a multi-worker client
 distributor reverse-processes them — while a LOW_BANDWIDTH event lands
 mid-run.  The invariant is total content fidelity: every offered payload
@@ -17,8 +18,9 @@ from repro.apps import WEB_ACCELERATION_MCL, build_server
 from repro.client.client_pool import ClientStreamletPool
 from repro.client.distributor import MessageDistributor
 from repro.mime.wire import parse_message, serialize_message
-from repro.runtime.scheduler import ThreadedScheduler
 from repro.workloads.generators import WebWorkload
+
+from tests.offloop import OffLoop
 
 
 def test_threaded_end_to_end_soak():
@@ -27,8 +29,7 @@ def test_threaded_end_to_end_soak():
     # which is what a no-loss soak needs
     server = build_server(drop_timeout=2.0)
     stream = server.deploy_script(WEB_ACCELERATION_MCL)
-    scheduler = ThreadedScheduler(stream)
-    scheduler.start()
+    scheduler = OffLoop(stream)
 
     delivered = []
     delivered_lock = threading.Lock()
@@ -62,7 +63,7 @@ def test_threaded_end_to_end_soak():
             stream.post(message)
             if index == 10:
                 server.events.raise_event("LOW_BANDWIDTH")
-                scheduler.ensure_workers()
+            scheduler.kick()
             time.sleep(0.0005)
         assert scheduler.drain(timeout=60)
 
@@ -74,8 +75,7 @@ def test_threaded_end_to_end_soak():
         distributor.drain()
     finally:
         distributor.stop()
-        scheduler.stop()
-        stream.end()
+        scheduler.stop()  # ends the stream
 
     with delivered_lock:
         results = list(delivered)

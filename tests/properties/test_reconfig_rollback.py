@@ -5,8 +5,9 @@ ending in an action guaranteed to fail mid-apply (the prefix may fail
 even earlier — any failure index must behave identically).  Whatever the
 batch did before dying, the rollback must leave ``snapshot_table()``,
 ``channel_names()``, ``processing_order()``, queue contents, instance
-params, and the epoch bit-identical to the pre-commit state — under the
-inline and the threaded scheduler both.
+params, and the epoch bit-identical to the pre-commit state — stepped
+inline, and stepped off the caller's thread by the gateway's executor
+(``threaded``).
 """
 
 import pytest
@@ -19,8 +20,10 @@ from repro.faults.invariant import check_conservation
 from repro.mcl import astnodes as ast
 from repro.mime.message import MimeMessage
 from repro.runtime.reconfig import ReconfigTransaction
-from repro.runtime.scheduler import InlineScheduler, ThreadedScheduler
+from repro.runtime.scheduler import InlineScheduler
 from repro.util.clock import VirtualClock
+
+from tests.offloop import OffLoop
 
 SOURCE = """
 streamlet tap{
@@ -118,8 +121,7 @@ def test_failing_batch_is_invisible_inline(prefix, parked):
 def test_failing_batch_is_invisible_threaded(prefix):
     server = build_server(clock=VirtualClock())
     stream = server.deploy_script(SOURCE)
-    scheduler = ThreadedScheduler(stream)
-    scheduler.start()
+    scheduler = OffLoop(stream)
     try:
         before = fingerprint(stream)
         txn = ReconfigTransaction(stream, [*prefix, POISON])
@@ -129,7 +131,7 @@ def test_failing_batch_is_invisible_threaded(prefix):
         for i in range(3):
             stream.post(MimeMessage("text/plain", f"t{i}".encode()))
         assert scheduler.drain(timeout=10)
-        assert len(stream.collect()) == 3
+        assert len(scheduler.collect()) == 3
         report = check_conservation(stream)
         assert report.balanced and report.lost == 0
     finally:

@@ -1,9 +1,11 @@
-"""Backpressure under the threaded engine (regression for lock starvation).
+"""Backpressure on a stream stepped by the gateway's executor.
 
-A producer faster than its consumer must not (a) deadlock by blocking on a
-full queue while holding the topology lock — which would starve the very
-consumer that frees space — nor (b) drop messages when a drop timeout
-allows waiting.  The retry happens outside the lock; FIFO order survives.
+A producer faster than its consumer must not (a) deadlock the stream or
+(b) drop messages while the consumer keeps up: the pump's headroom rule
+visits the consumer before a bounded channel overflows, and FIFO order
+survives.  A consumer that stops taking (paused) leaves the Figure 6-9
+policy in charge: with no drop timeout, what does not fit is dropped and
+released at once.
 """
 
 import time
@@ -14,8 +16,9 @@ from repro.apps import build_server
 from repro.mcl import astnodes as ast
 from repro.mime.mediatype import TEXT_PLAIN
 from repro.mime.message import MimeMessage
-from repro.runtime.scheduler import ThreadedScheduler
 from repro.runtime.streamlet import Streamlet
+
+from tests.offloop import OffLoop
 
 DEFS = """
 streamlet fastsrc{
@@ -67,33 +70,32 @@ def deploy(drop_timeout):
 class TestBackpressure:
     def test_no_loss_with_drop_timeout(self):
         _server, stream = deploy(drop_timeout=5.0)
-        scheduler = ThreadedScheduler(stream)
-        scheduler.start()
+        scheduler = OffLoop(stream)
         try:
             payloads = [f"burst-{i}".encode() * 40 for i in range(30)]
             for payload in payloads:  # far more than the 1 KB channel holds
                 stream.post(MimeMessage(TEXT_PLAIN, payload))
             assert scheduler.drain(timeout=30)
-            bodies = [m.body for m in stream.collect()]
+            bodies = [m.body for m in scheduler.collect()]
         finally:
-            scheduler.stop()
-            stream.end()
+            scheduler.stop()  # ends the stream
         # nothing dropped, FIFO order intact, no deadlock
         assert bodies == payloads
         assert stream.stats.queue_drops == 0
 
     def test_drops_when_timeout_zero(self):
         _server, stream = deploy(drop_timeout=0.0)
-        scheduler = ThreadedScheduler(stream)
-        scheduler.start()
+        stream.node("b").streamlet.pause()  # the consumer stops taking
+        scheduler = OffLoop(stream)
         try:
             for i in range(30):
                 stream.post(MimeMessage(TEXT_PLAIN, f"b{i}".encode() * 60))
-            scheduler.drain(timeout=30)
-            delivered = stream.collect()
+            scheduler.drain(timeout=5)  # b's channel holds what fits
+            stream.resume_all()
+            assert scheduler.drain(timeout=30)
+            delivered = scheduler.collect()
         finally:
-            scheduler.stop()
-            stream.end()
+            scheduler.stop()  # ends the stream
         # Figure 6-9 policy: the fast producer drops instead of stalling
         assert stream.stats.queue_drops > 0
         assert len(delivered) + stream.stats.queue_drops == 30

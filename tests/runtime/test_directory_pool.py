@@ -134,12 +134,3 @@ class TestStreamletManager:
         b = mgr.acquire("i2", self.directory.definition("stateless"))
         assert b is not a
         assert mgr.created == 2
-
-    def test_pool_stats(self):
-        mgr = StreamletManager(self.directory, pooling=True)
-        inst = mgr.acquire("i1", self.directory.definition("stateless"))
-        mgr.release(inst)
-        mgr.acquire("i2", self.directory.definition("stateless"))
-        stats = mgr.pool_stats()["stateless"]
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1

@@ -1,4 +1,5 @@
-"""Fused-chain runtime behaviour: fidelity, faults, reconfig, both schedulers."""
+"""Fused-chain runtime behaviour: fidelity, faults, reconfig, on the caller's
+thread (``inline``) and on the gateway's executor (``threaded``)."""
 
 import time
 
@@ -10,10 +11,12 @@ from repro.faults.invariant import assert_conservation
 from repro.mcl import astnodes as ast
 from repro.mime.mediatype import ANY
 from repro.mime.message import MimeMessage
-from repro.runtime.scheduler import InlineScheduler, ThreadedScheduler
+from repro.runtime.scheduler import InlineScheduler
 from repro.runtime.streamlet import Streamlet, StreamletContext
 from repro.telemetry import MetricsRegistry, Telemetry
 from repro.telemetry.attribution import summarize
+
+from tests.offloop import OffLoop
 
 SYNC_DEFS = """channel syncChan{
   port{ in cin : */*; out cout : */*; }
@@ -30,15 +33,14 @@ SPLICE_MCL = SYNC_DEFS + """main stream fz{
   connect (r2.po, r3.pi, s2);
 }"""
 
+#: ``threaded``: stepped by the gateway's executor (tests/offloop.py)
 ENGINES = ("inline", "threaded")
 
 
 def make_scheduler(stream, engine, **kwargs):
     if engine == "inline":
         return InlineScheduler(stream, **kwargs)
-    scheduler = ThreadedScheduler(stream, **kwargs)
-    scheduler.start()
-    return scheduler
+    return OffLoop(stream, **kwargs)
 
 
 def drain(stream, scheduler, n, timeout=5.0):
@@ -48,14 +50,17 @@ def drain(stream, scheduler, n, timeout=5.0):
     while len(out) < n and time.monotonic() < deadline:
         if isinstance(scheduler, InlineScheduler):
             scheduler.pump()
-        out.extend(stream.collect())
+            out.extend(stream.collect())
+        else:
+            scheduler.kick()
+            out.extend(scheduler.collect())
         if len(out) < n:
             time.sleep(0.002)
     return out
 
 
 def stop(scheduler):
-    if isinstance(scheduler, ThreadedScheduler):
+    if isinstance(scheduler, OffLoop):
         scheduler.stop()
 
 

@@ -8,8 +8,7 @@ consumer infinitely fast), so everything observable must read as if the
 message had been posted and claimed — and wherever a message could
 tell the two apart (a stalled or closed channel, a paused or two-input
 consumer, traffic already waiting, a snapshot retired mid-step, units
-parked inside a fused chain, a worker-stepped stream) it takes the post
-path.  Each test below pins one of those rules.
+parked inside a fused chain) it takes the post path.  Each test below pins one of those rules.
 """
 
 import dataclasses
@@ -23,10 +22,12 @@ from repro.mime.mediatype import ANY
 from repro.mime.message import MimeMessage
 from repro.mime.wire import serialize_message
 from repro.runtime.message_queue import MessageQueue
-from repro.runtime.scheduler import InlineScheduler, ThreadedScheduler
+from repro.runtime.scheduler import InlineScheduler
 from repro.runtime.streamlet import Streamlet
 from repro.telemetry import MetricsRegistry, Telemetry
 from repro.telemetry.attribution import summarize
+
+from tests.offloop import OffLoop
 
 SYNC_CHANNEL = """channel hoSync{
   port{ in cin : */*; out cout : */*; }
@@ -409,6 +410,49 @@ class TestFusedChains:
         assert_conservation(stream)
         stream.end()
 
+    RETRIED = """main stream rp{
+  streamlet u, r0, r2 = new-streamlet (redirector);
+  streamlet f = new-streamlet (ho_flaky);
+  channel s0, s1 = new-channel (%s);
+  connect (u.po, r0.pi);
+  connect (r0.po, f.pi, s0);
+  connect (f.po, r2.pi, s1);
+}"""
+
+    def test_a_retry_into_a_fused_interior_retires_the_snapshot_and_keeps_fifo(self):
+        _server, stream = deploy(SYNC_CHANNEL + self.RETRIED % "hoSync")
+        scheduler = InlineScheduler(stream)
+        assert stream.fusion_groups() == (("r0", "f", "r2"),)
+        supervisor = Supervisor(stream, RecoveryPolicy(max_retries=2, backoff_base=0.0, jitter=0.0))
+        supervisor.attach()
+        stream.post(text(b"once-1"))
+        scheduler.pump()  # f fails it: the supervisor holds it
+        version = stream.snapshot_version
+        assert supervisor.pump_retries() == 1  # onto s0, which the snapshot elides
+        stream.post(text(b"then-2"))
+        scheduler.pump()
+        assert stream.snapshot_version > version  # rebuilt to list s0 as residue
+        assert bodies(stream.collect()) == [b"once-1", b"then-2"]
+        assert_conservation(stream)
+        stream.end()
+
+    def test_a_retry_on_an_unfused_chain_keeps_the_snapshot(self):
+        _server, stream = deploy(ASYNC_CHANNEL + self.RETRIED % "hoAsync")
+        scheduler = InlineScheduler(stream)
+        assert stream.fusion_groups() == ()
+        supervisor = Supervisor(stream, RecoveryPolicy(max_retries=2, backoff_base=0.0, jitter=0.0))
+        supervisor.attach()
+        stream.post(text(b"once-1"))
+        scheduler.pump()
+        version = stream.snapshot_version
+        assert supervisor.pump_retries() == 1  # onto s0, f's own input
+        stream.post(text(b"then-2"))
+        scheduler.pump()
+        assert stream.snapshot_version == version  # nothing to rebuild
+        assert bodies(stream.collect()) == [b"once-1", b"then-2"]
+        assert_conservation(stream)
+        stream.end()
+
 
 def _run(engine: str) -> dict:
     """Twenty messages through an async chain with a fan-out, on one engine."""
@@ -423,22 +467,23 @@ def _run(engine: str) -> dict:
     if engine == "inline":
         scheduler = InlineScheduler(stream)
     else:
-        scheduler = ThreadedScheduler(stream)
-        scheduler.start()
+        scheduler = OffLoop(stream)  # the gateway's executor
     delivered = []
     try:
         for i in range(20):
             stream.post(text(b"m%02d" % i))
             if engine == "inline":
                 scheduler.pump()
-            delivered += stream.collect()
+                delivered += stream.collect()
+            else:
+                scheduler.kick()
         if engine == "threaded":
             assert scheduler.drain(timeout=10.0)
-        delivered += stream.collect()
+            delivered += scheduler.collect()
         watermarks = {name: q.watermark for name, q in interior_queues(stream).items()}
     finally:
         if engine == "threaded":
-            scheduler.stop()
+            scheduler.stop()  # ends the stream: nothing is left to drop
     stats = dataclasses.asdict(stream.stats)
     counters = {r["channel"]: (r["posted"], r["fetched"]) for r in stream.queue_introspect()}
     stream.end()
@@ -455,7 +500,6 @@ def test_inline_and_threaded_agree_on_everything_but_the_queueing():
     assert len(inline["frames"]) == 40
     for key in ("frames", "stats", "counters"):
         assert inline[key] == threaded[key], key
-    # the threaded engine never hands off: every message was queued
-    assert all(mark >= 1 for mark in threaded["watermarks"].values())
+    # one message at a time is handed along: only a twin pair's second half queues
     assert all(mark == 0 for name, mark in inline["watermarks"].items()
-               if name != "c2")  # each twin pair's second half queues
+               if name != "c2")

@@ -10,8 +10,11 @@ Each test pins one fixed bug:
   pressure leaked the traced-id set;
 * ``MessageQueue.post_message`` burned its whole wait budget on the first
   spurious wakeup (single ``cond.wait`` instead of a deadline loop);
-* the ThreadedScheduler's stall-retry drop path at ``drop_timeout=0``
-  must release every dropped id and fire the drop signal.
+* the drop path at ``drop_timeout=0`` must release every dropped id and
+  fire the drop signal (pinned first on the thread-per-streamlet
+  engine's stall retries; now on a stream the gateway's executor steps);
+* ``GatewayServer.stop()`` shuts the egress pump's executor down, and no
+  thread the gateway started outlives it.
 """
 
 import threading
@@ -25,10 +28,12 @@ from repro.mcl.parser import parse_script
 from repro.mime.mediatype import TEXT_PLAIN
 from repro.mime.message import MimeMessage
 from repro.runtime.message_queue import MessageQueue
-from repro.runtime.scheduler import InlineScheduler, ThreadedScheduler
+from repro.runtime.scheduler import InlineScheduler
 from repro.runtime.streamlet import Streamlet
 from repro.telemetry import Telemetry
 from repro.telemetry.metrics import MetricsRegistry
+
+from tests.offloop import OffLoop
 
 SOURCE = """
 streamlet tap{
@@ -197,17 +202,17 @@ class TestThreadedStallRetryDrops:
         stream = server.deploy_script(TINY_SOURCE)
         dropped_ids = []
         stream.drop_hook = lambda msg_id, message: dropped_ids.append(msg_id)
-        scheduler = ThreadedScheduler(stream)
-        scheduler.start()
+        stream.node("b").streamlet.pause()  # the consumer stops taking
+        scheduler = OffLoop(stream)
         try:
             n = 30
             for i in range(n):
                 stream.post(MimeMessage(TEXT_PLAIN, f"b{i}".encode() * 60))
-            scheduler.drain(timeout=30)
-            delivered = stream.collect()
+            scheduler.drain(timeout=5)  # b's channel holds what fits
+            stream.resume_all()
+            assert scheduler.drain(timeout=30)
         finally:
-            scheduler.stop()
-            stream.end()
+            scheduler.stop()  # ends the stream
         assert stream.stats.queue_drops > 0  # the squeeze really dropped
         assert len(stream.pool) == 0  # no pool leak
         # every drop fired the drop signal exactly once
@@ -216,3 +221,38 @@ class TestThreadedStallRetryDrops:
         report = check_conservation(stream)
         assert report.balanced
         assert report.delivered + stream.stats.queue_drops == n
+
+
+class TestExecutorShutdown:
+    def test_stop_shuts_the_executor_down_and_leaves_no_thread(self):
+        from dataclasses import replace
+
+        from repro.gateway import GatewayServer
+        from repro.streamlets.basic import REDIRECTOR_DEF, Redirector
+
+        before = set(threading.enumerate())
+        gateway = GatewayServer()
+        gateway.mobigate.directory.advertise(
+            replace(REDIRECTOR_DEF, name="may_block"),
+            type("MayBlock", (Redirector,), {"cooperative": False}),
+        )
+        mcl = """main stream off{
+  streamlet a, b = new-streamlet (may_block);
+  connect (a.po, b.pi);
+}"""
+        with gateway.run_in_thread() as handle:
+            session = gateway.deploy(mcl, session_key="off")
+            assert session.stepped_by == "executor"
+            assert session.offer(MimeMessage(TEXT_PLAIN, b"x")) == "admitted"
+            deadline = time.monotonic() + 10
+            while session.stats.snapshot()["frames_out"] < 1:
+                assert time.monotonic() < deadline, "the executor never stepped"
+                time.sleep(0.005)
+            assert any(t.name.startswith("gw-step") for t in threading.enumerate())
+            executor = gateway.egress._executor
+            assert executor is not None
+            handle.stop()
+        assert gateway.egress._executor is None
+        assert executor._shutdown
+        leftover = [t for t in threading.enumerate() if t not in before and t.is_alive()]
+        assert leftover == [], leftover

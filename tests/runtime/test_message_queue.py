@@ -172,30 +172,9 @@ class TestTimeoutContract:
         assert q.post_message("a", 10, timeout=0)
         assert q.dropped == 0
 
-    def test_wait_for_room_sees_consumer_progress(self):
-        q = self.full(drop_timeout=0.0)
-
-        def consume_later():
-            time.sleep(0.02)
-            q.fetch_message()
-
-        t = threading.Thread(target=consume_later)
-        t.start()
-        assert q.wait_for_room(10, timeout=2.0)
-        t.join()
-        assert q.post_message("b", 10, timeout=0)
-
-    def test_wait_for_room_times_out_without_progress(self):
-        q = self.full()
-        assert not q.wait_for_room(10, timeout=0.01)
-
-    def test_wait_for_room_immediate_when_room_exists(self):
-        q = MessageQueue(100)
-        assert q.wait_for_room(10, timeout=0.0)
-
 
 class TestConsumerWaiters:
-    """The add_waiter edge-triggered wakeup used by scheduler workers."""
+    """The add_waiter wakeup a gateway session hooks on its ingress."""
 
     def test_post_sets_registered_waiter(self):
         q = MessageQueue(100)
@@ -218,15 +197,6 @@ class TestConsumerWaiters:
         q.add_waiter(event)
         q.close()
         assert event.is_set()
-
-    def test_removed_waiter_stays_quiet(self):
-        q = MessageQueue(100)
-        event = threading.Event()
-        q.add_waiter(event)
-        q.remove_waiter(event)
-        q.post_message("a", 1)
-        assert not event.is_set()
-        q.remove_waiter(event)  # idempotent
 
 
 class TestConcurrency:

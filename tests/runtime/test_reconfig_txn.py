@@ -23,8 +23,10 @@ from repro.faults.invariant import check_conservation
 from repro.mcl import astnodes as ast
 from repro.mime.message import MimeMessage
 from repro.runtime.reconfig import ReconfigTransaction, TxnState
-from repro.runtime.scheduler import InlineScheduler, ThreadedScheduler
+from repro.runtime.scheduler import InlineScheduler
 from repro.util.clock import VirtualClock
+
+from tests.offloop import OffLoop
 
 SOURCE = """
 streamlet tap{
@@ -83,6 +85,7 @@ def park_in_b(stream, scheduler, n=3):
         deadline = _time.time() + 5
         while stream.node("b").inputs["pi"].pending() < n:
             assert _time.time() < deadline, "messages never reached b"
+            scheduler.kick()  # a post straight to the stream marks nothing
             _time.sleep(0.002)
     assert stream.node("b").inputs["pi"].pending() == n
 
@@ -202,8 +205,7 @@ class TestRollback:
         if kind == "inline":
             scheduler = InlineScheduler(stream)
         else:
-            scheduler = ThreadedScheduler(stream)
-            scheduler.start()
+            scheduler = OffLoop(stream)  # the gateway's executor
         try:
             park_in_b(stream, scheduler, n=3)
             before = fingerprint(stream)
@@ -225,9 +227,10 @@ class TestRollback:
             stream.node("b").streamlet.activate()
             if kind == "inline":
                 scheduler.pump()
+                assert len(stream.collect()) == 3
             else:
                 assert scheduler.drain(timeout=10)
-            assert len(stream.collect()) == 3
+                assert len(scheduler.collect()) == 3
             report = check_conservation(stream)
             assert report.balanced and report.lost == 0
         finally:

@@ -4,7 +4,9 @@ import pytest
 
 from repro.apps import build_server
 from repro.mime.message import MimeMessage
-from repro.runtime.scheduler import InlineScheduler, ThreadedScheduler
+from repro.runtime.scheduler import InlineScheduler
+
+from tests.offloop import OffLoop
 
 SOURCE = """
 streamlet tap{
@@ -68,34 +70,23 @@ class TestInlinePump:
 
 
 class TestThreadedLifecycle:
-    def test_double_start_rejected(self, deployed):
-        _server, stream = deployed
-        scheduler = ThreadedScheduler(stream)
-        scheduler.start()
-        try:
-            with pytest.raises(RuntimeError):
-                scheduler.start()
-        finally:
-            scheduler.stop()
+    """A stream stepped by the gateway's executor (``scheduler="threaded"``)."""
 
-    def test_worker_exits_when_instance_removed(self, deployed):
+    def test_a_removed_instance_is_stepped_around(self, deployed):
         _server, stream = deployed
-        scheduler = ThreadedScheduler(stream)
-        scheduler.start()
+        scheduler = OffLoop(stream)
         try:
             stream.remove_streamlet("b")  # heals a -> c
-            import time
-
-            time.sleep(0.01)  # worker notices and exits
             stream.post(MimeMessage("text/plain", b"through"))
             assert scheduler.drain(timeout=10)
-            assert len(stream.collect()) == 1
+            assert len(scheduler.collect()) == 1
         finally:
             scheduler.stop()
 
     def test_stop_idempotent_after_drain(self, deployed):
         _server, stream = deployed
-        scheduler = ThreadedScheduler(stream)
-        scheduler.start()
+        scheduler = OffLoop(stream)
+        assert scheduler.drain(timeout=10)
         scheduler.stop()
         scheduler.stop()  # second stop is a no-op
+        assert stream.ended

@@ -4,9 +4,11 @@ from repro.errors import CompositionError, ReconfigurationError
 from repro.mcl import astnodes as ast
 from repro.mime.message import MimeMessage
 from repro.runtime.directory import StreamletDirectory
-from repro.runtime.scheduler import InlineScheduler, ThreadedScheduler
+from repro.runtime.scheduler import InlineScheduler
 from repro.runtime.server import MobiGateServer
 from repro.runtime.streamlet import Streamlet
+
+from tests.offloop import OffLoop
 
 DEFS = """
 streamlet upper{
@@ -140,19 +142,18 @@ main stream tagged{
         stream.end()
         assert stream.ended
         # pooled stateless instances returned
-        assert server.manager.pool_stats()["upper"]["idle"] >= 1
+        assert server.manager._pools["upper"].idle_count >= 1
 
 
-class TestThreadedScheduler:
+class TestExecutorStepped:
     def test_pipeline_delivery(self, server):
         stream = deploy(server, PIPELINE)
-        scheduler = ThreadedScheduler(stream)
-        scheduler.start()
+        scheduler = OffLoop(stream)  # the gateway's executor
         try:
             for i in range(20):
                 stream.post(text(f"m{i}".encode()))
             assert scheduler.drain(timeout=10)
-            bodies = [m.body for m in stream.collect()]
+            bodies = [m.body for m in scheduler.collect()]
             assert bodies == [f"M{i}!".encode() for i in range(20)]
         finally:
             scheduler.stop()

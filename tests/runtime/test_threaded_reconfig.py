@@ -1,9 +1,12 @@
-"""Concurrency: reconfiguration while the threaded scheduler is running.
+"""Concurrency: reconfiguration under traffic on an executor-stepped session.
 
 The thesis runs its reconfiguration experiments on a live multithreaded
-system; these tests verify the topology lock keeps wiring changes and
-message processing mutually consistent — no lost messages, no crashes —
-when events land mid-flight.
+system.  Here the stream is a gateway session whose composition may
+block (``text_compress``), so the egress pump steps it on its executor
+while a feeder thread admits traffic and the test thread rewires it:
+the write section keeps wiring changes and message processing mutually
+consistent — no lost messages, no reordering, no crashes — when events
+land mid-flight.
 """
 
 import threading
@@ -14,7 +17,8 @@ import pytest
 from repro.apps import build_server
 from repro.client.client import MobiGateClient
 from repro.mime.message import MimeMessage
-from repro.runtime.scheduler import ThreadedScheduler
+
+from tests.offloop import OffLoop
 
 SOURCE = """
 streamlet tap{
@@ -34,12 +38,10 @@ main stream live{
 def live_stream():
     server = build_server()
     stream = server.deploy_script(SOURCE)
-    scheduler = ThreadedScheduler(stream)
-    scheduler.start()
+    scheduler = OffLoop(stream)  # an executor-stepped gateway session
+    assert scheduler.session.stepped_by == "executor"
     yield server, stream, scheduler
     scheduler.stop()
-    if not stream.ended:
-        stream.end()
 
 
 class TestThreadedReconfiguration:
@@ -50,7 +52,7 @@ class TestThreadedReconfiguration:
 
         def feed():
             for payload in payloads:
-                stream.post(MimeMessage("text/plain", payload))
+                scheduler.session.offer(MimeMessage("text/plain", payload))
                 time.sleep(0.0002)
 
         feeder = threading.Thread(target=feed)
@@ -60,12 +62,11 @@ class TestThreadedReconfiguration:
             # simulate the event manager firing mid-stream: the lock
             # serialises the rewire against in-flight processing
             stream.insert("a.po", "b.pi", "tc")
-        scheduler.ensure_workers()
         feeder.join()
         assert scheduler.drain(timeout=15)
 
         delivered = []
-        for wire in stream.collect():
+        for wire in scheduler.collect():
             delivered.extend(client.receive(wire))
         # nothing lost, nothing reordered
         assert [m.body for m in delivered] == payloads
@@ -81,7 +82,7 @@ class TestThreadedReconfiguration:
 
         def feed():
             for payload in payloads:
-                stream.post(MimeMessage("text/plain", payload))
+                scheduler.session.offer(MimeMessage("text/plain", payload))
                 time.sleep(0.0002)
             stop.set()
 
@@ -89,11 +90,10 @@ class TestThreadedReconfiguration:
         feeder.start()
         time.sleep(0.003)
         server.events.raise_event("LOW_BANDWIDTH")  # handler runs under lock
-        scheduler.ensure_workers()
         feeder.join()
         assert scheduler.drain(timeout=15)
         delivered = []
-        for wire in stream.collect():
+        for wire in scheduler.collect():
             delivered.extend(client.receive(wire))
         assert [m.body for m in delivered] == payloads
         assert stream.stats.events_handled == 1

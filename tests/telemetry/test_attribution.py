@@ -91,7 +91,7 @@ def gateway_decomposition(ledger=None, n=50) -> dict:
     server = build_server(telemetry=telemetry)
     stream = server.deploy_script(GATEWAY_MCL)
     session = GatewaySession(
-        "k1", stream, InlineScheduler(stream), inline=True, telemetry=telemetry,
+        "k1", stream, InlineScheduler(stream), telemetry=telemetry,
         ledger=ledger,
     )
     frames = []
@@ -202,7 +202,7 @@ class TestNullTwin:
         # so no recorder, and no attribution instrument is bound anywhere
         server = build_server(telemetry=NULL_TELEMETRY)
         stream = server.deploy_script(GATEWAY_MCL)
-        session = GatewaySession("k1", stream, InlineScheduler(stream), inline=True)
+        session = GatewaySession("k1", stream, InlineScheduler(stream))
         try:
             assert server.telemetry is None and stream.tm is None
             for name in ("r0", "r1"):

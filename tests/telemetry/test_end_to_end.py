@@ -1,4 +1,4 @@
-"""Acceptance: the §7.5 pipeline under ThreadedScheduler, fully observed.
+"""Acceptance: the §7.5 pipeline on the gateway's executor, fully observed.
 
 Deploys the web-acceleration stream, pushes a mixed workload through it
 with a mid-run LOW_BANDWIDTH reconfiguration, reverses results through a
@@ -13,9 +13,10 @@ import pytest
 
 from repro.apps import WEB_ACCELERATION_MCL, build_server
 from repro.client.client import MobiGateClient
-from repro.runtime.scheduler import ThreadedScheduler
 from repro.telemetry import MetricsRegistry, Telemetry
 from repro.workloads.generators import WebWorkload
+
+from tests.offloop import OffLoop
 
 _SAMPLE_RE = re.compile(
     r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*=\"[^\"]*\""
@@ -32,20 +33,17 @@ def observed_run():
     stream.set_param("comm", "transport", client.receive)
 
     workload = list(WebWorkload(seed=11, image_fraction=0.35).messages(10))
-    scheduler = ThreadedScheduler(stream)
-    scheduler.start()
+    scheduler = OffLoop(stream)  # codec streamlets: stepped off the loop
     try:
         for message in workload[:5]:
             stream.post(message)
         assert scheduler.drain(timeout=10.0)
         server.events.raise_event("LOW_BANDWIDTH")
-        scheduler.ensure_workers()
         for message in workload[5:]:
             stream.post(message)
         assert scheduler.drain(timeout=10.0)
     finally:
-        scheduler.stop()
-    stream.end()
+        scheduler.stop()  # ends the stream
     return telemetry, stream, client
 
 

@@ -4,10 +4,12 @@ import pytest
 
 from repro.mcl.parser import parse_script
 from repro.mime.message import MimeMessage
-from repro.runtime.scheduler import InlineScheduler, ThreadedScheduler
+from repro.runtime.scheduler import InlineScheduler
 from repro.runtime.server import MobiGateServer
 from repro.runtime.streamlet import Streamlet
 from repro.telemetry import MetricsRegistry, Telemetry
+
+from tests.offloop import OffLoop
 
 LEAKY = """
 streamlet leak{
@@ -55,15 +57,13 @@ class TestOpenCircuitDrops:
     def test_counted_under_threaded_scheduler(self):
         telemetry = Telemetry(registry=MetricsRegistry())
         stream = deploy_leaky(telemetry)
-        scheduler = ThreadedScheduler(stream)
-        scheduler.start()
+        scheduler = OffLoop(stream)  # the gateway's executor
         try:
             for i in range(3):
                 stream.post(MimeMessage("text/plain", b"m%d" % i))
             assert scheduler.drain(timeout=5.0)
         finally:
-            scheduler.stop()
-        stream.end()
+            scheduler.stop()  # ends the stream
 
         assert stream.stats.open_circuit_drops == 3
         assert counter_value(telemetry, "open_circuit_drops", "leaky") == 3
