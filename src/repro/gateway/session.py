@@ -25,9 +25,9 @@ boundary crossings the data plane needs:
 
 Every session is stepped by the pump with an
 :class:`~repro.runtime.scheduler.InlineScheduler`: its **share** of a
-cycle is ``pump_retries``, ``InlineScheduler.pump`` for at most
-:data:`PUMP_QUANTUM` worklist rounds, then ``collect``.  Every channel
-of its stream but the ingress is single-owner
+cycle is ``pump_retries`` and ``InlineScheduler.pump`` for at most
+:data:`PUMP_QUANTUM` worklist rounds; the cycle then collects.  Every
+channel of its stream but the ingress is single-owner
 (:mod:`repro.runtime.message_queue`): after admission a message crosses
 no lock.  *Where* the share runs is the composition's property, not the
 caller's.  A composition that can only hold cooperative streamlets (see
@@ -35,13 +35,14 @@ caller's.  A composition that can only hold cooperative streamlets (see
 on the loop, inside the cycle.  Any other runs it on the pump's
 executor, one share in flight per session, because a step that waits
 on the event loop would silence every session; the cycle that follows
-its landing syncs the ledger and sends what it collected.
+its landing collects, syncs the ledger and sends, all on the loop, as
+for any other session.
 
 Admission (``offer`` / ``shed``) and the pump's cycles run on one
 thread, the gateway's event loop, so an on-loop message goes from read
 to write without a thread switch.  Until :meth:`EgressPump.bind` hands
 it that loop, the pump cycles on a private loop of its own and
-admissions come from other threads; a share touches the stream only
+admissions come from other threads; a cycle touches the stream only
 through ``pump_retries``, ``pump`` and ``collect``, each of which keeps
 to the stream's read gate.
 """
@@ -51,6 +52,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import contextlib
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -74,10 +76,6 @@ SHED = "shed"          # admitted and immediately dropped into the ledger
 #: session, so a flooded session delays the others' deliveries by one
 #: quantum, not by a whole ``ingress_limit`` of backlog
 PUMP_QUANTUM = 4
-
-#: threads of the executor that runs the shares of sessions whose
-#: streamlets may block (one share in flight per session)
-EXECUTOR_THREADS = 4
 
 
 @dataclass
@@ -122,13 +120,14 @@ class EgressPump:
     schedules one drain, which runs a **cycle** over the set:
 
     1. per ready session — run its share (pump supervisor retries, step
-       the stream for its quantum, ``collect()``, re-hook the waiter),
+       the stream for its quantum, re-hook the waiter), ``collect()``,
        arm a ``call_at`` for the earliest retry the supervisor still
        holds, and mirror the counter deltas into the session's ledger if
        anything was delivered.  An off-loop session's share goes to the
-       executor instead; a mark that arrives while it runs re-submits
-       the session when it lands, and its landing marks the session for
-       the cycle that delivers what it collected;
+       executor instead: the cycle collects what its last share moved
+       and submits the next one.  A mark that arrives while a share runs
+       is remembered, and the landing of a share that moved something
+       or missed a mark marks the session again;
     2. **one** ``ledger.flush()`` for the whole cycle (group commit):
        every delivered count is on disk, per the fsync policy, before
        any frame of the cycle leaves;
@@ -138,8 +137,11 @@ class EgressPump:
     Work is O(ready sessions); an idle stage runs nothing.  Until
     :meth:`bind` hands it the gateway's loop, the pump runs a private one
     in a thread (``gw-egress``) from the first :meth:`attach` to the last
-    :meth:`detach`.  The executor (:data:`EXECUTOR_THREADS` threads)
-    lives as long as an off-loop session is attached.
+    :meth:`detach`.  The executor lives as long as an off-loop session
+    is attached.  It has no ceiling of its own: a thread starts only when
+    no started one is idle, so with one share in flight per session its
+    threads stay near the number of off-loop sessions, and no session
+    that may block ever waits behind another one's share.
     """
 
     def __init__(self):
@@ -153,10 +155,8 @@ class EgressPump:
         self._on: tuple[asyncio.AbstractEventLoop, int] | None = None
         self._private: threading.Thread | None = None  # a private loop's thread
         self._executor: ThreadPoolExecutor | None = None
-        # the loop's thread only: sessions marked ready, sessions whose
-        # share landed, and retry wakeups
+        # the loop's thread only: sessions to cycle, and retry wakeups
         self._ready: set[GatewaySession] = set()
-        self._landed: set[GatewaySession] = set()
         self._timers: dict[GatewaySession, asyncio.TimerHandle] = {}
         # guards membership and the switch of loops; never held while
         # waiting on a loop (only while joining a private loop's thread)
@@ -196,7 +196,7 @@ class EgressPump:
                 self._private.start()
                 self._switch(loop, self._private.ident)
             if session.stepped_by == "executor" and self._executor is None:
-                self._executor = ThreadPoolExecutor(EXECUTOR_THREADS, "gw-step")
+                self._executor = ThreadPoolExecutor(sys.maxsize, "gw-step")
             if not self._sessions:
                 self._served_since = time.monotonic()
             self._sessions.add(session)
@@ -207,10 +207,13 @@ class EgressPump:
 
         Returns once no cycle can touch the session or submit a share of
         it — at once on the loop's thread, where no cycle is running;
-        after one turn of the loop from any other.  The last off-loop
-        session's detach shuts the executor down, and the last detach
-        ends a private loop.
+        after one turn of the loop from any other.  The last detach ends
+        a private loop.  The last off-loop session's detach then shuts
+        the executor down, which waits out a share in flight; the lock
+        is not held for that wait, and no cycle submits to the executor
+        any more.
         """
+        executor = None
         with self._membership:
             if session not in self._sessions:
                 return
@@ -218,16 +221,20 @@ class EgressPump:
             if self._executor is not None and not any(
                 other.stepped_by == "executor" for other in self._sessions
             ):
-                self._executor.shutdown()  # waits out a share in flight
-                self._executor = None
+                executor, self._executor = self._executor, None
             if not self._sessions:
                 self._served_seconds += time.monotonic() - self._served_since
                 if self._private is not None:
                     self._end_private()
-                    return
-            loop, owner = self._on
-        if threading.get_ident() == owner:
-            return
+            on = self._on
+        if on is not None and threading.get_ident() != on[1]:
+            self._turn(on[0])
+        if executor is not None:
+            executor.shutdown()
+
+    @staticmethod
+    def _turn(loop: asyncio.AbstractEventLoop) -> None:
+        """Wait until ``loop`` has finished the callback it is running."""
         turn: concurrent.futures.Future = concurrent.futures.Future()
         try:
             loop.call_soon_threadsafe(turn.set_result, None)
@@ -238,26 +245,22 @@ class EgressPump:
 
     def mark_ready(self, session: GatewaySession) -> None:
         """Queue ``session`` for the next cycle (any thread)."""
-        self._to_loop(self._mark, session)
-
-    def _to_loop(self, callback, session: GatewaySession) -> None:
-        """Run ``callback(session)`` on the loop's thread: now if on it."""
         on = self._on
         if on is None:
             return  # nothing attached
         if threading.get_ident() == on[1]:
-            callback(session)
+            self._mark(session)
         else:
             with contextlib.suppress(RuntimeError):  # a private loop ended with its last session
-                on[0].call_soon_threadsafe(callback, session)
+                on[0].call_soon_threadsafe(self._mark, session)
 
     def _switch(self, loop: asyncio.AbstractEventLoop, owner: int) -> None:
         """Cycle on ``loop``; the last loop's ready set and timers never run again.
 
-        A share in flight lands on the new loop: its session is marked
-        ready there, and the cycle finds the share done.
+        A share in flight lands on the new loop: its landing marks the
+        session there.
         """
-        self._on, self._ready, self._landed, self._timers = (loop, owner), set(), set(), {}
+        self._on, self._ready, self._timers = (loop, owner), set(), {}
 
     def _end_private(self) -> None:
         """Stop the private loop and join its thread (under the membership lock)."""
@@ -271,15 +274,9 @@ class EgressPump:
     def _mark(self, session: GatewaySession) -> None:
         if session in self._sessions:
             ready = self._ready
-            if not ready and not self._landed:
+            if not ready:
                 self._on[0].call_soon(self._drain)
             ready.add(session)
-
-    def _land(self, session: GatewaySession) -> None:
-        if session in self._sessions:
-            if not self._ready and not self._landed:
-                self._on[0].call_soon(self._drain)
-            self._landed.add(session)
 
     def _retry_due(self, session: GatewaySession) -> None:
         self._timers.pop(session, None)
@@ -301,50 +298,59 @@ class EgressPump:
 
     def _drain(self) -> None:
         ready, self._ready = self._ready, set()
-        landed, self._landed = self._landed, set()
         started = time.monotonic()
         try:
-            self._cycle(ready, landed)
+            self._cycle(ready)
         except Exception as exc:  # the commit or the bridge failed
-            self._fault(ready | landed, exc)
+            self._fault(ready, exc)
         finally:
             self._busy_seconds += time.monotonic() - started
             self._cycles += 1
 
-    def _submit(self, session: GatewaySession) -> None:
-        """Run ``session``'s share on the executor; its landing marks it."""
-        share = self._executor.submit(session._collect)
-        session._share = share
-        share.add_done_callback(lambda _share: self._to_loop(self._land, session))
+    def _off_loop(self, session: GatewaySession) -> list[MimeMessage]:
+        """An off-loop session's part of a cycle: collect, then submit a share.
 
-    def _off_loop(self, session: GatewaySession, marked: bool) -> list[MimeMessage]:
-        """An off-loop session's part of a cycle: what its landed share collected.
-
-        Submits the next share when the session was marked, now or while
-        the last one ran; a share still running only remembers the mark.
+        The loop collects, never a share: the single-owner egress has one
+        thread at a time, and whatever is collected leaves in this
+        cycle.  While a share runs the cycle only remembers the mark.
         """
         share = session._share
-        if share is not None and not share.done():
-            session._again = session._again or marked
-            return []
-        session._share = None
-        if marked or session._again:
+        failure = None
+        if share is not None:
+            if not share.done():
+                session._again = True
+                if not share.done():  # else its landing may have read no mark
+                    return []
+            session._share = None
+            failure = share.exception()
+            if failure is not None:
+                self._fault((session,), failure)  # no share until the next mark
+        delivered = session.stream.collect()
+        executor = self._executor
+        if failure is None and executor is not None:
             session._again = False
-            self._submit(session)
-        return share.result() if share is not None else []
+            session._share = share = executor.submit(session._step)
+            share.add_done_callback(partial(self._landed, session))
+        return delivered
 
-    def _cycle(self, ready: set[GatewaySession], landed: set[GatewaySession]) -> None:
+    def _landed(self, session: GatewaySession, share: concurrent.futures.Future) -> None:
+        """A share finished: mark its session if the next cycle has work to do."""
+        if session._again or share.exception() is not None or share.result():
+            self.mark_ready(session)
+
+    def _cycle(self, ready: set[GatewaySession]) -> None:
         batches = []
         ledgers = set()
         sessions = self._sessions
-        for session in ready | landed if landed else ready:
+        for session in ready:
             if session not in sessions:
                 continue  # detached since it was marked
             try:
                 if session.stepped_by == "executor":
-                    delivered = self._off_loop(session, session in ready)
+                    delivered = self._off_loop(session)
                 else:
-                    delivered = session._collect()
+                    session._step()
+                    delivered = session.stream.collect()
                 if session.supervisor is not None:
                     self._arm(session)
                 if not delivered:
@@ -468,7 +474,8 @@ class GatewaySession:
         )
         self._closed = False
         #: an off-loop share on the executor, and whether the session was
-        #: marked while it ran (the pump's loop thread writes both)
+        #: marked while it ran (the pump's loop thread writes both; the
+        #: share's landing reads the mark)
         self._share: concurrent.futures.Future | None = None
         self._again = False
         #: the egress stage serving this session: the gateway's shared
@@ -571,26 +578,26 @@ class GatewaySession:
 
     # -- egress (the pump's loop) ------------------------------------------------------------
 
-    def _collect(self) -> list[MimeMessage]:
-        """This session's share of a pump cycle: whatever reached egress.
+    def _step(self) -> int:
+        """This session's share of a pump cycle; returns the moves made.
 
-        Steps the stream for :data:`PUMP_QUANTUM` rounds, then collects:
-        the exits need no waiter.  After a step that moved something it
-        hooks the ready waiter on the ingress queues (reconfiguration may
-        swap them; ``add_waiter`` is idempotent), where a queue still
-        holding input sets it at once — how what a spent quantum left
-        behind gets its next cycle.  Input a paused stream cannot take
-        would re-mark it every cycle and spin the loop; RESUME wakes it
-        through the wakeup listener.
+        Steps the stream for :data:`PUMP_QUANTUM` rounds; the cycle then
+        collects, so the exits need no waiter.  After a step that moved
+        something it hooks the ready waiter on the ingress queues
+        (reconfiguration may swap them; ``add_waiter`` is idempotent),
+        where a queue still holding input sets it at once — how what a
+        spent quantum left behind gets its next cycle.  Input a paused
+        stream cannot take would re-mark it every cycle and spin the
+        loop; RESUME wakes it through the wakeup listener.
         """
         supervisor = self.supervisor
         if supervisor is not None:
             supervisor.pump_retries()  # first: the step below moves them on
-        stream = self.stream
-        if self.scheduler.pump(max_rounds=PUMP_QUANTUM):
-            for channel in stream.ingress.values():
+        moved = self.scheduler.pump(max_rounds=PUMP_QUANTUM)
+        if moved:
+            for channel in self.stream.ingress.values():
                 channel.queue.add_waiter(self._waiter)
-        return stream.collect()
+        return moved
 
     def _serialise(self, delivered: list[MimeMessage], picked: float, out: list) -> None:
         """Read each message's origin, observe latency, append wire frames to ``out``.
@@ -641,10 +648,12 @@ class GatewaySession:
         if self._closed:
             return
         self._closed = True
-        self.pump.detach(self)  # after this no cycle submits a share
+        self.pump.detach(self)  # after this no cycle collects or submits a share
         share = self._share
         if share is not None:
-            failure = share.exception()  # waits it out; no cycle will read it
+            # wait it out: what it moved to egress, no cycle collects, and
+            # the stream's end counts it among the end drops
+            failure = share.exception()
             if failure is not None:
                 self.pump._fault((self,), failure)
         self.stream.remove_wakeup_listener(self._waiter.set)

@@ -9,7 +9,7 @@ from repro.faults.invariant import check_conservation
 from repro.gateway import GatewayConfig, GatewayServer
 from repro.gateway.data_plane import COALESCE_BELOW
 from repro.gateway.session import (
-    ADMITTED, EXECUTOR_THREADS, EgressPump, GatewaySession, SessionStats,
+    ADMITTED, EgressPump, GatewaySession, SessionStats,
 )
 from repro.mime.message import MimeMessage
 from repro.runtime.scheduler import InlineScheduler
@@ -397,8 +397,11 @@ class TestPumpStepping:
                 client.send(tagged(b"ninth", ninth))
                 assert client.recv_frame().body == b"ninth"
                 assert egress_threads() == pumps
-                # the executor, not a thread per instance (r0 and r1)
-                assert 1 <= worker_threads() - workers <= EXECUTOR_THREADS
+                # the executor, not a thread per instance (r0 and r1): one
+                # share in flight, and a thread starts only when none is
+                # idle (a finished share's thread turns idle just after
+                # its landing is queued, so a second one may start)
+                assert 1 <= worker_threads() - workers <= 2
             finally:
                 client.close()
             for key in keys + [ninth]:

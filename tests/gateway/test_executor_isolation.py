@@ -5,9 +5,13 @@ share of every pump cycle on the egress pump's executor.  Here one
 sleeps 200 ms per message while a cooperative echo session beside it
 keeps its round trips short, and the slow session still returns every
 frame in order.  Undeploying the slow session mid-share waits the share
-out: the ledger balances and the executor's threads are gone.
+out: the ledger balances, counts as delivered exactly the frames the
+client got, and the executor's threads are gone.  Sessions that block
+never wait for one another's shares, however many there are.
 """
 
+import contextlib
+import socket
 import sys
 import threading
 import time
@@ -36,6 +40,7 @@ SLOW_MCL = """main stream slow{
   streamlet s = new-streamlet (sleepy);
   connect (r0.po, s.pi);
 }"""
+GATHER_MCL = SLOW_MCL.replace("(sleepy)", "(gathering)")
 
 
 class Sleepy(Redirector):
@@ -48,9 +53,22 @@ class Sleepy(Redirector):
         return super().process(port, message, ctx)
 
 
+class Gathering(Redirector):
+    """A redirector that forwards only once ``barrier`` has gathered its parties."""
+
+    cooperative = False
+    barrier: threading.Barrier | None = None
+
+    def process(self, port, message, ctx):
+        Gathering.barrier.wait()
+        return super().process(port, message, ctx)
+
+
 def gateway() -> GatewayServer:
     served = GatewayServer()
-    served.mobigate.directory.advertise(replace(REDIRECTOR_DEF, name="sleepy"), Sleepy)
+    directory = served.mobigate.directory
+    directory.advertise(replace(REDIRECTOR_DEF, name="sleepy"), Sleepy)
+    directory.advertise(replace(REDIRECTOR_DEF, name="gathering"), Gathering)
     return served
 
 
@@ -107,8 +125,11 @@ def test_undeploy_mid_share_balances_and_leaves_no_thread():
         slow_key = deploy(handle, mcl=SLOW_MCL)
         session = handle.gateway.sessions[slow_key]
         slow = WireClient(handle.data_address, timeout=20.0)
+        received = []
         try:
-            for i in range(SLOW_FRAMES):
+            slow.send(tagged(b"slow-0", slow_key))
+            received.append(slow.recv_frame().body)
+            for i in range(1, SLOW_FRAMES):
                 slow.send(tagged(b"slow-%d" % i, slow_key))
             deadline = time.monotonic() + 10
             while session.stats.snapshot()["frames_in"] < SLOW_FRAMES:
@@ -120,11 +141,18 @@ def test_undeploy_mid_share_balances_and_leaves_no_thread():
             assert step_threads()
             assert handle.control({"op": "undeploy", "session": slow_key})["ok"]
             assert share.done()
+            slow.sock.settimeout(1.0)
+            with contextlib.suppress(socket.timeout):
+                while (frame := slow.recv_frame()) is not None:
+                    received.append(frame.body)
         finally:
             slow.close()
         report = check_conservation(session.stream)
         assert report.balanced and report.residual == 0, report
         assert report.admitted == SLOW_FRAMES
+        # what the ledger calls delivered reached the client, and only that
+        assert received == [b"slow-%d" % i for i in range(report.delivered)]
+        assert report.delivered >= 1
         assert handle.gateway.egress._executor is None  # shut down, threads joined
         assert step_threads() == []
         # the neighbour on the loop never noticed
@@ -136,9 +164,31 @@ def test_undeploy_mid_share_balances_and_leaves_no_thread():
             echo.close()
 
 
-def test_more_off_loop_sessions_than_threads_keep_order_and_balance():
-    """Six sessions share four executor threads, with a short switch interval:
-    two shares of one session in flight at once would break order or balance."""
+def test_every_blocking_session_has_its_share_in_flight_at_once():
+    """Six sessions block until all six shares run together: an executor
+    with fewer threads than blocking sessions would never gather them."""
+    sessions = 6
+    Gathering.barrier = threading.Barrier(sessions, timeout=10)
+    try:
+        with gateway().run_in_thread() as handle:
+            keys = [deploy(handle, mcl=GATHER_MCL) for _ in range(sessions)]
+            clients = [WireClient(handle.data_address, timeout=20.0) for _ in keys]
+            try:
+                for client, key in zip(clients, keys):
+                    client.send(tagged(key.encode(), key))
+                for client, key in zip(clients, keys):
+                    assert client.recv_frame().body == key.encode()
+            finally:
+                for client in clients:
+                    client.close()
+            assert not Gathering.barrier.broken
+    finally:
+        Gathering.barrier = None
+
+
+def test_many_off_loop_sessions_keep_order_and_balance():
+    """Six off-loop sessions with a short switch interval: two shares of
+    one session in flight at once would break order or balance."""
     sessions, per_session = 6, 60
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)

@@ -5,10 +5,10 @@ composition that may block.
 :class:`~repro.gateway.session.GatewaySession` with ``off_loop=True``:
 the stream's :class:`~repro.runtime.scheduler.InlineScheduler` runs in
 shares on the egress pump's executor, one share in flight at a time,
-while the test thread posts and reconfigures.  A share collects what
-reached egress on its own thread (every channel but the ingress is
-single-owner), so the helper keeps what the shares collected for
-:meth:`OffLoop.collect`.  Tests parametrised over ``"inline"`` and
+while the test thread posts and reconfigures.  The pump's cycles collect
+on its own loop (every channel but the ingress is single-owner), so the
+session keeps what each cycle delivers for :meth:`OffLoop.collect`
+instead of serialising it.  Tests parametrised over ``"inline"`` and
 ``"threaded"`` use it for ``"threaded"``: the engine ``scheduler="threaded"``
 gets for a composition that may block.
 """
@@ -22,23 +22,25 @@ from repro.gateway.session import GatewaySession
 from repro.runtime.scheduler import InlineScheduler
 
 
+class _KeepingSession(GatewaySession):
+    """A session whose cycles keep the delivered messages, not wire frames."""
+
+    def __init__(self, *args, **kwargs):
+        self.kept_lock = threading.Lock()
+        self.kept: list = []
+        super().__init__(*args, **kwargs)
+
+    def _serialise(self, delivered, picked, out) -> None:
+        with self.kept_lock:
+            self.kept.extend(delivered)
+
+
 class OffLoop:
     """A stream stepped by the gateway's executor; see the module docstring."""
 
     def __init__(self, stream, *, batch: int = 8, supervisor=None):
         self.stream = stream
-        self._lock = threading.Lock()
-        self._delivered: list = []
-        collect = stream.collect
-
-        def keep() -> list:
-            out = collect()
-            with self._lock:
-                self._delivered.extend(out)
-            return out
-
-        stream.collect = keep  # the share's collect: its thread, not the test's
-        self.session = GatewaySession(
+        self.session = _KeepingSession(
             "off-loop", stream, InlineScheduler(stream, batch=batch),
             off_loop=True, requested="threaded", ingress_limit=1 << 30,
         )
@@ -71,9 +73,10 @@ class OffLoop:
         return False
 
     def collect(self) -> list:
-        """What the shares collected since the last call, in delivery order."""
-        with self._lock:
-            out, self._delivered = self._delivered, []
+        """What the cycles delivered since the last call, in delivery order."""
+        session = self.session
+        with session.kept_lock:
+            out, session.kept = session.kept, []
         return out
 
     def stop(self) -> None:
