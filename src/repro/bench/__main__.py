@@ -33,7 +33,7 @@ from repro.bench.telemetry_overhead import run_telemetry_overhead
 
 ALL_TARGETS = (
     "fig7_2", "fig7_3", "fig7_6", "fig7_7", "ablations", "wtcp",
-    "adaptivity", "telemetry", "faults", "reconfig", "fusion", "durability",
+    "adaptivity", "telemetry", "faults", "reconfig", "durability",
 )
 
 #: every committed-baseline comparison CI runs, as (row key, metric,
@@ -44,7 +44,6 @@ ALL_TARGETS = (
 #: CI surfaces the warnings, a human judges them.
 REGRESSION_CHECKS: dict[str, tuple[tuple[str, str, str], ...]] = {
     "telemetry": (("config", "pass_seconds", "lower"),),
-    "fusion": (("mode", "throughput_msgs_per_sec", "higher"),),
 }
 
 
@@ -169,16 +168,6 @@ def main(argv: list[str]) -> int:
         )
         result.print()
         emit("reconfig", result)
-    if "fusion" in targets:
-        from repro.bench.fusion import run_fusion
-
-        result = run_fusion(
-            chains=(10, 30),
-            n_messages=600 if quick else 3000,
-        )
-        result.print()
-        check_regressions("fusion", result)
-        emit("fusion", result)
     if "durability" in targets:
         from repro.bench.durability import run_durability
 

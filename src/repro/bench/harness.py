@@ -12,46 +12,27 @@ from repro.runtime.stream import RuntimeStream
 from repro.util.stats import RunningStats
 
 
-#: explicit rendezvous channel for synchronously-coupled chains — the
-#: shape fusable_chains fuses at snapshot build
-_SYNC_CHANNEL_DEF = """channel benchSyncChan{
-  port{ in cin : */*; out cout : */*; }
-  attribute{ type = SYNC; buffer = 0; }
-}
-"""
-
-
-def redirector_chain_mcl(n: int, *, stream_name: str = "chain", sync: bool = False) -> str:
-    """A stream of ``n`` redirectors in series (the §7.2/§7.4 fixture).
-
-    ``sync=True`` couples every hop through an explicit SYNC channel
-    (capacity-0 rendezvous) instead of the compiler's auto channels —
-    the fusable shape used by the fusion bench and tests.
-    """
+def redirector_chain_mcl(n: int, *, stream_name: str = "chain") -> str:
+    """A stream of ``n`` redirectors in series (the §7.2/§7.4 fixture)."""
     if n < 1:
         raise ValueError(f"chain needs at least one streamlet, got {n}")
-    lines = [f"main stream {stream_name}{{"]
     names = [f"r{i}" for i in range(n)]
-    lines.append(f"  streamlet {', '.join(names)} = new-streamlet (redirector);")
-    if sync and n > 1:
-        chans = [f"s{i}" for i in range(n - 1)]
-        lines.append(f"  channel {', '.join(chans)} = new-channel (benchSyncChan);")
-        for i, (a, b) in enumerate(zip(names, names[1:])):
-            lines.append(f"  connect ({a}.po, {b}.pi, s{i});")
-    else:
-        for a, b in zip(names, names[1:]):
-            lines.append(f"  connect ({a}.po, {b}.pi);")
+    lines = [
+        f"main stream {stream_name}{{",
+        f"  streamlet {', '.join(names)} = new-streamlet (redirector);",
+    ]
+    for a, b in zip(names, names[1:]):
+        lines.append(f"  connect ({a}.po, {b}.pi);")
     lines.append("}")
-    body = "\n".join(lines)
-    return _SYNC_CHANNEL_DEF + body if sync and n > 1 else body
+    return "\n".join(lines)
 
 
 def deploy_chain(
-    n: int, *, sync: bool = False, **server_kwargs
+    n: int, **server_kwargs
 ) -> tuple[MobiGateServer, RuntimeStream, InlineScheduler]:
     """Deploy an n-redirector chain; returns (server, stream, scheduler)."""
     server = build_server(**server_kwargs)
-    stream = server.deploy_script(redirector_chain_mcl(n, sync=sync))
+    stream = server.deploy_script(redirector_chain_mcl(n))
     return server, stream, InlineScheduler(stream)
 
 

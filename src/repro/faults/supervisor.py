@@ -381,11 +381,8 @@ class Supervisor:
         section of the stream, so a commit can neither retire a target
         channel between its lookup and the post nor drain it before the
         post lands (and a single-owner channel is touched only there).
-
-        A re-post into a channel the published snapshot elides (the input
-        of a parked member of a fused chain) retires the snapshot, so the
-        rebuild lists that channel as interior residue and drains it
-        first; any other re-post lands where the next step already looks.
+        A re-post lands where the next step already looks, so it never
+        retires the snapshot.
         """
         if now is None:
             now = self._clock.now()
@@ -395,10 +392,8 @@ class Supervisor:
         self._pending = [e for e in self._pending if e[0] > now]
         stream = self._stream
         reposted = 0
-        elided = False
         stream._enter_read()
         try:
-            snap = stream._snapshot
             for _due, _seq, msg_id, instance, port in due:
                 node = stream._nodes.get(instance)
                 channel = node.inputs.get(port) if node is not None else None
@@ -420,17 +415,12 @@ class Supervisor:
                             "retry", stream=stream.name, msg_id=msg_id, instance=instance
                         )
                     reposted += 1
-                    view = snap.nodes.get(instance) if snap is not None else None
-                    elided = elided or (view is not None and not view.inputs)
                 else:
                     self._dead_letter(
                         msg_id, instance, port, reason="retry channel full or closed"
                     )
         finally:
             stream._read_gate.exit()
-        if elided:
-            with stream._write_access():
-                pass  # the next snapshot must see the re-post mid-chain
         return reposted
 
     def next_due(self) -> float | None:

@@ -52,7 +52,6 @@ class CoordinationManager:
         pass_mode: PassMode = PassMode.REFERENCE,
         drop_timeout: float = 0.0,
         telemetry: Telemetry | None = None,
-        fuse: bool = True,
     ):
         self._manager = manager
         self._events = events
@@ -61,7 +60,6 @@ class CoordinationManager:
         self._pass_mode = pass_mode
         self._drop_timeout = drop_timeout
         self._telemetry = telemetry
-        self._fuse = fuse
         self._streams: dict[str, RuntimeStream] = {}
         self._subscriptions: dict[str, list[tuple[EventCategory, _StreamSubscriber]]] = {}
         self._sessions = IdGenerator("sess")
@@ -91,7 +89,6 @@ class CoordinationManager:
             session=self._sessions.next(),
             drop_timeout=self._drop_timeout,
             telemetry=self._telemetry,
-            fuse=self._fuse,
         )
         self._streams[stream.name] = stream
         self._subscribe_stream(stream)

@@ -68,8 +68,11 @@ class MessageQueue:
             raise ValueError(f"drop_timeout must be >= 0, got {drop_timeout}")
         self._capacity = capacity_bytes
         self._drop_timeout = drop_timeout
-        self._entries: deque[tuple[str, int]] = deque()
-        self._bytes = 0
+        #: the queued ``(msg_id, size)`` entries, oldest first, and their
+        #: bytes; the engine reads both lock-free (one GIL-atomic load each)
+        #: and changes them only through the methods below
+        self.entries: deque[tuple[str, int]] = deque()
+        self.pending_bytes = 0
         #: the regime (module docstring); switched only before traffic flows
         self.owned = owned
         self._lock = threading.Lock()
@@ -80,13 +83,17 @@ class MessageQueue:
         self._blocked_producers = 0
         #: consumer-side wakeup events (see :meth:`add_waiter`)
         self._waiters: list[threading.Event] = []
-        self._closed = False
+        #: set by :meth:`close`; never cleared
+        self.closed = False
         # attachment counters (pCount / cCount of Figure 6-3)
         self.producer_count = 0
         self.consumer_count = 0
         # observability
-        self.posted = 0
-        self.fetched = 0
+        self._posted = 0
+        self._fetched = 0
+        #: messages a hand-off carried past this queue, never entering it;
+        #: they count in :attr:`posted` and :attr:`fetched` alike
+        self.handed = 0
         self.dropped = 0
         #: :meth:`post_run` calls that found the lock held and waited for it
         self.lock_waits = 0
@@ -143,22 +150,24 @@ class MessageQueue:
         return self._drop_timeout
 
     @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def __len__(self) -> int:
-        return len(self._entries)
+    def posted(self) -> int:
+        """Messages enqueued, and handed past, over the queue's life."""
+        return self._posted + self.handed
 
     @property
-    def pending_bytes(self) -> int:
-        return self._bytes
+    def fetched(self) -> int:
+        """Messages dequeued, and handed past, over the queue's life."""
+        return self._fetched + self.handed
+
+    def __len__(self) -> int:
+        return len(self.entries)
 
     def is_empty(self) -> bool:
         """True when nothing is queued (a shared queue's may be stale by one post)."""
-        return not self._entries
+        return not self.entries
 
     def _has_room(self, size: int) -> bool:
-        return not self._entries or self._bytes + size <= self._capacity
+        return not self.entries or self.pending_bytes + size <= self._capacity
 
     # -- consumer wakeup events --------------------------------------------------------
 
@@ -172,7 +181,7 @@ class MessageQueue:
         with self._lock:
             if event not in self._waiters:
                 self._waiters.append(event)
-            if self._entries or self._closed:
+            if self.entries or self.closed:
                 event.set()
 
     # -- the paper's postMessage / fetchMessage ----------------------------------------------
@@ -180,16 +189,16 @@ class MessageQueue:
     def _put(self, run: list[tuple[str, int]], size: int, probe: bool) -> bool:
         """Enqueue a run of ``size`` bytes if it fits (an empty queue takes it
         whole); the regimes' common core, which never waits."""
-        if self._closed:
+        if self.closed:
             raise QueueClosedError("post on closed queue")
-        entries = self._entries
-        if entries and self._bytes + size > self._capacity:
+        entries = self.entries
+        if entries and self.pending_bytes + size > self._capacity:
             if not probe:
                 self.dropped += 1
             return False
         entries.extend(run)
-        self._bytes += size
-        self.posted += len(run)
+        self.pending_bytes += size
+        self._posted += len(run)
         depth = len(entries)
         if depth > self.watermark:
             self.watermark = depth
@@ -218,13 +227,13 @@ class MessageQueue:
             return self._put([(msg_id, size)], size, probe)
         wait_for = self._drop_timeout if timeout is None else timeout
         with self._lock:
-            if wait_for > 0 and not self._closed and not self._has_room(size):
+            if wait_for > 0 and not self.closed and not self._has_room(size):
                 # a monotonic deadline: a notify that freed too little room
                 # (or a spurious wakeup) must not burn the whole budget
                 deadline = time.monotonic() + wait_for
                 self._blocked_producers += 1
                 try:
-                    while not self._has_room(size) and not self._closed:
+                    while not self._has_room(size) and not self.closed:
                         remaining = deadline - time.monotonic()
                         if remaining <= 0:
                             break
@@ -259,30 +268,19 @@ class MessageQueue:
 
     def _take(self) -> str | None:
         """Dequeue the oldest id, or None; the regimes' common core."""
-        if not self._entries:
-            if self._closed:
+        if not self.entries:
+            if self.closed:
                 raise QueueClosedError("fetch on closed, drained queue")
             return None
-        msg_id, size = self._entries.popleft()
-        self._bytes -= size
-        self.fetched += 1
+        msg_id, size = self.entries.popleft()
+        self.pending_bytes -= size
+        self._fetched += 1
         if self.record_waits:
             times = self._post_times
             self.last_post_at = times.popleft() if times else None
         if self.depth_gauge is not None:
-            self.depth_gauge.value = float(len(self._entries))
+            self.depth_gauge.value = float(len(self.entries))
         return msg_id
-
-    def pass_through(self) -> bool:
-        """Count a message handed past this queue as posted and fetched.
-
-        False, counting nothing, unless the queue is open and empty.
-        """
-        if self._entries or self._closed:
-            return False
-        self.posted += 1
-        self.fetched += 1
-        return True
 
     def fetch_message(self, timeout: float | None = 0.0) -> str | None:
         """Dequeue the oldest id; None on timeout/empty.
@@ -294,11 +292,11 @@ class MessageQueue:
         if self.owned:
             return self._take()
         with self._lock:
-            if (timeout is None or timeout > 0) and not self._entries and not self._closed:
+            if (timeout is None or timeout > 0) and not self.entries and not self.closed:
                 self._blocked_consumers += 1
                 try:
                     if timeout is None:
-                        while not self._entries and not self._closed:
+                        while not self.entries and not self.closed:
                             self._not_empty.wait()
                     else:
                         self._not_empty.wait(timeout)
@@ -313,9 +311,9 @@ class MessageQueue:
     def drain(self) -> list[str]:
         """Remove and return every queued id (used by BB/KB teardown)."""
         with self._lock:
-            ids = [msg_id for msg_id, _ in self._entries]
-            self._entries.clear()
-            self._bytes = 0
+            ids = [msg_id for msg_id, _ in self.entries]
+            self.entries.clear()
+            self.pending_bytes = 0
             self._post_times.clear()
             if self.depth_gauge is not None:
                 self.depth_gauge.value = 0.0
@@ -325,7 +323,7 @@ class MessageQueue:
     def close(self) -> None:
         """No further posts; fetch drains what remains, then raises."""
         with self._lock:
-            self._closed = True
+            self.closed = True
             self._not_empty.notify_all()
             self._not_full.notify_all()
             for event in self._waiters:
@@ -342,8 +340,8 @@ class MessageQueue:
         """
         with self._lock:
             return (
-                tuple(self._entries),
-                self._closed,
+                tuple(self.entries),
+                self.closed,
                 self.producer_count,
                 self.consumer_count,
             )

@@ -31,15 +31,12 @@ Message conservation holds across every path: where queued ids go is
 part of the value (a channel's ``contents``), and the realise step drops
 — with accounting — exactly the ids no channel of the new value holds.
 
-Reconfiguration composes with chain **fusion** without special cases:
-fusion groups live only in the RCU execution snapshot, computed from the
-value by :func:`repro.semantics.fusion.fusable_chains`.  A commit that
-splices a streamlet into the middle of a fused region simply rebuilds
-the snapshot — the new async auto-channel splits the region into two
-smaller groups, and a later commit that restores a synchronous link
-re-fuses them.  Residual messages left on an interior channel by a split
-are drained downstream-first before the head claims new work, so FIFO
-order survives the fuse/split/re-fuse transitions.
+Reconfiguration needs no special case for synchronous channels: the
+hop plan lives only in the RCU execution snapshot, rebuilt after every
+commit, and every channel hop, SYNC or not, is crossed by the same
+hand-off rule.  A unit a commit leaves on a SYNC channel is claimed like
+any other, and until it is, a claim that could post behind it waits
+(:func:`repro.runtime.scheduler._step_node`), so FIFO order holds.
 """
 
 from __future__ import annotations

@@ -15,21 +15,25 @@ The engine is claim, dispatch and wake policy around one message step
 check the message out of the pool, call ``process``, push the peer id
 when the streamlet has one, and send the results on — dropping (and
 counting) any emission aimed at an unconnected port, which is exactly the
-open-circuit hazard the chapter-5 analysis exists to prevent.  An
-ordinary node and a fused chain are the same thing to it: a chain of one
-member or of several.
+open-circuit hazard the chapter-5 analysis exists to prevent.  Every
+channel hop is crossed by one rule: handed straight to its consumer where
+nothing could tell that from a post and a claim, else posted.  A
+synchronous (MCL ``SYNC``) channel is only a coupling attribute to it: a
+rendezvous queue of capacity 0, crossed like any other.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import compress
 
 from repro.errors import QueueClosedError
 from repro.mime.headers import CONTENT_TRACE
 from repro.runtime.channel import Channel
 from repro.runtime.message_pool import PassMode
-from repro.runtime.stream import RuntimeStream, TopologySnapshot, _FusedView, _NodeView
+from repro.runtime.stream import RuntimeStream, TopologySnapshot, _NodeView
 from repro.runtime.streamlet import StreamletState
+from repro.runtime.topology import EGRESS
 
 #: canonical HeaderMap key for Content-Trace — probed directly against the
 #: header dict on the hot path, sparing a method call + lower() per hop
@@ -46,23 +50,21 @@ def _count(acc: dict[str, int], name: str, n: int = 1) -> None:
     acc[name] = acc.get(name, 0) + n
 
 
-def _has_headroom(outlets: tuple[Channel, ...]) -> bool:
+def _has_headroom(held: tuple, bounded: tuple) -> bool:
     """True while every queue a claim may post to can absorb another emission.
 
-    The batching stop rule: a rendezvous queue (capacity 0) holding any
-    pending unit vetoes further claims — its single slot is the
-    synchronisation point, and racing past it would turn backpressure
-    into drops — and a bounded queue stops the batch at half capacity so
-    a concurrent producer still fits.  The *first* claim of a visit never
-    consults this, preserving the one-message-per-visit contract exactly.
+    The batching stop rule over a view's outlets (``_NodeView.held`` and
+    ``.bounded``): a rendezvous queue (capacity 0) holding any pending
+    unit vetoes further claims — its single slot is the synchronisation
+    point, and racing past it would turn backpressure into drops — and a
+    bounded queue stops the batch at half capacity so a concurrent
+    producer still fits.  The *first* claim of a visit consults only the
+    rendezvous veto (:func:`_step_node`).
     """
-    for channel in outlets:
-        queue = channel.queue
-        capacity = queue.capacity_bytes
-        if capacity == 0:
-            if len(queue):
-                return False
-        elif queue.pending_bytes * 2 > capacity:
+    if any(held):
+        return False
+    for queue, capacity in bounded:
+        if queue.pending_bytes * 2 > capacity:
             return False
     return True
 
@@ -87,63 +89,39 @@ def _claim(channel: Channel, wait_hist) -> tuple[str | None, float | None]:
     return msg_id, claimed_at
 
 
-def _active(view: _NodeView | _FusedView) -> bool:
-    """True while every member of ``view`` is active: one paused member parks it."""
-    for member in view.members:
-        if member.streamlet.state is not StreamletState.ACTIVE:
-            return False
-    return True
-
-
 def _step_node(
-    stream: RuntimeStream, snap: TopologySnapshot, view: _NodeView | _FusedView,
-    batch: int, acc: dict[str, int], dirty: set[str] | None,
+    stream: RuntimeStream, snap: TopologySnapshot, view: _NodeView,
+    batch: int, acc: dict[str, int], dirty: set[str],
 ) -> int:
     """Claim up to ``batch`` messages per input port and run each through the view.
 
     The claim policy; every claimed id goes through :func:`_run_hops`.
-    The first claim per port is unconditional (the historical one-message
-    step); further claims in the same visit happen only while every queue
-    a claim may post to keeps headroom, so batching can never convert a
-    backpressure signal into drops.  Returns the claims made, hand-offs included.
-
-    A fused view claims new traffic at its head only.  Residual units
-    parked on an interior channel — traffic admitted before the chain
-    fused, or re-posted by a supervisor retry — drain first,
-    downstream-first, so end-to-end FIFO order survives fuse/split
-    transitions (listed only when the snapshot found some).  A single
-    paused member parks the whole chain: one dispatch cannot honour a
-    suspension boundary mid-run, so messages wait at the head until
-    every member is active again.
+    The first claim per port is the historical one-message step, refused
+    only while a rendezvous queue the claim may post to holds a unit (a
+    post behind that unit would be refused: the claim waits, as a
+    producer on a synchronous channel blocks).  Further claims in the
+    same visit happen only while every queue a claim may post to keeps
+    headroom, so batching can never convert a backpressure signal into
+    drops.  A paused streamlet claims nothing.  Returns the claims made,
+    hand-offs included.
     """
-    if not _active(view):
+    held = view.held
+    if view.streamlet.state is not StreamletState.ACTIVE or (held and any(held)):
         return 0
-    members = view.members
+    bounded = view.bounded
     moved = hops = 0
-    interior = view.interior
-    for idx in range(len(interior) - 1, -1, -1):
-        channel = interior[idx]
-        while not channel.queue.is_empty():
-            msg_id, t0 = _claim(channel, members[idx + 1].queue_wait_hist)
-            if msg_id is None:
-                break
-            done, handed = _run_hops(stream, snap, view, idx + 1,
-                                     members[idx + 1].inputs[0][0], msg_id, t0,
-                                     acc, dirty)
-            moved, hops = moved + 1 + handed, hops + done
-    head = members[0]
-    outlets = view.outlets
-    for port, channel in head.inputs:  # frozen tuple: no per-step copy
+    for port, channel in view.inputs:  # frozen tuple: no per-step copy
+        entries = channel.queue.entries
         for claim in range(batch):
             # extra claims first probe the queue lock-free: a fetch miss
             # costs a mutex round-trip, and on latency-bound traffic
             # (one message in flight) every claim after the first misses
-            if claim and (channel.queue.is_empty() or not _has_headroom(outlets)):
+            if claim and (not entries or not _has_headroom(held, bounded)):
                 break
-            msg_id, t0 = _claim(channel, head.queue_wait_hist)
+            msg_id, t0 = _claim(channel, view.queue_wait_hist)
             if msg_id is None:
                 break
-            done, handed = _run_hops(stream, snap, view, 0, port, msg_id, t0, acc, dirty)
+            done, handed = _run_hops(stream, snap, view, port, msg_id, t0, acc, dirty)
             moved, hops = moved + 1 + handed, hops + done
     if hops:
         _count(acc, "processed", hops)
@@ -151,131 +129,115 @@ def _step_node(
 
 
 def _run_hops(
-    stream: RuntimeStream, snap: TopologySnapshot, view: _NodeView | _FusedView,
-    index: int, port: str, msg_id: str, t0: float | None,
-    acc: dict[str, int], dirty: set[str] | None,
+    stream: RuntimeStream, snap: TopologySnapshot, view: _NodeView,
+    port: str, msg_id: str, t0: float | None,
+    acc: dict[str, int], dirty: set[str],
 ) -> tuple[int, int]:
-    """The hop kernel: one claimed message through ``view.members[index:]`` and on.
+    """The hop kernel: one claimed message through ``view`` and on.
 
-    One transition, for every shape of node: check the message out,
-    ``process`` it, account for it, give each emission an id (the first
-    keeps the claimed one) and send it on — into the member's
-    continuation for that port (``_NodeView.onward``: the next fused
-    member, its channel elided, or a hand-off to a later view, planned
-    for owned streams only — taken only from the published snapshot,
-    into an active view, across an open, empty channel whose ``fetch`` is
-    not shadowed (a stall parks), and seen as a zero queue wait), else
-    posted (a full queue drops), naming the consumer in ``dirty``.  Each
-    member gets its own service-time observation and failure containment
-    — a supervisor that retains a failed id can re-post it to the
-    member's still-wired input channel.  Between stepped members a
-    ``PassMode.REFERENCE`` pool is not consulted again; ``PassMode.VALUE``
-    checks out (deep-copies) at every hop.  With telemetry on, the clock
-    read that ends hop *i* is the start of hop *i + 1*.  Returns
-    ``(process calls that succeeded, hand-offs)``.
+    One transition, for every hop: check the message out, ``process``
+    it, account for it, give each emission an id (the first keeps the
+    claimed one) and send it on — handed to the view its port continues
+    into (``_NodeView.onward``), else posted (a full queue drops), naming
+    the consumer in ``dirty``.  A hand-off is a consumer infinitely fast,
+    taken where nothing tells it from a post and a claim: only from the
+    published snapshot, into an active view, across an open, empty
+    channel whose ``fetch`` is not shadowed (a stall parks), whatever the
+    channel's coupling.  It counts on the queue as posted and fetched
+    (:attr:`~repro.runtime.message_queue.MessageQueue.handed`); its zero
+    queue wait is not sampled here, the queue-wait histogram
+    takes it at its next fold (:attr:`~repro.telemetry.metrics.Histogram.floor`).
+    Each hop gets its own service-time observation and failure
+    containment — a supervisor that retains a failed id can re-post it
+    to the streamlet's input channel.  Between stepped views a
+    ``PassMode.REFERENCE`` pool is not consulted again;
+    ``PassMode.VALUE`` checks out (deep-copies) at every hop.  With
+    telemetry on, the clock read that ends hop *i* is the start of hop
+    *i + 1*.  Returns ``(process calls that succeeded, hand-offs)``.
 
-    Emissions run breadth-first, in emission order.  The one that would
-    head an empty worklist is stepped into directly; the rest of a
-    fan-out queue behind it, on the worklist inside a fused chain and on
-    their channel past its tail.
+    Only the first emission that may be handed off is; the rest of a
+    fan-out are posted behind it, in emission order.
     """
     pool = stream.pool
     tm = stream.tm
     timed = tm is not None
     clock = time.perf_counter
     carry = pool.mode is PassMode.REFERENCE
+    active = StreamletState.ACTIVE
     if timed and t0 is None:
         t0 = clock()
     processed = handed = 0
-    members = view.members
-    message = None  # handed on by the previous member, or checked out below
-    #: (member index, port, id, message) still to run in this view, in order
-    pending: list = []
+    message = None  # handed on by the previous view, or checked out below
     while True:
-        hop = members[index]
         if message is None:
             message = pool.checkout(msg_id)
-        ctx = hop.ctx
+        ctx = view.ctx
         headers = message.headers
         memo = headers._memo  # a routed message carries its session view
         ctx.session = memo["session"] if "session" in memo else headers.session
         failure = None
         try:
-            emissions = hop.streamlet.process(port, message, ctx)
+            emissions = view.streamlet.process(port, message, ctx)
         except Exception as exc:  # fault containment: one bad message must not
             emissions, failure = None, exc  # take the stream down (3.3.5)
         if timed:
             # span before any routing: once an emission is enqueued (or
-            # handed to the next member) a concurrent consumer may read its
-            # headers, so the trace context (the parent advance) must be
-            # in place first
+            # handed on) a concurrent consumer may read its headers, so the
+            # trace context (the parent advance) must be in place first
             now = clock()
-            hop.hop_hist.observe(now - t0)
+            view.hop_hist.observe(now - t0)
             fields = message.headers._fields
             if _TRACE_KEY in fields:
-                tm.hop_span(hop.name, fields[_TRACE_KEY][1], message, emissions,
+                tm.hop_span(view.name, fields[_TRACE_KEY][1], message, emissions,
                             now - t0, failure is not None)
             t0 = now
         if failure is not None:
-            _hop_failed(stream, hop, port, msg_id, failure, acc)
-        else:
-            hop.streamlet.processed += 1
-            processed += 1
-            if not emissions:
-                pool.release(msg_id)  # absorbed (cache hit, filter, ...)
-                _count(acc, "absorbed")
-                if timed:
-                    tm.forget(msg_id)
-            else:
-                peer, outputs, onward = hop.peer, hop.outputs, hop.onward
-                out_id = msg_id  # the first emission keeps the claimed id
-                step_id = None  # an emission the loop continues with directly
-                for out_port, out_msg in emissions:
-                    if peer is not None:
-                        out_msg.headers.push_peer(peer)
-                    if out_id is None:
-                        out_id = pool.admit(out_msg)
-                    elif out_msg is not message:
-                        pool.rebind(out_id, out_msg)
-                    if out_port not in outputs:
-                        # open circuit at runtime: the message has nowhere to go
-                        pool.release(out_id)
-                        _count(acc, "open_circuit_drops")
-                        if timed:
-                            tm.forget(out_id)
-                    elif out_port not in onward:
-                        _post(stream, outputs[out_port], out_id, out_msg, dirty)
-                    else:
-                        step = onward[out_port]
-                        channel = step[0]
-                        # a hand-off is a consumer infinitely fast, taken where
-                        # nothing tells it from a post and a claim (FIFO: empty)
-                        if step_id is None and not pending and (channel is None or (
-                            "fetch" not in channel.__dict__ and stream._snapshot is snap
-                            and _active(step[1]) and channel.queue.pass_through()
-                        )):
-                            # first in line: it would be the worklist's head
-                            step_id, step_msg, step_to = out_id, out_msg, step
-                        elif channel is None:
-                            pending.append(
-                                (step[2], step[3], out_id, out_msg if carry else None)
-                            )
-                        else:
-                            _post(stream, channel, out_id, out_msg, dirty)
-                    out_id = None
-                if step_id is not None:
-                    channel, view, index, port = step_to
-                    members = view.members
-                    if channel is not None:  # handed off: claimed off an empty queue
-                        handed += 1
-                        if members[0].queue_wait_hist is not None:
-                            members[0].queue_wait_hist.observe(0.0)
-                    msg_id = step_id
-                    message = step_msg if carry else None
-                    continue
-        if not pending:
+            _hop_failed(stream, view, port, msg_id, failure, acc)
             return processed, handed
-        index, port, msg_id, message = pending.pop(0)
+        view.streamlet.processed += 1
+        processed += 1
+        if not emissions:
+            pool.release(msg_id)  # absorbed (cache hit, filter, ...)
+            _count(acc, "absorbed")
+            if timed:
+                tm.forget(msg_id)
+            return processed, handed
+        peer, outputs, onward = view.peer, view.outputs, view.onward
+        out_id = msg_id  # the first emission keeps the claimed id
+        handing = None  # the emission handed on: the loop continues with it
+        for out_port, out_msg in emissions:
+            if peer is not None:
+                out_msg.headers.push_peer(peer)
+            if out_id is None:
+                out_id = pool.admit(out_msg)
+            elif out_msg is not message:
+                pool.rebind(out_id, out_msg)
+            if out_port not in outputs:
+                # open circuit at runtime: the message has nowhere to go
+                pool.release(out_id)
+                _count(acc, "open_circuit_drops")
+                if timed:
+                    tm.forget(out_id)
+            elif handing is None and out_port in onward:
+                channel, queue, target, in_port = onward[out_port]
+                if (
+                    "fetch" not in channel.__dict__ and stream._snapshot is snap
+                    and target.streamlet.state is active
+                    and not queue.entries and not queue.closed
+                ):
+                    queue.handed += 1
+                    handing = out_msg
+                    # the rest of the loop reads only its locals above
+                    view, port, msg_id = target, in_port, out_id
+                else:
+                    _post(stream, channel, out_id, out_msg, dirty)
+            else:
+                _post(stream, outputs[out_port], out_id, out_msg, dirty)
+            out_id = None
+        if handing is None:
+            return processed, handed
+        handed += 1
+        message = handing if carry else None
 
 
 def _hop_failed(
@@ -296,7 +258,7 @@ def _hop_failed(
 
 
 def _post(
-    stream: RuntimeStream, channel: Channel, out_id: str, out_msg, dirty: set[str] | None,
+    stream: RuntimeStream, channel: Channel, out_id: str, out_msg, dirty: set[str],
 ) -> None:
     """Post one emission to its output channel, never waiting; a full queue drops.
 
@@ -305,8 +267,9 @@ def _post(
     """
     try:
         if channel.post(out_id, out_msg.total_size(), timeout=0):
-            if dirty is not None and channel.sink is not None:
-                dirty.add(channel.sink.instance)
+            sink = channel.sink
+            if sink is not None and sink.instance != EGRESS:  # egress: collect() drains
+                dirty.add(sink.instance)
             return
     except QueueClosedError:
         pass  # a closed channel can never accept
@@ -347,16 +310,8 @@ class InlineScheduler:
         stream.bind_engine()
 
     def _seed(self, snap: TopologySnapshot) -> set[str]:
-        """Nodes worth visiting: active with pending input traffic."""
-        dirty: set[str] = set()
-        for view in snap.steps:
-            if view.streamlet.state is not StreamletState.ACTIVE:
-                continue
-            for _port, channel in view.inputs:
-                if not channel.queue.is_empty():
-                    dirty.add(view.name)
-                    break
-        return dirty
+        """Nodes worth visiting: those with pending input traffic (filtered in C)."""
+        return set(compress(snap.feed_names, snap.feeds))
 
     def pump(self, *, max_rounds: int | None = None) -> int:
         """Process until quiescent (or ``max_rounds``); returns moves made."""
@@ -372,6 +327,8 @@ class InlineScheduler:
             moved_round = 0
             restart = False
             for view in snap.steps:
+                if not dirty:
+                    break  # nothing later in the order has a reason to run
                 name = view.name
                 if name not in dirty:
                     continue
@@ -390,12 +347,13 @@ class InlineScheduler:
                     moved = _step_node(stream, snap, view, batch, acc, dirty)
                 finally:
                     gate.exit()
-                if moved:
-                    moved_round += moved
-                    for _port, channel in view.inputs:
-                        if not channel.queue.is_empty():
-                            dirty.add(name)
-                            break
+                moved_round += moved
+                # still fed (a batch cut short, or a claim a held rendezvous
+                # refused): visit again next round
+                for _port, channel in view.inputs:
+                    if channel.queue.entries:
+                        dirty.add(name)
+                        break
             if acc:
                 stream.stats.inc_many(acc)
                 acc.clear()
@@ -403,7 +361,7 @@ class InlineScheduler:
                 continue  # an interrupted walk is not a round
             total += moved_round
             rounds += 1
-            if moved_round == 0:
+            if moved_round == 0 or not dirty:
                 return total
             if max_rounds is not None and rounds >= max_rounds:
                 return total

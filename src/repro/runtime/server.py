@@ -56,7 +56,6 @@ class MobiGateServer:
         verify_semantics: bool = True,
         terminal_definitions: frozenset[str] | set[str] = frozenset(),
         telemetry: Telemetry | None = None,
-        fuse: bool = True,
     ):
         self.registry = registry if registry is not None else default_registry()
         self.catalog = catalog if catalog is not None else DEFAULT_CATALOG
@@ -77,7 +76,6 @@ class MobiGateServer:
             pass_mode=pass_mode,
             drop_timeout=drop_timeout,
             telemetry=self.telemetry,
-            fuse=fuse,
         )
         self._verify = verify_semantics
         self._terminals = frozenset(terminal_definitions)

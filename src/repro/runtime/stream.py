@@ -47,7 +47,6 @@ from repro.runtime.message_pool import MessagePool, PassMode
 from repro.runtime.streamlet import Streamlet, StreamletContext, StreamletState
 from repro.runtime.streamlet_manager import StreamletManager
 from repro.runtime.topology import EDGE_CHANNEL_DEF, INGRESS, Topology, apply
-from repro.semantics.fusion import fusable_chains
 from repro.telemetry import Telemetry
 from repro.util.clock import Clock, WallClock
 
@@ -208,24 +207,24 @@ class _NodeView:
     message and that cannot change while this snapshot is published,
     resolved here once instead of per hop: the context, the two
     histograms, the peer id to push and ``onward``: per output port, the
-    ``(channel, view, member index, input port)`` to step into — the next
-    fused member (channel ``None``, elided) or, from a tail, a hand-off.
+    ``(channel, queue, view, input port)`` of the hand-off to a later
+    view (owned streams only), whatever the channel's coupling.
     ``process`` and the histograms' ``observe`` are deliberately *not*
     pre-bound: CPython calls a method through its object faster than it
     calls a stored bound method (46–54 ns against 56–64 ns, three runs of
     two million calls), so binding would buy nothing and would stop
     honouring a ``process`` shadowed after publication.
 
-    Every view is a chain of ``members``; an ordinary node is the chain
-    of itself, so the scheduler has one way of stepping.
+    The batching stop rule reads the queues a claim here may post to —
+    this view's outputs and those of every view it may hand off to —
+    split in two: ``held``, the entry deques of the rendezvous
+    (capacity 0) queues, and ``bounded``, the other queues with their
+    capacities.
     """
 
-    #: class attribute, not a slot: only :class:`_FusedView` overrides it
-    fused = False
-
     __slots__ = (
-        "name", "streamlet", "ctx", "inputs", "outputs", "outlets",
-        "hop_hist", "queue_wait_hist", "members", "interior", "peer", "onward",
+        "name", "streamlet", "ctx", "inputs", "outputs", "held", "bounded",
+        "hop_hist", "queue_wait_hist", "peer", "onward",
     )
 
     def __init__(self, name: str, node: "_Node"):
@@ -236,46 +235,8 @@ class _NodeView:
         self.outputs: dict[str, Channel] = dict(node.outputs)
         self.hop_hist = node.hop_hist
         self.queue_wait_hist = node.queue_wait_hist
-        self.members: tuple[_NodeView, ...] = (self,)
-        self.interior: tuple[Channel, ...] = ()
         self.peer = node.streamlet.peer_id
         self.onward: dict[str, tuple] = {}
-
-
-class _FusedView:
-    """A fused chain of synchronously-coupled members, stepped as one node.
-
-    Published in the snapshot under the *head* member's name; the other
-    members get parked :class:`_NodeView`s (no inputs), and re-acquire
-    real wiring if a reconfiguration splits the chain.  A member's
-    ``onward`` is a hand-off with its channel elided.  Only if an elided
-    channel held units when the snapshot was built (a supervisor re-post
-    into one retires the snapshot) are they ``interior`` and in
-    ``inputs`` beside the head's, for seeding and the residual drain, and
-    no hand-off enters the chain; else no step probes them.  New traffic
-    is claimed at the head only.  Fusion lives entirely at the snapshot level: the
-    structural graph is untouched, so every composition primitive splits
-    a fused region for free and the next rebuild re-fuses what is legal.
-    """
-
-    fused = True
-
-    __slots__ = ("name", "streamlet", "members", "interior", "inputs", "outlets")
-
-    def __init__(self, members: tuple[_NodeView, ...], interior: tuple[Channel, ...]):
-        head = members[0]
-        self.name = head.name
-        self.streamlet = head.streamlet
-        self.members = members
-        #: the elided channels, in hop order, when any holds residue; else ()
-        self.interior = interior if any(len(ch.queue) for ch in interior) else ()
-        self.inputs: tuple[tuple[str, Channel], ...] = head.inputs + tuple(
-            (f"__fused{i}", channel) for i, channel in enumerate(self.interior)
-        )
-        for index, member in enumerate(members[:-1], 1):
-            successor = members[index]
-            (out_port,) = member.outputs
-            member.onward = {out_port: (None, self, index, successor.inputs[0][0])}
 
 
 class TopologySnapshot:
@@ -286,18 +247,26 @@ class TopologySnapshot:
     version is monotonically increasing across rebuilds.
     """
 
-    __slots__ = ("version", "epoch", "order", "nodes", "steps", "input_queues")
+    __slots__ = (
+        "version", "epoch", "order", "nodes", "steps", "feed_names", "feeds", "input_queues",
+    )
 
     def __init__(self, version: int, epoch: int, order: tuple[str, ...],
-                 nodes: dict[str, "_NodeView | _FusedView"], input_queues: tuple):
+                 nodes: dict[str, _NodeView], input_queues: tuple):
         self.version = version
         self.epoch = epoch
         self.order = order
         self.nodes = nodes
         #: the views that can ever claim a message (those with an input),
-        #: in processing order: what the inline pump walks, so the parked
-        #: members of a fused chain cost it nothing per round
+        #: in processing order: what the inline pump walks
         self.steps = tuple(nodes[name] for name in order if nodes[name].inputs)
+        #: one entry per input of every step, in two parallel tuples: the
+        #: step's name and the input queue's ``entries``, so the pump seeds
+        #: its worklist with one C-level filter (``itertools.compress``)
+        self.feed_names = tuple(view.name for view in self.steps for _ in view.inputs)
+        self.feeds = tuple(
+            channel.queue.entries for view in self.steps for _port, channel in view.inputs
+        )
         #: every distinct input queue (for quiescence checks)
         self.input_queues = input_queues
 
@@ -316,7 +285,6 @@ class RuntimeStream:
         session: str | None = None,
         drop_timeout: float = 0.0,
         telemetry: Telemetry | None = None,
-        fuse: bool = True,
     ):
         self.table = table
         self.name = table.stream_name
@@ -352,11 +320,6 @@ class RuntimeStream:
         #: GIL (see docs/performance.md for the memory-ordering argument)
         self._snapshot: TopologySnapshot | None = None
         self._snapshot_version = 0
-        #: collapse the chains semantics.fusion.fusable_chains finds into
-        #: fused nodes at snapshot build time; off = one node per instance
-        self._fuse = fuse
-        #: the chains the last snapshot fused, for change detection
-        self._fusion_sig: tuple[tuple[str, ...], ...] = ()
         self._read_gate = _ReadGate()
         self._write_depth = 0
         #: the thread inside the write section, if any
@@ -559,36 +522,21 @@ class RuntimeStream:
         # caller holds the topology lock
         order = tuple(self.processing_order())
         views: dict[str, _NodeView] = {}
-        queues: dict[int, object] = {}
+        input_queues: dict[int, object] = {}
         for name, node in self._nodes.items():
             views[name] = _NodeView(name, node)
             for channel in node.inputs.values():
-                queues[id(channel.queue)] = channel.queue
-        # legality is decided on the value, by the rule the compile-time
-        # planner uses: the two can never disagree
-        fusing = self._fuse and len(self._nodes) >= 2
-        chains = tuple(fusable_chains(self._topology.to_table())) if fusing else ()
-        for chain in chains:
-            member_views = tuple(views[m] for m in chain)
-            interior = tuple(
-                next(iter(self._nodes[m].outputs.values())) for m in chain[:-1]
-            )
-            views[chain[0]] = _FusedView(member_views, interior)
-            for m in chain[1:]:
-                # parked: no inputs to claim until a split hands its wiring back
-                parked = _NodeView(m, self._nodes[m])
-                parked.inputs = ()
-                views[m] = parked
-        # hand-offs (owned streams): a tail may step a later view whose only
-        # input is its channel (a chain with residue has more), forward in
-        # processing order so no claim circles a loop; ``outlets`` is every
-        # channel a claim may post to, for the batching stop rule
+                input_queues[id(channel.queue)] = channel.queue
+        # hand-offs (owned streams): a view may step a later view whose only
+        # input is its channel, forward in processing order so no claim
+        # circles a loop
         position = {name: i for i, name in enumerate(order)}
+        # per view, every queue one of its claims may post to
+        reach: dict[str, dict] = {}
         for name in reversed(order):
             view = views[name]
-            tail = view.members[-1]
-            outlets = dict.fromkeys(tail.outputs.values())
-            for out_port, channel in tail.outputs.items():
+            outlets = reach[name] = dict.fromkeys(ch.queue for ch in view.outputs.values())
+            for out_port, channel in view.outputs.items():
                 sink = channel.sink
                 target = views.get(sink.instance) if sink is not None else None
                 if (
@@ -596,21 +544,15 @@ class RuntimeStream:
                     and target.inputs[0][1] is channel
                     and position[target.name] > position[name]
                 ):
-                    tail.onward[out_port] = (channel, target, 0, target.inputs[0][0])
-                    outlets.update(dict.fromkeys(target.outlets))
-            view.outlets = tuple(outlets)
-        if chains != self._fusion_sig:
-            # fuse/split transitions are reconfiguration-relevant history:
-            # make them visible in the flight recorder
-            if self.tm is not None:
-                self.tm.recorder.record(
-                    "fusion", stream=self.name,
-                    groups=["+".join(c) for c in chains],
-                )
-            self._fusion_sig = chains
+                    view.onward[out_port] = (
+                        channel, channel.queue, target, target.inputs[0][0]
+                    )
+                    outlets.update(reach[target.name])
+            view.held = tuple(q.entries for q in outlets if not q.capacity_bytes)
+            view.bounded = tuple((q, q.capacity_bytes) for q in outlets if q.capacity_bytes)
         self._snapshot_version += 1
         return TopologySnapshot(
-            self._snapshot_version, self.epoch, order, views, tuple(queues.values())
+            self._snapshot_version, self.epoch, order, views, tuple(input_queues.values())
         )
 
     def topology_snapshot(self) -> TopologySnapshot:
@@ -840,21 +782,14 @@ class RuntimeStream:
         return self._snapshot_version
 
     def fusion_groups(self) -> tuple[tuple[str, ...], ...]:
-        """The chains the current snapshot runs fused, head first.
+        """Always ``()``: no chain is stepped as a group of streamlets.
 
-        Empty when fusion is disabled or no chain qualifies.  Because
-        fusion is recomputed on every snapshot rebuild, this reflects any
-        committed reconfiguration: splicing into a fused region splits it
-        here immediately, and re-fusing shows up as soon as the spliced
-        shape is legal again.
+        Every channel hop, synchronous or not, is a hand-off or a post
+        (:mod:`repro.runtime.scheduler`).  The method stays because the
+        end-to-end benchmark's layer walk (``bench_e2e/layerwalk.py``)
+        reads it for its ``runtime.stream.fusion_groups`` figure.
         """
-        snap = self.topology_snapshot()
-        groups: list[tuple[str, ...]] = []
-        for name in snap.order:
-            view = snap.nodes.get(name)
-            if view is not None and view.fused and view.name == name:
-                groups.append(tuple(m.name for m in view.members))
-        return tuple(groups)
+        return ()
 
     def queue_introspect(self) -> list[dict]:
         """Depth/watermark/counters for every live channel queue.

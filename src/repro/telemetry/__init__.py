@@ -23,8 +23,10 @@ server, gateway or client and it holds ``None``, as does every component
 below it; each hook site is one ``is not None`` test, and nothing is
 allocated or registered (see ``repro.bench.telemetry_overhead``).
 
-Hot-path discipline (a streamlet hop costs ~7.4 µs fused, ~34 µs
-unfused, so the observer budget is ~1 µs): stream counters are *not*
+Hot-path discipline (a redirector hop costs about 4 µs —
+``runtime.scheduler.step_us_per_hop`` of ``deep_chain``'s traced pass
+read 3.8 µs on a 2-vCPU VM — so the observer budget is ~1 µs): stream
+counters are *not*
 incremented per message — the plain
 ``StreamStats`` integers the runtime already keeps are mirrored into
 registry counters at export time (:meth:`Telemetry.flush`); per-hop
@@ -279,11 +281,15 @@ class StreamTelemetry:
         """The queue-wait histogram for one instance (bind once per node).
 
         Unlike :meth:`channel_wait_histogram` (sampled, follows traced
-        ids), this family is fed for *every* claimed message from the
-        queue's own post-time deque — see
-        :attr:`~repro.runtime.message_queue.MessageQueue.last_post_at`.
+        ids), this family covers *every* hop: a claim samples the queue's
+        own post-time deque (see
+        :attr:`~repro.runtime.message_queue.MessageQueue.last_post_at`),
+        and a hand-off's zero wait is taken at fold time, against the
+        instance's hop histogram as the :attr:`Histogram.floor`.
         """
-        return self._queue_wait_family.labels(self.stream, instance)  # type: ignore[return-value]
+        hist = self._queue_wait_family.labels(self.stream, instance)
+        hist.floor = self.hop_histogram(instance)  # type: ignore[union-attr]
+        return hist  # type: ignore[return-value]
 
     def egress_wait_histogram(self) -> Histogram:
         """The egress pickup-delay histogram (one per stream)."""

@@ -1,8 +1,8 @@
 """Per-hop latency attribution: where a message's wall time actually goes.
 
 The thesis evaluation (§7) is entirely about decomposed cost — per-
-streamlet overhead, channel cost, reconfiguration latency — and the
-ROADMAP's fusion decisions need the same decomposition live.
+streamlet overhead, channel cost, reconfiguration latency — and judging
+a change to the hop path needs the same decomposition live.
 This module defines the attribution model and folds the hop-level metric
 families into per-(stream, streamlet) summaries:
 
@@ -29,8 +29,9 @@ starts, so :func:`summarize` lists it and :func:`decompose` leaves it out.
 Timestamps come from ``time.perf_counter`` at five points: queue-post,
 claim, step-start, step-end, egress-handoff.  Queue wait is measured for
 *every* message (a deque of post times rides next to the entries — see
-:class:`~repro.runtime.message_queue.MessageQueue`), so the histograms
-are complete, not sampled; only spans stay sampled.
+:class:`~repro.runtime.message_queue.MessageQueue`; a hand-off's zero
+wait is taken at fold time, :attr:`~repro.telemetry.metrics.Histogram.floor`),
+so the histograms are complete, not sampled; only spans stay sampled.
 
 :func:`summarize` renders the per-instance table the control plane's
 ``attribution`` verb serves; :func:`decompose` reduces a stream to its

@@ -104,9 +104,15 @@ class Histogram:
     and every :data:`FOLD_BATCH` samples — and before every read — the
     buffer is folded into the counts and moments under the family lock.
     A read therefore sees every sample observed before it started.
+
+    A histogram may have a :attr:`floor`: another histogram whose every
+    sample follows one of this one's or an unsampled zero.  Each fold
+    takes the zeros this one lacks against it, so a count that a hot path
+    keeps only implicitly (a hop's queue wait where a hand-off crossed an
+    empty queue) is exact at every read without a sample per event.
     """
 
-    __slots__ = ("_lock", "bounds", "_below", "_stats", "_pending", "_room")
+    __slots__ = ("_lock", "bounds", "_below", "_stats", "_pending", "_room", "floor")
 
     def __init__(self, lock: threading.Lock, bounds: Sequence[float]):
         self._lock = lock
@@ -118,6 +124,8 @@ class Histogram:
         self._pending: list[float] = []
         #: appends left before the next fold
         self._room = FOLD_BATCH
+        #: the histogram whose count this one's is topped up to with zeros
+        self.floor: Histogram | None = None
 
     def observe(self, value: float) -> None:
         """Record one sample; every :data:`FOLD_BATCH`-th folds the batch.
@@ -148,17 +156,29 @@ class Histogram:
         """
         self._room = FOLD_BATCH
         pending = self._pending
+        below = self._below
         n = len(pending)
-        if not n:
-            return
-        batch = pending[:n]
-        del pending[:n]  # a concurrent append lands after n and survives
-        batch.sort()
-        below, upto = self._below, 0
-        for slot, bound in enumerate(self.bounds):
-            upto = bisect_right(batch, bound, upto)
-            below[slot] += upto
-        self._stats = self._stats.merge(RunningStats.of_sorted(batch))
+        if n:
+            batch = pending[:n]
+            del pending[:n]  # a concurrent append lands after n and survives
+            batch.sort()
+            upto = 0
+            for slot, bound in enumerate(self.bounds):
+                upto = bisect_right(batch, bound, upto)
+                below[slot] += upto
+            self._stats = self._stats.merge(RunningStats.of_sorted(batch))
+        floor = self.floor
+        if floor is not None:
+            # the floor's moments are read before its buffer: a fold of it
+            # between the two reads can make the sum short, never long, and
+            # a short one is topped up at the next fold
+            lacking = (floor._stats.count + len(floor._pending)
+                       - self._stats.count - len(pending))
+            if lacking > 0:
+                for slot, bound in enumerate(self.bounds):
+                    if bound >= 0:
+                        below[slot] += lacking
+                self._stats = self._stats.merge(RunningStats.repeated(0.0, lacking))
 
     def _folded(self) -> tuple[list[int], RunningStats]:
         """Fold, then the cumulative counts and the moments, taken together."""

@@ -78,6 +78,14 @@ class RunningStats:
         stats._m2 = max(0.0, squares - offset * offset / n)
         return stats
 
+    @classmethod
+    def repeated(cls, value: float, n: int) -> "RunningStats":
+        """The moments of ``n`` samples all equal to ``value``, without the samples."""
+        stats = cls()
+        stats.count = n
+        stats._mean = stats.minimum = stats.maximum = value
+        return stats
+
     def merge(self, other: "RunningStats") -> "RunningStats":
         """Combine two streams (parallel Welford merge)."""
         merged = RunningStats()

@@ -45,13 +45,13 @@ REPRO_DIR = str(Path(repro.__file__).resolve().parent)
 LAYERS = ("post", "pump", "collect", "serialize")
 
 
-def chain(name: str, n: int, *, fused_groups: int = 0) -> str:
+def chain(name: str, n: int, *, sync_groups: int = 0) -> str:
     """``n`` redirectors in series, as ``bench_e2e/workloads.py`` builds them:
-    ``fused_groups`` > 0 joins each group with SYNC channels."""
+    ``sync_groups`` > 0 joins each group with SYNC channels."""
     names = [f"r{i}" for i in range(n)]
     lines = [f"main stream {name}{{",
              f"  streamlet {', '.join(names)} = new-streamlet (redirector);"]
-    group = n // fused_groups if fused_groups else 0
+    group = n // sync_groups if sync_groups else 0
     sync = [i for i in range(n - 1) if group and (i + 1) % group]
     if sync:
         lines.append(
@@ -72,8 +72,12 @@ def chain(name: str, n: int, *, fused_groups: int = 0) -> str:
 
 WORKLOADS = {
     "small_echo": chain("small_echo", 2),
-    "deep_chain": chain("deep_chain", 24, fused_groups=4),
+    "deep_chain": chain("deep_chain", 24, sync_groups=4),
 }
+
+#: ``deep_chain`` with every channel an asynchronous auto channel: the
+#: Figure 7-2 slope must not depend on the channels' coupling
+ASYNC_DEEP_CHAIN = chain("deep_chain", 24)
 
 #: calls per message per layer, at most: the measured census rounded up to
 #: a whole call (the measured values are in docs/performance.md)
@@ -168,9 +172,16 @@ def test_calls_per_message_stay_within_their_bounds(workload):
     assert not over, f"{workload}: calls per message above the bound: {over}"
 
 
+def test_a_sync_chain_costs_what_an_async_one_does():
+    sync, async_ = census(WORKLOADS["deep_chain"], 100), census(ASYNC_DEEP_CHAIN, 100)
+    assert async_["layers"]["pump"] <= sync["layers"]["pump"] * 1.05, (async_, sync)
+    assert sync["layers"]["pump"] <= async_["layers"]["pump"] * 1.05, (sync, async_)
+
+
 def test_the_census_is_the_same_every_time():
     assert census(WORKLOADS["small_echo"], 100) == census(WORKLOADS["small_echo"], 100)
 
 
 if __name__ == "__main__":
-    print(json.dumps({name: census(mcl) for name, mcl in WORKLOADS.items()}, indent=2))
+    workloads = {**WORKLOADS, "deep_chain_async": ASYNC_DEEP_CHAIN}
+    print(json.dumps({name: census(mcl) for name, mcl in workloads.items()}, indent=2))

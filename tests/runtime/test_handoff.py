@@ -7,8 +7,10 @@ claiming again.  It is one legal schedule of the same composition (a
 consumer infinitely fast), so everything observable must read as if the
 message had been posted and claimed — and wherever a message could
 tell the two apart (a stalled or closed channel, a paused or two-input
-consumer, traffic already waiting, a snapshot retired mid-step, units
-parked inside a fused chain) it takes the post path.  Each test below pins one of those rules.
+consumer, traffic already waiting, a snapshot retired mid-step) it takes
+the post path.  A synchronous channel is crossed by the same rule; only
+its one-slot rendezvous differs, and a unit held there makes a claim
+that could post behind it wait.  Each test below pins one of those rules.
 """
 
 import dataclasses
@@ -317,21 +319,10 @@ class TestThePostPathStays:
         stream.end()
 
 
-class TestFusedChains:
-    FUSED = SYNC_CHANNEL + ASYNC_CHANNEL + """main stream fz{
-  streamlet u, r0, r1, z = new-streamlet (redirector);
-  streamlet r2 = new-streamlet (ho_merge);
-  streamlet x = new-streamlet (redirector);
-  channel c0, cz = new-channel (hoAsync);
-  channel s0, s1 = new-channel (hoSync);
-  connect (u.po, r0.pi, c0);
-  connect (r0.po, r1.pi, s0);
-  connect (r1.po, r2.pi, s1);
-  connect (x.po, r2.pj);
-  connect (r2.po, z.pi, cz);
-}"""
+class TestSyncChannels:
+    """A SYNC channel is a rendezvous queue crossed by the same hand-off rule."""
 
-    def test_the_hop_plan_has_one_continuation_per_member(self):
+    def test_a_sync_channel_is_a_hand_off_like_any_other(self):
         _server, stream = deploy(SYNC_CHANNEL + """main stream plan{
   streamlet u, r0, r1, r2 = new-streamlet (redirector);
   channel s0, s1 = new-channel (hoSync);
@@ -341,70 +332,90 @@ class TestFusedChains:
 }""")
         InlineScheduler(stream)
         snap = stream.topology_snapshot()
-        fused = snap.nodes["r0"]
-        assert [m.name for m in fused.members] == ["r0", "r1", "r2"]
-        for index, member in enumerate(fused.members[:-1], 1):
-            assert member.onward == {"po": (None, fused, index, "pi")}  # elided
-        # the same continuation, with the channel kept: a hand-off
-        assert snap.nodes["u"].onward == {
-            "po": (stream.node("r0").inputs["pi"], fused, 0, "pi")
-        }
+        for source, sink in (("u", "r0"), ("r0", "r1"), ("r1", "r2")):
+            channel = stream.node(sink).inputs["pi"]
+            assert snap.nodes[source].onward == {
+                "po": (channel, channel.queue, snap.nodes[sink], "pi")
+            }
+        assert stream.channel("s0").queue.capacity_bytes == 0  # still a rendezvous
         for view in snap.nodes.values():
-            assert not hasattr(view, "next_port") and not hasattr(view, "consumers")
+            assert not hasattr(view, "members") and not hasattr(view, "interior")
+        assert stream.fusion_groups() == ()
         stream.end()
 
-    def test_no_interior_probe_without_residue(self, monkeypatch):
-        _server, stream = deploy(redirector_chain_mcl(4, sync=True))
+    def test_a_sync_chain_crosses_no_queue(self):
+        _server, stream = deploy(SYNC_CHANNEL + """main stream sc{
+  streamlet r0, r1, r2, r3 = new-streamlet (redirector);
+  channel s0, s1, s2 = new-channel (hoSync);
+  connect (r0.po, r1.pi, s0);
+  connect (r1.po, r2.pi, s1);
+  connect (r2.po, r3.pi, s2);
+}""")
         scheduler = InlineScheduler(stream)
-        probes = []
-        for name in ("s0", "s1", "s2"):
-            queue = stream.channel(name).queue
-            monkeypatch.setattr(queue, "is_empty", lambda q=queue: probes.append(q) or not len(q))
         for i in range(3):
             stream.post(text(b"m%d" % i))
-            scheduler.pump()
-        assert len(stream.collect()) == 3
-        assert probes == []
-        assert stream.topology_snapshot().nodes["r0"].interior == ()
+        assert scheduler.pump() == 4 * 3
+        assert bodies(stream.collect()) == [b"m0", b"m1", b"m2"]
+        for name in ("s0", "s1", "s2"):
+            queue = stream.channel(name).queue
+            assert (queue.posted, queue.fetched, queue.watermark) == (3, 3, 0)
         stream.end()
 
+    CHAIN = SYNC_CHANNEL + """main stream rz{
+  streamlet u, r0, r1, r2 = new-streamlet (redirector);
+  channel s0, s1 = new-channel (hoSync);
+  connect (u.po, r0.pi);
+  connect (r0.po, r1.pi, s0);
+  connect (r1.po, r2.pi, s1);
+}"""
+
     def test_residue_leaves_before_a_message_handed_toward_it(self):
-        _server, stream = deploy(self.FUSED)
+        _server, stream = deploy(self.CHAIN)
         scheduler = InlineScheduler(stream)
-        assert stream.fusion_groups() == (("r0", "r1"),)  # r2 has two inputs
-        # park a unit on s1 while r2 is paused, then re-fuse r0..r2 around it
+        # park a unit on s1 while r2 is paused
         stream.node("r2").streamlet.pause()
         stream.post(text(b"early"), "u.pi")
         scheduler.pump()
         assert stream.channel("s1").pending() == 1
-        stream.disconnect("x.po", "r2.pj")
         stream.node("r2").streamlet.activate()
-        assert stream.fusion_groups() == (("r0", "r1", "r2"),)
-        assert stream.topology_snapshot().nodes["r0"].interior  # residue seen
         stream.post(text(b"fresh"), "u.pi")
         scheduler.pump()
+        # u's claim waited for the rendezvous to empty: nothing dropped
         assert bodies(stream.collect()) == [b"early", b"fresh"]
-        assert stream.channel("c0").queue.watermark == 1  # u posted, did not hand off
+        assert stream.stats.queue_drops == 0
+        assert stream.channel("s1").queue.watermark == 1
         assert_conservation(stream)
         stream.end()
 
-    def test_a_supervisor_re_post_mid_chain_is_drained(self):
-        _server, stream = deploy(SYNC_CHANNEL + """main stream rp{
-  streamlet u, r0, r2 = new-streamlet (redirector);
-  streamlet f = new-streamlet (ho_flaky);
-  channel s0, s1 = new-channel (hoSync);
-  connect (u.po, r0.pi);
-  connect (r0.po, f.pi, s0);
-  connect (f.po, r2.pi, s1);
-}""")
+    def test_a_paused_member_parks_only_itself(self):
+        _server, stream = deploy(self.CHAIN)
         scheduler = InlineScheduler(stream)
-        assert stream.fusion_groups() == (("r0", "f", "r2"),)
+        stream.node("r1").streamlet.pause()
+        for body in (b"m0", b"m1", b"m2"):
+            stream.post(text(body), "u.pi")
+        scheduler.pump()
+        # u and r0 ran m0 up to the paused member; its rendezvous holds m0,
+        # so the next claims wait at the head instead of dropping
+        assert stream.node("r0").streamlet.processed == 1
+        assert stream.channel("s0").pending() == 1
+        assert len(stream.node("u").inputs["pi"].queue) == 2
+        stream.node("r1").streamlet.activate()
+        scheduler.pump()
+        assert bodies(stream.collect()) == [b"m0", b"m1", b"m2"]
+        assert stream.stats.queue_drops == 0
+        assert_conservation(stream)
+        stream.end()
+
+    def test_a_supervisor_re_post_onto_a_sync_channel_is_drained(self):
+        _server, stream = deploy(SYNC_CHANNEL + self.RETRIED % "hoSync")
+        scheduler = InlineScheduler(stream)
         supervisor = Supervisor(stream, RecoveryPolicy(max_retries=2, backoff_base=0.0, jitter=0.0))
         supervisor.attach()
         stream.post(text(b"once"))
         scheduler.pump()
         assert stream.channel("s0").pending() == 0
-        assert supervisor.pump_retries() == 1  # lands on s0, inside the chain
+        assert supervisor.pump_retries() == 1  # lands on s0, f's own input
+        assert stream.channel("s0").pending() == 1
         scheduler.pump()
         assert bodies(stream.collect()) == [b"once"]
         assert_conservation(stream)
@@ -419,27 +430,26 @@ class TestFusedChains:
   connect (f.po, r2.pi, s1);
 }"""
 
-    def test_a_retry_into_a_fused_interior_retires_the_snapshot_and_keeps_fifo(self):
+    def test_a_retry_into_a_sync_hop_keeps_the_snapshot_and_fifo(self):
         _server, stream = deploy(SYNC_CHANNEL + self.RETRIED % "hoSync")
         scheduler = InlineScheduler(stream)
-        assert stream.fusion_groups() == (("r0", "f", "r2"),)
         supervisor = Supervisor(stream, RecoveryPolicy(max_retries=2, backoff_base=0.0, jitter=0.0))
         supervisor.attach()
         stream.post(text(b"once-1"))
         scheduler.pump()  # f fails it: the supervisor holds it
         version = stream.snapshot_version
-        assert supervisor.pump_retries() == 1  # onto s0, which the snapshot elides
+        assert supervisor.pump_retries() == 1  # onto s0, the SYNC channel into f
         stream.post(text(b"then-2"))
         scheduler.pump()
-        assert stream.snapshot_version > version  # rebuilt to list s0 as residue
+        assert stream.snapshot_version == version  # nothing to rebuild
         assert bodies(stream.collect()) == [b"once-1", b"then-2"]
+        assert stream.stats.queue_drops == 0
         assert_conservation(stream)
         stream.end()
 
-    def test_a_retry_on_an_unfused_chain_keeps_the_snapshot(self):
+    def test_a_retry_on_an_async_chain_keeps_the_snapshot(self):
         _server, stream = deploy(ASYNC_CHANNEL + self.RETRIED % "hoAsync")
         scheduler = InlineScheduler(stream)
-        assert stream.fusion_groups() == ()
         supervisor = Supervisor(stream, RecoveryPolicy(max_retries=2, backoff_base=0.0, jitter=0.0))
         supervisor.attach()
         stream.post(text(b"once-1"))

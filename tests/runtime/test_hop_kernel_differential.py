@@ -114,8 +114,8 @@ def composition(*, sync: bool) -> str:
 
 MODES = {
     "unfused": dict(sync=False, pass_mode=PassMode.REFERENCE),
-    "fused-reference": dict(sync=True, pass_mode=PassMode.REFERENCE),
-    "fused-value": dict(sync=True, pass_mode=PassMode.VALUE),
+    "sync-reference": dict(sync=True, pass_mode=PassMode.REFERENCE),
+    "sync-value": dict(sync=True, pass_mode=PassMode.VALUE),
 }
 
 COUNTERS = (
@@ -157,7 +157,7 @@ def run(mode: str, seed: int, observed: bool = False) -> dict:
     for name, cls in CUSTOM.items():
         server.directory.advertise(_definition(f"dx_{name}"), cls, replace=True)
     stream = server.deploy_script(composition(sync=options["sync"]))
-    assert stream.fusion_groups() == ((STAGES,) if options["sync"] else ())
+    assert stream.fusion_groups() == ()
     scheduler = InlineScheduler(stream)
     supervisor = Supervisor(stream, RecoveryPolicy(max_retries=1, backoff_base=0.0, jitter=0.0))
     supervisor.attach()
@@ -277,7 +277,7 @@ def spill(mode: str, seed: int) -> dict:
     for name, cls in CUSTOM.items():
         server.directory.advertise(_definition(f"dx_{name}"), cls, replace=True)
     stream = server.deploy_script(spill_composition(sync=options["sync"]))
-    assert stream.fusion_groups() == ((("a", "split"),) if options["sync"] else ())
+    assert stream.fusion_groups() == ()
     scheduler = InlineScheduler(stream)
     tiny = stream.channel("t")
     assert tiny.queue.owned and tiny.queue.capacity_bytes == 1024

@@ -1,12 +1,15 @@
-"""Fused-chain runtime behaviour: fidelity, faults, reconfig, on the caller's
-thread (``inline``) and on the gateway's executor (``threaded``)."""
+"""Chains over SYNC channels: fidelity, faults, reconfig, on the caller's
+thread (``inline``) and on the gateway's executor (``threaded``).
+
+A SYNC channel is a one-slot rendezvous crossed by the same hand-off rule
+as any other channel; each case checks that a behaviour holds across it."""
 
 import time
 
 import pytest
 
 from repro.apps import build_server
-from repro.bench.harness import redirector_chain_mcl
+from repro.errors import ReconfigurationError
 from repro.faults.invariant import assert_conservation
 from repro.mcl import astnodes as ast
 from repro.mime.mediatype import ANY
@@ -24,7 +27,7 @@ SYNC_DEFS = """channel syncChan{
 }
 """
 
-# four fusable redirectors plus a dormant spare for splice tests
+# four synchronously coupled redirectors plus a dormant spare for splice tests
 SPLICE_MCL = SYNC_DEFS + """main stream fz{
   streamlet r0, r1, r2, r3, extra = new-streamlet (redirector);
   channel s0, s1, s2 = new-channel (syncChan);
@@ -32,6 +35,20 @@ SPLICE_MCL = SYNC_DEFS + """main stream fz{
   connect (r1.po, r2.pi, s1);
   connect (r2.po, r3.pi, s2);
 }"""
+
+def chain_mcl(n: int, *, sync: bool, group: int = 0) -> str:
+    """``n`` redirectors in series, over SYNC channels or auto (asynchronous)
+    ones; with ``group``, every ``group``-th link is an auto channel."""
+    names = [f"r{i}" for i in range(n)]
+    lines = ["main stream chain{", f"  streamlet {', '.join(names)} = new-streamlet (redirector);"]
+    links = [i for i in range(n - 1) if sync and not (group and (i + 1) % group == 0)]
+    if links:
+        lines.append(f"  channel {', '.join(f's{i}' for i in links)} = new-channel (syncChan);")
+    for i in range(n - 1):
+        lines.append(f"  connect (r{i}.po, r{i + 1}.pi{f', s{i}' if i in links else ''});")
+    lines.append("}")
+    return (SYNC_DEFS if links else "") + "\n".join(lines)
+
 
 #: ``threaded``: stepped by the gateway's executor (tests/offloop.py)
 ENGINES = ("inline", "threaded")
@@ -127,12 +144,11 @@ def deploy_custom(middle_def, middle_cls, **server_kwargs):
     return server, server.deploy_script(mcl)
 
 
-class TestFusedDelivery:
+class TestSyncDelivery:
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_sync_chain_fuses_and_preserves_order(self, engine):
+    def test_sync_chain_preserves_order(self, engine):
         server = build_server(drop_timeout=5.0)
-        stream = server.deploy_script(redirector_chain_mcl(6, sync=True))
-        assert stream.fusion_groups() == (tuple(f"r{i}" for i in range(6)),)
+        stream = server.deploy_script(chain_mcl(6, sync=True))
         scheduler = make_scheduler(stream, engine)
         try:
             n = 40
@@ -140,62 +156,87 @@ class TestFusedDelivery:
                 stream.post(MimeMessage("text/plain", b"m%03d" % i))
             delivered = drain(stream, scheduler, n)
             assert [m.body for m in delivered] == [b"m%03d" % i for i in range(n)]
+            assert stream.stats.queue_drops == 0
             assert_conservation(stream)
         finally:
             stop(scheduler)
             stream.end()
 
-    def test_async_chain_does_not_fuse(self):
+    def test_no_chain_reports_a_fusion_group(self):
         server = build_server(drop_timeout=5.0)
-        stream = server.deploy_script(redirector_chain_mcl(4))
-        try:
-            assert stream.fusion_groups() == ()
-        finally:
-            stream.end()
+        for sync in (True, False):
+            stream = server.deploy_script(chain_mcl(4, sync=sync))
+            try:
+                assert stream.fusion_groups() == ()
+            finally:
+                server.undeploy(stream.name)
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_fuse_false_ablation_matches_fused_output(self, engine):
+    def test_sync_and_async_chains_deliver_the_same(self, engine):
         bodies = [b"p%d" % i for i in range(12)]
         results = {}
-        for fuse in (True, False):
-            server = build_server(fuse=fuse, drop_timeout=5.0)
-            stream = server.deploy_script(redirector_chain_mcl(5, sync=True))
-            assert bool(stream.fusion_groups()) is fuse
+        for sync in (True, False):
+            server = build_server(drop_timeout=5.0)
+            stream = server.deploy_script(chain_mcl(5, sync=sync))
             scheduler = make_scheduler(stream, engine)
             try:
                 for body in bodies:
                     stream.post(MimeMessage("text/plain", body))
-                results[fuse] = [m.body for m in drain(stream, scheduler, len(bodies))]
+                results[sync] = [m.body for m in drain(stream, scheduler, len(bodies))]
                 assert_conservation(stream)
             finally:
                 stop(scheduler)
                 stream.end()
         assert results[True] == results[False] == bodies
 
-    def test_fused_service_time_stays_per_streamlet(self):
-        # the fused dispatch must not collapse attribution: every member
-        # keeps its own service histogram, one observation per message
+    def test_service_time_and_queue_wait_stay_per_streamlet(self):
+        # attribution is per streamlet: every member keeps its own service
+        # histogram, and its queue wait (a hand-off's is a zero) counts once
+        # per message too
         telemetry = Telemetry(registry=MetricsRegistry(), trace_sample_interval=1)
         server = build_server(telemetry=telemetry, drop_timeout=5.0)
-        stream = server.deploy_script(redirector_chain_mcl(4, sync=True))
+        stream = server.deploy_script(chain_mcl(4, sync=True))
         scheduler = InlineScheduler(stream)
         try:
             n = 8
             for i in range(n):
                 stream.post(MimeMessage("text/plain", b"x"))
             assert len(drain(stream, scheduler, n)) == n
-            rows = summarize(telemetry.registry, stream=stream.name)["service"]["rows"]
-            per_instance = {r["instance"]: r["count"] for r in rows}
-            assert per_instance == {f"r{i}": n for i in range(4)}
+            summary = summarize(telemetry.registry, stream=stream.name)
+            for component in ("service", "queue_wait"):
+                per_instance = {r["instance"]: r["count"] for r in summary[component]["rows"]}
+                assert per_instance == {f"r{i}": n for i in range(4)}, component
         finally:
             stream.end()
 
 
-class TestFusedSemantics:
+    def test_every_member_of_a_grouped_chain_waits_once_per_hop(self):
+        # deep_chain's shape: 24 redirectors, SYNC within groups of 6; each
+        # member's queue-wait count is its hop count, hand-offs included
+        telemetry = Telemetry(registry=MetricsRegistry())
+        server = build_server(telemetry=telemetry, drop_timeout=5.0)
+        stream = server.deploy_script(chain_mcl(24, sync=True, group=6))
+        scheduler = InlineScheduler(stream)
+        try:
+            for window in range(5):
+                for i in range(10):
+                    stream.post(MimeMessage("text/plain", b"w%d-%d" % (window, i)))
+                assert len(drain(stream, scheduler, 10)) == 10
+            summary = summarize(telemetry.registry, stream=stream.name)
+            hops = {r["instance"]: r["count"] for r in summary["service"]["rows"]}
+            waits = {r["instance"]: r for r in summary["queue_wait"]["rows"]}
+            assert hops == {f"r{i}": 50 for i in range(24)}
+            assert {name: row["count"] for name, row in waits.items()} == hops
+            # every member past the head is handed its message: zero waits
+            assert all(waits[f"r{i}"]["sum_seconds"] == 0.0 for i in range(1, 24))
+        finally:
+            stream.end()
+
+
+class TestSyncSemantics:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_multi_emission_member_fans_out_in_order(self, engine):
         _server, stream = deploy_custom(PASS_DEF, Duplicator)
-        assert stream.fusion_groups() == (("a", "mid", "z"),)
         scheduler = make_scheduler(stream, engine)
         try:
             n = 6
@@ -243,9 +284,8 @@ class TestFusedSemantics:
             stream.end()
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_open_circuit_mid_chain_drops_like_unfused(self, engine):
+    def test_open_circuit_mid_chain_drops(self, engine):
         _server, stream = deploy_custom(PASS_DEF, Sidestep)
-        assert stream.fusion_groups() == (("a", "mid", "z"),)
         scheduler = make_scheduler(stream, engine)
         try:
             for i in range(6):
@@ -259,11 +299,11 @@ class TestFusedSemantics:
             stop(scheduler)
             stream.end()
 
-    def test_residual_interior_traffic_drains_first(self):
-        # a message parked on an interior channel (e.g. a supervisor retry
-        # from before fusion formed) must drain ahead of fresh head traffic
+    def test_residue_on_a_sync_channel_drains_first(self):
+        # a message parked on a SYNC channel (e.g. a supervisor retry) must
+        # drain ahead of fresh head traffic, which waits for the rendezvous
         server = build_server(drop_timeout=5.0)
-        stream = server.deploy_script(redirector_chain_mcl(4, sync=True))
+        stream = server.deploy_script(chain_mcl(4, sync=True))
         scheduler = InlineScheduler(stream)
         try:
             early = stream.post(MimeMessage("text/plain", b"early"))
@@ -274,6 +314,7 @@ class TestFusedSemantics:
             stream.post(MimeMessage("text/plain", b"fresh"))
             delivered = drain(stream, scheduler, 2)
             assert [m.body for m in delivered] == [b"early", b"fresh"]
+            assert stream.stats.queue_drops == 0
             assert_conservation(stream)
         finally:
             stream.end()
@@ -282,7 +323,7 @@ class TestFusedSemantics:
     @pytest.mark.parametrize("batch", (1, 4))
     def test_batching_delivers_everything(self, engine, batch):
         server = build_server(drop_timeout=5.0)
-        stream = server.deploy_script(redirector_chain_mcl(4, sync=True))
+        stream = server.deploy_script(chain_mcl(4, sync=True))
         scheduler = make_scheduler(stream, engine, batch=batch)
         try:
             n = 30
@@ -296,32 +337,49 @@ class TestFusedSemantics:
             stream.end()
 
 
-class TestFusedReconfig:
+class TestSyncReconfig:
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_splice_splits_then_refuses(self, engine):
+    def test_splice_then_refuse_a_removal_with_pending_input(self, engine):
         server = build_server(drop_timeout=5.0)
         stream = server.deploy_script(SPLICE_MCL)
-        assert stream.fusion_groups() == (("r0", "r1", "r2", "r3"),)
         scheduler = make_scheduler(stream, engine)
         try:
             for i in range(10):
                 stream.post(MimeMessage("text/plain", b"a%d" % i))
             assert len(drain(stream, scheduler, 10)) == 10
 
-            # splice into the middle: the fresh producer-side auto channel
-            # is asynchronous, so the region must split around it
+            # splice into the middle: the spare joins through a fresh
+            # asynchronous auto channel, and the chain keeps delivering
             stream.insert("r1.po", "r2.pi", "extra")
-            assert stream.fusion_groups() == (("r0", "r1"), ("extra", "r2", "r3"))
             for i in range(10):
                 stream.post(MimeMessage("text/plain", b"b%d" % i))
-            assert len(drain(stream, scheduler, 10)) == 10
+            assert [m.body for m in drain(stream, scheduler, 10)] == [
+                b"b%d" % i for i in range(10)
+            ]
+
+            # section 6.6: with the spare paused its input holds traffic,
+            # and a removal that would lose it is refused, the stream untouched
+            stream.node("extra").streamlet.pause()
+            stream.post(MimeMessage("text/plain", b"held"))
+            deadline = time.monotonic() + 5.0
+            while not stream.node("extra").inputs["pi"].pending():
+                assert time.monotonic() < deadline, "never reached the spare"
+                if isinstance(scheduler, InlineScheduler):
+                    scheduler.pump()
+                else:
+                    scheduler.kick()
+                    time.sleep(0.002)
+            with pytest.raises(ReconfigurationError):
+                stream.remove_streamlet("extra")
+            assert "extra" in stream.instance_names()
+            stream.node("extra").streamlet.activate()
+            assert [m.body for m in drain(stream, scheduler, 1)] == [b"held"]
 
             # take the spare back out and rejoin through the declared sync
-            # channel: the whole chain re-fuses on the next snapshot
+            # channel: the chain delivers as before
             stream.disconnect("r1.po", "extra.pi")
             stream.disconnect("extra.po", "r2.pi")
             stream.connect("r1.po", "r2.pi", "s1")
-            assert stream.fusion_groups() == (("r0", "r1", "r2", "r3"),)
             for i in range(10):
                 stream.post(MimeMessage("text/plain", b"c%d" % i))
             assert len(drain(stream, scheduler, 10)) == 10
@@ -331,9 +389,7 @@ class TestFusedReconfig:
             stream.end()
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_extract_handler_keeps_member_out_of_groups(self, engine):
-        # an instance an event handler may extract is never fused, so the
-        # extract itself cannot land inside a fused dispatch
+    def test_an_extractable_member_is_stepped_like_any_other(self, engine):
         mcl = SYNC_DEFS + """main stream fz{
   streamlet r0, r1, r2 = new-streamlet (redirector);
   channel s0, s1 = new-channel (syncChan);
@@ -345,10 +401,17 @@ class TestFusedReconfig:
         stream = server.deploy_script(mcl)
         scheduler = make_scheduler(stream, engine)
         try:
-            assert stream.fusion_groups() == ()
             for i in range(5):
                 stream.post(MimeMessage("text/plain", b"x%d" % i))
             assert len(drain(stream, scheduler, 5)) == 5
+            assert stream.node("r1").streamlet.processed == 5
+            server.events.raise_event("LOW_BANDWIDTH")
+            for i in range(5):
+                stream.post(MimeMessage("text/plain", b"y%d" % i))
+            assert [m.body for m in drain(stream, scheduler, 5)] == [
+                b"y%d" % i for i in range(5)
+            ]
+            assert stream.node("r1").streamlet.processed == 5  # extracted
             assert_conservation(stream)
         finally:
             stop(scheduler)

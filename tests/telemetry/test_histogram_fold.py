@@ -191,3 +191,77 @@ def test_a_reader_exporting_beside_a_writer_loses_no_sample():
     assert sum(hist.counts) == samples
     assert hist.cumulative()[-1][1] == samples
     assert hist.sum == pytest.approx(sum((i % 1500) / 1000 for i in range(samples)))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_floor_tops_up_with_the_zeros_it_lacks(seed):
+    # a queue-wait histogram whose hop histogram is its floor: every hop
+    # not preceded by a claim's sample reads as one zero wait
+    rng = random.Random(seed)
+    hops, waits, ref = make(), make(), Reference(BOUNDS)
+    waits.floor = hops
+    for step in range(700):
+        if rng.random() < 0.3:  # a claim: sampled
+            value = rng.uniform(0.0, 2.0)
+            waits.observe(value)
+            ref.observe(value)
+        else:  # a hand-off: no sample here
+            ref.observe(0.0)
+        hops.observe(1e-5)
+        if step % 97 == 0:
+            assert waits.count == hops.count  # a read tops up at any point
+    assert_same(waits, ref)
+
+
+def test_a_floor_never_overshoots_under_racing_writers_and_readers():
+    # several threads step "hops" on shared children, as sessions of one
+    # composition do on the executor; a reader folds and reads meanwhile.
+    # A top-up that counted a sample twice could never be taken back
+    registry = MetricsRegistry()
+    hops = registry.histogram("hop_seconds", "x", buckets=BOUNDS).unlabelled()
+    waits = registry.histogram("wait_seconds", "x", buckets=BOUNDS).unlabelled()
+    waits.floor = hops
+    writers, per_writer = 4, 5_000
+    claims = [0] * writers
+    done = threading.Event()
+    errors: list[BaseException] = []
+
+    def writer(index):
+        rng = random.Random(index)
+        try:
+            for _ in range(per_writer):
+                if rng.random() < 0.25:
+                    waits.observe(0.002)
+                    claims[index] += 1
+                hops.observe(0.001)
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    def reader():
+        try:
+            while not done.is_set():
+                waits.count  # noqa: B018 - a read folds and tops up
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        threads = [threading.Thread(target=writer, args=(i,)) for i in range(writers)]
+        watcher = threading.Thread(target=reader)
+        watcher.start()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        done.set()
+        watcher.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in [*threads, watcher])
+    assert not errors
+    total = writers * per_writer
+    assert hops.count == total
+    assert waits.count == total  # every hop waited exactly once
+    # the samples are all claims' (0.002); the rest are the zeros topped up
+    assert waits.counts[0] == total - sum(claims)
