@@ -339,7 +339,7 @@ class TestSyncSemantics:
 
 class TestSyncReconfig:
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_splice_then_refuse_a_removal_with_pending_input(self, engine):
+    def test_splice_then_refuse_a_lossy_removal(self, engine):
         server = build_server(drop_timeout=5.0)
         stream = server.deploy_script(SPLICE_MCL)
         scheduler = make_scheduler(stream, engine)
