@@ -76,7 +76,9 @@ class HeaderMap:
     keeps all three; the formatted block and its encoding always go.
     Those views were derived from fields the writer did not touch
     (writers are never concurrent with each other — a message has one
-    holder at a time).  ``copy()`` starts its copy with an empty memo.
+    holder at a time).  ``copy()`` carries a copy of the memo: every view
+    is a pure function of ``_fields``, which the copy has equal, and the
+    copy's later writes replace its own dict, never the original's.
 
     **The origin** is a slot, not a field: the gateway's ``(connection
     id, admission stamp)``.  ``copy()`` carries it; the wire form,
@@ -138,13 +140,6 @@ class HeaderMap:
         entry = self._fields.get(name.lower())
         return entry[1] if entry else default
 
-    def require(self, name: str) -> str:
-        """The field value; HeaderError when absent."""
-        value = self.get(name)
-        if value is None:
-            raise HeaderError(f"missing required header {name!r}")
-        return value
-
     def remove(self, name: str) -> bool:
         """Delete a field; returns False if it was absent."""
         key = name.lower()
@@ -163,9 +158,10 @@ class HeaderMap:
         return iter(self._fields.values())  # the stored (display, value) pairs
 
     def copy(self) -> "HeaderMap":
-        """Independent copy of the header map (its memo starts empty)."""
-        clone = HeaderMap()
+        """Independent copy of the header map, memo and origin included."""
+        clone = HeaderMap.__new__(HeaderMap)
         clone._fields = dict(self._fields)
+        clone._memo = dict(self._memo)
         clone.origin = self.origin
         return clone
 
@@ -258,15 +254,6 @@ class HeaderMap:
             self.set(CONTENT_TRACE, f"{trace_id}{_TRACE_SEPARATOR}{parent_id}")
         else:
             self.set(CONTENT_TRACE, trace_id)
-
-    @property
-    def trace_context(self) -> tuple[str, str | None] | None:
-        """``(trace_id, parent_span_id)`` from ``Content-Trace``, or None."""
-        raw = self.get(CONTENT_TRACE)
-        if raw is None:
-            return None
-        trace_id, _, parent = raw.partition(_TRACE_SEPARATOR)
-        return trace_id, parent or None
 
     # -- peer streamlet stack (section 6.5) ---------------------------------------
 

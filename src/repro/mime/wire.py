@@ -66,8 +66,13 @@ DEFAULT_MAX_FRAME_BYTES = 16 * 1024 * 1024
 #: default ceiling on the header block of one frame (64 KiB)
 DEFAULT_MAX_HEADER_BYTES = 64 * 1024
 
+#: header-block bytes one :class:`FrameAssembler` keeps parsed (8 KiB, about
+#: eighty envelopes): past it the cache starts over, and a larger head is
+#: parsed every time it arrives
+HEAD_CACHE_BYTES = 8 * 1024
 
-def _parse_head(raw: bytes | bytearray | memoryview, max_length: int) -> tuple[HeaderMap, int]:
+
+def _parse_head(raw: bytes, max_length: int) -> tuple[HeaderMap, int]:
     """A header block (less its terminator) as headers plus the frame's
     Content-Length, or MimeError if either cannot be trusted."""
     try:
@@ -290,6 +295,13 @@ class FrameAssembler:
     one chunk is copied out of it once and one that straddles reads once
     more; nothing is ever shifted.
 
+    A mobile host's frames on one session repeat one envelope, so the
+    assembler parses each distinct header block once: it keeps the exact
+    block bytes mapped to the validated headers, their memo warmed, and
+    Content-Length (:data:`HEAD_CACHE_BYTES` of blocks at most), and a
+    frame whose block it has seen gets a copy of those headers.  A block
+    that fails validation is never kept.
+
     A malformed frame raises :class:`~repro.errors.FrameError` carrying the
     frames the chunk completed before it, and poisons the assembler
     (framing is lost): every later ``feed`` raises again; close the
@@ -298,7 +310,7 @@ class FrameAssembler:
 
     __slots__ = (
         "max_frame_bytes", "max_header_bytes", "bytes_in", "frames_out",
-        "_kept", "_headers", "_need", "_broken",
+        "_kept", "_headers", "_need", "_broken", "_heads", "_head_bytes",
     )
 
     def __init__(
@@ -317,6 +329,9 @@ class FrameAssembler:
         self._headers: HeaderMap | None = None
         self._need = 0
         self._broken: str | None = None
+        #: exact header block -> (template headers, Content-Length)
+        self._heads: dict[bytes, tuple[HeaderMap, int]] = {}
+        self._head_bytes = 0
         # observability (the gateway mirrors these into metrics)
         self.bytes_in = 0
         self.frames_out = 0
@@ -378,14 +393,37 @@ class FrameAssembler:
                     raise MimeError(f"header block exceeds {limit} bytes")
                 return -1
             end, pos = found.start(), found.end()
-        raw = view[start:end]
         if head:
-            head += raw
-            raw = bytes(head)
+            head += view[start:end]
+            key = bytes(head)
             head.clear()
-        # the declared length is validated *now*, before a byte is kept against it
-        self._headers, self._need = _parse_head(raw, self.max_frame_bytes)
+        else:
+            key = view[start:end].tobytes()  # a key outlives the chunk
+        parsed = self._heads.get(key)
+        if parsed is None:
+            # the declared length is validated *now*, before a byte is kept against it
+            parsed = _parse_head(key, self.max_frame_bytes)
+            self._remember(key, parsed)
+        template, self._need = parsed
+        self._headers = template.copy()
         return pos
+
+    def _remember(self, key: bytes, parsed: tuple[HeaderMap, int]) -> None:
+        """Warm a validated head's memo and keep it, within the byte budget."""
+        template = parsed[0]
+        template.session, template.encoded()
+        try:
+            template.content_type
+        except MimeError:
+            return  # kept out: its frame fails when built, as it always has
+        size = len(key)
+        if size > HEAD_CACHE_BYTES:
+            return
+        if self._head_bytes + size > HEAD_CACHE_BYTES:
+            self._heads.clear()
+            self._head_bytes = 0
+        self._heads[key] = parsed
+        self._head_bytes += size
 
 
 def _parse_multipart(payload: bytes, boundary: str) -> list[MimeMessage]:

@@ -248,11 +248,11 @@ class TopologySnapshot:
     """
 
     __slots__ = (
-        "version", "epoch", "order", "nodes", "steps", "feed_names", "feeds", "input_queues",
+        "version", "epoch", "order", "nodes", "steps", "feed_names", "feeds",
     )
 
     def __init__(self, version: int, epoch: int, order: tuple[str, ...],
-                 nodes: dict[str, _NodeView], input_queues: tuple):
+                 nodes: dict[str, _NodeView]):
         self.version = version
         self.epoch = epoch
         self.order = order
@@ -267,8 +267,6 @@ class TopologySnapshot:
         self.feeds = tuple(
             channel.queue.entries for view in self.steps for _port, channel in view.inputs
         )
-        #: every distinct input queue (for quiescence checks)
-        self.input_queues = input_queues
 
 
 class RuntimeStream:
@@ -521,12 +519,7 @@ class RuntimeStream:
     def _build_snapshot(self) -> TopologySnapshot:
         # caller holds the topology lock
         order = tuple(self.processing_order())
-        views: dict[str, _NodeView] = {}
-        input_queues: dict[int, object] = {}
-        for name, node in self._nodes.items():
-            views[name] = _NodeView(name, node)
-            for channel in node.inputs.values():
-                input_queues[id(channel.queue)] = channel.queue
+        views = {name: _NodeView(name, node) for name, node in self._nodes.items()}
         # hand-offs (owned streams): a view may step a later view whose only
         # input is its channel, forward in processing order so no claim
         # circles a loop
@@ -551,9 +544,7 @@ class RuntimeStream:
             view.held = tuple(q.entries for q in outlets if not q.capacity_bytes)
             view.bounded = tuple((q, q.capacity_bytes) for q in outlets if q.capacity_bytes)
         self._snapshot_version += 1
-        return TopologySnapshot(
-            self._snapshot_version, self.epoch, order, views, tuple(input_queues.values())
-        )
+        return TopologySnapshot(self._snapshot_version, self.epoch, order, views)
 
     def topology_snapshot(self) -> TopologySnapshot:
         """The current published view, rebuilding (under the lock) if retired.

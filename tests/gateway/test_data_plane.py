@@ -492,9 +492,11 @@ class TestTheDoor:
             asyncio.run(start())
 
     def test_content_session_is_derived_once_per_frame(self, monkeypatch):
-        # routing reads the key; the gateway's two stamps then replace the
-        # header memo, which carries the derived key over, so admission
-        # does not derive it again just to learn the frame names a session
+        # once per distinct head per connection: the assembler warms the
+        # parsed head's memo and every frame with that head is a copy of
+        # it, memo included; the gateway's stamps then replace the memo,
+        # which carries the derived key over, so neither routing nor
+        # admission derives it again
         derive, here, derived = HeaderMap.session.fget, threading.get_ident(), []
 
         def counting(headers):
@@ -513,7 +515,7 @@ class TestTheDoor:
             derived.clear()
             connection.buffer_updated(len(raw))
             assert session.stats.frames_in == 3
-            assert len(derived) == 3
+            assert len(derived) == 1
             connection.connection_lost(None)
         finally:
             gateway.undeploy("s", record=False)

@@ -27,10 +27,6 @@ class TestBasicMapping:
     def test_get_default(self):
         assert HeaderMap().get("Missing", "d") == "d"
 
-    def test_require_missing_raises(self):
-        with pytest.raises(HeaderError):
-            HeaderMap().require("Nope")
-
     def test_remove(self):
         h = HeaderMap({"A": "1"})
         assert h.remove("a")

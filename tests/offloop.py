@@ -56,7 +56,8 @@ class OffLoop:
         if share is not None and not share.done():
             return False
         stream = self.stream
-        queues = [queue for queue in stream.topology_snapshot().input_queues]
+        queues = [channel.queue for view in stream.topology_snapshot().steps
+                  for _port, channel in view.inputs]
         queues += [channel.queue for _ref, channel in stream.egress]
         return all(queue.is_empty() for queue in queues)
 

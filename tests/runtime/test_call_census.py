@@ -3,13 +3,14 @@
 CPU time per message on a shared host moves by tens of percent between
 identical runs, too much to judge a change of 5-10 %.  The number of
 calls a message costs does not move: this census pushes frames of two
-``bench_e2e`` workloads through ``post -> pump -> collect ->
+``bench_e2e`` workloads through ``feed -> post -> pump -> collect ->
 serialize_message`` in-process, with telemetry on, and counts with
 ``sys.setprofile`` every call made *from* a frame of the ``repro``
 package — Python functions and C functions alike.  Calls made from the
 standard library or from this file are not counted, which keeps the
 figure a property of this code rather than of the interpreter's own
-helpers.
+helpers.  Frames reach ``FrameAssembler.feed`` :data:`READ_FRAMES` to a
+chunk, as a closed-loop client's window arrives in one socket read.
 
 Each layer's count per message must stay at most its bound.  A change
 that lowers a count lowers the bound with it (``docs/performance.md``
@@ -42,7 +43,9 @@ MESSAGES = 500
 WARMUP = 64
 PAYLOAD_BYTES = 256
 REPRO_DIR = str(Path(repro.__file__).resolve().parent)
-LAYERS = ("post", "pump", "collect", "serialize")
+LAYERS = ("feed", "post", "pump", "collect", "serialize")
+#: frames per chunk fed: what one read of a closed-loop window carries
+READ_FRAMES = 12
 
 
 def chain(name: str, n: int, *, sync_groups: int = 0) -> str:
@@ -82,8 +85,8 @@ ASYNC_DEEP_CHAIN = chain("deep_chain", 24)
 #: calls per message per layer, at most: the measured census rounded up to
 #: a whole call (the measured values are in docs/performance.md)
 BOUNDS = {
-    "small_echo": {"post": 45, "pump": 84, "collect": 32, "serialize": 12},
-    "deep_chain": {"post": 45, "pump": 329, "collect": 32, "serialize": 12},
+    "small_echo": {"feed": 19, "post": 34, "pump": 71, "collect": 32, "serialize": 12},
+    "deep_chain": {"feed": 19, "post": 34, "pump": 307, "collect": 32, "serialize": 12},
 }
 
 
@@ -123,7 +126,13 @@ def census(mcl: str, messages: int = MESSAGES) -> dict:
     server = build_server(telemetry=Telemetry(registry=MetricsRegistry()))
     stream = server.deploy_script(mcl)
     scheduler = InlineScheduler(stream)
-    frames = FrameAssembler().feed(b"".join(_frame(s) for s in range(WARMUP + messages)))
+    assembler = FrameAssembler()
+    total = WARMUP + messages
+    reads = [b"".join(_frame(s) for s in range(WARMUP))]  # the uncounted read
+    reads += [
+        b"".join(_frame(s) for s in range(at, min(at + READ_FRAMES, total)))
+        for at in range(WARMUP, total, READ_FRAMES)
+    ]
     profilers = {layer: _Profiler() for layer in LAYERS}
 
     def step(layer: str, function, *args):
@@ -136,14 +145,18 @@ def census(mcl: str, messages: int = MESSAGES) -> dict:
 
     gc_was_enabled = gc.isenabled()
     gc.disable()  # a collection would run finalizers inside a counted call
+    seq = 0
     try:
-        for seq, message in enumerate(frames):
+        for read in reads:
             profiled = seq >= WARMUP
-            step("post", stream.post, message)
-            step("pump", scheduler.pump)
-            (echo,) = step("collect", stream.collect)
-            step("serialize", serialize_message, echo)
-            assert echo.body == _body(seq), f"echo {seq} differs from its frame"
+            for message in step("feed", assembler.feed, read):
+                step("post", stream.post, message)
+                step("pump", scheduler.pump)
+                (echo,) = step("collect", stream.collect)
+                step("serialize", serialize_message, echo)
+                assert echo.body == _body(seq), f"echo {seq} differs from its frame"
+                seq += 1
+        assert seq == total
     finally:
         if gc_was_enabled:
             gc.enable()
