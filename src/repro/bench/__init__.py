@@ -9,7 +9,7 @@ module              artifact
 ``fig7_3``          pass-by-reference vs pass-by-value (Figure 7-3)
 ``fig7_6``          reconfiguration time vs inserted streamlets (7-6)
 ``fig7_7``          end-to-end throughput vs bandwidth (Figure 7-7)
-``ablations``       pooling, channel categories, schedulers, compile
+``ablations``       pooling, channel categories, compile
 ==================  =================================================
 
 Each experiment returns structured rows and can print the series the

@@ -22,7 +22,6 @@ from repro.bench.ablations import (
     run_channel_ablation,
     run_compile_ablation,
     run_pooling_ablation,
-    run_scheduler_ablation,
 )
 from repro.bench.fig7_2 import run_fig7_2
 from repro.bench.fig7_3 import run_fig7_3
@@ -104,7 +103,6 @@ def main(argv: list[str]) -> int:
         ablations = {
             "pooling": run_pooling_ablation((5, 10) if quick else (5, 10, 20, 40)),
             "channel": run_channel_ablation(2000 if quick else 10_000),
-            "scheduler": run_scheduler_ablation(n_messages=20 if quick else 100),
             "compile": run_compile_ablation((5, 20, 50) if quick else (5, 20, 50, 100, 200)),
         }
         for ablation in ablations.values():

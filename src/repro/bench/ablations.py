@@ -3,8 +3,6 @@
 * **pooling** (§3.3.4) — instance-construction cost with and without the
   stateless streamlet pool under a rising stream population;
 * **channel categories** (§4.2.2) — post/fetch cost per category;
-* **scheduler** — the inline pump's batch cost (the thread-per-streamlet
-  engine it was compared with is gone: EXPERIMENTS.md, "Schedulers");
 * **MCL compile** (§3.3.6) — compile + semantic-analysis cost vs
   composition size.
 """
@@ -19,7 +17,6 @@ from repro.bench.harness import redirector_chain_mcl, time_repeated
 from repro.bench.reporting import print_series
 from repro.mcl import astnodes as ast
 from repro.mime.mediatype import ANY
-from repro.mime.message import MimeMessage
 from repro.runtime.channel import Channel
 from repro.runtime.scheduler import InlineScheduler
 from repro.semantics import analyze
@@ -113,37 +110,6 @@ def run_channel_ablation(pairs: int = 10_000) -> ChannelResult:
         stats = time_repeated(pump, repeats=3)
         rows.append((category.value, stats.minimum))
     return ChannelResult(rows=rows)
-
-
-# -- schedulers ----------------------------------------------------------------------------
-
-
-@dataclass
-class SchedulerResult:
-    rows: list[tuple[str, float]]  # (scheduler, seconds for the batch)
-
-    def print(self) -> None:
-        """Print the series this ablation produces."""
-        print_series(
-            "Ablation: inline scheduler (100 msgs, 8 redirectors)",
-            ["scheduler", "time (ms)"],
-            [(name, sec * 1e3) for name, sec in self.rows],
-        )
-
-
-def run_scheduler_ablation(*, chain: int = 8, n_messages: int = 100) -> SchedulerResult:
-    """Push one batch through the inline engine."""
-    server = build_server()
-    stream = server.deploy_script(redirector_chain_mcl(chain))
-    scheduler = InlineScheduler(stream)
-    start = time.perf_counter()
-    for index in range(n_messages):
-        stream.post(synthetic_text_message(1024, seed=index))
-    scheduler.pump()
-    stream.collect()
-    rows = [("inline", time.perf_counter() - start)]
-    stream.end()
-    return SchedulerResult(rows=rows)
 
 
 # -- MCL compilation ---------------------------------------------------------------------------

@@ -176,7 +176,7 @@ class FaultInjector:
     def _stall(self, channel, now: float, duration: float | None) -> None:
         if channel.name in self._stalled:
             return
-        channel.fetch = lambda timeout=0.0: None  # messages park in the queue
+        channel.fetch = lambda: None  # messages park in the queue
         self._stalled[channel.name] = channel
         if duration is not None:
             self._stall_heals.append((now + duration, channel))

@@ -377,23 +377,22 @@ class Supervisor:
 
         A retry whose target instance/port has gone away (bypassed,
         removed) or whose channel refuses the post is dead-lettered —
-        the id must never dangle.  The lookups and posts run in one read
-        section of the stream, so a commit can neither retire a target
-        channel between its lookup and the post nor drain it before the
-        post lands (and a single-owner channel is touched only there).
+        the id must never dangle.  The lookups and posts hold the
+        stream's lock, so a commit can neither retire a target channel
+        between its lookup and the post nor drain it before the post lands
+        (and a single-owner channel is touched only under that lock).
         A re-post lands where the next step already looks, so it never
         retires the snapshot.
         """
-        if now is None:
-            now = self._clock.now()
-        due = sorted(e for e in self._pending if e[0] <= now)
-        if not due:
-            return 0
-        self._pending = [e for e in self._pending if e[0] > now]
         stream = self._stream
-        reposted = 0
-        stream._enter_read()
-        try:
+        with stream.topology_lock:
+            if now is None:
+                now = self._clock.now()
+            due = sorted(e for e in self._pending if e[0] <= now)
+            if not due:
+                return 0
+            self._pending = [e for e in self._pending if e[0] > now]
+            reposted = 0
             for _due, _seq, msg_id, instance, port in due:
                 node = stream._nodes.get(instance)
                 channel = node.inputs.get(port) if node is not None else None
@@ -401,7 +400,7 @@ class Supervisor:
                     self._dead_letter(msg_id, instance, port, reason="retry target detached")
                     continue
                 try:
-                    posted = channel.post(msg_id, stream.pool.size_of(msg_id), timeout=0)
+                    posted = channel.post(msg_id, stream.pool.size_of(msg_id), probe=True)
                 except QueueClosedError:
                     posted = False
                 if posted:
@@ -419,9 +418,7 @@ class Supervisor:
                     self._dead_letter(
                         msg_id, instance, port, reason="retry channel full or closed"
                     )
-        finally:
-            stream._read_gate.exit()
-        return reposted
+            return reposted
 
     def next_due(self) -> float | None:
         """Earliest pending retry timestamp, or None."""

@@ -38,7 +38,7 @@ Request: ``{"op": <verb>, ...}``.  Response: ``{"ok": true, ...}`` or
 ``introspect``
     Live-state snapshot: per-session queue depths/watermarks, where the
     session's share runs (``stepped_by``: ``"pump"`` on the event loop,
-    ``"executor"`` off it), the egress pump's own figures, RCU snapshot
+    ``"executor"`` off it), the egress pump's own figures, topology snapshot
     versions, the session table, data-plane connection counts, and
     flight-recorder health.
 ``attribution``

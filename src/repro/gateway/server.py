@@ -343,7 +343,7 @@ class GatewayServer:
         """The live-state snapshot behind the ``introspect`` control verb.
 
         Per session: queue depths/watermarks, who runs its share
-        (``stepped_by``), the ``pump``'s own figures, the RCU snapshot
+        (``stepped_by``), the ``pump``'s own figures, the topology snapshot
         version, and the session ledger; plus data-plane connection
         counts and flight-recorder health.
         """

@@ -28,8 +28,9 @@ Every session is stepped by the pump with an
 cycle is ``pump_retries`` and ``InlineScheduler.pump`` for at most
 :data:`PUMP_QUANTUM` worklist rounds; the cycle then collects.  Every
 channel of its stream but the ingress is single-owner
-(:mod:`repro.runtime.message_queue`): after admission a message crosses
-no lock.  *Where* the share runs is the composition's property, not the
+(:mod:`repro.runtime.message_queue`), touched only under the stream's
+one lock, which the pump takes per view visit and ``collect`` and
+``pump_retries`` for their whole call.  *Where* the share runs is the composition's property, not the
 caller's.  A composition that can only hold cooperative streamlets (see
 :attr:`~repro.runtime.streamlet.Streamlet.cooperative`) runs its share
 on the loop, inside the cycle.  Any other runs it on the pump's
@@ -43,8 +44,9 @@ thread, the gateway's event loop, so an on-loop message goes from read
 to write without a thread switch.  Until :meth:`EgressPump.bind` hands
 it that loop, the pump cycles on a private loop of its own and
 admissions come from other threads; a cycle touches the stream only
-through ``pump_retries``, ``pump`` and ``collect``, each of which keeps
-to the stream's read gate.
+through ``pump_retries``, ``pump`` and ``collect``, each of which takes
+the stream's lock.  Admission never does: it posts under the ingress
+queue's own lock, so the loop never waits behind an off-loop share.
 """
 
 from __future__ import annotations

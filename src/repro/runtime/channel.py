@@ -13,15 +13,20 @@ KB     mirror image of BK
 KK     cannot be detached at either end
 =====  ==========================================================
 
+The live stream applies this table through :func:`detach_breaks` when a
+reconfiguration steps its topology value; :meth:`Channel.bind` then sets
+the ends the stepped value names.
+
 Synchronous channels (``SYNC``) are zero-length buffers; in the inline
 scheduler they behave as a one-slot rendezvous (post must be consumed
 before the next post), which preserves the ordering guarantee without
 real blocking.
 
-A channel's queue is **shared** or **owned** (one thread at both ends;
-:mod:`repro.runtime.message_queue`), as the stream decided when an engine
-bound it.  That thread touches an owned channel only inside the read gate,
-any other only inside the write section after its grace period.
+A channel's queue is **owned** or **shared**
+(:mod:`repro.runtime.message_queue`), fixed when the stream creates it:
+an ingress carrier is shared, since the event loop posts to it while
+another thread may step the stream; every other channel is owned and is
+touched only under the stream's lock.
 """
 
 from __future__ import annotations
@@ -48,10 +53,10 @@ _BREAKS_BOTH = {
 def detach_breaks(name: str, category: ast.ChannelCategory, end: str, pending: int) -> bool:
     """Whether detaching ``end`` breaks the other end too, losing what is pending.
 
-    The one statement of the section 4.2.2 detach rule: a live
-    :class:`Channel` and the topology value's step function both ask
-    here.  Raises :class:`ChannelError` where the category forbids the
-    detach outright (KK always, S while it holds a unit).
+    The one statement of the section 4.2.2 detach rule, asked by the
+    topology value's step function.  Raises :class:`ChannelError` where
+    the category forbids the detach outright (KK always, S while it holds
+    a unit).
     """
     if category is ast.ChannelCategory.KK:
         raise ChannelError(f"channel {name} is KK: ends cannot be detached")
@@ -68,7 +73,6 @@ class Channel:
         name: str,
         definition: ast.ChannelDef,
         *,
-        drop_timeout: float = 0.0,
         telemetry: "StreamTelemetry | None" = None,
         owned: bool = False,
     ):
@@ -81,7 +85,7 @@ class Channel:
             capacity = 0
         else:
             capacity = definition.buffer_kb * 1024
-        self.queue = MessageQueue(capacity, drop_timeout=drop_timeout, owned=owned)
+        self.queue = MessageQueue(capacity, owned=owned)
         # queue-wait observation: observed streams bind their telemetry so
         # post/fetch can sample how long ids sit in this queue, and the
         # queue itself records every message's wait + depth/watermark
@@ -102,20 +106,6 @@ class Channel:
     def category(self) -> ast.ChannelCategory:
         return self.definition.category
 
-    @property
-    def is_sync(self) -> bool:
-        return self.definition.sync is ast.ChannelSync.SYNC
-
-    @property
-    def drop_timeout(self) -> float:
-        """The queue's configured Figure 6-9 wait-before-drop budget.
-
-        Scheduler stall-retries budget against this (not a stream-wide
-        constant), so a channel tuned for patience keeps it even when the
-        retry happens outside the original blocking post.
-        """
-        return self.queue.drop_timeout
-
     def attach_source(self, ref: ast.PortRef) -> None:
         """Bind the producer port (one per channel)."""
         if self.source is not None:
@@ -127,29 +117,6 @@ class Channel:
         if self.sink is not None:
             raise ChannelError(f"channel {self.name} already has sink {self.sink}")
         self.bind(self.source, ref)
-
-    def detach_source(self) -> list[str]:
-        """Detach the producer end; returns ids dropped (category-dependent)."""
-        if self.source is None:
-            raise ChannelError(f"channel {self.name} has no source to detach")
-        if detach_breaks(self.name, self.category, "source", self.pending()):
-            # the other end breaks too; pending units are lost
-            self.bind(None, None)
-            return self.queue.drain()
-        # BK / S: sink keeps draining what is pending (S is empty anyway)
-        self.bind(None, self.sink)
-        return []
-
-    def detach_sink(self) -> list[str]:
-        """Detach the consumer end; returns ids dropped (category-dependent)."""
-        if self.sink is None:
-            raise ChannelError(f"channel {self.name} has no sink to detach")
-        if detach_breaks(self.name, self.category, "sink", self.pending()):
-            self.bind(None, None)
-            return self.queue.drain()
-        # KB: source side stays attached (it will block/drop on a full queue)
-        self.bind(self.source, None)
-        return []
 
     def bind(self, source: ast.PortRef | None, sink: ast.PortRef | None) -> None:
         """Set both ends outright (``None`` = unattached), keeping pending units.
@@ -172,33 +139,25 @@ class Channel:
         self.source = source
         self.sink = sink
 
-    def reattach_source(self, ref: ast.PortRef) -> None:
-        """Atomically swap the producer end, keeping pending units."""
-        self.bind(ref, self.sink)
-
-    def reattach_sink(self, ref: ast.PortRef) -> None:
-        """Atomically swap the consumer end, keeping pending units."""
-        self.bind(self.source, ref)
-
     # -- transfer ------------------------------------------------------------------
 
-    def post(self, msg_id: str, size: int, *, timeout: float | None = None) -> bool:
-        """Enqueue a message id; False if dropped (Figure 6-9 policy).
+    def post(self, msg_id: str, size: int, *, probe: bool = False) -> bool:
+        """Enqueue a message id; False if dropped (Figure 6-9 policy, drop-on-full).
 
         Queue-wait sampling is inlined (no telemetry method call): only ids
         the stream marked as traced get a timestamp, so untraced traffic
         pays a single set lookup here.
         """
-        posted = self.queue.post_message(msg_id, size, timeout=timeout)
+        posted = self.queue.post_message(msg_id, size, probe=probe)
         if posted:
             tm = self._tm
             if tm is not None and msg_id in tm.traced_ids:
                 tm.enqueued[msg_id] = time.perf_counter()
         return posted
 
-    def fetch(self, timeout: float | None = 0.0) -> str | None:
+    def fetch(self) -> str | None:
         """Dequeue the oldest message id, or None."""
-        msg_id = self.queue.fetch_message(timeout)
+        msg_id = self.queue.fetch_message()
         if msg_id is not None:
             tm = self._tm
             if tm is not None and tm.enqueued:

@@ -50,7 +50,6 @@ class CoordinationManager:
         registry: TypeRegistry | None = None,
         clock: Clock | None = None,
         pass_mode: PassMode = PassMode.REFERENCE,
-        drop_timeout: float = 0.0,
         telemetry: Telemetry | None = None,
     ):
         self._manager = manager
@@ -58,7 +57,6 @@ class CoordinationManager:
         self._registry = registry if registry is not None else default_registry()
         self._clock = clock if clock is not None else WallClock()
         self._pass_mode = pass_mode
-        self._drop_timeout = drop_timeout
         self._telemetry = telemetry
         self._streams: dict[str, RuntimeStream] = {}
         self._subscriptions: dict[str, list[tuple[EventCategory, _StreamSubscriber]]] = {}
@@ -87,7 +85,6 @@ class CoordinationManager:
             registry=self._registry,
             clock=self._clock,
             session=self._sessions.next(),
-            drop_timeout=self._drop_timeout,
             telemetry=self._telemetry,
         )
         self._streams[stream.name] = stream

@@ -5,46 +5,35 @@ in **bytes** (the MCL ``buffer`` attribute is in KB); an empty queue
 always admits one message so a single oversized message cannot
 deadlock a stream.
 
-One class, two regimes, decided when an engine binds the stream
-(:meth:`~repro.runtime.stream.RuntimeStream.bind_engine`):
+No queue ever waits.  The paper's queue blocks a producer until there is
+room (``synchronized`` + ``wait``/``notify``) because every streamlet has
+its own thread; here one thread at a time steps a stream, under the
+stream's lock (:attr:`~repro.runtime.stream.RuntimeStream.topology_lock`),
+so a wait for room could only run out.  Figure 6-9 is therefore
+drop-on-full.  The queue's *regime*, fixed when its channel is created,
+only decides whether it takes a lock of its own:
 
-**shared** (``owned=False``, the default)
-    The Java ``synchronized`` + ``wait``/``notify`` design: one lock and a
-    pair of conditions (posts signal ``not_empty``, fetches ``not_full``),
-    each notified only while a thread is blocked on it — a post or fetch
-    nobody waits for costs one lock round.  Every ingress is shared, since
-    other threads post to it, and so is every queue of a stream no engine
-    has bound.
 **owned** (``owned=True``)
-    One thread at a time is both ends — the interior and egress channels
-    of an :class:`~repro.runtime.scheduler.InlineScheduler`-stepped
-    stream.  A
-    post or fetch is a deque operation plus a byte count, with no lock:
-    nobody else can make room or bring a message, so nothing ever waits.
-    Its thread touches it only inside the stream's read gate, any other
-    thread only inside the write section after the grace period (reading
-    a counter is one GIL-atomic load and needs neither).
+    Every interior and egress queue of a deployed stream.  Only a holder
+    of the stream's lock touches it, so a post or fetch is a deque
+    operation plus a byte count.
+**shared** (``owned=False``, the default)
+    An ingress carrier.  The event loop posts to it while another thread
+    may be stepping the stream, so posts, fetches, drains and closes take
+    the queue's own lock — held only for the operation itself, never
+    across a wait.
 
-Both keep the same semantics and counters.  ``post_message`` implements
-the Figure 6-9 policy under an explicit timeout contract:
+Reading a counter or ``entries`` is one GIL-atomic load in either regime.
 
-``timeout=None``
-    Wait up to the configured ``drop_timeout`` for room, then drop: slow
-    downstream streamlets must not stall the whole stream (section 6.7).
-    A failed post counts in ``dropped``.  (Owned: drop at once.)
-``timeout > 0``
-    Same, with an explicit budget overriding the configured one.
-``timeout=0``
-    A non-blocking *probe*: never waits, never counts ``dropped`` — the
-    caller (a scheduler mid-step, a supervisor retry) books the drop once.
-
-A consumer watching a queue (a gateway session on its ingress) registers
-a waiter via :meth:`add_waiter`, whose ``set()`` every post calls.  The
+``post_message`` drops what does not fit.  An ordinary post counts the
+drop in ``dropped``; a *probe* (``probe=True``: a scheduler mid-step, a
+supervisor retry) never does — the caller books the drop once.  A
+consumer watching a queue (a gateway session on its ingress) registers a
+waiter via :meth:`add_waiter`, whose ``set()`` every post calls.  The
 gateway's admission posts a whole run with :meth:`post_run`, which waits
-for the lock but never for room.  Waiting for a shared queue's lock is
-always short: no method holds it across a wait (a condition wait releases
-it), and the only call made under it is a waiter's ``set()``, which never
-blocks (a gateway session's is a ``call_soon`` or ``call_soon_threadsafe``).
+for the lock but never for room.  The only call made under the lock is a
+waiter's ``set()``, which never blocks (a gateway session's is a
+``call_soon`` or ``call_soon_threadsafe``).
 """
 
 from __future__ import annotations
@@ -59,28 +48,18 @@ from repro.errors import QueueClosedError
 class MessageQueue:
     """Bounded producer/consumer queue of message ids."""
 
-    def __init__(
-        self, capacity_bytes: int = 100 * 1024, *, drop_timeout: float = 0.0, owned: bool = False
-    ):
+    def __init__(self, capacity_bytes: int = 100 * 1024, *, owned: bool = False):
         if capacity_bytes < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity_bytes}")
-        if drop_timeout < 0:
-            raise ValueError(f"drop_timeout must be >= 0, got {drop_timeout}")
         self._capacity = capacity_bytes
-        self._drop_timeout = drop_timeout
         #: the queued ``(msg_id, size)`` entries, oldest first, and their
         #: bytes; the engine reads both lock-free (one GIL-atomic load each)
         #: and changes them only through the methods below
         self.entries: deque[tuple[str, int]] = deque()
         self.pending_bytes = 0
-        #: the regime (module docstring); switched only before traffic flows
+        #: the regime (module docstring), fixed at creation
         self.owned = owned
         self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
-        self._not_full = threading.Condition(self._lock)
-        #: threads blocked on each condition: nobody blocked, no notify
-        self._blocked_consumers = 0
-        self._blocked_producers = 0
         #: consumer-side wakeup events (see :meth:`add_waiter`)
         self._waiters: list[threading.Event] = []
         #: set by :meth:`close`; never cleared
@@ -111,43 +90,33 @@ class MessageQueue:
         self.depth_gauge = None
         self.watermark_gauge = None
 
-    # -- attachment (setIn / setOut of Figure 6-2) ---------------------------------
+    # -- attachment (setIn / setOut of Figure 6-2; under the stream's lock) --------
 
     def incr_producers(self) -> None:
         """Attach one producer (pCount of Figure 6-3)."""
-        with self._lock:
-            self.producer_count += 1
+        self.producer_count += 1
 
     def decr_producers(self) -> None:
         """Detach one producer (pCount of Figure 6-3)."""
-        with self._lock:
-            if self.producer_count <= 0:
-                raise ValueError("producer count underflow")
-            self.producer_count -= 1
-            self._not_empty.notify_all()
+        if self.producer_count <= 0:
+            raise ValueError("producer count underflow")
+        self.producer_count -= 1
 
     def incr_consumers(self) -> None:
         """Attach one consumer (cCount of Figure 6-3)."""
-        with self._lock:
-            self.consumer_count += 1
+        self.consumer_count += 1
 
     def decr_consumers(self) -> None:
         """Detach one consumer (cCount of Figure 6-3)."""
-        with self._lock:
-            if self.consumer_count <= 0:
-                raise ValueError("consumer count underflow")
-            self.consumer_count -= 1
+        if self.consumer_count <= 0:
+            raise ValueError("consumer count underflow")
+        self.consumer_count -= 1
 
     # -- queue state (lock-free: each a single GIL-atomic read) ----------------------
 
     @property
     def capacity_bytes(self) -> int:
         return self._capacity
-
-    @property
-    def drop_timeout(self) -> float:
-        """The configured Figure 6-9 wait-before-drop budget, seconds."""
-        return self._drop_timeout
 
     @property
     def posted(self) -> int:
@@ -165,9 +134,6 @@ class MessageQueue:
     def is_empty(self) -> bool:
         """True when nothing is queued (a shared queue's may be stale by one post)."""
         return not self.entries
-
-    def _has_room(self, size: int) -> bool:
-        return not self.entries or self.pending_bytes + size <= self._capacity
 
     # -- consumer wakeup events --------------------------------------------------------
 
@@ -188,7 +154,7 @@ class MessageQueue:
 
     def _put(self, run: list[tuple[str, int]], size: int, probe: bool) -> bool:
         """Enqueue a run of ``size`` bytes if it fits (an empty queue takes it
-        whole); the regimes' common core, which never waits."""
+        whole); the regimes' common core."""
         if self.closed:
             raise QueueClosedError("post on closed queue")
         entries = self.entries
@@ -212,34 +178,17 @@ class MessageQueue:
 
     def _wake_consumers(self) -> None:
         # caller holds the lock of a shared queue
-        if self._blocked_consumers:
-            self._not_empty.notify()  # one consumer per channel end
         for event in self._waiters:
             event.set()
 
-    def post_message(self, msg_id: str, size: int, *, timeout: float | None = None) -> bool:
-        """Enqueue; returns False if the message had to be dropped.
+    def post_message(self, msg_id: str, size: int, *, probe: bool = False) -> bool:
+        """Enqueue; False if the message did not fit and was dropped (Figure 6-9).
 
-        Implements Figure 6-9 under the module-level timeout contract.
+        A probe's refusal is not counted in ``dropped`` (module docstring).
         """
-        probe = timeout is not None and timeout <= 0
         if self.owned:
             return self._put([(msg_id, size)], size, probe)
-        wait_for = self._drop_timeout if timeout is None else timeout
         with self._lock:
-            if wait_for > 0 and not self.closed and not self._has_room(size):
-                # a monotonic deadline: a notify that freed too little room
-                # (or a spurious wakeup) must not burn the whole budget
-                deadline = time.monotonic() + wait_for
-                self._blocked_producers += 1
-                try:
-                    while not self._has_room(size) and not self.closed:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._not_full.wait(remaining)
-                finally:
-                    self._blocked_producers -= 1
             posted = self._put([(msg_id, size)], size, probe)
             if posted:
                 self._wake_consumers()
@@ -282,31 +231,12 @@ class MessageQueue:
             self.depth_gauge.value = float(len(self.entries))
         return msg_id
 
-    def fetch_message(self, timeout: float | None = 0.0) -> str | None:
-        """Dequeue the oldest id; None on timeout/empty.
-
-        ``timeout=None`` blocks until a message arrives or the queue
-        closes; ``0.0`` polls.  An owned queue never waits: only its own
-        thread could bring the message.
-        """
+    def fetch_message(self) -> str | None:
+        """Dequeue the oldest id; None when the queue is empty."""
         if self.owned:
             return self._take()
         with self._lock:
-            if (timeout is None or timeout > 0) and not self.entries and not self.closed:
-                self._blocked_consumers += 1
-                try:
-                    if timeout is None:
-                        while not self.entries and not self.closed:
-                            self._not_empty.wait()
-                    else:
-                        self._not_empty.wait(timeout)
-                finally:
-                    self._blocked_consumers -= 1
-            msg_id = self._take()
-            if msg_id is not None and self._blocked_producers:
-                # sizes vary: the room one producer cannot use may fit another's
-                self._not_full.notify_all()
-            return msg_id
+            return self._take()
 
     def drain(self) -> list[str]:
         """Remove and return every queued id (used by BB/KB teardown)."""
@@ -317,15 +247,12 @@ class MessageQueue:
             self._post_times.clear()
             if self.depth_gauge is not None:
                 self.depth_gauge.value = 0.0
-            self._not_full.notify_all()
             return ids
 
     def close(self) -> None:
         """No further posts; fetch drains what remains, then raises."""
         with self._lock:
             self.closed = True
-            self._not_empty.notify_all()
-            self._not_full.notify_all()
             for event in self._waiters:
                 event.set()
 

@@ -16,8 +16,8 @@ stream's :class:`~repro.runtime.topology.Topology` value:
    open circuits, relations) on it.  Nothing live is touched, so a batch
    that dies at action *k* needs no undoing: the old value is simply
    still the value (:class:`~repro.errors.ReconfigAbortedError`);
-3. **commit** — inside the stream's write section (every scheduler step
-   waited out), hand the folded value to
+3. **commit** — inside the stream's write section (the stream's lock,
+   taken once the view visit in flight ends), hand the folded value to
    :meth:`~repro.runtime.stream.RuntimeStream._realise`, which makes the
    live objects match it and can fail only while instantiating new
    streamlets — before anything else has changed.
@@ -32,7 +32,7 @@ part of the value (a channel's ``contents``), and the realise step drops
 — with accounting — exactly the ids no channel of the new value holds.
 
 Reconfiguration needs no special case for synchronous channels: the
-hop plan lives only in the RCU execution snapshot, rebuilt after every
+hop plan lives only in the topology snapshot, rebuilt after every
 commit, and every channel hop, SYNC or not, is crossed by the same
 hand-off rule.  A unit a commit leaves on a SYNC channel is claimed like
 any other, and until it is, a claim that could post behind it waits
@@ -285,9 +285,9 @@ class ReconfigTransaction:
             raise ReconfigurationError(
                 f"transaction {self.label!r} already {self.state.name.lower()}"
             )
-        # the RCU write side: retires the published topology snapshot and
-        # waits out every in-flight scheduler step, so the queue counts the
-        # fold captures (and the commit they license) are exact
+        # the write section: the stream's lock, taken once the view visit
+        # in flight ends, with the snapshot retired, so the queue counts
+        # the fold captures (and the commit they license) are exact
         with stream._write_access():
             if stream._txn is not None:
                 raise ReconfigurationError(

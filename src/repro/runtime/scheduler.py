@@ -9,6 +9,10 @@ on the event loop, any other on the pump's executor, one share at a
 time per session (``docs/gateway.md``, "Engine selection").  Only the
 thread that runs the pump changes; the paper's thread per streamlet
 (section 7.4) is replaced by that executor (DESIGN.md, Substitutions).
+Whichever thread it is holds the stream's lock for each view visit
+(:attr:`~repro.runtime.stream.RuntimeStream.topology_lock`), so a
+rewrite from another thread waits out at most one visit, and the pump
+touches its single-owner channels with no lock of theirs.
 
 The engine is claim, dispatch and wake policy around one message step
 (:func:`_step_node` claims, :func:`_run_hops` is the hop): fetch an id,
@@ -77,7 +81,7 @@ def _claim(channel: Channel, wait_hist) -> tuple[str | None, float | None]:
     here — and the service start of the hop that follows.
     """
     try:
-        msg_id = channel.fetch(0.0)
+        msg_id = channel.fetch()
     except QueueClosedError:
         return None, None
     if msg_id is None or wait_hist is None:
@@ -182,8 +186,8 @@ def _run_hops(
             emissions, failure = None, exc  # take the stream down (3.3.5)
         if timed:
             # span before any routing: once an emission is enqueued (or
-            # handed on) a concurrent consumer may read its headers, so the
-            # trace context (the parent advance) must be in place first
+            # handed on) its consumer reads its headers, so the trace
+            # context (the parent advance) must be in place first
             now = clock()
             view.hop_hist.observe(now - t0)
             fields = message.headers._fields
@@ -266,7 +270,7 @@ def _post(
     space: the one thread that steps the stream is both.
     """
     try:
-        if channel.post(out_id, out_msg.total_size(), timeout=0):
+        if channel.post(out_id, out_msg.total_size(), probe=True):
             sink = channel.sink
             if sink is not None and sink.instance != EGRESS:  # egress: collect() drains
                 dirty.add(sink.instance)
@@ -294,12 +298,9 @@ class InlineScheduler:
     only nodes with a reason to run — seeded from pending input traffic,
     extended by the consumer of every post the hop kernel made — always
     in the snapshot's deterministic processing order.  A hand-off
-    (:func:`_run_hops`) counts as a move.
-
-    Constructing one binds the stream's channels, ingress carriers
-    excepted, single-owner (:meth:`RuntimeStream.bind_engine`): one
-    thread pumps, collects and re-posts retries; others only post to the
-    ingress or go through the write section.
+    (:func:`_run_hops`) counts as a move.  Each visit holds the stream's
+    lock; a visit that finds the snapshot retired (a rewrite by another
+    thread, or by this one inside its previous visit) re-seeds instead.
     """
 
     #: messages claimed per input port per visit; the headroom rule in
@@ -307,16 +308,19 @@ class InlineScheduler:
     def __init__(self, stream: RuntimeStream, *, batch: int = 8):
         self._stream = stream
         self._batch = max(1, batch)
-        stream.bind_engine()
 
     def _seed(self, snap: TopologySnapshot) -> set[str]:
         """Nodes worth visiting: those with pending input traffic (filtered in C)."""
         return set(compress(snap.feed_names, snap.feeds))
 
     def pump(self, *, max_rounds: int | None = None) -> int:
-        """Process until quiescent (or ``max_rounds``); returns moves made."""
+        """Process until quiescent (or ``max_rounds``); returns moves made.
+
+        Never call it holding the stream's lock: a write waiting for that
+        lock would hold the turnstile the next visit waits at.
+        """
         stream = self._stream
-        gate = stream._read_gate
+        lock = stream.topology_lock
         batch = self._batch
         acc: dict[str, int] = {}  # flushed once per round (one stats lock)
         total = 0
@@ -332,21 +336,23 @@ class InlineScheduler:
                 name = view.name
                 if name not in dirty:
                     continue
-                gate.enter()
-                current = stream._snapshot
-                if current is not snap:
-                    # a concurrent (or in-step) reconfiguration republished
-                    # the topology: re-resolve and reseed the worklist
-                    gate.exit()
+                turnstile = stream._turnstile
+                if turnstile is not None:
+                    with turnstile:  # a write waits for the lock: it goes first
+                        pass
+                with lock:
+                    if stream._snapshot is snap:
+                        dirty.discard(name)
+                        moved = _step_node(stream, snap, view, batch, acc, dirty)
+                    else:
+                        restart = True
+                if restart:
+                    # a rewrite (another thread's, or one inside this
+                    # thread's last visit) retired the topology: re-resolve
+                    # and reseed the worklist
                     snap = stream.topology_snapshot()
                     dirty = self._seed(snap)
-                    restart = True
                     break
-                dirty.discard(name)
-                try:
-                    moved = _step_node(stream, snap, view, batch, acc, dirty)
-                finally:
-                    gate.exit()
                 moved_round += moved
                 # still fed (a batch cut short, or a claim a held rendezvous
                 # refused): visit again next round

@@ -52,7 +52,6 @@ class MobiGateServer:
         clock: Clock | None = None,
         pooling: bool = True,
         pass_mode: PassMode = PassMode.REFERENCE,
-        drop_timeout: float = 0.0,
         verify_semantics: bool = True,
         terminal_definitions: frozenset[str] | set[str] = frozenset(),
         telemetry: Telemetry | None = None,
@@ -74,7 +73,6 @@ class MobiGateServer:
             registry=self.registry,
             clock=self.clock,
             pass_mode=pass_mode,
-            drop_timeout=drop_timeout,
             telemetry=self.telemetry,
         )
         self._verify = verify_semantics

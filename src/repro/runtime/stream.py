@@ -23,6 +23,15 @@ Message loss avoidance (section 6.6): the Figure 6-8 prerequisites are
 checked before a streamlet is detached — its input channels drained —
 unless the caller forces.  Because a step is decided on the value before
 anything live changes, a refused primitive leaves the stream untouched.
+
+One lock per stream, :attr:`RuntimeStream.topology_lock` (re-entrant),
+serialises everything that touches its interior: the scheduler holds it
+for each view visit, :meth:`RuntimeStream.collect` and a supervisor's
+retry pump for their whole call, and every rewrite (a primitive, a
+committed transaction, PAUSE, END) for its write section.  So every
+channel but an ingress carrier is single-owner from the moment it is
+created (:mod:`repro.runtime.message_queue`); the event loop posts to the
+ingress under that queue's own lock and never waits behind a step.
 """
 
 from __future__ import annotations
@@ -109,10 +118,10 @@ class StreamStats:
     def inc(self, name: str, n: int = 1) -> None:
         """Atomically bump one counter.
 
-        A step reads the topology lock-free, so counters shared
-        across instances (processed, drops, ...) can no longer rely on the
-        topology lock serialising their ``+=``; a bare read-modify-write
-        loses increments under thread preemption.
+        Admission bumps counters on the event loop without the stream's
+        lock while another thread may be stepping the stream, so the
+        counters cannot rely on that lock serialising their ``+=``; a bare
+        read-modify-write loses increments under thread preemption.
         """
         with self._lock:
             setattr(self, name, getattr(self, name) + n)
@@ -129,86 +138,21 @@ class StreamStats:
                 setattr(self, name, getattr(self, name) + n)
 
 
-class _ReadGate:
-    """Tracks threads mid-step on a published topology snapshot (RCU read side).
-
-    ``enter``/``exit`` are plain dict stores/deletes keyed by thread ident —
-    each a single bytecode-atomic operation under the GIL, so the reader
-    hot path takes no lock.  Writers are rare (reconfiguration): they
-    retire the snapshot pointer first, then :meth:`wait_idle` sleep-polls
-    until every *other* thread has left the gate.
-
-    The one protocol rule that prevents deadlock: a registered reader must
-    never block on the topology lock.  A step that needs to mutate the
-    stream mid-step (e.g. a supervisor bypassing a failing streamlet from
-    inside the fault handler) leaves the gate first
-    (:meth:`leave_current`), takes the write side, and re-registers while
-    still holding the lock — so no writer can slip a mutation into the
-    remainder of its step.
-    """
-
-    __slots__ = ("_readers",)
-
-    def __init__(self) -> None:
-        self._readers: dict[int, int] = {}  # thread ident -> reentrancy depth
-
-    def enter(self) -> None:
-        ident = threading.get_ident()
-        readers = self._readers
-        readers[ident] = readers.get(ident, 0) + 1
-
-    def exit(self) -> None:
-        ident = threading.get_ident()
-        readers = self._readers
-        depth = readers.get(ident)
-        if depth is None:
-            return  # tolerate an exit after leave_current
-        if depth <= 1:
-            del readers[ident]
-        else:
-            readers[ident] = depth - 1
-
-    def depth(self) -> int:
-        """How many times the calling thread is registered (0 = not a reader)."""
-        return self._readers.get(threading.get_ident(), 0)
-
-    def leave_current(self) -> int:
-        """Deregister the calling thread entirely; returns its prior depth."""
-        return self._readers.pop(threading.get_ident(), 0) or 0
-
-    def restore(self, depth: int) -> None:
-        """Re-register the calling thread at ``depth`` (after a write)."""
-        if depth:
-            self._readers[threading.get_ident()] = depth
-
-    def wait_idle(self) -> None:
-        """Block until no *other* thread is registered in the gate.
-
-        Readers never block while registered, so this converges as fast as
-        the slowest in-flight step; the 0.2 ms poll bounds writer latency
-        without putting any synchronisation on the reader path.
-        """
-        ident = threading.get_ident()
-        readers = self._readers
-        while any(other != ident for other in tuple(readers)):
-            time.sleep(0.0002)
-
-
 class _NodeView:
     """One node's frozen wiring and hop plan, as published in a snapshot.
 
     References the *live* ``Streamlet``/``Channel``/context objects (so
     fault-injection wrappers that shadow ``process``/``fetch`` as instance
     attributes keep intercepting), but the port tables are immutable
-    copies: a step iterates them without taking the topology lock and
-    without the per-step ``list(dict.items())`` allocation.
+    copies: a step iterates them without the per-step
+    ``list(dict.items())`` allocation.
 
     The **hop plan** is what the scheduler's hop kernel needs for every
     message and that cannot change while this snapshot is published,
     resolved here once instead of per hop: the context, the two
     histograms, the peer id to push and ``onward``: per output port, the
     ``(channel, queue, view, input port)`` of the hand-off to a later
-    view (owned streams only), whatever the channel's coupling.
+    view, whatever the channel's coupling.
     ``process`` and the histograms' ``observe`` are deliberately *not*
     pre-bound: CPython calls a method through its object faster than it
     calls a stored bound method (46–54 ns against 56–64 ns, three runs of
@@ -240,11 +184,11 @@ class _NodeView:
 
 
 class TopologySnapshot:
-    """An immutable, versioned view of a stream's wiring (RCU published).
+    """An immutable, versioned view of a stream's wiring: the hop plan's cache.
 
-    Steps read the current snapshot lock-free; reconfiguration retires
-    it under the write lock, mutates, and the next reader rebuilds.  The
-    version is monotonically increasing across rebuilds.
+    Steps read the published snapshot; a write section retires it under
+    the stream's lock, mutates, and the next step rebuilds.  The version
+    is monotonically increasing across rebuilds.
     """
 
     __slots__ = (
@@ -281,7 +225,6 @@ class RuntimeStream:
         registry: TypeRegistry | None = None,
         clock: Clock | None = None,
         session: str | None = None,
-        drop_timeout: float = 0.0,
         telemetry: Telemetry | None = None,
     ):
         self.table = table
@@ -291,7 +234,6 @@ class RuntimeStream:
         self._registry = registry if registry is not None else default_registry()
         self._clock = clock if clock is not None else WallClock()
         self.session = session
-        self._drop_timeout = drop_timeout
         self.stats = StreamStats()
         #: per-stream telemetry hooks, None when unobserved; the schedulers
         #: and channels test ``tm is not None`` once per call site
@@ -301,6 +243,8 @@ class RuntimeStream:
         if self.tm is not None:
             self.tm.attach_stats(self.stats)
             self._egress_wait_hist = self.tm.egress_wait_histogram()
+        #: the stream's one lock (module docstring): re-entrant, held per
+        #: view visit by the scheduler and for every write section
         self.topology_lock = threading.RLock()
 
         #: the wiring as a value; the live objects below always realise it
@@ -312,18 +256,15 @@ class RuntimeStream:
         self._ended = False
         self._order_dirty = True
         self._order: list[str] = []
-        #: the RCU-published topology view; None while retired (a writer is
-        #: active or a mutation happened since the last publication).  Read
-        #: and written as a single attribute reference — atomic under the
-        #: GIL (see docs/performance.md for the memory-ordering argument)
+        #: the published topology view; None while retired (a write section
+        #: is open or a mutation happened since the last publication)
         self._snapshot: TopologySnapshot | None = None
         self._snapshot_version = 0
-        self._read_gate = _ReadGate()
         self._write_depth = 0
-        #: the thread inside the write section, if any
-        self._writer: int | None = None
-        #: whether an engine bound the channels single-owner (:meth:`bind_engine`)
-        self._owned = False
+        #: held by a write section that found the stream's lock taken, until
+        #: it has the lock: the scheduler waits here between view visits
+        #: (see :meth:`_write_access`)
+        self._turnstile: threading.Lock | None = None
         #: callbacks fired after a write section closes (and on resume, and
         #: when a supervisor schedules a retry): schedulers and the
         #: gateway's egress register here to re-examine the world
@@ -454,8 +395,7 @@ class RuntimeStream:
             channel = None if name in new.fresh else live.get(name)
             if channel is None:
                 channel = Channel(
-                    name, state.definition, drop_timeout=self._drop_timeout,
-                    telemetry=self.tm, owned=self._owned and not _is_ingress(state),
+                    name, state.definition, telemetry=self.tm, owned=not _is_ingress(state)
                 )
             channels[name] = channel
             channel.bind(state.source, state.sink)
@@ -514,15 +454,14 @@ class RuntimeStream:
         timing.activate += clock.now() - t0
         return retired
 
-    # -- RCU topology snapshots (see docs/performance.md) ------------------------------
+    # -- topology snapshots and the stream's lock (see docs/performance.md) ------------
 
     def _build_snapshot(self) -> TopologySnapshot:
         # caller holds the topology lock
         order = tuple(self.processing_order())
         views = {name: _NodeView(name, node) for name, node in self._nodes.items()}
-        # hand-offs (owned streams): a view may step a later view whose only
-        # input is its channel, forward in processing order so no claim
-        # circles a loop
+        # hand-offs: a view may step a later view whose only input is its
+        # channel, forward in processing order so no claim circles a loop
         position = {name: i for i, name in enumerate(order)}
         # per view, every queue one of its claims may post to
         reach: dict[str, dict] = {}
@@ -533,7 +472,7 @@ class RuntimeStream:
                 sink = channel.sink
                 target = views.get(sink.instance) if sink is not None else None
                 if (
-                    self._owned and target is not None and len(target.inputs) == 1
+                    target is not None and len(target.inputs) == 1
                     and target.inputs[0][1] is channel
                     and position[target.name] > position[name]
                 ):
@@ -565,78 +504,44 @@ class RuntimeStream:
 
     @contextmanager
     def _write_access(self):
-        """The write side of the RCU protocol.
+        """A write section: the stream's lock, with the snapshot retired.
 
-        Retires the published snapshot, then waits for every in-flight
-        reader step to finish (grace period) before yielding — so a
-        mutation never races a step in flight, and the queue counts a
-        transaction captures inside this section are exact.  Reentrant:
-        nested sections only pay the grace period once.  A stepping thread
-        calling in from inside its own step leaves the read gate first
-        (readers must not block on the topology lock) and re-registers
-        before the lock is released.
+        Holding the lock, no step is in flight on another thread, so a
+        mutation never races one, and the queue counts a transaction
+        captures inside the section are exact; another thread's step
+        waits out the section, and a writer waits out at most one view
+        visit.  Re-entrant: a fault handler may open one from inside its
+        own step, which then re-seeds on the retired snapshot.  The
+        wakeup listeners fire after the outermost section releases.
+
+        The lock is not fair: a stepping thread releasing it at the end of
+        a visit would take it straight back for the next one, and the
+        write would wait out a whole share.  So a write that finds the
+        lock taken holds a turnstile until it has the lock, and the
+        scheduler passes the turnstile before each visit.
         """
-        gate = self._read_gate
-        reader_depth = gate.leave_current()
-        self.topology_lock.acquire()
-        try:
-            self._write_depth += 1
-            if self._write_depth == 1:
-                self._writer = threading.get_ident()
-                self._snapshot = None
-                gate.wait_idle()
+        lock = self.topology_lock
+        if not lock.acquire(blocking=False):
+            turnstile = threading.Lock()
+            turnstile.acquire()
+            self._turnstile = turnstile
             try:
-                yield
+                lock.acquire()
             finally:
-                self._write_depth -= 1
-                self._snapshot = None
+                if self._turnstile is turnstile:
+                    self._turnstile = None
+                turnstile.release()
+        self._write_depth += 1
+        self._snapshot = None
+        try:
+            yield
         finally:
-            outermost = self._write_depth == 0
-            if outermost:
-                self._writer = None
-            if reader_depth:
-                # re-register while still holding the lock: the next writer
-                # will wait for the remainder of this thread's step
-                gate.restore(reader_depth)
-            self.topology_lock.release()
+            self._write_depth -= 1
+            self._snapshot = None
+            outermost = not self._write_depth
+            lock.release()
             if outermost:
                 self._notify_wakeup()
-
-    def _enter_read(self) -> None:
-        """Enter the read gate for work outside a scheduler step (collect, retries).
-
-        Registers the calling thread on a *published* snapshot, so a
-        writer's grace period waits for the section and nothing it
-        touches is rewired under it; a retired snapshot is waited out
-        first, outside the gate (a registered reader must never block on
-        the topology lock).  Reentrant, and free to use on the writer's
-        own thread.  Pair it with ``_read_gate.exit()`` in a ``finally``.
-        """
-        gate = self._read_gate
-        gate.enter()
-        while (
-            self._snapshot is None and gate.depth() == 1
-            and self._writer != threading.get_ident()
-        ):
-            gate.exit()
-            self.topology_snapshot()  # waits out the writer, republishes
-            gate.enter()
-
-    def bind_engine(self) -> None:
-        """Make every channel but the ingress carriers single-owner.
-
-        An :class:`~repro.runtime.scheduler.InlineScheduler` binds the
-        stream (``docs/gateway.md``): one thread at a time steps and
-        collects, and other threads only post to the ingress carriers or
-        go through the write section.  Channels a reconfiguration creates
-        take the same regime.
-        """
-        with self.topology_lock:
-            self._snapshot = None  # only an owned stream's hop plan hands off
-            self._owned = True
-            ingress = {id(channel) for channel in self.ingress.values()}
-            for channel in self._channels.values():
-                channel.queue.owned = id(channel) not in ingress
 
     def add_wakeup_listener(self, callback) -> None:
         """Register a callback fired after writes, resumes and scheduled retries."""
@@ -769,7 +674,7 @@ class RuntimeStream:
 
     @property
     def snapshot_version(self) -> int:
-        """The RCU topology snapshot version (bumped on every rebuild)."""
+        """The topology snapshot version (bumped on every rebuild)."""
         return self._snapshot_version
 
     def fusion_groups(self) -> tuple[tuple[str, ...], ...]:
@@ -912,28 +817,27 @@ class RuntimeStream:
     def collect(self) -> list[MimeMessage]:
         """Drain every egress channel; returns delivered messages in order.
 
-        Runs in a read section: an egress carrier may be single-owner, and
-        a commit must not rewire it mid-drain.
+        Holds the stream's lock: an egress carrier is single-owner, and a
+        commit must not rewire it mid-drain.
         """
         out: list[MimeMessage] = []
         posted: list[float] = []
         tm = self.tm
         egress_hist = self._egress_wait_hist
-        self._enter_read()
         try:
-            for _ref, channel in self.egress:
-                queue = channel.queue
-                while not queue.is_empty():  # a drained carrier costs no fetch miss
-                    msg_id = channel.fetch(0.0)
-                    if msg_id is None:
-                        break
-                    if egress_hist is not None and queue.last_post_at is not None:
-                        posted.append(queue.last_post_at)
-                    out.append(self.pool.release(msg_id))
-                    if tm is not None:
-                        tm.forget(msg_id)
+            with self.topology_lock:
+                for _ref, channel in self.egress:
+                    queue = channel.queue
+                    while not queue.is_empty():  # a drained carrier costs no fetch miss
+                        msg_id = channel.fetch()
+                        if msg_id is None:
+                            break
+                        if egress_hist is not None and queue.last_post_at is not None:
+                            posted.append(queue.last_post_at)
+                        out.append(self.pool.release(msg_id))
+                        if tm is not None:
+                            tm.forget(msg_id)
         finally:
-            self._read_gate.exit()
             if out:  # one stats lock per drain, whatever ended it
                 self.stats.inc("messages_out", len(out))
         if posted:
@@ -1123,7 +1027,7 @@ class RuntimeStream:
 
 
 def _is_ingress(state) -> bool:
-    """Whether a channel state is an ingress carrier (other threads post to it)."""
+    """Whether a channel state is an ingress carrier (the loop posts to it)."""
     return state.definition is EDGE_CHANNEL_DEF and state.source.instance == INGRESS
 
 

@@ -10,7 +10,6 @@ from repro.bench.ablations import (
     run_channel_ablation,
     run_compile_ablation,
     run_pooling_ablation,
-    run_scheduler_ablation,
 )
 from repro.bench.fig7_2 import run_fig7_2
 from repro.bench.fig7_3 import run_fig7_3
@@ -100,10 +99,6 @@ class TestAblationRunners:
     def test_channels(self):
         result = run_channel_ablation(pairs=200)
         assert {cat for cat, _ in result.rows} == {"S", "BB", "BK", "KB", "KK"}
-
-    def test_schedulers(self):
-        result = run_scheduler_ablation(chain=3, n_messages=5)
-        assert dict(result.rows).keys() == {"inline"}
 
     def test_compile(self):
         result = run_compile_ablation((3, 6), repeats=2)

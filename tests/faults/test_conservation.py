@@ -144,7 +144,7 @@ class TestThreadedConservation:
     def test_invariant_holds_with_faults_off_the_loop(self):
         """Faults and supervisor retries on a stream the gateway's executor steps."""
         clock = VirtualClock()
-        server = build_server(clock=clock, drop_timeout=0.2)
+        server = build_server(clock=clock)
         stream = server.deploy_script(SOURCE)
         plan = FaultPlan(seed=5)
         plan.fail_streamlet("b", mode="probability", probability=0.3)

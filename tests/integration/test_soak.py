@@ -24,10 +24,11 @@ from tests.offloop import OffLoop
 
 
 def test_threaded_end_to_end_soak():
-    # drop_timeout gives producers backpressure: under burst load they wait
-    # for queue space instead of exercising the Figure 6-9 drop policy,
-    # which is what a no-loss soak needs
-    server = build_server(drop_timeout=2.0)
+    # no loss without any wait for room: the pump's headroom rule visits
+    # a consumer before its bounded channel overflows, and the ingress
+    # is far larger than the burst, so Figure 6-9's drop-on-full never
+    # fires
+    server = build_server()
     stream = server.deploy_script(WEB_ACCELERATION_MCL)
     scheduler = OffLoop(stream)
 

@@ -5,9 +5,12 @@ composition that may block.
 :class:`~repro.gateway.session.GatewaySession` with ``off_loop=True``:
 the stream's :class:`~repro.runtime.scheduler.InlineScheduler` runs in
 shares on the egress pump's executor, one share in flight at a time,
-while the test thread posts and reconfigures.  The pump's cycles collect
-on its own loop (every channel but the ingress is single-owner), so the
-session keeps what each cycle delivers for :meth:`OffLoop.collect`
+while the test thread posts and reconfigures.  A share holds the
+stream's lock for each view visit, and a reconfiguration from the test
+thread waits out the visit in flight; a post from the test thread goes
+to an ingress carrier, which keeps a lock of its own.  The pump's cycles
+collect on its own loop (under the stream's lock, between shares), so
+the session keeps what each cycle delivers for :meth:`OffLoop.collect`
 instead of serialising it.  Tests parametrised over ``"inline"`` and
 ``"threaded"`` use it for ``"threaded"``: the engine ``scheduler="threaded"``
 gets for a composition that may block.

@@ -4,13 +4,10 @@ A producer faster than its consumer must not (a) deadlock the stream or
 (b) drop messages while the consumer keeps up: the pump's headroom rule
 visits the consumer before a bounded channel overflows, and FIFO order
 survives.  A consumer that stops taking (paused) leaves the Figure 6-9
-policy in charge: with no drop timeout, what does not fit is dropped and
-released at once.
+policy in charge: what does not fit is dropped and released at once.
 """
 
 import time
-
-import pytest
 
 from repro.apps import build_server
 from repro.mcl import astnodes as ast
@@ -58,8 +55,8 @@ class Slow(Streamlet):
         return [("po", message)]
 
 
-def deploy(drop_timeout):
-    server = build_server(drop_timeout=drop_timeout)
+def deploy():
+    server = build_server()
     from repro.mcl.parser import parse_script
 
     for d in parse_script(DEFS).streamlets:
@@ -69,7 +66,7 @@ def deploy(drop_timeout):
 
 class TestBackpressure:
     def test_no_loss_with_drop_timeout(self):
-        _server, stream = deploy(drop_timeout=5.0)
+        _server, stream = deploy()
         scheduler = OffLoop(stream)
         try:
             payloads = [f"burst-{i}".encode() * 40 for i in range(30)]
@@ -84,7 +81,7 @@ class TestBackpressure:
         assert stream.stats.queue_drops == 0
 
     def test_drops_when_timeout_zero(self):
-        _server, stream = deploy(drop_timeout=0.0)
+        _server, stream = deploy()
         stream.node("b").streamlet.pause()  # the consumer stops taking
         scheduler = OffLoop(stream)
         try:

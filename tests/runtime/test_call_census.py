@@ -85,8 +85,8 @@ ASYNC_DEEP_CHAIN = chain("deep_chain", 24)
 #: calls per message per layer, at most: the measured census rounded up to
 #: a whole call (the measured values are in docs/performance.md)
 BOUNDS = {
-    "small_echo": {"feed": 19, "post": 34, "pump": 71, "collect": 32, "serialize": 12},
-    "deep_chain": {"feed": 19, "post": 34, "pump": 307, "collect": 32, "serialize": 12},
+    "small_echo": {"feed": 19, "post": 34, "pump": 66, "collect": 26, "serialize": 12},
+    "deep_chain": {"feed": 19, "post": 34, "pump": 302, "collect": 26, "serialize": 12},
 }
 
 

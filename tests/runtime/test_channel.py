@@ -2,7 +2,7 @@ import pytest
 
 from repro.errors import ChannelError
 from repro.mcl import astnodes as ast
-from repro.runtime.channel import Channel
+from repro.runtime.channel import Channel, detach_breaks
 
 
 def make_def(sync="ASYNC", category="BK", buffer_kb=1):
@@ -46,10 +46,8 @@ class TestWiring:
 
     def test_detach_without_attach(self):
         ch = Channel("c", make_def())
-        with pytest.raises(ChannelError):
-            ch.detach_source()
-        with pytest.raises(ChannelError):
-            ch.detach_sink()
+        ch.bind(None, None)  # unbinding ends never attached counts nothing
+        assert (ch.queue.producer_count, ch.queue.consumer_count) == (0, 0)
 
 
 class TestTransfer:
@@ -65,56 +63,40 @@ class TestTransfer:
 
     def test_sync_is_rendezvous(self):
         ch = wired(sync="SYNC", buffer_kb=0)
-        assert ch.is_sync
+        assert ch.queue.capacity_bytes == 0
         assert ch.post("a", 5)
         assert not ch.post("b", 5)
         ch.fetch()
         assert ch.post("b", 5)
 
 
+#: the section 4.2.2 table, per category and detached end: whether the
+#: other end breaks too (pending units lost), or ``REFUSED``; S refuses only
+#: while a unit is pending, KK always
+REFUSED = "refused"
+DETACH_RULE = {
+    ("S", "source"): False, ("S", "sink"): False,
+    ("BB", "source"): True, ("BB", "sink"): True,
+    ("BK", "source"): False, ("BK", "sink"): True,
+    ("KB", "source"): True, ("KB", "sink"): False,
+    ("KK", "source"): REFUSED, ("KK", "sink"): REFUSED,
+}
+
+
 class TestCategories:
-    def test_bk_detach_source_keeps_pending(self):
-        ch = wired(category="BK")
-        ch.post("m", 1)
-        dropped = ch.detach_source()
-        assert dropped == []
-        assert ch.sink is not None
-        assert ch.fetch() == "m"
-
-    def test_bk_detach_sink_breaks_both(self):
-        ch = wired(category="BK")
-        ch.post("m", 1)
-        dropped = ch.detach_sink()
-        assert dropped == ["m"]
-        assert ch.source is None and ch.sink is None
-
-    def test_kb_detach_sink_keeps_source(self):
-        ch = wired(category="KB")
-        dropped = ch.detach_sink()
-        assert dropped == []
-        assert ch.source is not None
-
-    def test_kb_detach_source_breaks_both(self):
-        ch = wired(category="KB")
-        ch.post("m", 1)
-        dropped = ch.detach_source()
-        assert dropped == ["m"]
-        assert ch.sink is None
-
-    def test_bb_breaks_both_ways(self):
-        for detach in ("detach_source", "detach_sink"):
-            ch = wired(category="BB")
-            ch.post("m", 1)
-            dropped = getattr(ch, detach)()
-            assert dropped == ["m"]
-            assert ch.source is None and ch.sink is None
-
-    def test_kk_cannot_detach(self):
-        ch = wired(category="KK")
-        with pytest.raises(ChannelError):
-            ch.detach_source()
-        with pytest.raises(ChannelError):
-            ch.detach_sink()
+    @pytest.mark.parametrize("pending", [0, 1], ids=["empty", "pending"])
+    @pytest.mark.parametrize("end", ["source", "sink"])
+    @pytest.mark.parametrize("category", ["S", "BB", "BK", "KB", "KK"])
+    def test_detach_rule(self, category, end, pending):
+        expected = DETACH_RULE[category, end]
+        if category == "S" and pending:
+            expected = REFUSED
+        rule = ast.ChannelCategory(category)
+        if expected is REFUSED:
+            with pytest.raises(ChannelError):
+                detach_breaks("c0", rule, end, pending)
+        else:
+            assert detach_breaks("c0", rule, end, pending) is expected
 
     def test_s_never_buffers(self):
         ch = wired(category="S")
@@ -122,31 +104,23 @@ class TestCategories:
         assert ch.post("a", 5)
         assert not ch.post("b", 5)
 
-    def test_s_detach_with_pending_rejected(self):
-        ch = wired(category="S")
-        ch.post("a", 5)
-        with pytest.raises(ChannelError):
-            ch.detach_source()
-
-    def test_s_detach_empty_ok(self):
-        ch = wired(category="S")
-        assert ch.detach_source() == []
-
 
 class TestReattach:
+    """A rewire (:meth:`Channel.bind`) keeps pending units, whatever the category."""
+
     def test_reattach_source_keeps_pending(self):
-        ch = wired(category="BB")  # even BB: reattach bypasses category
+        ch = wired(category="BB")  # even BB: a rewire bypasses category
         ch.post("m", 1)
-        ch.reattach_source(ast.PortRef("new", "po"))
+        ch.bind(ast.PortRef("new", "po"), ch.sink)
         assert ch.source == ast.PortRef("new", "po")
         assert ch.fetch() == "m"
 
     def test_reattach_sink(self):
         ch = wired()
-        ch.reattach_sink(ast.PortRef("new", "pi"))
+        ch.bind(ch.source, ast.PortRef("new", "pi"))
         assert ch.sink == ast.PortRef("new", "pi")
 
     def test_reattach_onto_empty_end(self):
         ch = Channel("c", make_def())
-        ch.reattach_source(ast.PortRef("a", "po"))
+        ch.bind(ast.PortRef("a", "po"), ch.sink)
         assert ch.queue.producer_count == 1

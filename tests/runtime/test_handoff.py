@@ -115,7 +115,7 @@ CUSTOM = {
 
 
 def deploy(mcl: str, **server_kwargs):
-    server = build_server(drop_timeout=5.0, **server_kwargs)
+    server = build_server(**server_kwargs)
     for name, (cls, inputs) in CUSTOM.items():
         server.directory.advertise(_definition(name, inputs), cls, replace=True)
     return server, server.deploy_script(mcl)

@@ -152,7 +152,7 @@ def run(mode: str, seed: int, observed: bool = False) -> dict:
         if observed else NULL_TELEMETRY
     )
     server = build_server(
-        pass_mode=options["pass_mode"], drop_timeout=5.0, telemetry=telemetry
+        pass_mode=options["pass_mode"], telemetry=telemetry
     )
     for name, cls in CUSTOM.items():
         server.directory.advertise(_definition(f"dx_{name}"), cls, replace=True)

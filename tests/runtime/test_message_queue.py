@@ -31,10 +31,6 @@ class TestBasics:
         with pytest.raises(ValueError):
             MessageQueue(-1)
 
-    def test_negative_timeout_rejected(self):
-        with pytest.raises(ValueError):
-            MessageQueue(10, drop_timeout=-1)
-
 
 class TestCapacity:
     def test_full_drops(self):
@@ -53,26 +49,6 @@ class TestCapacity:
         assert not q.post_message("b", 5)
         q.fetch_message()
         assert q.post_message("b", 5)
-
-    def test_drop_timeout_waits_for_room(self):
-        q = MessageQueue(10, drop_timeout=1.0)
-        q.post_message("a", 10)
-
-        def consume_later():
-            import time
-
-            time.sleep(0.05)
-            q.fetch_message()
-
-        t = threading.Thread(target=consume_later)
-        t.start()
-        assert q.post_message("b", 10)  # succeeds once consumer drains
-        t.join()
-
-    def test_drop_timeout_expires(self):
-        q = MessageQueue(10, drop_timeout=0.01)
-        q.post_message("a", 10)
-        assert not q.post_message("b", 10)
 
 
 class TestAttachment:
@@ -108,22 +84,6 @@ class TestCloseAndDrain:
         with pytest.raises(QueueClosedError):
             q.fetch_message()
 
-    def test_blocking_fetch_released_by_close(self):
-        q = MessageQueue(100)
-        result = {}
-
-        def blocked():
-            try:
-                q.fetch_message(timeout=None)
-            except QueueClosedError:
-                result["closed"] = True
-
-        t = threading.Thread(target=blocked)
-        t.start()
-        q.close()
-        t.join(timeout=2)
-        assert result.get("closed")
-
     def test_drain(self):
         q = MessageQueue(1000)
         q.post_message("a", 1)
@@ -134,42 +94,23 @@ class TestCloseAndDrain:
 
 
 class TestTimeoutContract:
-    """The post_message timeout contract (module docstring, Figure 6-9)."""
+    """The post_message probe flag (module docstring, Figure 6-9)."""
 
-    def full(self, drop_timeout=0.0):
-        q = MessageQueue(10, drop_timeout=drop_timeout)
+    def full(self):
+        q = MessageQueue(10)
         q.post_message("a", 10)
         return q
 
-    def test_none_uses_configured_drop_timeout_and_counts(self):
-        q = self.full(drop_timeout=0.02)
-        t0 = time.monotonic()
-        assert not q.post_message("b", 10)  # timeout=None is the default
-        assert time.monotonic() - t0 >= 0.02
-        assert q.dropped == 1
-
-    def test_explicit_positive_timeout_overrides_configured_and_counts(self):
-        q = self.full(drop_timeout=30.0)  # would hang if the override leaked
-        t0 = time.monotonic()
-        assert not q.post_message("b", 10, timeout=0.02)
-        assert time.monotonic() - t0 < 5.0
-        assert q.dropped == 1
-
     def test_zero_timeout_is_a_probe_and_never_counts(self):
-        q = self.full(drop_timeout=30.0)
+        q = self.full()
         t0 = time.monotonic()
-        assert not q.post_message("b", 10, timeout=0)
+        assert not q.post_message("b", 10, probe=True)
         assert time.monotonic() - t0 < 1.0  # no wait at all
         assert q.dropped == 0  # the caller owns the accounting
 
-    def test_negative_timeout_is_a_probe_too(self):
-        q = self.full()
-        assert not q.post_message("b", 10, timeout=-1)
-        assert q.dropped == 0
-
     def test_probe_succeeds_when_room_exists(self):
         q = MessageQueue(100)
-        assert q.post_message("a", 10, timeout=0)
+        assert q.post_message("a", 10, probe=True)
         assert q.dropped == 0
 
 
@@ -212,7 +153,7 @@ class TestConcurrency:
 
         def consumer():
             while len(received) < n:
-                msg = q.fetch_message(timeout=0.1)
+                msg = q.fetch_message()
                 if msg is not None:
                     received.append(msg)
 
@@ -251,7 +192,7 @@ class TestPostRun:
         assert q.fetch_message() == "a"
 
     def test_full_reports_false_and_never_counts_drops(self):
-        q = MessageQueue(10, drop_timeout=30.0)  # timeout must not apply
+        q = MessageQueue(10)
         q.post_message("a", 10)
         begin = time.perf_counter()
         assert q.post_run([("b", 10)]) is False

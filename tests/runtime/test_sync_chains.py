@@ -130,7 +130,7 @@ class Sidestep(Streamlet):
 
 def deploy_custom(middle_def, middle_cls, **server_kwargs):
     """redirector -> <middle> -> redirector, all synchronously coupled."""
-    server = build_server(drop_timeout=5.0, **server_kwargs)
+    server = build_server(**server_kwargs)
     server.directory.advertise(middle_def, middle_cls, replace=True)
     mcl = SYNC_DEFS + (
         "main stream fz{"
@@ -147,7 +147,7 @@ def deploy_custom(middle_def, middle_cls, **server_kwargs):
 class TestSyncDelivery:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_sync_chain_preserves_order(self, engine):
-        server = build_server(drop_timeout=5.0)
+        server = build_server()
         stream = server.deploy_script(chain_mcl(6, sync=True))
         scheduler = make_scheduler(stream, engine)
         try:
@@ -163,7 +163,7 @@ class TestSyncDelivery:
             stream.end()
 
     def test_no_chain_reports_a_fusion_group(self):
-        server = build_server(drop_timeout=5.0)
+        server = build_server()
         for sync in (True, False):
             stream = server.deploy_script(chain_mcl(4, sync=sync))
             try:
@@ -176,7 +176,7 @@ class TestSyncDelivery:
         bodies = [b"p%d" % i for i in range(12)]
         results = {}
         for sync in (True, False):
-            server = build_server(drop_timeout=5.0)
+            server = build_server()
             stream = server.deploy_script(chain_mcl(5, sync=sync))
             scheduler = make_scheduler(stream, engine)
             try:
@@ -194,7 +194,7 @@ class TestSyncDelivery:
         # histogram, and its queue wait (a hand-off's is a zero) counts once
         # per message too
         telemetry = Telemetry(registry=MetricsRegistry(), trace_sample_interval=1)
-        server = build_server(telemetry=telemetry, drop_timeout=5.0)
+        server = build_server(telemetry=telemetry)
         stream = server.deploy_script(chain_mcl(4, sync=True))
         scheduler = InlineScheduler(stream)
         try:
@@ -214,7 +214,7 @@ class TestSyncDelivery:
         # deep_chain's shape: 24 redirectors, SYNC within groups of 6; each
         # member's queue-wait count is its hop count, hand-offs included
         telemetry = Telemetry(registry=MetricsRegistry())
-        server = build_server(telemetry=telemetry, drop_timeout=5.0)
+        server = build_server(telemetry=telemetry)
         stream = server.deploy_script(chain_mcl(24, sync=True, group=6))
         scheduler = InlineScheduler(stream)
         try:
@@ -302,15 +302,15 @@ class TestSyncSemantics:
     def test_residue_on_a_sync_channel_drains_first(self):
         # a message parked on a SYNC channel (e.g. a supervisor retry) must
         # drain ahead of fresh head traffic, which waits for the rendezvous
-        server = build_server(drop_timeout=5.0)
+        server = build_server()
         stream = server.deploy_script(chain_mcl(4, sync=True))
         scheduler = InlineScheduler(stream)
         try:
             early = stream.post(MimeMessage("text/plain", b"early"))
             ingress = next(iter(stream.ingress.values()))
-            assert ingress.fetch(0.0) == early
+            assert ingress.fetch() == early
             # park it two hops deep, then feed a fresh message at the head
-            assert stream.channel("s1").queue.post_message(early, 5, timeout=0)
+            assert stream.channel("s1").queue.post_message(early, 5, probe=True)
             stream.post(MimeMessage("text/plain", b"fresh"))
             delivered = drain(stream, scheduler, 2)
             assert [m.body for m in delivered] == [b"early", b"fresh"]
@@ -322,7 +322,7 @@ class TestSyncSemantics:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("batch", (1, 4))
     def test_batching_delivers_everything(self, engine, batch):
-        server = build_server(drop_timeout=5.0)
+        server = build_server()
         stream = server.deploy_script(chain_mcl(4, sync=True))
         scheduler = make_scheduler(stream, engine, batch=batch)
         try:
@@ -340,7 +340,7 @@ class TestSyncSemantics:
 class TestSyncReconfig:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_splice_then_refuse_a_lossy_removal(self, engine):
-        server = build_server(drop_timeout=5.0)
+        server = build_server()
         stream = server.deploy_script(SPLICE_MCL)
         scheduler = make_scheduler(stream, engine)
         try:
@@ -397,7 +397,7 @@ class TestSyncReconfig:
   connect (r1.po, r2.pi, s1);
   when (LOW_BANDWIDTH) { remove (r1); }
 }"""
-        server = build_server(drop_timeout=5.0)
+        server = build_server()
         stream = server.deploy_script(mcl)
         scheduler = make_scheduler(stream, engine)
         try:
