@@ -319,7 +319,7 @@ class Supervisor:
             self.ledger.dead_letter(
                 self.scope, msg_id, stream=stream.name, reason=reason, frame=frame,
             )
-        stream.stats.inc("dead_letters")  # fault handlers may run on executor threads
+        stream.stats.dead_letters += 1
         tm = stream.tm
         if tm is not None:
             tm.forget(msg_id)
@@ -377,48 +377,46 @@ class Supervisor:
 
         A retry whose target instance/port has gone away (bypassed,
         removed) or whose channel refuses the post is dead-lettered —
-        the id must never dangle.  The lookups and posts hold the
-        stream's lock, so a commit can neither retire a target channel
-        between its lookup and the post nor drain it before the post lands
-        (and a single-owner channel is touched only under that lock).
-        A re-post lands where the next step already looks, so it never
-        retires the snapshot.
+        the id must never dangle.  Called by the stream's owner (the
+        share that steps it, in the gateway), so no commit can retire a
+        target channel between its lookup and the post.  A re-post lands
+        where the next step already looks, so it never retires the
+        snapshot.
         """
         stream = self._stream
-        with stream.topology_lock:
-            if now is None:
-                now = self._clock.now()
-            due = sorted(e for e in self._pending if e[0] <= now)
-            if not due:
-                return 0
-            self._pending = [e for e in self._pending if e[0] > now]
-            reposted = 0
-            for _due, _seq, msg_id, instance, port in due:
-                node = stream._nodes.get(instance)
-                channel = node.inputs.get(port) if node is not None else None
-                if channel is None:
-                    self._dead_letter(msg_id, instance, port, reason="retry target detached")
-                    continue
-                try:
-                    posted = channel.post(msg_id, stream.pool.size_of(msg_id), probe=True)
-                except QueueClosedError:
-                    posted = False
-                if posted:
-                    stream.stats.inc("retries")
-                    if self.ledger is not None:
-                        self.ledger.retry_settled(self.scope, msg_id)
-                    if self._outcome is not None:
-                        self._outcome("retried")
-                    if stream.tm is not None:
-                        stream.tm.recorder.record(
-                            "retry", stream=stream.name, msg_id=msg_id, instance=instance
-                        )
-                    reposted += 1
-                else:
-                    self._dead_letter(
-                        msg_id, instance, port, reason="retry channel full or closed"
+        if now is None:
+            now = self._clock.now()
+        due = sorted(e for e in self._pending if e[0] <= now)
+        if not due:
+            return 0
+        self._pending = [e for e in self._pending if e[0] > now]
+        reposted = 0
+        for _due, _seq, msg_id, instance, port in due:
+            node = stream._nodes.get(instance)
+            channel = node.inputs.get(port) if node is not None else None
+            if channel is None:
+                self._dead_letter(msg_id, instance, port, reason="retry target detached")
+                continue
+            try:
+                posted = channel.post(msg_id, stream.pool.size_of(msg_id), probe=True)
+            except QueueClosedError:
+                posted = False
+            if posted:
+                stream.stats.retries += 1
+                if self.ledger is not None:
+                    self.ledger.retry_settled(self.scope, msg_id)
+                if self._outcome is not None:
+                    self._outcome("retried")
+                if stream.tm is not None:
+                    stream.tm.recorder.record(
+                        "retry", stream=stream.name, msg_id=msg_id, instance=instance
                     )
-            return reposted
+                reposted += 1
+            else:
+                self._dead_letter(
+                    msg_id, instance, port, reason="retry channel full or closed"
+                )
+        return reposted
 
     def next_due(self) -> float | None:
         """Earliest pending retry timestamp, or None."""

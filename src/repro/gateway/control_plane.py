@@ -72,9 +72,11 @@ Request: ``{"op": <verb>, ...}``.  Response: ``{"ok": true, ...}`` or
     Graceful shutdown: stop intake, wait for sessions to quiesce,
     flush and close the ledger.  Responds first, then drains.
 
-Mutating verbs run in the default executor: deployment takes runtime
-locks and joins threads, which must not stall the event loop that is
-concurrently moving data frames.
+Every verb runs on the event loop; those that touch a session are
+owner calls (:meth:`~repro.gateway.server.GatewayServer.owned`), which
+wait out at most the view visit in flight of a lent stream.  Only
+``deploy`` compiles and builds its stream in the default executor,
+where nothing else can reach it yet.
 """
 
 from __future__ import annotations
@@ -82,6 +84,7 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
+from functools import partial
 
 from repro.errors import MobiGateError
 from repro.gateway.config import GatewayConfig
@@ -217,48 +220,47 @@ class ControlPlane:
     async def _op_reconfigure(self, request: dict) -> dict:
         event = request["event"]
         key = request.get("session")
-        loop = asyncio.get_running_loop()
-        delivered = await loop.run_in_executor(
-            None, lambda: self._gateway.raise_event(event, session_key=key)
-        )
-        response: dict = {"ok": True, "event": event, "delivered": delivered}
-        if key is not None:
-            session = self._gateway.route(key)
-            if session is not None:
-                response["epoch"] = session.stream.epoch
-        return response
+        gateway = self._gateway
+        sessions = gateway.scope(key)
+
+        def reconfigure() -> dict:
+            delivered = gateway._raise_event(event, key)
+            response: dict = {"ok": True, "event": event, "delivered": delivered}
+            if key is not None:
+                response["epoch"] = sessions[0].stream.epoch
+            return response
+
+        return await gateway.owned(reconfigure, *sessions)
 
     async def _op_set_param(self, request: dict) -> dict:
         session = self._require_session(request)
         if isinstance(session, dict):
             return session
-        session.stream.set_param(request["instance"], request["key"], request["value"])
+        await self._gateway.owned(partial(
+            session.stream.set_param, request["instance"], request["key"], request["value"]
+        ), session)
         return {"ok": True}
 
     async def _op_stats(self, request: dict) -> dict:
         session = self._require_session(request)
         if isinstance(session, dict):
             return session
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, lambda: self._gateway.describe(session))
+        return await self._gateway.owned(partial(self._gateway._describe, session), session)
 
     async def _op_sessions(self, request: dict) -> dict:
-        return {
-            "ok": True,
-            "sessions": [s.describe() for s in self._gateway.sessions.values()],
-        }
+        sessions = list(self._gateway.sessions.values())
+        described = await self._gateway.owned(lambda: [s.describe() for s in sessions], *sessions)
+        return {"ok": True, "sessions": described}
 
     async def _op_telemetry(self, request: dict) -> dict:
         telemetry = self._gateway.telemetry
         if telemetry is None:
             return {"ok": True, "enabled": False, "snapshot": {}}
-        loop = asyncio.get_running_loop()
-        snapshot = await loop.run_in_executor(None, telemetry.snapshot)
-        return {"ok": True, "enabled": True, "snapshot": snapshot}
+        return {"ok": True, "enabled": True, "snapshot": telemetry.snapshot()}
 
     async def _op_introspect(self, request: dict) -> dict:
-        loop = asyncio.get_running_loop()
-        state = await loop.run_in_executor(None, self._gateway.introspect)
+        gateway = self._gateway
+        state = await gateway.owned(gateway.introspect, *gateway.sessions.values())
         return {"ok": True, **state}
 
     async def _op_attribution(self, request: dict) -> dict:
@@ -269,13 +271,13 @@ class ControlPlane:
             return {"ok": True, "enabled": False, "components": {}, "decomposition": {}}
         key = request.get("session")
         stream_name = None
+        sessions = list(self._gateway.sessions.values())
         if key is not None:
             session = self._gateway.route(key)
             if session is None:
                 self.request_failures += 1
                 return {"ok": False, "error": f"no session {key!r}"}
-            stream_name = session.stream.name
-        loop = asyncio.get_running_loop()
+            stream_name, sessions = session.stream.name, [session]
 
         def _gather() -> dict:
             telemetry.flush()
@@ -285,7 +287,7 @@ class ControlPlane:
                 "decomposition": decompose(registry, stream=stream_name),
             }
 
-        tables = await loop.run_in_executor(None, _gather)
+        tables = await self._gateway.owned(_gather, *sessions)
         return {"ok": True, "enabled": True, **tables}
 
     async def _op_events(self, request: dict) -> dict:
@@ -307,14 +309,15 @@ class ControlPlane:
         telemetry = self._gateway.telemetry
         if telemetry is None:
             return {"ok": True, "enabled": False, "metrics": ""}
-        loop = asyncio.get_running_loop()
-        text = await loop.run_in_executor(None, telemetry.prometheus)
-        return {"ok": True, "enabled": True, "metrics": text}
+        return {"ok": True, "enabled": True, "metrics": telemetry.prometheus()}
 
     async def _op_undeploy(self, request: dict) -> dict:
         key = request["session"]
-        loop = asyncio.get_running_loop()
-        removed = await loop.run_in_executor(None, lambda: self._gateway.undeploy(key))
+        gateway = self._gateway
+        session = gateway.route(key)
+        removed = session is not None and await gateway.owned(
+            partial(gateway._undeploy, key, True), session
+        )
         if not removed:
             return {"ok": False, "error": f"no session {key!r}"}
         return {"ok": True, "session": key}
@@ -323,6 +326,10 @@ class ControlPlane:
         session = self._require_session(request)
         if isinstance(session, dict):
             return session
+        return await self._gateway.owned(partial(self._dead_letters, session), session)
+
+    @staticmethod
+    def _dead_letters(session) -> dict:
         supervisor = session.supervisor
         if supervisor is None:
             return {
@@ -352,12 +359,17 @@ class ControlPlane:
         }
 
     async def _op_requeue(self, request: dict) -> dict:
-        from repro.gateway.session import FULL
-
         session = self._require_session(request)
         if isinstance(session, dict):
             return session
-        msg_id = request["msg_id"]
+        return await self._gateway.owned(
+            partial(self._requeue, session, request["msg_id"]), session
+        )
+
+    @staticmethod
+    def _requeue(session, msg_id: str) -> dict:
+        from repro.gateway.session import FULL
+
         supervisor = session.supervisor
         if supervisor is None:
             return {"ok": False, "error": f"session {session.key!r} is not supervised"}
@@ -371,9 +383,8 @@ class ControlPlane:
                 "ok": False,
                 "error": f"dead letter {msg_id!r} carries no message payload",
             }
-        # admission happens on this (the event-loop) thread; an offer never
-        # waits for room, so that is safe without an executor.  It gives
-        # the copy a fresh origin with no connection: an orphan echo
+        # an owner call on the loop admits: the copy gets a fresh origin
+        # with no connection, an orphan echo
         status = session.offer(message)
         if status == FULL:
             supervisor.dead_letters.add(entry)  # no room: park it again
@@ -406,8 +417,7 @@ class ControlPlane:
             if recovery is None:  # no ledger: nothing to balance
                 reconciled = CrossCrashReport()
             else:
-                loop = asyncio.get_running_loop()
-                reconciled = await loop.run_in_executor(None, recovery.reconcile)
+                reconciled = await gateway.owned(recovery.reconcile, *gateway.sessions.values())
             response["reconcile"] = reconciled.describe()
         return response
 

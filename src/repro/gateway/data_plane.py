@@ -288,7 +288,7 @@ class DataPlane:
         elif status == FULL:
             if self._bp_counter is not None:
                 self._bp_counter("parked").inc()
-            session.stats.inc("parked")
+            session.stats.parked += 1
             return session, run, t0
         return None
 
@@ -326,12 +326,12 @@ class DataPlane:
             if entry is None:
                 writer = self._writers.get(conn_id) if conn_id else None
                 if writer is None or writer.transport.is_closing():
-                    session.stats.inc("orphans")
+                    session.stats.orphans += 1
                     continue
                 entry = queued[conn_id] = [writer, writer.transport.get_write_buffer_size(), []]
             if entry[1] > limit:
                 self.write_overflow_drops += 1
-                session.stats.inc("orphans")
+                session.stats.orphans += 1
                 continue
             buffers = frame if frame.__class__ is tuple else (frame,)
             nbytes = sum(map(len, buffers))

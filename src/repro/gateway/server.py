@@ -22,9 +22,11 @@ Two ways to run it::
         reply = handle.control({"op": "deploy", "mcl": MCL_SOURCE})
         ...  # connect sockets to handle.data_address
 
-Deployment is thread-safe and callable from any thread (the control
-plane invokes it from an executor): compiled stream names are made unique
-per deployment so the same MCL script can back many concurrent sessions.
+``deploy``, ``undeploy``, ``raise_event`` and ``describe`` may be called
+from any thread: each runs on the loop as an owner call
+(:mod:`repro.gateway.session`, "One owner per stream") and waits for it.
+Compiled stream names are made unique per deployment so the same MCL
+script can back many concurrent sessions.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import signal
 import threading
 import time
 from dataclasses import asdict, replace
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.apps import build_server
@@ -121,17 +124,16 @@ class GatewayServer:
     async def start(self) -> None:
         """Bind both planes on the running loop.
 
-        With a durable ledger, crash recovery runs first — before the
-        data plane listens — so restored sessions exist (and their
-        pending retries are re-injected) before any new frame can race
-        them.  Recovery takes the deploy lock and joins threads, so it
-        runs in the executor.
+        With a durable ledger, crash recovery runs first, on the loop —
+        before either plane listens — so restored sessions exist (and
+        their pending retries are re-injected) before any new frame can
+        race them, and no cycle runs until it is done.
         """
         loop = asyncio.get_running_loop()
         self.egress.bind(loop)
         self.fault_gate.start(loop)
         if self.recovery is not None:
-            await loop.run_in_executor(None, self.recovery.recover)
+            self.recovery.recover()
         await self.data.start()
         await self.control.start()
         self._started_at = time.monotonic()
@@ -145,10 +147,18 @@ class GatewayServer:
         """
         await self.control.stop()
         await self.data.stop()
-        for key in list(self.sessions):
-            self.undeploy(key, record=False)
+        await self._undeploy_all()
         if self.ledger is not None:
             self.ledger.close()
+
+    async def _undeploy_all(self) -> None:
+        """Close every session without an ``undeployed`` record (stop, drain)."""
+        for key, session in list(self.sessions.items()):
+            await self.owned(partial(self._undeploy, key, False), session)
+
+    async def owned(self, fn, *sessions: GatewaySession):
+        """The owner call awaited on the loop: ``fn()`` once none of ``sessions`` is lent."""
+        return await asyncio.wrap_future(self.egress.call(fn, *sessions))
 
     async def drain(self) -> dict:
         """Graceful shutdown: quiesce, flush the ledger, then stop.
@@ -169,8 +179,7 @@ class GatewayServer:
             await asyncio.sleep(0.02)
         leftover = {key: s.resident for key, s in self.sessions.items()}
         await self.control.stop()
-        for key in list(self.sessions):
-            self.undeploy(key, record=False)
+        await self._undeploy_all()
         if self.ledger is not None:
             self.ledger.flush()
             self.ledger.close()
@@ -206,7 +215,8 @@ class GatewayServer:
         on the event loop; any other on the pump's executor, so a
         streamlet that waits stalls only its own session.  The ledger
         records the requested value, so a recovery redeploy makes the
-        same choice.
+        same choice.  The stream is built on the calling thread; the
+        session joins the pump and the session table on the loop.
         """
         if scheduler not in ("threaded", "inline"):
             raise MobiGateError(f"unknown scheduler {scheduler!r}")
@@ -263,7 +273,7 @@ class GatewayServer:
             except Exception:
                 self.mobigate.undeploy(runtime_stream.name)
                 raise
-            self.sessions[key] = session
+            self.egress.run(partial(self.sessions.__setitem__, key, session))
         if self.ledger is not None:
             self.ledger.deployed(key, mcl=mcl, scheduler=scheduler)
         if self._sessions_gauge is not None:
@@ -276,10 +286,17 @@ class GatewayServer:
         ``record=True`` (the operator/default path) writes the ledger's
         ``undeployed`` record, so crash recovery will *not* restore the
         session.  Internal shutdown paths (stop, drain) pass False —
-        a stopped session is still recoverable.
+        a stopped session is still recoverable.  An owner call, under the
+        deploy lock: a last undeploy may end the pump's private loop.
         """
         with self._deploy_lock:
-            session = self.sessions.pop(key, None)
+            session = self.sessions.get(key)
+            return session is not None and self.egress.run(
+                partial(self._undeploy, key, record), session
+            )
+
+    def _undeploy(self, key: str, record: bool) -> bool:
+        session = self.sessions.pop(key, None)
         if session is None:
             return False
         session.close()
@@ -301,25 +318,40 @@ class GatewayServer:
             return None
         return self.sessions.get(key)
 
+    def scope(self, session_key: str | None) -> list[GatewaySession]:
+        """The sessions a keyed call reaches: the one keyed, or every one."""
+        if session_key is None:
+            return list(self.sessions.values())
+        session = self.route(session_key)
+        if session is None:
+            raise MobiGateError(f"no session {session_key!r}")
+        return [session]
+
     def raise_event(self, name: str, *, session_key: str | None = None) -> int:
         """Raise a context event, scoped to one session's stream when keyed.
 
         Compiled ``when`` handlers run as reconfiguration transactions on
-        the receiving stream; returns the number of deliveries.
+        the receiving stream; returns the number of deliveries.  An owner
+        call over the sessions the event reaches.
         """
+        return self.egress.run(
+            partial(self._raise_event, name, session_key), *self.scope(session_key)
+        )
+
+    def _raise_event(self, name: str, session_key: str | None) -> int:
         if session_key is None:
-            delivered = self.mobigate.events.raise_event(name)
-        else:
-            session = self.route(session_key)
-            if session is None:
-                raise MobiGateError(f"no session {session_key!r}")
-            delivered = self.mobigate.events.raise_event(
-                name, source=session.stream.name
-            )
-        return delivered
+            return self.mobigate.events.raise_event(name)
+        (session,) = self.scope(session_key)
+        return self.mobigate.events.raise_event(name, source=session.stream.name)
 
     def describe(self, session: GatewaySession) -> dict:
-        """One session's full ledger: gateway counters, stream stats, conservation."""
+        """One session's full ledger: gateway counters, stream stats, conservation.
+
+        An owner call.
+        """
+        return self.egress.run(partial(self._describe, session), session)
+
+    def _describe(self, session: GatewaySession) -> dict:
         report = check_conservation(session.stream)
         stats = asdict(session.stream.stats)
         return {
@@ -345,7 +377,8 @@ class GatewayServer:
         Per session: queue depths/watermarks, who runs its share
         (``stepped_by``), the ``pump``'s own figures, the topology snapshot
         version, and the session ledger; plus data-plane connection
-        counts and flight-recorder health.
+        counts and flight-recorder health.  It reads every stream: run it
+        as an owner call over every session (:meth:`owned`).
         """
         sessions: dict[str, dict] = {}
         pump_stats = self.egress.stats()

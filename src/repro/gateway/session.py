@@ -4,49 +4,46 @@ A :class:`GatewaySession` binds a ``Content-Session`` routing key to a
 deployed :class:`~repro.runtime.stream.RuntimeStream` and owns the two
 boundary crossings the data plane needs:
 
-* **admission** (event-loop thread → runtime): :meth:`offer` admits a
+* **admission** (the event loop → runtime): :meth:`offer` admits a
   *run* of parsed messages (consecutive frames of this session in a read)
   with one room check, one
   :meth:`~repro.runtime.message_queue.MessageQueue.post_run` of all
   their ids and one pump wake.  Each message's ``HeaderMap.origin``
-  names its connection and admission stamp; no header field does.
-  The session is *bounded*: a run that would take its pool past
-  ``ingress_limit`` resident messages reports ``FULL`` and the
-  caller parks — which, because the caller is the connection the frame
-  came in on, pauses its socket reads and pushes the backpressure onto
-  the client's TCP window.  A park that outlives its budget is **shed**
-  (:meth:`shed`), so the refusal lands in the drop statistics and the
-  conservation ledger stays balanced.  A held ingress lock refuses
-  nothing: the post waits it out, and nobody holds it for long.
-* **egress** (runtime → event-loop thread): whatever may bring the
+  names its connection and admission stamp.  A run that would take the
+  session past ``ingress_limit`` resident messages reports ``FULL`` and
+  the caller parks, pausing its socket reads; a park that outlives its
+  budget is **shed** (:meth:`shed`) into the drop statistics.
+* **egress** (runtime → the event loop): whatever may bring the
   session work — an admission, a commit, a supervisor retry coming due
-  — marks it *ready* on the gateway's :class:`EgressPump`, whose cycles
-  run on the event loop.
+  — marks it *ready* on the gateway's :class:`EgressPump`.
 
 Every session is stepped by the pump with an
 :class:`~repro.runtime.scheduler.InlineScheduler`: its **share** of a
 cycle is ``pump_retries`` and ``InlineScheduler.pump`` for at most
-:data:`PUMP_QUANTUM` worklist rounds; the cycle then collects.  Every
-channel of its stream but the ingress is single-owner
-(:mod:`repro.runtime.message_queue`), touched only under the stream's
-one lock, which the pump takes per view visit and ``collect`` and
-``pump_retries`` for their whole call.  *Where* the share runs is the composition's property, not the
-caller's.  A composition that can only hold cooperative streamlets (see
-:attr:`~repro.runtime.streamlet.Streamlet.cooperative`) runs its share
-on the loop, inside the cycle.  Any other runs it on the pump's
-executor, one share in flight per session, because a step that waits
-on the event loop would silence every session; the cycle that follows
-its landing collects, syncs the ledger and sends, all on the loop, as
-for any other session.
+:data:`PUMP_QUANTUM` worklist rounds; the cycle then collects.
 
-Admission (``offer`` / ``shed``) and the pump's cycles run on one
-thread, the gateway's event loop, so an on-loop message goes from read
-to write without a thread switch.  Until :meth:`EgressPump.bind` hands
-it that loop, the pump cycles on a private loop of its own and
-admissions come from other threads; a cycle touches the stream only
-through ``pump_retries``, ``pump`` and ``collect``, each of which takes
-the stream's lock.  Admission never does: it posts under the ingress
-queue's own lock, so the loop never waits behind an off-loop share.
+**One owner per stream.**  The stream takes no lock: only the pump's
+loop touches it, except while the whole stream is *lent* to its one
+share in flight.  A composition that can only hold cooperative
+streamlets (:attr:`~repro.runtime.streamlet.Streamlet.cooperative`)
+runs its share on the loop, inside the cycle, and is never lent; any
+other runs it on the pump's executor, since a step that waits on the
+loop would silence every session.
+
+* **The loan.**  Before a cycle submits the next share it does all it
+  does with the stream: admit what was staged, ``collect``, arm the next
+  retry, mirror the ledger.  Until the share lands the loop touches
+  nothing of the stream; an :meth:`offer` or :meth:`shed` meanwhile is
+  staged in a loop-side list that counts against the room.
+* **The recall.**  A caller that needs a lent stream makes an *owner
+  call* (:meth:`EgressPump.call`): it sets the stream's
+  :attr:`~repro.runtime.stream.RuntimeStream.recalled` flag, the share
+  returns before its next view visit, and the call runs on the loop in
+  the cycle that takes the stream back.  For a session that is not lent
+  it runs at once.
+
+Until :meth:`EgressPump.bind` hands it the gateway's loop, the pump
+cycles on a private loop of its own, which owns the streams until then.
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import partial
 from types import SimpleNamespace
 
@@ -88,21 +85,14 @@ class SessionStats:
     frames_out: int = 0
     parked: int = 0
     shed: int = 0
-    #: runs whose ingress post found the queue's lock held and waited
+    #: always 0: an admission waits for nothing (the ``stats`` reply keeps it)
     contended: int = 0
     #: egress frames with no live connection to deliver to
     orphans: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def inc(self, name: str, n: int = 1) -> None:
-        """Atomically bump one counter."""
-        with self._lock:
-            setattr(self, name, getattr(self, name) + n)
 
     def snapshot(self) -> dict[str, int]:
-        """A consistent copy of every counter."""
-        with self._lock:
-            return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "_lock"}
+        """A copy of every counter."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def serve_forever(loop: asyncio.AbstractEventLoop) -> None:
@@ -111,6 +101,16 @@ def serve_forever(loop: asyncio.AbstractEventLoop) -> None:
         loop.run_forever()
     finally:
         loop.close()
+
+
+def _settle(future: concurrent.futures.Future, fn) -> None:
+    """Run ``fn`` and settle ``future`` with what it returned or raised."""
+    try:
+        result = fn()
+    except Exception as exc:
+        future.set_exception(exc)
+    else:
+        future.set_result(result)
 
 
 class EgressPump:
@@ -125,11 +125,10 @@ class EgressPump:
        the stream for its quantum, re-hook the waiter), ``collect()``,
        arm a ``call_at`` for the earliest retry the supervisor still
        holds, and mirror the counter deltas into the session's ledger if
-       anything was delivered.  An off-loop session's share goes to the
-       executor instead: the cycle collects what its last share moved
-       and submits the next one.  A mark that arrives while a share runs
-       is remembered, and the landing of a share that moved something
-       or missed a mark marks the session again;
+       anything was delivered.  An off-loop session's share is lent the
+       stream on the executor instead (:meth:`_off_loop`); the landing
+       of a share that moved something or missed a mark marks the
+       session again;
     2. **one** ``ledger.flush()`` for the whole cycle (group commit):
        every delivered count is on disk, per the fsync policy, before
        any frame of the cycle leaves;
@@ -137,13 +136,14 @@ class EgressPump:
        (frames count as ``orphans`` while no bridge is installed).
 
     Work is O(ready sessions); an idle stage runs nothing.  Until
-    :meth:`bind` hands it the gateway's loop, the pump runs a private one
-    in a thread (``gw-egress``) from the first :meth:`attach` to the last
-    :meth:`detach`.  The executor lives as long as an off-loop session
-    is attached.  It has no ceiling of its own: a thread starts only when
-    no started one is idle, so with one share in flight per session its
-    threads stay near the number of off-loop sessions, and no session
-    that may block ever waits behind another one's share.
+    :meth:`bind` hands it the gateway's loop, the
+    pump runs a private one in a thread (``gw-egress``) from the first
+    :meth:`attach` to the last :meth:`detach`.  The executor lives as
+    long as an off-loop session is attached.  It has no ceiling of its
+    own: a thread starts only when no started one is idle, so with one
+    share in flight per session its threads stay near the number of
+    off-loop sessions, and no session that may block ever waits behind
+    another one's share.
     """
 
     def __init__(self):
@@ -157,12 +157,12 @@ class EgressPump:
         self._on: tuple[asyncio.AbstractEventLoop, int] | None = None
         self._private: threading.Thread | None = None  # a private loop's thread
         self._executor: ThreadPoolExecutor | None = None
-        # the loop's thread only: sessions to cycle, and retry wakeups
+        # the loop's thread only: sessions to cycle, retry wakeups, and the
+        # owner calls waiting for lent sessions, as (those sessions, fn,
+        # future); such a session is not lent again until its call has run
         self._ready: set[GatewaySession] = set()
         self._timers: dict[GatewaySession, asyncio.TimerHandle] = {}
-        # guards membership and the switch of loops; never held while
-        # waiting on a loop (only while joining a private loop's thread)
-        self._membership = threading.Lock()
+        self._calls: list[tuple[frozenset, object, concurrent.futures.Future]] = []
         self._cycles = 0
         self._delivering_cycles = 0
         self._sessions_delivered = 0
@@ -172,7 +172,69 @@ class EgressPump:
         self._served_seconds = 0.0
         self._served_since = 0.0
 
-    # -- membership (any thread) -------------------------------------------------------
+    # -- owner calls (any thread) ------------------------------------------------------
+
+    def call(self, fn, *sessions: GatewaySession) -> concurrent.futures.Future:
+        """The owner call: run ``fn()`` on the loop once none of ``sessions`` is lent.
+
+        At once if none is; else each lent one is recalled, and ``fn``
+        runs in the cycle that takes the last of them back (the others
+        are not lent again until then).  With no loop, ``fn`` runs here.
+        Returns a future of ``fn``'s result (on the loop, await it).
+        """
+        future: concurrent.futures.Future = concurrent.futures.Future()
+        on = self._on
+        if on is None:
+            _settle(future, fn)
+        elif threading.get_ident() == on[1]:
+            self._call(fn, sessions, future)
+        else:
+            try:
+                on[0].call_soon_threadsafe(self._call, fn, sessions, future)
+            except RuntimeError:  # a private loop ended with its last session
+                _settle(future, fn)
+        return future
+
+    def run(self, fn, *sessions: GatewaySession):
+        """:meth:`call`, waiting for ``fn``'s result (on the loop, for none lent).
+
+        A private loop that ``fn`` ended is joined before this returns.
+        """
+        private, on = self._private, self._on
+        future = self.call(fn, *sessions)
+        if not future.done() and on is not None and threading.get_ident() == on[1]:
+            raise RuntimeError("an owner call on the loop's thread must be awaited")
+        try:
+            return future.result()
+        finally:
+            if private is not None and self._private is not private:
+                if private is not threading.current_thread():
+                    private.join()
+
+    def _call(self, fn, sessions, future: concurrent.futures.Future) -> None:
+        lent = frozenset(session for session in sessions if session._share is not None)
+        if not lent:
+            _settle(future, fn)
+            return
+        for session in lent:
+            session.stream.recalled = True
+            self._mark(session)  # whichever cycle sees the landing answers
+        self._calls.append((lent, fn, future))
+
+    def _answer(self, session: GatewaySession) -> None:
+        """``session`` is back: run every owner call whose sessions all are."""
+        calls, self._calls = self._calls, []
+        for call in calls:
+            lent, fn, future = call
+            if any(other._share is not None for other in lent):
+                self._calls.append(call)
+                continue
+            _settle(future, fn)
+            for other in lent:  # its shares resume with the next cycle
+                if other is not session:
+                    self._mark(other)
+
+    # -- membership (any thread; changed on the loop's) ---------------------------------
 
     def bind(self, loop: asyncio.AbstractEventLoop) -> None:
         """Run every later cycle on ``loop``; call from the thread running it.
@@ -180,70 +242,65 @@ class EgressPump:
         A private loop hands its sessions over: it is stopped, its thread
         joined, and every session is marked ready on ``loop``.
         """
-        with self._membership:
-            if self._private is not None:
-                self._end_private()
-            self._switch(loop, threading.get_ident())
-            for session in self._sessions:
-                self._mark(session)
+        if self._private is not None:
+            loop_, _owner = self._on
+            loop_.call_soon_threadsafe(loop_.stop)
+            self._private.join()
+            self._private = None
+        self._switch(loop, threading.get_ident())
+        for session in self._sessions:
+            self._mark(session)
 
     def attach(self, session: GatewaySession) -> None:
         """Start serving ``session``; starts a private loop if none is bound."""
-        with self._membership:
-            if self._on is None:
-                loop = asyncio.new_event_loop()
-                self._private = threading.Thread(
-                    target=serve_forever, args=(loop,), name="gw-egress", daemon=True
-                )
-                self._private.start()
-                self._switch(loop, self._private.ident)
-            if session.stepped_by == "executor" and self._executor is None:
-                self._executor = ThreadPoolExecutor(sys.maxsize, "gw-step")
-            if not self._sessions:
-                self._served_since = time.monotonic()
-            self._sessions.add(session)
-        self.mark_ready(session)
+        if self._on is None:
+            loop = asyncio.new_event_loop()
+            self._private = threading.Thread(
+                target=serve_forever, args=(loop,), name="gw-egress", daemon=True
+            )
+            self._private.start()
+            self._switch(loop, self._private.ident)
+        self.run(partial(self._join, session))
 
-    def detach(self, session: GatewaySession) -> None:
-        """Stop serving ``session``.
+    def _join(self, session: GatewaySession) -> None:
+        if session.stepped_by == "executor" and self._executor is None:
+            self._executor = ThreadPoolExecutor(sys.maxsize, "gw-step")
+        if not self._sessions:
+            self._served_since = time.monotonic()
+        self._sessions.add(session)
+        self._mark(session)
 
-        Returns once no cycle can touch the session or submit a share of
-        it — at once on the loop's thread, where no cycle is running;
-        after one turn of the loop from any other.  The last detach ends
-        a private loop.  The last off-loop session's detach then shuts
-        the executor down, which waits out a share in flight; the lock
-        is not held for that wait, and no cycle submits to the executor
-        any more.
+    def detach(self, session: GatewaySession, end=None) -> None:
+        """Stop serving ``session``, then run ``end()``: one owner call.
+
+        A share in flight is recalled and lands first, so once this
+        returns no cycle touches the session or submits a share of it.
+        The last off-loop session's detach shuts the executor down, and
+        the last detach ends a private loop; the caller waits for both.
         """
-        executor = None
-        with self._membership:
-            if session not in self._sessions:
-                return
-            self._sessions.remove(session)
-            if self._executor is not None and not any(
-                other.stepped_by == "executor" for other in self._sessions
-            ):
-                executor, self._executor = self._executor, None
-            if not self._sessions:
-                self._served_seconds += time.monotonic() - self._served_since
-                if self._private is not None:
-                    self._end_private()
-            on = self._on
-        if on is not None and threading.get_ident() != on[1]:
-            self._turn(on[0])
+        executor = self.run(partial(self._leave, session, end), session)
         if executor is not None:
             executor.shutdown()
 
-    @staticmethod
-    def _turn(loop: asyncio.AbstractEventLoop) -> None:
-        """Wait until ``loop`` has finished the callback it is running."""
-        turn: concurrent.futures.Future = concurrent.futures.Future()
-        try:
-            loop.call_soon_threadsafe(turn.set_result, None)
-        except RuntimeError:  # the loop is closed: nothing cycles on it
-            return
-        while not turn.done() and loop.is_running():
-            concurrent.futures.wait((turn,), 0.05)
+    def _leave(self, session: GatewaySession, end):
+        self._sessions.discard(session)
+        self._ready.discard(session)
+        timer = self._timers.pop(session, None)
+        if timer is not None:
+            timer.cancel()
+        if end is not None:
+            end()
+        executor = None
+        if self._executor is not None and not any(
+            other.stepped_by == "executor" for other in self._sessions
+        ):
+            executor, self._executor = self._executor, None
+        if not self._sessions:
+            self._served_seconds += time.monotonic() - self._served_since
+            if self._private is not None:
+                self._on[0].stop()
+                self._on = self._private = None
+        return executor
 
     def mark_ready(self, session: GatewaySession) -> None:
         """Queue ``session`` for the next cycle (any thread)."""
@@ -263,13 +320,6 @@ class EgressPump:
         session there.
         """
         self._on, self._ready, self._timers = (loop, owner), set(), {}
-
-    def _end_private(self) -> None:
-        """Stop the private loop and join its thread (under the membership lock)."""
-        loop, _owner = self._on
-        loop.call_soon_threadsafe(loop.stop)
-        self._private.join()
-        self._on = self._private = None
 
     # -- the loop's thread ---------------------------------------------------------------
 
@@ -309,12 +359,30 @@ class EgressPump:
             self._busy_seconds += time.monotonic() - started
             self._cycles += 1
 
-    def _off_loop(self, session: GatewaySession) -> list[MimeMessage]:
-        """An off-loop session's part of a cycle: collect, then submit a share.
+    def _collect(self, session: GatewaySession) -> tuple[list[MimeMessage], float]:
+        """What the loop does with a stream after each step: collect, arm, mirror.
 
-        The loop collects, never a share: the single-owner egress has one
-        thread at a time, and whatever is collected leaves in this
-        cycle.  While a share runs the cycle only remembers the mark.
+        Returns the delivered messages and their pickup stamp, taken
+        before the ledger commit: each message's delivery component
+        covers the commit and its wait behind earlier frames of the cycle.
+        """
+        delivered = session.stream.collect()
+        if session.supervisor is not None:
+            self._arm(session)
+        if not delivered:
+            return delivered, 0.0
+        picked = time.perf_counter()
+        if session.ledger is not None:
+            session.sync_ledger()
+        return delivered, picked
+
+    def _off_loop(self, session: GatewaySession) -> tuple[list[MimeMessage], float]:
+        """An off-loop session's part of a cycle: take the stream back, lend it again.
+
+        While a share runs the cycle only remembers the mark.  Once it
+        has landed: :meth:`_collect`, answer the owner calls that waited,
+        admit what was staged, and submit the next share — last, so that
+        until it lands the loop has nothing left to do with the stream.
         """
         share = session._share
         failure = None
@@ -322,18 +390,28 @@ class EgressPump:
             if not share.done():
                 session._again = True
                 if not share.done():  # else its landing may have read no mark
-                    return []
+                    return [], 0.0
             session._share = None
             failure = share.exception()
             if failure is not None:
                 self._fault((session,), failure)  # no share until the next mark
-        delivered = session.stream.collect()
+        try:
+            delivered, picked = self._collect(session)
+        finally:
+            if self._calls:
+                self._answer(session)
+        session._unstage()
         executor = self._executor
-        if failure is None and executor is not None:
+        if (
+            failure is None and executor is not None and session in self._sessions
+            and not any(session in lent for lent, _fn, _future in self._calls)
+        ):
+            session.stream.recalled = False
             session._again = False
+            session._lent_resident = len(session.stream.pool)
             session._share = share = executor.submit(session._step)
             share.add_done_callback(partial(self._landed, session))
-        return delivered
+        return delivered, picked
 
     def _landed(self, session: GatewaySession, share: concurrent.futures.Future) -> None:
         """A share finished: mark its session if the next cycle has work to do."""
@@ -349,26 +427,19 @@ class EgressPump:
                 continue  # detached since it was marked
             try:
                 if session.stepped_by == "executor":
-                    delivered = self._off_loop(session)
+                    delivered, picked = self._off_loop(session)
                 else:
                     session._step()
-                    delivered = session.stream.collect()
-                if session.supervisor is not None:
-                    self._arm(session)
-                if not delivered:
-                    continue
-                # one pickup stamp per session and cycle, taken before the
-                # ledger commit: each message's delivery component covers
-                # the commit and its wait behind earlier frames of the cycle
-                picked = time.perf_counter()
-                if session.ledger is not None:
-                    session.sync_ledger()
-                    ledgers.add(session.ledger)
+                    delivered, picked = self._collect(session)
             except QueueClosedError:
                 continue  # the stream ended under us: nothing left to deliver
             except Exception as exc:
                 self._fault((session,), exc)
                 continue
+            if not delivered:
+                continue
+            if session.ledger is not None:
+                ledgers.add(session.ledger)
             batches.append((session, delivered, picked))
         # ack durability: the delivered counts are in the ledger — and on
         # disk, per the fsync policy — *before* any echo frame leaves, so
@@ -389,7 +460,7 @@ class EgressPump:
         bridge = self.bridge
         if bridge is None:
             for session, _conn_id, _frame in frames:
-                session.stats.inc("orphans")
+                session.stats.orphans += 1
         else:
             bridge(frames)
 
@@ -431,10 +502,11 @@ class GatewaySession:
 
     ``scheduler`` is the :class:`~repro.runtime.scheduler.InlineScheduler`
     that steps the stream, inside the session's share of a pump cycle:
-    on the loop, or with ``off_loop=True`` on the pump's executor
-    (``stepped_by`` reads ``"pump"`` or ``"executor"``).  ``requested``
-    is the scheduler name the deployer asked for — what ``describe``
-    reports as ``scheduler`` and what the ledger records.
+    on the loop, or with ``off_loop=True`` on the pump's executor, the
+    stream lent to it (``stepped_by`` reads ``"pump"`` or ``"executor"``).
+    ``requested`` is the scheduler name the deployer asked for — what
+    ``describe`` reports as ``scheduler`` and what the ledger records.
+    Everything but :meth:`close` runs on the pump's loop.
     """
 
     def __init__(
@@ -464,7 +536,6 @@ class GatewaySession:
         self.ledger = ledger
         #: a recovery Supervisor, when the gateway runs with supervision
         self.supervisor = None
-        self._mirror_lock = threading.Lock()
         #: the report the ledger holds so far: the last sync's read
         self._last_sync = ConservationReport()
         #: end-to-end latency histogram (None disables the ingress stamp)
@@ -475,11 +546,16 @@ class GatewaySession:
             telemetry.gateway_delivery_histogram() if telemetry is not None else None
         )
         self._closed = False
-        #: an off-loop share on the executor, and whether the session was
-        #: marked while it ran (the pump's loop thread writes both; the
-        #: share's landing reads the mark)
+        #: the share the stream is lent to, in flight on the executor, and
+        #: whether the session was marked while it ran (the pump's loop
+        #: writes both; the share's landing reads the mark)
         self._share: concurrent.futures.Future | None = None
         self._again = False
+        #: ``(run, conn_id, shed)`` offered or shed while the stream is
+        #: lent, in order: the cycle that takes the stream back admits them
+        self._staged: list[tuple[tuple[MimeMessage, ...], str | None, bool]] = []
+        #: while lent: the pool's size at the loan, plus the offers staged
+        self._lent_resident = 0
         #: the egress stage serving this session: the gateway's shared
         #: pump, or a private one for a standalone session
         self.pump = pump if pump is not None else EgressPump()
@@ -493,17 +569,18 @@ class GatewaySession:
         stream.add_wakeup_listener(self._waiter.set)
         self.pump.attach(self)
 
-    # -- admission (event-loop thread only) -----------------------------------------
+    # -- admission (the pump's loop) ------------------------------------------------
 
     @property
     def resident(self) -> int:
-        """Messages of this session currently alive in the pool."""
-        return len(self.stream.pool)
+        """Messages of this session in the pool (its size at the loan, while
+        lent), or staged for it."""
+        return len(self.stream.pool) if self._share is None else self._lent_resident
 
     @property
     def room(self) -> int:
         """How many more messages the session admits before its ingress bound."""
-        return self.ingress_limit - len(self.stream.pool)
+        return self.ingress_limit - self.resident
 
     def offer(self, *messages: MimeMessage, conn_id: str | None = None) -> str:
         """Admit a run of messages, never waiting for room; see module docstring.
@@ -511,38 +588,61 @@ class GatewaySession:
         One room check: a run that does not fit admits nothing (``FULL``).
         Otherwise every message is pooled, then given one origin —
         ``conn_id`` and an admission stamp taken just before the post —
-        and the ids are posted in one :meth:`~repro.runtime.message_queue.
-        MessageQueue.post_run`: ``ADMITTED``, or ``SHED`` if the edge
-        queue is full.
+        and the ids are posted in one ``post_run``: ``ADMITTED``, or
+        ``SHED`` if the edge queue is full.  A run offered to a lent
+        stream is staged (``ADMITTED``) instead, and admitted so.
         """
         if self._closed:
             raise QueueClosedError(f"session {self.key} is closed")
         if len(messages) > self.room:
             return FULL
-        admit = self.stream.admit
+        if self._share is not None:
+            self._staged.append((messages, conn_id, False))
+            self._lent_resident += len(messages)
+            status = ADMITTED
+            self._waiter.set()  # the landing must find its mark
+        else:
+            status = self._admit(messages, conn_id)
+        if status is ADMITTED:
+            self.stats.frames_in += len(messages)
+        return status
+
+    def _admit(self, messages, conn_id: str | None) -> str:
+        """Pool a run, give it one origin and post it."""
+        stream = self.stream
+        admit = stream.admit
         entries = [admit(message) for message in messages]
         origin = (conn_id, time.perf_counter() if self._e2e_hist is not None else None)
         for message in messages:
             message.headers.origin = origin
-        queue = self._ingress_channel().queue
-        waits = queue.lock_waits
-        posted = queue.post_run(entries)
-        if queue.lock_waits != waits:  # or, rarely, another poster's wait
-            self.stats.inc("contended")
-        if not posted:  # the effectively-unbounded edge queue is full — treat as a shed
-            self.stream._release_dropped([msg_id for msg_id, _ in entries])
-            self.stats.inc("shed", len(entries))
+        if not self._ingress_channel().queue.post_run(entries):
+            # the effectively-unbounded edge queue is full — treat as a shed
+            stream._release_dropped([msg_id for msg_id, _ in entries])
+            self.stats.shed += len(entries)
             return SHED
-        self.stream.stats.inc("messages_in", len(entries))
-        self.stats.inc("frames_in", len(entries))
+        stream.stats.messages_in += len(entries)
         self._waiter.set()  # the pump drives the stream
         return ADMITTED
 
     def shed(self, *messages: MimeMessage) -> None:
         """Give up on a ``FULL`` run: shed it into the conservation ledger."""
-        for message in messages:
-            self.stream.shed(message)
-        self.stats.inc("shed", len(messages))
+        if self._share is not None:
+            self._staged.append((messages, None, True))
+            self._waiter.set()
+        else:
+            for message in messages:
+                self.stream.shed(message)
+        self.stats.shed += len(messages)
+
+    def _unstage(self) -> None:
+        """The stream is back from its loan: admit and shed what was staged, in order."""
+        staged, self._staged = self._staged, []
+        for messages, conn_id, shed in staged:
+            if shed:
+                for message in messages:
+                    self.stream.shed(message)
+            else:
+                self._admit(messages, conn_id)
 
     def _ingress_channel(self):
         for channel in self.stream.ingress.values():
@@ -560,25 +660,24 @@ class GatewaySession:
 
         Writes ``current - last sync``, both read by
         :func:`~repro.faults.invariant.check_conservation`, whose read
-        order keeps the folded in-flight tally non-negative.  Callable
-        from any thread.
+        order keeps the folded in-flight tally non-negative.  Called by
+        the stream's owner.
         """
         if self.ledger is None:
             return
-        with self._mirror_lock:
-            current = check_conservation(self.stream)
-            delta = current - self._last_sync
-            self.ledger.counters(
-                self.key,
-                admitted=delta.admitted,
-                delivered=delta.delivered,
-                absorbed=delta.absorbed,
-                dead_letters=delta.dead_letters,
-                dropped=delta.dropped,
-            )
-            self._last_sync = current
+        current = check_conservation(self.stream)
+        delta = current - self._last_sync
+        self.ledger.counters(
+            self.key,
+            admitted=delta.admitted,
+            delivered=delta.delivered,
+            absorbed=delta.absorbed,
+            dead_letters=delta.dead_letters,
+            dropped=delta.dropped,
+        )
+        self._last_sync = current
 
-    # -- egress (the pump's loop) ------------------------------------------------------------
+    # -- egress (the pump's loop, or the executor for a lent stream) ---------------------------
 
     def _step(self) -> int:
         """This session's share of a pump cycle; returns the moves made.
@@ -618,7 +717,7 @@ class GatewaySession:
                     # component set sums to what e2e measures
                     delivery_hist.observe(now - picked)
             out.append((self, conn_id, serialize_parts(message)))
-        self.stats.inc("frames_out", len(delivered))
+        self.stats.frames_out += len(delivered)
 
     # -- lifecycle ----------------------------------------------------------------------
 
@@ -640,24 +739,26 @@ class GatewaySession:
         }
 
     def close(self) -> None:
-        """Leave the pump, wait out a share in flight, end the stream (idempotent).
+        """Leave the pump once a share in flight has landed, end the stream (idempotent).
 
-        A close is *not* an undeploy in the ledger's eyes: the final
-        counter sync lands, but no ``undeployed`` record — a session
-        that merely stopped (or whose process died right after) is
-        still recoverable.
+        Any thread: an owner call (:meth:`EgressPump.detach`).  A close
+        is *not* an undeploy in the ledger's eyes: the final counter sync
+        lands, but no ``undeployed`` record — a session that merely
+        stopped (or whose process died right after) is still recoverable.
         """
         if self._closed:
             return
         self._closed = True
-        self.pump.detach(self)  # after this no cycle collects or submits a share
-        share = self._share
-        if share is not None:
-            # wait it out: what it moved to egress, no cycle collects, and
-            # the stream's end counts it among the end drops
-            failure = share.exception()
-            if failure is not None:
-                self.pump._fault((self,), failure)
+        self.pump.detach(self, self._end)
+
+    def _end(self) -> None:
+        """On the loop, the stream back: shed what is staged, end it, mirror the ledger."""
+        staged, self._staged = self._staged, []
+        for messages, _conn_id, shed in staged:
+            for message in messages:
+                self.stream.shed(message)
+            if not shed:
+                self.stats.shed += len(messages)
         self.stream.remove_wakeup_listener(self._waiter.set)
         self.stream.end()
         if self.ledger is not None:

@@ -22,11 +22,8 @@ scheduler they behave as a one-slot rendezvous (post must be consumed
 before the next post), which preserves the ordering guarantee without
 real blocking.
 
-A channel's queue is **owned** or **shared**
-(:mod:`repro.runtime.message_queue`), fixed when the stream creates it:
-an ingress carrier is shared, since the event loop posts to it while
-another thread may step the stream; every other channel is owned and is
-touched only under the stream's lock.
+A channel takes no lock: like every part of its stream, it is touched
+only by the stream's owner (:mod:`repro.runtime.stream`).
 """
 
 from __future__ import annotations
@@ -74,7 +71,6 @@ class Channel:
         definition: ast.ChannelDef,
         *,
         telemetry: "StreamTelemetry | None" = None,
-        owned: bool = False,
     ):
         self.name = name
         self.definition = definition
@@ -85,7 +81,7 @@ class Channel:
             capacity = 0
         else:
             capacity = definition.buffer_kb * 1024
-        self.queue = MessageQueue(capacity, owned=owned)
+        self.queue = MessageQueue(capacity)
         # queue-wait observation: observed streams bind their telemetry so
         # post/fetch can sample how long ids sit in this queue, and the
         # queue itself records every message's wait + depth/watermark

@@ -8,11 +8,14 @@ the payload is touched only by the streamlet that transforms it.
 ``PassMode.VALUE`` exists purely as the Figure 7-3 baseline: every
 checkout deep-copies the message, reproducing the copying overhead the
 thesis measures against.
+
+A pool takes no lock: it belongs to one stream and is touched only by
+that stream's owner (:mod:`repro.runtime.stream`).  The id generator
+behind it keeps its own, since it may be shared.
 """
 
 from __future__ import annotations
 
-import threading
 from enum import Enum
 
 from repro.errors import MessagePoolError
@@ -37,7 +40,6 @@ class MessagePool:
         self._mode = mode
         self._messages: dict[str, MimeMessage] = {}
         self._ids = IdGenerator("msg")
-        self._lock = threading.Lock()
         self._gauge = gauge
         # observability
         self.admitted = 0
@@ -51,11 +53,10 @@ class MessagePool:
     def admit(self, message: MimeMessage) -> str:
         """Store a new message; returns its pool id."""
         msg_id = self._ids.next()
-        with self._lock:
-            self._messages[msg_id] = message
-            self.admitted += 1
-            if self._gauge is not None:
-                self._gauge.value = float(len(self._messages))
+        self._messages[msg_id] = message
+        self.admitted += 1
+        if self._gauge is not None:
+            self._gauge.value = float(len(self._messages))
         return msg_id
 
     def checkout(self, msg_id: str) -> MimeMessage:
@@ -66,25 +67,23 @@ class MessagePool:
         baseline — and re-binds the id to the copy so downstream hops see
         the transformed payload.
         """
-        with self._lock:
-            try:
-                message = self._messages[msg_id]
-            except KeyError:
-                raise MessagePoolError(f"unknown message id {msg_id!r}") from None
-            if self._mode is PassMode.REFERENCE:
-                return message
-            copy = message.clone()
-            self._messages[msg_id] = copy
-            self.copies += 1
-            return copy
+        try:
+            message = self._messages[msg_id]
+        except KeyError:
+            raise MessagePoolError(f"unknown message id {msg_id!r}") from None
+        if self._mode is PassMode.REFERENCE:
+            return message
+        copy = message.clone()
+        self._messages[msg_id] = copy
+        self.copies += 1
+        return copy
 
     def peek(self, msg_id: str) -> MimeMessage:
         """Read-only access without copy (both modes)."""
-        with self._lock:
-            try:
-                return self._messages[msg_id]
-            except KeyError:
-                raise MessagePoolError(f"unknown message id {msg_id!r}") from None
+        try:
+            return self._messages[msg_id]
+        except KeyError:
+            raise MessagePoolError(f"unknown message id {msg_id!r}") from None
 
     def size_of(self, msg_id: str) -> int:
         """Wire size of the stored message (for queue byte accounting)."""
@@ -96,29 +95,25 @@ class MessagePool:
         Used when a streamlet returns a *new* object rather than mutating
         in place — the id (what channels carry) stays stable.
         """
-        with self._lock:
-            if msg_id not in self._messages:
-                raise MessagePoolError(f"unknown message id {msg_id!r}")
-            self._messages[msg_id] = message
+        if msg_id not in self._messages:
+            raise MessagePoolError(f"unknown message id {msg_id!r}")
+        self._messages[msg_id] = message
 
     def release(self, msg_id: str) -> MimeMessage:
         """Remove a message from the pool (delivery or drop)."""
-        with self._lock:
-            try:
-                message = self._messages.pop(msg_id)
-            except KeyError:
-                raise MessagePoolError(
-                    f"double release or unknown message id {msg_id!r}"
-                ) from None
-            self.released += 1
-            if self._gauge is not None:
-                self._gauge.value = float(len(self._messages))
-            return message
+        try:
+            message = self._messages.pop(msg_id)
+        except KeyError:
+            raise MessagePoolError(
+                f"double release or unknown message id {msg_id!r}"
+            ) from None
+        self.released += 1
+        if self._gauge is not None:
+            self._gauge.value = float(len(self._messages))
+        return message
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._messages)
+        return len(self._messages)
 
     def __contains__(self, msg_id: str) -> bool:
-        with self._lock:
-            return msg_id in self._messages
+        return msg_id in self._messages

@@ -5,35 +5,23 @@ in **bytes** (the MCL ``buffer`` attribute is in KB); an empty queue
 always admits one message so a single oversized message cannot
 deadlock a stream.
 
-No queue ever waits.  The paper's queue blocks a producer until there is
-room (``synchronized`` + ``wait``/``notify``) because every streamlet has
-its own thread; here one thread at a time steps a stream, under the
-stream's lock (:attr:`~repro.runtime.stream.RuntimeStream.topology_lock`),
-so a wait for room could only run out.  Figure 6-9 is therefore
-drop-on-full.  The queue's *regime*, fixed when its channel is created,
-only decides whether it takes a lock of its own:
-
-**owned** (``owned=True``)
-    Every interior and egress queue of a deployed stream.  Only a holder
-    of the stream's lock touches it, so a post or fetch is a deque
-    operation plus a byte count.
-**shared** (``owned=False``, the default)
-    An ingress carrier.  The event loop posts to it while another thread
-    may be stepping the stream, so posts, fetches, drains and closes take
-    the queue's own lock — held only for the operation itself, never
-    across a wait.
-
-Reading a counter or ``entries`` is one GIL-atomic load in either regime.
+No queue ever waits, and no queue takes a lock.  The paper's queue
+blocks a producer until there is room (``synchronized`` +
+``wait``/``notify``) because every streamlet has its own thread; here
+every queue of a stream, its ingress carriers included, is touched only
+by the one thread that owns the stream at the time
+(:mod:`repro.runtime.stream`, "One owner per stream"), so a wait for
+room could only run out.  Figure 6-9 is therefore drop-on-full, and a
+post or fetch is a deque operation plus a byte count.
 
 ``post_message`` drops what does not fit.  An ordinary post counts the
 drop in ``dropped``; a *probe* (``probe=True``: a scheduler mid-step, a
 supervisor retry) never does — the caller books the drop once.  A
 consumer watching a queue (a gateway session on its ingress) registers a
 waiter via :meth:`add_waiter`, whose ``set()`` every post calls.  The
-gateway's admission posts a whole run with :meth:`post_run`, which waits
-for the lock but never for room.  The only call made under the lock is a
-waiter's ``set()``, which never blocks (a gateway session's is a
-``call_soon`` or ``call_soon_threadsafe``).
+gateway's admission posts a whole run with :meth:`post_run`.  A waiter's
+``set()`` never blocks (a gateway session's is a ``call_soon`` or
+``call_soon_threadsafe``).
 """
 
 from __future__ import annotations
@@ -48,18 +36,15 @@ from repro.errors import QueueClosedError
 class MessageQueue:
     """Bounded producer/consumer queue of message ids."""
 
-    def __init__(self, capacity_bytes: int = 100 * 1024, *, owned: bool = False):
+    def __init__(self, capacity_bytes: int = 100 * 1024):
         if capacity_bytes < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity_bytes}")
         self._capacity = capacity_bytes
         #: the queued ``(msg_id, size)`` entries, oldest first, and their
-        #: bytes; the engine reads both lock-free (one GIL-atomic load each)
-        #: and changes them only through the methods below
+        #: bytes; the engine reads both directly and changes them only
+        #: through the methods below
         self.entries: deque[tuple[str, int]] = deque()
         self.pending_bytes = 0
-        #: the regime (module docstring), fixed at creation
-        self.owned = owned
-        self._lock = threading.Lock()
         #: consumer-side wakeup events (see :meth:`add_waiter`)
         self._waiters: list[threading.Event] = []
         #: set by :meth:`close`; never cleared
@@ -74,8 +59,6 @@ class MessageQueue:
         #: they count in :attr:`posted` and :attr:`fetched` alike
         self.handed = 0
         self.dropped = 0
-        #: :meth:`post_run` calls that found the lock held and waited for it
-        self.lock_waits = 0
         #: deepest the queue has ever been, in entries
         self.watermark = 0
         #: when True, post times ride in a parallel deque so every fetch
@@ -90,7 +73,7 @@ class MessageQueue:
         self.depth_gauge = None
         self.watermark_gauge = None
 
-    # -- attachment (setIn / setOut of Figure 6-2; under the stream's lock) --------
+    # -- attachment (setIn / setOut of Figure 6-2) ------------------------------------
 
     def incr_producers(self) -> None:
         """Attach one producer (pCount of Figure 6-3)."""
@@ -112,7 +95,7 @@ class MessageQueue:
             raise ValueError("consumer count underflow")
         self.consumer_count -= 1
 
-    # -- queue state (lock-free: each a single GIL-atomic read) ----------------------
+    # -- queue state ------------------------------------------------------------------
 
     @property
     def capacity_bytes(self) -> int:
@@ -132,7 +115,7 @@ class MessageQueue:
         return len(self.entries)
 
     def is_empty(self) -> bool:
-        """True when nothing is queued (a shared queue's may be stale by one post)."""
+        """True when nothing is queued."""
         return not self.entries
 
     # -- consumer wakeup events --------------------------------------------------------
@@ -144,17 +127,16 @@ class MessageQueue:
         immediately, so a consumer registering after traffic arrived never
         sleeps through it.
         """
-        with self._lock:
-            if event not in self._waiters:
-                self._waiters.append(event)
-            if self.entries or self.closed:
-                event.set()
+        if event not in self._waiters:
+            self._waiters.append(event)
+        if self.entries or self.closed:
+            event.set()
 
     # -- the paper's postMessage / fetchMessage ----------------------------------------------
 
     def _put(self, run: list[tuple[str, int]], size: int, probe: bool) -> bool:
         """Enqueue a run of ``size`` bytes if it fits (an empty queue takes it
-        whole); the regimes' common core."""
+        whole), and wake the consumers."""
         if self.closed:
             raise QueueClosedError("post on closed queue")
         entries = self.entries
@@ -174,49 +156,29 @@ class MessageQueue:
             self._post_times.extend([time.perf_counter()] * len(run))
         if self.depth_gauge is not None:
             self.depth_gauge.value = float(depth)
-        return True
-
-    def _wake_consumers(self) -> None:
-        # caller holds the lock of a shared queue
         for event in self._waiters:
             event.set()
+        return True
 
     def post_message(self, msg_id: str, size: int, *, probe: bool = False) -> bool:
         """Enqueue; False if the message did not fit and was dropped (Figure 6-9).
 
         A probe's refusal is not counted in ``dropped`` (module docstring).
         """
-        if self.owned:
-            return self._put([(msg_id, size)], size, probe)
-        with self._lock:
-            posted = self._put([(msg_id, size)], size, probe)
-            if posted:
-                self._wake_consumers()
-            return posted
+        return self._put([(msg_id, size)], size, probe)
 
     def post_run(self, entries: list[tuple[str, int]]) -> bool:
         """Post a run of ``(msg_id, size)`` entries whole, never waiting for room.
 
-        For a shared queue (the ingress carriers).  ``True``: enqueued in
-        order (an empty queue takes the run whole).  ``False``: no room,
-        ``dropped`` not counted (the probe contract).  A post that found
-        the lock held counts in :attr:`lock_waits`.  Raises
-        :class:`QueueClosedError` on a closed queue.
+        The gateway's admission.  ``True``: enqueued in order (an empty
+        queue takes the run whole).  ``False``: no room, ``dropped`` not
+        counted (the probe contract).  Raises :class:`QueueClosedError`
+        on a closed queue.
         """
-        lock = self._lock
-        if not lock.acquire(blocking=False):
-            lock.acquire()
-            self.lock_waits += 1
-        try:
-            posted = self._put(entries, sum([entry[1] for entry in entries]), True)
-            if posted:
-                self._wake_consumers()
-            return posted
-        finally:
-            lock.release()
+        return self._put(entries, sum([entry[1] for entry in entries]), True)
 
-    def _take(self) -> str | None:
-        """Dequeue the oldest id, or None; the regimes' common core."""
+    def fetch_message(self) -> str | None:
+        """Dequeue the oldest id; None when the queue is empty."""
         if not self.entries:
             if self.closed:
                 raise QueueClosedError("fetch on closed, drained queue")
@@ -231,30 +193,21 @@ class MessageQueue:
             self.depth_gauge.value = float(len(self.entries))
         return msg_id
 
-    def fetch_message(self) -> str | None:
-        """Dequeue the oldest id; None when the queue is empty."""
-        if self.owned:
-            return self._take()
-        with self._lock:
-            return self._take()
-
     def drain(self) -> list[str]:
         """Remove and return every queued id (used by BB/KB teardown)."""
-        with self._lock:
-            ids = [msg_id for msg_id, _ in self.entries]
-            self.entries.clear()
-            self.pending_bytes = 0
-            self._post_times.clear()
-            if self.depth_gauge is not None:
-                self.depth_gauge.value = 0.0
-            return ids
+        ids = [msg_id for msg_id, _ in self.entries]
+        self.entries.clear()
+        self.pending_bytes = 0
+        self._post_times.clear()
+        if self.depth_gauge is not None:
+            self.depth_gauge.value = 0.0
+        return ids
 
     def close(self) -> None:
         """No further posts; fetch drains what remains, then raises."""
-        with self._lock:
-            self.closed = True
-            for event in self._waiters:
-                event.set()
+        self.closed = True
+        for event in self._waiters:
+            event.set()
 
     # -- state reading ---------------------------------------------------------------
 
@@ -265,10 +218,9 @@ class MessageQueue:
         batch.  Counters (posted/fetched/dropped) are observability, not
         state, and are deliberately left out.
         """
-        with self._lock:
-            return (
-                tuple(self.entries),
-                self.closed,
-                self.producer_count,
-                self.consumer_count,
-            )
+        return (
+            tuple(self.entries),
+            self.closed,
+            self.producer_count,
+            self.consumer_count,
+        )

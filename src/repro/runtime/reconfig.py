@@ -16,8 +16,8 @@ stream's :class:`~repro.runtime.topology.Topology` value:
    open circuits, relations) on it.  Nothing live is touched, so a batch
    that dies at action *k* needs no undoing: the old value is simply
    still the value (:class:`~repro.errors.ReconfigAbortedError`);
-3. **commit** — inside the stream's write section (the stream's lock,
-   taken once the view visit in flight ends), hand the folded value to
+3. **commit** — inside the stream's write section, opened by the
+   stream's owner (so no step is in flight), hand the folded value to
    :meth:`~repro.runtime.stream.RuntimeStream._realise`, which makes the
    live objects match it and can fail only while instantiating new
    streamlets — before anything else has changed.
@@ -263,8 +263,7 @@ class ReconfigTransaction:
         refused against the current topology or the resulting shape
         flunks the chapter-5 analyses.  The live stream is never touched.
         """
-        with self._stream.topology_lock:
-            _new, table = self._validated()
+        _new, table = self._validated()
         self.state = TxnState.VALIDATED
         return table
 
@@ -285,9 +284,8 @@ class ReconfigTransaction:
             raise ReconfigurationError(
                 f"transaction {self.label!r} already {self.state.name.lower()}"
             )
-        # the write section: the stream's lock, taken once the view visit
-        # in flight ends, with the snapshot retired, so the queue counts
-        # the fold captures (and the commit they license) are exact
+        # the write section: the owner's, with the snapshot retired, so the
+        # queue counts the fold captures (and the commit they license) are exact
         with stream._write_access():
             if stream._txn is not None:
                 raise ReconfigurationError(

@@ -9,10 +9,11 @@ on the event loop, any other on the pump's executor, one share at a
 time per session (``docs/gateway.md``, "Engine selection").  Only the
 thread that runs the pump changes; the paper's thread per streamlet
 (section 7.4) is replaced by that executor (DESIGN.md, Substitutions).
-Whichever thread it is holds the stream's lock for each view visit
-(:attr:`~repro.runtime.stream.RuntimeStream.topology_lock`), so a
-rewrite from another thread waits out at most one visit, and the pump
-touches its single-owner channels with no lock of theirs.
+Whichever thread it is owns the stream while it steps, so the pump
+takes no lock; before each view visit it reads the stream's
+:attr:`~repro.runtime.stream.RuntimeStream.recalled` flag and returns
+if the owner wants a lent stream back, so a control verb waits out at
+most the visit in flight.
 
 The engine is claim, dispatch and wake policy around one message step
 (:func:`_step_node` claims, :func:`_run_hops` is the hop): fetch an id,
@@ -42,16 +43,6 @@ from repro.runtime.topology import EGRESS
 #: canonical HeaderMap key for Content-Trace — probed directly against the
 #: header dict on the hot path, sparing a method call + lower() per hop
 _TRACE_KEY = CONTENT_TRACE.lower()
-
-
-def _count(acc: dict[str, int], name: str, n: int = 1) -> None:
-    """Count into the step accumulator.
-
-    Steps collect their counter bumps in a plain dict that the engine
-    flushes through :meth:`StreamStats.inc_many` once per dispatch, so a
-    batch of N messages pays one stats lock instead of N.
-    """
-    acc[name] = acc.get(name, 0) + n
 
 
 def _has_headroom(held: tuple, bounded: tuple) -> bool:
@@ -95,7 +86,7 @@ def _claim(channel: Channel, wait_hist) -> tuple[str | None, float | None]:
 
 def _step_node(
     stream: RuntimeStream, snap: TopologySnapshot, view: _NodeView,
-    batch: int, acc: dict[str, int], dirty: set[str],
+    batch: int, dirty: set[str],
 ) -> int:
     """Claim up to ``batch`` messages per input port and run each through the view.
 
@@ -117,25 +108,23 @@ def _step_node(
     for port, channel in view.inputs:  # frozen tuple: no per-step copy
         entries = channel.queue.entries
         for claim in range(batch):
-            # extra claims first probe the queue lock-free: a fetch miss
-            # costs a mutex round-trip, and on latency-bound traffic
-            # (one message in flight) every claim after the first misses
+            # extra claims first probe the queue: a fetch miss costs two
+            # calls, and on latency-bound traffic (one message in flight)
+            # every claim after the first misses
             if claim and (not entries or not _has_headroom(held, bounded)):
                 break
             msg_id, t0 = _claim(channel, view.queue_wait_hist)
             if msg_id is None:
                 break
-            done, handed = _run_hops(stream, snap, view, port, msg_id, t0, acc, dirty)
+            done, handed = _run_hops(stream, snap, view, port, msg_id, t0, dirty)
             moved, hops = moved + 1 + handed, hops + done
-    if hops:
-        _count(acc, "processed", hops)
+    stream.stats.processed += hops
     return moved
 
 
 def _run_hops(
     stream: RuntimeStream, snap: TopologySnapshot, view: _NodeView,
-    port: str, msg_id: str, t0: float | None,
-    acc: dict[str, int], dirty: set[str],
+    port: str, msg_id: str, t0: float | None, dirty: set[str],
 ) -> tuple[int, int]:
     """The hop kernel: one claimed message through ``view`` and on.
 
@@ -196,13 +185,13 @@ def _run_hops(
                             now - t0, failure is not None)
             t0 = now
         if failure is not None:
-            _hop_failed(stream, view, port, msg_id, failure, acc)
+            _hop_failed(stream, view, port, msg_id, failure)
             return processed, handed
         view.streamlet.processed += 1
         processed += 1
         if not emissions:
             pool.release(msg_id)  # absorbed (cache hit, filter, ...)
-            _count(acc, "absorbed")
+            stream.stats.absorbed += 1
             if timed:
                 tm.forget(msg_id)
             return processed, handed
@@ -219,7 +208,7 @@ def _run_hops(
             if out_port not in outputs:
                 # open circuit at runtime: the message has nowhere to go
                 pool.release(out_id)
-                _count(acc, "open_circuit_drops")
+                stream.stats.open_circuit_drops += 1
                 if timed:
                     tm.forget(out_id)
             elif handing is None and out_port in onward:
@@ -246,15 +235,15 @@ def _run_hops(
 
 def _hop_failed(
     stream: RuntimeStream, hop: _NodeView, port: str, msg_id: str,
-    exc: Exception, acc: dict[str, int],
+    exc: Exception,
 ) -> None:
     """Settle a message whose ``process`` raised: retained, or released and counted."""
-    _count(acc, "processing_failures")
+    stream.stats.processing_failures += 1
     handler = stream.fault_handler
     if handler is None or not handler(hop.name, port, msg_id, exc):
         # no supervisor claimed the id: release and count
         stream.pool.release(msg_id)
-        _count(acc, "failure_drops")
+        stream.stats.failure_drops += 1
         if stream.tm is not None:
             stream.tm.forget(msg_id)
     if stream.failure_hook is not None:
@@ -286,7 +275,7 @@ def _drop(stream: RuntimeStream, msg_id: str) -> None:
         message = stream.pool.release(msg_id)
         if stream.drop_hook is not None:
             stream.drop_hook(msg_id, message)
-    stream.stats.inc("queue_drops")
+    stream.stats.queue_drops += 1
     if stream.tm is not None:
         stream.tm.forget(msg_id)
 
@@ -298,9 +287,9 @@ class InlineScheduler:
     only nodes with a reason to run — seeded from pending input traffic,
     extended by the consumer of every post the hop kernel made — always
     in the snapshot's deterministic processing order.  A hand-off
-    (:func:`_run_hops`) counts as a move.  Each visit holds the stream's
-    lock; a visit that finds the snapshot retired (a rewrite by another
-    thread, or by this one inside its previous visit) re-seeds instead.
+    (:func:`_run_hops`) counts as a move.  A visit that finds the
+    snapshot retired (a rewrite inside the previous visit: a fault
+    handler's bypass, an event raised mid-step) re-seeds instead.
     """
 
     #: messages claimed per input port per visit; the headroom rule in
@@ -316,13 +305,11 @@ class InlineScheduler:
     def pump(self, *, max_rounds: int | None = None) -> int:
         """Process until quiescent (or ``max_rounds``); returns moves made.
 
-        Never call it holding the stream's lock: a write waiting for that
-        lock would hold the turnstile the next visit waits at.
+        Returns early, before a view visit, once the stream is
+        :attr:`~repro.runtime.stream.RuntimeStream.recalled`.
         """
         stream = self._stream
-        lock = stream.topology_lock
         batch = self._batch
-        acc: dict[str, int] = {}  # flushed once per round (one stats lock)
         total = 0
         rounds = 0
         snap = stream.topology_snapshot()
@@ -336,35 +323,25 @@ class InlineScheduler:
                 name = view.name
                 if name not in dirty:
                     continue
-                turnstile = stream._turnstile
-                if turnstile is not None:
-                    with turnstile:  # a write waits for the lock: it goes first
-                        pass
-                with lock:
-                    if stream._snapshot is snap:
-                        dirty.discard(name)
-                        moved = _step_node(stream, snap, view, batch, acc, dirty)
-                    else:
-                        restart = True
-                if restart:
-                    # a rewrite (another thread's, or one inside this
-                    # thread's last visit) retired the topology: re-resolve
-                    # and reseed the worklist
-                    snap = stream.topology_snapshot()
-                    dirty = self._seed(snap)
+                if stream.recalled:  # the owner wants the stream back
+                    return total + moved_round
+                if stream._snapshot is not snap:
+                    # a rewrite inside the last visit retired the topology:
+                    # re-resolve and reseed the worklist
+                    restart = True
                     break
-                moved_round += moved
+                dirty.discard(name)
+                moved_round += _step_node(stream, snap, view, batch, dirty)
                 # still fed (a batch cut short, or a claim a held rendezvous
                 # refused): visit again next round
                 for _port, channel in view.inputs:
                     if channel.queue.entries:
                         dirty.add(name)
                         break
-            if acc:
-                stream.stats.inc_many(acc)
-                acc.clear()
-            if restart:
-                continue  # an interrupted walk is not a round
+            if restart:  # an interrupted walk is not a round
+                snap = stream.topology_snapshot()
+                dirty = self._seed(snap)
+                continue
             total += moved_round
             rounds += 1
             if moved_round == 0 or not dirty:

@@ -24,19 +24,21 @@ checked before a streamlet is detached — its input channels drained —
 unless the caller forces.  Because a step is decided on the value before
 anything live changes, a refused primitive leaves the stream untouched.
 
-One lock per stream, :attr:`RuntimeStream.topology_lock` (re-entrant),
-serialises everything that touches its interior: the scheduler holds it
-for each view visit, :meth:`RuntimeStream.collect` and a supervisor's
-retry pump for their whole call, and every rewrite (a primitive, a
-committed transaction, PAUSE, END) for its write section.  So every
-channel but an ingress carrier is single-owner from the moment it is
-created (:mod:`repro.runtime.message_queue`); the event loop posts to the
-ingress under that queue's own lock and never waits behind a step.
+One owner per stream: a stream takes no lock, and neither do its
+channels, queues, pool or counters.  At any moment one thread owns it —
+the thread that steps it — and only that thread touches it.  In the
+gateway that is the egress pump's event loop, except while the whole
+stream is lent to the one share of its session in flight on the pump's
+executor (:mod:`repro.gateway.session`); a caller on the loop that needs
+a lent stream sets :attr:`RuntimeStream.recalled`, the scheduler returns
+before its next view visit, and the call runs once the share has landed.
+A rewrite (a primitive, a committed transaction, PAUSE, END) is a *write
+section* (:meth:`RuntimeStream._write_access`): it retires the published
+snapshot, so a scheduler stepping inside it re-seeds.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -111,31 +113,9 @@ class StreamStats:
     retries: int = _counter("Failed messages re-posted by a recovery supervisor")
     dead_letters: int = _counter("Messages dead-lettered after exhausting recovery")
 
-    def __post_init__(self) -> None:
-        # not a dataclass field: excluded from fields()/repr/JSON export
-        self._lock = threading.Lock()
-
     def inc(self, name: str, n: int = 1) -> None:
-        """Atomically bump one counter.
-
-        Admission bumps counters on the event loop without the stream's
-        lock while another thread may be stepping the stream, so the
-        counters cannot rely on that lock serialising their ``+=``; a bare
-        read-modify-write loses increments under thread preemption.
-        """
-        with self._lock:
-            setattr(self, name, getattr(self, name) + n)
-
-    def inc_many(self, counts: dict[str, int]) -> None:
-        """Atomically apply a batch of counter bumps under one lock.
-
-        The schedulers' batched steps accumulate their per-message bumps
-        in a plain dict and flush here once per dispatch, amortising the
-        lock from per-message to per-batch.
-        """
-        with self._lock:
-            for name, n in counts.items():
-                setattr(self, name, getattr(self, name) + n)
+        """Bump one counter by name; only the stream's owner does."""
+        setattr(self, name, getattr(self, name) + n)
 
 
 class _NodeView:
@@ -186,8 +166,8 @@ class _NodeView:
 class TopologySnapshot:
     """An immutable, versioned view of a stream's wiring: the hop plan's cache.
 
-    Steps read the published snapshot; a write section retires it under
-    the stream's lock, mutates, and the next step rebuilds.  The version
+    Steps read the published snapshot; a write section retires it,
+    mutates, and the next step rebuilds.  The version
     is monotonically increasing across rebuilds.
     """
 
@@ -243,9 +223,9 @@ class RuntimeStream:
         if self.tm is not None:
             self.tm.attach_stats(self.stats)
             self._egress_wait_hist = self.tm.egress_wait_histogram()
-        #: the stream's one lock (module docstring): re-entrant, held per
-        #: view visit by the scheduler and for every write section
-        self.topology_lock = threading.RLock()
+        #: set by the owner while the stream is lent and it wants it back:
+        #: the scheduler returns before its next view visit (module docstring)
+        self.recalled = False
 
         #: the wiring as a value; the live objects below always realise it
         self._topology = Topology(table, self._registry)
@@ -261,10 +241,6 @@ class RuntimeStream:
         self._snapshot: TopologySnapshot | None = None
         self._snapshot_version = 0
         self._write_depth = 0
-        #: held by a write section that found the stream's lock taken, until
-        #: it has the lock: the scheduler waits here between view visits
-        #: (see :meth:`_write_access`)
-        self._turnstile: threading.Lock | None = None
         #: callbacks fired after a write section closes (and on resume, and
         #: when a supervisor schedules a retry): schedulers and the
         #: gateway's egress register here to re-examine the world
@@ -312,9 +288,8 @@ class RuntimeStream:
     def _capture(self) -> Topology:
         """A private copy of the topology, stamped with what the queues hold now.
 
-        Exact when taken inside a write section (no step is in flight);
-        under the bare lock it is a best-effort reading, good for a
-        validation dry-run.
+        Taken by the stream's owner, so no step is in flight and the
+        counts are exact.
         """
         working = self._topology.copy()
         for name, state in working.channels.items():
@@ -394,9 +369,7 @@ class RuntimeStream:
         for name, state in new.channels.items():
             channel = None if name in new.fresh else live.get(name)
             if channel is None:
-                channel = Channel(
-                    name, state.definition, telemetry=self.tm, owned=not _is_ingress(state)
-                )
+                channel = Channel(name, state.definition, telemetry=self.tm)
             channels[name] = channel
             channel.bind(state.source, state.sink)
             if state.definition is EDGE_CHANNEL_DEF:
@@ -433,7 +406,7 @@ class RuntimeStream:
         for name, node in nodes.items():
             node.inputs = {port: channels[c] for port, c in new.inputs[name].items()}
             node.outputs = {port: channels[c] for port, c in new.outputs[name].items()}
-        # other threads read these maps lock-free: replace, never mutate
+        # a step inside this write section holds the old maps: replace, never mutate
         self._nodes, self._channels = nodes, channels
         self.ingress, self.egress = ingress, egress
         new.settle()
@@ -454,10 +427,9 @@ class RuntimeStream:
         timing.activate += clock.now() - t0
         return retired
 
-    # -- topology snapshots and the stream's lock (see docs/performance.md) ------------
+    # -- topology snapshots and write sections (see docs/performance.md) ------------
 
     def _build_snapshot(self) -> TopologySnapshot:
-        # caller holds the topology lock
         order = tuple(self.processing_order())
         views = {name: _NodeView(name, node) for name, node in self._nodes.items()}
         # hand-offs: a view may step a later view whose only input is its
@@ -486,51 +458,29 @@ class RuntimeStream:
         return TopologySnapshot(self._snapshot_version, self.epoch, order, views)
 
     def topology_snapshot(self) -> TopologySnapshot:
-        """The current published view, rebuilding (under the lock) if retired.
+        """The current published view, rebuilding it if retired.
 
         Mid-write callers get a fresh transient view that is *not*
         published — publication waits until the write section closes.
         """
         snap = self._snapshot
-        if snap is not None:
-            return snap
-        with self.topology_lock:
-            snap = self._snapshot
-            if snap is None:
-                snap = self._build_snapshot()
-                if self._write_depth == 0:
-                    self._snapshot = snap
+        if snap is None:
+            snap = self._build_snapshot()
+            if self._write_depth == 0:
+                self._snapshot = snap
         return snap
 
     @contextmanager
     def _write_access(self):
-        """A write section: the stream's lock, with the snapshot retired.
+        """A write section: the snapshot retired while the stream is rewired.
 
-        Holding the lock, no step is in flight on another thread, so a
-        mutation never races one, and the queue counts a transaction
-        captures inside the section are exact; another thread's step
-        waits out the section, and a writer waits out at most one view
-        visit.  Re-entrant: a fault handler may open one from inside its
-        own step, which then re-seeds on the retired snapshot.  The
-        wakeup listeners fire after the outermost section releases.
-
-        The lock is not fair: a stepping thread releasing it at the end of
-        a visit would take it straight back for the next one, and the
-        write would wait out a whole share.  So a write that finds the
-        lock taken holds a turnstile until it has the lock, and the
-        scheduler passes the turnstile before each visit.
+        Only the stream's owner opens one, so no step is in flight on
+        another thread and the queue counts a transaction captures
+        inside it are exact.  Re-entrant: a fault handler may open one
+        from inside its own step, which then re-seeds on the retired
+        snapshot.  The wakeup listeners fire after the outermost section
+        closes.
         """
-        lock = self.topology_lock
-        if not lock.acquire(blocking=False):
-            turnstile = threading.Lock()
-            turnstile.acquire()
-            self._turnstile = turnstile
-            try:
-                lock.acquire()
-            finally:
-                if self._turnstile is turnstile:
-                    self._turnstile = None
-                turnstile.release()
         self._write_depth += 1
         self._snapshot = None
         try:
@@ -538,9 +488,7 @@ class RuntimeStream:
         finally:
             self._write_depth -= 1
             self._snapshot = None
-            outermost = not self._write_depth
-            lock.release()
-            if outermost:
+            if not self._write_depth:
                 self._notify_wakeup()
 
     def add_wakeup_listener(self, callback) -> None:
@@ -651,8 +599,7 @@ class RuntimeStream:
         Reconfigurations mutate the topology away from the compiled table;
         this snapshot lets the chapter-5 analyses re-run against reality.
         """
-        with self.topology_lock:
-            return self._topology.to_table()
+        return self._topology.to_table()
 
     def verify_topology(self, *, terminal_definitions=frozenset()) -> None:
         """Re-run the chapter-5 analyses on the live topology.
@@ -695,23 +642,22 @@ class RuntimeStream:
         picture.
         """
         rows: list[dict] = []
-        with self.topology_lock:
-            named = [(name, self._channels[name]) for name in self.channel_names()]
-            named += [(f"ingress:{key}", ch) for key, ch in self.ingress.items()]
-            named += [(f"egress:{ref}", ch) for ref, ch in self.egress]
-            for name, channel in named:
-                queue = channel.queue
-                rows.append({
-                    "channel": name,
-                    "depth": len(queue),
-                    "watermark": queue.watermark,
-                    "capacity_bytes": queue.capacity_bytes,
-                    "pending_bytes": queue.pending_bytes,
-                    "posted": queue.posted,
-                    "fetched": queue.fetched,
-                    "dropped": queue.dropped,
-                    "closed": queue.closed,
-                })
+        named = [(name, self._channels[name]) for name in self.channel_names()]
+        named += [(f"ingress:{key}", ch) for key, ch in self.ingress.items()]
+        named += [(f"egress:{ref}", ch) for ref, ch in self.egress]
+        for name, channel in named:
+            queue = channel.queue
+            rows.append({
+                "channel": name,
+                "depth": len(queue),
+                "watermark": queue.watermark,
+                "capacity_bytes": queue.capacity_bytes,
+                "pending_bytes": queue.pending_bytes,
+                "posted": queue.posted,
+                "fetched": queue.fetched,
+                "dropped": queue.dropped,
+                "closed": queue.closed,
+            })
         return rows
 
     def processing_order(self) -> list[str]:
@@ -765,7 +711,7 @@ class RuntimeStream:
             raise CompositionError(f"no ingress port {key!r} on stream {self.name}") from None
         msg_id, size = self.admit(message)
         if channel.post(msg_id, size):
-            self.stats.inc("messages_in")
+            self.stats.messages_in += 1
         else:
             # mirror _release_dropped: the traced-id / enqueued maps must
             # shed the id too, or sustained ingress pressure leaks them
@@ -815,31 +761,25 @@ class RuntimeStream:
         return msg_id
 
     def collect(self) -> list[MimeMessage]:
-        """Drain every egress channel; returns delivered messages in order.
-
-        Holds the stream's lock: an egress carrier is single-owner, and a
-        commit must not rewire it mid-drain.
-        """
+        """Drain every egress channel; returns delivered messages in order."""
         out: list[MimeMessage] = []
         posted: list[float] = []
         tm = self.tm
         egress_hist = self._egress_wait_hist
         try:
-            with self.topology_lock:
-                for _ref, channel in self.egress:
-                    queue = channel.queue
-                    while not queue.is_empty():  # a drained carrier costs no fetch miss
-                        msg_id = channel.fetch()
-                        if msg_id is None:
-                            break
-                        if egress_hist is not None and queue.last_post_at is not None:
-                            posted.append(queue.last_post_at)
-                        out.append(self.pool.release(msg_id))
-                        if tm is not None:
-                            tm.forget(msg_id)
+            for _ref, channel in self.egress:
+                queue = channel.queue
+                while not queue.is_empty():  # a drained carrier costs no fetch miss
+                    msg_id = channel.fetch()
+                    if msg_id is None:
+                        break
+                    if egress_hist is not None and queue.last_post_at is not None:
+                        posted.append(queue.last_post_at)
+                    out.append(self.pool.release(msg_id))
+                    if tm is not None:
+                        tm.forget(msg_id)
         finally:
-            if out:  # one stats lock per drain, whatever ended it
-                self.stats.inc("messages_out", len(out))
+            self.stats.messages_out += len(out)  # whatever ended the drain
         if posted:
             # each message waited on its carrier until the drain ended: the
             # instant the pump's delivery clock starts from
@@ -946,7 +886,7 @@ class RuntimeStream:
             if self.tm is not None:
                 self.tm.forget(msg_id)
                 self.tm.recorder.record("drop", stream=self.name, msg_id=msg_id)
-            self.stats.inc("queue_drops")
+            self.stats.queue_drops += 1
 
     # -- event-driven reconfiguration (section 6.4 / 7.4) ---------------------------------------------------
 
@@ -986,10 +926,9 @@ class RuntimeStream:
 
     def resume_all(self) -> None:
         """Reactivate every paused streamlet (the RESUME system command)."""
-        with self.topology_lock:
-            for node in self._nodes.values():
-                if node.streamlet.state is StreamletState.PAUSED:
-                    node.streamlet.activate()
+        for node in self._nodes.values():
+            if node.streamlet.state is StreamletState.PAUSED:
+                node.streamlet.activate()
         # a paused stream's input posts nothing new: tell its stepper
         self._notify_wakeup()
 

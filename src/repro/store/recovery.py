@@ -88,10 +88,10 @@ class RecoveryManager:
     def recover(self) -> RecoveryReport:
         """Fold the ledger and restore every recoverable session.
 
-        Safe to call on a fresh ledger (restores nothing) and from any
-        thread that may take the gateway's deploy lock — the server runs
-        it in an executor before the data plane starts listening, so
-        no admissions race the re-injection pass.
+        Safe to call on a fresh ledger (restores nothing).  The server
+        runs it on its event loop in ``start()``, before either plane
+        listens: the loop owns every restored stream, and no cycle runs
+        (so none is lent) until the pass is done.
         """
         fold = self._ledger.fold()
         report = RecoveryReport(records=fold.records)
@@ -236,7 +236,8 @@ class RecoveryManager:
         Mirrors every live session's counters into the ledger, refolds,
         and sets each session's live pool residency as the residual of
         its folded report.  Meaningful at quiescence (no traffic
-        mid-flight).
+        mid-flight).  It touches every session's stream, so the control
+        plane runs it as an owner call over all of them.
         """
         gateway = self._gateway
         for session in list(gateway.sessions.values()):

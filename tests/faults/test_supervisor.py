@@ -1,7 +1,6 @@
 """Supervisor: retry with backoff, dead-letters, bypass, escalation."""
 
 import random
-import threading
 
 import pytest
 
@@ -244,63 +243,34 @@ class TestWiring:
 
 class TestRetryRacingACommit:
     def test_a_retry_due_while_a_commit_removes_its_target_is_never_stranded(self):
-        """The retry's lookup and post share a read section with the commit's
-        grace period: the commit cannot drain the target channel, then have
-        the retry land in it, then close it outside the topology.
-
-        The interleaving is forced: the retry's post waits (up to a bound)
-        for the commit to drain the channel, and the drain waits for the
-        post.  Without the read section the post lands between drain and
-        close; with it the commit waits for the post and moves the id on.
+        """A retry and a commit never interleave: both run on the stream's
+        owner, one after the other.  Whichever goes first, the retried id
+        is delivered (the commit moves it on) or dead-lettered (its target
+        is gone), never left in a channel outside the topology.
         """
-        _server, stream, clock = deploy()
-        plan = FaultPlan()
-        plan.fail_streamlet("b", mode="once")
-        FaultInjector(plan).arm(stream)
-        supervisor = Supervisor(stream, fast_policy(max_retries=2))
-        supervisor.attach()
-        scheduler = InlineScheduler(stream)
-        stream.post(MimeMessage("text/plain", b"retried"))
-        scheduler.pump()
-        assert supervisor.pending_retries == 1
-        target = stream.node("b").inputs["pi"]
-        drained, posted = threading.Event(), threading.Event()
-        real_post, real_drain = target.post, target.queue.drain
-        errors: list[Exception] = []
-
-        def remove_b():
-            try:
-                stream.remove_streamlet("b", force=True)
-            except Exception as exc:  # surfaced below
-                errors.append(exc)
-
-        remover = threading.Thread(target=remove_b)
-
-        def racing_post(*args, **kwargs):
-            remover.start()
-            drained.wait(0.5)  # a commit held off by the read section never drains
-            try:
-                return real_post(*args, **kwargs)
-            finally:
-                posted.set()
-
-        def racing_drain():
-            ids = real_drain()
-            drained.set()
-            posted.wait(5)
-            return ids
-
-        target.post = racing_post
-        target.queue.drain = racing_drain
-        clock.advance(1.0)
-        supervisor.pump_retries()
-        remover.join(timeout=10)
-        assert not remover.is_alive() and not errors, errors
-        assert "b" not in stream.instance_names()
-        scheduler.pump()
-        delivered = [m.body for m in stream.collect()]
-        dead = [entry.message.body for entry in supervisor.dead_letters]
-        assert delivered + dead == [b"retried"]
-        assert target.pending() == 0  # nothing resident outside the topology
-        report = assert_conservation(stream)
-        assert report.residual == 0
+        for retry_first in (True, False):
+            _server, stream, clock = deploy()
+            plan = FaultPlan()
+            plan.fail_streamlet("b", mode="once")
+            FaultInjector(plan).arm(stream)
+            supervisor = Supervisor(stream, fast_policy(max_retries=2))
+            supervisor.attach()
+            scheduler = InlineScheduler(stream)
+            stream.post(MimeMessage("text/plain", b"retried"))
+            scheduler.pump()
+            assert supervisor.pending_retries == 1
+            target = stream.node("b").inputs["pi"]
+            clock.advance(1.0)
+            if retry_first:
+                assert supervisor.pump_retries() == 1
+            stream.remove_streamlet("b", force=True)
+            if not retry_first:
+                assert supervisor.pump_retries() == 0
+            assert "b" not in stream.instance_names()
+            scheduler.pump()
+            delivered = [m.body for m in stream.collect()]
+            dead = [entry.message.body for entry in supervisor.dead_letters]
+            assert delivered + dead == [b"retried"]
+            assert target.pending() == 0  # nothing resident outside the topology
+            report = assert_conservation(stream)
+            assert report.residual == 0

@@ -10,10 +10,9 @@ connection a message came in on travels in ``HeaderMap.origin``, not in
 anything a client or a streamlet can write.
 """
 
-import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 from repro.errors import QueueClosedError
@@ -52,9 +51,6 @@ class Script:
     limit: int = 64
     #: called as ``unblock(gateway, script, parked_session)`` at every park
     unblock: object = None
-    #: called as ``setup(gateway, script)`` before the first read
-    setup: object = None
-    holders: list = field(default_factory=list)
 
 
 def drain(gateway: GatewayServer, session) -> None:
@@ -71,26 +67,6 @@ def wait_until(predicate, timeout=10.0) -> None:
         time.sleep(0.002)
 
 
-class HeldLock:
-    """Hold a session's ingress queue lock on another thread for ``seconds``."""
-
-    def __init__(self, session, seconds=0.05):
-        self.queue = next(iter(session.stream.ingress.values())).queue
-        self.held = threading.Event()
-        self.thread = threading.Thread(target=self._hold, args=(seconds,))
-        self.thread.start()
-        assert self.held.wait(5)
-
-    def _hold(self, seconds):
-        with self.queue._lock:
-            self.held.set()
-            time.sleep(seconds)
-
-    def done(self):
-        self.thread.join(timeout=5)
-        assert not self.thread.is_alive()
-
-
 def drive(ingest, script: Script) -> dict:
     gateway = GatewayServer(config=GatewayConfig(session_ingress_limit=script.limit))
     delivered: list = []
@@ -102,8 +78,6 @@ def drive(ingest, script: Script) -> dict:
     try:
         for key in KEYS:  # nothing moves unless the script says so
             gateway.raise_event("PAUSE", session_key=key)
-        if script.setup is not None:
-            script.setup(gateway, script)
         for conn_id, read in script.reads:
             frames = deque(
                 MimeMessage("text/plain", word[1:].encode(), session=word[0])
@@ -147,8 +121,6 @@ def drive(ingest, script: Script) -> dict:
             "conservation": {key: check_conservation(s.stream) for key, s in sessions.items()},
         }
     finally:
-        for holder in script.holders:
-            holder.done()
         for key in list(gateway.sessions):
             gateway.undeploy(key, record=False)
 
@@ -192,24 +164,6 @@ class TestRunsMatchOneOfferPerFrame:
         ))
         assert outcome["parks"] == [("a", b"4", "full")]
         assert outcome["stats"]["a"] == {"frames_in": 5, "parked": 1, "shed": 0}
-
-    def test_a_contended_ingress_lock(self):
-        def setup(gateway, script):
-            script.holders.append(HeldLock(gateway.sessions["a"]))
-
-        outcome = assert_same(lambda: Script([("c1", "a1 b1 a2 b2 a3")], setup=setup))
-        assert outcome["parks"] == []  # the read waits out the lock
-        assert [body for _c, body in outcome["delivered"]["a"]] == [b"1", b"2", b"3"]
-
-    def test_a_contended_lock_on_a_later_session_holds_back_what_was_read_after(self):
-        def setup(gateway, script):
-            script.holders.append(HeldLock(gateway.sessions["b"]))
-
-        outcome = assert_same(lambda: Script([("c1", "a1 b1 a2 b2 a3")], setup=setup))
-        # a2, read after b1, is offered only once b1's post got the lock
-        assert outcome["parks"] == []
-        assert [body for _c, body in outcome["delivered"]["a"]] == [b"1", b"2", b"3"]
-        assert [body for _c, body in outcome["delivered"]["b"]] == [b"1", b"2"]
 
     def test_a_session_closed_mid_read(self):
         outcome = assert_same(lambda: Script(

@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+from functools import partial
 
 from repro.apps import build_server
 from repro.faults.invariant import check_conservation
@@ -89,12 +90,14 @@ class TestGroupCommit:
             # hold the pump inside the commit of a's cycle, make b and c
             # ready meanwhile: the next cycle must serve both
             store.hold = True
-            assert a.offer(MimeMessage("text/plain", b"1")) == ADMITTED
+            assert pump.run(partial(a.offer, MimeMessage("text/plain", b"1"))) == ADMITTED
             assert store.entered.wait(10)
-            assert b.offer(MimeMessage("text/plain", b"2")) == ADMITTED
-            assert c.offer(MimeMessage("text/plain", b"3")) == ADMITTED
+            # offered on the loop, which runs them once the held cycle ends
+            later = [pump.call(partial(s.offer, MimeMessage("text/plain", body)))
+                     for s, body in ((b, b"2"), (c, b"3"))]
             store.hold = False
             store.release.set()
+            assert [offer.result(10) for offer in later] == [ADMITTED, ADMITTED]
             assert wait_until(lambda: sum(e[0] == "frame" for e in log) == 3), log
         finally:
             for session in sessions:
@@ -284,7 +287,8 @@ class TestLifecycle:
         gateway = GatewayServer()  # no loop, no bridge: frames are orphans
         session = gateway.deploy(MCL, session_key="walk")
         assert egress_threads() == before + 1
-        assert session.offer(MimeMessage("text/plain", b"x")) == ADMITTED
+        offer = partial(session.offer, MimeMessage("text/plain", b"x"))
+        assert gateway.egress.run(offer) == ADMITTED
         assert wait_until(lambda: session.resident == 0)
         assert wait_until(lambda: session.stats.orphans == 1)
         gateway.undeploy("walk", record=False)
@@ -318,7 +322,8 @@ class TestLifecycle:
                 for i in range(10):
                     key = f"s{n}-{i}"
                     session = gateway.deploy(MCL, session_key=key)
-                    assert session.offer(MimeMessage("text/plain", b"x")) == ADMITTED
+                    offer = partial(session.offer, MimeMessage("text/plain", b"x"))
+                    assert gateway.egress.run(offer) == ADMITTED
                     assert wait_until(lambda: session.stats.orphans == 1, timeout=5.0)
                     gateway.undeploy(key, record=False)
             except Exception as exc:  # surfaced by the main thread
@@ -357,7 +362,7 @@ class TestIgnoredOutcomes:
                     if time.monotonic() >= deadline:
                         return
                     time.sleep(0)
-                session.offer(MimeMessage("text/plain", b"%d" % i))
+                gateway.egress.run(partial(session.offer, MimeMessage("text/plain", b"%d" % i)))
 
         threads = [threading.Thread(target=offer_all) for _ in range(4)]
         interval = sys.getswitchinterval()
@@ -455,9 +460,10 @@ class TestPumpStepping:
         )
         try:
             # the first cycle waits inside collect while the flood is admitted
-            for i in range(3 * PUMP_QUANTUM):
-                assert session.offer(MimeMessage("text/plain", b"%d" % i)) == ADMITTED
+            flood = [pump.call(partial(session.offer, MimeMessage("text/plain", b"%d" % i)))
+                     for i in range(3 * PUMP_QUANTUM)]
             hold.set()
+            assert [offer.result(10) for offer in flood] == [ADMITTED] * (3 * PUMP_QUANTUM)
             assert wait_until(lambda: sum(batches) == 3 * PUMP_QUANTUM), batches
         finally:
             session.close()

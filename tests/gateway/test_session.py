@@ -1,7 +1,6 @@
-"""GatewaySession admission: bounded ingress, shed, lock waits, conservation."""
+"""GatewaySession admission: bounded ingress, shed, conservation."""
 
-import threading
-import time
+from functools import partial
 
 import pytest
 
@@ -37,14 +36,19 @@ def message(tag: str = "m") -> MimeMessage:
     return MimeMessage("text/plain", tag.encode())
 
 
+def on_loop(session, method, *messages):
+    """Admit (or shed) on the session's pump loop, its stream's owner."""
+    return session.pump.run(partial(method, *messages))
+
+
 class TestBoundedOffer:
     def test_admits_until_the_ingress_bound_then_reports_full(self):
         _server, stream, session = deploy_session(ingress_limit=2)
         try:
-            assert session.offer(message("a")) == ADMITTED
-            assert session.offer(message("b")) == ADMITTED
+            assert on_loop(session, session.offer, message("a")) == ADMITTED
+            assert on_loop(session, session.offer, message("b")) == ADMITTED
             assert session.resident == 2
-            assert session.offer(message("c")) == FULL
+            assert on_loop(session, session.offer, message("c")) == FULL
             # FULL admits nothing: the ledger only saw the two residents
             assert check_conservation(stream).admitted == 2
         finally:
@@ -53,9 +57,9 @@ class TestBoundedOffer:
     def test_abandoned_full_offer_is_shed_into_the_ledger(self):
         _server, stream, session = deploy_session(ingress_limit=1)
         try:
-            assert session.offer(message("a")) == ADMITTED
-            assert session.offer(message("b")) == FULL
-            session.shed(message("b"))
+            assert on_loop(session, session.offer, message("a")) == ADMITTED
+            assert on_loop(session, session.offer, message("b")) == FULL
+            on_loop(session, session.shed, message("b"))
             assert session.stats.shed == 1
             report = assert_conservation(stream)
             assert report.admitted == 2
@@ -74,7 +78,7 @@ class TestBoundedOffer:
         try:
             msg = message("a")
             assert msg.session is None
-            session.offer(msg)
+            on_loop(session, session.offer, msg)
             assert msg.session == stream.session
         finally:
             session.close()
@@ -83,30 +87,4 @@ class TestBoundedOffer:
         _server, _stream, session = deploy_session()
         session.close()
         with pytest.raises(QueueClosedError):
-            session.offer(message("a"))
-
-
-class TestContention:
-    def test_an_offer_waits_out_a_held_ingress_lock_then_admits(self):
-        _server, stream, session = deploy_session(ingress_limit=4)
-        queue = next(iter(stream.ingress.values())).queue
-        held = threading.Event()
-
-        def hold():
-            with queue._lock:
-                held.set()
-                time.sleep(0.05)
-
-        t = threading.Thread(target=hold)
-        t.start()
-        assert held.wait(5)
-        try:
-            assert session.offer(message("a")) == ADMITTED
-            assert session.stats.contended == 1  # it waited for the release
-            assert len(queue) == 1
-        finally:
-            t.join(timeout=5)
-            session.close()
-        report = check_conservation(stream)
-        assert (report.residual, report.balanced) == (0, True)
-        assert len(stream.pool) == 0
+            on_loop(session, session.offer, message("a"))

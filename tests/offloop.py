@@ -4,38 +4,60 @@ composition that may block.
 :class:`OffLoop` wraps a real standalone
 :class:`~repro.gateway.session.GatewaySession` with ``off_loop=True``:
 the stream's :class:`~repro.runtime.scheduler.InlineScheduler` runs in
-shares on the egress pump's executor, one share in flight at a time,
-while the test thread posts and reconfigures.  A share holds the
-stream's lock for each view visit, and a reconfiguration from the test
-thread waits out the visit in flight; a post from the test thread goes
-to an ingress carrier, which keeps a lock of its own.  The pump's cycles
-collect on its own loop (under the stream's lock, between shares), so
-the session keeps what each cycle delivers for :meth:`OffLoop.collect`
-instead of serialising it.  Tests parametrised over ``"inline"`` and
-``"threaded"`` use it for ``"threaded"``: the engine ``scheduler="threaded"``
-gets for a composition that may block.
+shares on the executor of the session's own egress pump, one share in
+flight at a time, the stream lent to it whole.  The pump's private loop
+owns the stream between shares (it collects there, and keeps what each
+cycle delivers for :meth:`OffLoop.collect` instead of serialising it).
+
+One owner per stream holds here too: the test thread never touches the
+stream itself.  :meth:`OffLoop.call` is the owner call — it recalls a
+share in flight, which returns before its next view visit, and runs on
+the loop once the stream is back — and the stream's posting and
+rewiring methods (:data:`ROUTED`) are routed through it, so a test may
+call ``stream.post(...)``, ``stream.insert(...)`` or raise an event from
+its own thread as it would on a stream it steps itself.  A call made
+inside the share (a supervisor's bypass, an event raised mid-step) runs
+where it is: the share owns the stream then.  Tests parametrised over
+``"inline"`` and ``"threaded"`` use it for ``"threaded"``: the engine
+``scheduler="threaded"`` gets for a composition that may block.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from functools import partial
 
 from repro.gateway.session import GatewaySession
 from repro.runtime.scheduler import InlineScheduler
+
+#: the stream methods routed through the owner call
+ROUTED = (
+    "post", "on_event", "connect", "disconnect", "disconnect_all",
+    "new_streamlet", "new_channel", "insert", "remove_streamlet",
+    "extract_streamlet", "replace", "remove_channel", "pause_all",
+    "resume_all", "set_param",
+)
 
 
 class _KeepingSession(GatewaySession):
     """A session whose cycles keep the delivered messages, not wire frames."""
 
     def __init__(self, *args, **kwargs):
-        self.kept_lock = threading.Lock()
         self.kept: list = []
+        #: the thread running this session's share, while one runs
+        self.stepper: int | None = None
         super().__init__(*args, **kwargs)
 
     def _serialise(self, delivered, picked, out) -> None:
-        with self.kept_lock:
-            self.kept.extend(delivered)
+        self.kept.extend(delivered)
+
+    def _step(self) -> int:
+        self.stepper = threading.get_ident()
+        try:
+            return super()._step()
+        finally:
+            self.stepper = None
 
 
 class OffLoop:
@@ -49,6 +71,22 @@ class OffLoop:
         )
         if supervisor is not None:
             self.session.attach_supervisor(supervisor)
+        for name in ROUTED:
+            setattr(stream, name, self._routed(getattr(stream, name)))
+
+    def call(self, fn, *args, **kwargs):
+        """The owner call: ``fn(*args, **kwargs)`` on the loop, the stream back."""
+        return self.session.pump.run(partial(fn, *args, **kwargs), self.session)
+
+    def _routed(self, method):
+        session = self.session
+
+        def routed(*args, **kwargs):
+            if threading.get_ident() == session.stepper:  # the share owns the stream
+                return method(*args, **kwargs)
+            return self.call(method, *args, **kwargs)
+
+        return routed
 
     def kick(self) -> None:
         """Mark the session ready: a post straight to the stream marks nothing."""
@@ -58,6 +96,9 @@ class OffLoop:
         share = self.session._share
         if share is not None and not share.done():
             return False
+        return self.call(self._quiet)
+
+    def _quiet(self) -> bool:
         stream = self.stream
         queues = [channel.queue for view in stream.topology_snapshot().steps
                   for _port, channel in view.inputs]
@@ -79,9 +120,12 @@ class OffLoop:
     def collect(self) -> list:
         """What the cycles delivered since the last call, in delivery order."""
         session = self.session
-        with session.kept_lock:
+
+        def take() -> list:
             out, session.kept = session.kept, []
-        return out
+            return out
+
+        return session.pump.run(take)
 
     def stop(self) -> None:
         """Close the session: leave the pump, wait out a share, end the stream."""

@@ -28,9 +28,9 @@ CAPACITY = 500
 class QueueMachine(RuleBasedStateMachine):
     """Random walk over queue operations with a reference model."""
 
-    def __init__(self, owned: bool = False):
+    def __init__(self):
         super().__init__()
-        self.queue = MessageQueue(CAPACITY, owned=owned)
+        self.queue = MessageQueue(CAPACITY)
         self.model: list[tuple[str, int]] = []
         self.closed = False
         self.counter = 0
@@ -111,13 +111,8 @@ class QueueMachine(RuleBasedStateMachine):
         assert self.queue.is_empty() == (not self.model)
 
 
-@pytest.fixture(params=[False, True], ids=["shared", "owned"])
-def owned(request):
-    return request.param
-
-
-def test_queue_machine(owned):
+def test_queue_machine():
     run_state_machine_as_test(
-        lambda: QueueMachine(owned),
+        QueueMachine,
         settings=settings(max_examples=60, stateful_step_count=40, deadline=None),
     )

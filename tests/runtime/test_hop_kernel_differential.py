@@ -280,7 +280,7 @@ def spill(mode: str, seed: int) -> dict:
     assert stream.fusion_groups() == ()
     scheduler = InlineScheduler(stream)
     tiny = stream.channel("t")
-    assert tiny.queue.owned and tiny.queue.capacity_bytes == 1024
+    assert tiny.queue.capacity_bytes == 1024
     hooked: list[str] = []
     stream.drop_hook = lambda msg_id, _message: hooked.append(msg_id)
     rng = random.Random(seed)

@@ -17,6 +17,7 @@ Each test pins one fixed bug:
 
 import threading
 import time
+from functools import partial
 
 from repro.apps import build_server
 from repro.faults import check_conservation
@@ -181,7 +182,8 @@ class TestExecutorShutdown:
         with gateway.run_in_thread() as handle:
             session = gateway.deploy(mcl, session_key="off")
             assert session.stepped_by == "executor"
-            assert session.offer(MimeMessage(TEXT_PLAIN, b"x")) == "admitted"
+            offer = partial(session.offer, MimeMessage(TEXT_PLAIN, b"x"))
+            assert gateway.egress.run(offer, session) == "admitted"
             deadline = time.monotonic() + 10
             while session.stats.snapshot()["frames_out"] < 1:
                 assert time.monotonic() < deadline, "the executor never stepped"

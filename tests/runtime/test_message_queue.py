@@ -183,7 +183,7 @@ def test_order_preserved_property(sizes):
 
 
 class TestPostRun:
-    """The gateway's run post: waits for the lock, never for room."""
+    """The gateway's run post: never waits for room."""
 
     def test_success_enqueues_and_counts_posted(self):
         q = MessageQueue(1000)
@@ -199,27 +199,6 @@ class TestPostRun:
         assert time.perf_counter() - begin < 1.0  # did not serve the timeout
         assert q.dropped == 0  # probe contract: the caller owns accounting
         assert q.posted == 1
-
-    def test_waits_for_a_held_lock_then_posts(self):
-        q = MessageQueue(1000)
-        held = threading.Event()
-
-        def hold():
-            with q._lock:
-                held.set()
-                time.sleep(0.05)
-
-        t = threading.Thread(target=hold)
-        t.start()
-        assert held.wait(5)
-        try:
-            assert q.post_run([("a", 10), ("b", 10)]) is True
-        finally:
-            t.join(timeout=5)
-        assert (q.posted, q.lock_waits) == (2, 1)
-        assert q.post_run([("c", 10)]) is True
-        assert q.lock_waits == 1  # a free lock is no wait
-        assert [q.fetch_message() for _ in range(3)] == ["a", "b", "c"]
 
     def test_closed_queue_raises(self):
         q = MessageQueue(100)

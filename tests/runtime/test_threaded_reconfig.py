@@ -2,11 +2,12 @@
 
 The thesis runs its reconfiguration experiments on a live multithreaded
 system.  Here the stream is a gateway session whose composition may
-block (``text_compress``), so the egress pump steps it on its executor
-while a feeder thread admits traffic and the test thread rewires it:
-the write section keeps wiring changes and message processing mutually
-consistent — no lost messages, no reordering, no crashes — when events
-land mid-flight.
+block (``text_compress``), so the egress pump lends it to a share on
+its executor while a feeder thread admits traffic and the test thread
+rewires it, both through the owner call: a rewire waits out the visit in
+flight and runs on the loop, so wiring changes and message processing
+stay mutually consistent — no lost messages, no reordering, no crashes —
+when events land mid-flight.
 """
 
 import threading
@@ -52,16 +53,15 @@ class TestThreadedReconfiguration:
 
         def feed():
             for payload in payloads:
-                scheduler.session.offer(MimeMessage("text/plain", payload))
+                scheduler.call(scheduler.session.offer, MimeMessage("text/plain", payload))
                 time.sleep(0.0002)
 
         feeder = threading.Thread(target=feed)
         feeder.start()
         time.sleep(0.004)  # let some traffic flow uncompressed
-        with stream.topology_lock:
-            # simulate the event manager firing mid-stream: the lock
-            # serialises the rewire against in-flight processing
-            stream.insert("a.po", "b.pi", "tc")
+        # simulate the event manager firing mid-stream: the owner call
+        # waits out the visit in flight, then rewires on the loop
+        scheduler.call(stream.insert, "a.po", "b.pi", "tc")
         feeder.join()
         assert scheduler.drain(timeout=15)
 
@@ -82,14 +82,14 @@ class TestThreadedReconfiguration:
 
         def feed():
             for payload in payloads:
-                scheduler.session.offer(MimeMessage("text/plain", payload))
+                scheduler.call(scheduler.session.offer, MimeMessage("text/plain", payload))
                 time.sleep(0.0002)
             stop.set()
 
         feeder = threading.Thread(target=feed)
         feeder.start()
         time.sleep(0.003)
-        server.events.raise_event("LOW_BANDWIDTH")  # handler runs under lock
+        server.events.raise_event("LOW_BANDWIDTH")  # the handler runs on the owner
         feeder.join()
         assert scheduler.drain(timeout=15)
         delivered = []

@@ -1,14 +1,16 @@
-"""A write section waits out the view visit in flight.
+"""A verb waits out the view visit in flight of a lent stream.
 
-One lock per stream (``RuntimeStream.topology_lock``): the scheduler holds
-it for each view visit, and every rewrite takes it for its write section.
-This forces the interleaving that ``test_reconfig_storm.py`` only samples:
-thread A pumps a chain whose middle streamlet is blocked inside
-``process``; thread B rewires the stream meanwhile.  B must not return
-while the step is in flight, and once the step ends B completes, the
-message is delivered once and the conservation ledger balances.  The
-write goes in right after the visit in flight, not after the whole pump
-(the turnstile), and a stress case races steps against rewrites.
+One owner per stream: a stream whose composition may block is lent
+whole to its share on the gateway's executor, and a verb reaches it only
+through the owner call (``tests/offloop.py``), which recalls the share
+and runs on the loop once the stream is back.  This forces the
+interleaving that ``test_reconfig_storm.py`` only samples: the share is
+blocked inside the ``process`` of the chain's middle streamlet while the
+test thread issues a rewrite through the owner call.  The verb must not
+return while ``process`` is blocked, and returns within 5 s of the
+release; it goes in after the visit in flight, not after the whole
+share; the message is delivered once and the conservation ledger
+balances.  A stress case races shares against verbs.
 """
 
 import sys
@@ -21,8 +23,9 @@ from repro.faults import check_conservation
 from repro.mcl.parser import parse_script
 from repro.mime.mediatype import TEXT_PLAIN
 from repro.mime.message import MimeMessage
-from repro.runtime.scheduler import InlineScheduler
 from repro.runtime.streamlet import Streamlet
+
+from tests.offloop import OffLoop
 
 DEFS = """
 streamlet hold{
@@ -43,6 +46,7 @@ main stream gate{
 class _Hold(Streamlet):
     """Blocks in ``process`` until the test releases it."""
 
+    cooperative = False
     entered = threading.Event()
     release = threading.Event()
 
@@ -52,84 +56,84 @@ class _Hold(Streamlet):
         return [("po", message)]
 
 
-def _held_stream(**scheduler_options):
-    """The chain deployed with ``mid`` holding, and its scheduler."""
+def _held_stream(**options):
+    """The chain deployed with ``mid`` holding, lent to an off-loop share."""
     _Hold.entered.clear()
     _Hold.release.clear()
     server = build_server()
     (definition,) = parse_script(DEFS).streamlets
     server.directory.advertise(definition, _Hold)
     stream = server.deploy_script(SOURCE)
-    return stream, InlineScheduler(stream, **scheduler_options)
+    return stream, OffLoop(stream, **options)
 
 
-def _write_while_held(scheduler, write) -> list:
-    """Pump on one thread; once ``mid`` holds, ``write`` on another.
+def _verb_while_held(offloop, verb) -> list:
+    """Start the share; once ``mid`` holds, issue ``verb`` on another thread.
 
-    Asserts that the write has not returned while ``mid`` holds, then
-    releases it and returns what either thread raised.
+    Asserts that the verb has not returned while ``mid`` holds and that
+    it returns within 5 s of the release; returns what it raised.
     """
     failures = []
 
-    def run(work):
+    def run():
         try:
-            work()
+            verb()
         except Exception as exc:  # surfaced by the caller's asserts
             failures.append(exc)
 
-    pumping = threading.Thread(target=run, args=(scheduler.pump,))
-    writing = threading.Thread(target=run, args=(write,))
+    verbing = threading.Thread(target=run)
     try:
-        pumping.start()
+        offloop.kick()
         assert _Hold.entered.wait(5), "the middle streamlet never ran"
-        writing.start()
-        writing.join(0.3)
-        assert writing.is_alive(), "the write returned while a step was in flight"
+        verbing.start()
+        verbing.join(0.3)
+        assert verbing.is_alive(), "the verb returned while the share was in process"
     finally:
         _Hold.release.set()
-        writing.join(5)
-        pumping.join(5)
-    assert not writing.is_alive(), "the write did not return after the step ended"
-    assert not pumping.is_alive()
+        released = time.monotonic()
+        verbing.join(5)
+    assert not verbing.is_alive(), "the verb did not return after the release"
+    assert time.monotonic() - released < 5
     return failures
 
 
 def test_a_write_waits_out_the_step_in_flight():
-    stream, scheduler = _held_stream()
-    stream.post(MimeMessage(TEXT_PLAIN, b"once"))
-    assert _write_while_held(scheduler, lambda: stream.insert("mid.po", "z.pi", "x")) == []
-    assert stream.node("x").inputs  # the insert went through
-    scheduler.pump()
-    delivered = stream.collect()
-    assert [m.body for m in delivered] == [b"once"]
-    report = check_conservation(stream)
-    assert report.balanced, report
-    assert report.delivered == 1
-    stream.end()
+    stream, offloop = _held_stream()
+    try:
+        stream.post(MimeMessage(TEXT_PLAIN, b"once"))
+        assert _verb_while_held(offloop, lambda: stream.insert("mid.po", "z.pi", "x")) == []
+        assert offloop.call(lambda: bool(stream.node("x").inputs))  # the insert went in
+        assert offloop.drain(timeout=10)
+        assert [m.body for m in offloop.collect()] == [b"once"]
+        report = offloop.call(check_conservation, stream)
+        assert report.balanced, report
+        assert report.delivered == 1
+    finally:
+        offloop.stop()
 
 
 def test_a_waiting_write_goes_before_the_next_visit():
-    """The stream's lock is not fair; the turnstile makes the write go next.
+    """The recall is read before every view visit: the verb goes next.
 
-    Without it the pumping thread, releasing the lock at the end of a
-    visit, takes it straight back for the next one, and the write waits
-    out the whole pump instead of the visit in flight.
+    Twenty one-message visits are queued behind the one in flight; the
+    verb sees exactly the one that was in flight, not the whole share.
     """
-    stream, scheduler = _held_stream(batch=1)  # one message per visit
-    for i in range(20):
-        stream.post(MimeMessage(TEXT_PLAIN, b"m%d" % i))
-    seen = []
+    stream, offloop = _held_stream(batch=1)  # one message per visit
+    try:
+        offloop.call(lambda: [stream.post(MimeMessage(TEXT_PLAIN, b"m%d" % i))
+                              for i in range(20)])  # one call: no share starts between
+        seen = []
 
-    def write():
-        with stream._write_access():
-            seen.append(stream.node("mid").streamlet.processed)
+        def verb():
+            seen.append(offloop.call(lambda: stream.node("mid").streamlet.processed))
 
-    assert _write_while_held(scheduler, write) == []
-    assert seen == [1]  # the visit in flight, and not one more
-    scheduler.pump()
-    assert len(stream.collect()) == 20
-    assert check_conservation(stream).balanced
-    stream.end()
+        assert _verb_while_held(offloop, verb) == []
+        assert seen == [1]  # the visit in flight, and not one more
+        assert offloop.drain(timeout=10)
+        assert len(offloop.collect()) == 20
+        assert offloop.call(check_conservation, stream).balanced
+    finally:
+        offloop.stop()
 
 
 CHAIN = """
@@ -143,13 +147,14 @@ main stream storm{
 def test_writes_racing_steps_lose_and_reorder_nothing():
     """A stress case: more threads than cores, a short switch interval.
 
-    One thread pumps and collects, one posts, and two rewrite the stream
-    (PAUSE/RESUME, and splicing a redirector in and out): every message
-    arrives once, in order, and the ledger balances.
+    The stream is lent to share after share while one thread posts and
+    two rewrite it (PAUSE/RESUME, and splicing a redirector in and out),
+    all through the owner call: every message arrives once, in order,
+    and the ledger balances.
     """
     server = build_server()
     stream = server.deploy_script(CHAIN)
-    scheduler = InlineScheduler(stream)
+    offloop = OffLoop(stream)
     bodies = [f"m{i}".encode() for i in range(300)]
     delivered = []
     fed = threading.Event()
@@ -165,14 +170,10 @@ def test_writes_racing_steps_lose_and_reorder_nothing():
                 stop.set()
         return body
 
-    def pump():
-        while not stop.is_set():
-            scheduler.pump()
-            delivered.extend(stream.collect())
-
     def feed():
         for body in bodies:
             stream.post(MimeMessage(TEXT_PLAIN, body))
+            offloop.kick()
         fed.set()
 
     def pause_resume():
@@ -191,7 +192,7 @@ def test_writes_racing_steps_lose_and_reorder_nothing():
                     pass  # c's input still holds a message: not yet
 
     threads = [threading.Thread(target=guarded(work))
-               for work in (pump, feed, pause_resume, splice)]
+               for work in (feed, pause_resume, splice)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -199,6 +200,8 @@ def test_writes_racing_steps_lose_and_reorder_nothing():
             thread.start()
         deadline = time.monotonic() + 20
         while time.monotonic() < deadline and not stop.is_set():
+            offloop.kick()
+            delivered.extend(offloop.collect())
             if fed.is_set() and len(delivered) == len(bodies):
                 break
             time.sleep(0.01)
@@ -207,11 +210,13 @@ def test_writes_racing_steps_lose_and_reorder_nothing():
         for thread in threads:
             thread.join(10)
         sys.setswitchinterval(interval)
-    assert failures == []
-    assert not any(thread.is_alive() for thread in threads)
-    scheduler.pump()
-    delivered.extend(stream.collect())
-    assert [m.body for m in delivered] == bodies
-    report = check_conservation(stream)
-    assert report.balanced, report
-    stream.end()
+    try:
+        assert failures == []
+        assert not any(thread.is_alive() for thread in threads)
+        assert offloop.drain(timeout=10)
+        delivered.extend(offloop.collect())
+        assert [m.body for m in delivered] == bodies
+        report = offloop.call(check_conservation, stream)
+        assert report.balanced, report
+    finally:
+        offloop.stop()

@@ -1,13 +1,12 @@
 """RecoveryManager: restart restoration, re-parking, re-injection, reconcile."""
 
 import socket
-import threading
 import time
 
 from repro.gateway import GatewayConfig, GatewayServer
 from repro.mime.message import MimeMessage
 from repro.mime.wire import FrameAssembler, serialize_message
-from repro.store import Ledger, RecoveryManager, open_store
+from repro.store import Ledger, open_store
 from repro.telemetry import MetricsRegistry, Telemetry
 
 MCL = """main stream chain{
@@ -181,37 +180,6 @@ class TestFaultStateRestoration:
             [row] = reconcile["sessions"]
             assert row["recovered_in_flight"] == 1
             assert row["admitted"] == 2  # original + the re-injection
-
-
-class TestReinjectionUnderLockContention:
-    def test_a_reinjection_waits_out_a_held_ingress_lock(self):
-        # a worker (or the pump) may hold the ingress queue's lock at the
-        # instant a retry is re-injected: that is a wait, not a refusal
-        ledger = Ledger(open_store("memory"))
-        frame = serialize_message(MimeMessage("text/plain", b"retry me"))
-        ledger.retry_scheduled("s-1", "msg-1", instance="r1", port="pi", attempt=1, frame=frame)
-        fold = ledger.fold().sessions["s-1"]
-        gateway = GatewayServer()
-        session = gateway.deploy(MCL, session_key="s-1")
-        queue = next(iter(session.stream.ingress.values())).queue
-        held = threading.Event()
-
-        def hold():
-            with queue._lock:
-                held.set()
-                time.sleep(0.05)
-
-        holder = threading.Thread(target=hold)
-        holder.start()
-        try:
-            assert held.wait(5)
-            reinjected, failures = RecoveryManager(gateway, ledger)._reinject(session, fold)
-        finally:
-            holder.join(timeout=5)
-            gateway.undeploy("s-1", record=False)
-            ledger.close()
-        assert (reinjected, failures) == (1, 0)
-        assert session.stats.shed == 0
 
 
 class TestLedgerlessGateway:
