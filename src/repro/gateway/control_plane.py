@@ -73,7 +73,8 @@ Request: ``{"op": <verb>, ...}``.  Response: ``{"ok": true, ...}`` or
     flush and close the ledger.  Responds first, then drains.
 
 Every verb runs on the event loop; those that touch a session are
-owner calls (:meth:`~repro.gateway.server.GatewayServer.owned`), which
+owner calls (:meth:`~repro.gateway.server.GatewayServer.owned`, over
+the session named or, for a verb over every session, every one), which
 wait out at most the view visit in flight of a lent stream.  Only
 ``deploy`` compiles and builds its stream in the default executor,
 where nothing else can reach it yet.
@@ -221,35 +222,33 @@ class ControlPlane:
         event = request["event"]
         key = request.get("session")
         gateway = self._gateway
-        sessions = gateway.scope(key)
+        sessions = [] if key is None else [gateway.require(key)]
 
         def reconfigure() -> dict:
-            delivered = gateway._raise_event(event, key)
+            delivered = gateway._raise_event(event, *sessions)
             response: dict = {"ok": True, "event": event, "delivered": delivered}
-            if key is not None:
+            if sessions:
                 response["epoch"] = sessions[0].stream.epoch
             return response
 
-        return await gateway.owned(reconfigure, *sessions)
+        return await gateway.owned(reconfigure, *sessions, every=key is None)
 
     async def _op_set_param(self, request: dict) -> dict:
-        session = self._require_session(request)
-        if isinstance(session, dict):
-            return session
+        session = self._gateway.require(request["session"])
         await self._gateway.owned(partial(
             session.stream.set_param, request["instance"], request["key"], request["value"]
         ), session)
         return {"ok": True}
 
     async def _op_stats(self, request: dict) -> dict:
-        session = self._require_session(request)
-        if isinstance(session, dict):
-            return session
+        session = self._gateway.require(request["session"])
         return await self._gateway.owned(partial(self._gateway._describe, session), session)
 
     async def _op_sessions(self, request: dict) -> dict:
-        sessions = list(self._gateway.sessions.values())
-        described = await self._gateway.owned(lambda: [s.describe() for s in sessions], *sessions)
+        sessions = self._gateway.sessions
+        described = await self._gateway.owned(
+            lambda: [s.describe() for s in sessions.values()], every=True
+        )
         return {"ok": True, "sessions": described}
 
     async def _op_telemetry(self, request: dict) -> dict:
@@ -260,7 +259,7 @@ class ControlPlane:
 
     async def _op_introspect(self, request: dict) -> dict:
         gateway = self._gateway
-        state = await gateway.owned(gateway.introspect, *gateway.sessions.values())
+        state = await gateway.owned(gateway.introspect, every=True)
         return {"ok": True, **state}
 
     async def _op_attribution(self, request: dict) -> dict:
@@ -270,14 +269,8 @@ class ControlPlane:
         if telemetry is None:
             return {"ok": True, "enabled": False, "components": {}, "decomposition": {}}
         key = request.get("session")
-        stream_name = None
-        sessions = list(self._gateway.sessions.values())
-        if key is not None:
-            session = self._gateway.route(key)
-            if session is None:
-                self.request_failures += 1
-                return {"ok": False, "error": f"no session {key!r}"}
-            stream_name, sessions = session.stream.name, [session]
+        sessions = [] if key is None else [self._gateway.require(key)]
+        stream_name = sessions[0].stream.name if sessions else None
 
         def _gather() -> dict:
             telemetry.flush()
@@ -287,7 +280,7 @@ class ControlPlane:
                 "decomposition": decompose(registry, stream=stream_name),
             }
 
-        tables = await self._gateway.owned(_gather, *sessions)
+        tables = await self._gateway.owned(_gather, *sessions, every=key is None)
         return {"ok": True, "enabled": True, **tables}
 
     async def _op_events(self, request: dict) -> dict:
@@ -312,20 +305,14 @@ class ControlPlane:
         return {"ok": True, "enabled": True, "metrics": telemetry.prometheus()}
 
     async def _op_undeploy(self, request: dict) -> dict:
-        key = request["session"]
         gateway = self._gateway
-        session = gateway.route(key)
-        removed = session is not None and await gateway.owned(
-            partial(gateway._undeploy, key, True), session
-        )
-        if not removed:
-            return {"ok": False, "error": f"no session {key!r}"}
+        key = request["session"]
+        if not await gateway.owned(partial(gateway._undeploy, key, True), gateway.require(key)):
+            return {"ok": False, "error": f"no session {key!r}"}  # undeployed meanwhile
         return {"ok": True, "session": key}
 
     async def _op_dead_letters(self, request: dict) -> dict:
-        session = self._require_session(request)
-        if isinstance(session, dict):
-            return session
+        session = self._gateway.require(request["session"])
         return await self._gateway.owned(partial(self._dead_letters, session), session)
 
     @staticmethod
@@ -359,9 +346,7 @@ class ControlPlane:
         }
 
     async def _op_requeue(self, request: dict) -> dict:
-        session = self._require_session(request)
-        if isinstance(session, dict):
-            return session
+        session = self._gateway.require(request["session"])
         return await self._gateway.owned(
             partial(self._requeue, session, request["msg_id"]), session
         )
@@ -417,7 +402,7 @@ class ControlPlane:
             if recovery is None:  # no ledger: nothing to balance
                 reconciled = CrossCrashReport()
             else:
-                reconciled = await gateway.owned(recovery.reconcile, *gateway.sessions.values())
+                reconciled = await gateway.owned(recovery.reconcile, every=True)
             response["reconcile"] = reconciled.describe()
         return response
 
@@ -426,14 +411,6 @@ class ControlPlane:
         # respond first: the drain closes this very listener
         loop.call_later(0.05, lambda: loop.create_task(self._gateway.drain()))
         return {"ok": True, "draining": True}
-
-    def _require_session(self, request: dict):
-        key = request["session"]
-        session = self._gateway.route(key)
-        if session is None:
-            self.request_failures += 1
-            return {"ok": False, "error": f"no session {key!r}"}
-        return session
 
 
 def _encode(response: dict) -> bytes:

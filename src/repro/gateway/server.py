@@ -156,9 +156,10 @@ class GatewayServer:
         for key, session in list(self.sessions.items()):
             await self.owned(partial(self._undeploy, key, False), session)
 
-    async def owned(self, fn, *sessions: GatewaySession):
-        """The owner call awaited on the loop: ``fn()`` once none of ``sessions`` is lent."""
-        return await asyncio.wrap_future(self.egress.call(fn, *sessions))
+    async def owned(self, fn, *sessions: GatewaySession, every: bool = False):
+        """The owner call awaited on the loop: ``fn()`` once none of ``sessions``
+        (with ``every``, of every session) is lent."""
+        return await asyncio.wrap_future(self.egress.call(fn, *sessions, every=every))
 
     async def drain(self) -> dict:
         """Graceful shutdown: quiesce, flush the ledger, then stop.
@@ -314,35 +315,37 @@ class GatewayServer:
 
     def route(self, key: str | None) -> GatewaySession | None:
         """The session owning ``key``, or None (the data plane's hot path)."""
-        if key is None:
-            return None
         return self.sessions.get(key)
 
-    def scope(self, session_key: str | None) -> list[GatewaySession]:
-        """The sessions a keyed call reaches: the one keyed, or every one."""
-        if session_key is None:
-            return list(self.sessions.values())
-        session = self.route(session_key)
+    def require(self, key: str) -> GatewaySession:
+        """The session keyed ``key``; :class:`MobiGateError` if there is none."""
+        session = self.sessions.get(key)
         if session is None:
-            raise MobiGateError(f"no session {session_key!r}")
-        return [session]
+            raise MobiGateError(f"no session {key!r}")
+        return session
 
     def raise_event(self, name: str, *, session_key: str | None = None) -> int:
-        """Raise a context event, scoped to one session's stream when keyed.
+        """Raise a context event to one session's stream when keyed, else to every one's.
 
         Compiled ``when`` handlers run as reconfiguration transactions on
         the receiving stream; returns the number of deliveries.  An owner
-        call over the sessions the event reaches.
+        call over the session keyed, or over every session.
         """
-        return self.egress.run(
-            partial(self._raise_event, name, session_key), *self.scope(session_key)
-        )
+        sessions = [] if session_key is None else [self.require(session_key)]
+        raise_it = partial(self._raise_event, name, *sessions)
+        return self.egress.run(raise_it, *sessions, every=not sessions)
 
-    def _raise_event(self, name: str, session_key: str | None) -> int:
-        if session_key is None:
-            return self.mobigate.events.raise_event(name)
-        (session,) = self.scope(session_key)
-        return self.mobigate.events.raise_event(name, source=session.stream.name)
+    def _raise_event(self, name: str, session: GatewaySession | None = None) -> int:
+        """On the loop: ``name`` to ``session``'s stream, or to every session's.
+
+        An unscoped event reaches the streams of the session table as it
+        stands on the loop, not every stream the event manager knows: a
+        stream whose deploy has not published its session yet is left alone.
+        """
+        events = self.mobigate.events
+        events.catalog.category_of(name)  # an unknown event fails with no session too
+        sessions = list(self.sessions.values()) if session is None else [session]
+        return sum(events.raise_event(name, source=s.stream.name) for s in sessions)
 
     def describe(self, session: GatewaySession) -> dict:
         """One session's full ledger: gateway counters, stream stats, conservation.

@@ -31,12 +31,14 @@ other runs it on the pump's executor, since a step that waits on the
 loop would silence every session.
 
 * **The loan.**  Before a cycle submits the next share it does all it
-  does with the stream: admit what was staged, ``collect``, arm the next
-  retry, mirror the ledger.  Until the share lands the loop touches
-  nothing of the stream; an :meth:`offer` or :meth:`shed` meanwhile is
-  staged in a loop-side list that counts against the room.
+  does with the stream: ``collect``, arm the next retry, mirror the
+  ledger, admit what was staged.  Until the share lands the loop
+  touches nothing of the stream; an :meth:`offer` or :meth:`shed`
+  meanwhile is stamped and staged in a loop-side list that counts
+  against the room.
 * **The recall.**  A caller that needs a lent stream makes an *owner
-  call* (:meth:`EgressPump.call`): it sets the stream's
+  call* (:meth:`EgressPump.call`, over some sessions or every one): it
+  sets the stream's
   :attr:`~repro.runtime.stream.RuntimeStream.recalled` flag, the share
   returns before its next view visit, and the call runs on the loop in
   the cycle that takes the stream back.  For a session that is not lent
@@ -158,11 +160,12 @@ class EgressPump:
         self._private: threading.Thread | None = None  # a private loop's thread
         self._executor: ThreadPoolExecutor | None = None
         # the loop's thread only: sessions to cycle, retry wakeups, and the
-        # owner calls waiting for lent sessions, as (those sessions, fn,
-        # future); such a session is not lent again until its call has run
+        # owner calls waiting for lent sessions, as (those sessions, over
+        # every session?, fn, future); a session such a call covers is not
+        # lent again until it has run
         self._ready: set[GatewaySession] = set()
         self._timers: dict[GatewaySession, asyncio.TimerHandle] = {}
-        self._calls: list[tuple[frozenset, object, concurrent.futures.Future]] = []
+        self._calls: list[tuple[frozenset, bool, object, concurrent.futures.Future]] = []
         self._cycles = 0
         self._delivering_cycles = 0
         self._sessions_delivered = 0
@@ -174,34 +177,37 @@ class EgressPump:
 
     # -- owner calls (any thread) ------------------------------------------------------
 
-    def call(self, fn, *sessions: GatewaySession) -> concurrent.futures.Future:
+    def call(self, fn, *sessions: GatewaySession, every: bool = False) -> concurrent.futures.Future:
         """The owner call: run ``fn()`` on the loop once none of ``sessions`` is lent.
 
         At once if none is; else each lent one is recalled, and ``fn``
         runs in the cycle that takes the last of them back (the others
-        are not lent again until then).  With no loop, ``fn`` runs here.
-        Returns a future of ``fn``'s result (on the loop, await it).
+        are not lent again until then).  With ``every``, ``sessions`` are
+        every attached session, worked out on the loop, and none is lent
+        again until ``fn`` has run, one joining meanwhile included.  With
+        no loop, ``fn`` runs here.  Returns a future of ``fn``'s result
+        (on the loop, await it).
         """
         future: concurrent.futures.Future = concurrent.futures.Future()
         on = self._on
         if on is None:
             _settle(future, fn)
         elif threading.get_ident() == on[1]:
-            self._call(fn, sessions, future)
+            self._call(fn, sessions, every, future)
         else:
             try:
-                on[0].call_soon_threadsafe(self._call, fn, sessions, future)
+                on[0].call_soon_threadsafe(self._call, fn, sessions, every, future)
             except RuntimeError:  # a private loop ended with its last session
                 _settle(future, fn)
         return future
 
-    def run(self, fn, *sessions: GatewaySession):
+    def run(self, fn, *sessions: GatewaySession, every: bool = False):
         """:meth:`call`, waiting for ``fn``'s result (on the loop, for none lent).
 
         A private loop that ``fn`` ended is joined before this returns.
         """
         private, on = self._private, self._on
-        future = self.call(fn, *sessions)
+        future = self.call(fn, *sessions, every=every)
         if not future.done() and on is not None and threading.get_ident() == on[1]:
             raise RuntimeError("an owner call on the loop's thread must be awaited")
         try:
@@ -211,26 +217,28 @@ class EgressPump:
                 if private is not threading.current_thread():
                     private.join()
 
-    def _call(self, fn, sessions, future: concurrent.futures.Future) -> None:
-        lent = frozenset(session for session in sessions if session._share is not None)
+    def _call(self, fn, sessions, every: bool, future: concurrent.futures.Future) -> None:
+        covered = frozenset(self._sessions if every else sessions)
+        lent = [session for session in covered if session._share is not None]
         if not lent:
             _settle(future, fn)
             return
         for session in lent:
             session.stream.recalled = True
             self._mark(session)  # whichever cycle sees the landing answers
-        self._calls.append((lent, fn, future))
+        self._calls.append((covered, every, fn, future))
 
     def _answer(self, session: GatewaySession) -> None:
         """``session`` is back: run every owner call whose sessions all are."""
         calls, self._calls = self._calls, []
         for call in calls:
-            lent, fn, future = call
-            if any(other._share is not None for other in lent):
+            covered, every, fn, future = call
+            if any(other._share is not None for other in covered):
                 self._calls.append(call)
                 continue
             _settle(future, fn)
-            for other in lent:  # its shares resume with the next cycle
+            # their shares resume with the next cycle
+            for other in list(self._sessions) if every else covered:
                 if other is not session:
                     self._mark(other)
 
@@ -247,7 +255,9 @@ class EgressPump:
             loop_.call_soon_threadsafe(loop_.stop)
             self._private.join()
             self._private = None
-        self._switch(loop, threading.get_ident())
+        # cycle on ``loop``: the private loop's ready set and timers never
+        # run again, and a share in flight lands here, marking its session
+        self._on, self._ready, self._timers = (loop, threading.get_ident()), set(), {}
         for session in self._sessions:
             self._mark(session)
 
@@ -259,7 +269,7 @@ class EgressPump:
                 target=serve_forever, args=(loop,), name="gw-egress", daemon=True
             )
             self._private.start()
-            self._switch(loop, self._private.ident)
+            self._on, self._ready, self._timers = (loop, self._private.ident), set(), {}
         self.run(partial(self._join, session))
 
     def _join(self, session: GatewaySession) -> None:
@@ -313,14 +323,6 @@ class EgressPump:
             with contextlib.suppress(RuntimeError):  # a private loop ended with its last session
                 on[0].call_soon_threadsafe(self._mark, session)
 
-    def _switch(self, loop: asyncio.AbstractEventLoop, owner: int) -> None:
-        """Cycle on ``loop``; the last loop's ready set and timers never run again.
-
-        A share in flight lands on the new loop: its landing marks the
-        session there.
-        """
-        self._on, self._ready, self._timers = (loop, owner), set(), {}
-
     # -- the loop's thread ---------------------------------------------------------------
 
     def _mark(self, session: GatewaySession) -> None:
@@ -362,17 +364,16 @@ class EgressPump:
     def _collect(self, session: GatewaySession) -> tuple[list[MimeMessage], float]:
         """What the loop does with a stream after each step: collect, arm, mirror.
 
-        Returns the delivered messages and their pickup stamp, taken
-        before the ledger commit: each message's delivery component
-        covers the commit and its wait behind earlier frames of the cycle.
+        Returns the delivered messages and their pickup stamp, taken as
+        the drain returns, before the arming and the ledger commit: each
+        message's delivery component covers both and its wait behind
+        earlier frames of the cycle.
         """
         delivered = session.stream.collect()
+        picked = time.perf_counter() if delivered else 0.0
         if session.supervisor is not None:
             self._arm(session)
-        if not delivered:
-            return delivered, 0.0
-        picked = time.perf_counter()
-        if session.ledger is not None:
+        if delivered and session.ledger is not None:
             session.sync_ledger()
         return delivered, picked
 
@@ -380,9 +381,10 @@ class EgressPump:
         """An off-loop session's part of a cycle: take the stream back, lend it again.
 
         While a share runs the cycle only remembers the mark.  Once it
-        has landed: :meth:`_collect`, answer the owner calls that waited,
-        admit what was staged, and submit the next share — last, so that
-        until it lands the loop has nothing left to do with the stream.
+        has landed: :meth:`_collect`, admit what was staged, answer the
+        owner calls that waited (they see every run offered before them),
+        and submit the next share — last, so that until it lands the loop
+        has nothing left to do with the stream.
         """
         share = session._share
         failure = None
@@ -397,14 +399,14 @@ class EgressPump:
                 self._fault((session,), failure)  # no share until the next mark
         try:
             delivered, picked = self._collect(session)
+            session._unstage()
         finally:
             if self._calls:
                 self._answer(session)
-        session._unstage()
         executor = self._executor
         if (
             failure is None and executor is not None and session in self._sessions
-            and not any(session in lent for lent, _fn, _future in self._calls)
+            and not any(every or session in covered for covered, every, _f, _r in self._calls)
         ):
             session.stream.recalled = False
             session._again = False
@@ -506,7 +508,9 @@ class GatewaySession:
     stream lent to it (``stepped_by`` reads ``"pump"`` or ``"executor"``).
     ``requested`` is the scheduler name the deployer asked for — what
     ``describe`` reports as ``scheduler`` and what the ledger records.
-    Everything but :meth:`close` runs on the pump's loop.
+    Everything runs on the pump's loop: :meth:`offer` and :meth:`shed`
+    hand themselves to it from another thread, and :meth:`close` is an
+    owner call.
     """
 
     def __init__(
@@ -551,9 +555,10 @@ class GatewaySession:
         #: writes both; the share's landing reads the mark)
         self._share: concurrent.futures.Future | None = None
         self._again = False
-        #: ``(run, conn_id, shed)`` offered or shed while the stream is
-        #: lent, in order: the cycle that takes the stream back admits them
-        self._staged: list[tuple[tuple[MimeMessage, ...], str | None, bool]] = []
+        #: ``(run, conn_id, admission stamp, shed)`` offered or shed while
+        #: the stream is lent, in order: the cycle that takes the stream
+        #: back admits them
+        self._staged: list[tuple[tuple[MimeMessage, ...], str | None, float | None, bool]] = []
         #: while lent: the pool's size at the loan, plus the offers staged
         self._lent_resident = 0
         #: the egress stage serving this session: the gateway's shared
@@ -586,36 +591,43 @@ class GatewaySession:
         """Admit a run of messages, never waiting for room; see module docstring.
 
         One room check: a run that does not fit admits nothing (``FULL``).
-        Otherwise every message is pooled, then given one origin —
-        ``conn_id`` and an admission stamp taken just before the post —
-        and the ids are posted in one ``post_run``: ``ADMITTED``, or
-        ``SHED`` if the edge queue is full.  A run offered to a lent
-        stream is staged (``ADMITTED``) instead, and admitted so.
+        Otherwise the run is stamped — the end-to-end clock's start, and
+        the post's stamp, so the first queue wait starts there too —
+        every message is pooled and given one origin, ``conn_id`` and the
+        stamp, and the ids are posted in one ``post_run``: ``ADMITTED``,
+        or ``SHED`` if the edge queue is full.  A run offered to a lent
+        stream is staged (``ADMITTED``) instead, and admitted so, under
+        its stamp, when the stream is back.  Only the pump's loop admits:
+        an offer from another thread is handed to it, and waits.
         """
         if self._closed:
             raise QueueClosedError(f"session {self.key} is closed")
+        on = self.pump._on
+        if on is not None and on[1] != threading.get_ident():  # only the loop admits
+            return self.pump.run(partial(self.offer, *messages, conn_id=conn_id))
         if len(messages) > self.room:
             return FULL
+        stamp = time.perf_counter() if self._e2e_hist is not None else None
         if self._share is not None:
-            self._staged.append((messages, conn_id, False))
+            self._staged.append((messages, conn_id, stamp, False))
             self._lent_resident += len(messages)
             status = ADMITTED
             self._waiter.set()  # the landing must find its mark
         else:
-            status = self._admit(messages, conn_id)
+            status = self._admit(messages, conn_id, stamp)
         if status is ADMITTED:
             self.stats.frames_in += len(messages)
         return status
 
-    def _admit(self, messages, conn_id: str | None) -> str:
+    def _admit(self, messages, conn_id: str | None, stamp: float | None) -> str:
         """Pool a run, give it one origin and post it."""
         stream = self.stream
         admit = stream.admit
         entries = [admit(message) for message in messages]
-        origin = (conn_id, time.perf_counter() if self._e2e_hist is not None else None)
+        origin = (conn_id, stamp)
         for message in messages:
             message.headers.origin = origin
-        if not self._ingress_channel().queue.post_run(entries):
+        if not self._ingress_channel().queue.post_run(entries, stamp):
             # the effectively-unbounded edge queue is full — treat as a shed
             stream._release_dropped([msg_id for msg_id, _ in entries])
             self.stats.shed += len(entries)
@@ -625,24 +637,32 @@ class GatewaySession:
         return ADMITTED
 
     def shed(self, *messages: MimeMessage) -> None:
-        """Give up on a ``FULL`` run: shed it into the conservation ledger."""
+        """Give up on a ``FULL`` run: shed it into the conservation ledger (on the loop)."""
+        on = self.pump._on
+        if on is not None and on[1] != threading.get_ident():  # only the loop sheds
+            return self.pump.run(partial(self.shed, *messages))
         if self._share is not None:
-            self._staged.append((messages, None, True))
+            self._staged.append((messages, None, None, True))
             self._waiter.set()
         else:
             for message in messages:
                 self.stream.shed(message)
         self.stats.shed += len(messages)
 
-    def _unstage(self) -> None:
-        """The stream is back from its loan: admit and shed what was staged, in order."""
+    def _unstage(self, *, end: bool = False) -> None:
+        """The stream is back from its loan: admit and shed what was staged, in order.
+
+        With ``end`` every staged run is shed, the ones offered as well.
+        """
         staged, self._staged = self._staged, []
-        for messages, conn_id, shed in staged:
-            if shed:
+        for messages, conn_id, stamp, shed in staged:
+            if shed or end:
                 for message in messages:
                     self.stream.shed(message)
+                if not shed:
+                    self.stats.shed += len(messages)
             else:
-                self._admit(messages, conn_id)
+                self._admit(messages, conn_id, stamp)
 
     def _ingress_channel(self):
         for channel in self.stream.ingress.values():
@@ -753,12 +773,7 @@ class GatewaySession:
 
     def _end(self) -> None:
         """On the loop, the stream back: shed what is staged, end it, mirror the ledger."""
-        staged, self._staged = self._staged, []
-        for messages, _conn_id, shed in staged:
-            for message in messages:
-                self.stream.shed(message)
-            if not shed:
-                self.stats.shed += len(messages)
+        self._unstage(end=True)
         self.stream.remove_wakeup_listener(self._waiter.set)
         self.stream.end()
         if self.ledger is not None:

@@ -137,14 +137,15 @@ class Channel:
 
     # -- transfer ------------------------------------------------------------------
 
-    def post(self, msg_id: str, size: int, *, probe: bool = False) -> bool:
+    def post(self, msg_id: str, size: int, *, probe: bool = False, at: float | None = None) -> bool:
         """Enqueue a message id; False if dropped (Figure 6-9 policy, drop-on-full).
 
-        Queue-wait sampling is inlined (no telemetry method call): only ids
-        the stream marked as traced get a timestamp, so untraced traffic
-        pays a single set lookup here.
+        ``at`` is the post stamp the queue keeps for its queue wait (now,
+        if None).  Queue-wait sampling is inlined (no telemetry method
+        call): only ids the stream marked as traced get a timestamp, so
+        untraced traffic pays a single set lookup here.
         """
-        posted = self.queue.post_message(msg_id, size, probe=probe)
+        posted = self.queue.post_message(msg_id, size, probe=probe, at=at)
         if posted:
             tm = self._tm
             if tm is not None and msg_id in tm.traced_ids:

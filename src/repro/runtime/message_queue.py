@@ -134,9 +134,10 @@ class MessageQueue:
 
     # -- the paper's postMessage / fetchMessage ----------------------------------------------
 
-    def _put(self, run: list[tuple[str, int]], size: int, probe: bool) -> bool:
+    def _put(self, run: list[tuple[str, int]], size: int, probe: bool, at: float | None) -> bool:
         """Enqueue a run of ``size`` bytes if it fits (an empty queue takes it
-        whole), and wake the consumers."""
+        whole), and wake the consumers.  ``at`` is the post stamp a
+        recording queue keeps (now, if None)."""
         if self.closed:
             raise QueueClosedError("post on closed queue")
         entries = self.entries
@@ -153,21 +154,23 @@ class MessageQueue:
             if self.watermark_gauge is not None:
                 self.watermark_gauge.value = float(depth)
         if self.record_waits:
-            self._post_times.extend([time.perf_counter()] * len(run))
+            self._post_times.extend([time.perf_counter() if at is None else at] * len(run))
         if self.depth_gauge is not None:
             self.depth_gauge.value = float(depth)
         for event in self._waiters:
             event.set()
         return True
 
-    def post_message(self, msg_id: str, size: int, *, probe: bool = False) -> bool:
+    def post_message(
+        self, msg_id: str, size: int, *, probe: bool = False, at: float | None = None
+    ) -> bool:
         """Enqueue; False if the message did not fit and was dropped (Figure 6-9).
 
         A probe's refusal is not counted in ``dropped`` (module docstring).
         """
-        return self._put([(msg_id, size)], size, probe)
+        return self._put([(msg_id, size)], size, probe, at)
 
-    def post_run(self, entries: list[tuple[str, int]]) -> bool:
+    def post_run(self, entries: list[tuple[str, int]], at: float | None = None) -> bool:
         """Post a run of ``(msg_id, size)`` entries whole, never waiting for room.
 
         The gateway's admission.  ``True``: enqueued in order (an empty
@@ -175,7 +178,7 @@ class MessageQueue:
         counted (the probe contract).  Raises :class:`QueueClosedError`
         on a closed queue.
         """
-        return self._put(entries, sum([entry[1] for entry in entries]), True)
+        return self._put(entries, sum([entry[1] for entry in entries]), True, at)
 
     def fetch_message(self) -> str | None:
         """Dequeue the oldest id; None when the queue is empty."""

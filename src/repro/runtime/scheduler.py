@@ -146,7 +146,10 @@ def _run_hops(
     ``PassMode.REFERENCE`` pool is not consulted again;
     ``PassMode.VALUE`` checks out (deep-copies) at every hop.  With
     telemetry on, the clock read that ends hop *i* is the start of hop
-    *i + 1*.  Returns ``(process calls that succeeded, hand-offs)``.
+    *i + 1*, and the post stamp of every emission hop *i* posts: the
+    routing after a hop's end is waiting, not service, so no interval
+    between claim and pickup belongs to no component.  Returns
+    ``(process calls that succeeded, hand-offs)``.
 
     Only the first emission that may be handed off is; the rest of a
     fan-out are posted behind it, in emission order.
@@ -223,9 +226,9 @@ def _run_hops(
                     # the rest of the loop reads only its locals above
                     view, port, msg_id = target, in_port, out_id
                 else:
-                    _post(stream, channel, out_id, out_msg, dirty)
+                    _post(stream, channel, out_id, out_msg, dirty, t0)
             else:
-                _post(stream, outputs[out_port], out_id, out_msg, dirty)
+                _post(stream, outputs[out_port], out_id, out_msg, dirty, t0)
             out_id = None
         if handing is None:
             return processed, handed
@@ -252,14 +255,16 @@ def _hop_failed(
 
 def _post(
     stream: RuntimeStream, channel: Channel, out_id: str, out_msg, dirty: set[str],
+    at: float | None,
 ) -> None:
     """Post one emission to its output channel, never waiting; a full queue drops.
 
     A waiting producer would starve the consumer that could free the
-    space: the one thread that steps the stream is both.
+    space: the one thread that steps the stream is both.  ``at`` (the
+    hop's end, with telemetry on) is the post stamp the queue keeps.
     """
     try:
-        if channel.post(out_id, out_msg.total_size(), probe=True):
+        if channel.post(out_id, out_msg.total_size(), probe=True, at=at):
             sink = channel.sink
             if sink is not None and sink.instance != EGRESS:  # egress: collect() drains
                 dirty.add(sink.instance)

@@ -113,10 +113,6 @@ class StreamStats:
     retries: int = _counter("Failed messages re-posted by a recovery supervisor")
     dead_letters: int = _counter("Messages dead-lettered after exhausting recovery")
 
-    def inc(self, name: str, n: int = 1) -> None:
-        """Bump one counter by name; only the stream's owner does."""
-        setattr(self, name, getattr(self, name) + n)
-
 
 class _NodeView:
     """One node's frozen wiring and hop plan, as published in a snapshot.

@@ -27,7 +27,11 @@ frame complete) is the socket side: it ends where the end-to-end clock
 starts, so :func:`summarize` lists it and :func:`decompose` leaves it out.
 
 Timestamps come from ``time.perf_counter`` at five points: queue-post,
-claim, step-start, step-end, egress-handoff.  Queue wait is measured for
+claim, step-start, step-end, egress-handoff.  The intervals tile: a
+post inside a step is stamped with the hop's step end, the admission
+post with the end-to-end clock's start, and the pickup as the egress
+drain returns, so no time between admission and delivery belongs to no
+component.  Queue wait is measured for
 *every* message (a deque of post times rides next to the entries — see
 :class:`~repro.runtime.message_queue.MessageQueue`; a hand-off's zero
 wait is taken at fold time, :attr:`~repro.telemetry.metrics.Histogram.floor`),

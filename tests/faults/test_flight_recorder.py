@@ -122,7 +122,7 @@ class TestConservationDump:
         scheduler.pump()
         stream.collect()
         # sabotage the ledger: an id counted twice is an imbalance
-        stream.stats.inc("messages_out")
+        stream.stats.messages_out += 1
         with pytest.raises(ConservationError) as err:
             assert_conservation(stream)
         assert "[flight recorder: " in str(err.value)

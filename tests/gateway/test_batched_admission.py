@@ -13,6 +13,7 @@ anything a client or a streamlet can write.
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from types import SimpleNamespace
 
 from repro.errors import QueueClosedError
@@ -83,7 +84,8 @@ def drive(ingest, script: Script) -> dict:
                 MimeMessage("text/plain", word[1:].encode(), session=word[0])
                 for word in read.split()
             )
-            parked = ingest(gateway.data, conns[conn_id], frames)
+            run_on_loop = gateway.egress.run  # admission is the pump loop's
+            parked = run_on_loop(partial(ingest, gateway.data, conns[conn_id], frames))
             while parked is not None:
                 session, run, _t0 = parked
                 parks.append((session.key, run[0].body, FULL))
@@ -95,10 +97,10 @@ def drive(ingest, script: Script) -> dict:
                     while status == FULL:
                         assert time.monotonic() < deadline
                         time.sleep(0.001)
-                        status = session.offer(*run, conn_id=conn_id)
+                        status = run_on_loop(partial(session.offer, *run, conn_id=conn_id))
                 except QueueClosedError:
                     pass
-                parked = ingest(gateway.data, conns[conn_id], frames)
+                parked = run_on_loop(partial(ingest, gateway.data, conns[conn_id], frames))
         live = [s for s in sessions.values() if not s.closed]
         for session in live:
             gateway.raise_event("RESUME", session_key=session.key)

@@ -3,9 +3,9 @@
 import asyncio
 import logging
 import socket
-import threading
 import time
 from dataclasses import replace
+from functools import partial
 from unittest.mock import Mock
 
 import pytest
@@ -497,25 +497,32 @@ class TestTheDoor:
         # it, memo included; the gateway's stamps then replace the memo,
         # which carries the derived key over, so neither routing nor
         # admission derives it again
-        derive, here, derived = HeaderMap.session.fget, threading.get_ident(), []
+        derive, inside, derived = HeaderMap.session.fget, [], []
 
         def counting(headers):
-            if "session" not in headers._memo and threading.get_ident() == here:
+            if "session" not in headers._memo and inside:
                 derived.append(headers)
             return derive(headers)
+
+        def read(nbytes):  # the read callback alone, on the pump's loop
+            inside.append(True)
+            try:
+                connection.buffer_updated(nbytes)
+            finally:
+                inside.clear()
 
         monkeypatch.setattr(HeaderMap, "session", property(counting, HeaderMap.session.fset))
         gateway = GatewayServer()  # never started: the callbacks are driven by hand
         session = gateway.deploy(MCL, session_key="s")
+        run_on_loop = gateway.egress.run  # admission is the pump loop's
         try:
             connection = _Connection(gateway.data)
-            connection.connection_made(Mock())
+            run_on_loop(partial(connection.connection_made, Mock()))
             raw = serialize_message(tagged(b"x", "s")) * 3
             gateway.data._recv_view[: len(raw)] = raw
-            derived.clear()
-            connection.buffer_updated(len(raw))
+            run_on_loop(partial(read, len(raw)))
             assert session.stats.frames_in == 3
             assert len(derived) == 1
-            connection.connection_lost(None)
+            run_on_loop(partial(connection.connection_lost, None))
         finally:
             gateway.undeploy("s", record=False)

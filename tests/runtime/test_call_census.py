@@ -85,8 +85,8 @@ ASYNC_DEEP_CHAIN = chain("deep_chain", 24)
 #: calls per message per layer, at most: the measured census rounded up to
 #: a whole call (the measured values are in docs/performance.md)
 BOUNDS = {
-    "small_echo": {"feed": 19, "post": 27, "pump": 55, "collect": 20, "serialize": 12},
-    "deep_chain": {"feed": 19, "post": 27, "pump": 291, "collect": 20, "serialize": 12},
+    "small_echo": {"feed": 19, "post": 27, "pump": 53, "collect": 19, "serialize": 12},
+    "deep_chain": {"feed": 19, "post": 27, "pump": 289, "collect": 19, "serialize": 12},
 }
 
 

@@ -12,7 +12,11 @@ drives three cases through a real gateway:
   ``session_churn`` composition while another thread raises events;
 * a ``text_compress`` session, lent to shares on the executor, taking
   ``reconfigure``, ``stats`` and ``introspect`` while its shares run;
-* a durable restart whose ledger holds pending retries.
+* a durable restart whose ledger holds pending retries;
+* an unscoped event and ``introspect`` racing the deploy of a session
+  stepped on the executor;
+* a supervised lent session whose retry comes due while a reconfigure
+  removes the retry's target.
 """
 
 import threading
@@ -24,14 +28,17 @@ import pytest
 
 from repro.gateway import GatewayConfig, GatewayServer
 from repro.gateway.session import EgressPump
+from repro.mcl.parser import parse_script
 from repro.mime.message import MimeMessage
 from repro.mime.wire import serialize_message
 from repro.runtime.scheduler import InlineScheduler
 from repro.runtime.stream import RuntimeStream
+from repro.runtime.streamlet import Streamlet
 from repro.store import Ledger, open_store
 
 from tests.gateway.test_data_plane import WireClient, deploy, tagged
 from tests.gateway.test_reconfig_storm import CHURN_MCL
+from tests.runtime.test_write_exclusion import DEFS, _Hold
 
 
 class Tracker:
@@ -251,4 +258,196 @@ def test_a_durable_restart_with_pending_retries_keeps_one_owner(tracker, tmp_pat
             time.sleep(0.02)
         assert reply["reconcile"]["balanced"], reply
     assert tracker.threads
+    assert tracker.overlaps == []
+
+
+HELD_MCL = DEFS + """
+main stream held{
+  streamlet a, z = new-streamlet (redirector);
+  streamlet mid = new-streamlet (hold);
+  connect (a.po, mid.pi);
+  connect (mid.po, z.pi);
+}"""
+
+
+def _advertise_hold(gateway) -> None:
+    _Hold.entered.clear()
+    _Hold.release.clear()
+    (definition,) = parse_script(DEFS).streamlets
+    gateway.mobigate.directory.advertise(definition, _Hold)
+
+
+def _wait_for_a_queued_call(gateway, calls=1) -> None:
+    deadline = time.monotonic() + 5
+    while len(gateway.egress._calls) < calls:
+        assert time.monotonic() < deadline, "the owner call never reached the loop"
+        time.sleep(0.002)
+
+
+UNSCOPED = {
+    "pause": lambda handle: handle.gateway.raise_event("PAUSE"),
+    "reconfigure": lambda handle: handle.control({"op": "reconfigure", "event": "PAUSE"}),
+    "introspect": lambda handle: handle.control({"op": "introspect"}),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(UNSCOPED))
+def test_an_unscoped_call_racing_a_deploy_touches_no_lent_stream(tracker, monkeypatch, verb):
+    """A call over every session works the sessions out on the loop.
+
+    Session ``a``'s share is held in ``process``; an unscoped call waits
+    for it, and meanwhile session ``b`` is deployed: it joins the pump
+    and the table, but is not lent while the call waits.  When the call
+    runs no stream of the pump is lent, and it reaches ``b`` too.
+    """
+    lent_when_run = []
+    real_raise, real_introspect = GatewayServer._raise_event, GatewayServer.introspect
+
+    def lent(gateway):
+        lent_when_run.append(sorted(
+            (s.key, s._share is not None) for s in gateway.egress._sessions
+        ))
+
+    def raise_checked(self, name, session=None):
+        lent(self)
+        return real_raise(self, name, session)
+
+    def introspect_checked(self):
+        lent(self)
+        return real_introspect(self)
+
+    monkeypatch.setattr(GatewayServer, "_raise_event", raise_checked)
+    monkeypatch.setattr(GatewayServer, "introspect", introspect_checked)
+    with GatewayServer().run_in_thread() as handle:
+        gateway = handle.gateway
+        _advertise_hold(gateway)
+        gateway.deploy(HELD_MCL, session_key="a")
+        assert gateway.sessions["a"].stepped_by == "executor"
+        client = WireClient(handle.data_address, timeout=20.0)
+        results = []
+        calling = threading.Thread(target=lambda: results.append(UNSCOPED[verb](handle)))
+        try:
+            client.send(tagged(b"held", "a"))
+            assert _Hold.entered.wait(5), "a's share never reached mid"
+            calling.start()
+            _wait_for_a_queued_call(gateway)
+            gateway.deploy(HELD_MCL, session_key="b")  # while the call waits
+            calling.join(0.2)
+            assert calling.is_alive(), "the call ran while a was lent"
+            assert not gateway.sessions["b"]._share, "b was lent while an unscoped call waited"
+        finally:
+            _Hold.release.set()
+            calling.join(10)
+        try:
+            [result] = results
+            assert lent_when_run == [[("a", False), ("b", False)]]
+            if verb == "pause":
+                assert result == 2  # both sessions, b included
+            elif verb == "reconfigure":
+                assert result["ok"] and result["delivered"] == 2, result
+            else:
+                assert set(result["sessions"]) == {"a", "b"}
+            gateway.raise_event("RESUME")
+            assert client.recv_frame().body == b"held"
+            client.send(tagged(b"to b", "b"))
+            assert client.recv_frame().body == b"to b"
+        finally:
+            client.close()
+    assert tracker.overlaps == []
+
+
+class _Flaky(Streamlet):
+    """Fails the first message whose body is ``fail``; forwards the rest."""
+
+    cooperative = False
+    failed = 0
+
+    def process(self, port, message, ctx):
+        if message.body == b"fail" and not type(self).failed:
+            type(self).failed += 1
+            raise RuntimeError("the first 'fail' fails")
+        return [("po", message)]
+
+
+FLAKY_MCL = DEFS + """
+streamlet flaky{
+  port{ in pi : */*; out po : */*; }
+}
+main stream flaky_chain{
+  streamlet a, z = new-streamlet (redirector);
+  streamlet mid = new-streamlet (hold);
+  streamlet f = new-streamlet (flaky);
+  connect (a.po, mid.pi);
+  connect (mid.po, f.pi);
+  connect (f.po, z.pi);
+  when (LOW_BANDWIDTH){
+    remove (f);
+  }
+}"""
+
+
+class _HoldOnce(_Hold):
+    """Holds only the message whose body is ``hold``."""
+
+    def process(self, port, message, ctx):
+        if message.body != b"hold":
+            return [("po", message)]
+        return super().process(port, message, ctx)
+
+
+def test_a_retry_due_during_a_share_meets_the_commit_that_removed_its_target(tracker):
+    """A lent supervised session: ``fail`` fails at ``f`` and waits out its
+    backoff while ``hold`` holds the share; the retry comes due, then a
+    reconfigure that removes ``f`` recalls the share.  The commit runs on
+    the loop once the share is back, and the next share's retry finds its
+    target gone: dead-lettered, never stranded in a channel outside the
+    topology.
+    """
+    _Flaky.failed = 0
+    with GatewayServer(config=GatewayConfig(supervise=True)).run_in_thread() as handle:
+        gateway = handle.gateway
+        _Hold.entered.clear()
+        _Hold.release.clear()
+        for definition in parse_script(FLAKY_MCL).streamlets:
+            cls = {"hold": _HoldOnce, "flaky": _Flaky}[definition.name]
+            gateway.mobigate.directory.advertise(definition, cls)
+        gateway.deploy(FLAKY_MCL, session_key="s")
+        session = gateway.sessions["s"]
+        assert session.stepped_by == "executor"
+        client = WireClient(handle.data_address, timeout=20.0)
+        replies = []
+        try:
+            client.send(tagged(b"fail", "s"))
+            client.send(tagged(b"hold", "s"))
+            assert _Hold.entered.wait(5), "the share never reached mid"
+            assert _Flaky.failed == 1 and session.supervisor.pending_retries == 1
+            due = session.supervisor.next_due()
+            while session.stream._clock.now() <= due:  # the retry comes due mid-share
+                time.sleep(0.01)
+            reconfiguring = threading.Thread(target=lambda: replies.append(handle.control(
+                {"op": "reconfigure", "event": "LOW_BANDWIDTH", "session": "s"}
+            )))
+            reconfiguring.start()
+            _wait_for_a_queued_call(gateway)
+            reconfiguring.join(0.2)
+            assert reconfiguring.is_alive(), "the reconfigure ran while the share was lent"
+        finally:
+            _Hold.release.set()
+            reconfiguring.join(10)
+        try:
+            assert replies and replies[0]["ok"] and replies[0]["epoch"] == 1, replies
+            assert client.recv_frame().body == b"hold"
+            deadline = time.monotonic() + 5
+            while True:
+                letters = handle.control({"op": "dead_letters", "session": "s"})
+                if letters["dead_letters"] or time.monotonic() > deadline:
+                    break
+                time.sleep(0.01)
+            [letter] = letters["dead_letters"]
+            assert letter["instance"] == "f" and letter["reason"] == "retry target detached"
+            stats = handle.control({"op": "stats", "session": "s"})
+            assert stats["conservation"]["balanced"], stats
+            assert stats["conservation"]["residual"] == 0
+        finally:
+            client.close()
     assert tracker.overlaps == []

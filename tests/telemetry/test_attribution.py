@@ -1,6 +1,7 @@
 """Per-hop attribution: histograms, queue gauges, and the tracer's own loss."""
 
 import threading
+from functools import partial
 
 import pytest
 
@@ -105,7 +106,8 @@ def gateway_decomposition(ledger=None, n=50) -> dict:
     session.pump.bridge = bridge
     try:
         for _ in range(n):
-            assert session.offer(MimeMessage("text/plain", b"x" * 64)) == ADMITTED
+            offer = partial(session.offer, MimeMessage("text/plain", b"x" * 64))
+            assert session.pump.run(offer) == ADMITTED  # admission is the pump loop's
         assert done.wait(10), f"only {len(frames)}/{n} frames delivered"
     finally:
         session.close()
