@@ -14,7 +14,8 @@ module              artifact
 
 Each experiment returns structured rows and can print the series the
 paper plots.  ``python -m repro.bench`` runs everything;
-``benchmarks/`` wraps the hot operations in pytest-benchmark.
+``tests/bench/test_paper_claims.py`` gates each figure's shape on a
+reduced sweep.
 """
 
 from repro.bench.fig7_2 import run_fig7_2

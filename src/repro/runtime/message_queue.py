@@ -26,7 +26,6 @@ gateway's admission posts a whole run with :meth:`post_run`.  A waiter's
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
 
@@ -45,8 +44,8 @@ class MessageQueue:
         #: through the methods below
         self.entries: deque[tuple[str, int]] = deque()
         self.pending_bytes = 0
-        #: consumer-side wakeup events (see :meth:`add_waiter`)
-        self._waiters: list[threading.Event] = []
+        #: consumer wakeups, anything with a ``set()`` (see :meth:`add_waiter`)
+        self._waiters: list = []
         #: set by :meth:`close`; never cleared
         self.closed = False
         # attachment counters (pCount / cCount of Figure 6-3)
@@ -120,8 +119,9 @@ class MessageQueue:
 
     # -- consumer wakeup events --------------------------------------------------------
 
-    def add_waiter(self, event: threading.Event) -> None:
-        """Register a consumer wakeup: set on every post (and on close).
+    def add_waiter(self, event) -> None:
+        """Register a consumer wakeup, any object with a non-blocking
+        ``set()``: set on every post (and on close).
 
         If the queue already holds entries (or is closed) the event is set
         immediately, so a consumer registering after traffic arrived never

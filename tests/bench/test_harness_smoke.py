@@ -1,7 +1,9 @@
 """Smoke tests: every experiment runner produces well-formed results fast.
 
 These run with tiny sweeps so the harness logic (not its numbers) is part
-of the ordinary test suite; full sweeps live in ``benchmarks/``.
+of the ordinary test suite.  What the figures show is gated once, in
+``tests/bench/test_paper_claims.py``; ``python -m repro.bench`` runs the
+full sweeps.
 """
 
 import pytest
@@ -11,9 +13,7 @@ from repro.bench.ablations import (
     run_compile_ablation,
     run_pooling_ablation,
 )
-from repro.bench.fig7_2 import run_fig7_2
-from repro.bench.fig7_3 import run_fig7_3
-from repro.bench.fig7_6 import reconfig_exp_mcl, run_fig7_6
+from repro.bench.fig7_6 import reconfig_exp_mcl
 from repro.bench.fig7_7 import run_cell
 from repro.bench.harness import deploy_chain, redirector_chain_mcl, time_repeated
 from repro.bench.reporting import format_table
@@ -54,26 +54,6 @@ class TestHarnessUtilities:
 
 
 class TestFigureRunners:
-    def test_fig7_2_shape(self):
-        # a wide spread of lengths and interleaved minima: fifteen hops are
-        # a few hundred microseconds, well clear of what the host adds
-        result = run_fig7_2((1, 16, 32), message_kb=2, repeats=15)
-        latencies = [latency for _n, latency in result.rows]
-        assert [n for n, _latency in result.rows] == [1, 16, 32]
-        assert latencies[0] < latencies[1] < latencies[2]
-        assert result.per_streamlet_seconds > 0
-        assert result.r_squared > 0.9
-
-    def test_fig7_3_shape(self):
-        result = run_fig7_3((10, 100), chain=8, repeats=2)
-        assert len(result.rows) == 2
-        assert all(ref > 0 and val > 0 for _, ref, val in result.rows)
-
-    def test_fig7_6_shape(self):
-        result = run_fig7_6((1, 5), repeats=2)
-        assert [n for n, *_ in result.rows] == [1, 5]
-        assert all(wall > 0 for _n, wall, *_ in result.rows)
-
     def test_fig7_6_bad_count(self):
         with pytest.raises(ValueError):
             reconfig_exp_mcl(0)
@@ -83,10 +63,6 @@ class TestFigureRunners:
         assert cell.mobigate.messages_sent == 3
         assert cell.direct.messages_sent == 3
         assert cell.speedup > 0
-
-    def test_fig7_7_low_bandwidth_inserts_compressor(self):
-        cell = run_cell(20_000.0, 0.001, n_messages=3, seed=1, image_fraction=0.0)
-        assert cell.compressor_inserted
 
 
 class TestAblationRunners:

@@ -11,6 +11,7 @@ never wait for one another's shares, however many there are.
 """
 
 import contextlib
+import gc
 import socket
 import sys
 import threading
@@ -91,6 +92,12 @@ def test_a_slow_session_cannot_stall_its_neighbours():
                 received.append(slow.recv_frame().body)
 
         reader = threading.Thread(target=receive_slow)
+        # the gateway's loop runs in this process: a full collection of the
+        # test process's heap (some 174k objects) holds the GIL for 80-336 ms
+        # and would stall the loop inside the timed window, so the heap
+        # built so far is frozen out of every collection until it closes
+        gc.collect()
+        gc.freeze()
         try:
             echo.send(tagged(b"warm", echo_key))
             assert echo.recv_frame().body == b"warm"
@@ -112,6 +119,7 @@ def test_a_slow_session_cannot_stall_its_neighbours():
                 assert time.monotonic() < deadline + 20, "the slow session never finished"
             reader.join(timeout=20)
         finally:
+            gc.unfreeze()
             echo.close()
             slow.close()
         assert received == [b"slow-%d" % i for i in range(SLOW_FRAMES)]

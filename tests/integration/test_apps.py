@@ -65,7 +65,9 @@ class TestDistillationApp:
 class TestWebAccelerationApp:
     def test_compiles_and_verifies(self):
         server = build_server()
-        table = server.compile(WEB_ACCELERATION_MCL).main_table()
+        compiled = server.compile(WEB_ACCELERATION_MCL)
+        assert compiled.main == "webAccel"
+        table = compiled.main_table()
         assert analyze(table).consistent
         assert table.dormant_instances() == {"tc"}
 

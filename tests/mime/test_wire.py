@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,7 +131,13 @@ class TestParts:
         head, payload = serialize_parts(page)
         rebuilt = parse_message(head + payload)
         assert rebuilt.is_multipart and len(rebuilt.parts) == len(page.parts)
-        assert len(head + payload) == len(serialize_message(page))
+        # each serialisation draws a new boundary, whose serial may gain a
+        # digit in between and so move the outer head's Content-Length:
+        # past the outer head, the frames are equal but for the boundary
+        def body(frame):
+            return re.sub(rb"mgbd-\d+", b"mgbd", frame.split(b"\n\n", 1)[1])
+
+        assert body(head + payload) == body(serialize_message(page))
 
     def test_a_bytes_body_is_the_payload_itself(self):
         message = MimeMessage("application/octet-stream", b"x" * 70_000)

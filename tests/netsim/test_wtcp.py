@@ -83,10 +83,16 @@ class TestCorrectness:
 
 class TestLiteratureShapes:
     def test_plain_tcp_collapses_with_loss(self):
-        clean = run_wtcp("plain", wireless_loss=0.0, seed=3)
-        lossy = run_wtcp("plain", wireless_loss=0.10, seed=3)
+        runs = {
+            loss: run_wtcp("plain", wireless_loss=loss, seed=3)
+            for loss in (0.0, 0.02, 0.05, 0.10, 0.20)
+        }
+        clean, lossy = runs[0.0], runs[0.10]
         assert lossy.goodput_bps < clean.goodput_bps / 5
         assert lossy.timeouts > 0
+        # and every step up in loss costs goodput
+        goodputs = [run.goodput_bps for run in runs.values()]
+        assert all(a >= b for a, b in zip(goodputs, goodputs[1:]))
 
     def test_snoop_shields_the_sender(self):
         snoop = run_wtcp("snoop", wireless_loss=0.10, seed=3)

@@ -14,7 +14,9 @@ chunk, as a closed-loop client's window arrives in one socket read.
 
 Each layer's count per message must stay at most its bound.  A change
 that lowers a count lowers the bound with it (``docs/performance.md``
-quotes both), so a bound only ever tightens.
+quotes both), so a bound only ever tightens.  :func:`calls` counts the
+same way around any one call; ``tests/bench/test_paper_claims.py``
+gates the paper's figures and ablations with it.
 
 Run this file as a script to print the census::
 
@@ -119,6 +121,21 @@ class _Profiler:
         filename = frame.f_code.co_filename
         if filename.startswith(REPRO_DIR):
             self.by_file[filename] += 1
+
+
+def calls(function, *args) -> int:
+    """The calls ``repro`` frames make while ``function(*args)`` runs."""
+    profiler = _Profiler()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()  # a collection would run finalizers inside a counted call
+    sys.setprofile(profiler)
+    try:
+        function(*args)
+    finally:
+        sys.setprofile(None)
+        if gc_was_enabled:
+            gc.enable()
+    return sum(profiler.by_file.values())
 
 
 def census(mcl: str, messages: int = MESSAGES) -> dict:
