@@ -64,6 +64,10 @@ class TestFigureRunners:
         assert cell.direct.messages_sent == 3
         assert cell.speedup > 0
 
+    def test_fig7_7_low_bandwidth_inserts_compressor(self):
+        cell = run_cell(20_000.0, 0.001, n_messages=3, seed=1, image_fraction=0.0)
+        assert cell.compressor_inserted
+
 
 class TestAblationRunners:
     def test_pooling(self):
