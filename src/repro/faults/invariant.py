@@ -25,9 +25,11 @@ imbalance is a leak (an id released without being counted, or counted
 without being released) and :func:`assert_conservation` turns it into a
 :class:`~repro.errors.ConservationError`.
 
-:class:`ConservationReport` holds the terms and :func:`check_conservation`
-reads live counters into it; the ledger mirror, fold and crash reconcile
-(:mod:`repro.store`) use the same type.
+:func:`conservation_terms` reads a stream's live counters;
+:func:`check_conservation` turns that read into a
+:class:`ConservationReport`, the type the fold and crash reconcile
+(:mod:`repro.store`) balance, while the ledger mirror writes the read's
+plain integers.
 """
 
 from __future__ import annotations
@@ -49,9 +51,8 @@ DROP_KINDS = ("queue_drops", "open_circuit_drops", "failure_drops", "end_drops")
 class ConservationReport:
     """The terms of the conservation equation for one stream or session.
 
-    ``+`` and ``-`` act term by term and keep the left operand's
-    ``stream`` label: the ledger mirror subtracts the last mirrored
-    report from the current one, and the fold adds the deltas back up.
+    ``+`` acts term by term and keeps the left operand's ``stream``
+    label: the fold adds the ledger's deltas up.
     """
 
     stream: str = ""
@@ -75,14 +76,10 @@ class ConservationReport:
         return self.admitted - self.fates - self.recovered_in_flight
 
     @property
-    def accounted(self) -> int:
-        """Every fate plus the residual and the crash-frozen tally."""
-        return self.fates + self.residual + self.recovered_in_flight
-
-    @property
     def missing(self) -> int:
-        """Positive = leaked ids; negative = double-counted ids."""
-        return self.admitted - self.accounted
+        """Admissions neither given a fate, resident nor frozen by a crash:
+        positive = leaked ids; negative = double-counted ids."""
+        return self.in_flight - self.residual
 
     @property
     def balanced(self) -> bool:
@@ -99,10 +96,7 @@ class ConservationReport:
         return self.dropped
 
     def __add__(self, other: "ConservationReport") -> "ConservationReport":
-        return _build(self.stream, *map(operator.add, _terms(self), _terms(other)))
-
-    def __sub__(self, other: "ConservationReport") -> "ConservationReport":
-        return _build(self.stream, *map(operator.sub, _terms(self), _terms(other)))
+        return ConservationReport(self.stream, *map(operator.add, _terms(self), _terms(other)))
 
     def describe(self) -> str:
         """The full equation as one human-readable line."""
@@ -115,23 +109,12 @@ class ConservationReport:
         )
 
 
-#: every field name, in constructor order
-_NAMES = tuple(f.name for f in fields(ConservationReport))
 #: the counted terms of a report (every field after ``stream``)
-_terms = operator.attrgetter(*_NAMES[1:])
+_terms = operator.attrgetter(*[f.name for f in fields(ConservationReport)][1:])
 
 
-def _build(*values) -> ConservationReport:
-    """A report from every field value in order, skipping the frozen ``__init__``:
-    its guarded ``object.__setattr__`` per field costs 2 us a report on a 2-vCPU
-    Xeon VM, and the ledger mirror builds two per session per pump cycle."""
-    report = object.__new__(ConservationReport)
-    report.__dict__.update(zip(_NAMES, values))
-    return report
-
-
-def check_conservation(stream: "RuntimeStream") -> ConservationReport:
-    """Read one stream's live counters into a :class:`ConservationReport`.
+def conservation_terms(stream: "RuntimeStream") -> tuple[int, int, int, int, int]:
+    """One stream's live ``(admitted, delivered, absorbed, dead_letters, dropped)``.
 
     The one reader of the live counters, and the one place the
     :data:`DROP_KINDS` are summed.  Read order matters: the terminal
@@ -145,10 +128,12 @@ def check_conservation(stream: "RuntimeStream") -> ConservationReport:
     stats = stream.stats
     delivered, absorbed, dead_letters = stats.messages_out, stats.absorbed, stats.dead_letters
     dropped = stats.queue_drops + stats.open_circuit_drops + stats.failure_drops + stats.end_drops
-    admitted = stream.pool.admitted
-    return _build(
-        stream.name, admitted, delivered, absorbed, dead_letters, dropped, len(stream.pool), 0
-    )
+    return stream.pool.admitted, delivered, absorbed, dead_letters, dropped
+
+
+def check_conservation(stream: "RuntimeStream") -> ConservationReport:
+    """:func:`conservation_terms` as a :class:`ConservationReport`, pool residency the residual."""
+    return ConservationReport(stream.name, *conservation_terms(stream), len(stream.pool))
 
 
 def _dump_flight(stream: "RuntimeStream", reason: str) -> str:

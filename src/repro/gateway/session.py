@@ -31,11 +31,11 @@ other runs it on the pump's executor, since a step that waits on the
 loop would silence every session.
 
 * **The loan.**  Before a cycle submits the next share it does all it
-  does with the stream: ``collect``, arm the next retry, mirror the
-  ledger, admit what was staged.  Until the share lands the loop
-  touches nothing of the stream; an :meth:`offer` or :meth:`shed`
-  meanwhile is stamped and staged in a loop-side list that counts
-  against the room.
+  does with the stream: ``collect``, arm the next retry, read the
+  counters its ledger row mirrors, admit what was staged.  Until the
+  share lands the loop touches nothing of the stream; an :meth:`offer`
+  or :meth:`shed` meanwhile is stamped and staged in a loop-side list
+  that counts against the room.
 * **The recall.**  A caller that needs a lent stream makes an *owner
   call* (:meth:`EgressPump.call`, over some sessions or every one): it
   sets the stream's
@@ -53,6 +53,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import contextlib
+import operator
 import sys
 import threading
 import time
@@ -62,7 +63,7 @@ from functools import partial
 from types import SimpleNamespace
 
 from repro.errors import QueueClosedError
-from repro.faults.invariant import ConservationReport, check_conservation
+from repro.faults.invariant import conservation_terms
 from repro.mime.message import MimeMessage
 from repro.mime.wire import serialize_parts
 from repro.runtime.stream import RuntimeStream
@@ -126,14 +127,16 @@ class EgressPump:
     1. per ready session — run its share (pump supervisor retries, step
        the stream for its quantum, re-hook the waiter), ``collect()``,
        arm a ``call_at`` for the earliest retry the supervisor still
-       holds, and mirror the counter deltas into the session's ledger if
-       anything was delivered.  An off-loop session's share is lent the
-       stream on the executor instead (:meth:`_off_loop`); the landing
-       of a share that moved something or missed a mark marks the
-       session again;
-    2. **one** ``ledger.flush()`` for the whole cycle (group commit):
-       every delivered count is on disk, per the fsync policy, before
-       any frame of the cycle leaves;
+       holds, and, if anything was delivered and the session is
+       durable, read its conservation terms.  An off-loop session's
+       share is lent the stream on the executor instead
+       (:meth:`_off_loop`); the landing of a share that moved something
+       or missed a mark marks the session again;
+    2. **one** ``counters`` record for the whole cycle, a row of
+       counter deltas per session read in step 1 (:func:`mirror`),
+       then **one** ``ledger.flush()`` (group commit): every delivered
+       count is on disk, per the fsync policy, before any frame of the
+       cycle leaves;
     3. serialise, then hand every frame to :attr:`bridge` in one call
        (frames count as ``orphans`` while no bridge is installed).
 
@@ -361,23 +364,24 @@ class EgressPump:
             self._busy_seconds += time.monotonic() - started
             self._cycles += 1
 
-    def _collect(self, session: GatewaySession) -> tuple[list[MimeMessage], float]:
-        """What the loop does with a stream after each step: collect, arm, mirror.
+    def _collect(self, session: GatewaySession) -> tuple[list[MimeMessage], float, tuple | None]:
+        """What the loop does with a stream after each step: collect, arm, read.
 
-        Returns the delivered messages and their pickup stamp, taken as
-        the drain returns, before the arming and the ledger commit: each
+        Returns the delivered messages, their pickup stamp, taken as the
+        drain returns, before the arming and the ledger commit (each
         message's delivery component covers both and its wait behind
-        earlier frames of the cycle.
+        earlier frames of the cycle), and, if anything was delivered
+        and the session is durable, the terms its ledger row mirrors.
         """
         delivered = session.stream.collect()
         picked = time.perf_counter() if delivered else 0.0
         if session.supervisor is not None:
             self._arm(session)
         if delivered and session.ledger is not None:
-            session.sync_ledger()
-        return delivered, picked
+            return delivered, picked, conservation_terms(session.stream)
+        return delivered, picked, None
 
-    def _off_loop(self, session: GatewaySession) -> tuple[list[MimeMessage], float]:
+    def _off_loop(self, session: GatewaySession) -> tuple[list[MimeMessage], float, tuple | None]:
         """An off-loop session's part of a cycle: take the stream back, lend it again.
 
         While a share runs the cycle only remembers the mark.  Once it
@@ -392,13 +396,13 @@ class EgressPump:
             if not share.done():
                 session._again = True
                 if not share.done():  # else its landing may have read no mark
-                    return [], 0.0
+                    return [], 0.0, None
             session._share = None
             failure = share.exception()
             if failure is not None:
                 self._fault((session,), failure)  # no share until the next mark
         try:
-            delivered, picked = self._collect(session)
+            collected = self._collect(session)
             session._unstage()
         finally:
             if self._calls:
@@ -413,7 +417,7 @@ class EgressPump:
             session._lent_resident = len(session.stream.pool)
             session._share = share = executor.submit(session._step)
             share.add_done_callback(partial(self._landed, session))
-        return delivered, picked
+        return collected
 
     def _landed(self, session: GatewaySession, share: concurrent.futures.Future) -> None:
         """A share finished: mark its session if the next cycle has work to do."""
@@ -422,17 +426,17 @@ class EgressPump:
 
     def _cycle(self, ready: set[GatewaySession]) -> None:
         batches = []
-        ledgers = set()
+        reads: dict = {}  # ledger -> [(session, terms)]
         sessions = self._sessions
         for session in ready:
             if session not in sessions:
                 continue  # detached since it was marked
             try:
                 if session.stepped_by == "executor":
-                    delivered, picked = self._off_loop(session)
+                    delivered, picked, terms = self._off_loop(session)
                 else:
                     session._step()
-                    delivered, picked = self._collect(session)
+                    delivered, picked, terms = self._collect(session)
             except QueueClosedError:
                 continue  # the stream ended under us: nothing left to deliver
             except Exception as exc:
@@ -440,13 +444,14 @@ class EgressPump:
                 continue
             if not delivered:
                 continue
-            if session.ledger is not None:
-                ledgers.add(session.ledger)
+            if terms is not None:
+                reads.setdefault(session.ledger, []).append((session, terms))
             batches.append((session, delivered, picked))
         # ack durability: the delivered counts are in the ledger — and on
         # disk, per the fsync policy — *before* any echo frame leaves, so
         # an acked message is never unaccounted
-        for ledger in ledgers:
+        for ledger, read in reads.items():
+            mirror(ledger, read)
             ledger.flush()
         frames: list[tuple[GatewaySession, str | None, tuple[bytes, bytes]]] = []
         for session, delivered, picked in batches:
@@ -499,6 +504,20 @@ class EgressPump:
                 )
 
 
+def mirror(ledger, reads) -> None:
+    """The one mirror writer (cycles, a stream's end, recovery, ``reconcile``): one
+    ``counters`` record of each session's deltas since its last mirror, from
+    ``(session, terms)`` pairs read by their stream's owner.  The terms only grow,
+    so a read with a negative delta predates a mirror an owner call made (and
+    flushed) later in the cycle: it is skipped, like a read with no delta."""
+    kept = [(session, terms, [*map(operator.sub, terms, session._mirrored)]) for session, terms in reads]
+    kept = [read for read in kept if any(read[2]) and min(read[2]) >= 0]
+    if kept:
+        ledger.mirror([[session.key, *deltas] for session, _terms, deltas in kept])
+        for session, terms, _deltas in kept:
+            session._mirrored = terms
+
+
 class GatewaySession:
     """Routes one ``Content-Session`` key into one deployed stream.
 
@@ -540,8 +559,8 @@ class GatewaySession:
         self.ledger = ledger
         #: a recovery Supervisor, when the gateway runs with supervision
         self.supervisor = None
-        #: the report the ledger holds so far: the last sync's read
-        self._last_sync = ConservationReport()
+        #: the terms the ledger holds so far: the last mirror's read
+        self._mirrored = (0, 0, 0, 0, 0)
         #: end-to-end latency histogram (None disables the ingress stamp)
         self._e2e_hist = (
             telemetry.gateway_e2e_histogram() if telemetry is not None else None
@@ -669,33 +688,11 @@ class GatewaySession:
             return channel
         raise QueueClosedError(f"stream {self.stream.name} exposes no ingress port")
 
-    # -- the durable mirror -----------------------------------------------------------
+    # -- supervision ------------------------------------------------------------------
 
     def attach_supervisor(self, supervisor) -> None:
         """Adopt a recovery supervisor; its retries pump with the egress pump."""
         self.supervisor = supervisor
-
-    def sync_ledger(self) -> None:
-        """Mirror the stream's conservation terms into the ledger as deltas.
-
-        Writes ``current - last sync``, both read by
-        :func:`~repro.faults.invariant.check_conservation`, whose read
-        order keeps the folded in-flight tally non-negative.  Called by
-        the stream's owner.
-        """
-        if self.ledger is None:
-            return
-        current = check_conservation(self.stream)
-        delta = current - self._last_sync
-        self.ledger.counters(
-            self.key,
-            admitted=delta.admitted,
-            delivered=delta.delivered,
-            absorbed=delta.absorbed,
-            dead_letters=delta.dead_letters,
-            dropped=delta.dropped,
-        )
-        self._last_sync = current
 
     # -- egress (the pump's loop, or the executor for a lent stream) ---------------------------
 
@@ -762,7 +759,7 @@ class GatewaySession:
         """Leave the pump once a share in flight has landed, end the stream (idempotent).
 
         Any thread: an owner call (:meth:`EgressPump.detach`).  A close
-        is *not* an undeploy in the ledger's eyes: the final counter sync
+        is *not* an undeploy in the ledger's eyes: the final counter mirror
         lands, but no ``undeployed`` record — a session that merely
         stopped (or whose process died right after) is still recoverable.
         """
@@ -777,5 +774,6 @@ class GatewaySession:
         self.stream.remove_wakeup_listener(self._waiter.set)
         self.stream.end()
         if self.ledger is not None:
-            self.sync_ledger()  # capture the end_drops the stream just took
+            # capture the end_drops the stream just took
+            mirror(self.ledger, [(self, conservation_terms(self.stream))])
             self.ledger.flush()

@@ -10,15 +10,17 @@ per-session :class:`SessionFold` state the
 **The counter-delta model.**  Admission and delivery are *not* logged
 per message — that would double the hot-path work and still drift from
 the live invariant, because shed/abandon/fault paths admit to the pool
-without crossing a single choke point.  Instead each
-:class:`~repro.gateway.session.GatewaySession` mirrors its stream's
-:class:`~repro.faults.invariant.ConservationReport` into one
-``counters`` record per pump cycle: the difference since the previous
-mirror.  :func:`fold` adds the differences back into one report per
-session, and the ``recovered`` record a new process generation writes
-freezes whatever was in flight at the kill into ``recovered_in_flight``.
-The equation those reports balance is stated once, in
-:mod:`repro.faults.invariant`.
+without crossing a single choke point.  Instead each pump cycle writes
+**one** ``counters`` record, ``{"ev": "counters", "rows": [[session,
+admitted, delivered, absorbed, dead_letters, dropped], ...]}``: per
+session that delivered, the integers
+:func:`~repro.faults.invariant.conservation_terms` reads, less the
+session's previous mirror.  :func:`fold` adds them back into one report
+per session (older ledgers' one-session records, each term under its
+own name, fold alike), and the ``recovered`` record a new process
+generation writes freezes whatever was in flight at the kill into
+``recovered_in_flight``.  The equation those reports balance is stated
+once, in :mod:`repro.faults.invariant`.
 
 Per-message records exist only on the *fault* path, where the message
 payload itself must survive: ``dead_letter`` and ``retry_scheduled``
@@ -35,12 +37,13 @@ from repro.faults.invariant import ConservationReport
 from repro.store.base import StateStore
 
 
-#: the report terms a ``counters`` record carries, under their own names
+#: the terms of a ``counters`` row, in order (a legacy record's keys)
 _MIRRORED = ("admitted", "delivered", "absorbed", "dead_letters", "dropped")
 
-#: the record kinds :func:`fold` replays; any other is skipped whole
+#: the record kinds :func:`fold` replays by their ``session``; any other
+#: but ``counters`` is skipped whole
 _FOLDED = frozenset({
-    "deployed", "undeployed", "counters", "dead_letter", "dead_letter_evicted",
+    "deployed", "undeployed", "dead_letter", "dead_letter_evicted",
     "requeue", "retry_scheduled", "retry_settled", "recovered",
 })
 
@@ -175,6 +178,19 @@ class CrossCrashReport:
         }
 
 
+def _rows(record: dict):
+    """``(session, deltas)`` per row of a ``counters`` record (a legacy one is
+    one row); a row not of a session name and five integers is skipped."""
+    rows = record["rows"] if "rows" in record else [
+        [record.get("session"), *(record.get(n, 0) for n in _MIRRORED)]
+    ]
+    for row in rows if isinstance(rows, list) else ():
+        if isinstance(row, list) and len(row) == 6 and isinstance(row[0], str) and all(
+            isinstance(term, int) for term in row[1:]
+        ):
+            yield row[0], ConservationReport("", *row[1:])
+
+
 def fold(records) -> LedgerFold:
     """Fold an iterable of ledger records into per-session state.
 
@@ -187,6 +203,10 @@ def fold(records) -> LedgerFold:
     for record in records:
         out.records += 1
         ev = record.get("ev")
+        if ev == "counters":
+            for key, deltas in _rows(record):
+                out.session(key).totals += deltas
+            continue
         key = record.get("session")
         if ev not in _FOLDED or not isinstance(key, str):
             continue
@@ -196,8 +216,6 @@ def fold(records) -> LedgerFold:
             f.undeployed = False
         elif ev == "undeployed":
             f.undeployed = True
-        elif ev == "counters":
-            f.totals += ConservationReport(**{n: int(record.get(n, 0)) for n in _MIRRORED})
         elif ev == "dead_letter":
             msg_id = str(record.get("msg_id"))
             f.parked[msg_id] = ParkedRecord(
@@ -270,30 +288,15 @@ class Ledger:
 
     # -- conservation counters ------------------------------------------------------
 
-    def counters(
-        self,
-        session: str,
-        *,
-        admitted: int = 0,
-        delivered: int = 0,
-        absorbed: int = 0,
-        dead_letters: int = 0,
-        dropped: int = 0,
-    ) -> None:
-        """Record counter *deltas* since the session's previous mirror."""
-        if not (admitted or delivered or absorbed or dead_letters or dropped):
-            return
-        self.store.append(
-            {
-                "ev": "counters",
-                "session": session,
-                "admitted": admitted,
-                "delivered": delivered,
-                "absorbed": absorbed,
-                "dead_letters": dead_letters,
-                "dropped": dropped,
-            }
-        )
+    def mirror(self, rows: list) -> None:
+        """Append one ``counters`` record of counter-delta rows (module doc)."""
+        self.store.append({"ev": "counters", "rows": rows})
+
+    def counters(self, session: str, *, admitted: int = 0, delivered: int = 0,
+                 absorbed: int = 0, dead_letters: int = 0, dropped: int = 0) -> None:
+        """Record one session's counter deltas: the one-row form of :meth:`mirror`."""
+        if admitted or delivered or absorbed or dead_letters or dropped:
+            self.mirror([[session, admitted, delivered, absorbed, dead_letters, dropped]])
 
     # -- fault path (frames included) ----------------------------------------------
 

@@ -22,7 +22,7 @@ never deliberately undeployed:
    process).
 
 :meth:`RecoveryManager.reconcile` is the checkable other half: it
-mirrors live counters into the ledger, refolds, and balances each
+mirrors live counters in one record, refolds, and balances each
 session's folded :class:`~repro.faults.invariant.ConservationReport`
 against live pool residency — the ``durability`` bench and the crash
 tests assert its ``balanced`` verdict after every kill.
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 
+from repro.faults.invariant import conservation_terms
 from repro.store.ledger import CrossCrashReport, LedgerFold, SessionFold
 
 
@@ -115,6 +116,7 @@ class RecoveryManager:
 
     def _recover_session(self, sf: SessionFold) -> SessionRecovery:
         from repro.errors import MobiGateError
+        from repro.gateway.session import mirror
 
         gateway = self._gateway
         out = SessionRecovery(
@@ -162,7 +164,7 @@ class RecoveryManager:
         )
         out.reparked = self._repark(session, sf)
         out.reinjected, out.reinject_failures = self._reinject(session, sf)
-        session.sync_ledger()
+        mirror(self._ledger, [(session, conservation_terms(session.stream))])
         self._ledger.flush()
         out.restored = True
         return out
@@ -233,15 +235,16 @@ class RecoveryManager:
     def reconcile(self) -> CrossCrashReport:
         """Balance the conservation equation for every session, across crashes.
 
-        Mirrors every live session's counters into the ledger, refolds,
+        Mirrors every live session's counters into one record, refolds,
         and sets each session's live pool residency as the residual of
         its folded report.  Meaningful at quiescence (no traffic
         mid-flight).  It touches every session's stream, so the control
         plane runs it as an owner call over all of them.
         """
+        from repro.gateway.session import mirror
+
         gateway = self._gateway
-        for session in list(gateway.sessions.values()):
-            session.sync_ledger()
+        mirror(self._ledger, [(s, conservation_terms(s.stream)) for s in gateway.sessions.values()])
         self._ledger.flush()
         fold: LedgerFold = self._ledger.fold()
         report = CrossCrashReport()

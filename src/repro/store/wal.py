@@ -92,7 +92,7 @@ class FileWALStore(StateStore):
 
     def append(self, record: dict) -> int:
         """Write one CRC-framed line; returns the record's sequence number."""
-        line = json.dumps(record, separators=(",", ":"), sort_keys=True)
+        line = json.dumps(record, separators=(",", ":"))
         crc = zlib.crc32(line.encode("utf-8")) & 0xFFFFFFFF
         framed = f"{crc:08x} {line}\n"
         with self._lock:

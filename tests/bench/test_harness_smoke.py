@@ -83,3 +83,17 @@ class TestAblationRunners:
     def test_compile(self):
         result = run_compile_ablation((3, 6), repeats=2)
         assert [n for n, *_ in result.rows] == [3, 6]
+
+
+class TestDurabilityPumpRow:
+    def test_eight_delivering_sessions_cost_one_append_and_one_fsync_per_cycle(self, tmp_path):
+        from repro.bench.durability import _run_pump
+
+        cpu, appends, fsyncs = _run_pump(str(tmp_path / "pump.wal"), 20)
+        assert (appends, fsyncs) == (20, 20)
+        assert cpu > 0
+
+    def test_the_non_durable_row_touches_no_store(self):
+        from repro.bench.durability import _run_pump
+
+        assert _run_pump(None, 20)[1:] == (0, 0)

@@ -46,7 +46,8 @@ def wait_until(predicate, timeout=10.0) -> bool:
 
 
 class SpyStore(MemoryStore):
-    """Logs ``counters`` appends and flushes; a flush can be held open."""
+    """Logs ``counters`` appends (the sessions their rows name) and flushes;
+    a flush can be held open."""
 
     def __init__(self, log: list):
         super().__init__()
@@ -57,8 +58,9 @@ class SpyStore(MemoryStore):
 
     def append(self, record: dict) -> int:
         if record["ev"] == "counters":
-            assert record["delivered"] > 0
-            self.log.append(("counters", record["session"]))
+            # [session, admitted, delivered, absorbed, dead_letters, dropped]
+            assert all(row[2] > 0 for row in record["rows"]), record
+            self.log.append(("counters", sorted(row[0] for row in record["rows"])))
         return super().append(record)
 
     def flush(self) -> None:
@@ -103,11 +105,11 @@ class TestGroupCommit:
             for session in sessions:
                 session.close()
         log = log[: max(i for i, e in enumerate(log) if e[0] == "frame") + 1]
-        assert log[:3] == [("counters", "a"), ("flush", None), ("frame", "a")]
-        # two sessions, two counters records, ONE flush, then their frames
-        assert sorted(log[3:5]) == [("counters", "b"), ("counters", "c")]
-        assert log[5] == ("flush", None)
-        assert sorted(log[6:]) == [("frame", "b"), ("frame", "c")]
+        assert log[:3] == [("counters", ["a"]), ("flush", None), ("frame", "a")]
+        # two sessions, ONE counters record with a row for each, ONE
+        # flush, then their frames
+        assert log[3:5] == [("counters", ["b", "c"]), ("flush", None)]
+        assert sorted(log[5:]) == [("frame", "b"), ("frame", "c")]
 
 
 class FakeTransport:

@@ -158,3 +158,47 @@ def test_unflushed_records_after_the_last_flush_may_die_but_never_corrupt(tmp_pa
     assert totals.admitted == flushed_admitted
     assert totals.in_flight == flushed_admitted
     assert replace(totals, residual=flushed_admitted).balanced
+
+
+@pytest.mark.parametrize("seed", [5, 17, 29])
+def test_a_torn_rows_record_loses_its_whole_cycle_and_nothing_before(tmp_path, seed):
+    # one cycle is one ``counters`` record: a kill mid-write cuts it
+    # somewhere, and the fold then holds every earlier cycle exactly and
+    # no row of the cut one
+    import os
+
+    rng = random.Random(seed)
+    path = str(tmp_path / "ledger.wal")
+    keys = ["s-%d" % n for n in range(8)]
+    ledger = Ledger(FileWALStore(path))
+    models = {key: Model() for key in keys}
+    for _ in range(rng.randint(2, 6)):
+        rows = []
+        for key in rng.sample(keys, rng.randint(1, len(keys))):
+            batch = random_batch(rng, models[key])
+            models[key].counters(*batch)
+            rows.append([key, *batch])
+        ledger.mirror(rows)
+        ledger.flush()
+    durable_bytes = os.path.getsize(path)
+    cut = [[key, 1, 1, 0, 0, 0] for key in keys]
+    ledger.mirror(cut)
+    ledger.close()
+    whole = os.path.getsize(path)
+    for torn_at in sorted(rng.sample(range(durable_bytes + 1, whole), 5)) + [whole - 1]:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        torn = str(tmp_path / f"torn-{torn_at}.wal")
+        with open(torn, "wb") as fh:
+            fh.write(data[:torn_at])
+        store = FileWALStore(torn)
+        out = Ledger(store).fold()
+        assert store.torn == 1
+        for key in keys:
+            totals, model = out.session(key).totals, models[key]
+            assert (totals.admitted, totals.delivered, totals.absorbed) == (
+                model.admitted, model.delivered, model.absorbed
+            )
+            assert (totals.dead_letters, totals.dropped) == (model.dead_lettered, model.dropped)
+            assert totals.in_flight == model.running
+        store.close()

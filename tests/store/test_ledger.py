@@ -138,6 +138,120 @@ class TestLifecycleFold:
         assert f.composition == ("v2", "threaded")
 
 
+def legacy_counters(session, admitted=0, delivered=0, absorbed=0, dead_letters=0, dropped=0):
+    """A ``counters`` record as older ledgers hold it: one session, named terms."""
+    return {
+        "ev": "counters", "session": session, "admitted": admitted, "delivered": delivered,
+        "absorbed": absorbed, "dead_letters": dead_letters, "dropped": dropped,
+    }
+
+
+#: per cycle, the deltas of every session that delivered in it
+CYCLES = [
+    [("a", 6, 2, 0, 0, 0), ("b", 3, 3, 0, 0, 0)],
+    [("a", 1, 3, 1, 0, 0)],
+    [("b", 4, 1, 0, 1, 1), ("c", 2, 2, 0, 0, 0), ("a", 0, 1, 0, 0, 0)],
+]
+
+
+class TestRowsFormat:
+    def test_a_cycle_is_one_record_of_rows(self):
+        ledger = make_ledger()
+        ledger.mirror([list(row) for row in CYCLES[2]])
+        [record] = ledger.store.replay()
+        assert record == {"ev": "counters", "rows": [list(row) for row in CYCLES[2]]}
+
+    def test_legacy_records_fold_to_the_same_totals_as_rows(self, tmp_path):
+        from repro.store import FileWALStore
+
+        legacy, rows = FileWALStore(tmp_path / "legacy.wal"), FileWALStore(tmp_path / "rows.wal")
+        for cycle in CYCLES:
+            for row in cycle:
+                legacy.append(legacy_counters(*row))
+            Ledger(rows).mirror([list(row) for row in cycle])
+        for store in (legacy, rows):
+            store.close()
+        old = Ledger(FileWALStore(tmp_path / "legacy.wal")).fold()
+        new = Ledger(FileWALStore(tmp_path / "rows.wal")).fold()
+        totals = {key: f.totals for key, f in new.sessions.items()}
+        assert {key: f.totals for key, f in old.sessions.items()} == totals
+        assert (totals["a"].admitted, totals["a"].delivered, totals["a"].absorbed) == (7, 6, 1)
+        assert totals["a"].in_flight == 0 and totals["b"].in_flight == 1
+
+    def test_a_legacy_ledger_continued_with_rows_folds_both(self):
+        ledger = make_ledger()
+        ledger.store.append(legacy_counters("s", admitted=4, delivered=1))
+        ledger.recovered("s", in_flight=3, parked=0, retries=0)
+        ledger.mirror([["s", 2, 2, 0, 0, 0]])
+        totals = ledger.fold().session("s").totals
+        assert (totals.admitted, totals.delivered, totals.recovered_in_flight) == (6, 3, 3)
+        assert totals.balanced
+
+    def test_a_gateway_recovers_a_legacy_ledger_balanced(self, tmp_path):
+        import json
+
+        from repro.gateway import GatewayServer
+        from repro.store import FileWALStore
+
+        from tests.store.test_recovery import MCL, await_balanced, durable_config, echo_once
+
+        # what an older gateway left at a kill: sorted-key records, one
+        # ``counters`` record per session per cycle, one message in flight
+        store = FileWALStore(tmp_path / "ledger.wal")
+        for record in (
+            {"ev": "deployed", "session": "s-1", "mcl": MCL, "scheduler": "threaded"},
+            legacy_counters("s-1", admitted=3, delivered=2),
+            legacy_counters("s-1", admitted=1, delivered=1),
+        ):
+            store.append(json.loads(json.dumps(record, sort_keys=True)))
+        store.close()
+        gateway = GatewayServer(config=durable_config(tmp_path))
+        with gateway.run_in_thread() as handle:
+            [outcome] = gateway.recovery.last_report.sessions
+            assert outcome.restored and outcome.in_flight == 1
+            assert echo_once(handle.data_address, "s-1", b"after").body == b"after"
+            reconcile = await_balanced(handle)["reconcile"]
+        assert reconcile["balanced"] and reconcile["missing"] == 0, reconcile
+        [row] = reconcile["sessions"]
+        assert (row["admitted"], row["delivered"], row["recovered_in_flight"]) == (5, 4, 1)
+
+    def test_a_malformed_row_is_skipped_on_its_own(self):
+        out = fold([{"ev": "counters", "rows": [
+            ["a", 3, 1, 0, 0, 0],
+            ["short", 1, 1],                  # wrong arity
+            ["long", 1, 1, 0, 0, 0, 0],       # wrong arity
+            [7, 1, 1, 0, 0, 0],               # the session is not a string
+            ["text", "1", 1, 0, 0, 0],        # a term is not an integer
+            "not a row",
+            ["b", 2, 2, 0, 0, 0],
+        ]}])
+        assert set(out.sessions) == {"a", "b"}
+        assert (out.session("a").totals.admitted, out.session("a").totals.in_flight) == (3, 2)
+        assert out.session("b").totals.in_flight == 0
+
+    def test_a_read_older_than_the_last_mirror_is_skipped(self):
+        from types import SimpleNamespace
+
+        from repro.gateway.session import mirror
+
+        # a cycle read ``s`` early; an owner call answered later in the
+        # same cycle mirrored it anew before the cycle's record is written
+        ledger, s = make_ledger(), SimpleNamespace(key="s", _mirrored=(0, 0, 0, 0, 0))
+        t = SimpleNamespace(key="t", _mirrored=(0, 0, 0, 0, 0))
+        mirror(ledger, [(s, (5, 4, 0, 0, 1))])
+        mirror(ledger, [(s, (3, 1, 0, 0, 0)), (t, (2, 2, 0, 0, 0))])
+        mirror(ledger, [(s, (5, 4, 0, 0, 1))])  # no delta: no record
+        assert [r["rows"] for r in ledger.store.replay()] == [
+            [["s", 5, 4, 0, 0, 1]], [["t", 2, 2, 0, 0, 0]],
+        ]
+        assert s._mirrored == (5, 4, 0, 0, 1)
+        assert ledger.fold().session("s").totals.in_flight == 0
+
+    def test_rows_that_are_not_a_list_touch_no_session(self):
+        out = fold([{"ev": "counters", "rows": {"a": [1, 1, 0, 0, 0]}}])
+        assert out.records == 1 and out.sessions == {}
+
+
 class TestRobustness:
     def test_unknown_events_and_bad_records_are_skipped(self):
         out = fold([
