@@ -7,11 +7,13 @@ survives in the folded ledger) and the cross-crash conservation
 equation must balance.  What the ledger costs per message is measured
 end to end by ``bench_e2e/run.py`` (``store.ledger.*`` on
 ``session_churn``); the ``pump_*`` rows price it in process: 8 sessions
-× 2 messages per cycle through one egress pump, file WAL against none.
+× 2 messages per cycle through one egress pump, bound to an event loop on
+a thread of the row's own, file WAL against none.
 """
 
 from __future__ import annotations
 
+import asyncio
 import statistics
 import tempfile
 import threading
@@ -65,11 +67,23 @@ def _run_crash(store_dir: Path, *, cycles: int, burst: int, seed: int) -> dict:
     return {"mode": "crash_file", **report.describe()}
 
 
+async def _bind(pump: EgressPump) -> None:
+    pump.bind(asyncio.get_running_loop())
+
+
 def _run_pump(wal: str | None, cycles: int) -> tuple[float, int, int]:
-    """(CPU s, store appends, fsyncs) of ``cycles`` pump cycles, after a tenth as many."""
+    """(CPU s, store appends, fsyncs) of ``cycles`` pump cycles, after a tenth as many.
+
+    The pump cycles on a loop of its own, so the offers ``step`` makes
+    inside one cycle's bridge all land in the next one.
+    """
     store = open_store("file", wal) if wal else None
     ledger = Ledger(store) if store is not None else None
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, name="pump-row", daemon=True)
+    thread.start()
     server, pump, done, runs, left = build_server(), EgressPump(), threading.Event(), [], [0]
+    asyncio.run_coroutine_threadsafe(_bind(pump), loop).result()
     streams = [server.deploy_script(_PUMP_MCL % n) for n in range(PUMP_SESSIONS)]
     sessions = [GatewaySession(s.name, s, InlineScheduler(s), ledger=ledger, pump=pump) for s in streams]
 
@@ -97,6 +111,9 @@ def _run_pump(wal: str | None, cycles: int) -> tuple[float, int, int]:
     after = counts()
     for session in sessions:
         session.close()
+    loop.call_soon_threadsafe(loop.stop)
+    thread.join()
+    loop.close()
     if ledger is not None:
         ledger.close()
     return tuple(b - a for a, b in zip(before, after))

@@ -144,12 +144,12 @@ class _Connection(asyncio.BufferedProtocol):
                 deadline = loop.time() + config.park_timeout
                 status = FULL
                 while status == FULL:
-                    if gone is not None or loop.time() >= deadline:
-                        session.shed(*run)
-                        if bp is not None:
-                            bp("shed").inc(len(run))
-                        break
                     try:
+                        if gone is not None or loop.time() >= deadline:
+                            session.shed(*run)
+                            if bp is not None:
+                                bp("shed").inc(len(run))
+                            break
                         await asyncio.sleep(PARK_POLL_INTERVAL)
                         status = session.offer(*run, conn_id=self.conn_id)
                     except asyncio.CancelledError as exc:

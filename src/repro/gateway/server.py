@@ -48,7 +48,7 @@ from repro.gateway.config import GatewayConfig
 from repro.gateway.control_plane import ControlPlane, control_request
 from repro.gateway.data_plane import DataPlane
 from repro.gateway.faults import LinkOutageGate
-from repro.gateway.session import EgressPump, GatewaySession, serve_forever
+from repro.gateway.session import EgressPump, GatewaySession
 from repro.runtime.scheduler import InlineScheduler
 from repro.runtime.server import MobiGateServer
 from repro.store.base import open_store
@@ -58,6 +58,14 @@ from repro.store.recovery import RecoveryManager
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import FaultPlan
     from repro.telemetry import Telemetry
+
+
+def serve_forever(loop: asyncio.AbstractEventLoop) -> None:
+    """Run ``loop`` until it is stopped, then close it: a loop thread's body."""
+    try:
+        loop.run_forever()
+    finally:
+        loop.close()
 
 
 def _cooperative_only(table, directory) -> bool:
@@ -108,8 +116,8 @@ class GatewayServer:
             self.ledger = Ledger(store)
             self.recovery = RecoveryManager(self, self.ledger)
         #: the egress stage every session shares; start() binds it to the
-        #: running loop (before that it cycles on a private one, and with
-        #: no connection to write to, its frames count as orphans)
+        #: running loop (before that a mark cycles it inline on the calling
+        #: thread, and with no connection to write to, frames count as orphans)
         self.egress = EgressPump()
         self.egress.bridge = self.data._write_batch
         self._sessions_gauge = (
@@ -288,7 +296,8 @@ class GatewayServer:
         ``undeployed`` record, so crash recovery will *not* restore the
         session.  Internal shutdown paths (stop, drain) pass False —
         a stopped session is still recoverable.  An owner call, under the
-        deploy lock: a last undeploy may end the pump's private loop.
+        deploy lock, so it never falls between a deploy's key check and
+        its publication of the session.
         """
         with self._deploy_lock:
             session = self.sessions.get(key)

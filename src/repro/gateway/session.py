@@ -44,15 +44,16 @@ loop would silence every session.
   the cycle that takes the stream back.  For a session that is not lent
   it runs at once.
 
-Until :meth:`EgressPump.bind` hands it the gateway's loop, the pump
-cycles on a private loop of its own, which owns the streams until then.
+A pump has one loop, the one :meth:`EgressPump.bind` gives it (the
+gateway's, at ``start()``).  Before that the caller's thread owns the
+streams: every mark runs the cycle inline, where it is made, and every
+share is stepped there too.
 """
 
 from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import contextlib
 import operator
 import sys
 import threading
@@ -98,14 +99,6 @@ class SessionStats:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def serve_forever(loop: asyncio.AbstractEventLoop) -> None:
-    """Run ``loop`` until it is stopped, then close it: a loop thread's body."""
-    try:
-        loop.run_forever()
-    finally:
-        loop.close()
-
-
 def _settle(future: concurrent.futures.Future, fn) -> None:
     """Run ``fn`` and settle ``future`` with what it returned or raised."""
     try:
@@ -140,11 +133,13 @@ class EgressPump:
     3. serialise, then hand every frame to :attr:`bridge` in one call
        (frames count as ``orphans`` while no bridge is installed).
 
-    Work is O(ready sessions); an idle stage runs nothing.  Until
-    :meth:`bind` hands it the gateway's loop, the
-    pump runs a private one in a thread (``gw-egress``) from the first
-    :meth:`attach` to the last :meth:`detach`.  The executor lives as
-    long as an off-loop session is attached.  It has no ceiling of its
+    Work is O(ready sessions); an idle stage runs nothing.  A pump has
+    one loop, the one :meth:`bind` gives it.  Before that the calling
+    thread owns the streams and a mark runs the cycle at once, there
+    (a mark made inside that drain joins it); every share is stepped
+    inline, and a retry due later is pumped at the session's next mark.
+    The executor lives while a bound pump has an off-loop session
+    attached.  It has no ceiling of its
     own: a thread starts only when no started one is idle, so with one
     share in flight per session its threads stay near the number of
     off-loop sessions, and no session that may block ever waits behind
@@ -158,10 +153,11 @@ class EgressPump:
         #: exceptions contained inside cycles (see ``egress_fault`` events)
         self.faults = 0
         self._sessions: set[GatewaySession] = set()
-        # (loop, ident of its thread), None before an attach
+        # (loop, ident of its thread), None until bind
         self._on: tuple[asyncio.AbstractEventLoop, int] | None = None
-        self._private: threading.Thread | None = None  # a private loop's thread
         self._executor: ThreadPoolExecutor | None = None
+        # unbound: a drain is running on the owner's thread (marks join it)
+        self._draining = False
         # the loop's thread only: sessions to cycle, retry wakeups, and the
         # owner calls waiting for lent sessions, as (those sessions, over
         # every session?, fn, future); a session such a call covers is not
@@ -198,27 +194,15 @@ class EgressPump:
         elif threading.get_ident() == on[1]:
             self._call(fn, sessions, every, future)
         else:
-            try:
-                on[0].call_soon_threadsafe(self._call, fn, sessions, every, future)
-            except RuntimeError:  # a private loop ended with its last session
-                _settle(future, fn)
+            on[0].call_soon_threadsafe(self._call, fn, sessions, every, future)
         return future
 
     def run(self, fn, *sessions: GatewaySession, every: bool = False):
-        """:meth:`call`, waiting for ``fn``'s result (on the loop, for none lent).
-
-        A private loop that ``fn`` ended is joined before this returns.
-        """
-        private, on = self._private, self._on
+        """:meth:`call`, waiting for ``fn``'s result (on the loop, for none lent)."""
         future = self.call(fn, *sessions, every=every)
-        if not future.done() and on is not None and threading.get_ident() == on[1]:
+        if not future.done() and threading.get_ident() == self._on[1]:
             raise RuntimeError("an owner call on the loop's thread must be awaited")
-        try:
-            return future.result()
-        finally:
-            if private is not None and self._private is not private:
-                if private is not threading.current_thread():
-                    private.join()
+        return future.result()
 
     def _call(self, fn, sessions, every: bool, future: concurrent.futures.Future) -> None:
         covered = frozenset(self._sessions if every else sessions)
@@ -248,35 +232,21 @@ class EgressPump:
     # -- membership (any thread; changed on the loop's) ---------------------------------
 
     def bind(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Run every later cycle on ``loop``; call from the thread running it.
+        """Cycle on ``loop`` from now on; call once, from the thread running it.
 
-        A private loop hands its sessions over: it is stopped, its thread
-        joined, and every session is marked ready on ``loop``.
+        The sessions attached so far join again there: the executor
+        starts if one of them is off-loop, and each is marked ready.
         """
-        if self._private is not None:
-            loop_, _owner = self._on
-            loop_.call_soon_threadsafe(loop_.stop)
-            self._private.join()
-            self._private = None
-        # cycle on ``loop``: the private loop's ready set and timers never
-        # run again, and a share in flight lands here, marking its session
-        self._on, self._ready, self._timers = (loop, threading.get_ident()), set(), {}
-        for session in self._sessions:
-            self._mark(session)
+        self._on = (loop, threading.get_ident())
+        for session in list(self._sessions):
+            self._join(session)
 
     def attach(self, session: GatewaySession) -> None:
-        """Start serving ``session``; starts a private loop if none is bound."""
-        if self._on is None:
-            loop = asyncio.new_event_loop()
-            self._private = threading.Thread(
-                target=serve_forever, args=(loop,), name="gw-egress", daemon=True
-            )
-            self._private.start()
-            self._on, self._ready, self._timers = (loop, self._private.ident), set(), {}
+        """Start serving ``session``: an owner call."""
         self.run(partial(self._join, session))
 
     def _join(self, session: GatewaySession) -> None:
-        if session.stepped_by == "executor" and self._executor is None:
+        if session.stepped_by == "executor" and self._executor is None and self._on is not None:
             self._executor = ThreadPoolExecutor(sys.maxsize, "gw-step")
         if not self._sessions:
             self._served_since = time.monotonic()
@@ -289,7 +259,7 @@ class EgressPump:
         A share in flight is recalled and lands first, so once this
         returns no cycle touches the session or submits a share of it.
         The last off-loop session's detach shuts the executor down, and
-        the last detach ends a private loop; the caller waits for both.
+        the caller waits for that.
         """
         executor = self.run(partial(self._leave, session, end), session)
         if executor is not None:
@@ -310,30 +280,35 @@ class EgressPump:
             executor, self._executor = self._executor, None
         if not self._sessions:
             self._served_seconds += time.monotonic() - self._served_since
-            if self._private is not None:
-                self._on[0].stop()
-                self._on = self._private = None
         return executor
 
     def mark_ready(self, session: GatewaySession) -> None:
-        """Queue ``session`` for the next cycle (any thread)."""
+        """Queue ``session`` for the next cycle (any thread; unbound, run it now)."""
         on = self._on
-        if on is None:
-            return  # nothing attached
-        if threading.get_ident() == on[1]:
+        if on is None or threading.get_ident() == on[1]:
             self._mark(session)
         else:
-            with contextlib.suppress(RuntimeError):  # a private loop ended with its last session
-                on[0].call_soon_threadsafe(self._mark, session)
+            on[0].call_soon_threadsafe(self._mark, session)
 
-    # -- the loop's thread ---------------------------------------------------------------
+    # -- the loop's thread (the owner's, unbound) ----------------------------------------
 
     def _mark(self, session: GatewaySession) -> None:
-        if session in self._sessions:
-            ready = self._ready
+        if session not in self._sessions:
+            return
+        ready = self._ready
+        if self._on is not None:
             if not ready:
                 self._on[0].call_soon(self._drain)
             ready.add(session)
+            return
+        ready.add(session)
+        if not self._draining:  # else the drain running takes it
+            self._draining = True
+            try:
+                while self._ready:
+                    self._drain()
+            finally:
+                self._draining = False
 
     def _retry_due(self, session: GatewaySession) -> None:
         self._timers.pop(session, None)
@@ -342,8 +317,8 @@ class EgressPump:
     def _arm(self, session: GatewaySession) -> None:
         """Mark ``session`` again when its supervisor's next retry is due."""
         due = session.supervisor.next_due()
-        if due is None:
-            return
+        if due is None or self._on is None:
+            return  # unbound: the session's next mark pumps it
         loop = self._on[0]
         when = loop.time() + due - session.stream._clock.now()
         timer = self._timers.get(session)
@@ -432,7 +407,7 @@ class EgressPump:
             if session not in sessions:
                 continue  # detached since it was marked
             try:
-                if session.stepped_by == "executor":
+                if session.stepped_by == "executor" and self._executor is not None:
                     delivered, picked, terms = self._off_loop(session)
                 else:
                     session._step()
@@ -527,9 +502,9 @@ class GatewaySession:
     stream lent to it (``stepped_by`` reads ``"pump"`` or ``"executor"``).
     ``requested`` is the scheduler name the deployer asked for — what
     ``describe`` reports as ``scheduler`` and what the ledger records.
-    Everything runs on the pump's loop: :meth:`offer` and :meth:`shed`
-    hand themselves to it from another thread, and :meth:`close` is an
-    owner call.
+    :meth:`offer` and :meth:`shed` are called on the pump's loop (before
+    :meth:`EgressPump.bind`, on the owner's thread, where they cycle the
+    pump inline); :meth:`close` is an owner call, from any thread.
     """
 
     def __init__(
@@ -581,7 +556,7 @@ class GatewaySession:
         #: while lent: the pool's size at the loan, plus the offers staged
         self._lent_resident = 0
         #: the egress stage serving this session: the gateway's shared
-        #: pump, or a private one for a standalone session
+        #: pump, or one of its own for a standalone session
         self.pump = pump if pump is not None else EgressPump()
         #: what the session hooks onto its queues: a waiter whose ``set()``
         #: marks it ready
@@ -616,14 +591,12 @@ class GatewaySession:
         stamp, and the ids are posted in one ``post_run``: ``ADMITTED``,
         or ``SHED`` if the edge queue is full.  A run offered to a lent
         stream is staged (``ADMITTED``) instead, and admitted so, under
-        its stamp, when the stream is back.  Only the pump's loop admits:
-        an offer from another thread is handed to it, and waits.
+        its stamp, when the stream is back.  An unbound pump cycles
+        before this returns.  A closed session raises
+        :class:`~repro.errors.QueueClosedError`.
         """
         if self._closed:
             raise QueueClosedError(f"session {self.key} is closed")
-        on = self.pump._on
-        if on is not None and on[1] != threading.get_ident():  # only the loop admits
-            return self.pump.run(partial(self.offer, *messages, conn_id=conn_id))
         if len(messages) > self.room:
             return FULL
         stamp = time.perf_counter() if self._e2e_hist is not None else None
@@ -646,20 +619,24 @@ class GatewaySession:
         origin = (conn_id, stamp)
         for message in messages:
             message.headers.origin = origin
-        if not self._ingress_channel().queue.post_run(entries, stamp):
+        queue = self._ingress_channel().queue
+        queue.add_waiter(self._waiter)  # the post marks the session: the pump drives the stream
+        if not queue.post_run(entries, stamp):
             # the effectively-unbounded edge queue is full — treat as a shed
             stream._release_dropped([msg_id for msg_id, _ in entries])
             self.stats.shed += len(entries)
             return SHED
         stream.stats.messages_in += len(entries)
-        self._waiter.set()  # the pump drives the stream
         return ADMITTED
 
     def shed(self, *messages: MimeMessage) -> None:
-        """Give up on a ``FULL`` run: shed it into the conservation ledger (on the loop)."""
-        on = self.pump._on
-        if on is not None and on[1] != threading.get_ident():  # only the loop sheds
-            return self.pump.run(partial(self.shed, *messages))
+        """Give up on a ``FULL`` run: shed it into the conservation ledger.
+
+        A closed session raises :class:`~repro.errors.QueueClosedError`, as
+        :meth:`offer` does: its final mirror is written.
+        """
+        if self._closed:
+            raise QueueClosedError(f"session {self.key} is closed")
         if self._share is not None:
             self._staged.append((messages, None, None, True))
             self._waiter.set()

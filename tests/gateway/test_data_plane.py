@@ -4,6 +4,7 @@ import asyncio
 import logging
 import socket
 import time
+from collections import deque
 from dataclasses import replace
 from functools import partial
 from unittest.mock import Mock
@@ -293,6 +294,20 @@ class TestBackpressure:
                 client.close()
             assert handle.gateway.data.unrouted_frames == 1
             assert handle.gateway.data.frame_errors == 1
+
+    def test_a_run_whose_park_ends_after_the_undeploy_is_refused_not_shed(self):
+        # the budget is spent once the session is closed: the shed refuses,
+        # as the re-offer does, and nothing is dropped into the ended stream
+        gateway = GatewayServer(config=GatewayConfig(park_timeout=0.0))
+        session = gateway.deploy(MCL, session_key="gone")
+        gateway.undeploy("gone", record=False)
+        conn, written = _Connection(gateway.data), []
+        conn.transport, conn.write = Mock(), written.append
+        parked = (session, [tagged(b"late", "gone")], time.perf_counter())
+        asyncio.run(conn._settle(parked, deque()))
+        assert (session.stream.stats.queue_drops, session.stats.shed) == (0, 0)
+        assert gateway.data.unrouted_frames == 1
+        assert [b"is closed" in frame for frame in written] == [True]
 
 
 class TestLinkOutage:

@@ -10,7 +10,7 @@ from repro.faults.invariant import check_conservation
 from repro.gateway import GatewayConfig, GatewayServer
 from repro.gateway.data_plane import COALESCE_BELOW
 from repro.gateway.session import (
-    ADMITTED, EgressPump, GatewaySession, SessionStats,
+    ADMITTED, GatewaySession, SessionStats,
 )
 from repro.mime.message import MimeMessage
 from repro.runtime.scheduler import InlineScheduler
@@ -25,10 +25,19 @@ from tests.gateway.test_data_plane import (
     offer_worker_redirector,
     tagged,
 )
+from tests.offloop import PumpLoop
+
+#: the threads a started gateway runs: its loop, the loop's default
+#: executor (the control plane's deploys) and the pump's executor
+GATEWAY_THREADS = ("gateway-loop", "asyncio_", "gw-step")
 
 
-def egress_threads() -> int:
-    return sum(t.name == "gw-egress" for t in threading.enumerate())
+def new_threads(before: set, allowed: tuple = ()) -> list[str]:
+    """The threads alive now and not in ``before``, but for ``allowed`` name prefixes."""
+    return sorted(
+        t.name for t in threading.enumerate()
+        if t not in before and not t.name.startswith(allowed)
+    )
 
 
 def worker_threads() -> int:
@@ -76,7 +85,8 @@ class TestGroupCommit:
         log: list = []
         store = SpyStore(log)
         ledger = Ledger(store)
-        pump = EgressPump()
+        loop = PumpLoop()
+        pump = loop.pump
         pump.bridge = lambda frames: log.extend(
             ("frame", session.key) for session, _conn, _frame in frames
         )
@@ -104,6 +114,7 @@ class TestGroupCommit:
         finally:
             for session in sessions:
                 session.close()
+            loop.stop()
         log = log[: max(i for i, e in enumerate(log) if e[0] == "frame") + 1]
         assert log[:3] == [("counters", ["a"]), ("flush", None), ("frame", "a")]
         # two sessions, ONE counters record with a row for each, ONE
@@ -222,10 +233,10 @@ class TestWriteBatch:
 
 class TestLifecycle:
     def test_eight_sessions_share_one_pump_thread_and_stop_ends_it(self):
-        before = egress_threads()
+        before = set(threading.enumerate())
         with GatewayServer().run_in_thread() as handle:
             keys = [deploy(handle) for _ in range(8)]
-            assert egress_threads() == before
+            assert new_threads(before, GATEWAY_THREADS) == []
             client = WireClient(handle.data_address)
             try:
                 for key in keys:
@@ -233,11 +244,11 @@ class TestLifecycle:
                 assert {client.recv_frame().body for _ in keys} == {k.encode() for k in keys}
             finally:
                 client.close()
-            assert egress_threads() == before
-        assert egress_threads() == before
+            assert new_threads(before, GATEWAY_THREADS) == []
+        assert new_threads(before, ("asyncio_",)) == []
 
     def test_undeploy_under_traffic_neither_wedges_nor_delays_the_rest(self):
-        before = egress_threads()
+        before = set(threading.enumerate())
         with GatewayServer().run_in_thread() as handle:
             keys = [deploy(handle) for _ in range(4)]
             stop = threading.Event()
@@ -276,7 +287,7 @@ class TestLifecycle:
                 assert wait_until(
                     lambda: all(rounds[k] >= mark[k] + 20 for k in survivors), timeout=5.0
                 ), (mark, rounds)
-                assert egress_threads() == before
+                assert new_threads(before | set(threads), GATEWAY_THREADS) == []
             finally:
                 stop.set()
                 for thread in threads:
@@ -284,25 +295,35 @@ class TestLifecycle:
             assert not failures, failures
             assert not any(thread.is_alive() for thread in threads)
 
-    def test_never_started_gateway_holds_no_thread_after_its_last_undeploy(self):
-        before = egress_threads()
-        gateway = GatewayServer()  # no loop, no bridge: frames are orphans
-        session = gateway.deploy(MCL, session_key="walk")
-        assert egress_threads() == before + 1
-        offer = partial(session.offer, MimeMessage("text/plain", b"x"))
-        assert gateway.egress.run(offer) == ADMITTED
-        assert wait_until(lambda: session.resident == 0)
-        assert wait_until(lambda: session.stats.orphans == 1)
-        gateway.undeploy("walk", record=False)
-        assert egress_threads() == before
+    def test_a_never_started_gateway_steps_inline_and_starts_no_thread(self):
+        # the layer walk's gateway: no loop, so every offer cycles the pump
+        # before it returns, off-loop session included (no connection to
+        # write to: frames are orphans)
+        before = set(threading.enumerate())
+        gateway = offer_worker_redirector(GatewayServer())
+        pumped = gateway.deploy(MCL, session_key="pumped")
+        lent = gateway.deploy(WORKER_MCL, session_key="lent")
+        try:
+            assert (pumped.stepped_by, lent.stepped_by) == ("pump", "executor")
+            for n, session in enumerate((pumped, lent, pumped, lent), 1):
+                assert session.offer(MimeMessage("text/plain", b"%d" % n)) == ADMITTED
+                assert session.resident == 0
+                assert session.stats.orphans == (n + 1) // 2
+            assert gateway.egress._executor is None
+            assert new_threads(before) == []
+        finally:
+            gateway.undeploy("pumped", record=False)
+            gateway.undeploy("lent", record=False)
+        assert new_threads(before) == []
 
     def test_a_session_deployed_before_start_moves_onto_the_loop(self):
-        before = egress_threads()
+        before = set(threading.enumerate())
         gateway = GatewayServer()
-        gateway.deploy(MCL, session_key="early")  # cycles on a private loop
-        assert egress_threads() == before + 1
+        gateway.deploy(MCL, session_key="early")  # stepped inline until start()
+        assert new_threads(before) == []
         with gateway.run_in_thread() as handle:
-            assert egress_threads() == before  # start() bound the gateway's loop
+            # start() bound the gateway's loop
+            assert new_threads(before, ("asyncio_",)) == ["gateway-loop"]
             client = WireClient(handle.data_address)
             try:
                 for i in range(5):
@@ -310,12 +331,12 @@ class TestLifecycle:
                     assert client.recv_frame().body == b"e%d" % i
             finally:
                 client.close()
-            assert egress_threads() == before
+            assert new_threads(before, ("asyncio_",)) == ["gateway-loop"]
 
-    def test_concurrent_deploys_and_undeploys_before_start_leave_no_thread(self):
-        # the private loop starts with the first attach and ends with the
-        # last detach: four threads race both edges many times over
-        before = egress_threads()
+    def test_concurrent_deploys_and_undeploys_leave_no_session_and_no_thread(self):
+        # four threads race deploys, offers and undeploys of a started
+        # gateway many times over: owner calls, under the deploy lock
+        before = set(threading.enumerate())
         gateway = GatewayServer()
         failures = []
 
@@ -332,29 +353,31 @@ class TestLifecycle:
                 failures.append(exc)
 
         threads = [threading.Thread(target=churn, args=(n,)) for n in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not failures, failures
-        assert gateway.sessions == {}
-        assert egress_threads() == before
+        with gateway.run_in_thread():
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not failures, failures
+            assert gateway.sessions == {}
+            assert new_threads(before | set(threads), GATEWAY_THREADS) == []
 
 
 class TestIgnoredOutcomes:
     def test_offers_whose_outcome_is_ignored_never_strand_a_run(self):
-        # the layer walk's pattern: threads offer into a never-started
-        # gateway's pump-stepped session, wait for room, and never read
-        # what the offer returned; every admitted run must still move
+        # threads offer into a started gateway's pump-stepped session
+        # through the owner call, wait for room, and never read what the
+        # offer returned; every admitted run must still move
         gateway = GatewayServer()
         delivered: list = []
         gateway.egress.bridge = delivered.extend
+        handle = gateway.run_in_thread()
         session = gateway.deploy(MCL, session_key="walk")
         deadline = time.monotonic() + 10.0
 
@@ -384,11 +407,12 @@ class TestIgnoredOutcomes:
             assert check_conservation(session.stream).balanced
         finally:
             gateway.undeploy("walk", record=False)
+            handle.stop()
 
 
 class TestPumpStepping:
     def test_eight_pumped_sessions_hold_one_thread_and_a_ninth_adds_only_its_workers(self):
-        pumps, workers = egress_threads(), worker_threads()
+        before, workers = set(threading.enumerate()), worker_threads()
         with offer_worker_redirector(GatewayServer()).run_in_thread() as handle:
             keys = [deploy(handle) for _ in range(8)]
             client = WireClient(handle.data_address)
@@ -398,12 +422,12 @@ class TestPumpStepping:
                         client.send(tagged(b"%d" % round_, key))
                     for _ in keys:
                         assert client.recv_frame().body == b"%d" % round_
-                    assert egress_threads() == pumps
+                    assert new_threads(before, GATEWAY_THREADS) == []
                     assert worker_threads() == workers
                 ninth = deploy(handle, mcl=WORKER_MCL)
                 client.send(tagged(b"ninth", ninth))
                 assert client.recv_frame().body == b"ninth"
-                assert egress_threads() == pumps
+                assert new_threads(before, GATEWAY_THREADS) == []
                 # the executor, not a thread per instance (r0 and r1): one
                 # share in flight, and a thread starts only when none is
                 # idle (a finished share's thread turns idle just after
@@ -413,7 +437,7 @@ class TestPumpStepping:
                 client.close()
             for key in keys + [ninth]:
                 assert handle.control({"op": "undeploy", "session": key})["ok"]
-            assert egress_threads() == pumps
+            assert new_threads(before, GATEWAY_THREADS) == []
             assert worker_threads() == workers
 
     def test_resume_wakes_a_pumped_session_without_waiting_for_the_heartbeat(self):
@@ -445,7 +469,8 @@ class TestPumpStepping:
         from repro.gateway.session import PUMP_QUANTUM
 
         server = build_server()
-        pump = EgressPump()
+        loop = PumpLoop()
+        pump = loop.pump
         batches: list[int] = []
         pump.bridge = lambda frames: batches.append(len(frames))
         stream = server.deploy_script(MCL)
@@ -469,6 +494,7 @@ class TestPumpStepping:
             assert wait_until(lambda: sum(batches) == 3 * PUMP_QUANTUM), batches
         finally:
             session.close()
+            loop.stop()
         # one round moves one message per node: no cycle carried more than
         # a quantum, and the leftovers re-marked the session by themselves
         assert max(batches) <= PUMP_QUANTUM, batches
@@ -477,7 +503,7 @@ class TestPumpStepping:
 
 class TestContainment:
     def test_one_sessions_fault_does_not_silence_the_others(self):
-        before = egress_threads()
+        before = set(threading.enumerate())
         with GatewayServer().run_in_thread() as handle:
             gateway = handle.gateway
             broken, healthy = deploy(handle), deploy(handle)
@@ -495,7 +521,7 @@ class TestContainment:
                     assert client.recv_frame().body == b"m%d" % i
             finally:
                 client.close()
-            assert egress_threads() == before
+            assert new_threads(before, GATEWAY_THREADS) == []
             faults = [
                 e for e in gateway.telemetry.recorder.events()
                 if e["category"] == "egress_fault"

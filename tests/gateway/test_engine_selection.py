@@ -98,7 +98,8 @@ class TestSelection:
             "  streamlet r1 = new-streamlet (worker_redirector)"
         ))
         gateway = offer_both(GatewayServer())
-        with deployed(gateway, mixed) as session:
+        # started: a never-started gateway steps every share inline
+        with gateway.run_in_thread(), deployed(gateway, mixed) as session:
             assert session.stepped_by == "executor"
             assert gateway.egress._executor is not None
             # one share in flight per session: one thread however many instances

@@ -73,6 +73,14 @@ class TestBoundedOffer:
         assert report.residual == 0
         assert stream.stats.end_drops == 1
 
+    def test_a_closed_session_refuses_a_shed_as_it_refuses_an_offer(self):
+        _server, stream, session = deploy_session()
+        session.close()
+        for method in (session.offer, session.shed):
+            with pytest.raises(QueueClosedError):
+                method(message("late"))
+        assert (stream.stats.queue_drops, session.stats.shed) == (0, 0)
+
     def test_session_stamps_runtime_session_header(self):
         _server, stream, session = deploy_session()
         try:

@@ -5,9 +5,13 @@ composition that may block.
 :class:`~repro.gateway.session.GatewaySession` with ``off_loop=True``:
 the stream's :class:`~repro.runtime.scheduler.InlineScheduler` runs in
 shares on the executor of the session's own egress pump, one share in
-flight at a time, the stream lent to it whole.  The pump's private loop
-owns the stream between shares (it collects there, and keeps what each
-cycle delivers for :meth:`OffLoop.collect` instead of serialising it).
+flight at a time, the stream lent to it whole.  The pump is bound to an
+event loop on a thread of its own (:class:`PumpLoop`), which owns the
+stream between shares (it collects there, and keeps what each cycle
+delivers for :meth:`OffLoop.collect` instead of serialising it).  An
+unbound pump would step every share inline, on the marking thread, and
+lend nothing, so closing the session checks that every share it ran
+ran on the executor (``gw-step``).
 
 One owner per stream holds here too: the test thread never touches the
 stream itself.  :meth:`OffLoop.call` is the owner call — it recalls a
@@ -24,11 +28,12 @@ where it is: the share owns the stream then.  Tests parametrised over
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
 from functools import partial
 
-from repro.gateway.session import GatewaySession
+from repro.gateway.session import EgressPump, GatewaySession
 from repro.runtime.scheduler import InlineScheduler
 
 #: the stream methods routed through the owner call
@@ -40,24 +45,58 @@ ROUTED = (
 )
 
 
+class PumpLoop:
+    """An :class:`EgressPump` bound to an event loop on a thread of its own."""
+
+    def __init__(self):
+        self.pump = EgressPump()
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self._loop.run_forever, name="pump-loop", daemon=True
+        )
+        self._thread.start()
+        asyncio.run_coroutine_threadsafe(self._bind(), self._loop).result(5)
+
+    async def _bind(self) -> None:
+        self.pump.bind(self._loop)
+
+    def stop(self) -> None:
+        """Stop the loop and join its thread (idempotent)."""
+        if self._thread.is_alive():
+            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._thread.join(5)
+            self._loop.close()
+
+
 class _KeepingSession(GatewaySession):
-    """A session whose cycles keep the delivered messages, not wire frames."""
+    """A session on a :class:`PumpLoop` of its own, which its close stops;
+    its cycles keep the delivered messages, not wire frames."""
 
     def __init__(self, *args, **kwargs):
         self.kept: list = []
         #: the thread running this session's share, while one runs
         self.stepper: int | None = None
-        super().__init__(*args, **kwargs)
+        #: the names of the threads that ran its shares
+        self.steppers: set[str] = set()
+        self._pump_loop = PumpLoop()
+        super().__init__(*args, pump=self._pump_loop.pump, **kwargs)
 
     def _serialise(self, delivered, picked, out) -> None:
         self.kept.extend(delivered)
 
     def _step(self) -> int:
         self.stepper = threading.get_ident()
+        self.steppers.add(threading.current_thread().name)
         try:
             return super()._step()
         finally:
             self.stepper = None
+
+    def close(self) -> None:
+        super().close()
+        self._pump_loop.stop()
+        if self.stepped_by == "executor":
+            assert all(name.startswith("gw-step") for name in self.steppers), self.steppers
 
 
 class OffLoop:

@@ -171,8 +171,12 @@ class TestRowsFormat:
             Ledger(rows).mirror([list(row) for row in cycle])
         for store in (legacy, rows):
             store.close()
-        old = Ledger(FileWALStore(tmp_path / "legacy.wal")).fold()
-        new = Ledger(FileWALStore(tmp_path / "rows.wal")).fold()
+        reopened = [FileWALStore(tmp_path / "legacy.wal"), FileWALStore(tmp_path / "rows.wal")]
+        try:
+            old, new = (Ledger(store).fold() for store in reopened)
+        finally:
+            for store in reopened:
+                store.close()
         totals = {key: f.totals for key, f in new.sessions.items()}
         assert {key: f.totals for key, f in old.sessions.items()} == totals
         assert (totals["a"].admitted, totals["a"].delivered, totals["a"].absorbed) == (7, 6, 1)
